@@ -12,9 +12,9 @@ from .errors import (AlphabetMismatchError, CapacityError,
 from .extreal import INF, ONE, ZERO, ExtReal
 from .shift_core import (Alphabet, ExplicitBase, LazySequence, PeriodicBase,
                          SymbolSource, Word, agreement_length, distance)
-from .return_time import (ReturnTimeResult, return_time, return_time_naive,
-                          return_time_prime, return_times_all,
-                          return_times_naive_all)
+from .return_time import (ReturnTimeResult, ReturnTimes, return_time,
+                          return_time_naive, return_time_prime,
+                          return_times_all, return_times_naive_all)
 from .phi_spec import (ExprPhi, GammaDelta, OscLogPhi, PhiSpec, PowerLog,
                        TablePhi, check_nondecreasing, parse_phi)
 from .cantor_builder import (ExplicitFree, FpBase, FreeStream, InsertionPlan,
@@ -44,8 +44,9 @@ __all__ = [
     "LogLadder", "ONE", "OscLogPhi", "PeriodicBase", "PhaseRecord",
     "PhiDomainError", "PhiParseError", "PhiSpec", "PlanValidityError",
     "PowerLog", "RateEntry", "RateTrajectory", "RecurrenceLabError",
-    "RefusalError", "ReturnTimeResult", "SearchCapError", "SeededFree",
-    "SourceExhaustedError", "StepLadder", "SymbolSource", "TablePhi",
+    "RefusalError", "ReturnTimeResult", "ReturnTimes", "SearchCapError",
+    "SeededFree", "SourceExhaustedError", "StepLadder", "SymbolSource",
+    "TablePhi",
     "Word", "ZERO", "ZeroFree", "agreement_length", "apply_insertions",
     "box_dimension", "build_fp_prefix", "build_subseq1", "build_subseq2_i",
     "build_subseq2_ii", "certified_brackets", "check_nondecreasing",

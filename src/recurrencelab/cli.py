@@ -29,7 +29,7 @@ from .plan_engine import classify_profile, classify_thresholds, plan_full_dimens
 from .rate_dim_analysis import (box_dimension, plan_rate_trajectory,
                                 rate_trajectory, recurrence_witnesses,
                                 running_extremes)
-from .return_time import return_time_naive, return_times_all
+from .return_time import return_times_all
 from .shift_core import DEFAULT_MATERIALIZATION_CAP, Word
 
 _CAP_ENV = "RECURRENCELAB_CAP"
@@ -167,17 +167,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_return_times(args) -> int:
-    word = _word_from_args(args)
-    if args.prime:
-        top = args.max_n or len(word)
-        for n in range(1, top + 1):
-            res = return_time_naive(word, n, prime=True)
-            _emit({"n": res.n, "value": res.value, "exact": res.exact,
-                   "prime": True})
-        return 0
-    for res in return_times_all(word, max_n=args.max_n):
-        _emit({"n": res.n, "value": res.value, "exact": res.exact,
-               "prime": False})
+    rt = return_times_all(_word_from_args(args), max_n=args.max_n,
+                          prime=args.prime)
+    for n, value in enumerate(rt.values, 1):
+        _emit({"n": n, "value": value, "exact": True, "prime": rt.prime})
+    for n in range(rt.exact_depth + 1, rt.top + 1):
+        _emit({"n": n, "value": rt.bound(n), "exact": False,
+               "prime": rt.prime})
     return 0
 
 
@@ -242,20 +238,21 @@ def _cmd_verify(args) -> int:
     seq = apply_insertions(sub, free, cap=cap)
     horizon = brackets[-1][2] + brackets[-1][1] + 2
     word = seq.prefix(horizon)
-    results = return_times_all(word, max_n=brackets[-1][1])
+    rt = return_times_all(word, max_n=brackets[-1][1])
     ok = True
     mismatch_lines = 0
     for lo, hi, ell in brackets:
         mismatches = 0
         for n in range(lo + 1, hi + 1):
-            res = results[n - 1]
-            if not (res.exact and res.value == ell):
-                mismatches += 1
-                ok = False
-                if mismatch_lines < 20:
-                    _emit({"n": n, "expected": str(ell),
-                           "got": res.value, "exact": res.exact})
-                    mismatch_lines += 1
+            if n <= rt.exact_depth and rt.values[n - 1] == ell:
+                continue
+            mismatches += 1
+            ok = False
+            if mismatch_lines < 20:
+                res = rt.result(n)
+                _emit({"n": n, "expected": str(ell),
+                       "got": res.value, "exact": res.exact})
+                mismatch_lines += 1
         _emit({"bracket": [lo, hi], "ell": str(ell),
                "checked": hi - lo, "mismatches": mismatches})
     # plan-level rate check against the targets, on the full (untruncated)

@@ -53,15 +53,18 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     Entries with an uninformative bound (return time below 1) are dropped;
     n = 1 is skipped under the default profile since log(1) = 0.
     """
+    rt = return_times_all(word, max_n=max_n)
+    exact_depth = rt.exact_depth
     entries = []
-    for res in return_times_all(word, max_n=max_n):
-        if res.value < 1:
+    for n in range(1, rt.top + 1):
+        exact = n <= exact_depth
+        value = rt.values[n - 1] if exact else rt.bound(n)
+        if value < 1:
             continue
-        f = _phi_value(phi, res.n)
+        f = _phi_value(phi, n)
         if f <= 0:
             continue
-        entries.append(RateEntry(res.n, res.value, res.exact,
-                                 math.log(res.value) / f))
+        entries.append(RateEntry(n, value, exact, math.log(value) / f))
     return RateTrajectory(tuple(entries), "word")
 
 
@@ -127,19 +130,15 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     return time must agree with itself for at least n symbols.  Returns
     (n, R_n) pairs, or bare depths with with_times=False.
     """
-    syms = word.symbols
+    text = word.data if word.data is not None else word.symbols
     out = []
-    for res in return_times_all(word, max_n=max_n):
-        if not res.exact:
+    for n, j in enumerate(return_times_all(word, max_n=max_n).values, 1):
+        if j > math.exp((alpha + eps) * _phi_value(phi, n)):
             continue
-        f = _phi_value(phi, res.n)
-        if res.value > math.exp((alpha + eps) * f):
-            continue
-        j = res.value
-        if any(syms[j + t] != syms[t] for t in range(res.n)):
+        if text[j:j + n] != text[:n]:
             raise RuntimeError(
-                f"return-time engine and definition disagree at n={res.n}")
-        out.append((res.n, j) if with_times else res.n)
+                f"return-time engine and definition disagree at n={n}")
+        out.append((n, j) if with_times else n)
     return out
 
 

@@ -6,17 +6,26 @@ w[1 .. n].  The primed variant restricts to j >= n (no self-overlap).
 
 From a word of length L only returns with j + n <= L are observable.  When
 no return fits, the result is a certified lower bound rather than a value:
-every j with j + n <= L has been ruled out, so R_n > L - n.
+every j with j + n <= L has been ruled out, so R_n > L - n (R'_n > max(L - n,
+n - 1) for the primed variant).
 
 The batch computation runs a single Z-array pass: z[i] = length of the
-longest common prefix of w and w[i:].  R_n <= j iff some i in [1, j] has
-z[i] >= n, so bucketing the minimal i per z-value and sweeping a suffix
-minimum answers all n at once in O(L).
+longest common prefix of w and w[i:], so R_n = min{i >= 1 : z[i] >= n} and
+R'_n = min{i >= n : z[i] >= n}.  Both candidate sets shrink as n grows, so
+both minima are nondecreasing in n, and both stop existing at once and for
+good: past N* = max_{i>=1} z[i] for R_n, past the last n with some i >= n
+and z[i] >= n for R'_n.  Exactness is therefore a prefix in n, and one
+pointer that only moves forward over z finds every exact value: the
+minimum for n + 1 lies at or after the minimum for n (and, primed, at or
+after n + 1), because the positions skipped all have z[i] < n.  The whole
+answer is that array of exact values plus L; every deeper depth is the
+lower bound.  `ReturnTimes` stores exactly that.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .shift_core import Word
 
@@ -41,34 +50,100 @@ class ReturnTimeResult:
         return f"{name}_{self.n} {rel} {self.value}"
 
 
+@dataclass(frozen=True)
+class ReturnTimes(Sequence):
+    """R_n (or R'_n) for n = 1..top of a length-L window, stored as columns.
+
+    values[n - 1] is the exact return time for n <= exact_depth =
+    len(values); every deeper n, up to top, has only the lower bound
+    `bound(n)`.  Behaves as a read-only list of `top` ReturnTimeResult
+    views: len(), integer and slice indexing, iteration.
+    """
+
+    values: tuple[int, ...]
+    length: int
+    top: int
+    prime: bool = False
+
+    @property
+    def exact_depth(self) -> int:
+        return len(self.values)
+
+    def bound(self, n: int) -> int:
+        """The certified lower bound at a depth past exact_depth."""
+        return max(self.length - n, n - 1) if self.prime else self.length - n
+
+    def result(self, n: int) -> ReturnTimeResult:
+        """The view at depth n (1-based)."""
+        if not 1 <= n <= self.top:
+            raise IndexError(f"depth {n} outside 1..{self.top}")
+        if n <= len(self.values):
+            return ReturnTimeResult(n, self.values[n - 1], True, self.prime)
+        return ReturnTimeResult(n, self.bound(n), False, self.prime)
+
+    def __len__(self) -> int:
+        return self.top
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self.result(i + 1) for i in range(*k.indices(self.top))]
+        if k < 0:
+            k += self.top
+        if not 0 <= k < self.top:
+            raise IndexError(f"index {k} outside a result of length {self.top}")
+        return self.result(k + 1)
+
+    def __iter__(self) -> Iterator[ReturnTimeResult]:
+        return (self.result(n) for n in range(1, self.top + 1))
+
+
 def _symbols(w: Union[Word, Sequence[int]]) -> tuple[int, ...]:
     return w.symbols if isinstance(w, Word) else tuple(w)
+
+
+def _text(w: Union[Word, Sequence[int]]) -> Union[bytes, tuple]:
+    """The symbols as bytes when every one fits in a byte, else a tuple."""
+    if isinstance(w, Word) and w.data is not None:
+        return w.data
+    syms = _symbols(w)
+    try:
+        return bytes(syms)
+    except (TypeError, ValueError):
+        return syms
+
+
+def _scan(text: Union[bytes, tuple], n: int, start: int) -> int:
+    """First shift j >= start with text[j:j+n] == text[:n], or -1."""
+    if isinstance(text, bytes):
+        return text.find(text[:n], start)
+    pat = text[:n]
+    for j in range(start, len(text) - n + 1):
+        if text[j:j + n] == pat:
+            return j
+    return -1
+
+
+def _lookup(w: Union[Word, Sequence[int]], n: int,
+            prime: bool) -> ReturnTimeResult:
+    text = _text(w)
+    L = len(text)
+    if not 1 <= n <= L:
+        raise ValueError(f"need 1 <= n <= {L}, got n={n}")
+    start = n if prime else 1
+    hit = _scan(text, n, start)
+    if hit != -1:
+        return ReturnTimeResult(n, hit, True, prime)
+    return ReturnTimeResult(n, max(L - n, start - 1), False, prime)
 
 
 def return_time_naive(w: Union[Word, Sequence[int]], n: int,
                       prime: bool = False) -> ReturnTimeResult:
     """Direct scan for the first reoccurrence of the length-n prefix.
 
-    Hands the search to str.find for alphabets that fit in digits,
-    which is dramatically faster than a Python loop; otherwise falls
-    back to tuple scanning.
+    One bytes.find over the word's bytes; a tuple scan only when the
+    symbols do not fit in a byte (m > 256).
     """
-    syms = _symbols(w)
-    L = len(syms)
-    if not 1 <= n <= L:
-        raise ValueError(f"need 1 <= n <= {L}, got n={n}")
-    start = n if prime else 1
-    if max(syms[:n], default=0) < 10 and max(syms, default=0) < 10:
-        text = "".join(map(str, syms))
-        hit = text.find(text[:n], start)
-        if hit != -1:
-            return ReturnTimeResult(n, hit, True, prime)
-        return ReturnTimeResult(n, max(L - n, start - 1), False, prime)
-    pat = syms[:n]
-    for j in range(start, L - n + 1):
-        if syms[j:j + n] == pat:
-            return ReturnTimeResult(n, j, True, prime)
-    return ReturnTimeResult(n, max(L - n, start - 1), False, prime)
+    return _lookup(w, n, prime)
 
 
 def z_array(syms: Sequence[int]) -> list[int]:
@@ -89,41 +164,39 @@ def z_array(syms: Sequence[int]) -> list[int]:
     return z
 
 
-def return_times_all(w: Union[Word, Sequence[int]],
-                     max_n: Optional[int] = None) -> list[ReturnTimeResult]:
-    """R_n for every n in 1..max_n (default: full length), in O(L) total.
+def _exact_prefix(z: list[int], top: int, prime: bool) -> list[int]:
+    """min{i >= start : z[i] >= n} for n = 1, 2, ... while it exists and
+    n <= top, where start is n primed and 1 otherwise.  The pointer j only
+    moves forward (see the module docstring), so this is O(L + top)."""
+    L = len(z)
+    values = []
+    j = 1
+    for n in range(1, top + 1):
+        if prime and j < n:
+            j = n
+        while j < L and z[j] < n:
+            j += 1
+        if j == L:
+            break
+        # z[j] >= n forces j + n <= L, so the match sits inside the window
+        values.append(j)
+    return values
 
-    minimal_j[n] = min{ i : z[i] >= n } is computed by bucketing each i
-    under z[i] and sweeping from long matches down to short ones.
-    """
+
+def return_times_all(w: Union[Word, Sequence[int]],
+                     max_n: Optional[int] = None,
+                     prime: bool = False) -> ReturnTimes:
+    """R_n (R'_n with prime=True) for every n in 1..max_n (default: full
+    length) from one Z pass, in O(L) total."""
     syms = _symbols(w)
     L = len(syms)
     if L == 0:
-        return []
+        return ReturnTimes((), 0, 0, prime)
     top = L if max_n is None else max_n
     if not 1 <= top <= L:
         raise ValueError(f"need 1 <= max_n <= {L}")
-    first_i = [0] * (L + 1)  # 0 = no i observed with z[i] == n
     z = z_array(syms)
-    for i in range(1, L):
-        zi = z[i]
-        if zi >= 1 and (first_i[zi] == 0 or i < first_i[zi]):
-            first_i[zi] = i
-    best = 0  # min i with z[i] >= n, built from n = L downward
-    minimal = [0] * (L + 1)
-    for n in range(L, 0, -1):
-        if first_i[n] and (best == 0 or first_i[n] < best):
-            best = first_i[n]
-        minimal[n] = best
-    out = []
-    for n in range(1, top + 1):
-        j = minimal[n]
-        if j:
-            # z[j] >= n forces j + n <= L, so the match sits inside the window
-            out.append(ReturnTimeResult(n, j, True))
-        else:
-            out.append(ReturnTimeResult(n, L - n, False))
-    return out
+    return ReturnTimes(tuple(_exact_prefix(z, top, prime)), L, top, prime)
 
 
 def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
@@ -132,29 +205,26 @@ def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
 
 
 def return_time_prime(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
-    """R'_n: first return with shift at least n."""
-    return return_time_naive(w, n, prime=True)
+    """R'_n: first return with shift at least n, by one bytes.find."""
+    return _lookup(w, n, True)
 
 
 def return_times_naive_all(w: Union[Word, Sequence[int]],
                            max_n: Optional[int] = None) -> list[ReturnTimeResult]:
     """Oracle-grade batch: one independent naive scan per n.
 
-    The serialization is hoisted out of the loop (it does not depend on n);
-    each n still gets its own full find() scan, so the per-n decisions stay
+    The conversion to bytes is hoisted out of the loop (it does not depend
+    on n); each n still gets its own full scan, so the per-n decisions stay
     independent of one another and of the Z-array engine.
     """
-    syms = _symbols(w)
-    L = len(syms)
+    text = _text(w)
+    L = len(text)
     top = L if max_n is None else max_n
     if not 0 <= top <= L:
         raise ValueError(f"need 0 <= max_n <= {L}")
-    if max(syms, default=0) >= 10:
-        return [return_time_naive(syms, n) for n in range(1, top + 1)]
-    text = "".join(map(str, syms))
     out = []
     for n in range(1, top + 1):
-        hit = text.find(text[:n], 1)
+        hit = _scan(text, n, 1)
         if hit != -1:
             out.append(ReturnTimeResult(n, hit, True))
         else:

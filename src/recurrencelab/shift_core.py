@@ -44,13 +44,29 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """A finite word; symbols are ints in [0, m)."""
+    """A finite word; symbols are ints in [0, m).
+
+    For m <= 256 the word also carries `data`, the same symbols as bytes,
+    built once, so slicing, comparison and search run in C; it is None for
+    larger alphabets and for symbols that are not ints.
+    """
 
     symbols: tuple[int, ...]
     alphabet: Alphabet
+    data: Optional[bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.alphabet.check(self.symbols)
+        data = None
+        if self.alphabet.m <= 256:
+            try:
+                data = bytes(self.symbols)
+            except (TypeError, ValueError):
+                pass  # the full check below names the offending symbol
+        # translate() deletes every in-alphabet byte; any byte left over is
+        # a symbol >= m
+        if data is None or data.translate(None, bytes(range(self.alphabet.m))):
+            self.alphabet.check(self.symbols)
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def from_iterable(cls, symbols, m: int) -> "Word":

@@ -4,6 +4,8 @@ import pytest
 
 from recurrencelab.cli import main
 
+from conftest import brute_return_time
+
 
 def run(capsys, *argv):
     try:
@@ -161,6 +163,21 @@ def test_return_times_prime(capsys):
     rows = lines(out)
     assert all(r["value"] >= r["n"] for r in rows)
     assert all(r["prime"] for r in rows)
+
+
+def test_return_times_rows_match_brute(capsys):
+    word = "0010010001001000100100"
+    syms = [int(ch) for ch in word]
+    for flag in ([], ["--prime"]):
+        code, out, _ = run(capsys, "return-times", "--word", word, "--m", "2",
+                           *flag)
+        assert code == 0
+        rows = lines(out)
+        assert [r["n"] for r in rows] == list(range(1, len(word) + 1))
+        for r in rows:
+            assert r["prime"] is bool(flag)
+            assert (r["value"], r["exact"]) == brute_return_time(
+                syms, r["n"], bool(flag))
 
 
 def test_rates_from_word(capsys):

@@ -94,3 +94,116 @@ def test_bad_n_rejected():
         return_time_naive(w, 0)
     with pytest.raises(ValueError):
         return_time_naive(w, 5)
+
+
+# ----------------------------------------------- columnar ReturnTimes ---
+
+def _rows(results):
+    return [(r.n, r.value, r.exact, r.prime) for r in results]
+
+
+def _fibonacci(length):
+    prev, cur = "0", "01"
+    while len(cur) < length:
+        prev, cur = cur, cur + prev
+    return [int(ch) for ch in cur[:length]]
+
+
+def _period7_with_flips(rng, length, m):
+    period = [rng.randrange(m) for _ in range(7)]
+    period[0] = (period[1] + 1) % m
+    syms = [period[i % 7] for i in range(length)]
+    for i in range(0, length, 97):
+        syms[i] = (syms[i] + 1) % m
+    return syms
+
+
+@pytest.mark.parametrize("kind", ["fibonacci", "period7", "all-zero"])
+def test_columnar_matches_naive_on_low_entropy_words(kind):
+    # long self-overlaps push N* = max z[i] deep into the word, so most
+    # depths come from the exact prefix rather than the lower bound
+    rng = random.Random(31)
+    for length in (1, 2, 13, 200, 1500):
+        if kind == "fibonacci":
+            syms, m = _fibonacci(length), 2
+        elif kind == "period7":
+            syms, m = _period7_with_flips(rng, length, 3), 3
+        else:
+            syms, m = [0] * length, 2
+        w = Word.from_iterable(syms, m)
+        fast = return_times_all(w)
+        assert len(fast) == length
+        assert _rows(fast) == _rows(return_times_naive_all(w))
+        if kind != "period7" and length >= 13:
+            assert fast.exact_depth >= length // 3
+
+
+def test_columnar_depth_limits():
+    w = Word.from_iterable(_fibonacci(300), 2)
+    full = return_times_all(w)
+    assert full.exact_depth > 20
+    short = return_times_all(w, max_n=20)     # max_n < N*
+    assert len(short) == 20 and short.exact_depth == 20
+    assert _rows(short) == _rows(full)[:20]
+    assert len(full) == 300 and full.top == full.length == 300   # max_n == L
+    assert _rows(return_times_all(w, max_n=300)) == _rows(full)
+    empty = return_times_all(Word.from_iterable([], 2))           # L == 0
+    assert len(empty) == 0 and list(empty) == [] and empty.values == ()
+    with pytest.raises(ValueError):
+        return_times_all(w, max_n=0)
+    with pytest.raises(ValueError):
+        return_times_all(w, max_n=301)
+
+
+def test_columnar_indexing():
+    w = Word.from_digits("0100101001001", 2)
+    rt = return_times_all(w, max_n=10)
+    rows = _rows(rt)
+    assert rt.exact_depth == 6
+    assert [r.n for r in rt] == list(range(1, 11))
+    for k in range(-10, 10):
+        assert _rows([rt[k]]) == [rows[k]]
+    assert _rows(rt[2:8:3]) == rows[2:8:3]
+    assert rt[-1] == rt[9] and not rt[-1].exact and rt[-1].value == 13 - 10
+    for k in (10, 11, -11):
+        with pytest.raises(IndexError):
+            rt[k]
+
+
+def test_large_alphabet_uses_tuple_scan():
+    # symbols up to 299 do not fit in a byte: no bytes view, tuple scans
+    rng = random.Random(300)
+    block = [rng.randrange(300) for _ in range(40)]
+    syms = block * 3 + [299, 256] + block[:17]
+    w = Word.from_iterable(syms, 300)
+    assert w.data is None
+    fast = return_times_all(w)
+    slow = return_times_naive_all(w)
+    assert _rows(fast) == _rows(slow)
+    assert fast[0].value == 40 and fast[39].value == 40
+    for n in range(1, len(syms) + 1):
+        for prime in (False, True):
+            want = brute_return_time(syms, n, prime)
+            got = (return_time_prime if prime else return_time_naive)(w, n)
+            assert (got.value, got.exact) == want, (n, prime)
+    primed = return_times_all(w, prime=True)
+    assert [(r.value, r.exact) for r in primed] == \
+        [brute_return_time(syms, n, True) for n in range(1, len(syms) + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 200), st.integers(0, 10 ** 6))
+def test_batched_prime_matches_brute(m, length, seed):
+    rng = random.Random(seed)
+    # half the words are low-entropy, where primed returns exist deep down
+    if seed % 2:
+        w = random_word(rng, m, length)
+    else:
+        w = Word.from_iterable(_period7_with_flips(rng, length, m), m)
+    syms = list(w.symbols)
+    rt = return_times_all(w, prime=True)
+    assert len(rt) == length
+    for n, res in enumerate(rt, start=1):
+        assert res.prime and res.n == n
+        assert (res.value, res.exact) == brute_return_time(syms, n, True), (
+            syms, n)

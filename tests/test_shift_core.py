@@ -23,6 +23,17 @@ def test_alphabet_validation():
         Word.from_iterable([0, 3], 3)
 
 
+def test_word_bytes_view():
+    assert Word.from_digits("0120", 3).data == bytes([0, 1, 2, 0])
+    assert Word.from_iterable([0, 255], 256).data == b"\x00\xff"
+    assert Word.from_iterable([0, 299], 300).data is None
+    assert Word.from_iterable([], 2).data == b""
+    # out-of-alphabet symbols still raise, inside and outside byte range
+    for bad, m in (([0, 2], 2), ([0, 256], 256), ([0, -1], 3), ([300], 300)):
+        with pytest.raises(ValueError):
+            Word.from_iterable(bad, m)
+
+
 def test_word_basics():
     w = Word.from_digits("0120", 3)
     assert len(w) == 4
