@@ -277,14 +277,6 @@ def check_plan_conditions(plan: InsertionPlan, eps: float = 0.5,
                 f"{tail_max:.4g} exceeds the earlier envelope {head_max:.4g}")
 
 
-def first_inserted_index(plan: InsertionPlan) -> Optional[int]:
-    """1-based index of the first term actually inserted (ell - 1 > p)."""
-    for i, (_, ell) in enumerate(plan.terms):
-        if ell - 1 > plan.p:
-            return i + 1
-    return None
-
-
 def first_certified_index(plan: InsertionPlan) -> Optional[int]:
     """1-based least i with n_i > p and ell_i - 1 > p.
 

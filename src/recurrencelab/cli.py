@@ -6,7 +6,8 @@ human summaries go to stderr.  Exit codes:
     0  success
     1  failure (including a verification that ran but did not pass)
     2  usage errors, including malformed profile expressions
-    3  a capacity or search limit stopped the computation
+    3  a capacity or search limit, or float overflow, stopped the
+       computation
     4  the request is refused or falls outside the supported case table
 """
 from __future__ import annotations
@@ -73,6 +74,14 @@ def _add_rate_args(sp: argparse.ArgumentParser) -> None:
                     help="lower rate target (fraction, decimal, or 'inf')")
     sp.add_argument("--beta", required=True,
                     help="upper rate target (fraction, decimal, or 'inf')")
+
+
+def _add_plan_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--p", type=int, default=3)
+    sp.add_argument("--m", type=int, default=2)
+    sp.add_argument("--count", type=int, default=12)
+    sp.add_argument("--horizon", type=int, default=DEFAULT_ESTIMATE_HORIZON)
+    sp.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP)
 
 
 def _free_from_args(args, m: int) -> FreeStream:
@@ -312,11 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("plan", help="synthesize an insertion plan")
     _add_profile_args(sp, required=True)
     _add_rate_args(sp)
-    sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--count", type=int, default=12)
-    sp.add_argument("--horizon", type=int, default=DEFAULT_ESTIMATE_HORIZON)
-    sp.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP)
+    _add_plan_args(sp)
     sp.set_defaults(func=_cmd_plan)
 
     sp = subs.add_parser("build", help="materialize a plan's sequence")
@@ -372,11 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="plan, build, and audit in one pipeline")
     _add_profile_args(sp, required=True)
     _add_rate_args(sp)
-    sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--count", type=int, default=12)
-    sp.add_argument("--horizon", type=int, default=DEFAULT_ESTIMATE_HORIZON)
-    sp.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP)
+    _add_plan_args(sp)
     sp.add_argument("--cap", type=int, default=None)
     sp.add_argument("--free", default="zero")
     sp.add_argument("--tol", type=float, default=0.1)
@@ -397,6 +398,9 @@ def main(argv=None) -> int:
         return 2
     except (CapacityError, SearchCapError) as exc:
         _note(f"capacity: {exc}")
+        return 3
+    except OverflowError as exc:
+        _note(f"capacity: a value left float range ({exc})")
         return 3
     except RefusalError as exc:
         _emit({"refused": True, "reason": str(exc),

@@ -352,30 +352,30 @@ class OscLogPhi(PhiSpec):
 
     # -- witness queries -----------------------------------------------------
 
-    def climb_segment_at_least(self, min_n: int,
-                               min_mult: Optional[float] = None
-                               ) -> tuple[int, int, float]:
-        """(start, end, mult) of a climb segment ending at or after min_n."""
+    def _segment_at_least(self, kind: str, min_n: int,
+                          min_mult: Optional[float] = None
+                          ) -> tuple[int, int, float]:
+        """(start, end, mult) of the first `kind` segment ending at or after
+        min_n (and with mult >= min_mult, if given), clipped to min_n."""
         idx = 0
         while True:
             while idx >= len(self._segments):
                 self._add_cycle()
-            start, end, kind, mult, _ = self._segments[idx]
-            if (kind == "climb" and end >= min_n
+            start, end, seg_kind, mult, _ = self._segments[idx]
+            if (seg_kind == kind and end >= min_n
                     and (min_mult is None or mult >= min_mult)):
                 return (max(start, min_n), end, mult)
             idx += 1
 
+    def climb_segment_at_least(self, min_n: int,
+                               min_mult: Optional[float] = None
+                               ) -> tuple[int, int, float]:
+        """(start, end, mult) of a climb segment ending at or after min_n."""
+        return self._segment_at_least("climb", min_n, min_mult)
+
     def low_segment_at_least(self, min_n: int) -> tuple[int, int, float]:
         """(start, end, delta) of a low leg ending at or after min_n."""
-        idx = 0
-        while True:
-            while idx >= len(self._segments):
-                self._add_cycle()
-            start, end, kind, mult, _ = self._segments[idx]
-            if kind == "low" and end >= min_n:
-                return (max(start, min_n), end, self._df)
-            idx += 1
+        return self._segment_at_least("low", min_n)
 
     def __str__(self) -> str:
         return f"osc({self.delta}, {self.gamma})"

@@ -17,6 +17,8 @@ ceilings/floors of float exponents, so regenerating a plan is deterministic.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -464,158 +466,136 @@ def _valid_suffix(terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return terms[cut:]
 
 
-def _gen_case_i(phi, p, m, count, digit_cap):
-    terms: list[tuple[int, int]] = []
-    prev_n, prev_l = 0, 1
-    for i in range(1, count + 1):
+# Each _gen_case_<tag> yields the (n, ell) terms of one proof case, reading
+# the rates, extremes and case constants from the Classification.
+
+def _truncated(gen):
+    """Collect up to count terms from a case generator.
+
+    This is synthesis's only cut-off rule: stop at count terms without
+    pulling another, and when a capacity limit or float overflow interrupts
+    generation, keep the terms found so far if there are at least two.
+    """
+    @functools.wraps(gen)
+    def collect(phi, cls: Classification, p: int, count: int,
+                digit_cap: int) -> list[tuple[int, int]]:
+        terms: list[tuple[int, int]] = []
         try:
-            ell = max(bignum.exp_ceil(i * phi.value(i), digit_cap=digit_cap),
-                      prev_l + prev_n + 3,
-                      i * i * (i + 3))
-        except CapacityError:
-            if len(terms) >= 2:
-                break
-            raise
-        terms.append((i, ell))
+            for term in itertools.islice(gen(phi, cls, p, count, digit_cap),
+                                         max(count, 0)):
+                terms.append(term)
+        except (CapacityError, OverflowError):
+            if len(terms) < 2:
+                raise
+        return terms
+
+    return collect
+
+
+@_truncated
+def _gen_case_i(phi, cls, p, count, digit_cap):
+    prev_n, prev_l = 0, 1
+    for i in itertools.count(1):
+        ell = max(bignum.exp_ceil(i * phi.value(i), digit_cap=digit_cap),
+                  prev_l + prev_n + 3,
+                  i * i * (i + 3))
+        yield i, ell
         prev_n, prev_l = i, ell
-    return terms
 
 
-def _gen_case_ii(phi, alpha: ExtReal, gamma: ExtReal, p, m, count, digit_cap):
+@_truncated
+def _gen_case_ii(phi, cls, p, count, digit_cap):
+    alpha, gamma = cls.alpha, cls.gamma
     gf = None if gamma.is_inf else float(gamma)
     n_prev = max(2, p)
     prev_ratio = 0.0
-    terms: list[tuple[int, int]] = []
-    for i in range(1, count + 1):
-        try:
-            t = phi.value(n_prev + 1)
-            need_ln = max(i * t, bignum.float_log(n_prev) + i * i + 2)
-            if gf is not None:
-                need_ln = max(need_ln, 1.01 * i * t / gf)
-            min_n = bignum.exp_ceil(need_ln, digit_cap=digit_cap)
-            for _attempt in range(64):
-                if gamma.is_inf:
-                    cand = find_ratio_witness(phi, INF, min_n,
-                                              threshold=max(float(i), prev_ratio))
-                else:
-                    cand = find_ratio_witness(phi, gamma, min_n, tol=1.0 / i)
-                ln_c = bignum.float_log(cand)
-                f_c = phi.value(cand)
-                if (f_c > i * t and ln_c > i * t
-                        and ln_c > bignum.float_log(n_prev) + i * i + 2):
-                    break
-                min_n = bignum.exp_ceil(ln_c * 1.5, digit_cap=digit_cap)
+    for i in itertools.count(1):
+        t = phi.value(n_prev + 1)
+        need_ln = max(i * t, bignum.float_log(n_prev) + i * i + 2)
+        if gf is not None:
+            need_ln = max(need_ln, 1.01 * i * t / gf)
+        min_n = bignum.exp_ceil(need_ln, digit_cap=digit_cap)
+        for _attempt in range(64):
+            if gamma.is_inf:
+                cand = find_ratio_witness(phi, INF, min_n,
+                                          threshold=max(float(i), prev_ratio))
             else:
-                raise SearchCapError(
-                    "could not satisfy the growth conditions for this regime",
-                    what="slow-rate witness")
-            if alpha.is_zero:
-                ell = bignum.nlogn_ceil(cand)
-            elif gamma.is_inf:
-                ell = bignum.exp_ceil(float(alpha) * f_c, digit_cap=digit_cap)
-            else:
-                ell = bignum.power_log_ceil(cand, (alpha * gamma).fraction,
-                                            digit_cap=digit_cap)
-        except (CapacityError, OverflowError):
-            if len(terms) >= 2:
+                cand = find_ratio_witness(phi, gamma, min_n, tol=1.0 / i)
+            ln_c = bignum.float_log(cand)
+            f_c = phi.value(cand)
+            if (f_c > i * t and ln_c > i * t
+                    and ln_c > bignum.float_log(n_prev) + i * i + 2):
                 break
-            raise
-        terms.append((cand, ell))
+            min_n = bignum.exp_ceil(ln_c * 1.5, digit_cap=digit_cap)
+        else:
+            raise SearchCapError(
+                "could not satisfy the growth conditions for this regime",
+                what="slow-rate witness")
+        if alpha.is_zero:
+            ell = bignum.nlogn_ceil(cand)
+        elif gamma.is_inf:
+            ell = bignum.exp_ceil(float(alpha) * f_c, digit_cap=digit_cap)
+        else:
+            ell = bignum.power_log_ceil(cand, (alpha * gamma).fraction,
+                                        digit_cap=digit_cap)
+        yield cand, ell
         prev_ratio = f_c / ln_c
         n_prev = cand
-    return terms
 
 
-def _gen_case_iii(phi, alpha: ExtReal, beta: ExtReal, p, m, count, digit_cap):
-    a, b = float(alpha), float(beta)
+@_truncated
+def _gen_case_iii(phi, cls, p, count, digit_cap):
+    a, b = float(cls.alpha), float(cls.beta)
     if a <= 0:
         raise GuardError("this regime needs a positive lower rate")
-    ladder = build_subseq2_i(phi, count + 2, n_start=max(3, p + 1))
-    ms = ladder.ms
-    terms: list[tuple[int, int]] = []
+    ms = build_subseq2_i(phi, count + 2, n_start=max(3, p + 1)).ms
     k = 0
-    try:
-        while len(terms) < count and k < len(ms):
-            fk = phi.value(ms[k])
-            terms.append((ms[k], bignum.exp_ceil(b * fk, digit_cap=digit_cap)))
-            cutoff = (2 * b / a - 1) * fk
-            j = 1
-            while len(terms) < count and k + j < len(ms):
-                fj = phi.value(ms[k + j])
-                if fj >= cutoff:
-                    terms.append((ms[k + j],
-                                  bignum.exp_ceil(a * fj, digit_cap=digit_cap)))
-                    break
-                terms.append((ms[k + j],
-                              bignum.exp_ceil((b - a / 2) * fk + (a / 2) * fj,
-                                              digit_cap=digit_cap)))
-                j += 1
-            k = k + j + 1
-    except CapacityError:
-        if len(terms) < 2:
-            raise
-    return terms
+    while k < len(ms):
+        fk = phi.value(ms[k])
+        yield ms[k], bignum.exp_ceil(b * fk, digit_cap=digit_cap)
+        cutoff = (2 * b / a - 1) * fk
+        j = 1
+        while k + j < len(ms):
+            fj = phi.value(ms[k + j])
+            if fj >= cutoff:
+                yield ms[k + j], bignum.exp_ceil(a * fj, digit_cap=digit_cap)
+                break
+            yield ms[k + j], bignum.exp_ceil((b - a / 2) * fk + (a / 2) * fj,
+                                             digit_cap=digit_cap)
+            j += 1
+        k = k + j + 1
 
 
-def _gen_case_iv(phi, beta: ExtReal, p, m, count, digit_cap):
-    b = float(beta)
+@_truncated
+def _gen_case_iv(phi, cls, p, count, digit_cap):
+    b = float(cls.beta)
     n_prev = max(2, p)
-    terms: list[tuple[int, int]] = []
-    for _ in range(count):
-        try:
-            t = phi.value(n_prev + 1)
-            n_i = bignum.exp_ceil(b * t, digit_cap=digit_cap)
-            if n_i <= n_prev:
-                n_i = n_prev + 1
-            terms.append((n_i, bignum.nlogn_ceil(n_i)))
-        except (CapacityError, OverflowError):
-            if len(terms) >= 2:
-                break
-            raise
-        n_prev = n_i
-    return terms
+    while True:
+        t = phi.value(n_prev + 1)
+        n_prev = max(bignum.exp_ceil(b * t, digit_cap=digit_cap), n_prev + 1)
+        yield n_prev, bignum.nlogn_ceil(n_prev)
 
 
-def _gen_case_v(phi, alpha: ExtReal, beta: ExtReal, gamma: ExtReal,
-                delta: ExtReal, p, m, count, digit_cap):
-    A, B = compute_AB(alpha, beta, gamma, delta)
-    C = (B / A).fraction
-    ladder = build_subseq1(phi, C, gamma, delta, count, p=p,
-                           digit_cap=digit_cap)
-    terms: list[tuple[int, int]] = []
+@_truncated
+def _gen_case_v(phi, cls, p, count, digit_cap):
+    ladder = build_subseq1(phi, cls.C.fraction, cls.gamma, cls.delta, count,
+                           p=p, digit_cap=digit_cap)
     for n in ladder.ns:
-        try:
-            terms.append((n, bignum.power_log_ceil(n, A.fraction,
-                                                   digit_cap=digit_cap)))
-        except CapacityError:
-            if len(terms) >= 2:
-                break
-            raise
-    return terms
+        yield n, bignum.power_log_ceil(n, cls.A.fraction, digit_cap=digit_cap)
 
 
-def _gen_case_vi(phi, alpha: ExtReal, beta: ExtReal, gamma: ExtReal,
-                 delta: ExtReal, p, m, count, digit_cap):
-    Cfr, Dfr = _interpolation_coefficients(alpha, beta, gamma, delta)
-    Cf, Df = float(Cfr), float(Dfr)
-    lo = float(delta)
-    hi = math.inf if gamma.is_inf else float(gamma)
-    ladder = build_subseq2_ii(phi, count, n_start=max(3, p + 1))
-    terms: list[tuple[int, int]] = []
-    for m_i in ladder.ms:
-        try:
-            lnm = bignum.float_log(m_i)
-            f = phi.value(m_i)
-            x = min(max(f / lnm, lo), hi)
-            rho = Cf * x + Df
-            ell = bignum.exp_floor([rho * lnm, math.log(f), math.log(lnm)],
-                                   digit_cap=digit_cap)
-            terms.append((m_i, ell))
-        except CapacityError:
-            if len(terms) >= 2:
-                break
-            raise
-    return terms
+@_truncated
+def _gen_case_vi(phi, cls, p, count, digit_cap):
+    Cf, Df = float(cls.C), float(cls.D)
+    lo = float(cls.delta)
+    hi = float(cls.gamma)
+    for m_i in build_subseq2_ii(phi, count, n_start=max(3, p + 1)).ms:
+        lnm = bignum.float_log(m_i)
+        f = phi.value(m_i)
+        x = min(max(f / lnm, lo), hi)
+        rho = Cf * x + Df
+        yield m_i, bignum.exp_floor([rho * lnm, math.log(f), math.log(lnm)],
+                                    digit_cap=digit_cap)
 
 
 def plan_full_dimension(phi: PhiSpec, alpha, beta, *, p: int = 3, m: int = 2,
@@ -635,22 +615,9 @@ def plan_full_dimension(phi: PhiSpec, alpha, beta, *, p: int = 3, m: int = 2,
         raise RefusalError(
             "these rate targets sit in the dimension-zero regime for this "
             "profile; no full-dimension plan exists", cls.to_json_dict())
-    gamma, delta = cls.gamma, cls.delta
     tag = cls.case_tag
-    if tag == "i":
-        terms = _gen_case_i(phi, p, m, count, digit_cap)
-    elif tag == "ii":
-        terms = _gen_case_ii(phi, alpha, gamma, p, m, count, digit_cap)
-    elif tag == "iii":
-        terms = _gen_case_iii(phi, alpha, beta, p, m, count, digit_cap)
-    elif tag == "iv":
-        terms = _gen_case_iv(phi, beta, p, m, count, digit_cap)
-    elif tag == "v":
-        terms = _gen_case_v(phi, alpha, beta, gamma, delta, p, m, count,
-                            digit_cap)
-    else:
-        terms = _gen_case_vi(phi, alpha, beta, gamma, delta, p, m, count,
-                             digit_cap)
+    # looked up at call time so a rebound module attribute takes effect
+    terms = globals()[f"_gen_case_{tag}"](phi, cls, p, count, digit_cap)
     terms = _valid_suffix(terms)
     if len(terms) < 2:
         raise PlanValidityError(

@@ -77,6 +77,17 @@ def test_capacity_is_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["plan", "verify"])
+def test_float_overflow_is_exit_3(capsys, command):
+    # phi = n^1000 leaves float range while its monotonicity is checked
+    code, out, err = run(capsys, command, "--phi", "n^1000", "--alpha", "1",
+                         "--beta", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_invalid_order_is_exit_1(capsys):
     code, _, err = run(capsys, "classify", "--alpha", "2", "--beta", "1",
                        "--gamma", "1", "--delta", "1")

@@ -8,6 +8,8 @@ from recurrencelab import (ExtReal, GuardError, INF, OscLogPhi, RefusalError,
                            check_plan_conditions, classify_profile,
                            classify_thresholds, compute_AB, dichotomy,
                            find_ratio_witness, parse_phi, plan_full_dimension)
+from recurrencelab.errors import CapacityError
+from recurrencelab.plan_engine import _truncated
 
 
 # ------------------------------------------------------------- dichotomy ---
@@ -319,3 +321,41 @@ def test_plan_case_iv_zero_rate():
     assert plan.case_tag == "iv"
     assert len(plan) >= 2
     check_plan_conditions(plan)
+
+
+# --------------------------------------------------------- cut-off rule ---
+
+def _stub_case(good: int, exc: BaseException):
+    """A case generator that yields `good` terms and then raises `exc`."""
+    @_truncated
+    def gen(phi, cls, p, count, digit_cap):
+        for i in range(1, good + 1):
+            yield i, 10 * i
+        raise exc
+
+    return gen
+
+
+def _run_stub(good, exc, count=12):
+    return _stub_case(good, exc)(None, None, 3, count, 100)
+
+
+@pytest.mark.parametrize("good", [0, 1])
+def test_truncated_reraises_below_two_terms(good):
+    with pytest.raises(CapacityError):
+        _run_stub(good, CapacityError("stub cap"))
+
+
+def test_truncated_keeps_two_terms_on_capacity_error():
+    assert _run_stub(2, CapacityError("stub cap")) == [(1, 10), (2, 20)]
+
+
+def test_truncated_keeps_two_terms_on_overflow():
+    assert _run_stub(2, OverflowError("stub range")) == [(1, 10), (2, 20)]
+
+
+@pytest.mark.parametrize("exc", [CapacityError("stub cap"),
+                                 RuntimeError("pulled past count")])
+def test_truncated_stops_at_count_without_pulling_more(exc):
+    # the stub raises on term count + 1, which must never be requested
+    assert _run_stub(5, exc, count=5) == [(i, 10 * i) for i in range(1, 6)]
