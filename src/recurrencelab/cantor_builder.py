@@ -149,8 +149,7 @@ BASE_DECODERS["fp"] = lambda desc: FpBase(desc["p"], desc["m"],
 def build_fp_prefix(p: int, m: int, n: int,
                     free: Optional[FreeStream] = None) -> Word:
     base = FpBase(p, m, free)
-    return Word(tuple(base.symbol_at(j) for j in range(1, n + 1)),
-                base.alphabet)
+    return Word([base.symbol_at(j) for j in range(1, n + 1)], base.alphabet)
 
 
 def fp_membership(word: Word, p: int) -> bool:
@@ -178,9 +177,8 @@ def fp_cylinder_count(p: int, n: int, m: int) -> int:
 
 def make_insertion_word(prefix: Word, next_symbol: int) -> Word:
     """1 . prefix . (next_symbol + 1 mod m) . 1 — the marker for one term."""
-    m = prefix.alphabet.m
-    return Word((1,) + prefix.symbols + ((next_symbol + 1) % m, 1),
-                prefix.alphabet)
+    a = prefix.alphabet
+    return Word((1,), a) + prefix + Word(((next_symbol + 1) % a.m, 1), a)
 
 
 @dataclass(frozen=True)
@@ -277,13 +275,19 @@ def check_plan_conditions(plan: InsertionPlan, eps: float = 0.5,
                 f"{tail_max:.4g} exceeds the earlier envelope {head_max:.4g}")
 
 
+def _inserted(p: int, n: int, ell: int) -> bool:
+    """Does term (n, ell) insert a marker?  Only past the constrained opening
+    and past the n + 1 symbols the marker copies, which it would displace."""
+    return ell - 1 > max(p, n)
+
+
 def first_certified_index(plan: InsertionPlan) -> Optional[int]:
-    """1-based least i with n_i > p and ell_i - 1 > p.
+    """1-based least i with n_i > p whose term is inserted.
 
     From this index on, the return-time dictionary below is exact.
     """
     for i, (n, ell) in enumerate(plan.terms):
-        if n > plan.p and ell - 1 > plan.p:
+        if n > plan.p and _inserted(plan.p, n, ell):
             return i + 1
     return None
 
@@ -316,16 +320,17 @@ def apply_insertions(plan: InsertionPlan,
                      cap: int = DEFAULT_MATERIALIZATION_CAP) -> LazySequence:
     """Run the iterative construction and return the limit sequence.
 
-    Terms whose position would fall inside the constrained opening
-    (ell - 1 <= p) are skipped; the construction proper starts at the
-    first index past that, and each marker word is read off the sequence
-    built so far, so earlier insertions feed later markers.
+    A term is skipped when its marker would start inside the constrained
+    opening or inside the n + 1 symbols it copies (ell - 1 <= max(p, n));
+    the construction proper starts at the first term past that, and each
+    marker word is read off the sequence built so far, so earlier
+    insertions feed later markers.
     """
     base = FpBase(plan.p, plan.m, free)
     events: list[tuple[int, Word]] = []
     seq = LazySequence(base, (), cap=cap)
     for n_k, ell_k in plan.terms:
-        if ell_k - 1 <= plan.p:
+        if not _inserted(plan.p, n_k, ell_k):
             continue
         pref = seq.prefix(n_k + 1)
         w = make_insertion_word(pref.sub(1, n_k), pref.at(n_k + 1))
@@ -358,17 +363,10 @@ def remove_insertions(prefix: Word, plan: InsertionPlan) -> Word:
     recovering the corresponding base prefix (partial markers at the end
     are dropped as far as they reach)."""
     keep: list[int] = []
-    pos = 1
-    terms = [(n, ell) for n, ell in plan.terms if ell - 1 > plan.p]
-    ti = 0
-    for s in prefix.symbols:
-        if ti < len(terms):
-            n, ell = terms[ti]
-            if ell <= pos <= ell + n + 2:
-                pos += 1
-                if pos > ell + n + 2:
-                    ti += 1
-                continue
-        keep.append(s)
-        pos += 1
-    return Word(tuple(keep), prefix.alphabet)
+    cut = 0   # 0-based index past the last marker [ell, ell + n + 2]
+    for n, ell in plan.terms:
+        if _inserted(plan.p, n, ell):
+            keep.extend(prefix.symbols[cut:ell - 1])
+            cut = ell + n + 2
+    keep.extend(prefix.symbols[cut:])
+    return Word(keep, prefix.alphabet)

@@ -26,7 +26,8 @@ from .errors import (CapacityError, GuardError, PhiParseError,
                      RecurrenceLabError, RefusalError, SearchCapError)
 from .extreal import ONE, ExtReal
 from .phi_spec import DEFAULT_ESTIMATE_HORIZON, OscLogPhi, PhiSpec, parse_phi
-from .plan_engine import classify_profile, classify_thresholds, plan_full_dimension
+from .plan_engine import (Classification, classify_profile,
+                          classify_thresholds, plan_for_classification)
 from .rate_dim_analysis import (box_dimension, plan_rate_trajectory,
                                 rate_trajectory, recurrence_witnesses,
                                 running_extremes)
@@ -134,18 +135,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _plan_from_args(args) -> tuple[InsertionPlan, PhiSpec]:
+def _plan_from_args(args) -> tuple[InsertionPlan, PhiSpec, Classification]:
     phi = _profile_from_args(args)
-    plan = plan_full_dimension(phi, ExtReal(args.alpha), ExtReal(args.beta),
-                               p=args.p, m=args.m, count=args.count,
-                               horizon=args.horizon, digit_cap=args.digit_cap)
-    return plan, phi
+    cls = classify_profile(phi, ExtReal(args.alpha), ExtReal(args.beta),
+                           horizon=args.horizon)
+    plan = plan_for_classification(phi, cls, p=args.p, m=args.m,
+                                   count=args.count, digit_cap=args.digit_cap)
+    return plan, phi, cls
 
 
 def _cmd_plan(args) -> int:
-    plan, phi = _plan_from_args(args)
-    cls = classify_profile(phi, ExtReal(args.alpha), ExtReal(args.beta),
-                           horizon=args.horizon)
+    plan, _, cls = _plan_from_args(args)
     _emit(cls.to_json_dict())
     _emit(plan.to_json_dict())
     digits = max(len(str(ell)) for ell in plan.ells)
@@ -232,8 +232,7 @@ def _grew(ratios: list[float], factor: float) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    plan, phi = _plan_from_args(args)
-    alpha, beta = ExtReal(args.alpha), ExtReal(args.beta)
+    plan, phi, cls = _plan_from_args(args)
     _emit(plan.to_json_dict())
     cap = args.cap or _default_cap()
     usable = materializable_term_count(plan, cap)
@@ -270,25 +269,24 @@ def _cmd_verify(args) -> int:
     # are wide (consecutive log sizes separated by a factor), and at right
     # endpoints otherwise — at a left edge of a narrow bracket the sample
     # carries an (n_{i+1}/n_i)-sized bias that decays too slowly to test.
-    cls = classify_profile(phi, alpha, beta, horizon=args.horizon)
     wide = cls.case_tag in ("ii", "iv") or (
         cls.case_tag == "v" and cls.C is not None and ONE < cls.C)
     right = plan_rate_trajectory(plan, phi, endpoints="right")
     upper = plan_rate_trajectory(plan, phi, endpoints="left") if wide else right
     rate_report: dict = {}
-    if alpha.is_inf:
+    if cls.alpha.is_inf:
         ok_a = _grew(right.ratios(), args.growth_factor)
         rate_report["alpha_growth"] = ok_a
     else:
         a_hat, _ = running_extremes(right, args.tail)
-        ok_a = _rel_ok(a_hat, float(alpha), args.tol)
+        ok_a = _rel_ok(a_hat, float(cls.alpha), args.tol)
         rate_report["alpha_hat"] = a_hat
-    if beta.is_inf:
+    if cls.beta.is_inf:
         ok_b = _grew(upper.ratios(), args.growth_factor)
         rate_report["beta_growth"] = ok_b
     else:
         _, b_hat = running_extremes(upper, args.tail)
-        ok_b = _rel_ok(b_hat, float(beta), args.tol)
+        ok_b = _rel_ok(b_hat, float(cls.beta), args.tol)
         rate_report["beta_hat"] = b_hat
     ok = ok and ok_a and ok_b
     rate_report.update({"rates_ok": ok_a and ok_b, "ok": ok,

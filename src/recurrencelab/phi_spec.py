@@ -271,15 +271,12 @@ class OscLogPhi(PhiSpec):
       climb      n in [E+1, 2E]:     phi = mult * log n      (ratio = mult)
       hold       n in [2E+1, c-1]:   phi = mult * log(2E)    (ratio decays)
 
-    with E = 4s by default, mult = gamma for finite gamma (mult = delta + k
+    with E = 4s, mult = gamma for finite gamma (mult = delta + k
     on the k-th cycle when gamma is infinite), and c the least integer with
     delta * log c >= the held value, so the next low leg continues without
     a decrease.  Ratios over a cycle stay within [delta, mult] and attain
     both endpoints on whole segments, hence liminf = delta exactly and
     limsup = gamma (finite or not).
-
-    `boundaries[k]` optionally forces the k-th climb to start no earlier
-    than that position by stretching the preceding low leg.
 
     Segments are generated on demand and memoized append-only; once
     created they never change, so lookups may cache freely.
@@ -287,8 +284,7 @@ class OscLogPhi(PhiSpec):
 
     _SEGMENT_DIGIT_CAP = 100_000
 
-    def __init__(self, delta, gamma,
-                 boundaries: Optional[Sequence[int]] = None):
+    def __init__(self, delta, gamma):
         self.delta = ExtReal(delta)
         self.gamma = ExtReal(gamma)
         if self.delta.is_inf or self.delta.is_zero:
@@ -297,7 +293,6 @@ class OscLogPhi(PhiSpec):
             raise PhiDomainError("need delta < gamma")
         self._df = float(self.delta)
         self._gf = None if self.gamma.is_inf else float(self.gamma)
-        self._boundaries = tuple(boundaries or ())
         # (start, end, kind, mult, hold_value); kind in {"low","climb","hold"}
         self._segments: list[tuple[int, int, str, Optional[float], Optional[float]]] = []
         self._starts: list[int] = []
@@ -308,8 +303,6 @@ class OscLogPhi(PhiSpec):
         s = self._next_start
         k = self._cycles + 1
         end_low = 4 * s
-        if k - 1 < len(self._boundaries):
-            end_low = max(end_low, self._boundaries[k - 1] - 1)
         self._push(s, end_low, "low", self._df, None)
         mult = self._gf if self._gf is not None else self._df + k
         climb_end = 2 * end_low

@@ -609,8 +609,16 @@ def plan_full_dimension(phi: PhiSpec, alpha, beta, *, p: int = 3, m: int = 2,
     Refuses (with the full classification attached) when the dichotomy
     puts the requested level set at dimension zero.
     """
-    alpha, beta = ExtReal(alpha), ExtReal(beta)
-    cls = classify_profile(phi, alpha, beta, horizon=horizon)
+    cls = classify_profile(phi, ExtReal(alpha), ExtReal(beta), horizon=horizon)
+    return plan_for_classification(phi, cls, p=p, m=m, count=count,
+                                   digit_cap=digit_cap)
+
+
+def plan_for_classification(phi: PhiSpec, cls: Classification, *,
+                            p: int = 3, m: int = 2, count: int = 12,
+                            digit_cap: int = bignum.DEFAULT_DIGIT_CAP
+                            ) -> InsertionPlan:
+    """plan_full_dimension for a profile already classified as `cls`."""
     if cls.dim != 1:
         raise RefusalError(
             "these rate targets sit in the dimension-zero regime for this "

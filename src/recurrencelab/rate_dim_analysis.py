@@ -130,12 +130,12 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     return time must agree with itself for at least n symbols.  Returns
     (n, R_n) pairs, or bare depths with with_times=False.
     """
-    text = word.data if word.data is not None else word.symbols
+    syms = word.symbols
     out = []
     for n, j in enumerate(return_times_all(word, max_n=max_n).values, 1):
         if j > math.exp((alpha + eps) * _phi_value(phi, n)):
             continue
-        if text[j:j + n] != text[:n]:
+        if syms[j:j + n] != syms[:n]:
             raise RuntimeError(
                 f"return-time engine and definition disagree at n={n}")
         out.append((n, j) if with_times else n)

@@ -20,6 +20,10 @@ minimum for n + 1 lies at or after the minimum for n (and, primed, at or
 after n + 1), because the positions skipped all have z[i] < n.  The whole
 answer is that array of exact values plus L; every deeper depth is the
 lower bound.  `ReturnTimes` stores exactly that.
+
+Every entry point reads symbols through one accessor, `_text`: a Word's
+own store, or a raw sequence normalized by shift_core.symbol_store.  The Z
+pass runs over that store; a single depth is one scan of it (bytes.find).
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .shift_core import Word
+from .shift_core import Word, symbol_store
 
 
 @dataclass(frozen=True)
@@ -97,19 +101,9 @@ class ReturnTimes(Sequence):
         return (self.result(n) for n in range(1, self.top + 1))
 
 
-def _symbols(w: Union[Word, Sequence[int]]) -> tuple[int, ...]:
-    return w.symbols if isinstance(w, Word) else tuple(w)
-
-
 def _text(w: Union[Word, Sequence[int]]) -> Union[bytes, tuple]:
-    """The symbols as bytes when every one fits in a byte, else a tuple."""
-    if isinstance(w, Word) and w.data is not None:
-        return w.data
-    syms = _symbols(w)
-    try:
-        return bytes(syms)
-    except (TypeError, ValueError):
-        return syms
+    """The word's symbol store, or a raw sequence normalized the same way."""
+    return w.symbols if isinstance(w, Word) else symbol_store(w)
 
 
 def _scan(text: Union[bytes, tuple], n: int, start: int) -> int:
@@ -129,19 +123,19 @@ def _lookup(w: Union[Word, Sequence[int]], n: int,
     L = len(text)
     if not 1 <= n <= L:
         raise ValueError(f"need 1 <= n <= {L}, got n={n}")
-    start = n if prime else 1
-    hit = _scan(text, n, start)
+    hit = _scan(text, n, n if prime else 1)
     if hit != -1:
         return ReturnTimeResult(n, hit, True, prime)
-    return ReturnTimeResult(n, max(L - n, start - 1), False, prime)
+    # no return fits: the bound of a window with no exact depth
+    return ReturnTimes((), L, n, prime).result(n)
 
 
 def return_time_naive(w: Union[Word, Sequence[int]], n: int,
                       prime: bool = False) -> ReturnTimeResult:
     """Direct scan for the first reoccurrence of the length-n prefix.
 
-    One bytes.find over the word's bytes; a tuple scan only when the
-    symbols do not fit in a byte (m > 256).
+    One bytes.find over the word's store; a tuple scan only when the
+    store is a tuple (m > 256).
     """
     return _lookup(w, n, prime)
 
@@ -155,12 +149,12 @@ def z_array(syms: Sequence[int]) -> list[int]:
     z[0] = L
     lo = hi = 0
     for i in range(1, L):
-        if i < hi:
-            z[i] = min(hi - i, z[i - lo])
-        while i + z[i] < L and syms[z[i]] == syms[i + z[i]]:
-            z[i] += 1
-        if i + z[i] > hi:
-            lo, hi = i, i + z[i]
+        k = min(hi - i, z[i - lo]) if i < hi else 0
+        while i + k < L and syms[k] == syms[i + k]:
+            k += 1
+        z[i] = k
+        if i + k > hi:
+            lo, hi = i, i + k
     return z
 
 
@@ -188,7 +182,7 @@ def return_times_all(w: Union[Word, Sequence[int]],
                      prime: bool = False) -> ReturnTimes:
     """R_n (R'_n with prime=True) for every n in 1..max_n (default: full
     length) from one Z pass, in O(L) total."""
-    syms = _symbols(w)
+    syms = _text(w)
     L = len(syms)
     if L == 0:
         return ReturnTimes((), 0, 0, prime)
@@ -200,8 +194,8 @@ def return_times_all(w: Union[Word, Sequence[int]],
 
 
 def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
-    """R_n via the batch engine (single Z pass, then lookup)."""
-    return return_times_all(w, max_n=n)[n - 1]
+    """R_n for one depth, by one bytes.find (no Z pass)."""
+    return _lookup(w, n, False)
 
 
 def return_time_prime(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:

@@ -2,7 +2,8 @@
 
 The objects here model points of the one-sided full shift on m symbols.
 Indexing is 1-based throughout the public API (position 1 is the first
-symbol); storage is ordinary 0-based tuples converted at the boundary.
+symbol); storage is 0-based, converted at the boundary.  A word stores its
+symbols once, as bytes whenever they fit; symbol_store alone decides.
 
 A LazySequence is a base sequence (periodic, explicit, or any SymbolSource)
 overlaid with finitely many inserted words at fixed positions.  Positions of
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (AlphabetMismatchError, CapacityError, PlanValidityError,
                      SourceExhaustedError)
@@ -42,42 +43,54 @@ class Alphabet:
                 raise ValueError(f"symbol {s} outside alphabet of size {self.m}")
 
 
+def symbol_store(symbols, m: int = 256) -> Union[bytes, tuple]:
+    """Bytes when m <= 256 and every symbol fits in a byte, else a tuple;
+    bytes input comes back as is, without a copy."""
+    if not isinstance(symbols, (bytes, tuple, list)):
+        symbols = tuple(symbols)   # a failed bytes() must not eat an iterator
+    if m <= 256:
+        try:
+            return bytes(symbols)
+        except (TypeError, ValueError):
+            pass
+    return tuple(symbols)
+
+
 @dataclass(frozen=True)
 class Word:
     """A finite word; symbols are ints in [0, m).
 
-    For m <= 256 the word also carries `data`, the same symbols as bytes,
-    built once, so slicing, comparison and search run in C; it is None for
-    larger alphabets and for symbols that are not ints.
+    Any iterable is normalized once into the single store `symbols`:
+    bytes for m <= 256 (slicing, comparison and search run in C), else a
+    tuple.  `data` is that store when it is bytes, None otherwise.
     """
 
-    symbols: tuple[int, ...]
+    symbols: Union[bytes, tuple[int, ...]]
     alphabet: Alphabet
-    data: Optional[bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        data = None
-        if self.alphabet.m <= 256:
-            try:
-                data = bytes(self.symbols)
-            except (TypeError, ValueError):
-                pass  # the full check below names the offending symbol
+        store = symbol_store(self.symbols, self.alphabet.m)
         # translate() deletes every in-alphabet byte; any byte left over is
         # a symbol >= m
-        if data is None or data.translate(None, bytes(range(self.alphabet.m))):
-            self.alphabet.check(self.symbols)
-        object.__setattr__(self, "data", data)
+        if not isinstance(store, bytes) or store.translate(
+                None, bytes(range(self.alphabet.m))):
+            self.alphabet.check(store)  # names the offending symbol
+        object.__setattr__(self, "symbols", store)
+
+    @property
+    def data(self) -> Optional[bytes]:
+        return self.symbols if isinstance(self.symbols, bytes) else None
 
     @classmethod
     def from_iterable(cls, symbols, m: int) -> "Word":
-        return cls(tuple(symbols), Alphabet(m))
+        return cls(symbols, Alphabet(m))
 
     @classmethod
     def from_digits(cls, text: str, m: int) -> "Word":
         """Parse a plain digit string; only alphabets up to 10 symbols."""
         if m > 10:
             raise ValueError("digit-string words require m <= 10")
-        return cls(tuple(int(ch) for ch in text), Alphabet(m))
+        return cls([int(ch) for ch in text], Alphabet(m))
 
     def at(self, j: int) -> int:
         """Symbol at 1-based position j."""
@@ -285,22 +298,16 @@ class LazySequence:
             raise ValueError("prefix length must be nonnegative")
         self._check_cap(n)
         out: list[int] = []
-        pos = 1
-        ei = 0
-        while pos <= n:
-            if ei < len(self._starts) and pos == self._starts[ei]:
-                word = self.events[ei][1]
-                take = min(len(word), n - pos + 1)
-                out.extend(word.symbols[:take])
-                pos += take
-                ei += 1
-                continue
-            stop = min(n, self._starts[ei] - 1) if ei < len(self._starts) else n
-            offset = self._inserted_before[ei]
-            base = self.base
-            out.extend(base.symbol_at(bp) for bp in range(pos - offset, stop - offset + 1))
-            pos = stop + 1
-        return Word(tuple(out), self.alphabet)
+        pos = bp = 1   # next final position, next base position
+        for start, word in self.events:
+            if start > n:
+                break
+            out.extend(map(self.base.symbol_at, range(bp, bp + start - pos)))
+            out.extend(word.symbols[:n - start + 1])
+            bp += start - pos
+            pos = start + len(word)
+        out.extend(map(self.base.symbol_at, range(bp, bp + n - pos + 1)))
+        return Word(out, self.alphabet)
 
     # -- serialization ------------------------------------------------------
 

@@ -5,13 +5,15 @@ import random
 import pytest
 
 from recurrencelab import (CapacityError, ExplicitFree, FpBase, InsertionPlan,
-                           PlanValidityError, SeededFree, SourceExhaustedError,
-                           Word, ZeroFree, apply_insertions, build_fp_prefix,
+                           OscLogPhi, PlanValidityError, SeededFree,
+                           SourceExhaustedError, Word, ZeroFree,
+                           apply_insertions, build_fp_prefix,
                            certified_brackets, check_plan_conditions,
                            first_certified_index, fp_cylinder_count,
                            fp_membership, make_insertion_word,
-                           materializable_term_count, predicted_return_time,
-                           remove_insertions, truncate_plan)
+                           materializable_term_count, plan_full_dimension,
+                           predicted_return_time, remove_insertions,
+                           return_times_naive_all, truncate_plan)
 
 from conftest import marker_base_symbol, splice_oracle
 
@@ -227,6 +229,36 @@ def test_apply_insertions_skips_tiny_rungs():
     assert [seq.index(j) for j in range(1, 6)] == [0, 0, 0, 0, 0]
     # the surviving marker at 64 reads 1 . 0000 . 1 . 1
     assert [seq.index(j) for j in range(64, 71)] == [1, 0, 0, 0, 0, 1, 1]
+
+
+def test_marker_over_its_own_copy_is_not_inserted():
+    # p = 3: (4, 5) puts the marker at n + 1, over the x_5 it copies, so it
+    # is skipped by the construction, by certification and by removal alike
+    plan = InsertionPlan(3, 2, ((4, 5), (8, 64), (16, 1024)))
+    assert first_certified_index(plan) == 2
+    assert certified_brackets(plan) == [(8, 16, 1024)]
+    seq = apply_insertions(plan, ZeroFree())
+    assert [pos for pos, _ in seq.events] == [64, 1024]
+    spliced = seq.prefix(1100)
+    assert remove_insertions(spliced, plan) == build_fp_prefix(
+        3, 2, 1100 - 11 - 19, ZeroFree())
+
+
+def test_oscillating_case_vi_plan_audits_clean():
+    # the case vi plan for osc 1/2 2 at rates (2, 5/2) opens with (4, 5);
+    # every certified bracket must hold on the materialized prefix
+    plan = plan_full_dimension(OscLogPhi("1/2", "2"), 2, "5/2")
+    assert plan.case_tag == "vi" and plan.terms[0] == (4, 5)
+    cap = 2_000_000
+    sub = truncate_plan(plan, materializable_term_count(plan, cap))
+    brackets = certified_brackets(sub)
+    word = apply_insertions(sub, cap=cap).prefix(
+        brackets[-1][2] + brackets[-1][1] + 2)
+    oracle = return_times_naive_all(word, max_n=brackets[-1][1])
+    for lo, hi, ell in brackets:
+        for n in range(lo + 1, hi + 1):
+            assert (oracle[n - 1].value, oracle[n - 1].exact) == (ell, True), n
+    assert [(lo, hi) for lo, hi, _ in brackets] == [(8, 9), (9, 15), (15, 41)]
 
 
 def test_apply_insertions_respects_cap():

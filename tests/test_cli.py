@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import recurrencelab.cli as cli
+import recurrencelab.plan_engine as plan_engine
 from recurrencelab.cli import main
 
 from conftest import brute_return_time
@@ -254,3 +256,21 @@ def test_verify_refusal_exit_code(capsys):
                        "--beta", "1/2")
     assert code == 4
     assert lines(out)[0]["refused"] is True
+
+
+@pytest.mark.parametrize("command", ["plan", "verify"])
+def test_plan_and_verify_classify_once(capsys, monkeypatch, command):
+    calls = []
+    original = plan_engine.classify_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(plan_engine, "classify_profile", counting)
+    monkeypatch.setattr(cli, "classify_profile", counting)
+    extra = ["--cap", "2000000"] if command == "verify" else []
+    code, _, _ = run(capsys, command, "--phi", "log(n)", "--alpha", "2",
+                     "--beta", "2", *extra)
+    assert code == 0
+    assert len(calls) == 1

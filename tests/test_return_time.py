@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -10,6 +11,9 @@ from recurrencelab import (Word, return_time, return_time_naive,
 from recurrencelab.return_time import z_array
 
 from conftest import brute_return_time, random_word
+
+# the package re-exports the function return_time under the module's name
+return_time_module = importlib.import_module("recurrencelab.return_time")
 
 
 def test_z_array_known():
@@ -67,6 +71,51 @@ def test_return_time_dispatcher():
     w = random_word(rng, 3, 40)
     for n in (1, 5, 17):
         assert return_time(w, n).value == return_time_naive(w, n).value
+
+
+def test_single_depth_runs_no_z_pass(monkeypatch):
+    # R_n for one depth is one scan, like R'_n; it matches the batch,
+    # exact values and lower bounds alike
+    w = Word.from_iterable(_fibonacci(300) + [1] * 40, 2)
+    batch = return_times_all(w)
+
+    def no_z_pass(syms):
+        raise AssertionError("single-depth lookup ran a Z pass")
+
+    monkeypatch.setattr(return_time_module, "z_array", no_z_pass)
+    for n in range(1, len(w) + 1):
+        assert return_time(w, n) == batch[n - 1], n
+    assert not batch[-1].exact
+    with pytest.raises(ValueError):
+        return_time(w, len(w) + 1)
+
+
+def test_bounds_agree_between_batch_and_lookup():
+    for prime in (False, True):
+        w = Word.from_digits("0" + "1" * 30, 2)
+        rt = return_times_all(w, prime=prime)
+        for n in range(1, len(w) + 1):
+            single = return_time_naive(w, n, prime=prime)
+            assert (rt[n - 1].value, rt[n - 1].exact) == \
+                (single.value, single.exact), (n, prime)
+
+
+@pytest.mark.parametrize("m", [3, 300])
+def test_raw_sequences_share_the_word_store(m):
+    # a raw list goes through the same normalization as a Word: bytes when
+    # every symbol fits, a tuple otherwise, with identical answers
+    rng = random.Random(m)
+    block = [rng.randrange(m) for _ in range(25)]
+    syms = block * 3 + [m - 1] + block[:11]
+    w = Word.from_iterable(syms, m)
+    for prime in (False, True):
+        assert _rows(return_times_all(syms, prime=prime)) == \
+            _rows(return_times_all(w, prime=prime))
+    for n in range(1, len(syms) + 1):
+        assert return_time(syms, n) == return_time(w, n)
+        assert (return_time(syms, n).value, return_time(syms, n).exact) == \
+            brute_return_time(syms, n)
+    assert z_array(w.symbols) == z_array(list(syms))
 
 
 def test_exact_values_nondecreasing_in_n():

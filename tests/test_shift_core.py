@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurrencelab import (Alphabet, AlphabetMismatchError, ExplicitBase,
-                           LazySequence, PeriodicBase, PlanValidityError,
-                           SourceExhaustedError, Word, agreement_length,
-                           distance)
+                           FpBase, LazySequence, PeriodicBase,
+                           PlanValidityError, SourceExhaustedError, Word,
+                           agreement_length, distance, make_insertion_word)
 from recurrencelab.errors import CapacityError
 
 from conftest import random_word
@@ -32,6 +34,65 @@ def test_word_bytes_view():
     for bad, m in (([0, 2], 2), ([0, 256], 256), ([0, -1], 3), ([300], 300)):
         with pytest.raises(ValueError):
             Word.from_iterable(bad, m)
+
+
+def test_word_has_one_symbol_store():
+    fields = [f.name for f in dataclasses.fields(Word)]
+    assert fields == ["symbols", "alphabet"]
+    assert Word.from_iterable([0, 1, 1], 2).symbols == b"\x00\x01\x01"
+    assert Word.from_iterable([0, 255], 256).symbols == b"\x00\xff"
+    w = Word.from_iterable([0, 299, 5], 300)
+    assert w.symbols == (0, 299, 5) and w.data is None
+    # past 256 symbols the store is a tuple even when every symbol fits
+    assert Word.from_iterable([0, 1], 300).symbols == (0, 1)
+    # the bytes view is the store itself, not a copy
+    w2 = Word.from_digits("0110", 2)
+    assert w2.data is w2.symbols
+
+
+@pytest.mark.parametrize("m", [2, 256, 300])
+def test_word_equal_across_input_kinds(m):
+    syms = [0, 1, m - 1, 1, 0]
+    inputs = [syms, tuple(syms), iter(syms), (s for s in syms)]
+    if m <= 256:
+        inputs.append(bytes(syms))
+    words = [Word(x, Alphabet(m)) for x in inputs]
+    words.append(Word.from_iterable(syms, m))
+    for w in words:
+        assert w == words[0] and hash(w) == hash(words[0])
+        assert list(w) == syms and [w.at(j) for j in range(1, 6)] == syms
+
+
+@pytest.mark.parametrize("m,store", [(2, bytes), (256, bytes), (300, tuple)])
+def test_word_operations_keep_store_type(m, store):
+    syms = [0, 1, m - 1, 1, 0, 1]
+    w = Word.from_iterable(syms, m)
+    seq = LazySequence(PeriodicBase(w), ((3, w.prefix(2)),))
+    derived = {"sub": w.sub(2, 4), "prefix": w.prefix(3), "add": w + w,
+               "marker": make_insertion_word(w.prefix(3), m - 1),
+               "lazy prefix": seq.prefix(20)}
+    for name, v in derived.items():
+        assert type(v.symbols) is store, name
+    assert list(derived["add"]) == syms + syms
+    assert list(derived["marker"]) == [1, 0, 1, m - 1, 0, 1]
+    base = syms * 4
+    assert list(derived["lazy prefix"]) == base[:2] + syms[:2] + base[2:18]
+
+
+def test_prefix_peak_memory_per_symbol():
+    # the million symbols are held once, as bytes; a list plus a tuple plus
+    # a bytes copy of them would need about 18 bytes per symbol
+    n = 10 ** 6
+    seq = LazySequence(FpBase(3, 2), cap=n)
+    seq.prefix(1000)
+    tracemalloc.start()
+    try:
+        word = seq.prefix(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 12, f"{peak / n:.1f} bytes per symbol"
+    assert len(word) == n and isinstance(word.symbols, bytes)
 
 
 def test_word_basics():
