@@ -22,11 +22,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Optional, Sequence, Union
 
 from .errors import PlanValidityError, SourceExhaustedError
 from .shift_core import (BASE_DECODERS, DEFAULT_MATERIALIZATION_CAP, Alphabet,
-                         LazySequence, SymbolSource, Word)
+                         LazySequence, SymbolSource, Word, join_stores,
+                         symbol_store)
 
 
 # --------------------------------------------------------------------------
@@ -39,6 +41,17 @@ class FreeStream:
     def symbol(self, ordinal: int) -> int:
         raise NotImplementedError
 
+    def read(self, first: int, last: int) -> Union[bytes, tuple]:
+        """Symbols at ordinals first..last as a symbol store, stopping short
+        where the stream ends.  This default reads them one by one."""
+        out = []
+        try:
+            for ordinal in range(first, last + 1):
+                out.append(self.symbol(ordinal))
+        except SourceExhaustedError:
+            pass
+        return symbol_store(out)
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -46,6 +59,9 @@ class FreeStream:
 class ZeroFree(FreeStream):
     def symbol(self, ordinal: int) -> int:
         return 0
+
+    def read(self, first: int, last: int) -> bytes:
+        return bytes(max(0, last - first + 1))
 
     def descriptor(self) -> dict:
         return {"kind": "zero"}
@@ -55,7 +71,8 @@ class SeededFree(FreeStream):
     """Deterministic stream drawn once from random.Random(seed).
 
     The cache only ever grows, and always by appending from the same
-    generator state, so any access order yields the same symbols.
+    generator state (one randrange(m) per ordinal, in order), so any
+    access order, one by one or in bulk, yields the same symbols.
     """
 
     def __init__(self, seed: int, m: int):
@@ -64,10 +81,18 @@ class SeededFree(FreeStream):
         self._rng = random.Random(seed)
         self._cache: list[int] = []
 
+    def _fill(self, ordinal: int) -> None:
+        more = ordinal - len(self._cache)
+        if more > 0:
+            self._cache.extend(map(self._rng.randrange, repeat(self.m, more)))
+
     def symbol(self, ordinal: int) -> int:
-        while len(self._cache) < ordinal:
-            self._cache.append(self._rng.randrange(self.m))
+        self._fill(ordinal)
         return self._cache[ordinal - 1]
+
+    def read(self, first: int, last: int) -> Union[bytes, tuple]:
+        self._fill(last)
+        return symbol_store(self._cache[first - 1:last], self.m)
 
     def descriptor(self) -> dict:
         return {"kind": "seeded", "seed": self.seed, "m": self.m}
@@ -75,13 +100,16 @@ class SeededFree(FreeStream):
 
 class ExplicitFree(FreeStream):
     def __init__(self, symbols: Sequence[int]):
-        self.symbols = tuple(symbols)
+        self.symbols = symbol_store(symbols)
 
     def symbol(self, ordinal: int) -> int:
         if ordinal > len(self.symbols):
             raise SourceExhaustedError(
                 f"free stream of length {len(self.symbols)} read at {ordinal}")
         return self.symbols[ordinal - 1]
+
+    def read(self, first: int, last: int) -> Union[bytes, tuple]:
+        return self.symbols[first - 1:last]
 
     def descriptor(self) -> dict:
         return {"kind": "explicit",
@@ -104,13 +132,20 @@ def _decode_free(desc: dict) -> FreeStream:
 # --------------------------------------------------------------------------
 
 class FpBase(SymbolSource):
-    """x_j = 0 for j <= p; blocks [pk+1, pk+p] start and end with 1."""
+    """x_j = 0 for j <= p; blocks [pk+1, pk+p] start and end with 1.
+
+    The interior slot at offset r (1..p-2) of block k >= 1, position
+    kp + 1 + r, holds free symbol number (k-1)(p-2) + r.  `symbol_at`
+    reads one position; `window` builds a run of positions in bulk (see
+    there) and raises exactly what reading its positions in order would.
+    """
 
     def __init__(self, p: int, m: int, free: Optional[FreeStream] = None):
         if p < 2:
             raise ValueError("block length p must be at least 2")
         self.p = p
         self._alphabet = Alphabet(m)
+        self._symbols = bytes(range(min(m, 256)))
         self.free = free if free is not None else ZeroFree()
 
     @property
@@ -132,10 +167,66 @@ class FpBase(SymbolSource):
             return 1
         # interior slot: block k = (j-1)//p >= 1, offset r-1 in 1..p-2
         k = (j - 1) // p
-        s = self.free.symbol((k - 1) * (p - 2) + (r - 1))
+        return self._free_symbol((k - 1) * (p - 2) + (r - 1))
+
+    def _free_symbol(self, ordinal: int) -> int:
+        s = self.free.symbol(ordinal)
         if not self._alphabet.contains(s):
             raise ValueError(f"free stream produced symbol {s} outside alphabet")
         return s
+
+    def _free_upto(self, j: int) -> int:
+        """Number of free slots among positions 1..j."""
+        p = self.p
+        if j <= p:
+            return 0
+        k, t = divmod(j - 1, p)
+        return (k - 1) * (p - 2) + min(t, p - 2)
+
+    def window(self, i: int, j: int) -> Union[bytes, tuple]:
+        """Positions i..j: the opening zeros and whole blocks in one
+        bytearray, walls by strided slice assignment, then one strided
+        assignment per interior offset from a single free-stream read of
+        exactly the ordinals inside [i, j]; cut to [i, j].
+
+        An out-of-alphabet or missing free symbol (checked once, by
+        bytes.translate) sends the read through _free_symbol ordinal by
+        ordinal, which raises what symbol_at would at the first bad one.
+        Alphabets past 256 symbols take the per-symbol default.
+        """
+        if self._alphabet.m > 256:
+            return super().window(i, j)
+        if j < i:
+            return b""
+        if i < 1:
+            raise IndexError("positions start at 1")
+        p = self.p
+        k0, k1 = (i - 1) // p, (j - 1) // p   # blocks of i and j; 0 is the opening
+        start = k0 * p + 1                     # position of buf[0]
+        buf = bytearray((k1 - k0 + 1) * p)
+        wall = p if k0 == 0 else 0
+        buf[wall::p] = buf[wall + p - 1::p] = b"\x01" * (k1 - max(k0, 1) + 1)
+        first, last = self._free_upto(i - 1) + 1, self._free_upto(j)
+        if first <= last:
+            free = self.free.read(first, last)
+            if (len(free) != last - first + 1 or not isinstance(free, bytes)
+                    or free.translate(None, self._symbols)):
+                free = bytes(map(self._free_symbol, range(first, last + 1)))
+            for r in range(1, p - 1):
+                # blocks k whose slot r, at kp + 1 + r, lies in [i, j]
+                k_lo = max(1, -((r + 1 - i) // p))   # ceil((i - 1 - r) / p)
+                k_hi = (j - 1 - r) // p
+                if k_lo > k_hi:
+                    continue
+                at = k_lo * p + 1 + r - start
+                ord_at = (k_lo - 1) * (p - 2) + r - first
+                count = k_hi - k_lo + 1
+                buf[at:at + (count - 1) * p + 1:p] = \
+                    free[ord_at:ord_at + (count - 1) * (p - 2) + 1:p - 2]
+            del free   # release the read before the copy below
+        del buf[j - start + 1:]
+        del buf[:i - start]
+        return bytes(buf)
 
     def descriptor(self) -> dict:
         return {"kind": "fp", "p": self.p, "m": self._alphabet.m,
@@ -149,7 +240,7 @@ BASE_DECODERS["fp"] = lambda desc: FpBase(desc["p"], desc["m"],
 def build_fp_prefix(p: int, m: int, n: int,
                     free: Optional[FreeStream] = None) -> Word:
     base = FpBase(p, m, free)
-    return Word([base.symbol_at(j) for j in range(1, n + 1)], base.alphabet)
+    return Word(base.window(1, n), base.alphabet)
 
 
 def fp_membership(word: Word, p: int) -> bool:
@@ -362,11 +453,12 @@ def remove_insertions(prefix: Word, plan: InsertionPlan) -> Word:
     """Strip marker regions from a prefix of the constructed sequence,
     recovering the corresponding base prefix (partial markers at the end
     are dropped as far as they reach)."""
-    keep: list[int] = []
+    syms = prefix.symbols
+    keep = []
     cut = 0   # 0-based index past the last marker [ell, ell + n + 2]
     for n, ell in plan.terms:
         if _inserted(plan.p, n, ell):
-            keep.extend(prefix.symbols[cut:ell - 1])
+            keep.append(syms[cut:ell - 1])
             cut = ell + n + 2
-    keep.extend(prefix.symbols[cut:])
-    return Word(keep, prefix.alphabet)
+    keep.append(syms[cut:])
+    return Word(join_stores(keep, prefix.alphabet.m), prefix.alphabet)

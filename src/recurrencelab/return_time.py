@@ -9,21 +9,33 @@ no return fits, the result is a certified lower bound rather than a value:
 every j with j + n <= L has been ruled out, so R_n > L - n (R'_n > max(L - n,
 n - 1) for the primed variant).
 
-The batch computation runs a single Z-array pass: z[i] = length of the
-longest common prefix of w and w[i:], so R_n = min{i >= 1 : z[i] >= n} and
-R'_n = min{i >= n : z[i] >= n}.  Both candidate sets shrink as n grows, so
-both minima are nondecreasing in n, and both stop existing at once and for
-good: past N* = max_{i>=1} z[i] for R_n, past the last n with some i >= n
-and z[i] >= n for R'_n.  Exactness is therefore a prefix in n, and one
-pointer that only moves forward over z finds every exact value: the
-minimum for n + 1 lies at or after the minimum for n (and, primed, at or
-after n + 1), because the positions skipped all have z[i] < n.  The whole
-answer is that array of exact values plus L; every deeper depth is the
-lower bound.  `ReturnTimes` stores exactly that.
+Both R_n and R'_n are nondecreasing in n, and once either stops existing
+it never exists again: a return of the length-(n+1) prefix at shift j is
+also a return of the length-n prefix at j (and j >= n + 1 > n), so the
+candidate sets only shrink.  Exactness is therefore a prefix in n: the
+whole answer of a batch is the array of exact values plus L, every deeper
+depth being the lower bound.  `ReturnTimes` stores exactly that.  The
+inputs alone decide how the exact values are found:
+
+- Plain R_n over a bytes store (m <= 256), the batch behind every audit
+  and rate trajectory, is a forward walk with no Z array.  With
+  j = R_{n-1}, the length-(n-1) prefix reoccurs at j, so R_n = j exactly
+  when j + n <= L and the one next symbol agrees, w[j+n] = w[n].
+  Otherwise R_n > j: a return of the length-n prefix at shift s is also
+  one of the length-(n-1) prefix, so s >= R_{n-1} = j, and s = j has
+  just failed.  R_n is then the first hit of bytes.find for the length-n
+  prefix from shift j + 1, and the first depth with no hit ends the walk
+  (past N*, the last depth whose prefix returns).  The finds run in C,
+  one per distinct value of R_n plus the final miss.
+- The primed batch and tuple stores (m > 256) run a single Z-array pass:
+  z[i] = length of the longest common prefix of w and w[i:], so R_n =
+  min{i >= 1 : z[i] >= n} and R'_n = min{i >= n : z[i] >= n}, both found
+  by one pointer that only moves forward over z (the positions skipped
+  all have z[i] < n, so they fail every deeper depth too).
 
 Every entry point reads symbols through one accessor, `_text`: a Word's
-own store, or a raw sequence normalized by shift_core.symbol_store.  The Z
-pass runs over that store; a single depth is one scan of it (bytes.find).
+own store, or a raw sequence normalized by shift_core.symbol_store.  A
+single depth is one scan of that store (bytes.find).
 """
 from __future__ import annotations
 
@@ -177,11 +189,28 @@ def _exact_prefix(z: list[int], top: int, prime: bool) -> list[int]:
     return values
 
 
+def _walk(text: bytes, top: int) -> list[int]:
+    """R_n for n = 1, 2, ... while it exists and n <= top, by extending
+    R_{n-1} one symbol at a time and searching anew only when the
+    extension fails (see the module docstring)."""
+    L = len(text)
+    values = []
+    j = 0   # R_{n-1}; 0 before the first depth
+    for n in range(1, top + 1):
+        if not (j and j + n <= L and text[j + n - 1] == text[n - 1]):
+            j = text.find(text[:n], j + 1)
+            if j == -1:
+                break
+        values.append(j)
+    return values
+
+
 def return_times_all(w: Union[Word, Sequence[int]],
                      max_n: Optional[int] = None,
                      prime: bool = False) -> ReturnTimes:
     """R_n (R'_n with prime=True) for every n in 1..max_n (default: full
-    length) from one Z pass, in O(L) total."""
+    length): a find-driven walk for plain R_n over bytes, else one Z pass
+    in O(L) total."""
     syms = _text(w)
     L = len(syms)
     if L == 0:
@@ -189,8 +218,11 @@ def return_times_all(w: Union[Word, Sequence[int]],
     top = L if max_n is None else max_n
     if not 1 <= top <= L:
         raise ValueError(f"need 1 <= max_n <= {L}")
-    z = z_array(syms)
-    return ReturnTimes(tuple(_exact_prefix(z, top, prime)), L, top, prime)
+    if isinstance(syms, bytes) and not prime:
+        values = _walk(syms, top)
+    else:
+        values = _exact_prefix(z_array(syms), top, prime)
+    return ReturnTimes(tuple(values), L, top, prime)
 
 
 def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
@@ -209,7 +241,7 @@ def return_times_naive_all(w: Union[Word, Sequence[int]],
 
     The conversion to bytes is hoisted out of the loop (it does not depend
     on n); each n still gets its own full scan, so the per-n decisions stay
-    independent of one another and of the Z-array engine.
+    independent of one another and of the batch engines.
     """
     text = _text(w)
     L = len(text)

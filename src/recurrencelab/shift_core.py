@@ -9,13 +9,18 @@ A LazySequence is a base sequence (periodic, explicit, or any SymbolSource)
 overlaid with finitely many inserted words at fixed positions.  Positions of
 the overlay are expressed in the coordinates of the final sequence: inserting
 words left to right at nondecreasing gaps means an inserted word never moves
-once placed, so a single sorted table answers random access.
+once placed, so a single sorted table answers random access, and a prefix is
+the base's windows between events interleaved with the event words.
+
+Words travel in JSON as digit strings when m <= 10 and as symbol lists
+otherwise; readers accept either form.
 """
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (AlphabetMismatchError, CapacityError, PlanValidityError,
@@ -54,6 +59,18 @@ def symbol_store(symbols, m: int = 256) -> Union[bytes, tuple]:
         except (TypeError, ValueError):
             pass
     return tuple(symbols)
+
+
+# symbol s -> ASCII digit s, for the m <= 10 stores (always bytes)
+_ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def join_stores(stores, m: int) -> Union[bytes, tuple]:
+    """Concatenate the symbol stores of one alphabet: one bytes.join when
+    m <= 256 (every store is bytes then), else one tuple."""
+    if m <= 256:
+        return b"".join(stores)
+    return tuple(chain.from_iterable(stores))
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,7 @@ class Word:
     def to_digits(self) -> str:
         if self.alphabet.m > 10:
             raise ValueError("digit-string serialization requires m <= 10")
-        return "".join(str(s) for s in self.symbols)
+        return self.symbols.translate(_ASCII_DIGITS).decode("ascii")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -159,8 +176,25 @@ class SymbolSource:
     def symbol_at(self, j: int) -> int:  # 1-based
         raise NotImplementedError
 
+    def window(self, i: int, j: int) -> Union[bytes, tuple]:
+        """Symbols at 1-based positions i..j inclusive (empty when j < i),
+        as a Word's symbol store.  This default reads them one by one."""
+        return Word(map(self.symbol_at, range(i, j + 1)), self.alphabet).symbols
+
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+
+def _word_to_json(word: Word) -> Union[str, list]:
+    """A digit string when m <= 10, else the list of symbols."""
+    return word.to_digits() if word.alphabet.m <= 10 else list(word.symbols)
+
+
+def _word_from_json(value: Union[str, list], m: int) -> Word:
+    """Inverse of _word_to_json; takes either form at any m."""
+    if isinstance(value, str):
+        return Word.from_digits(value, m)
+    return Word.from_iterable(value, m)
 
 
 @dataclass(frozen=True)
@@ -186,8 +220,20 @@ class PeriodicBase(SymbolSource):
             raise IndexError("positions start at 1")
         return self.word.symbols[(j - 1) % len(self.word)]
 
+    def window(self, i: int, j: int) -> Union[bytes, tuple]:
+        """The period rotated to start at i, repeated and cut to length."""
+        syms = self.word.symbols
+        if j < i:
+            return syms[:0]
+        if i < 1:
+            raise IndexError("positions start at 1")
+        start = (i - 1) % len(syms)
+        turn = syms[start:] + syms[:start]
+        reps, rest = divmod(j - i + 1, len(syms))
+        return turn * reps + turn[:rest]
+
     def descriptor(self) -> dict:
-        return {"kind": "periodic", "word": self.word.to_digits(),
+        return {"kind": "periodic", "word": _word_to_json(self.word),
                 "m": self.alphabet.m}
 
 
@@ -213,8 +259,19 @@ class ExplicitBase(SymbolSource):
                 f"base of length {len(self.word)} read at position {j}")
         return self.word.symbols[j - 1]
 
+    def window(self, i: int, j: int) -> Union[bytes, tuple]:
+        """A slice of the word; raises like symbol_at at the first position
+        past its end."""
+        if j < i:
+            return self.word.symbols[:0]
+        if i < 1:
+            raise IndexError("positions start at 1")
+        if j > len(self.word):   # raises at the first position past the end
+            self.symbol_at(max(i, len(self.word) + 1))
+        return self.word.symbols[i - 1:j]
+
     def descriptor(self) -> dict:
-        return {"kind": "explicit", "word": self.word.to_digits(),
+        return {"kind": "explicit", "word": _word_to_json(self.word),
                 "m": self.alphabet.m}
 
 
@@ -225,9 +282,9 @@ BASE_DECODERS: dict = {}
 def _decode_base(desc: dict) -> SymbolSource:
     kind = desc.get("kind")
     if kind == "periodic":
-        return PeriodicBase(Word.from_digits(desc["word"], desc["m"]))
+        return PeriodicBase(_word_from_json(desc["word"], desc["m"]))
     if kind == "explicit":
-        return ExplicitBase(Word.from_digits(desc["word"], desc["m"]))
+        return ExplicitBase(_word_from_json(desc["word"], desc["m"]))
     if kind in BASE_DECODERS:
         return BASE_DECODERS[kind](desc)
     raise ValueError(f"unknown base kind {kind!r}")
@@ -239,8 +296,11 @@ class LazySequence:
 
     Invariants: event positions are >= 1, strictly increasing, and each
     event starts at or after the previous event's end + 1 (no overlap).
-    Random access costs O(log #events); prefixes are materialized by a
-    single left-to-right walk.
+    Random access costs O(log #events).  A prefix is one left-to-right
+    walk over the events, one base window per gap and then the event
+    word, joined once (join_stores): over the bases of this package with
+    m <= 256 no per-symbol Python runs, and the peak is about two bytes
+    per symbol.
     """
 
     base: SymbolSource
@@ -297,24 +357,24 @@ class LazySequence:
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
         self._check_cap(n)
-        out: list[int] = []
+        chunks = []
         pos = bp = 1   # next final position, next base position
         for start, word in self.events:
             if start > n:
                 break
-            out.extend(map(self.base.symbol_at, range(bp, bp + start - pos)))
-            out.extend(word.symbols[:n - start + 1])
+            chunks.append(self.base.window(bp, bp + start - pos - 1))
+            chunks.append(word.symbols[:n - start + 1])
             bp += start - pos
             pos = start + len(word)
-        out.extend(map(self.base.symbol_at, range(bp, bp + n - pos + 1)))
-        return Word(out, self.alphabet)
+        chunks.append(self.base.window(bp, bp + n - pos))
+        return Word(join_stores(chunks, self.alphabet.m), self.alphabet)
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
             "base": self.base.descriptor(),
-            "events": [{"pos": str(pos), "word": w.to_digits()}
+            "events": [{"pos": str(pos), "word": _word_to_json(w)}
                        for pos, w in self.events],
             "m": self.alphabet.m,
         }
@@ -329,7 +389,7 @@ class LazySequence:
         m = data["m"]
         if base.alphabet.m != m:
             raise AlphabetMismatchError("base alphabet disagrees with declared m")
-        events = tuple((int(e["pos"]), Word.from_digits(e["word"], m))
+        events = tuple((int(e["pos"]), _word_from_json(e["word"], m))
                        for e in data["events"])
         return cls(base=base, events=events, cap=cap)
 

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from recurrencelab import (CapacityError, ExplicitFree, FpBase, InsertionPlan,
-                           OscLogPhi, PlanValidityError, SeededFree,
+from recurrencelab import (CapacityError, ExplicitFree, FpBase, FreeStream,
+                           InsertionPlan, LazySequence, OscLogPhi,
+                           PlanValidityError, SeededFree,
                            SourceExhaustedError, Word, ZeroFree,
                            apply_insertions, build_fp_prefix,
                            certified_brackets, check_plan_conditions,
@@ -288,3 +289,166 @@ def test_materializable_and_truncate():
     assert len(empty) == 0
     with pytest.raises(PlanValidityError):
         check_plan_conditions(empty)
+
+
+# ------------------------------------------------------------ bulk windows ---
+
+def _free_kind(kind, m, rng):
+    if kind == "zero":
+        return lambda: ZeroFree()
+    if kind == "seeded":
+        return lambda: SeededFree(17, m)
+    draws = [rng.randrange(m) for _ in range(700)]
+    return lambda: ExplicitFree(draws)
+
+
+def _interior_ordinals(p, i, j):
+    """Free ordinals of the interior positions in [i, j], by the block rule."""
+    return [((x - 1) // p - 1) * (p - 2) + (x % p - 1)
+            for x in range(max(i, p + 1), j + 1) if x % p not in (0, 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["zero", "seeded", "explicit"])
+def test_fp_window_matches_symbol_at(kind, p):
+    rng = random.Random(100 * p + len(kind))
+    horizon = 600
+    for m in (2, 3, 256):
+        make = _free_kind(kind, m, rng)
+        ref_base = FpBase(p, m, make())
+        ref = [ref_base.symbol_at(x) for x in range(1, horizon + 1)]
+        windows = [(1, 0), (5, 4), (p + 1, p), (1, 1), (1, p), (2, p - 1),
+                   (p, p + 1), (1, p + 3), (p - 1, 3 * p), (1, horizon)]
+        windows += [(k * p + 1, k * p + p) for k in range(1, 6)]     # one block
+        windows += [(k * p + 2, k * p + p - 1) for k in range(1, 4)]  # interior
+        for _ in range(60):
+            i = rng.randint(1, horizon)
+            windows.append((i, rng.randint(i - 1, horizon)))
+        base = FpBase(p, m, make())   # windows first, in random order
+        rng.shuffle(windows)
+        for i, j in windows:
+            got = base.window(i, j)
+            assert isinstance(got, bytes), (i, j)
+            assert got == bytes(ref[i - 1:j]), (m, i, j)
+
+
+def test_fp_window_reads_only_its_own_free_ordinals():
+    class Recording(ExplicitFree):
+        def read(self, first, last):
+            reads.append((first, last))
+            return super().read(first, last)
+
+    rng = random.Random(5)
+    for p in (2, 3, 4, 5, 6):
+        base = FpBase(p, 3, Recording([rng.randrange(3) for _ in range(400)]))
+        for _ in range(80):
+            i = rng.randint(1, 300)
+            j = rng.randint(i - 1, 300)
+            reads = []
+            base.window(i, j)
+            ordinals = _interior_ordinals(p, i, j)
+            if ordinals:
+                assert ordinals == list(range(ordinals[0], ordinals[-1] + 1))
+                assert reads == [(ordinals[0], ordinals[-1])], (p, i, j)
+            else:
+                assert reads == [], (p, i, j)
+
+
+def test_explicit_free_exactly_covering_a_prefix():
+    rng = random.Random(8)
+    for p in (3, 4, 5, 6):
+        for n in range(p, 5 * p + 3):
+            need = len(_interior_ordinals(p, 1, n))
+            free = ExplicitFree([rng.randrange(2) for _ in range(need)])
+            want = [marker_base_symbol(p, 2, j, free.symbol)
+                    for j in range(1, n + 1)]
+            assert list(FpBase(p, 2, free).window(1, n)) == want
+            assert list(build_fp_prefix(p, 2, n, free)) == want
+            assert list(LazySequence(FpBase(p, 2, free)).prefix(n)) == want
+            # the next interior position needs one symbol more
+            nxt = next(x for x in range(n + 1, n + p + 2) if x % p not in (0, 1))
+            with pytest.raises(SourceExhaustedError):
+                FpBase(p, 2, free).window(n + 1, nxt)
+    # a constructed point whose base prefix uses every free symbol
+    plan = hand_plan()
+    n = 300
+    base_len = len(remove_insertions(apply_insertions(plan).prefix(n), plan))
+    need = len(_interior_ordinals(3, 1, base_len))
+    free = ExplicitFree([1, 0] * (need // 2) + [1] * (need % 2))
+    seq = apply_insertions(plan, free)
+    assert seq.prefix(n) == apply_insertions(
+        plan, ExplicitFree(list(free.symbols) + [0] * 50)).prefix(n)
+    with pytest.raises(SourceExhaustedError):
+        apply_insertions(plan, ExplicitFree(free.symbols[:-1])).prefix(n)
+
+
+def _outcome(fn):
+    try:
+        return "ok", bytes(fn())
+    except (ValueError, SourceExhaustedError) as exc:
+        return type(exc), str(exc)
+
+
+def test_bulk_read_errors_match_per_symbol():
+    class OneByOne(FreeStream):   # the default read: ordinal by ordinal
+        def __init__(self, symbols):
+            self.inner = ExplicitFree(symbols)
+
+        def symbol(self, ordinal):
+            return self.inner.symbol(ordinal)
+
+    rng = random.Random(21)
+    streams = [
+        [0, 1] * 20,                          # exhausted at 41
+        [0, 1, 2, 0, 1] + [1] * 30,           # out of alphabet at 3
+        [1] * 10 + [7] + [0] * 5 + [9],       # two bad symbols, then exhausted
+        [0] * 12 + [300] + [0] * 8,           # too big for a byte
+        [1] * 6 + [-1] + [1] * 3,             # negative
+    ]
+    raised = set()
+    for symbols in streams:
+        for make in (ExplicitFree, OneByOne):
+            for p in (3, 5):
+                for _ in range(40):
+                    i = rng.randint(1, 60)
+                    j = rng.randint(i, 140)
+                    per_symbol = _outcome(lambda: [
+                        FpBase(p, 2, make(symbols)).symbol_at(x)
+                        for x in range(i, j + 1)])
+                    bulk = _outcome(lambda: FpBase(p, 2, make(symbols))
+                                    .window(i, j))
+                    assert bulk == per_symbol, (symbols, p, i, j)
+                    raised.add(per_symbol[0])
+                # through a whole prefix, with events between the windows
+                seq = LazySequence(FpBase(p, 2, make(symbols)),
+                                   ((20, Word.from_digits("11", 2)),
+                                    (45, Word.from_digits("101", 2))))
+                per_symbol = _outcome(lambda: [seq.index(x)
+                                               for x in range(1, 150)])
+                assert _outcome(lambda: seq.prefix(149).symbols) == per_symbol
+    assert raised == {"ok", ValueError, SourceExhaustedError}
+
+
+def test_seeded_read_and_symbol_share_one_stream():
+    rng = random.Random(3)
+    for m in (2, 5, 256):
+        ref = random.Random(44)
+        want = [ref.randrange(m) for _ in range(500)]
+        s = SeededFree(44, m)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                o = rng.randint(1, 500)
+                assert s.symbol(o) == want[o - 1]
+            else:
+                first = rng.randint(1, 500)
+                last = rng.randint(first - 1, 500)
+                assert s.read(first, last) == bytes(want[first - 1:last])
+    big = SeededFree(2, 300)
+    assert list(big.read(1, 50)) == [big.symbol(o) for o in range(1, 51)]
+
+
+def test_free_reads_stop_short_at_the_stream_end():
+    e = ExplicitFree([1, 0, 2, 1])
+    assert e.read(2, 3) == bytes([0, 2]) and e.read(3, 9) == bytes([2, 1])
+    assert e.read(5, 9) == b"" and e.read(3, 2) == b""
+    assert ZeroFree().read(4, 8) == bytes(5) and ZeroFree().read(4, 3) == b""

@@ -4,6 +4,7 @@ import pytest
 
 import recurrencelab.cli as cli
 import recurrencelab.plan_engine as plan_engine
+from recurrencelab import LazySequence
 from recurrencelab.cli import main
 
 from conftest import brute_return_time
@@ -274,3 +275,21 @@ def test_plan_and_verify_classify_once(capsys, monkeypatch, command):
                      "--beta", "2", *extra)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_build_large_alphabet_plan(tmp_path, capsys):
+    # m > 10: event words and the prefix travel as symbol lists
+    code, out, _ = run(capsys, "plan", "--phi", "log(n)", "--alpha", "2",
+                       "--beta", "2", "--m", "12", "--count", "5")
+    assert code == 0
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(lines(out)[1]))
+    code, out, err = run(capsys, "build", "--plan-file", str(plan_file),
+                         "--prefix", "3000")
+    assert code == 0, err
+    seq, pref = lines(out)
+    assert seq["m"] == 12 and all(isinstance(e["word"], list)
+                                  for e in seq["events"])
+    assert pref["n"] == 3000 and len(pref["symbols"]) == 3000
+    back = LazySequence.from_json_dict(json.loads(json.dumps(seq)))
+    assert list(back.prefix(3000)) == pref["symbols"]

@@ -256,3 +256,59 @@ def test_batched_prime_matches_brute(m, length, seed):
         assert res.prime and res.n == n
         assert (res.value, res.exact) == brute_return_time(syms, n, True), (
             syms, n)
+
+
+# ------------------------------------------------- find-driven plain walk ---
+
+def _staircase(length):
+    # 0 1 0 0 1 0 0 0 1 ...: every new run of zeros pushes R_n up a step
+    out, k = [], 1
+    while len(out) < length:
+        out += [0] * k + [1]
+        k += 1
+    return out[:length]
+
+
+def _walk_words():
+    rng = random.Random(77)
+    yield "staircase", _staircase(2000), 2
+    yield "constant", [0] * 700, 2
+    yield "fibonacci", _fibonacci(2500), 2
+    yield "periodic-noise", _period7_with_flips(rng, 1800, 3), 3
+    for m in (2, 3, 4, 5):
+        yield f"random-m{m}", [rng.randrange(m) for _ in range(1500)], m
+    # a long early repeat and a return that ends exactly at the last symbol
+    block = [rng.randrange(2) for _ in range(60)]
+    yield "tail-return", block + [1 - block[0]] + block, 2
+
+
+@pytest.mark.parametrize("name,syms,m", list(_walk_words()),
+                         ids=[w[0] for w in _walk_words()])
+def test_plain_bytes_walk_matches_naive(name, syms, m):
+    w = Word.from_iterable(syms, m)
+    assert isinstance(w.symbols, bytes)
+    L = len(w)
+    for top in (1, 2, 17, L // 3, L - 1, L):
+        fast = return_times_all(w, max_n=top)
+        assert _rows(fast) == _rows(return_times_naive_all(w, max_n=top)), top
+    full = return_times_all(w)
+    assert list(full.values) == sorted(full.values)   # nondecreasing
+
+
+def test_plain_bytes_batch_runs_no_z_pass(monkeypatch):
+    calls = []
+    real = return_time_module.z_array
+
+    def counting(syms):
+        calls.append(len(syms))
+        return real(syms)
+
+    monkeypatch.setattr(return_time_module, "z_array", counting)
+    fib = _fibonacci(400)
+    return_times_all(Word.from_iterable(fib, 2))
+    return_times_all(fib, max_n=50)
+    assert calls == []
+    return_times_all(Word.from_iterable(fib, 2), prime=True)
+    assert calls == [400]
+    return_times_all(Word.from_iterable(fib, 300))   # a tuple store
+    assert calls == [400, 400]

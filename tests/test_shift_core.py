@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from recurrencelab import (Alphabet, AlphabetMismatchError, ExplicitBase,
                            FpBase, LazySequence, PeriodicBase,
-                           PlanValidityError, SourceExhaustedError, Word,
-                           agreement_length, distance, make_insertion_word)
+                           PlanValidityError, SourceExhaustedError,
+                           SymbolSource, Word, agreement_length, distance,
+                           make_insertion_word)
 from recurrencelab.errors import CapacityError
 
 from conftest import random_word
@@ -212,3 +213,88 @@ def test_lazy_sequence_random_events(data):
     want = naive_splice([base.symbol_at(j) for j in range(1, horizon + 1)],
                         events)
     assert list(seq.prefix(horizon)) == want
+
+
+# ------------------------------------------------------------ bulk windows ---
+
+@pytest.mark.parametrize("m", [2, 3, 256, 300])
+def test_periodic_and_explicit_windows_match_symbol_at(m):
+    rng = random.Random(m)
+    for period in (1, 2, 7, 40):
+        word = random_word(rng, m, period)
+        for base in (PeriodicBase(word), ExplicitBase(word)):
+            horizon = 3 * period + 5 if isinstance(base, PeriodicBase) else period
+            windows = [(1, 0), (3, 2), (1, horizon), (horizon, horizon)]
+            for _ in range(40):
+                i = rng.randint(1, horizon)
+                windows.append((i, rng.randint(i - 1, horizon)))
+            for i, j in windows:
+                got = base.window(i, j)
+                assert type(got) is type(word.symbols), (i, j)
+                assert list(got) == [base.symbol_at(x)
+                                     for x in range(i, j + 1)], (period, i, j)
+
+
+def test_explicit_window_raises_like_symbol_at():
+    base = ExplicitBase(Word.from_digits("01101", 2))
+    assert base.window(5, 5) == b"\x01" and base.window(6, 5) == b""
+    for i, j in ((1, 6), (4, 9), (6, 6), (8, 12)):
+        with pytest.raises(SourceExhaustedError) as bulk:
+            base.window(i, j)
+        with pytest.raises(SourceExhaustedError) as one:
+            for x in range(i, j + 1):
+                base.symbol_at(x)
+        assert str(bulk.value) == str(one.value), (i, j)
+
+
+def test_default_window_reads_symbol_at():
+    class Squares(SymbolSource):
+        alphabet = Alphabet(5)
+
+        def symbol_at(self, j):
+            return j * j % 5
+
+    assert Squares().window(2, 6) == bytes([4, 4, 1, 0, 1])
+    assert Squares().window(3, 2) == b""
+
+
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_to_digits_matches_str_join(m):
+    w = random_word(random.Random(m), m, 500)
+    assert w.to_digits() == "".join(str(s) for s in w.symbols)
+    assert Word.from_digits(w.to_digits(), m) == w
+
+
+@pytest.mark.parametrize("m", [3, 12, 300])
+def test_lazy_sequence_json_roundtrip_any_alphabet(m):
+    rng = random.Random(m)
+    for base in (PeriodicBase(random_word(rng, m, 7)),
+                 ExplicitBase(random_word(rng, m, 200)),
+                 FpBase(3, m)):
+        seq = LazySequence(base, ((4, random_word(rng, m, 5)),
+                                  (30, random_word(rng, m, 9))))
+        data = json.loads(seq.to_json())
+        forms = {type(e["word"]) for e in data["events"]}
+        assert forms == ({str} if m <= 10 else {list})
+        back = LazySequence.from_json_dict(data)
+        assert back.prefix(150) == seq.prefix(150)
+    # readers take the list form at any alphabet size
+    data = {"base": {"kind": "periodic", "word": [0, 1, m - 1], "m": m},
+            "events": [{"pos": "2", "word": [m - 1, 0]}], "m": m}
+    assert list(LazySequence.from_json_dict(data).prefix(6)) == \
+        [0, m - 1, 0, 1, m - 1, 0]
+
+
+def test_prefix_peak_memory_is_bytes_only():
+    # one bytes.join of the base window: the store plus one transient copy
+    n = 10 ** 6
+    seq = LazySequence(FpBase(3, 2), cap=n)
+    seq.prefix(1000)
+    tracemalloc.start()
+    try:
+        word = seq.prefix(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 3, f"{peak / n:.2f} bytes per symbol"
+    assert len(word) == n and isinstance(word.symbols, bytes)
