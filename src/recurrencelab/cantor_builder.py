@@ -112,8 +112,11 @@ class ExplicitFree(FreeStream):
         return self.symbols[first - 1:last]
 
     def descriptor(self) -> dict:
-        return {"kind": "explicit",
-                "symbols": "".join(str(s) for s in self.symbols)}
+        """Symbols as a digit string when all are below 10, else a list."""
+        if max(self.symbols, default=0) < 10:
+            return {"kind": "explicit",
+                    "symbols": "".join(str(s) for s in self.symbols)}
+        return {"kind": "explicit", "symbols": list(self.symbols)}
 
 
 def _decode_free(desc: dict) -> FreeStream:
@@ -123,6 +126,7 @@ def _decode_free(desc: dict) -> FreeStream:
     if kind == "seeded":
         return SeededFree(desc["seed"], desc["m"])
     if kind == "explicit":
+        # a digit string or a symbol list: int() reads an item of either
         return ExplicitFree(tuple(int(ch) for ch in desc["symbols"]))
     raise ValueError(f"unknown free-stream kind {kind!r}")
 

@@ -84,6 +84,13 @@ class PhiSpec:
     def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
         raise NotImplementedError
 
+    def first_witness_candidate(self, target: ExtReal, min_n: int, *,
+                                threshold: Optional[float] = None,
+                                eval_shift: int = 0) -> int:
+        """First n >= min_n to test as a ratio witness for target (ratio
+        read at n + eval_shift); profiles that know better override it."""
+        return min_n
+
 
 def _estimated_gamma_delta(phi: PhiSpec, horizon: int) -> GammaDelta:
     """Sup/inf of the ratio over the top decade of a finite window.
@@ -103,6 +110,19 @@ def _estimated_gamma_delta(phi: PhiSpec, horizon: int) -> GammaDelta:
         if r < inf_:
             inf_ = r
     return GammaDelta(ExtReal(Fraction(sup)), ExtReal(Fraction(inf_)), "estimated")
+
+
+def _monomial_extremes(n_exp: Fraction, log_exp: Fraction,
+                       coef: Fraction) -> GammaDelta:
+    """Analytic extremes of a profile dominated by coef*n^n_exp*log(n)^log_exp:
+    inf above log n, coef at log n, 0 below it or when coef is 0."""
+    if coef == 0 or (n_exp, log_exp) < (0, 1):
+        g = d = ExtReal(0)
+    elif (n_exp, log_exp) == (0, 1):
+        g = d = ExtReal(coef)
+    else:
+        g = d = INF
+    return GammaDelta(g, d, "analytic")
 
 
 @dataclass(frozen=True)
@@ -127,13 +147,7 @@ class PowerLog(PhiSpec):
         return val
 
     def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
-        if self.n_exp > 0 or (self.n_exp == 0 and self.log_exp > 1):
-            g = d = INF
-        elif self.n_exp == 0 and self.log_exp == 1:
-            g = d = ExtReal(self.coef)
-        else:
-            g = d = ExtReal(0)
-        return GammaDelta(g, d, "analytic")
+        return _monomial_extremes(self.n_exp, self.log_exp, self.coef)
 
     def __str__(self) -> str:
         return self.source or (
@@ -370,6 +384,19 @@ class OscLogPhi(PhiSpec):
         """(start, end, delta) of a low leg ending at or after min_n."""
         return self._segment_at_least("low", min_n)
 
+    def first_witness_candidate(self, target: ExtReal, min_n: int, *,
+                                threshold: Optional[float] = None,
+                                eval_shift: int = 0) -> int:
+        """Start of the next climb (ratio gamma, or above threshold when
+        gamma is inf) or of the next low leg (ratio delta, read at
+        n + eval_shift); min_n for any other target."""
+        if target == self.gamma:
+            min_mult = (threshold + 1e-9) if target.is_inf else None
+            return self.climb_segment_at_least(min_n, min_mult=min_mult)[0]
+        if target == self.delta:
+            return self.low_segment_at_least(min_n + eval_shift)[0] - eval_shift
+        return min_n
+
     def __str__(self) -> str:
         return f"osc({self.delta}, {self.gamma})"
 
@@ -592,13 +619,7 @@ def _gamma_delta_from_monomials(monos: _Monomials) -> Optional[GammaDelta]:
     if any(c < 0 for c in live.values()):
         return None  # cancellation-prone forms get the scan instead
     a_star, b_star = max(live)
-    if (a_star, b_star) > (Fraction(0), Fraction(1)):
-        g = d = INF
-    elif (a_star, b_star) == (Fraction(0), Fraction(1)):
-        g = d = ExtReal(live[(a_star, b_star)])
-    else:
-        g = d = ExtReal(0)
-    return GammaDelta(g, d, "analytic")
+    return _monomial_extremes(a_star, b_star, live[(a_star, b_star)])
 
 
 def parse_phi(text: str) -> PhiSpec:

@@ -29,11 +29,10 @@ from .cantor_builder import InsertionPlan, check_plan_conditions
 from .errors import (CapacityError, GuardError, PhiDomainError, PlanValidityError,
                      RefusalError, SearchCapError)
 from .extreal import INF, ONE, ExtReal
-from .phi_spec import (DEFAULT_ESTIMATE_HORIZON, ExprPhi, GammaDelta, OscLogPhi,
-                       PhiSpec, PowerLog, check_nondecreasing)
+from .phi_spec import DEFAULT_ESTIMATE_HORIZON, PhiSpec, check_nondecreasing
 
 SEARCH_CAP = 10 ** 100   # unit-increase searches stop here
-WITNESS_CAP = 10 ** 9    # generic ratio-witness scans stop here
+WITNESS_CAP = 10 ** 9    # ratio-witness scans stop here (not the first candidate)
 
 
 def _validate_pairs(alpha: ExtReal, beta: ExtReal,
@@ -147,14 +146,6 @@ def _interpolation_coefficients(alpha: ExtReal, beta: ExtReal,
 # ratio witnesses
 # --------------------------------------------------------------------------
 
-def _cheap_gamma_delta(phi: PhiSpec) -> Optional[GammaDelta]:
-    if isinstance(phi, (PowerLog, OscLogPhi)):
-        return phi.gamma_delta()
-    if isinstance(phi, ExprPhi) and phi.monomials is not None:
-        return phi.gamma_delta()
-    return None
-
-
 def find_ratio_witness(phi: PhiSpec, target, min_n: int, *,
                        tol: Optional[float] = None,
                        threshold: Optional[float] = None,
@@ -163,9 +154,9 @@ def find_ratio_witness(phi: PhiSpec, target, min_n: int, *,
     """An n >= min_n whose ratio at n + eval_shift approximates the target.
 
     Finite targets take |ratio - target| < tol; an infinite target takes
-    ratio > threshold.  Oscillating profiles answer from their exact
-    segment geometry; profiles with constant analytic ratio answer at
-    min_n; everything else is scanned geometrically up to the cap.
+    ratio > threshold.  The profile's first candidate is always tested,
+    even past the cap; after it the scan runs geometrically from min_n up
+    to the cap.
     """
     target = ExtReal(target)
     min_n = max(min_n, 2)
@@ -180,23 +171,10 @@ def find_ratio_witness(phi: PhiSpec, target, min_n: int, *,
         r = phi.ratio(n + eval_shift)
         return (r > threshold) if tf is None else abs(r - tf) < tol
 
-    if isinstance(phi, OscLogPhi):
-        cand = None
-        if target == phi.gamma:
-            min_mult = (threshold + 1e-9) if target.is_inf else None
-            start, _end, _mult = phi.climb_segment_at_least(min_n,
-                                                            min_mult=min_mult)
-            cand = start
-        elif target == phi.delta:
-            start, _end, _mult = phi.low_segment_at_least(min_n + eval_shift)
-            cand = start - eval_shift
-        if cand is not None and cand >= min_n and hits(cand):
-            return cand
-        # otherwise fall through to the generic scan
-    gd = _cheap_gamma_delta(phi)
-    if (gd is not None and not target.is_inf
-            and gd.gamma == gd.delta == target and hits(min_n)):
-        return min_n
+    cand = phi.first_witness_candidate(target, min_n, threshold=threshold,
+                                       eval_shift=eval_shift)
+    if hits(cand):
+        return cand
     n = min_n
     while n <= cap:
         if hits(n):

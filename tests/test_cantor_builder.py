@@ -452,3 +452,16 @@ def test_free_reads_stop_short_at_the_stream_end():
     assert e.read(2, 3) == bytes([0, 2]) and e.read(3, 9) == bytes([2, 1])
     assert e.read(5, 9) == b"" and e.read(3, 2) == b""
     assert ZeroFree().read(4, 8) == bytes(5) and ZeroFree().read(4, 3) == b""
+
+
+@pytest.mark.parametrize("m,symbols", [(3, [2, 0, 1, 1]), (12, [10, 0, 3, 1]),
+                                       (300, [11, 0, 3, 299])])
+def test_explicit_free_json_roundtrip(m, symbols):
+    free = ExplicitFree(symbols * 40)
+    seq = LazySequence(FpBase(3, m, free))
+    data = json.loads(json.dumps(seq.to_json_dict()))
+    desc = data["base"]["free"]
+    assert isinstance(desc["symbols"], str if m <= 10 else list)
+    back = LazySequence.from_json_dict(data)
+    assert list(back.base.free.symbols) == list(free.symbols)
+    assert back.prefix(200) == seq.prefix(200)

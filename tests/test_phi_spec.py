@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from recurrencelab import (ExtReal, INF, OscLogPhi, PhiDomainError,
                            PhiParseError, PlanValidityError, PowerLog,
                            TablePhi, check_nondecreasing, parse_phi)
+from recurrencelab.phi_spec import _gamma_delta_from_monomials
 
 
 # ---------------------------------------------------------------- parser ---
@@ -103,6 +104,25 @@ def test_powerlog_direct():
     assert phi.value(10) == pytest.approx(1.5 * math.log(10))
     gd = phi.gamma_delta()
     assert (gd.gamma, gd.delta) == (ExtReal(Fraction(3, 2)),) * 2
+
+
+@pytest.mark.parametrize("a,b", [(-1, 3), (0, 0), (0, Fraction(1, 2)), (0, 1),
+                                 (0, Fraction(3, 2)), (Fraction(1, 2), -2),
+                                 (1, 0)])
+def test_powerlog_and_monomial_sums_share_the_extremes_rule(a, b):
+    a, b, c = Fraction(a), Fraction(b), Fraction(5, 2)
+    single = PowerLog(c, a, b).gamma_delta()
+    # a lower-order term does not move the extremes of the dominant one
+    summed = _gamma_delta_from_monomials({(a, b): c, (a - 1, b): Fraction(7)})
+    assert single.provenance == "analytic"
+    assert (single.gamma, single.delta) == (summed.gamma, summed.delta)
+
+
+def test_powerlog_zero_coefficient_is_analytic_zero():
+    for a, b in ((0, 0), (0, 1), (1, 0)):
+        gd = PowerLog(Fraction(0), Fraction(a), Fraction(b)).gamma_delta()
+        assert (gd.gamma, gd.delta, gd.provenance) == (ExtReal(0), ExtReal(0),
+                                                       "analytic")
 
 
 # ----------------------------------------------------------------- table ---

@@ -8,8 +8,9 @@ from recurrencelab import (ExtReal, GuardError, INF, OscLogPhi, RefusalError,
                            check_plan_conditions, classify_profile,
                            classify_thresholds, compute_AB, dichotomy,
                            find_ratio_witness, parse_phi, plan_full_dimension)
-from recurrencelab.errors import CapacityError
-from recurrencelab.plan_engine import _truncated
+from recurrencelab.errors import CapacityError, PhiDomainError, SearchCapError
+from recurrencelab.phi_spec import TablePhi
+from recurrencelab.plan_engine import WITNESS_CAP, _truncated
 
 
 # ------------------------------------------------------------- dichotomy ---
@@ -156,6 +157,52 @@ def test_find_ratio_witness_threshold_mode():
     phi = parse_phi("log(n)^2")
     n = find_ratio_witness(phi, math.inf, 5, threshold=3.0)
     assert phi.ratio(n) >= 3.0
+
+
+def test_first_candidate_is_tested_past_the_cap():
+    phi = parse_phi("log(n)^2")
+    assert find_ratio_witness(phi, math.inf, 10 ** 15, threshold=3.0) == 10 ** 15
+    # constant ratio: the first candidate hits the finite target too
+    assert find_ratio_witness(parse_phi("2*log(n)"), 2, 10 ** 40,
+                              tol=0.01) == 10 ** 40
+
+
+def test_missed_first_candidate_past_the_cap_raises():
+    # the scan still stops at WITNESS_CAP once the first candidate misses
+    with pytest.raises(SearchCapError):
+        find_ratio_witness(parse_phi("log(n)"), 2, WITNESS_CAP + 1, tol=0.01)
+    # log(n)^2 first exceeds ratio 21 near 1.3e9, just past the cap
+    with pytest.raises(SearchCapError):
+        find_ratio_witness(parse_phi("log(n)^2"), math.inf, WITNESS_CAP + 1,
+                           threshold=21.0)
+
+
+def test_unevaluable_first_candidate_raises_like_a_scanned_one():
+    with pytest.raises(PhiDomainError):
+        find_ratio_witness(TablePhi([1.0] * 10), 1, WITNESS_CAP + 1, tol=0.1)
+
+
+def test_osc_first_candidate_is_a_segment_start():
+    o = OscLogPhi(Fraction(1, 2), Fraction(2))
+    up = o.first_witness_candidate(o.gamma, 50)
+    assert up == o.climb_segment_at_least(50)[0] and o.ratio(up) == 2.0
+    lo = o.first_witness_candidate(o.delta, 50, eval_shift=1)
+    assert lo == o.low_segment_at_least(51)[0] - 1
+    assert o.ratio(lo + 1) == pytest.approx(0.5)
+    assert o.first_witness_candidate(ExtReal(1), 50) == 50
+    # infinite gamma: the first climb whose ratio clears the threshold
+    u = OscLogPhi(1, INF)
+    c = u.first_witness_candidate(INF, 50, threshold=3.0)
+    assert u.ratio(c) > 3.0 and u.ratio(c) == u.climb_segment_at_least(c)[2]
+
+
+@pytest.mark.parametrize("text,alpha,count", [("n^0.5", 0, 12),
+                                              ("log(n)^2", 1, 4)])
+def test_slow_rate_plans_with_witnesses_past_the_cap(text, alpha, count):
+    # each reaches a witness search whose min_n lies beyond WITNESS_CAP
+    plan = plan_full_dimension(parse_phi(text), alpha, INF, count=count)
+    assert plan.case_tag == "ii" and 2 <= len(plan.terms) <= count
+    check_plan_conditions(plan)
 
 
 # -------------------------------------------------------------- ladder 1 ---
