@@ -3,9 +3,11 @@
 Insertion positions grow like e^{i*phi(i)} and leave floating point range
 long before they strain memory, so plan construction needs exact integers
 built from log-space descriptions.  mpmath supplies the arbitrary-precision
-exp/ln; precision is chosen from the target magnitude plus guard digits, so
-results are exact unless the true value sits within ~10^-G of an integer
-boundary (G = guard digits), which we accept as a working convention.
+exp/ln, and past the precision where mpmath's ln leaves its Taylor tables,
+ln is Newton's method on exp (`_ln`).  Precision is chosen from the target
+magnitude plus guard digits, so results are exact unless the true value
+sits within ~10^-G of an integer boundary (G = guard digits), which we
+accept as a working convention.
 
 Desk-scale note: for values below ~10^15 the same helpers agree with direct
 float arithmetic; they exist for the regime where floats cannot.
@@ -16,6 +18,7 @@ import math
 import sys
 
 import mpmath
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 from .errors import CapacityError
 
@@ -90,6 +93,34 @@ def nth_root_floor(v: int, k: int) -> int:
     return x
 
 
+def _ln(n: int):
+    """ln n as an mpf, at least as precise as the working precision.
+
+    Up to LOG_TAYLOR_PREC bits mpmath's own ln reads a cached Taylor table
+    and is the faster route.  Past it mpmath switches to an AGM, which runs
+    pure-Python square roots when gmpy is absent; there this is Newton's
+    method on exp, y <- y - 1 + n*exp(-y), starting from the float
+    math.log(n).  Each step doubles the correct digits, so each runs at
+    about twice the precision of the step before; the last runs at the
+    working precision plus 5 digits.
+    """
+    x = mpmath.mpf(n)   # rounded at the working precision, as ln(mpf(n)) was
+    if mpmath.mp.prec + 20 <= LOG_TAYLOR_PREC:   # mpf_log's own switch
+        return mpmath.ln(x)
+    y0 = math.log(n)
+    lead = max(1, math.ceil(math.log10(y0)))   # digits before the point
+    # a step at dps digits needs (dps + lead)/2 correct digits on input;
+    # the float start has 15
+    steps = [mpmath.mp.dps + 5]
+    while (steps[-1] + lead) // 2 + 2 > 15:
+        steps.append((steps[-1] + lead) // 2 + 2)
+    y = mpmath.mpf(y0)
+    for dps in reversed(steps):
+        with mpmath.workdps(dps):
+            y = y - 1 + x * mpmath.exp(-y)
+    return y
+
+
 def power_log_ceil(n: int, exponent, *, times_log: bool = True,
                    digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
     """Exact ceil(n**exponent * ln(n)) (or of the bare power).
@@ -114,7 +145,7 @@ def power_log_ceil(n: int, exponent, *, times_log: bool = True,
     if not times_log:
         return root if exact else root + 1
     with mpmath.workdps(digits_of_exp(approx_log) + GUARD_DIGITS):
-        ln_n = mpmath.ln(mpmath.mpf(n))
+        ln_n = _ln(n)
         if exact:
             value = mpmath.mpf(root) * ln_n
         else:
@@ -130,7 +161,7 @@ def nlogn_ceil(n: int) -> int:
         return math.ceil(n * math.log(n))
     digits = len(str(n)) + GUARD_DIGITS
     with mpmath.workdps(digits):
-        return int(mpmath.ceil(mpmath.mpf(n) * mpmath.ln(mpmath.mpf(n))))
+        return int(mpmath.ceil(mpmath.mpf(n) * _ln(n)))
 
 
 def float_log(n: int) -> float:

@@ -6,14 +6,27 @@ hit.  On a finite window only some return times are observed exactly; the
 rest are lower bounds, which still carry one-sided evidence (they can only
 push the upper estimate up, never drag the lower one down), and the
 estimators here are careful about that asymmetry.
+
+A trajectory is stored as columns (`RateColumns`), the way return_time
+stores `ReturnTimes`: depths, return times, exactness bytes and an
+array('d') of ratios.  On a word the exact values come first and the
+bounds after them are a range, and every column is built by C-level
+map/chain/compress, with no per-depth Python statement.  `entries` is a
+read-only sequence whose RateEntry views are built only on access;
+`ratios()` and `running_extremes` read the columns directly.
 """
 from __future__ import annotations
 
 import math
 import statistics
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import attrgetter, le, not_, truediv
+from typing import Optional
 
 from .cantor_builder import InsertionPlan, certified_brackets, fp_cylinder_count
 from .errors import EstimationImpossibleError
@@ -30,42 +43,122 @@ class RateEntry:
     ratio: float      # log(return_time)/phi(n), same bound caveat
 
 
+class RateColumns(Sequence):
+    """The store of a rate trajectory, one column per field.
+
+    Entry i has depth ns[i], exactness exact[i] (a byte, 1 or 0) and ratio
+    ratios[i] (an array of doubles).  Its return time is read from two
+    runs, `head` then `tail`, so that a word's bound region stays a range:
+    head holds the exact values and tail the descending bounds L - n.
+    Behaves as a read-only sequence of RateEntry views, each built only
+    when indexed or iterated.
+    """
+
+    __slots__ = ("ns", "head", "tail", "exact", "ratios")
+
+    def __init__(self, ns: Sequence[int], head: Sequence[int],
+                 tail: Sequence[int], exact: bytes, ratios: array):
+        self.ns, self.head, self.tail = ns, head, tail
+        self.exact, self.ratios = exact, ratios
+
+    @classmethod
+    def from_entries(cls, entries) -> "RateColumns":
+        fields = attrgetter("n", "return_time", "exact", "ratio")
+        ns, times, exact, ratios = tuple(zip(*map(fields, entries))) or ((),) * 4
+        return cls(ns, times, (), bytes(map(bool, exact)), array("d", ratios))
+
+    def return_time(self, i: int) -> int:
+        k = len(self.head)
+        return self.head[i] if i < k else self.tail[i - k]
+
+    def __len__(self) -> int:
+        return len(self.ratios)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"index {i} outside a trajectory of length {len(self)}")
+        return RateEntry(self.ns[i], self.return_time(i), bool(self.exact[i]),
+                         self.ratios[i])
+
+    def __iter__(self) -> Iterator[RateEntry]:
+        return map(RateEntry, self.ns, chain(self.head, self.tail),
+                   map(bool, self.exact), self.ratios)
+
+    def __eq__(self, other):
+        if not isinstance(other, RateColumns):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class RateTrajectory:
-    entries: tuple[RateEntry, ...]
+    entries: Sequence[RateEntry]   # held as RateColumns; other sequences are converted
     source: str       # "word" | "plan"
+
+    def __post_init__(self):
+        if not isinstance(self.entries, RateColumns):
+            object.__setattr__(self, "entries",
+                               RateColumns.from_entries(self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def ratios(self) -> list[float]:
-        return [e.ratio for e in self.entries]
+        return self.entries.ratios.tolist()
 
 
 def _phi_value(phi: Optional[PhiSpec], n: int) -> float:
     return math.log(n) if phi is None else phi.value(n)
 
 
+def _ratio_column(times, fs) -> array:
+    """log(return time)/phi(n), entry by entry, as array('d')."""
+    return array("d", map(truediv, map(math.log, times), fs))
+
+
 def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
                     max_n: Optional[int] = None) -> RateTrajectory:
     """Ratio trajectory read off a concrete word, one entry per n.
 
-    Entries with an uninformative bound (return time below 1) are dropped;
-    n = 1 is skipped under the default profile since log(1) = 0.
+    Entries with an uninformative bound (return time below 1) are dropped,
+    and so are depths where phi(n) <= 0: n = 1 under the default profile
+    since log(1) = 0.  The columns are built without a per-depth
+    statement: exact values first, then the bounds as a range.
     """
     rt = return_times_all(word, max_n=max_n)
-    exact_depth = rt.exact_depth
-    entries = []
-    for n in range(1, rt.top + 1):
-        exact = n <= exact_depth
-        value = rt.values[n - 1] if exact else rt.bound(n)
-        if value < 1:
-            continue
-        f = _phi_value(phi, n)
-        if f <= 0:
-            continue
-        entries.append(RateEntry(n, value, exact, math.log(value) / f))
-    return RateTrajectory(tuple(entries), "word")
+    L, head = rt.length, rt.values
+    # an exact R_n is at least 1, and the bound L - n is at least 1 up to
+    # n = L - 1, which is therefore the deepest entry; the bounds fall by
+    # one per depth, so they form a range
+    top = min(rt.top, L - 1)
+    ns = range(1, top + 1)
+    tail = range(rt.bound(len(head) + 1), rt.bound(top + 1), -1)
+    if phi is None:
+        fs, keep = None, b"\0"     # log(1) = 0: n = 1 has no ratio
+    else:
+        fs = list(map(phi.value, ns))
+        keep = bytes(map(not_, map(le, fs, repeat(0))))
+    # dropped leading depths are sliced off, which keeps ns and tail ranges
+    skip = len(keep) - len(keep.lstrip(b"\0"))
+    cut = min(skip, len(head))
+    ns, head, tail, keep = ns[skip:], head[cut:], tail[skip - cut:], keep[skip:]
+    fs = map(math.log, ns) if fs is None else fs[skip:]
+    exact = b"\1" * len(head) + bytes(len(tail))
+    if 0 in keep:
+        # a drop past a kept depth: only a profile that overrides
+        # PhiSpec.value can be nonpositive beyond n = 1
+        ns, exact, fs = (tuple(compress(ns, keep)), bytes(compress(exact, keep)),
+                         compress(fs, keep))
+        head, tail = tuple(compress(chain(head, tail), keep)), ()
+    ratios = _ratio_column(chain(head, tail), fs)
+    return RateTrajectory(RateColumns(ns, head, tail, exact, ratios), "word")
 
 
 def plan_rate_trajectory(plan: InsertionPlan, phi: Optional[PhiSpec] = None,
@@ -80,22 +173,22 @@ def plan_rate_trajectory(plan: InsertionPlan, phi: Optional[PhiSpec] = None,
     every bracket are skipped).
     """
     brackets = certified_brackets(plan)
-    entries = []
     if ns is not None:
+        pairs = []
         for n in ns:
             for lo, hi, ell in brackets:
                 if lo < n <= hi:
-                    entries.append(RateEntry(n, ell, True,
-                                             math.log(ell) / _phi_value(phi, n)))
+                    pairs.append((n, ell))
                     break
     else:
         if endpoints not in ("right", "left"):
             raise ValueError("endpoints must be 'right' or 'left'")
-        for lo, hi, ell in brackets:
-            n = hi if endpoints == "right" else lo + 1
-            entries.append(RateEntry(n, ell, True,
-                                     math.log(ell) / _phi_value(phi, n)))
-    return RateTrajectory(tuple(entries), "plan")
+        pairs = [(hi if endpoints == "right" else lo + 1, ell)
+                 for lo, hi, ell in brackets]
+    depths, ells = tuple(zip(*pairs)) or ((), ())
+    ratios = _ratio_column(ells, map(partial(_phi_value, phi), depths))
+    return RateTrajectory(RateColumns(depths, ells, (), b"\1" * len(ells),
+                                      ratios), "plan")
 
 
 def running_extremes(traj: RateTrajectory,
@@ -106,17 +199,17 @@ def running_extremes(traj: RateTrajectory,
     estimate may use bounds as well."""
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
-    entries = traj.entries
-    if not entries:
+    cols = traj.entries
+    if not cols:
         raise EstimationImpossibleError("empty trajectory")
-    start = int(len(entries) * (1 - tail_fraction))
-    tail = entries[start:]
-    exact = [e.ratio for e in tail if e.exact]
-    if not exact:
+    start = int(len(cols) * (1 - tail_fraction))
+    ratios = cols.ratios[start:]
+    low = min(compress(ratios, cols.exact[start:]), default=None)
+    if low is None:
         raise EstimationImpossibleError(
             "every tail entry is a lower bound; the window is too short "
             "to estimate the lower rate")
-    return min(exact), max(e.ratio for e in tail)
+    return low, max(ratios)
 
 
 def recurrence_witnesses(word: Word, alpha: float, eps: float, *,

@@ -1,12 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, exp_ceil, exp_floor,
+from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, GUARD_DIGITS, _ln,
+                                  digits_of_exp, exp_ceil, exp_floor,
                                   exp_int, float_log, nlogn_ceil,
-                                  power_log_ceil)
+                                  nth_root_floor, power_log_ceil)
 from recurrencelab.errors import CapacityError
 
 
@@ -86,3 +88,70 @@ def test_nlogn_ceil():
 def test_float_log_big_int():
     n = 10 ** 400
     assert float_log(n) == pytest.approx(400 * math.log(10), rel=1e-12)
+
+
+# -------------------------------------------------- Newton ln against ln ---
+
+def ln_power_log_ceil(n, exponent):
+    """power_log_ceil with mpmath's own ln, the reference for the Newton ln."""
+    num = exponent.numerator
+    den = getattr(exponent, "denominator", 1)
+    approx_log = (num / den) * math.log(n) + math.log(math.log(n))
+    power = n ** num
+    root = power if den == 1 else nth_root_floor(power, den)
+    with mpmath.workdps(digits_of_exp(approx_log) + GUARD_DIGITS):
+        ln_n = mpmath.ln(mpmath.mpf(n))
+        if den == 1 or root ** den == power:
+            value = mpmath.mpf(root) * ln_n
+        else:
+            value = mpmath.exp(mpmath.mpf(num) / den * ln_n) * ln_n
+        return int(mpmath.ceil(value))
+
+
+def ln_nlogn_ceil(n):
+    if n <= 1 << 40:
+        return math.ceil(n * math.log(n))
+    with mpmath.workdps(len(str(n)) + GUARD_DIGITS):
+        return int(mpmath.ceil(mpmath.mpf(n) * mpmath.ln(mpmath.mpf(n))))
+
+
+def _newton_ln_inputs():
+    rng = random.Random(1510)
+    ns = [2, 3] + [10 ** k for k in (1, 2, 5, 12, 15, 40, 300, 2000)]
+    ns += [rng.randrange(10 ** (d - 1), 10 ** d)
+           for d in (3, 17, 60, 400, 1500, 6000)]
+    ns += [exp_ceil(float(i * i)) for i in range(1, 121, 7)] + [exp_ceil(120.0 ** 2)]
+    return ns
+
+
+NEWTON_LN_INPUTS = _newton_ln_inputs()
+
+
+@pytest.mark.parametrize("exponent", [1, 2, Fraction(3, 2), Fraction(5, 4)],
+                         ids=["1", "2", "3/2", "5/4"])
+def test_power_log_ceil_matches_mpmath_ln(exponent):
+    for n in NEWTON_LN_INPUTS:
+        if digits_of_exp(float(exponent) * math.log(n)) > DEFAULT_DIGIT_CAP - 100:
+            continue
+        assert power_log_ceil(n, exponent) == ln_power_log_ceil(n, exponent), n
+
+
+def test_nlogn_ceil_matches_mpmath_ln():
+    for n in NEWTON_LN_INPUTS:
+        assert nlogn_ceil(n) == ln_nlogn_ceil(n), n
+
+
+# 740 digits is the last precision mpmath's ln serves from its Taylor
+# tables, 760 the first that takes the Newton iteration
+@pytest.mark.parametrize("dps", [20, 740, 760, 2000, 5000])
+def test_ln_is_good_to_the_working_precision(dps):
+    rng = random.Random(dps)
+    for n in (2, 3, 10 ** 9, rng.randrange(10 ** (dps - 1), 10 ** dps)):
+        with mpmath.workdps(dps + 20):
+            want = mpmath.ln(mpmath.mpf(n))
+        with mpmath.workdps(dps):
+            got = _ln(n)
+            if dps <= 740:   # mpmath's own ln, to the last bit
+                assert got == mpmath.ln(mpmath.mpf(n)), n
+        with mpmath.workdps(dps + 20):
+            assert abs(got - want) <= want * mpmath.mpf(10) ** -dps, n

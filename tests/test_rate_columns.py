@@ -1,0 +1,137 @@
+"""The columnar rate trajectory against the per-depth loop it replaced.
+
+The reference below is that loop, verbatim in its arithmetic: ratios must
+agree with ==, not approximately.
+"""
+import math
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from recurrencelab import (EstimationImpossibleError, OscLogPhi, Word,
+                           parse_phi, rate_trajectory, return_times_all,
+                           running_extremes)
+from recurrencelab.rate_dim_analysis import RateEntry, RateTrajectory
+
+from conftest import random_word
+
+
+def loop_trajectory(word, phi=None, max_n=None):
+    """The per-depth reference: one RateEntry per depth, drops inline."""
+    rt = return_times_all(word, max_n=max_n)
+    out = []
+    for n in range(1, rt.top + 1):
+        exact = n <= rt.exact_depth
+        value = rt.values[n - 1] if exact else rt.bound(n)
+        if value < 1:
+            continue
+        f = math.log(n) if phi is None else phi.value(n)
+        if f <= 0:
+            continue
+        out.append(RateEntry(n, value, exact, math.log(value) / f))
+    return out
+
+
+def loop_extremes(entries, tail_fraction):
+    tail = entries[int(len(entries) * (1 - tail_fraction)):]
+    return (min(e.ratio for e in tail if e.exact),
+            max(e.ratio for e in tail))
+
+
+def _trajectory_words():
+    rng = random.Random(8128)
+    words = {f"random-m{m}": random_word(rng, m, 700) for m in (2, 3, 5)}
+    fib = "0"
+    prev = "1"
+    while len(fib) < 600:
+        fib, prev = fib + prev, fib
+    words["fibonacci"] = Word.from_digits(fib[:600], 2)
+    noisy = [(0, 1, 1, 0, 2)[i % 5] for i in range(650)]
+    for i in range(0, 650, 97):
+        noisy[i] = (noisy[i] + 1) % 3
+    words["periodic-noise"] = Word.from_iterable(noisy, 3)
+    words["constant"] = Word.from_digits("0" * 300, 2)
+    words["length-1"] = Word.from_digits("1", 2)
+    words["length-2"] = Word.from_digits("00", 2)
+    return words
+
+
+TRAJECTORY_WORDS = _trajectory_words()
+PROFILES = {"default": None, "2log": parse_phi("2*log(n)"),
+            "osc": OscLogPhi(Fraction(4, 5), Fraction(6, 5))}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_WORDS))
+def test_columnar_trajectory_matches_the_loop(name, profile):
+    word, phi = TRAJECTORY_WORDS[name], PROFILES[profile]
+    L = len(word)
+    for max_n in (None, L, max(1, L // 3)):
+        want = loop_trajectory(word, phi, max_n)
+        traj = rate_trajectory(word, phi, max_n=max_n)
+        got = list(traj.entries)
+        assert [(e.n, e.return_time, e.exact, e.ratio) for e in got] == \
+            [(e.n, e.return_time, e.exact, e.ratio) for e in want]
+        assert all(type(e.exact) is bool for e in got)
+        assert len(traj) == len(want)
+        assert traj.ratios() == [e.ratio for e in want]
+        assert [traj.entries[i] for i in range(-len(want), len(want))] == \
+            want + want
+        assert list(traj.entries[1::2]) == want[1::2]
+        for tail in (0.25, 0.5, 1.0):
+            if any(e.exact for e in want[int(len(want) * (1 - tail)):]):
+                assert running_extremes(traj, tail) == loop_extremes(want, tail)
+            else:
+                with pytest.raises(EstimationImpossibleError):
+                    running_extremes(traj, tail)
+
+
+class _DippingPhi:
+    """A profile whose own value() is nonpositive at scattered depths."""
+
+    def value(self, n):
+        return 0.0 if n % 7 == 3 or n == 1 else math.log(n + 1)
+
+
+def test_drops_past_a_kept_depth_follow_the_loop():
+    word = TRAJECTORY_WORDS["periodic-noise"]
+    phi = _DippingPhi()
+    want = loop_trajectory(word, phi)
+    assert {3, 10, 17} <= {e.n for e in loop_trajectory(word)} - \
+        {e.n for e in want}
+    traj = rate_trajectory(word, phi)
+    assert list(traj.entries) == want
+    assert running_extremes(traj, 1.0) == loop_extremes(want, 1.0)
+
+
+def test_tuple_store_with_non_prefix_exactness():
+    entries = (RateEntry(2, 3, True, 1.5), RateEntry(3, 90, False, 4.0),
+               RateEntry(4, 7, True, 1.25), RateEntry(5, 80, False, 2.75),
+               RateEntry(6, 9, True, 1.75))
+    traj = RateTrajectory(entries, "test")
+    assert tuple(traj.entries) == entries
+    assert traj.entries[1:4] == entries[1:4]
+    again = RateTrajectory(list(entries), "test")
+    assert traj == again and hash(traj) == hash(again)
+    for tail in (0.25, 0.5, 1.0):
+        assert running_extremes(traj, tail) == loop_extremes(entries, tail)
+    assert running_extremes(traj, 0.6) == (1.25, 2.75)
+
+
+def test_trajectory_peak_memory_per_depth():
+    # ratios as doubles, exactness as bytes, depths and bounds as ranges:
+    # 9.5 bytes per depth measured (about 208 with one object per depth)
+    rng = random.Random(99)
+    n = 2 * 10 ** 5
+    word = random_word(rng, 2, n)
+    rate_trajectory(word, max_n=100)
+    tracemalloc.start()
+    try:
+        traj = rate_trajectory(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 12, f"{peak / n:.2f} bytes per depth"
+    assert len(traj) == n - 2
