@@ -67,24 +67,49 @@ class ZeroFree(FreeStream):
         return {"kind": "zero"}
 
 
+_DRAW_WORDS = 1 << 16   # 32-bit words per bulk draw of SeededFree
+
+
 class SeededFree(FreeStream):
     """Deterministic stream drawn once from random.Random(seed).
 
-    The cache only ever grows, and always by appending from the same
-    generator state (one randrange(m) per ordinal, in order), so any
-    access order, one by one or in bulk, yields the same symbols.
+    The symbols are those of one randrange(m) per ordinal, in order.  The
+    cache only ever grows, and always by appending from the same generator
+    state, so any access order, one by one or in bulk, yields the same
+    symbols.  For m <= 255 it draws 32-bit words in bulk and applies
+    randrange's own rule to each: keep the top k = m.bit_length() bits,
+    reject values of m or more.  That consumes the generator's words in
+    the order randrange would.
     """
 
     def __init__(self, seed: int, m: int):
         self.seed = seed
         self.m = m
         self._rng = random.Random(seed)
-        self._cache: list[int] = []
+        self._bulk = 0 < m <= 255
+        if self._bulk:
+            shift = 8 - m.bit_length()
+            self._table = bytes(b >> shift for b in range(256))
+            self._reject = bytes(b for b in range(256) if b >> shift >= m)
+            self._cache = bytearray()
+        else:
+            self._cache = []
 
     def _fill(self, ordinal: int) -> None:
         more = ordinal - len(self._cache)
-        if more > 0:
+        if more <= 0:
+            return
+        if not self._bulk:
             self._cache.extend(map(self._rng.randrange, repeat(self.m, more)))
+            return
+        while more > 0:
+            # at least half the words are accepted: m >= 2^(k-1)
+            words = min(2 * more + 64, _DRAW_WORDS)
+            raw = self._rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            # raw[3::4]: each word's top byte, in draw order
+            drawn = raw[3::4].translate(self._table, self._reject)
+            self._cache += drawn
+            more -= len(drawn)
 
     def symbol(self, ordinal: int) -> int:
         self._fill(ordinal)
@@ -92,6 +117,8 @@ class SeededFree(FreeStream):
 
     def read(self, first: int, last: int) -> Union[bytes, tuple]:
         self._fill(last)
+        if self._bulk:
+            return bytes(self._cache[first - 1:last])
         return symbol_store(self._cache[first - 1:last], self.m)
 
     def descriptor(self) -> dict:

@@ -492,7 +492,8 @@ def _gen_case_ii(phi, cls, p, count, digit_cap):
         need_ln = max(i * t, bignum.float_log(n_prev) + i * i + 2)
         if gf is not None:
             need_ln = max(need_ln, 1.01 * i * t / gf)
-        min_n = bignum.exp_ceil(need_ln, digit_cap=digit_cap)
+        min_ln = need_ln
+        min_n = bignum.exp_ceil(min_ln, digit_cap=digit_cap)
         for _attempt in range(64):
             if gamma.is_inf:
                 cand = find_ratio_witness(phi, INF, min_n,
@@ -504,18 +505,19 @@ def _gen_case_ii(phi, cls, p, count, digit_cap):
             if (f_c > i * t and ln_c > i * t
                     and ln_c > bignum.float_log(n_prev) + i * i + 2):
                 break
-            min_n = bignum.exp_ceil(ln_c * 1.5, digit_cap=digit_cap)
+            min_ln = ln_c * 1.5
+            min_n = bignum.exp_ceil(min_ln, digit_cap=digit_cap)
         else:
             raise SearchCapError(
                 "could not satisfy the growth conditions for this regime",
                 what="slow-rate witness")
         if alpha.is_zero:
-            ell = bignum.nlogn_ceil(cand)
+            ell = bignum.nlogn_ceil(cand, near=min_ln)
         elif gamma.is_inf:
             ell = bignum.exp_ceil(float(alpha) * f_c, digit_cap=digit_cap)
         else:
             ell = bignum.power_log_ceil(cand, (alpha * gamma).fraction,
-                                        digit_cap=digit_cap)
+                                        digit_cap=digit_cap, near=min_ln)
         yield cand, ell
         prev_ratio = f_c / ln_c
         n_prev = cand
@@ -551,15 +553,16 @@ def _gen_case_iv(phi, cls, p, count, digit_cap):
     while True:
         t = phi.value(n_prev + 1)
         n_prev = max(bignum.exp_ceil(b * t, digit_cap=digit_cap), n_prev + 1)
-        yield n_prev, bignum.nlogn_ceil(n_prev)
+        yield n_prev, bignum.nlogn_ceil(n_prev, near=b * t)
 
 
 @_truncated
 def _gen_case_v(phi, cls, p, count, digit_cap):
     ladder = build_subseq1(phi, cls.C.fraction, cls.gamma, cls.delta, count,
                            p=p, digit_cap=digit_cap)
-    for n in ladder.ns:
-        yield n, bignum.power_log_ceil(n, cls.A.fraction, digit_cap=digit_cap)
+    for n, ln_n in zip(ladder.ns, ladder.log_values):
+        yield n, bignum.power_log_ceil(n, cls.A.fraction, digit_cap=digit_cap,
+                                       near=ln_n)
 
 
 @_truncated

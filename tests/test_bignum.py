@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
+                           plan_full_dimension)
 from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, GUARD_DIGITS, _ln,
                                   digits_of_exp, exp_ceil, exp_floor,
                                   exp_int, float_log, nlogn_ceil,
@@ -155,3 +157,102 @@ def test_ln_is_good_to_the_working_precision(dps):
                 assert got == mpmath.ln(mpmath.mpf(n)), n
         with mpmath.workdps(dps + 20):
             assert abs(got - want) <= want * mpmath.mpf(10) ** -dps, n
+
+
+# ------------------------------------------------------------ hinted ln ---
+
+
+@pytest.mark.parametrize("near", [2000.0, 2345.678, (2000.0, 1e-13, 0.25)],
+                         ids=["integer", "fractional", "terms"])
+@pytest.mark.parametrize("dps", [760, 1500, 3000])
+def test_hinted_ln_is_good_to_the_working_precision(near, dps):
+    n = exp_ceil(near)
+    with mpmath.workdps(dps + 20):
+        want = mpmath.ln(mpmath.mpf(n))
+    with mpmath.workdps(dps):
+        got = bignum._ln_near(mpmath.mpf(n), bignum._terms(near), dps)
+    assert got is not None
+    with mpmath.workdps(dps + 20):
+        assert abs(got - want) <= want * mpmath.mpf(10) ** -dps
+
+
+@pytest.mark.parametrize("off", [1e-9, math.ulp(2345.678), (0.0, 1e-30),
+                                 (0.0, 1e-60)],
+                         ids=["float-far", "one-ulp", "past-128-bits",
+                              "series-too-short"])
+def test_wrong_hints_fall_back_to_newton(off):
+    x = 2345.678
+    near = (x + off,) if isinstance(off, float) else (x, *off)
+    n = exp_ceil(x)
+    with mpmath.workdps(1200):
+        assert bignum._ln_near(mpmath.mpf(n), near, 1200) is None
+        assert _ln(n, near) == _ln(n)
+
+
+def _hinted_inputs():
+    """(n, x) with n = exp_ceil(x), and NEWTON_LN_INPUTS with the float
+    log as a hint, right or wrong."""
+    pairs = [(n, math.log(n)) for n in NEWTON_LN_INPUTS]
+    for x in (900.0, 1728.5, 3600.0, 4096.25, 9000.125, 14400.0):
+        pairs.append((exp_ceil(x), x))
+    return pairs
+
+
+@pytest.mark.parametrize("exponent", [1, 2, Fraction(3, 2), Fraction(5, 4),
+                                      Fraction(1, 2)],
+                         ids=["1", "2", "3/2", "5/4", "1/2"])
+def test_power_log_ceil_is_the_same_with_a_hint(exponent):
+    for n, x in _hinted_inputs():
+        if digits_of_exp(float(exponent) * math.log(n)) > DEFAULT_DIGIT_CAP - 100:
+            continue
+        assert power_log_ceil(n, exponent, near=x) == power_log_ceil(n, exponent), n
+
+
+def test_nlogn_ceil_is_the_same_with_a_hint():
+    for n, x in _hinted_inputs():
+        assert nlogn_ceil(n, near=x) == nlogn_ceil(n) == ln_nlogn_ceil(n), n
+
+
+# the full-dimension rows of the benchmark's plan mix, each at a count the
+# Newton ln serves in well under a second
+HINT_PLANS = [("log(n)", "inf", "inf", 30), ("log(n)", "1", "inf", 30),
+              ("log(n)^1.5", "1", "2", 30), ("n", "1", "2", 30),
+              ("log(n)^2", "0", "1", 120), ("n^0.5", "0", "2", 120),
+              ("log(n)", "2", "2", 60), ("osc 4/5 6/5", "5/6", "5/4", 60),
+              ("osc 1 3", "1", "1", 30), ("osc 1/2 2", "2", "5/2", 30)]
+
+
+def _hint_plan(spec, alpha, beta, count):
+    if spec.startswith("osc "):
+        phi = OscLogPhi(*spec.split()[1:])
+    else:
+        phi = parse_phi(spec)
+    plan = plan_full_dimension(phi, ExtReal(alpha), ExtReal(beta), count=count)
+    return plan.to_json_dict()
+
+
+def test_plans_are_unchanged_without_the_hinted_ln(monkeypatch):
+    settled, real = [], bignum._ln_near
+
+    def spy(x, terms, places):
+        y = real(x, terms, places)
+        settled.append(y is not None)
+        return y
+
+    monkeypatch.setattr(bignum, "_ln_near", spy)
+    hinted = [_hint_plan(*r) for r in HINT_PLANS]
+    assert any(settled)
+    monkeypatch.setattr(bignum, "_ln_near", lambda x, terms, places: None)
+    assert [_hint_plan(*r) for r in HINT_PLANS] == hinted
+
+
+def test_exp_memo_carries_nothing_from_one_plan_into_the_next():
+    def hits(request):
+        before = bignum._exp.cache_info().hits
+        _hint_plan(*request)
+        return bignum._exp.cache_info().hits - before
+
+    request = ("log(n)", "1", "inf", 30)
+    first = hits(request)
+    assert first > 0   # exp_ceil then power_log_ceil of the same exponent
+    assert hits(request) <= first

@@ -465,3 +465,21 @@ def test_explicit_free_json_roundtrip(m, symbols):
     back = LazySequence.from_json_dict(data)
     assert list(back.base.free.symbols) == list(free.symbols)
     assert back.prefix(200) == seq.prefix(200)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 100, 255])
+def test_seeded_bulk_draw_matches_randrange_across_chunks(m):
+    # 2^16 words per draw: 3 * 2^16 symbols cross at least two draws
+    count = 3 * (1 << 16)
+    for seed in (0, 901):
+        ref = random.Random(seed)
+        want = bytes(ref.randrange(m) for _ in range(count))
+        assert SeededFree(seed, m).read(1, count) == want
+        s, rng, got = SeededFree(seed, m), random.Random(m), bytearray()
+        while len(got) < count:
+            if rng.random() < 0.3:
+                got.append(s.symbol(len(got) + 1))
+            else:
+                first = len(got) + 1
+                got += s.read(first, min(count, first + rng.randrange(40_000)))
+        assert bytes(got) == want
