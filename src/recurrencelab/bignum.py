@@ -7,6 +7,17 @@ exp/ln.  Precision is chosen from the target magnitude plus guard digits, so
 results are exact unless the true value sits within ~10^-G of an integer
 boundary (G = guard digits), which we accept as a working convention.
 
+`_exp` takes e^X, X the exact sum of float terms, by one of two routes.
+From EXP_BURST_PREC bits of working precision on, a non-integer X > 1 is
+split as N + r/2^s (a float's fraction is a short dyadic): e^N comes from
+mpmath, which powers e for integer exponents past 600 bits, and e^(r/2^s)
+from bit-burst, the Taylor series of successively longer bit chunks of
+r/2^s summed exactly by binary splitting (Brent 1976).  Both carry
+EXP_GUARD_BITS past the working precision, so the one rounding of their
+product leaves e^X within one unit in the last place.  Integer X, X <= 1
+and smaller precisions take mpmath's own exp of the exact X, which is as
+fast there.
+
 `_ln` takes ln n by one of three routes.  Inside mpmath's Taylor range
 (below LOG_TAYLOR_PREC bits) it is mpmath's own ln.  Past it, when the
 caller passes the exponent x from which n was built (n = ceil(e^x)), it
@@ -20,11 +31,13 @@ float arithmetic; they exist for the regime where floats cannot.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
 
 import mpmath
+from mpmath.libmp import dps_to_prec
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 from .errors import CapacityError
@@ -39,6 +52,16 @@ if sys.get_int_max_str_digits() < 2_000_000:
 
 LOG10 = math.log(10)
 LN2 = math.log(2)
+
+# `_exp` takes bit-burst from EXP_BURST_PREC bits on: below about 5 000
+# bits mpmath's own exp of a 40-bit fraction is as fast (pure-Python
+# backend, measured at 1 000-45 000 bits).  The fraction's first chunk is
+# EXP_BURST_FIRST bits wide, and binary splitting sums runs of up to
+# EXP_SPLIT_LEAF terms in a plain loop.
+EXP_BURST_PREC = 5000
+EXP_GUARD_BITS = 24
+EXP_BURST_FIRST = 16
+EXP_SPLIT_LEAF = 8
 
 
 def digits_of_exp(log_value: float) -> int:
@@ -62,14 +85,92 @@ def _terms(log_value) -> tuple:
 
 @functools.lru_cache(maxsize=2)
 def _exp(terms: tuple, dps: int):
-    """e to the exact sum of terms, as an mpf at dps digits.
+    """e to the exact sum of terms, as an mpf at dps digits, within one
+    unit in the last place (the routes are in the module docstring).
 
     Pure, so a memo hit returns the value a fresh call would.  Two entries
     cover exp_int's e^x and the hinted ln of the same x that follows it.
-    mpmath takes integer-valued exponents past 600 bits by powering e.
     """
-    with mpmath.workdps(dps):
-        return mpmath.exp(mpmath.fsum(mpmath.mpf(t) for t in terms))
+    num, s = _dyadic_sum(terms)
+    whole = num >> s
+    prec = dps_to_prec(dps)
+    if prec >= EXP_BURST_PREC and whole >= 1 and whole << s != num:
+        wp = prec + EXP_GUARD_BITS
+        with mpmath.workprec(wp):
+            e_whole = mpmath.exp(whole)
+            e_frac = mpmath.mpf((_exp_fraction(num - (whole << s), s, wp),
+                                 -wp))
+        with mpmath.workprec(prec):
+            return e_whole * e_frac
+    with mpmath.workprec(max(prec, num.bit_length())):
+        x = mpmath.mpf((num, -s))   # exact
+    with mpmath.workprec(prec):
+        return mpmath.exp(x)
+
+
+def _dyadic_sum(terms: tuple) -> tuple:
+    """The exact sum of float (or int) terms as (num, s), meaning num/2^s."""
+    num = s = 0
+    for t in terms:
+        p, q = t.as_integer_ratio()
+        if q & (q - 1):
+            raise TypeError(f"exponent term {t!r} is not a binary fraction")
+        k = q.bit_length() - 1
+        if k > s:
+            num, s = num << (k - s), k
+        num += p << (s - k)
+    return num, s
+
+
+def _exp_fraction(r: int, s: int, wp: int) -> int:
+    """e^(r/2^s) for 0 <= r < 2^s as a fixed-point int with wp fraction
+    bits, by bit-burst; short of the true value by less than 16 log2(wp)
+    units.
+
+    r/2^s is cut at bits EXP_BURST_FIRST, 2*EXP_BURST_FIRST, 4*..., so the
+    chunk between bits lo and hi is a/2^hi with a < 2^(hi-lo), and its
+    Taylor series converges the faster the further down it lies.  Each
+    series is summed exactly by binary splitting and divided out once;
+    the chunk values, each in [1, e), are multiplied as fixed-point
+    numbers.  A chunk loses at most 4 units (2 for the omitted terms, 1
+    per floor) and a product 1, over at most log2(wp) chunks.
+    """
+    out = 1 << wp
+    lo = 0
+    while r:
+        hi = min(s, 2 * lo or EXP_BURST_FIRST)
+        a = r >> (s - hi)
+        r -= a << (s - hi)
+        if a:
+            # first omitted term: the least k with (a/2^hi)^k/k! < 2^-wp;
+            # the rest of the tail is at most as large again
+            x = math.log2(a) - hi
+            k = bisect.bisect_right(
+                range(2, wp + 2), wp,
+                key=lambda k: math.lgamma(k + 1) / LN2 - k * x) + 2
+            _, q, t = _exp_split(a, hi, 1, k)
+            shift = hi * (k - 1) - wp   # t/q carries 2^(hi(k-1))
+            t = t >> shift if shift >= 0 else t << -shift
+            out = (out * ((1 << wp) + t // q)) >> wp
+        lo = hi
+    return out
+
+
+def _exp_split(a: int, e: int, lo: int, hi: int) -> tuple:
+    """(P, Q, T) with P = a^(hi-lo), Q = lo*(lo+1)*...*(hi-1) and
+    sum_{k=lo}^{hi-1} prod_{j=lo}^{k} a/(j 2^e) = T / (Q 2^(e(hi-lo)))."""
+    if hi - lo <= EXP_SPLIT_LEAF:
+        p = q = 1
+        t = 0
+        for j in range(hi - 1, lo - 1, -1):
+            t = a * ((q << (e * (hi - 1 - j))) + t)
+            q *= j
+            p *= a
+        return p, q, t
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _exp_split(a, e, lo, mid)
+    p2, q2, t2 = _exp_split(a, e, mid, hi)
+    return p1 * p2, q1 * q2, ((t1 * q2) << (e * (hi - mid))) + p1 * t2
 
 
 def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,

@@ -112,6 +112,16 @@ def _estimated_gamma_delta(phi: PhiSpec, horizon: int) -> GammaDelta:
     return GammaDelta(ExtReal(Fraction(sup)), ExtReal(Fraction(inf_)), "estimated")
 
 
+def _estimated_once(phi: PhiSpec, horizon: int) -> GammaDelta:
+    """`_estimated_gamma_delta`, memoized on the profile per horizon: a
+    profile's values never change, so classifying and then planning one
+    profile scans its ratios once."""
+    memo = phi._estimates
+    if horizon not in memo:
+        memo[horizon] = _estimated_gamma_delta(phi, horizon)
+    return memo[horizon]
+
+
 def _monomial_extremes(n_exp: Fraction, log_exp: Fraction,
                        coef: Fraction) -> GammaDelta:
     """Analytic extremes of a profile dominated by coef*n^n_exp*log(n)^log_exp:
@@ -229,6 +239,7 @@ class ExprPhi(PhiSpec):
         self.ast = ast
         self.source = source
         self.monomials = monomials  # {(n_exp, log_exp): coef} or None
+        self._estimates: dict[int, GammaDelta] = {}
 
     def _raw(self, n: int) -> float:
         return _eval_ast(self.ast, n)
@@ -238,7 +249,7 @@ class ExprPhi(PhiSpec):
             gd = _gamma_delta_from_monomials(self.monomials)
             if gd is not None:
                 return gd
-        return _estimated_gamma_delta(self, horizon)
+        return _estimated_once(self, horizon)
 
     def __str__(self) -> str:
         return self.source
@@ -257,6 +268,7 @@ class TablePhi(PhiSpec):
         if vals[1] <= 0:
             raise PhiDomainError("phi(2) must be positive")
         self.values = vals
+        self._estimates: dict[int, GammaDelta] = {}
 
     @property
     def horizon(self) -> int:
@@ -269,7 +281,7 @@ class TablePhi(PhiSpec):
         return self.values[n - 1]
 
     def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
-        return _estimated_gamma_delta(self, min(horizon, self.horizon))
+        return _estimated_once(self, min(horizon, self.horizon))
 
 
 # --------------------------------------------------------------------------

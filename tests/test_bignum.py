@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import dps_to_prec, prec_to_dps
 
 from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
                            plan_full_dimension)
-from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, GUARD_DIGITS, _ln,
+from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, EXP_BURST_PREC,
+                                  GUARD_DIGITS, LOG10, _exp, _ln,
                                   digits_of_exp, exp_ceil, exp_floor,
                                   exp_int, float_log, nlogn_ceil,
                                   nth_root_floor, power_log_ceil)
@@ -256,3 +260,102 @@ def test_exp_memo_carries_nothing_from_one_plan_into_the_next():
     first = hits(request)
     assert first > 0   # exp_ceil then power_log_ceil of the same exponent
     assert hits(request) <= first
+
+
+# ------------------------------------------------------------ exp kernel ---
+
+
+def mpmath_exp(terms, dps):
+    """The exp kernel as mpmath alone computes it: the reference."""
+    with mpmath.workdps(dps):
+        return mpmath.exp(mpmath.fsum(mpmath.mpf(t) for t in terms))
+
+
+def assert_exp_within_an_ulp(terms, dps):
+    """_exp(terms, dps) is within one unit in the last place of e^X, taken
+    40 digits further, and has its ceiling and floor unless e^X lies
+    within 10^-GUARD_DIGITS (relative) of an integer, as e^X does for a
+    tiny X: the module's exactness convention."""
+    got = _exp.__wrapped__(tuple(terms), dps)   # no memo between draws
+    want = mpmath_exp(terms, dps + 40)
+    with mpmath.workdps(dps + 40):
+        ulp = mpmath.ldexp(1, mpmath.mag(want) - dps_to_prec(dps))
+        assert abs(got - want) <= ulp, (terms, dps)
+        frac = want - mpmath.floor(want)
+        if min(frac, 1 - frac) > want * mpmath.mpf(10) ** -GUARD_DIGITS:
+            assert (int(mpmath.ceil(got)), int(mpmath.floor(got))) == (
+                int(mpmath.ceil(want)), int(mpmath.floor(want))), (terms, dps)
+
+
+X_CAP = DEFAULT_DIGIT_CAP * LOG10 - 40   # e^X within the default digit cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, X_CAP),
+       st.lists(st.floats(-16.0, 16.0), max_size=2))
+@example(9000.0, [])                    # integer X
+@example(9000.0, [2.0 ** -40])          # X = N + 2^-40
+@example(9001.0, [-(2.0 ** -30)])       # X = N + 1 - 2^-30
+@example(2345.678, [1e-300, 0.25])      # an exact sum of over 1 000 bits
+@example(X_CAP, [0.5])
+@example(3.199741958468793e-16, [-5.0])   # an exact sum of 110 bits
+@example(1e-38, [])                       # e^X within 10^-38 of 1
+def test_exp_kernel_is_good_to_an_ulp(head, rest):
+    terms = (head, *rest)
+    assert_exp_within_an_ulp(terms,
+                             digits_of_exp(math.fsum(terms)) + GUARD_DIGITS)
+
+
+# the last precision below the bit-burst route and the first on it
+BURST_DPS = [prec_to_dps(EXP_BURST_PREC) - 1, prec_to_dps(EXP_BURST_PREC) + 1]
+
+
+@pytest.mark.parametrize("dps", BURST_DPS, ids=["below", "from"])
+@pytest.mark.parametrize("terms", [(3000.0,), (3000.0, 2.0 ** -40),
+                                   (3001.0 - 2.0 ** -30,), (1.0, 2.0 ** -40),
+                                   (0.75,), (12.5, -30.0)],
+                         ids=["integer", "N+2^-40", "N+1-2^-30", "1+2^-40",
+                              "below-1", "negative"])
+def test_exp_kernel_on_both_sides_of_the_cut_off(monkeypatch, terms, dps):
+    assert dps_to_prec(BURST_DPS[0]) < EXP_BURST_PREC <= dps_to_prec(BURST_DPS[1])
+    bursts, real = [], bignum._exp_fraction
+    monkeypatch.setattr(bignum, "_exp_fraction",
+                        lambda *a: bursts.append(a) or real(*a))
+    assert_exp_within_an_ulp(terms, dps)
+    x = math.fsum(terms)
+    takes_burst = (dps_to_prec(dps) >= EXP_BURST_PREC and x > 1
+                   and x != int(x))
+    assert bool(bursts) == takes_burst
+    if not takes_burst:   # mpmath's own exp, bit for bit
+        assert _exp.__wrapped__(terms, dps) == mpmath_exp(terms, dps)
+
+
+def test_exp_kernel_refuses_a_non_binary_fraction():
+    with pytest.raises(TypeError):
+        _exp.__wrapped__((2000.0, Fraction(1, 3)), 900)
+
+
+# requests whose positions reach the bit-burst route (case ii, iv, v) or
+# pass 400 digits below it (case vi), and the D2 requests, which fail
+EXP_PLANS = [("log(n)", "1", "inf", 30), ("n^0.5", "0", "2", 120),
+             ("log(n)", "1", "2", 12), ("osc 4/5 6/5", "5/6", "5/4", 120),
+             ("osc 1/2 2", "2", "5/2", 120), ("log(n)", "1", "3", 12),
+             ("log(n)", "1", "2", 30)]
+
+
+def _plan_or_error(request):
+    try:
+        return _hint_plan(*request)
+    except CapacityError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
+    bursts, real = [], bignum._exp_fraction
+    monkeypatch.setattr(bignum, "_exp_fraction",
+                        lambda *a: bursts.append(a) or real(*a))
+    burst = [_plan_or_error(r) for r in EXP_PLANS]
+    assert bursts
+    assert sum(isinstance(p, str) for p in burst) == 2   # the D2 requests
+    monkeypatch.setattr(bignum, "_exp", mpmath_exp)
+    assert [_plan_or_error(r) for r in EXP_PLANS] == burst

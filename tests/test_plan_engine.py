@@ -8,8 +8,9 @@ from recurrencelab import (ExtReal, GuardError, INF, OscLogPhi, RefusalError,
                            check_plan_conditions, classify_profile,
                            classify_thresholds, compute_AB, dichotomy,
                            find_ratio_witness, parse_phi, plan_full_dimension)
+from recurrencelab import phi_spec
 from recurrencelab.errors import CapacityError, PhiDomainError, SearchCapError
-from recurrencelab.phi_spec import TablePhi
+from recurrencelab.phi_spec import DEFAULT_ESTIMATE_HORIZON, TablePhi
 from recurrencelab.plan_engine import WITNESS_CAP, _truncated
 
 
@@ -406,3 +407,42 @@ def test_truncated_keeps_two_terms_on_overflow():
 def test_truncated_stops_at_count_without_pulling_more(exc):
     # the stub raises on term count + 1, which must never be requested
     assert _run_stub(5, exc, count=5) == [(i, 10 * i) for i in range(1, 6)]
+
+
+# ------------------------------------------------------ estimated extremes ---
+
+def _count_estimates(monkeypatch):
+    horizons, real = [], phi_spec._estimated_gamma_delta
+
+    def spy(phi, horizon):
+        horizons.append(horizon)
+        return real(phi, horizon)
+
+    monkeypatch.setattr(phi_spec, "_estimated_gamma_delta", spy)
+    return horizons
+
+
+def test_classify_then_plan_estimates_the_extremes_once(monkeypatch):
+    horizons = _count_estimates(monkeypatch)
+    phi = parse_phi("log(n)+log(log(n))")   # D1: estimated extremes
+    rate = ExtReal("0.9")
+    cls = classify_profile(phi, rate, rate)
+    plan = plan_full_dimension(phi, rate, rate, count=12)
+    assert horizons == [DEFAULT_ESTIMATE_HORIZON]
+    # still the estimated (wrong) class of the known defect
+    assert (cls.dim, cls.case_tag, cls.provenance) == (1, "vi", "estimated")
+    assert plan.case_tag == "vi"
+    # another horizon, or another instance, is scanned afresh
+    phi.gamma_delta(5_000)
+    parse_phi("log(n)+log(log(n))").gamma_delta()
+    assert horizons == [DEFAULT_ESTIMATE_HORIZON, 5_000,
+                        DEFAULT_ESTIMATE_HORIZON]
+
+
+def test_table_profile_estimates_once_per_horizon(monkeypatch):
+    horizons = _count_estimates(monkeypatch)
+    table = TablePhi([2.0 * math.log(max(n, 2)) for n in range(1, 401)])
+    first = table.gamma_delta()
+    assert table.gamma_delta() == first
+    assert table.gamma_delta(10 ** 9) == first   # both clipped to the table
+    assert horizons == [400]
