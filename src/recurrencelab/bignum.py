@@ -7,16 +7,18 @@ exp/ln.  Precision is chosen from the target magnitude plus guard digits, so
 results are exact unless the true value sits within ~10^-G of an integer
 boundary (G = guard digits), which we accept as a working convention.
 
-`_exp` takes e^X, X the exact sum of float terms, by one of two routes.
+`_exp` takes e^X, X the exact sum of float terms, by one of three routes.
 From EXP_BURST_PREC bits of working precision on, a non-integer X > 1 is
 split as N + r/2^s (a float's fraction is a short dyadic): e^N comes from
-mpmath, which powers e for integer exponents past 600 bits, and e^(r/2^s)
-from bit-burst, the Taylor series of successively longer bit chunks of
-r/2^s summed exactly by binary splitting (Brent 1976).  Both carry
-EXP_GUARD_BITS past the working precision, so the one rounding of their
-product leaves e^X within one unit in the last place.  Integer X, X <= 1
-and smaller precisions take mpmath's own exp of the exact X, which is as
-fast there.
+the table below, and e^(r/2^s) from bit-burst, the Taylor series of
+successively longer bit chunks of r/2^s summed exactly by binary
+splitting (Brent 1976).  Both carry EXP_GUARD_BITS past the working
+precision, so the one rounding of their product leaves e^X within one
+unit in the last place.  An integer X >= 1 past EXP_POW_PREC bits is the
+product of cached powers e^(2^j) over the set bits of X, rounded to
+nearest once, where mpmath's exp powers e afresh on every call; the two
+agree bit for bit.  X <= 1, the other non-integers and smaller
+precisions take mpmath's own exp of the exact X, which is as fast there.
 
 `_ln` takes ln n by one of three routes.  Inside mpmath's Taylor range
 (below LOG_TAYLOR_PREC bits) it is mpmath's own ln.  Past it, when the
@@ -26,8 +28,11 @@ hint is too far off, it is Newton's method on exp.  exp_int and the hinted
 ln share `_exp`, a pure function memoized for the last two arguments, so
 exp_ceil(x) followed by power_log_ceil(n, 1, near=x) computes e^x once.
 
-Desk-scale note: for values below ~10^15 the same helpers agree with direct
-float arithmetic; they exist for the regime where floats cannot.
+Desk-scale note: direct float arithmetic does not settle ceilings even at
+desk scale.  float n*log(n) is within about 2^-51 of n ln n relatively,
+which at n ~ 10^12 is 0.01, and ceil(n*log(n)) is one short for about
+one n in a thousand in [2^20, 2^40].  nlogn_ceil keeps the float value
+only when it lies farther than twice that bound from an integer.
 """
 from __future__ import annotations
 
@@ -37,7 +42,8 @@ import math
 import sys
 
 import mpmath
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_e,
+                          mpf_exp, round_floor, round_nearest)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 from .errors import CapacityError
@@ -53,6 +59,10 @@ if sys.get_int_max_str_digits() < 2_000_000:
 LOG10 = math.log(10)
 LN2 = math.log(2)
 
+# nlogn_ceil trusts float n*log(n), n <= 2^40, only this far (relative)
+# from an integer: twice the error of its two roundings
+NLOGN_FLOAT_ERR = 2.0 ** -50
+
 # `_exp` takes bit-burst from EXP_BURST_PREC bits on: below about 5 000
 # bits mpmath's own exp of a 40-bit fraction is as fast (pure-Python
 # backend, measured at 1 000-45 000 bits).  The fraction's first chunk is
@@ -62,6 +72,10 @@ EXP_BURST_PREC = 5000
 EXP_GUARD_BITS = 24
 EXP_BURST_FIRST = 16
 EXP_SPLIT_LEAF = 8
+
+# Past EXP_POW_PREC bits mpmath's exp powers e for an integer exponent;
+# `_exp` multiplies cached powers e^(2^j) there instead (`_exp_whole`).
+EXP_POW_PREC = 600
 
 
 def digits_of_exp(log_value: float) -> int:
@@ -96,16 +110,98 @@ def _exp(terms: tuple, dps: int):
     prec = dps_to_prec(dps)
     if prec >= EXP_BURST_PREC and whole >= 1 and whole << s != num:
         wp = prec + EXP_GUARD_BITS
+        e_whole = _exp_whole(whole, wp)
         with mpmath.workprec(wp):
-            e_whole = mpmath.exp(whole)
             e_frac = mpmath.mpf((_exp_fraction(num - (whole << s), s, wp),
                                  -wp))
         with mpmath.workprec(prec):
             return e_whole * e_frac
+    if prec > EXP_POW_PREC and whole >= 1 and whole << s == num:
+        return _exp_whole(whole, prec)
     with mpmath.workprec(max(prec, num.bit_length())):
         x = mpmath.mpf((num, -s))   # exact
     with mpmath.workprec(prec):
         return mpmath.exp(x)
+
+
+class _PowersOfE:
+    """A cache of e^(2^j) for j < len(entries), built by `_powers_of_e`.
+
+    Each entry is a pair (man, exp), man 2^exp, with a man of exactly
+    prec + _pow_guard(len(entries) - 1) bits; prec is a power of two.
+    """
+
+    def __init__(self):
+        self.prec = 0
+        self.entries = []
+
+
+_E_POWERS = _PowersOfE()
+
+
+def _pow_guard(top: int) -> int:
+    """Guard bits for e^N, N < 2^(top+1), from the table.  `_exp_whole`
+    bounds its error by 2^(top+6) units in the last of them, so only an
+    e^N within about 2^-(3 top + 5) ulp of a tie falls back to mpmath."""
+    return 4 * (top + 1) + 8
+
+
+def _powers_of_e(top: int, prec: int) -> tuple:
+    """(entries, w): e^(2^j) for j <= top with mantissas of w >= prec +
+    _pow_guard(top) bits, from the cache, rebuilt first when it is short
+    of j or of bits.
+
+    A rebuild rounds prec up to a power of two, so a run of growing
+    requests rebuilds a logarithmic number of times.  The entries come
+    from repeated squaring of mpmath's e, each square truncated to w bits.
+    """
+    table = _E_POWERS
+    if top >= len(table.entries) or prec > table.prec:
+        prec = 1 << (max(prec, table.prec) - 1).bit_length()
+        top = max(top, len(table.entries) - 1)
+        w = prec + _pow_guard(top)
+        _, man, exp, bc = mpf_e(w, round_floor)
+        entries = [(man << (w - bc), exp - (w - bc))]
+        for _ in range(top):
+            man, exp = entries[-1]
+            man *= man
+            cut = man.bit_length() - w
+            entries.append((man >> cut, 2 * exp + cut))
+        # only a finished table replaces the old one
+        table.prec, table.entries = prec, entries
+    return table.entries, table.prec + _pow_guard(len(table.entries) - 1)
+
+
+def _exp_whole(n: int, prec: int):
+    """e^n for an integer n >= 1, as an mpf rounded to nearest at prec
+    bits: the product of the cached e^(2^j) over the set bits of n.
+
+    With u = 2^(1-w) at the table's w bits, e is within u (relatively)
+    and entry j, squared j times, within 3 2^j u.  Cut to wp = prec +
+    _pow_guard(top) bits and multiplied, each truncation within 2^(1-wp),
+    the product is within 2^(top+4) units of its last place.  When the
+    values 2^(top+6) units either side round alike, that is the rounding
+    of e^n itself, whatever state the table was in; otherwise (near a
+    tie) the result is mpmath's.  Only shifts, products and bit_length
+    touch the mantissas, which are gmpy2 mpz under that backend.
+    """
+    top = n.bit_length() - 1
+    wp = prec + _pow_guard(top)
+    entries, w = _powers_of_e(top, prec)
+    drop = w - wp
+    man, exp = 1, 0
+    for j in range(top + 1):
+        if n >> j & 1:
+            m, x = entries[j]
+            man *= m >> drop
+            cut = man.bit_length() - wp
+            man >>= cut
+            exp += x + drop + cut
+    err = 1 << (top + 6)
+    out = from_man_exp(man - err, exp, prec, round_nearest)
+    if out != from_man_exp(man + err, exp, prec, round_nearest):
+        out = mpf_exp(from_int(n), prec, round_nearest)
+    return mpmath.mp.make_mpf(out)
 
 
 def _dyadic_sum(terms: tuple) -> tuple:
@@ -333,7 +429,12 @@ def nlogn_ceil(n: int, near=None) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")
     if n <= 1 << 40:
-        return math.ceil(n * math.log(n))
+        # n is exact as a float; log and the product each round within an
+        # ulp, so y is within y 2^-51 of n ln n
+        y = n * math.log(n)
+        frac = y - math.floor(y)
+        if NLOGN_FLOAT_ERR * y < frac < 1 - NLOGN_FLOAT_ERR * y:
+            return math.ceil(y)
     # digits from the bit length: str(n) is quadratic in CPython
     with mpmath.workdps(digits_of_exp(n.bit_length() * LN2) + GUARD_DIGITS):
         return int(mpmath.ceil(mpmath.mpf(n) * _ln(n, near)))

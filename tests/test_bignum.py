@@ -11,9 +11,9 @@ from mpmath.libmp import dps_to_prec, prec_to_dps
 from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
                            plan_full_dimension)
 from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, EXP_BURST_PREC,
-                                  GUARD_DIGITS, LOG10, _exp, _ln,
-                                  digits_of_exp, exp_ceil, exp_floor,
-                                  exp_int, float_log, nlogn_ceil,
+                                  EXP_POW_PREC, GUARD_DIGITS, LOG10, _exp,
+                                  _exp_whole, _ln, digits_of_exp, exp_ceil,
+                                  exp_floor, exp_int, float_log, nlogn_ceil,
                                   nth_root_floor, power_log_ceil)
 from recurrencelab.errors import CapacityError
 
@@ -359,3 +359,137 @@ def test_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
     assert sum(isinstance(p, str) for p in burst) == 2   # the D2 requests
     monkeypatch.setattr(bignum, "_exp", mpmath_exp)
     assert [_plan_or_error(r) for r in EXP_PLANS] == burst
+
+
+# ------------------------------------------------------- powers of e ---
+
+N_CAP = int(X_CAP)
+
+
+def exp_int_dps(n):
+    """The digits exp_int asks `_exp` for at e^n."""
+    return digits_of_exp(n) + GUARD_DIGITS
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, N_CAP), st.sampled_from([1, 2]))
+@example(1 << 15, 1)
+@example((1 << 15) - 1, 1)
+@example(1 << 11, 2)
+@example((1 << 11) - 1, 2)
+@example(N_CAP, 2)
+def test_integer_exponents_are_mpmaths_exp_bit_for_bit(n, mult):
+    # mult = 2: the hinted ln of power_log_ceil at A = 2
+    dps = mult * exp_int_dps(n)
+    assert _exp.__wrapped__((float(n),), dps) == mpmath_exp((n,), dps), n
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """An empty table of powers of e for one test."""
+    table = bignum._PowersOfE()
+    monkeypatch.setattr(bignum, "_E_POWERS", table)
+    return table
+
+
+def test_integer_exponents_take_the_table_past_mpmaths_cut_off(
+        cold_table, monkeypatch):
+    calls, real = [], bignum._exp_whole
+    monkeypatch.setattr(bignum, "_exp_whole",
+                        lambda n, prec: calls.append((n, prec)) or real(n, prec))
+    ns = (100, 400, 9000)
+    for n in ns:
+        _exp.__wrapped__((float(n),), exp_int_dps(n))
+    prec = [dps_to_prec(exp_int_dps(n)) for n in ns]
+    assert prec[0] <= EXP_POW_PREC < prec[1]
+    assert calls == [(400, prec[1]), (9000, prec[2])]
+
+
+def test_the_table_gives_the_same_value_cold_and_warm(cold_table):
+    requests = [(2345, exp_int_dps(2345)), (2345, 2 * exp_int_dps(2345)),
+                (12001, exp_int_dps(12001)), (700, exp_int_dps(700)),
+                (31999, 2 * exp_int_dps(31999))]
+    cold = []
+    for n, dps in requests:
+        cold_table.__init__()
+        cold.append(_exp.__wrapped__((float(n),), dps))
+        assert cold_table.prec >= dps_to_prec(dps)
+    # one warm table, grown by a larger request and then asked a smaller one
+    cold_table.__init__()
+    for (n, dps), want in zip(requests, cold):
+        assert _exp.__wrapped__((float(n),), dps) == want, (n, dps)
+    for (n, dps), want in reversed(list(zip(requests, cold))):
+        assert _exp.__wrapped__((float(n),), dps) == want, (n, dps)
+
+
+def test_the_table_stays_bounded(cold_table):
+    rng = random.Random(1976)
+    top_n = top_prec = 0
+    for _ in range(30):
+        n = rng.randrange(1, N_CAP)
+        prec = dps_to_prec(rng.choice([1, 2]) * exp_int_dps(n))
+        if prec <= EXP_POW_PREC:
+            continue
+        _exp_whole(n, prec)
+        top_n, top_prec = max(top_n, n), max(top_prec, prec)
+        assert len(cold_table.entries) <= top_n.bit_length()
+        assert top_prec <= cold_table.prec < 2 * top_prec
+
+
+def test_an_undecided_rounding_falls_back_to_mpmath(cold_table, monkeypatch):
+    # with no guard bits the error bound spans many units in the last
+    # place, so no rounding is decided from the table
+    monkeypatch.setattr(bignum, "_pow_guard", lambda top: 0)
+    for n in (700, 5000, 20001):
+        dps = exp_int_dps(n)
+        assert _exp.__wrapped__((float(n),), dps) == mpmath_exp((n,), dps)
+
+
+# the two count-120 case-v ladders, the heaviest users of integer e^N
+LADDER_PLANS = [("log(n)", "2", "2", 120), ("osc 4/5 6/5", "5/6", "5/4", 120)]
+
+
+def test_ladder_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
+    calls, real = [], bignum._exp_whole
+    monkeypatch.setattr(bignum, "_exp_whole",
+                        lambda n, prec: calls.append(n) or real(n, prec))
+    tabled = [_hint_plan(*r) for r in LADDER_PLANS]
+    assert calls
+    monkeypatch.setattr(bignum, "_exp", mpmath_exp)
+    assert [_hint_plan(*r) for r in LADDER_PLANS] == tabled
+
+
+# --------------------------------------------- nlogn_ceil's float path ---
+
+def mp_nlogn(n):
+    with mpmath.workdps(60):
+        return n * mpmath.log(n)
+
+
+def mp_nlogn_ceil(n):
+    with mpmath.workdps(60):
+        return int(mpmath.ceil(mp_nlogn(n)))
+
+
+# float n*log(n) lies just under an integer that n ln n just passes
+NLOGN_FLOAT_SHORT = [419172408968, 940012962406, 555856193266, 880978201212]
+
+
+@pytest.mark.parametrize("n", NLOGN_FLOAT_SHORT)
+def test_nlogn_ceil_is_not_one_short_near_an_integer(n):
+    want = mp_nlogn_ceil(n)
+    assert math.ceil(n * math.log(n)) == want - 1
+    assert nlogn_ceil(n) == want
+
+
+def test_nlogn_ceil_float_path_matches_mpmath():
+    rng = random.Random(40)
+    ns = [rng.randrange(1 << 20, (1 << 40) + 1) for _ in range(4000)]
+    ns += [rng.randrange(2, 1 << 20) for _ in range(1000)]
+    short = [n for n in ns if math.ceil(n * math.log(n)) != mp_nlogn_ceil(n)]
+    assert short   # the sweep reaches floats that are one short
+    assert [n for n in ns if nlogn_ceil(n) != mp_nlogn_ceil(n)] == []
+    # the float error stays within half the margin nlogn_ceil allows
+    with mpmath.workdps(60):
+        assert [n for n in ns if abs(n * math.log(n) - mp_nlogn(n))
+                > bignum.NLOGN_FLOAT_ERR / 2 * n * math.log(n)] == []
