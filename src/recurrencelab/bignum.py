@@ -24,9 +24,15 @@ precisions take mpmath's own exp of the exact X, which is as fast there.
 (below LOG_TAYLOR_PREC bits) it is mpmath's own ln.  Past it, when the
 caller passes the exponent x from which n was built (n = ceil(e^x)), it
 is x + log1p(n e^-x - 1) by a four-term series; otherwise, or when that
-hint is too far off, it is Newton's method on exp.  exp_int and the hinted
-ln share `_exp`, a pure function memoized for the last two arguments, so
-exp_ceil(x) followed by power_log_ceil(n, 1, near=x) computes e^x once.
+hint is too far off, it is Newton's method on exp.
+
+exp_int and the hinted ln share `_exp`, a pure function with a memo.
+Outside a plan the memo holds the last two arguments, so exp_ceil(x)
+followed by power_log_ceil(n, 1, near=x) computes e^x once.  Inside
+`exp_memo_scope`, which plan synthesis opens for one plan, it keeps every
+value until the scope closes, and a ladder that builds all its rungs
+before the first power_log_ceil still computes each e^x once: exp_int's
+``power`` asks for e^x at the digits the hinted ln of n^power will want.
 
 Desk-scale note: direct float arithmetic does not settle ceilings even at
 desk scale.  float n*log(n) is within about 2^-51 of n ln n relatively,
@@ -37,9 +43,11 @@ only when it lies farther than twice that bound from an integer.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import math
 import sys
+from collections import namedtuple
 
 import mpmath
 from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_e,
@@ -97,13 +105,79 @@ def _terms(log_value) -> tuple:
     return tuple(log_value)
 
 
-@functools.lru_cache(maxsize=2)
+# the memo's entries outside a scope: exp_int's e^x and the hinted ln of
+# the same x that follows it
+EXP_MEMO_SIZE = 2
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _ExpMemo:
+    """The values `_exp` has computed, oldest first, and its hit counts.
+
+    Inside `exp_memo_scope` nothing is evicted; outside it only the last
+    EXP_MEMO_SIZE entries stay.  The counts run for the process's life.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self.depth = 0
+        self.hits = self.misses = 0
+
+
+_EXP_MEMO = _ExpMemo()
+
+
+@contextlib.contextmanager
+def exp_memo_scope():
+    """Keep every `_exp` value until the outermost scope closes, then empty
+    the memo, also when the body raises.
+
+    It touches only the memo's store, never `_exp` itself, so it works
+    unchanged when `_exp` is replaced by a plain function.
+    """
+    memo = _EXP_MEMO
+    memo.depth += 1
+    try:
+        yield
+    finally:
+        memo.depth -= 1
+        if not memo.depth:
+            memo.entries.clear()
+
+
+def _memoized(kernel):
+    """`kernel` behind `_EXP_MEMO`, with lru_cache's `cache_info()`;
+    ``__wrapped__`` is the kernel, looked up on each miss."""
+    memo = _EXP_MEMO
+
+    @functools.wraps(kernel)
+    def cached(terms: tuple, dps: int):
+        key = (terms, dps)
+        entries = memo.entries
+        if key in entries:
+            memo.hits += 1
+            entries[key] = value = entries.pop(key)   # now the newest
+            return value
+        memo.misses += 1
+        value = cached.__wrapped__(terms, dps)
+        entries[key] = value
+        if not memo.depth and len(entries) > EXP_MEMO_SIZE:
+            del entries[next(iter(entries))]
+        return value
+
+    cached.cache_info = lambda: CacheInfo(
+        memo.hits, memo.misses, None if memo.depth else EXP_MEMO_SIZE,
+        len(memo.entries))
+    return cached
+
+
+@_memoized
 def _exp(terms: tuple, dps: int):
     """e to the exact sum of terms, as an mpf at dps digits, within one
     unit in the last place (the routes are in the module docstring).
 
-    Pure, so a memo hit returns the value a fresh call would.  Two entries
-    cover exp_int's e^x and the hinted ln of the same x that follows it.
+    Pure, so a memo hit returns the value a fresh call would.
     """
     num, s = _dyadic_sum(terms)
     whole = num >> s
@@ -270,7 +344,7 @@ def _exp_split(a: int, e: int, lo: int, hi: int) -> tuple:
 
 
 def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
-            *, rounding: str = "ceil") -> int:
+            *, rounding: str = "ceil", power=1) -> int:
     """Exact ceil/floor of e**log_value as a Python int.
 
     log_value is a float — or a sequence of floats whose exact sum is
@@ -278,21 +352,35 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
     before exponentiation.  Floats carry ~1e-16 relative uncertainty to
     begin with; the construction is deterministic and self-consistent,
     which is what downstream equality checks rely on.
+
+    A ``power`` above 1 (an int or a Fraction) asks for e**log_value
+    at the digits of e**(power*log_value) plus GUARD_DIGITS when those
+    stay within the digit cap: the digits the hinted ln of n**power asks
+    for (see `_ln`), so power_log_ceil(n, power, near=log_value) finds
+    the value in the memo.  The integer returned is the same.
     """
     terms = _terms(log_value)
     approx = math.fsum(terms)
     if approx < 0:
         return 1 if rounding == "ceil" else 0
     check_digit_cap(approx, digit_cap)
-    dps = digits_of_exp(approx) + GUARD_DIGITS
+    places = digits_of_exp(approx)
+    if power > 1:
+        # `_ln`'s own expression, so the two agree to the digit
+        shared = digits_of_exp(
+            power.numerator / getattr(power, "denominator", 1) * approx)
+        if shared <= digit_cap:
+            places = shared
+    dps = places + GUARD_DIGITS
     value = _exp(terms, dps)
     with mpmath.workdps(dps):
         out = mpmath.ceil(value) if rounding == "ceil" else mpmath.floor(value)
         return int(out)
 
 
-def exp_ceil(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
-    return exp_int(log_value, digit_cap, rounding="ceil")
+def exp_ceil(log_value, digit_cap: int = DEFAULT_DIGIT_CAP, *,
+             power=1) -> int:
+    return exp_int(log_value, digit_cap, rounding="ceil", power=power)
 
 
 def exp_floor(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:

@@ -29,6 +29,7 @@ formula is undefined or nonpositive there.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +40,9 @@ from .errors import PhiDomainError, PhiParseError, PlanValidityError
 from .extreal import INF, ExtReal
 
 DEFAULT_ESTIMATE_HORIZON = 100_000
+
+# the estimate scan reads its ratios in blocks of at most this many n
+SCAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,12 @@ class PhiSpec:
             raise PhiDomainError("ratio needs n >= 2")
         return self.value(n) / math.log(n)
 
+    def _raw_block(self, ns: range, logs: list):
+        """_raw at every n of ns (n >= 2), logs holding math.log(n), as a
+        sequence; None when the profile has no block form.  It may raise,
+        or differ in length, where some _raw(n) would raise."""
+        return None
+
     def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
         raise NotImplementedError
 
@@ -103,13 +113,36 @@ def _estimated_gamma_delta(phi: PhiSpec, horizon: int) -> GammaDelta:
     lo = max(2, horizon // 10)
     sup = -math.inf
     inf_ = math.inf
-    for n in range(lo, horizon + 1):
-        r = phi.ratio(n)
-        if r > sup:
-            sup = r
-        if r < inf_:
-            inf_ = r
+    for start in range(lo, horizon + 1, SCAN_BLOCK):
+        ns = range(start, min(start + SCAN_BLOCK, horizon + 1))
+        ratios = _block_ratios(phi, ns)
+        if ratios is not None:
+            sup = max(sup, max(ratios))
+            inf_ = min(inf_, min(ratios))
+            continue
+        for n in ns:   # n by n, raising where phi.ratio does
+            r = phi.ratio(n)
+            if r > sup:
+                sup = r
+            if r < inf_:
+                inf_ = r
     return GammaDelta(ExtReal(Fraction(sup)), ExtReal(Fraction(inf_)), "estimated")
+
+
+def _block_ratios(phi: PhiSpec, ns: range) -> Optional[list]:
+    """phi.ratio(n) for every n of ns (n >= 2) from the profile's block
+    form, or None when it has none, or when the block raises or fails
+    one of value()'s checks; the caller then replays the block n by n,
+    which raises what the ratio loop would, at the same n."""
+    logs = list(map(math.log, ns))
+    try:
+        values = phi._raw_block(ns, logs)
+    except Exception:
+        return None
+    if (values is None or len(values) != len(ns)
+            or not all(map(math.isfinite, values)) or min(values) <= 0):
+        return None
+    return list(map(operator.truediv, values, logs))
 
 
 def _estimated_once(phi: PhiSpec, horizon: int) -> GammaDelta:
@@ -201,6 +234,15 @@ class _Pow:
     exp: object
 
 
+def _pow(b: float, e: float) -> float:
+    """b^e for a subtree base b, as _eval_ast takes it."""
+    if b < 0:
+        raise PhiDomainError("negative base under ^")
+    if b == 0:
+        return 0.0 if e > 0 else math.inf
+    return math.exp(e * math.log(b))
+
+
 def _eval_ast(node, n: int) -> float:
     if isinstance(node, _Num):
         return float(node.value)
@@ -222,13 +264,51 @@ def _eval_ast(node, n: int) -> float:
         if isinstance(node.base, _Var):
             # route through exp(e*log n) so huge ints never hit float()
             return math.exp(e * math.log(n))
-        b = _eval_ast(node.base, n)
-        if b < 0:
-            raise PhiDomainError("negative base under ^")
-        if b == 0:
-            return 0.0 if e > 0 else math.inf
-        return math.exp(e * math.log(b))
+        return _pow(_eval_ast(node.base, n), e)
     raise TypeError(f"unknown node {node!r}")
+
+
+_LOG_N = _Log(_Var())
+
+
+def _eval_block(node, ns: range, memo: dict) -> list:
+    """_eval_ast at every n of ns, each operation mapped over the block.
+
+    memo holds the block's values of each subtree evaluated so far, by
+    node (equal subtrees share an entry); seeded with _LOG_N, log(n) is
+    computed once per block.  Where _eval_ast raises at some n this
+    raises too, though maybe not the same error: a math domain error
+    stands for the PhiDomainError of a nonpositive log, for instance.
+    """
+    out = memo.get(node)
+    if out is not None:
+        return out
+    if isinstance(node, _Num):
+        out = [float(node.value)] * len(ns)
+    elif isinstance(node, _Var):
+        out = list(map(float, ns))
+    elif isinstance(node, _Log):
+        out = list(map(math.log, _eval_block(node.child, ns, memo)))
+    elif isinstance(node, (_Add, _Mul)):
+        op = operator.add if isinstance(node, _Add) else operator.mul
+        out = list(map(op, _eval_block(node.left, ns, memo),
+                       _eval_block(node.right, ns, memo)))
+    elif isinstance(node, _Pow):
+        e = _eval_block(node.exp, ns, memo)
+        if isinstance(node.base, _Var):
+            logs = _eval_block(_LOG_N, ns, memo)
+            out = list(map(math.exp, map(operator.mul, e, logs)))
+        else:
+            base = _eval_block(node.base, ns, memo)
+            if min(base) > 0:
+                out = list(map(math.exp, map(operator.mul, e,
+                                             map(math.log, base))))
+            else:   # a zero or negative base somewhere: _pow's cases
+                out = list(map(_pow, base, e))
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    memo[node] = out
+    return out
 
 
 class ExprPhi(PhiSpec):
@@ -243,6 +323,9 @@ class ExprPhi(PhiSpec):
 
     def _raw(self, n: int) -> float:
         return _eval_ast(self.ast, n)
+
+    def _raw_block(self, ns: range, logs: list) -> list:
+        return _eval_block(self.ast, ns, {_LOG_N: logs})
 
     def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
         if self.monomials is not None:
@@ -279,6 +362,9 @@ class TablePhi(PhiSpec):
             raise PhiDomainError(
                 f"table covers n <= {len(self.values)}, got {n}")
         return self.values[n - 1]
+
+    def _raw_block(self, ns: range, logs: list) -> tuple:
+        return self.values[ns.start - 1:ns.stop - 1]
 
     def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
         return _estimated_once(self, min(horizon, self.horizon))

@@ -231,10 +231,15 @@ def _witness_args(extreme: ExtReal, k: int, inv_tol: float):
 
 
 def build_subseq1(phi: PhiSpec, C, gamma, delta, count: int, *, p: int = 2,
-                  digit_cap: int = bignum.DEFAULT_DIGIT_CAP) -> LogLadder:
+                  digit_cap: int = bignum.DEFAULT_DIGIT_CAP,
+                  A=1) -> LogLadder:
     """Indices n_1 < n_2 < ... with consecutive log ratio pinned near C,
     whose ratio phi/log visits gamma (at n) and delta (at n+1) on witness
     elements of every cycle, with tolerances shrinking as cycles advance.
+
+    A is the power the indices will be raised to (case v's
+    power_log_ceil(n, A, near=log n)); each rung's e^x is computed at the
+    digits that call wants, so it reads the value from the memo.
     """
     C = Fraction(C)
     gamma, delta = ExtReal(gamma), ExtReal(delta)
@@ -247,12 +252,12 @@ def build_subseq1(phi: PhiSpec, C, gamma, delta, count: int, *, p: int = 2,
     check_nondecreasing(phi, 256)
     n1 = max(3, p + 1)
     if C == 1:
-        return _square_ladder(phi, gamma, delta, count, n1, digit_cap)
-    return _geometric_ladder(phi, C, gamma, delta, count, n1, digit_cap)
+        return _square_ladder(phi, gamma, delta, count, n1, digit_cap, A)
+    return _geometric_ladder(phi, C, gamma, delta, count, n1, digit_cap, A)
 
 
 def _geometric_ladder(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
-                      count: int, n1: int, digit_cap: int) -> LogLadder:
+                      count: int, n1: int, digit_cap: int, A) -> LogLadder:
     lnC = math.log(C)
     ns: list[int] = [n1]
     lls: list[float] = [math.log(n1)]
@@ -274,7 +279,7 @@ def _geometric_ladder(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
             if len(ns) >= count:
                 break
             lnr = base * math.exp(step * j)
-            ns.append(bignum.exp_ceil(lnr, digit_cap=digit_cap))
+            ns.append(bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A))
             lls.append(lnr)
         if len(ns) < count:
             ns.append(w)
@@ -295,22 +300,22 @@ def _geometric_ladder(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
 
 
 def _square_ladder(phi, gamma: ExtReal, delta: ExtReal, count: int,
-                   n1: int, digit_cap: int) -> LogLadder:
-    """C = 1 variant: index i keeps log(n_i) inside [i^2, (i+1)^2)."""
-    if not 1 <= math.log(n1) < 4:
-        raise GuardError(
-            "the unit-ratio ladder needs 1 <= log(n_1) < 4; p is too large")
+                   n1: int, digit_cap: int, A) -> LogLadder:
+    """C = 1 variant: rungs at log n = k^2 for consecutive k, up to the
+    next witness, starting from the k with log(n_1) in [k^2, (k+1)^2)."""
     ns: list[int] = [n1]
     lls: list[float] = [math.log(n1)]
     records: list[PhaseRecord] = []
-    k = 1
+    k = _floor_sqrt(lls[0])
     cycle = 0
     while len(ns) < count:
         cycle += 1
         for kind, extreme, shift in (("upper", gamma, 0), ("lower", delta, 1)):
             if len(ns) >= count:
                 break
-            min_n = bignum.exp_ceil(float((k + 1) ** 2), digit_cap=digit_cap)
+            # the first rung's exponent, so at the rung's digits
+            min_n = bignum.exp_ceil(float((k + 1) ** 2), digit_cap=digit_cap,
+                                    power=A)
             tol, thr = _witness_args(extreme, k, float(k))
             w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
                                    eval_shift=shift)
@@ -323,7 +328,7 @@ def _square_ladder(phi, gamma: ExtReal, delta: ExtReal, count: int,
                 if len(ns) >= count:
                     break
                 lnr = float((k + j) ** 2)
-                ns.append(bignum.exp_ceil(lnr, digit_cap=digit_cap))
+                ns.append(bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A))
                 lls.append(lnr)
             if len(ns) < count:
                 ns.append(w)
@@ -559,7 +564,7 @@ def _gen_case_iv(phi, cls, p, count, digit_cap):
 @_truncated
 def _gen_case_v(phi, cls, p, count, digit_cap):
     ladder = build_subseq1(phi, cls.C.fraction, cls.gamma, cls.delta, count,
-                           p=p, digit_cap=digit_cap)
+                           p=p, digit_cap=digit_cap, A=cls.A.fraction)
     for n, ln_n in zip(ladder.ns, ladder.log_values):
         yield n, bignum.power_log_ceil(n, cls.A.fraction, digit_cap=digit_cap,
                                        near=ln_n)
@@ -605,8 +610,10 @@ def plan_for_classification(phi: PhiSpec, cls: Classification, *,
             "these rate targets sit in the dimension-zero regime for this "
             "profile; no full-dimension plan exists", cls.to_json_dict())
     tag = cls.case_tag
-    # looked up at call time so a rebound module attribute takes effect
-    terms = globals()[f"_gen_case_{tag}"](phi, cls, p, count, digit_cap)
+    # one plan's e^x values are shared within it and dropped after it
+    with bignum.exp_memo_scope():
+        # looked up at call time so a rebound module attribute takes effect
+        terms = globals()[f"_gen_case_{tag}"](phi, cls, p, count, digit_cap)
     terms = _valid_suffix(terms)
     if len(terms) < 2:
         raise PlanValidityError(

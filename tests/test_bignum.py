@@ -262,6 +262,72 @@ def test_exp_memo_carries_nothing_from_one_plan_into_the_next():
     assert hits(request) <= first
 
 
+def test_no_exp_memo_entry_outlives_a_plan(monkeypatch):
+    seen, real = [], bignum.power_log_ceil
+
+    def spy(*args, **kwargs):
+        seen.append(bignum._exp.cache_info())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bignum, "power_log_ceil", spy)
+    _hint_plan("log(n)", "2", "2", 30)
+    # within the plan nothing is evicted; after it nothing is left
+    assert all(info.maxsize is None for info in seen)
+    assert max(info.currsize for info in seen) > bignum.EXP_MEMO_SIZE
+    assert bignum._exp.cache_info().currsize == 0
+    # a plan that raises, from its ladder, with entries in the memo
+    with pytest.raises(CapacityError):
+        plan_full_dimension(parse_phi("log(n)"), ExtReal(2), ExtReal(2),
+                            count=40, digit_cap=500)
+    assert bignum._exp.cache_info().currsize == 0
+    assert bignum._exp.cache_info().maxsize == bignum.EXP_MEMO_SIZE
+
+
+def test_exp_memo_hits_keep_counting_across_plans():
+    counts = [bignum._exp.cache_info().hits]
+    for _ in range(2):
+        _hint_plan("log(n)", "2", "2", 30)
+        counts.append(bignum._exp.cache_info().hits)
+    assert counts[1] > counts[0]
+    assert counts[2] - counts[1] == counts[1] - counts[0]
+
+
+def test_exp_memo_scope_empties_at_the_outermost_close():
+    with bignum.exp_memo_scope():
+        with bignum.exp_memo_scope():
+            for x in (1000.5, 1001.5, 1002.5):
+                exp_ceil(x)
+        assert bignum._exp.cache_info().currsize == 3
+    assert bignum._exp.cache_info().currsize == 0
+    for x in (1000.5, 1001.5, 1002.5):
+        exp_ceil(x)
+    assert bignum._exp.cache_info().currsize == bignum.EXP_MEMO_SIZE
+
+
+def test_exp_power_asks_at_the_hinted_lns_digits():
+    x = 2000.25
+    n = exp_ceil(x)
+    assert exp_ceil(x, power=Fraction(5, 2)) == n == mp_exp_ceil(x)
+    before = bignum._exp.cache_info()
+    want = power_log_ceil(n, Fraction(5, 2), near=x)
+    after = bignum._exp.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+    assert want == power_log_ceil(n, Fraction(5, 2))
+    # past the digit cap the power is ignored, and the integer is the same
+    assert exp_ceil(x, digit_cap=900, power=3) == n
+
+
+@pytest.mark.parametrize("plan_request", [
+    ("log(n)", "2", "2", 120), ("osc 4/5 6/5", "5/6", "5/4", 120)],
+    ids=["log-2-2", "osc-5/6-5/4"])
+def test_case_v_ladders_compute_each_exponent_once(monkeypatch, plan_request):
+    runs, real = [], bignum._exp.__wrapped__
+    monkeypatch.setattr(bignum._exp, "__wrapped__",
+                        lambda terms, dps: runs.append(terms) or real(terms, dps))
+    _hint_plan(*plan_request)
+    assert runs and len(runs) == len(set(runs))
+
+
 # ------------------------------------------------------------ exp kernel ---
 
 

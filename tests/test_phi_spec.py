@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import strategies as st
 from recurrencelab import (ExtReal, INF, OscLogPhi, PhiDomainError,
                            PhiParseError, PlanValidityError, PowerLog,
                            TablePhi, check_nondecreasing, parse_phi)
-from recurrencelab.phi_spec import _gamma_delta_from_monomials
+from recurrencelab import phi_spec
+from recurrencelab.phi_spec import (DEFAULT_ESTIMATE_HORIZON, SCAN_BLOCK,
+                                    ExprPhi, _Add, _estimated_gamma_delta,
+                                    _gamma_delta_from_monomials, _Log, _Mul,
+                                    _Num, _Pow, _Var)
 
 
 # ---------------------------------------------------------------- parser ---
@@ -214,3 +219,138 @@ def test_osc_log_infinite_gamma_multipliers_grow():
     _, e1, m1 = o.climb_segment_at_least(10)
     _, e2, m2 = o.climb_segment_at_least(e1 + 1)
     assert m2 > m1  # climb targets escalate without bound
+
+
+# ---------------------------------------------------------- estimate scan ---
+
+def loop_gamma_delta(phi, horizon):
+    """The estimate scan as a loop over n, one phi.ratio(n) each: the
+    reference for the block-wise scan."""
+    lo = max(2, horizon // 10)
+    sup = -math.inf
+    inf_ = math.inf
+    for n in range(lo, horizon + 1):
+        r = phi.ratio(n)
+        if r > sup:
+            sup = r
+        if r < inf_:
+            inf_ = r
+    return Fraction(sup), Fraction(inf_)
+
+
+def scanned(phi, horizon):
+    gd = _estimated_gamma_delta(phi, horizon)
+    assert gd.provenance == "estimated"
+    return gd.gamma.fraction, gd.delta.fraction
+
+
+N, LOG_N = _Var(), _Log(_Var())
+
+# trees that reach the scan between them cover every node: numbers, n,
+# log of n and of a subtree, sums, products, and powers with base n, with
+# a subtree base and with a zero base
+SCAN_TREES = {
+    "log(n)+log(log(n))": _Add(LOG_N, _Log(LOG_N)),
+    "3/2*n^(1/2)+log(n)": _Add(_Mul(_Num(Fraction(3, 2)),
+                                    _Pow(N, _Num(Fraction(1, 2)))), LOG_N),
+    "(log(n)+1)^1.5*log(log(n)+n)": _Mul(
+        _Pow(_Add(LOG_N, _Num(Fraction(1))), _Num(Fraction(3, 2))),
+        _Log(_Add(LOG_N, N))),
+    "0^log(n)+n^log(log(n))": _Add(_Pow(_Num(Fraction(0)), LOG_N),
+                                   _Pow(N, _Log(LOG_N))),
+}
+
+
+def horizon_with(count):
+    """The least horizon whose scan covers exactly count values of n."""
+    return next(h for h in range(2, 10 * count + 20)
+                if h - max(2, h // 10) + 1 == count)
+
+
+SCAN_HORIZONS = [horizon_with(c) for c in (
+    SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1)] + [20]
+
+
+@pytest.mark.parametrize("horizon", SCAN_HORIZONS)
+@pytest.mark.parametrize("source", sorted(SCAN_TREES))
+def test_block_scan_matches_the_loop(source, horizon):
+    phi = ExprPhi(SCAN_TREES[source], source)
+    assert scanned(phi, horizon) == loop_gamma_delta(phi, horizon)
+
+
+def test_block_scan_matches_the_loop_on_the_default_horizon():
+    phi = parse_phi("log(n)+log(log(n))")
+    assert phi.monomials is None
+    assert scanned(phi, DEFAULT_ESTIMATE_HORIZON) == loop_gamma_delta(
+        phi, DEFAULT_ESTIMATE_HORIZON)
+
+
+@pytest.mark.parametrize("horizon", SCAN_HORIZONS)
+def test_block_scan_matches_the_loop_on_a_table(horizon):
+    rng = random.Random(horizon)
+    table = TablePhi([1.0 + n * rng.random() for n in range(1, horizon + 1)])
+    assert scanned(table, horizon) == loop_gamma_delta(table, horizon)
+
+
+def test_block_scan_evaluates_each_subtree_once_per_block(monkeypatch):
+    calls, real = [], phi_spec._eval_block
+    monkeypatch.setattr(phi_spec, "_eval_block",
+                        lambda node, ns, memo: calls.append(
+                            (node, ns, node in memo)) or real(node, ns, memo))
+    horizon = horizon_with(SCAN_BLOCK + 1)   # two blocks
+    logs = []
+    monkeypatch.setattr(phi_spec.math, "log",
+                        lambda x, real_log=math.log: logs.append(x) or real_log(x))
+    scanned(ExprPhi(SCAN_TREES["log(n)+log(log(n))"], "D1"), horizon)
+    # per block: the sum and log(log(n)); log(n) comes seeded
+    evaluated = [(node, ns) for node, ns, hit in calls if not hit]
+    assert len(evaluated) == len(set(evaluated)) == 2 * 2
+    # log n once per n, for the expression and the ratio alike; log log n
+    assert len(logs) == 2 * (SCAN_BLOCK + 1)
+
+
+def raising_n(phi, scan, horizon):
+    """(type, message, n) of what scan(phi, horizon) raises, n the last
+    n phi.ratio was asked for."""
+    seen, ratio = [], phi.ratio
+    phi.ratio = lambda n: seen.append(n) or ratio(n)
+    try:
+        with pytest.raises(Exception) as exc:
+            scan(phi, horizon)
+    finally:
+        del phi.ratio
+    return type(exc.value), str(exc.value), seen[-1] if seen else None
+
+
+def failing_profiles():
+    bad_table = [1.0 + math.log(n) for n in range(1, 6001)]
+    bad_table[5000 - 1] = 0.0   # fails value()'s positivity at n = 5000
+    return [
+        (ExprPhi(_Log(_Log(LOG_N)), "log(log(log(n)))"), 20),
+        (parse_phi("n^1000+log(log(n))"), DEFAULT_ESTIMATE_HORIZON),
+        (ExprPhi(_Add(_Pow(_Num(Fraction(0)), _Num(Fraction(0))), LOG_N),
+                 "0^0+log(n)"), 300),   # not finite at n = 30
+        (TablePhi(bad_table), 6000),
+        (TablePhi(bad_table[:4000]), 6000),   # runs out at n = 4001
+    ]
+
+
+@pytest.mark.parametrize("phi,horizon", failing_profiles(),
+                         ids=["logloglog", "overflow", "zero-power",
+                              "table-zero", "table-short"])
+def test_a_failing_block_raises_what_the_loop_does(phi, horizon):
+    want = raising_n(phi, loop_gamma_delta, horizon)
+    assert raising_n(phi, _estimated_gamma_delta, horizon) == want
+    assert want[2] is not None
+
+
+def test_the_failures_named_for_the_scan():
+    phi = ExprPhi(_Log(_Log(LOG_N)), "log(log(log(n)))")
+    with pytest.raises(PhiParseError):
+        parse_phi("log(log(log(n)))")
+    with pytest.raises(PhiDomainError,
+                       match=r"^log of nonpositive value at n=2$"):
+        _estimated_gamma_delta(phi, 20)
+    with pytest.raises(OverflowError):
+        _estimated_gamma_delta(parse_phi("n^1000+log(log(n))"),
+                               DEFAULT_ESTIMATE_HORIZON)

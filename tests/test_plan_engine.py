@@ -244,10 +244,15 @@ def test_build_subseq1_square_branch():
         assert ln < (i + 1) ** 2 + 1e-9, (i, ln)
 
 
-def test_build_subseq1_square_p_guard():
+def test_build_subseq1_square_ladder_starts_at_the_rung_of_n1():
+    # log(61) lies in [2^2, 3^2): the ladder goes on from log n = 3^2,
+    # where it once refused every p >= 54
     phi = parse_phi("log(n)")
-    with pytest.raises(GuardError):
-        build_subseq1(phi, Fraction(1), 1, 1, count=10, p=60)
+    lad = build_subseq1(phi, Fraction(1), 1, 1, count=10, p=60)
+    assert lad.branch == "square"
+    assert lad.ns[:2] == (61, math.ceil(math.exp(9)))
+    assert all(a < b for a, b in zip(lad.ns, lad.ns[1:]))
+    assert lad.records[0].first_index == 2
 
 
 def test_build_subseq1_validates_inputs():
@@ -332,6 +337,31 @@ def test_plan_case_v_log_profile():
     assert plan.ns[:3] == (4, 55, 8104)
     assert plan.ells[:2] == (23, 12123)
     check_plan_conditions(plan)
+
+
+UNIT_RATIO_PLANS = [("log(n)", "2", "2"), ("osc 4/5 6/5", "5/6", "5/4")]
+
+
+def _profile(spec):
+    if spec.startswith("osc "):
+        return OscLogPhi(*spec.split()[1:])
+    return parse_phi(spec)
+
+
+@pytest.mark.parametrize("p", [54, 100, 1000])
+@pytest.mark.parametrize("spec,alpha,beta", UNIT_RATIO_PLANS)
+def test_unit_ratio_plans_exist_for_large_p(spec, alpha, beta, p):
+    plan = plan_full_dimension(_profile(spec), ExtReal(alpha), ExtReal(beta),
+                               p=p, count=12)
+    assert plan.case_tag == "v" and plan.p == p
+    assert len(plan.terms) == 12 and plan.ns[0] == p + 1
+    check_plan_conditions(plan)
+
+
+@pytest.mark.parametrize("p,head", [(3, (4, 55, 8104)), (53, (54, 55, 8104))])
+def test_unit_ratio_plans_up_to_p_53_start_at_the_first_rung(p, head):
+    plan = plan_full_dimension(parse_phi("log(n)"), 2, 2, p=p, count=12)
+    assert plan.ns[:3] == head
 
 
 def test_plan_case_i_unbounded_rates():
