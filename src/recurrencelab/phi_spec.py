@@ -234,15 +234,6 @@ class _Pow:
     exp: object
 
 
-def _pow(b: float, e: float) -> float:
-    """b^e for a subtree base b, as _eval_ast takes it."""
-    if b < 0:
-        raise PhiDomainError("negative base under ^")
-    if b == 0:
-        return 0.0 if e > 0 else math.inf
-    return math.exp(e * math.log(b))
-
-
 def _eval_ast(node, n: int) -> float:
     if isinstance(node, _Num):
         return float(node.value)
@@ -264,7 +255,12 @@ def _eval_ast(node, n: int) -> float:
         if isinstance(node.base, _Var):
             # route through exp(e*log n) so huge ints never hit float()
             return math.exp(e * math.log(n))
-        return _pow(_eval_ast(node.base, n), e)
+        b = _eval_ast(node.base, n)
+        if b < 0:
+            raise PhiDomainError("negative base under ^")
+        if b == 0:
+            return 0.0 if e > 0 else math.inf
+        return math.exp(e * math.log(b))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -299,12 +295,10 @@ def _eval_block(node, ns: range, memo: dict) -> list:
             logs = _eval_block(_LOG_N, ns, memo)
             out = list(map(math.exp, map(operator.mul, e, logs)))
         else:
+            # a zero or negative base raises in math.log: replayed n by n
             base = _eval_block(node.base, ns, memo)
-            if min(base) > 0:
-                out = list(map(math.exp, map(operator.mul, e,
-                                             map(math.log, base))))
-            else:   # a zero or negative base somewhere: _pow's cases
-                out = list(map(_pow, base, e))
+            out = list(map(math.exp, map(operator.mul, e,
+                                         map(math.log, base))))
     else:
         raise TypeError(f"unknown node {node!r}")
     memo[node] = out

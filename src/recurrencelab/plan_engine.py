@@ -266,7 +266,8 @@ def _geometric_ladder(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
     def phase(cycle: int, kind: str, extreme: ExtReal, shift: int,
               inv_tol: float) -> int:
         jump = float(C ** cycle)
-        min_n = bignum.exp_ceil(jump * lls[-1], digit_cap=digit_cap)
+        # at the rung's digits: the witness is often min_n itself
+        min_n = bignum.exp_ceil(jump * lls[-1], digit_cap=digit_cap, power=A)
         tol, thr = _witness_args(extreme, cycle, inv_tol)
         w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
                                eval_shift=shift)

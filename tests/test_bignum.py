@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, prec_to_dps
 
 from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
-                           plan_full_dimension)
+                           plan_engine, plan_full_dimension)
 from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, EXP_BURST_PREC,
                                   EXP_POW_PREC, GUARD_DIGITS, LOG10, _exp,
                                   _exp_whole, _ln, digits_of_exp, exp_ceil,
@@ -318,8 +318,9 @@ def test_exp_power_asks_at_the_hinted_lns_digits():
 
 
 @pytest.mark.parametrize("plan_request", [
-    ("log(n)", "2", "2", 120), ("osc 4/5 6/5", "5/6", "5/4", 120)],
-    ids=["log-2-2", "osc-5/6-5/4"])
+    ("log(n)", "2", "2", 120), ("osc 4/5 6/5", "5/6", "5/4", 120),
+    ("log(n)", "2", "3", 24)],
+    ids=["log-2-2", "osc-5/6-5/4", "log-2-3"])
 def test_case_v_ladders_compute_each_exponent_once(monkeypatch, plan_request):
     runs, real = [], bignum._exp.__wrapped__
     monkeypatch.setattr(bignum._exp, "__wrapped__",
@@ -523,6 +524,30 @@ def test_ladder_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
     assert calls
     monkeypatch.setattr(bignum, "_exp", mpmath_exp)
     assert [_hint_plan(*r) for r in LADDER_PLANS] == tabled
+
+
+# case-v requests on the geometric ladder (C > 1) with A > 1: log(n) at
+# alpha 2, beta 3 has A = 2, C = 3/2, and at alpha 3, beta 4 A = 3, C = 4/3
+GEOMETRIC_PLANS = [("log(n)", "2", "3", 24), ("log(n)", "3", "4", 24)]
+
+
+def test_geometric_ladder_plans_are_unchanged_with_mpmaths_own_exp(
+        monkeypatch):
+    ladders, real = [], plan_engine._geometric_ladder
+    monkeypatch.setattr(plan_engine, "_geometric_ladder",
+                        lambda *a: ladders.append((a[1], a[-1])) or real(*a))
+    shared = [_hint_plan(*r) for r in GEOMETRIC_PLANS]
+    assert ladders == [(Fraction(3, 2), 2), (Fraction(4, 3), 3)]
+    monkeypatch.setattr(bignum, "_exp", mpmath_exp)
+    assert [_hint_plan(*r) for r in GEOMETRIC_PLANS] == shared
+    # and with every rung's e^x at its own digits, as before power=
+    monkeypatch.undo()
+    own, real_ceil = [], bignum.exp_ceil
+    monkeypatch.setattr(bignum, "exp_ceil",
+                        lambda x, digit_cap=DEFAULT_DIGIT_CAP, *, power=1:
+                        own.append(power) or real_ceil(x, digit_cap))
+    assert [_hint_plan(*r) for r in GEOMETRIC_PLANS] == shared
+    assert set(own) == {2, 3}
 
 
 # --------------------------------------------- nlogn_ceil's float path ---
