@@ -250,13 +250,16 @@ def _cmd_verify(args) -> int:
     ok = True
     mismatch_lines = 0
     for lo, hi, ell in brackets:
-        mismatches = 0
-        for n in range(lo + 1, hi + 1):
-            if n <= rt.exact_depth and rt.values[n - 1] == ell:
-                continue
-            mismatches += 1
+        # depths lo+1..hi; a depth past the exact head is a mismatch
+        mismatches = hi - lo - rt.values[lo:min(hi, rt.exact_depth)].count(ell)
+        if mismatches:
             ok = False
-            if mismatch_lines < 20:
+            # only the first 20 mismatches overall are named, depth by depth
+            for n in range(lo + 1, hi + 1):
+                if mismatch_lines == 20:
+                    break
+                if n <= rt.exact_depth and rt.values[n - 1] == ell:
+                    continue
                 res = rt.result(n)
                 _emit({"n": n, "expected": str(ell),
                        "got": res.value, "exact": res.exact})

@@ -14,18 +14,26 @@ bounds after them are a range, and every column is built by C-level
 map/chain/compress, with no per-depth Python statement.  `entries` is a
 read-only sequence whose RateEntry views are built only on access;
 `ratios()` and `running_extremes` read the columns directly.
+
+Under the default profile log n the ratios of a length-L word are paired
+logs: the bound at depth n is L - n, so a bound depth n and depth L - n
+read log(n) and log(L - n) in swapped roles, and each log(k) is taken once
+for both (`_log_ratio_column`); an exact head takes one log per distinct
+return time.  `recurrence_witnesses` maps its cutoffs in C and runs Python
+only on the depths that pass them.
 """
 from __future__ import annotations
 
 import math
 import statistics
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import attrgetter, le, not_, truediv
+from itertools import chain, compress, pairwise, repeat
+from operator import attrgetter, gt, le, mul, not_, truediv
 from typing import Optional
 
 from .cantor_builder import InsertionPlan, certified_brackets, fp_cylinder_count
@@ -33,6 +41,10 @@ from .errors import EstimationImpossibleError
 from .phi_spec import PhiSpec
 from .return_time import return_times_all
 from .shift_core import Word
+
+# pairs of depths per block of logarithms in a word's default-profile
+# ratio column: two lists of this many floats are alive at a time
+RATIO_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,59 @@ def _ratio_column(times, fs) -> array:
     return array("d", map(truediv, map(math.log, times), fs))
 
 
+def _run_logs(values: Sequence[int], lo: int, hi: int):
+    """log(values[i]) for i = lo..hi-1 of nondecreasing values, one log
+    per run of equal values."""
+    runs = []
+    while lo < hi:
+        j = values[lo]
+        end = bisect_right(values, j, lo, hi)
+        runs.append(repeat(math.log(j), end - lo))
+        lo = end
+    return chain.from_iterable(runs)
+
+
+def _log_ratio_column(L: int, top: int, values: Sequence[int]) -> array:
+    """log(R_n)/log(n) for n = 2..top of a length-L word, as array('d'),
+    where R_n = values[n - 1] at the exact depths n <= h = len(values) and
+    the bound L - n past them.
+
+    A bound depth n and its mirror L - n read the same two logarithms,
+    swapped: log(L - n)/log(n) and log(n)/log(L - n).  So depths are taken
+    in pairs (n, L - n) with n < L - n, RATIO_BLOCK pairs at a time, and
+    log(k) is computed once as the denominator of depth k and, when depth
+    L - k is a bound, its numerator.  An exact depth reads log(R_n)
+    instead, one log per run of equal return times.  The blocks are cut
+    where n, or its mirror, crosses h or top, so one rule holds across a
+    block.
+    """
+    if top < 2:
+        return array("d")
+    out = array("d", [0.0]) * (top - 1)
+    h = len(values)
+    mid = min((L - 1) // 2, top)    # the last low depth of a pair
+    cuts = {2, mid + 1} | {c for c in (h + 1, L - h, L - top) if 2 < c <= mid}
+    for first, stop in pairwise(sorted(cuts)):
+        for s in range(first, stop, RATIO_BLOCK):
+            e = min(s + RATIO_BLOCK, stop)
+            low = list(map(math.log, range(s, e)))               # log n
+            high = list(map(math.log, range(L - s, L - e, -1)))  # log(L - n)
+            num = high if s > h else _run_logs(values, s - 1, e - 1)
+            out[s - 2:e - 2] = array("d", map(truediv, num, low))
+            if s >= L - top:
+                # the mirrors L - e + 1 .. L - s, in increasing depth
+                num = (reversed(low) if s < L - h
+                       else _run_logs(values, L - e, L - s))
+                out[L - e - 1:L - s - 1] = array("d", map(truediv, num,
+                                                          reversed(high)))
+    # the middle depth L/2 is its own mirror; depth L - 1, whose mirror 1
+    # has no ratio, returns within 1 (exact or bound), so its ratio is
+    # log(1)/log(L - 1) = 0.0, as allocated
+    for n in range(mid + 1, min(L - mid, top + 1)):
+        out[n - 2] = math.log(values[n - 1] if n <= h else L - n) / math.log(n)
+    return out
+
+
 def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
                     max_n: Optional[int] = None) -> RateTrajectory:
     """Ratio trajectory read off a concrete word, one entry per n.
@@ -130,7 +195,8 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     Entries with an uninformative bound (return time below 1) are dropped,
     and so are depths where phi(n) <= 0: n = 1 under the default profile
     since log(1) = 0.  The columns are built without a per-depth
-    statement: exact values first, then the bounds as a range.
+    statement: exact values first, then the bounds as a range; under the
+    default profile each log(k) serves two depths (`_log_ratio_column`).
     """
     rt = return_times_all(word, max_n=max_n)
     L, head = rt.length, rt.values
@@ -149,15 +215,18 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     skip = len(keep) - len(keep.lstrip(b"\0"))
     cut = min(skip, len(head))
     ns, head, tail, keep = ns[skip:], head[cut:], tail[skip - cut:], keep[skip:]
-    fs = map(math.log, ns) if fs is None else fs[skip:]
     exact = b"\1" * len(head) + bytes(len(tail))
-    if 0 in keep:
-        # a drop past a kept depth: only a profile that overrides
-        # PhiSpec.value can be nonpositive beyond n = 1
-        ns, exact, fs = (tuple(compress(ns, keep)), bytes(compress(exact, keep)),
-                         compress(fs, keep))
-        head, tail = tuple(compress(chain(head, tail), keep)), ()
-    ratios = _ratio_column(chain(head, tail), fs)
+    if fs is None:
+        ratios = _log_ratio_column(L, top, rt.values)
+    else:
+        fs = fs[skip:]
+        if 0 in keep:
+            # a drop past a kept depth: only a profile that overrides
+            # PhiSpec.value can be nonpositive beyond n = 1
+            ns, exact, fs = (tuple(compress(ns, keep)),
+                             bytes(compress(exact, keep)), compress(fs, keep))
+            head, tail = tuple(compress(chain(head, tail), keep)), ()
+        ratios = _ratio_column(chain(head, tail), fs)
     return RateTrajectory(RateColumns(ns, head, tail, exact, ratios), "word")
 
 
@@ -203,13 +272,15 @@ def running_extremes(traj: RateTrajectory,
     if not cols:
         raise EstimationImpossibleError("empty trajectory")
     start = int(len(cols) * (1 - tail_fraction))
-    ratios = cols.ratios[start:]
-    low = min(compress(ratios, cols.exact[start:]), default=None)
-    if low is None:
+    # the lower estimate stops at the last exact entry: on a word every
+    # bound follows the exact head
+    last = cols.exact.rfind(b"\1", start) + 1
+    if not last:
         raise EstimationImpossibleError(
             "every tail entry is a lower bound; the window is too short "
             "to estimate the lower rate")
-    return low, max(ratios)
+    low = min(compress(cols.ratios[start:last], cols.exact[start:last]))
+    return low, max(cols.ratios[start:])
 
 
 def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
@@ -224,10 +295,16 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     (n, R_n) pairs, or bare depths with with_times=False.
     """
     syms = word.symbols
+    values = return_times_all(word, max_n=max_n).values
+    ns = range(1, len(values) + 1)
+    fs = map(math.log, ns) if phi is None else map(phi.value, ns)
+    cutoffs = map(math.exp, map(mul, repeat(alpha + eps), fs))
+    # lazily, in depth order, so an error surfaces at the depth a loop
+    # over n would meet it; a depth is dropped only when j > cutoff (a
+    # NaN cutoff keeps it)
     out = []
-    for n, j in enumerate(return_times_all(word, max_n=max_n).values, 1):
-        if j > math.exp((alpha + eps) * _phi_value(phi, n)):
-            continue
+    for n in compress(ns, map(not_, map(gt, values, cutoffs))):
+        j = values[n - 1]
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(
                 f"return-time engine and definition disagree at n={n}")

@@ -18,15 +18,21 @@ depth being the lower bound.  `ReturnTimes` stores exactly that.  The
 inputs alone decide how the exact values are found:
 
 - Plain R_n over a bytes store (m <= 256), the batch behind every audit
-  and rate trajectory, is a forward walk with no Z array.  With
-  j = R_{n-1}, the length-(n-1) prefix reoccurs at j, so R_n = j exactly
-  when j + n <= L and the one next symbol agrees, w[j+n] = w[n].
-  Otherwise R_n > j: a return of the length-n prefix at shift s is also
-  one of the length-(n-1) prefix, so s >= R_{n-1} = j, and s = j has
-  just failed.  R_n is then the first hit of bytes.find for the length-n
-  prefix from shift j + 1, and the first depth with no hit ends the walk
-  (past N*, the last depth whose prefix returns).  The finds run in C,
-  one per distinct value of R_n plus the final miss.
+  and rate trajectory, is a run-length walk with no Z array.  Once
+  R_n = j is known, the length-n prefix reoccurs at j, so R_{n'} = j for
+  every deeper n' with j + n' <= L whose next symbols keep agreeing:
+  R_{n'} >= R_n = j (monotonicity) and j is a return at depth n'.  The
+  whole run n..k is therefore one common-prefix length c of text[n:] and
+  text[j+n:], capped at L - j - n (and at top - n), with k = n + c,
+  found by galloping and then bisecting slice comparisons (O(c) symbols
+  compared in C).
+  At depth k + 1 the return at j fails, so R_{k+1} > j: a return of the
+  length-(k+1) prefix at shift s is also one of the length-k prefix, so
+  s >= j, and s = j has just failed.  R_{k+1} is then the first hit of
+  bytes.find from shift j + 1, and the first depth with no hit ends the
+  walk (past N*, the last depth whose prefix returns).  Each distinct
+  value of R_n costs one find and one common-prefix length, plus the
+  final miss; the values of a run are appended as one repeat.
 - The primed batch and tuple stores (m > 256) run a single Z-array pass:
   z[i] = length of the longest common prefix of w and w[i:], so R_n =
   min{i >= 1 : z[i] >= n} and R'_n = min{i >= n : z[i] >= n}, both found
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Union
 
 from .shift_core import Word, symbol_store
@@ -189,19 +196,45 @@ def _exact_prefix(z: list[int], top: int, prime: bool) -> list[int]:
     return values
 
 
+def _common_prefix(text: bytes, a: int, b: int, cap: int) -> int:
+    """Length of the longest common prefix of text[a:] and text[b:], at
+    most cap.  Windows of doubling length are compared until one differs
+    (or cap is reached); the first mismatch then lies in that window,
+    which is halved until it is one symbol wide."""
+    done, width = 0, 1
+    while done < cap:
+        width = min(width, cap - done)
+        if text[a + done:a + done + width] != text[b + done:b + done + width]:
+            break
+        done += width
+        width *= 2
+    else:
+        return cap
+    # text[a:a+done] == text[b:b+done]; the first mismatch lies in the
+    # next `width` symbols
+    while width > 1:
+        half = width // 2
+        if text[a + done:a + done + half] == text[b + done:b + done + half]:
+            done, width = done + half, width - half
+        else:
+            width = half
+    return done
+
+
 def _walk(text: bytes, top: int) -> list[int]:
-    """R_n for n = 1, 2, ... while it exists and n <= top, by extending
-    R_{n-1} one symbol at a time and searching anew only when the
-    extension fails (see the module docstring)."""
+    """R_n for n = 1, 2, ... while it exists and n <= top: one find per
+    distinct value, whose run of depths is one common-prefix length (see
+    the module docstring)."""
     L = len(text)
     values = []
-    j = 0   # R_{n-1}; 0 before the first depth
-    for n in range(1, top + 1):
-        if not (j and j + n <= L and text[j + n - 1] == text[n - 1]):
-            j = text.find(text[:n], j + 1)
-            if j == -1:
-                break
-        values.append(j)
+    n, j = 1, 0   # the next depth, and R_{n-1} (0 before the first depth)
+    while n <= top:
+        j = text.find(text[:n], j + 1)
+        if j == -1:
+            break
+        k = n + _common_prefix(text, n, j + n, min(L - j, top) - n)
+        values.extend(repeat(j, k - n + 1))
+        n = k + 1
     return values
 
 
