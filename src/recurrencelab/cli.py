@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -75,6 +76,18 @@ def _add_rate_args(sp: argparse.ArgumentParser) -> None:
                     help="lower rate target (fraction, decimal, or 'inf')")
     sp.add_argument("--beta", required=True,
                     help="upper rate target (fraction, decimal, or 'inf')")
+
+
+def _tail_fraction(text: str) -> float:
+    """--tail: a fraction in (0, 1], checked before any output."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(
+            f"tail fraction must lie in (0, 1], got {text!r}")
+    return value
 
 
 def _add_plan_args(sp: argparse.ArgumentParser) -> None:
@@ -354,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--plan-file", help="estimate from a plan instead")
     sp.add_argument("--endpoints", choices=("right", "left"), default="right")
     sp.add_argument("--max-n", type=int, default=None)
-    sp.add_argument("--tail", type=float, default=0.5)
+    sp.add_argument("--tail", type=_tail_fraction, default=0.5)
     sp.set_defaults(func=_cmd_rates)
 
     sp = subs.add_parser("witnesses", help="depths that return unusually fast")
@@ -382,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=None)
     sp.add_argument("--free", default="zero")
     sp.add_argument("--tol", type=float, default=0.1)
-    sp.add_argument("--tail", type=float, default=0.5)
+    sp.add_argument("--tail", type=_tail_fraction, default=0.5)
     sp.add_argument("--growth-factor", type=float, default=5.0)
     sp.set_defaults(func=_cmd_verify)
 

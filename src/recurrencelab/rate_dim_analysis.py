@@ -15,17 +15,33 @@ map/chain/compress, with no per-depth Python statement.  `entries` is a
 read-only sequence whose RateEntry views are built only on access;
 `ratios()` and `running_extremes` read the columns directly.
 
-Under the default profile log n the ratios of a length-L word are paired
-logs: the bound at depth n is L - n, so a bound depth n and depth L - n
-read log(n) and log(L - n) in swapped roles, and each log(k) is taken once
-for both (`_log_ratio_column`); an exact head takes one log per distinct
-return time.  `recurrence_witnesses` maps its cutoffs in C and runs Python
-only on the depths that pass them.
+Under the default profile log n every logarithm is read from one
+process-wide table, `log_table`: an array('d') whose entry k is
+math.log(k), the very double a call would return.  It grows to the
+longest word analysed so far (by at least a quarter of its size at a
+time, so a stream of slowly growing words does not copy it once per
+word), never shrinks and needs no setting: 8 bytes per symbol, about
+1.4 MB for a 176 531-symbol word.  Growth builds a new table under a lock
+and then swaps it in; a table is never changed once published, so a
+reader that holds one may index it while another thread grows the next.
+
+The ratios of a length-L word are paired logs: the bound at depth n is
+L - n, so a bound depth n and depth L - n read log(n) and log(L - n) in
+swapped roles (`_log_ratio_column`, one slice of the table for each).
+
+`recurrence_witnesses` works per run of equal R_n = j under the default
+profile with a finite rate c = alpha + eps > 0.  Within a run the cutoff
+exp(c*log n) grows with n, so the depths that pass (j <= cutoff) are a
+suffix of the run, found by bisection; and a return at shift j of the
+deepest of them is a return of every shallower prefix, so one slice
+comparison re-checks the whole suffix.  Every other rate and profile
+maps its cutoffs in C and runs Python only on the depths that pass them.
 """
 from __future__ import annotations
 
 import math
 import statistics
+import threading
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
@@ -43,8 +59,30 @@ from .return_time import return_times_all
 from .shift_core import Word
 
 # pairs of depths per block of logarithms in a word's default-profile
-# ratio column: two lists of this many floats are alive at a time
+# ratio column: two slices of this many doubles are alive at a time
 RATIO_BLOCK = 4096
+
+# entry k is math.log(k); entry 0 stands for log 0 = -inf and is never
+# read.  Replaced whole when it grows, never changed in place.
+_logs = array("d", [-math.inf])
+_logs_lock = threading.Lock()
+
+
+def log_table(size: int) -> array:
+    """The process-wide array('d') of math.log(k), with at least `size`
+    entries (k = 0 .. size - 1).  The returned table never changes; a
+    later call may return a longer one."""
+    global _logs
+    table = _logs
+    if len(table) < size:
+        with _logs_lock:
+            table = _logs
+            if len(table) < size:
+                size = max(size, len(table) + len(table) // 4)
+                table = table + array("d", map(math.log,
+                                               range(len(table), size)))
+                _logs = table
+    return table
 
 
 @dataclass(frozen=True)
@@ -135,16 +173,22 @@ def _ratio_column(times, fs) -> array:
     return array("d", map(truediv, map(math.log, times), fs))
 
 
-def _run_logs(values: Sequence[int], lo: int, hi: int):
-    """log(values[i]) for i = lo..hi-1 of nondecreasing values, one log
-    per run of equal values."""
-    runs = []
+def _runs(values: Sequence[int], lo: int, hi: int):
+    """(j, start, end) per run values[start:end] of the value j, over
+    values[lo:hi], each end found by bisect_right: the runs of equal
+    values when values is nondecreasing."""
     while lo < hi:
         j = values[lo]
         end = bisect_right(values, j, lo, hi)
-        runs.append(repeat(math.log(j), end - lo))
+        yield j, lo, end
         lo = end
-    return chain.from_iterable(runs)
+
+
+def _run_logs(values: Sequence[int], lo: int, hi: int, logs: array):
+    """log(values[i]) for i = lo..hi-1 of nondecreasing values, one table
+    read per run of equal values."""
+    return chain.from_iterable(repeat(logs[j], end - start)
+                               for j, start, end in _runs(values, lo, hi))
 
 
 def _log_ratio_column(L: int, top: int, values: Sequence[int]) -> array:
@@ -155,14 +199,15 @@ def _log_ratio_column(L: int, top: int, values: Sequence[int]) -> array:
     A bound depth n and its mirror L - n read the same two logarithms,
     swapped: log(L - n)/log(n) and log(n)/log(L - n).  So depths are taken
     in pairs (n, L - n) with n < L - n, RATIO_BLOCK pairs at a time, and
-    log(k) is computed once as the denominator of depth k and, when depth
-    L - k is a bound, its numerator.  An exact depth reads log(R_n)
-    instead, one log per run of equal return times.  The blocks are cut
-    where n, or its mirror, crosses h or top, so one rule holds across a
-    block.
+    one slice of the log table holds the denominators of the low depths
+    and the numerators of their bound mirrors, another the reverse.  An
+    exact depth reads log(R_n) instead, one table read per run of equal
+    return times.  The blocks are cut where n, or its mirror, crosses h or
+    top, so one rule holds across a block.
     """
     if top < 2:
         return array("d")
+    logs = log_table(L)
     out = array("d", [0.0]) * (top - 1)
     h = len(values)
     mid = min((L - 1) // 2, top)    # the last low depth of a pair
@@ -170,21 +215,21 @@ def _log_ratio_column(L: int, top: int, values: Sequence[int]) -> array:
     for first, stop in pairwise(sorted(cuts)):
         for s in range(first, stop, RATIO_BLOCK):
             e = min(s + RATIO_BLOCK, stop)
-            low = list(map(math.log, range(s, e)))               # log n
-            high = list(map(math.log, range(L - s, L - e, -1)))  # log(L - n)
-            num = high if s > h else _run_logs(values, s - 1, e - 1)
+            low = logs[s:e]                   # log n
+            high = logs[L - s:L - e:-1]       # log(L - n), same order
+            num = high if s > h else _run_logs(values, s - 1, e - 1, logs)
             out[s - 2:e - 2] = array("d", map(truediv, num, low))
             if s >= L - top:
                 # the mirrors L - e + 1 .. L - s, in increasing depth
                 num = (reversed(low) if s < L - h
-                       else _run_logs(values, L - e, L - s))
+                       else _run_logs(values, L - e, L - s, logs))
                 out[L - e - 1:L - s - 1] = array("d", map(truediv, num,
                                                           reversed(high)))
     # the middle depth L/2 is its own mirror; depth L - 1, whose mirror 1
     # has no ratio, returns within 1 (exact or bound), so its ratio is
     # log(1)/log(L - 1) = 0.0, as allocated
     for n in range(mid + 1, min(L - mid, top + 1)):
-        out[n - 2] = math.log(values[n - 1] if n <= h else L - n) / math.log(n)
+        out[n - 2] = logs[values[n - 1] if n <= h else L - n] / logs[n]
     return out
 
 
@@ -283,6 +328,55 @@ def running_extremes(traj: RateTrajectory,
     return low, max(cols.ratios[start:])
 
 
+def _cutoff_fits(c, log_h: float) -> bool:
+    """True when exp(c*log_h) is a finite float: then no shallower depth's
+    cutoff overflows either."""
+    try:
+        return math.exp(c * log_h) < math.inf
+    except OverflowError:
+        return False
+
+
+def _run_witnesses(syms, values: Sequence[int], c, logs: array,
+                   with_times: bool, out: list) -> int:
+    """Witnesses of the default profile at a finite rate c > 0 whose
+    deepest cutoff fits in a float, one run of equal R_n at a time,
+    appended to out in depth order.  Returns the first depth left to the
+    per-depth rule: len(values) + 1 when every run was handled, or the
+    start of a stretch whose values are not one run (an engine that is not
+    nondecreasing).
+
+    Within a run, n < m implies cutoff(n) <= cutoff(m) in floats: the
+    computed log(n) is strictly increasing for n < 2^40, since log(n + 1)
+    - log(n) > 1/(n + 1) exceeds two ulps there and math.log is within
+    one; c*x rounds monotonically for c > 0; and exp is taken to be
+    monotone, as plan_engine._min_crossing takes the computed values it
+    bisects.  So the depths with j <= cutoff(n) are a suffix of the run,
+    and bisecting the loop's own float test finds its first depth.
+    """
+    for j, lo, end in _runs(values, 0, len(values)):
+        if values[lo:end].count(j) != end - lo:
+            return lo + 1
+        a, b = lo + 1, end + 1      # the run is depths lo + 1 .. end
+        while a < b:
+            mid = (a + b) // 2
+            if j > math.exp(c * logs[mid]):
+                a = mid + 1
+            else:
+                b = mid
+        if a <= end:
+            # a return at j of the length-end prefix is one of every
+            # shorter prefix; on a mismatch, raise at its first depth
+            if syms[j:j + end] != syms[:end]:
+                n = next(n for n in range(a, end + 1)
+                         if syms[j:j + n] != syms[:n])
+                raise RuntimeError(
+                    f"return-time engine and definition disagree at n={n}")
+            depths = range(a, end + 1)
+            out.extend(zip(depths, repeat(j)) if with_times else depths)
+    return len(values) + 1
+
+
 def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
                          phi: Optional[PhiSpec] = None,
                          max_n: Optional[int] = None,
@@ -293,17 +387,31 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     hit is re-verified definitionally: the word shifted by the reported
     return time must agree with itself for at least n symbols.  Returns
     (n, R_n) pairs, or bare depths with with_times=False.
+
+    The default profile at a finite rate alpha + eps > 0, with a deepest
+    cutoff that fits in a float, is decided per run of equal R_n
+    (`_run_witnesses`); everything else, and whatever a run cannot
+    decide, follows the per-depth rule below.
     """
     syms = word.symbols
     values = return_times_all(word, max_n=max_n).values
-    ns = range(1, len(values) + 1)
-    fs = map(math.log, ns) if phi is None else map(phi.value, ns)
-    cutoffs = map(math.exp, map(mul, repeat(alpha + eps), fs))
+    h = len(values)
+    c = alpha + eps
+    out = []
+    start = 1     # the first depth left to the per-depth rule
+    if phi is None:
+        logs = log_table(h + 1)
+        if h and 0 < c < math.inf and _cutoff_fits(c, logs[h]):
+            start = _run_witnesses(syms, values, c, logs, with_times, out)
+        fs = logs[start:h + 1]
+    else:
+        fs = map(phi.value, range(1, h + 1))
+    ns = range(start, h + 1)
+    cutoffs = map(math.exp, map(mul, repeat(c), fs))
     # lazily, in depth order, so an error surfaces at the depth a loop
     # over n would meet it; a depth is dropped only when j > cutoff (a
     # NaN cutoff keeps it)
-    out = []
-    for n in compress(ns, map(not_, map(gt, values, cutoffs))):
+    for n in compress(ns, map(not_, map(gt, values[start - 1:], cutoffs))):
         j = values[n - 1]
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(

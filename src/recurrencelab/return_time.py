@@ -42,6 +42,15 @@ inputs alone decide how the exact values are found:
 Every entry point reads symbols through one accessor, `_text`: a Word's
 own store, or a raw sequence normalized by shift_core.symbol_store.  A
 single depth is one scan of that store (bytes.find).
+
+Since a miss at depth n is a miss at every deeper depth, a Word remembers
+the shallowest depth at which return_time, and separately
+return_time_prime, found no return (`Word._misses`).  A query at or past
+it returns the certified bound with no scan.  Any depth recorded there is
+a true miss, so two threads racing on the record can at worst leave a
+deeper one, which only costs a later scan.  return_time_naive and raw
+sequences never read or write the record, so the oracle stays
+independent of it.
 """
 from __future__ import annotations
 
@@ -94,7 +103,7 @@ class ReturnTimes(Sequence):
 
     def bound(self, n: int) -> int:
         """The certified lower bound at a depth past exact_depth."""
-        return max(self.length - n, n - 1) if self.prime else self.length - n
+        return _bound(self.length, n, self.prime)
 
     def result(self, n: int) -> ReturnTimeResult:
         """The view at depth n (1-based)."""
@@ -120,6 +129,12 @@ class ReturnTimes(Sequence):
         return (self.result(n) for n in range(1, self.top + 1))
 
 
+def _bound(L: int, n: int, prime: bool) -> int:
+    """The certified lower bound at depth n of a length-L window that has
+    no return there: R_n > L - n, R'_n > max(L - n, n - 1)."""
+    return max(L - n, n - 1) if prime else L - n
+
+
 def _text(w: Union[Word, Sequence[int]]) -> Union[bytes, tuple]:
     """The word's symbol store, or a raw sequence normalized the same way."""
     return w.symbols if isinstance(w, Word) else symbol_store(w)
@@ -136,17 +151,22 @@ def _scan(text: Union[bytes, tuple], n: int, start: int) -> int:
     return -1
 
 
-def _lookup(w: Union[Word, Sequence[int]], n: int,
-            prime: bool) -> ReturnTimeResult:
+def _lookup(w: Union[Word, Sequence[int]], n: int, prime: bool,
+            remember: bool = False) -> ReturnTimeResult:
+    """One depth by one scan; with remember=True a Word's remembered miss
+    (see the module docstring) answers every depth at or past it."""
     text = _text(w)
     L = len(text)
     if not 1 <= n <= L:
         raise ValueError(f"need 1 <= n <= {L}, got n={n}")
-    hit = _scan(text, n, n if prime else 1)
-    if hit != -1:
-        return ReturnTimeResult(n, hit, True, prime)
-    # no return fits: the bound of a window with no exact depth
-    return ReturnTimes((), L, n, prime).result(n)
+    misses = w._misses if remember and isinstance(w, Word) else None
+    if misses is None or n < misses[prime]:
+        hit = _scan(text, n, n if prime else 1)
+        if hit != -1:
+            return ReturnTimeResult(n, hit, True, prime)
+        if misses is not None:
+            misses[prime] = min(misses[prime], n)
+    return ReturnTimeResult(n, _bound(L, n, prime), False, prime)
 
 
 def return_time_naive(w: Union[Word, Sequence[int]], n: int,
@@ -259,13 +279,15 @@ def return_times_all(w: Union[Word, Sequence[int]],
 
 
 def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
-    """R_n for one depth, by one bytes.find (no Z pass)."""
-    return _lookup(w, n, False)
+    """R_n for one depth, by one bytes.find (no Z pass), or by a Word's
+    remembered miss with no scan."""
+    return _lookup(w, n, False, remember=True)
 
 
 def return_time_prime(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
-    """R'_n: first return with shift at least n, by one bytes.find."""
-    return _lookup(w, n, True)
+    """R'_n: first return with shift at least n, by one bytes.find, or by
+    a Word's remembered miss with no scan."""
+    return _lookup(w, n, True, remember=True)
 
 
 def return_times_naive_all(w: Union[Word, Sequence[int]],

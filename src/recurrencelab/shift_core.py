@@ -80,6 +80,11 @@ class Word:
     Any iterable is normalized once into the single store `symbols`:
     bytes for m <= 256 (slicing, comparison and search run in C), else a
     tuple.  `data` is that store when it is bytes, None otherwise.
+
+    `_misses` remembers, for return_time (index 0) and return_time_prime
+    (index 1), the shallowest depth at which a scan found no return, and
+    len + 1 while none has.  It is a plain attribute, not a field, so it
+    takes no part in equality, hash, repr or dataclasses.fields.
     """
 
     symbols: Union[bytes, tuple[int, ...]]
@@ -93,6 +98,7 @@ class Word:
                 None, bytes(range(self.alphabet.m))):
             self.alphabet.check(store)  # names the offending symbol
         object.__setattr__(self, "symbols", store)
+        object.__setattr__(self, "_misses", [len(store) + 1] * 2)
 
     @property
     def data(self) -> Optional[bytes]:

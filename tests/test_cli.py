@@ -293,3 +293,35 @@ def test_build_large_alphabet_plan(tmp_path, capsys):
     assert pref["n"] == 3000 and len(pref["symbols"]) == 3000
     back = LazySequence.from_json_dict(json.loads(json.dumps(seq)))
     assert list(back.prefix(3000)) == pref["symbols"]
+
+
+# ---------------------------------------------------------- tail fraction ---
+
+@pytest.mark.parametrize("tail", ["0", "-0.5", "1.5", "nan", "inf", "half"])
+def test_rates_rejects_a_tail_outside_the_unit_interval(capsys, tail):
+    # rejected while parsing: nothing reaches stdout, the exit is a usage one
+    code, out, err = run(capsys, "rates", "--word", "0110", "--m", "2",
+                         "--tail", tail)
+    assert code == 2
+    assert out == ""
+    assert "--tail" in err and "(0, 1]" in err
+
+
+@pytest.mark.parametrize("tail", ["0", "1.0001", "nan"])
+def test_verify_rejects_a_tail_outside_the_unit_interval(capsys, monkeypatch,
+                                                         tail):
+    called = []
+    monkeypatch.setattr(cli, "_plan_from_args",
+                        lambda args: called.append(args))
+    code, out, err = run(capsys, "verify", "--phi", "log(n)", "--alpha", "3",
+                         "--beta", "3", "--tail", tail)
+    assert code == 2
+    assert out == "" and not called
+    assert "--tail" in err and "(0, 1]" in err
+
+
+def test_a_tail_of_one_still_runs(capsys):
+    code, out, _ = run(capsys, "rates", "--word", "01" * 64, "--m", "2",
+                       "--max-n", "12", "--tail", "1")
+    assert code == 0
+    assert lines(out)[-1]["tail"] == 1.0

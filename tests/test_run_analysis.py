@@ -1,0 +1,415 @@
+"""Word analysis that pays per run of equal R_n, per process, or once per
+word, against per-depth references.
+
+- Witnesses under the default profile are decided per run of equal R_n:
+  one bisection for the suffix that passes, one slice comparison for the
+  re-check.  The reference is the loop over depths with math.log and
+  math.exp, so agreement is ==, including the errors raised.
+- Every default-profile logarithm is read from one process-wide table of
+  math.log(k), grown under a lock.
+- A Word remembers its shallowest miss, plain and primed, so deeper
+  single-depth queries need no scan.
+"""
+import importlib
+import math
+import random
+import sys
+import threading
+from array import array
+from unittest import mock
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import recurrencelab.rate_dim_analysis as rda
+from recurrencelab import (Word, rate_trajectory, recurrence_witnesses,
+                           return_time, return_time_naive, return_time_prime,
+                           return_times_all)
+from recurrencelab.return_time import ReturnTimes
+
+from conftest import brute_return_time, random_word
+
+# the package re-exports the function return_time under the module's name
+return_time_module = importlib.import_module("recurrencelab.return_time")
+
+
+def _fibonacci(length, a=0, b=1):
+    prev, cur = "0", "01"
+    while len(cur) < length:
+        prev, cur = cur, cur + prev
+    return [a if ch == "0" else b for ch in cur[:length]]
+
+
+def _periodic_with_flips(rng, length, m, period, gap):
+    base = [rng.randrange(m) for _ in range(period)]
+    base[0] = (base[-1] + 1) % m
+    syms = [base[i % period] for i in range(length)]
+    for i in range(period + 3, length, gap):
+        syms[i] = (syms[i] + 1) % m
+    return syms
+
+
+def _long_run_word(kind, length, seed):
+    """Words whose exact heads are a few long runs of equal R_n."""
+    rng = random.Random(seed)
+    m = rng.choice((2, 3, 5))
+    if kind == "fibonacci":
+        a, b = rng.sample(range(m), 2)
+        return Word.from_iterable(_fibonacci(length, a, b), m)
+    if kind == "periodic":
+        return Word.from_iterable(
+            _periodic_with_flips(rng, length, m, rng.choice((2, 3, 7)),
+                                 rng.choice((41, 1000))), m)
+    return Word.from_iterable(bytes(length), m)
+
+
+def _longest_run(values):
+    """(lo, end) of the longest run of equal values: depths lo + 1 .. end."""
+    best, lo = (0, 0), 0
+    while lo < len(values):
+        end = lo
+        while end < len(values) and values[end] == values[lo]:
+            end += 1
+        if end - lo > best[1] - best[0]:
+            best = (lo, end)
+        lo = end
+    return best
+
+
+def loop_witnesses(word, alpha, eps, *, max_n=None, with_times=True):
+    """The per-depth loop: one log, one exp and one re-check per depth."""
+    syms = word.symbols
+    out = []
+    for n, j in enumerate(rda.return_times_all(word, max_n=max_n).values, 1):
+        if j > math.exp((alpha + eps) * math.log(n)):
+            continue
+        if syms[j:j + n] != syms[:n]:
+            raise RuntimeError(
+                f"return-time engine and definition disagree at n={n}")
+        out.append((n, j) if with_times else n)
+    return out
+
+
+def _outcome(call, *args, **kw):
+    try:
+        return "ok", call(*args, **kw)
+    except (RuntimeError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _overflow_rate(word, max_n):
+    """A rate whose cutoff first overflows in the middle of the longest
+    run, or None when that run is too short to have a middle."""
+    lo, end = _longest_run(return_times_all(word, max_n=max_n).values)
+    mid = (lo + 1 + end) // 2
+    if end - lo < 3 or mid < 2:
+        return None
+    return 710.0 / math.log(mid)
+
+
+RATES = [(0.5, 0.1), (1.0, 0.0), (1e-12, 0.0), (0.0, 0.0), (-0.5, 0.0),
+         (math.inf, 0.0), (math.nan, 0.0), "overflow"]
+
+
+@settings(max_examples=60, deadline=None)
+@example(kind="fibonacci", length=50_000, seed=1, rate=(0.5, 0.1),
+         with_times=True, depth=None)
+@example(kind="fibonacci", length=50_000, seed=2, rate=(1.0, 0.0),
+         with_times=False, depth=0.4)
+@example(kind="periodic", length=50_000, seed=3, rate=(0.5, 0.1),
+         with_times=True, depth=None)
+@example(kind="zero", length=50_000, seed=4, rate="overflow",
+         with_times=True, depth=None)
+@given(kind=st.sampled_from(["fibonacci", "periodic", "zero"]),
+       length=st.integers(1, 50_000), seed=st.integers(0, 2 ** 16),
+       rate=st.sampled_from(RATES), with_times=st.booleans(),
+       depth=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_run_witnesses_equal_the_depth_loop(kind, length, seed, rate,
+                                            with_times, depth):
+    word = _long_run_word(kind, length, seed)
+    max_n = None if depth is None else max(1, int(depth * length))
+    if rate == "overflow":
+        c = _overflow_rate(word, max_n)
+        rate = (1.0, 0.0) if c is None else (c, 0.0)
+    kw = dict(max_n=max_n, with_times=with_times)
+    got = _outcome(recurrence_witnesses, word, *rate, **kw)
+    assert got == _outcome(loop_witnesses, word, *rate, **kw)
+
+
+def test_an_overflow_inside_a_run_is_raised_like_the_loop():
+    word = Word.from_iterable(bytes(5000), 2)
+    c = _overflow_rate(word, None)
+    assert math.exp(c * math.log(2400)) < math.inf
+    for call in (recurrence_witnesses, loop_witnesses):
+        with pytest.raises(OverflowError):
+            call(word, c, 0.0)
+
+
+def test_a_run_costs_a_bisection_not_a_cutoff_per_depth():
+    # the benchmark's rate, and one where most depths pass, on a
+    # 50 000-symbol Fibonacci word: a few dozen runs over some 30 000
+    # exact depths, each run decided by a bisection of exp calls
+    word = Word.from_iterable(_fibonacci(50_000), 2)
+    values = return_times_all(word).values
+    runs = len(set(values))
+    assert len(values) > 500 * runs
+    real_exp = math.exp
+    for c in (0.6, 1.0):
+        exps = []
+
+        def counting_exp(x):
+            exps.append(x)
+            return real_exp(x)
+
+        with mock.patch.object(math, "exp", counting_exp):
+            got = recurrence_witnesses(word, c, 0.0)
+        assert len(exps) <= runs * (math.log2(len(values)) + 1) + 1
+        assert got == loop_witnesses(word, c, 0.0)
+
+
+def _wrong_engine(change):
+    real = rda.return_times_all
+
+    def wrong(word, max_n=None):
+        rt = real(word, max_n=max_n)
+        values = list(rt.values)
+        change(values)
+        return ReturnTimes(tuple(values), rt.length, rt.top)
+    return wrong
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["fibonacci", "periodic", "zero"]),
+       length=st.integers(200, 20_000), seed=st.integers(0, 2 ** 16),
+       where=st.floats(0.0, 1.0), shape=st.sampled_from(["one", "tail"]),
+       rate=st.sampled_from([(1.0, 0.0), (0.5, 0.1), (2.0, 0.0)]))
+def test_a_wrong_value_inside_a_long_run_raises_at_the_loops_depth(
+        kind, length, seed, where, shape, rate):
+    word = _long_run_word(kind, length, seed)
+    lo, end = _longest_run(return_times_all(word).values)
+    assume(end > lo)
+    k = lo + min(int(where * (end - lo)), end - lo - 1)
+
+    def change(values):
+        # one value off (the column is no longer nondecreasing), or the
+        # rest of the run moved one shift on (it still is)
+        for i in range(k, k + 1 if shape == "one" else end):
+            values[i] += 1
+
+    with mock.patch.object(rda, "return_times_all", _wrong_engine(change)):
+        want = _outcome(loop_witnesses, word, *rate)
+        for with_times in (True, False):
+            got = _outcome(recurrence_witnesses, word, *rate,
+                           with_times=with_times)
+            if want[0] == "ok":
+                assert got == ("ok", [n for n, _ in want[1]] if not with_times
+                               else want[1])
+            else:
+                assert got == want
+
+
+def test_a_wrong_value_deep_in_a_run_is_named():
+    # the longest run of a Fibonacci word, one value in its middle off
+    word = Word.from_iterable(_fibonacci(20_000), 2)
+    lo, end = _longest_run(return_times_all(word).values)
+    assert end - lo > 1000
+    k = (lo + end) // 2
+
+    def change(values):
+        values[k] += 1
+
+    with mock.patch.object(rda, "return_times_all", _wrong_engine(change)):
+        for call in (recurrence_witnesses, loop_witnesses):
+            with pytest.raises(RuntimeError, match=f"n={k + 1}$"):
+                call(word, 2.0, 0.0)
+
+
+# -------------------------------------------------------------- log table ---
+
+def _loop_ratios(word):
+    """log(R_n)/log(n) by math.log at every depth, as the trajectory's
+    column; bounds past the exact head, values below 1 dropped."""
+    rt = return_times_all(word)
+    out = array("d")
+    for n in range(2, rt.top + 1):
+        value = rt.values[n - 1] if n <= rt.exact_depth else rt.bound(n)
+        if value >= 1:
+            out.append(math.log(value) / math.log(n))
+    return out
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty log table for the test, the shared one restored after."""
+    monkeypatch.setattr(rda, "_logs", array("d", [-math.inf]))
+
+
+def test_a_short_word_reads_the_same_logs_before_and_after_a_long_one(
+        fresh_table):
+    rng = random.Random(7)
+    short = Word.from_iterable(_fibonacci(3000), 2)
+    long_word = random_word(rng, 3, 40_000)
+    want_short = _loop_ratios(short).tobytes()
+    assert rate_trajectory(short).entries.ratios.tobytes() == want_short
+    assert 3000 <= len(rda._logs) < 40_000
+    assert rate_trajectory(long_word).entries.ratios.tobytes() == \
+        _loop_ratios(long_word).tobytes()
+    assert len(rda._logs) >= 40_000
+    assert rate_trajectory(short).entries.ratios.tobytes() == want_short
+    table = rda._logs
+    assert table[1:].tobytes() == \
+        array("d", map(math.log, range(1, len(table)))).tobytes()
+
+
+def test_the_table_grows_by_a_quarter_at_least(fresh_table):
+    assert len(rda.log_table(1000)) == 1000
+    assert len(rda.log_table(1001)) == 1250
+    assert len(rda.log_table(10)) == 1250
+    assert len(rda.log_table(5000)) == 5000
+
+
+@pytest.fixture
+def fast_switching():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_two_threads_build_identical_columns(fresh_table, fast_switching):
+    rng = random.Random(11)
+    words = [Word.from_iterable(_fibonacci(25_000), 2),
+             random_word(rng, 2, 60_000)]
+    want = [_loop_ratios(w).tobytes() for w in words]
+    for _ in range(3):
+        rda._logs = array("d", [-math.inf])
+        start = threading.Barrier(len(words))
+        got = [None] * len(words)
+
+        def build(i):
+            start.wait()
+            got[i] = rate_trajectory(words[i]).entries.ratios.tobytes()
+
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(len(words))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == want
+
+
+def test_concurrent_growth_never_duplicates_entries(fresh_table,
+                                                    fast_switching):
+    sizes = [500 * k for k in range(1, 17)]
+    want = array("d", map(math.log, range(1, sizes[-1] * 2))).tobytes()
+    for _ in range(30):
+        rda._logs = array("d", [-math.inf])
+        seen = {}
+        start = threading.Barrier(len(sizes))
+
+        def grow(size):
+            start.wait()
+            seen[size] = rda.log_table(size)
+
+        threads = [threading.Thread(target=grow, args=(s,)) for s in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for size, table in seen.items():
+            assert len(table) >= size
+            assert table[1:].tobytes() == want[:8 * (len(table) - 1)]
+        final = rda._logs
+        assert final[1:].tobytes() == want[:8 * (len(final) - 1)]
+
+
+# ------------------------------------------------------ remembered misses ---
+
+def _counting_scan(monkeypatch):
+    calls = []
+    real = return_time_module._scan
+
+    def scan(text, n, start):
+        calls.append(n)
+        return real(text, n, start)
+
+    monkeypatch.setattr(return_time_module, "_scan", scan)
+    return calls
+
+
+@pytest.mark.parametrize("query", [return_time, return_time_prime])
+def test_no_scan_runs_past_a_remembered_miss(monkeypatch, query):
+    word = random_word(random.Random(3), 2, 600)
+    prime = query is return_time_prime
+    calls = _counting_scan(monkeypatch)
+    results = [query(word, n) for n in range(1, 601)]
+    first_miss = next(r.n for r in results if not r.exact)
+    assert calls == list(range(1, first_miss + 1))
+    assert word._misses[prime] == first_miss
+    assert word._misses[not prime] == 601
+    for r in results:
+        assert (r.value, r.exact) == brute_return_time(word.symbols, r.n,
+                                                       prime)
+    calls.clear()
+    assert [query(word, n) for n in range(600, first_miss - 1, -1)] == \
+        results[first_miss - 1:][::-1]
+    assert calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(syms=st.lists(st.integers(0, 2), min_size=1, max_size=80),
+       order=st.data())
+def test_queries_in_any_order_equal_the_brute_scan(syms, order):
+    word = Word.from_iterable(syms, 3)
+    L = len(syms)
+    queries = order.draw(st.lists(
+        st.tuples(st.integers(1, L), st.booleans()), max_size=3 * L))
+    for n, prime in queries:
+        res = (return_time_prime if prime else return_time)(word, n)
+        assert (res.n, res.prime) == (n, prime)
+        assert (res.value, res.exact) == brute_return_time(syms, n, prime)
+
+
+def test_the_naive_scan_neither_reads_nor_writes_the_record():
+    word = Word.from_digits("0100101001001", 2)
+    # a false record: a miss claimed at depth 1, plain and primed
+    word._misses[:] = [1, 1]
+    for n in range(1, len(word) + 1):
+        for prime in (False, True):
+            res = return_time_naive(word, n, prime)
+            assert (res.value, res.exact) == \
+                brute_return_time(word.symbols, n, prime)
+    assert return_time(word, 2).exact is False      # the record is read
+    fresh = Word.from_digits("0100101001001", 2)
+    for n in range(1, len(fresh) + 1):
+        return_time_naive(fresh, n)
+        return_time_naive(fresh, n, True)
+    assert fresh._misses == [len(fresh) + 1] * 2
+
+
+def test_raw_sequences_keep_no_record(monkeypatch):
+    syms = [0, 1, 1, 0, 1, 1, 1]
+    calls = _counting_scan(monkeypatch)
+    for _ in range(2):
+        for n in range(1, 8):
+            return_time(syms, n)
+    assert calls == list(range(1, 8)) * 2
+
+
+def test_the_record_leaves_equality_hash_and_repr_alone():
+    a = Word.from_digits("0110100110", 2)
+    b = Word.from_digits("0110100110", 2)
+    return_time(a, 9)
+    return_time_prime(a, 6)
+    assert a._misses != b._misses
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.symbols, a.alphabet))
+    assert repr(a) == repr(b) == \
+        "Word(symbols=b'\\x00\\x01\\x01\\x00\\x01\\x00\\x00\\x01\\x01\\x00', " \
+        "alphabet=Alphabet(m=2))"
+    assert a != Word.from_digits("0110100111", 2)
+    assert {a: 1}[b] == 1
