@@ -26,13 +26,13 @@ caller passes the exponent x from which n was built (n = ceil(e^x)), it
 is x + log1p(n e^-x - 1) by a four-term series; otherwise, or when that
 hint is too far off, it is Newton's method on exp.
 
-exp_int and the hinted ln share `_exp`, a pure function with a memo.
-Outside a plan the memo holds the last two arguments, so exp_ceil(x)
-followed by power_log_ceil(n, 1, near=x) computes e^x once.  Inside
-`exp_memo_scope`, which plan synthesis opens for one plan, it keeps every
-value until the scope closes, and a ladder that builds all its rungs
-before the first power_log_ceil still computes each e^x once: exp_int's
-``power`` asks for e^x at the digits the hinted ln of n^power will want.
+exp_int and the hinted ln share `_exp`, a pure function.  Inside
+`exp_memo_scope`, which plan synthesis opens for one plan, they share a
+memo of its values that lives until the scope closes: exp_ceil(x)
+followed by power_log_ceil(n, 1, near=x) computes e^x once, and a ladder
+that builds all its rungs before the first power_log_ceil still computes
+each e^x once, as exp_int's ``power`` asks for e^x at the digits the
+hinted ln of n^power will want.  Outside a scope each call computes e^x.
 
 Desk-scale note: direct float arithmetic does not settle ceilings even at
 desk scale.  float n*log(n) is within about 2^-51 of n ln n relatively,
@@ -44,10 +44,8 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import math
 import sys
-from collections import namedtuple
 
 import mpmath
 from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_e,
@@ -105,79 +103,44 @@ def _terms(log_value) -> tuple:
     return tuple(log_value)
 
 
-# the memo's entries outside a scope: exp_int's e^x and the hinted ln of
-# the same x that follows it
-EXP_MEMO_SIZE = 2
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _ExpMemo:
-    """The values `_exp` has computed, oldest first, and its hit counts.
-
-    Inside `exp_memo_scope` nothing is evicted; outside it only the last
-    EXP_MEMO_SIZE entries stay.  The counts run for the process's life.
-    """
-
-    def __init__(self):
-        self.entries = {}
-        self.depth = 0
-        self.hits = self.misses = 0
-
-
-_EXP_MEMO = _ExpMemo()
+# the `_exp` values computed while an exp_memo_scope is open, keyed by
+# (terms, dps); None outside every scope
+_memo = None
 
 
 @contextlib.contextmanager
 def exp_memo_scope():
-    """Keep every `_exp` value until the outermost scope closes, then empty
-    the memo, also when the body raises.
-
-    It touches only the memo's store, never `_exp` itself, so it works
-    unchanged when `_exp` is replaced by a plain function.
-    """
-    memo = _EXP_MEMO
-    memo.depth += 1
+    """Keep every `_exp` value that exp_int and the hinted ln ask for until
+    the outermost scope closes, then drop them, also when the body raises.
+    Nested scopes share the outermost one's memo."""
+    global _memo
+    outermost = _memo is None
+    if outermost:
+        _memo = {}
     try:
         yield
     finally:
-        memo.depth -= 1
-        if not memo.depth:
-            memo.entries.clear()
+        if outermost:
+            _memo = None
 
 
-def _memoized(kernel):
-    """`kernel` behind `_EXP_MEMO`, with lru_cache's `cache_info()`;
-    ``__wrapped__`` is the kernel, looked up on each miss."""
-    memo = _EXP_MEMO
-
-    @functools.wraps(kernel)
-    def cached(terms: tuple, dps: int):
-        key = (terms, dps)
-        entries = memo.entries
-        if key in entries:
-            memo.hits += 1
-            entries[key] = value = entries.pop(key)   # now the newest
-            return value
-        memo.misses += 1
-        value = cached.__wrapped__(terms, dps)
-        entries[key] = value
-        if not memo.depth and len(entries) > EXP_MEMO_SIZE:
-            del entries[next(iter(entries))]
-        return value
-
-    cached.cache_info = lambda: CacheInfo(
-        memo.hits, memo.misses, None if memo.depth else EXP_MEMO_SIZE,
-        len(memo.entries))
-    return cached
+def _scoped_exp(terms: tuple, dps: int):
+    """`_exp(terms, dps)`, read from the open scope's memo when it is there."""
+    memo = _memo
+    if memo is None:
+        return _exp(terms, dps)
+    key = (terms, dps)
+    if key not in memo:
+        memo[key] = _exp(terms, dps)
+    return memo[key]
 
 
-@_memoized
 def _exp(terms: tuple, dps: int):
     """e to the exact sum of terms, as an mpf at dps digits, within one
     unit in the last place (the routes are in the module docstring).
 
-    Pure, so a memo hit returns the value a fresh call would.
+    Pure, so a value from `_scoped_exp`'s memo is the one a fresh call
+    would return.
     """
     num, s = _dyadic_sum(terms)
     whole = num >> s
@@ -356,8 +319,9 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
     A ``power`` above 1 (an int or a Fraction) asks for e**log_value
     at the digits of e**(power*log_value) plus GUARD_DIGITS when those
     stay within the digit cap: the digits the hinted ln of n**power asks
-    for (see `_ln`), so power_log_ceil(n, power, near=log_value) finds
-    the value in the memo.  The integer returned is the same.
+    for (see `_ln`), so inside `exp_memo_scope` power_log_ceil(n, power,
+    near=log_value) finds the value in the memo.  The integer returned
+    is the same.
     """
     terms = _terms(log_value)
     approx = math.fsum(terms)
@@ -372,7 +336,7 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
         if shared <= digit_cap:
             places = shared
     dps = places + GUARD_DIGITS
-    value = _exp(terms, dps)
+    value = _scoped_exp(terms, dps)
     with mpmath.workdps(dps):
         out = mpmath.ceil(value) if rounding == "ceil" else mpmath.floor(value)
         return int(out)
@@ -439,7 +403,7 @@ def _ln_near(x, terms: tuple, places: int):
         e_t = mpmath.exp(mpmath.fsum(mpmath.mpf(t) for t in terms))
         if mpmath.mag(x / e_t - 1) >= -90:
             return None
-    e_t = _exp(terms, places)
+    e_t = _scoped_exp(terms, places)
     d = x - e_t
     log1p = d   # zero when x is e^t at this precision
     if d:
@@ -527,7 +491,3 @@ def nlogn_ceil(n: int, near=None) -> int:
     with mpmath.workdps(digits_of_exp(n.bit_length() * LN2) + GUARD_DIGITS):
         return int(mpmath.ceil(mpmath.mpf(n) * _ln(n, near)))
 
-
-def float_log(n: int) -> float:
-    """Natural log of a positive int of any size, as a float."""
-    return math.log(n)

@@ -46,7 +46,10 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _default_cap() -> int:
+def _cap_from_args(args) -> int:
+    """--cap when given, else RECURRENCELAB_CAP, else the default."""
+    if args.cap is not None:
+        return args.cap
     raw = os.environ.get(_CAP_ENV)
     return int(raw) if raw else DEFAULT_MATERIALIZATION_CAP
 
@@ -87,6 +90,18 @@ def _tail_fraction(text: str) -> float:
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(
             f"tail fraction must lie in (0, 1], got {text!r}")
+    return value
+
+
+def _cap(text: str) -> int:
+    """--cap: a positive symbol count, checked before any output."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"cap must be a positive integer, got {text!r}")
     return value
 
 
@@ -169,7 +184,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_build(args) -> int:
     plan = _load_plan(args.plan_file)
-    cap = args.cap or _default_cap()
+    cap = _cap_from_args(args)
     free = _free_from_args(args, plan.m)
     usable = materializable_term_count(plan, cap)
     if usable < len(plan):
@@ -218,6 +233,10 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_witnesses(args) -> int:
+    if math.isnan(args.alpha + args.eps):
+        _note(f"witnesses: the rate alpha + eps = {args.alpha} + {args.eps} "
+              "is not a number")
+        return 2
     word = _word_from_args(args)
     phi = _profile_from_args(args)
     hits = recurrence_witnesses(word, args.alpha, args.eps, phi=phi,
@@ -247,7 +266,7 @@ def _grew(ratios: list[float], factor: float) -> bool:
 def _cmd_verify(args) -> int:
     plan, phi, cls = _plan_from_args(args)
     _emit(plan.to_json_dict())
-    cap = args.cap or _default_cap()
+    cap = _cap_from_args(args)
     usable = materializable_term_count(plan, cap)
     sub = truncate_plan(plan, usable)
     brackets = certified_brackets(sub)
@@ -343,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="plan JSON path, or - for stdin")
     sp.add_argument("--free", default="zero",
                     help="free-slot stream: zero | seed:<int> | digits:<sym>")
-    sp.add_argument("--cap", type=int, default=None,
+    sp.add_argument("--cap", type=_cap, default=None,
                     help=f"materialization cap (default {_CAP_ENV} or "
                          f"{DEFAULT_MATERIALIZATION_CAP})")
     sp.add_argument("--prefix", type=int, default=0,
@@ -392,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_profile_args(sp, required=True)
     _add_rate_args(sp)
     _add_plan_args(sp)
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=_cap, default=None)
     sp.add_argument("--free", default="zero")
     sp.add_argument("--tol", type=float, default=0.1)
     sp.add_argument("--tail", type=_tail_fraction, default=0.5)

@@ -271,7 +271,7 @@ def _geometric_ladder(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
         tol, thr = _witness_args(extreme, cycle, inv_tol)
         w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
                                eval_shift=shift)
-        ll_w = bignum.float_log(w)
+        ll_w = math.log(w)
         gap = math.log(ll_w) - math.log(lls[-1])
         d = max(int(gap // lnC), cycle)
         first = len(ns) + 1
@@ -322,7 +322,7 @@ def _square_ladder(phi, gamma: ExtReal, delta: ExtReal, count: int,
                                    eval_shift=shift)
             # w >= exp_ceil((k+1)^2) makes log(w) >= (k+1)^2 exact; clamp
             # away float-conversion dust so the sqrt index always advances
-            ll_w = max(bignum.float_log(w), float((k + 1) ** 2))
+            ll_w = max(math.log(w), float((k + 1) ** 2))
             s = _floor_sqrt(ll_w)
             first = len(ns) + 1
             for j in range(1, s - k):
@@ -495,7 +495,7 @@ def _gen_case_ii(phi, cls, p, count, digit_cap):
     prev_ratio = 0.0
     for i in itertools.count(1):
         t = phi.value(n_prev + 1)
-        need_ln = max(i * t, bignum.float_log(n_prev) + i * i + 2)
+        need_ln = max(i * t, math.log(n_prev) + i * i + 2)
         if gf is not None:
             need_ln = max(need_ln, 1.01 * i * t / gf)
         min_ln = need_ln
@@ -506,10 +506,10 @@ def _gen_case_ii(phi, cls, p, count, digit_cap):
                                           threshold=max(float(i), prev_ratio))
             else:
                 cand = find_ratio_witness(phi, gamma, min_n, tol=1.0 / i)
-            ln_c = bignum.float_log(cand)
+            ln_c = math.log(cand)
             f_c = phi.value(cand)
             if (f_c > i * t and ln_c > i * t
-                    and ln_c > bignum.float_log(n_prev) + i * i + 2):
+                    and ln_c > math.log(n_prev) + i * i + 2):
                 break
             min_ln = ln_c * 1.5
             min_n = bignum.exp_ceil(min_ln, digit_cap=digit_cap)
@@ -577,7 +577,7 @@ def _gen_case_vi(phi, cls, p, count, digit_cap):
     lo = float(cls.delta)
     hi = float(cls.gamma)
     for m_i in build_subseq2_ii(phi, count, n_start=max(3, p + 1)).ms:
-        lnm = bignum.float_log(m_i)
+        lnm = math.log(m_i)
         f = phi.value(m_i)
         x = min(max(f / lnm, lo), hi)
         rho = Cf * x + Df

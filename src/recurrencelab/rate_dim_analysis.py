@@ -23,11 +23,13 @@ time, so a stream of slowly growing words does not copy it once per
 word), never shrinks and needs no setting: 8 bytes per symbol, about
 1.4 MB for a 176 531-symbol word.  Growth builds a new table under a lock
 and then swaps it in; a table is never changed once published, so a
-reader that holds one may index it while another thread grows the next.
+reader that holds one, or a memoryview of one, may read it while another
+thread grows the next.
 
-The ratios of a length-L word are paired logs: the bound at depth n is
-L - n, so a bound depth n and depth L - n read log(n) and log(L - n) in
-swapped roles (`_log_ratio_column`, one slice of the table for each).
+The ratio column of a length-L word is one pass over two memoryviews of
+the table (`_log_ratio_column`): the numerators log(R_n), one read per
+run of equal exact return times and then the bounds log(L - n) as a
+reversed slice, and the denominators log(n).
 
 `recurrence_witnesses` works per run of equal R_n = j under the default
 profile with a finite rate c = alpha + eps > 0.  Within a run the cutoff
@@ -48,7 +50,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, pairwise, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, gt, le, mul, not_, truediv
 from typing import Optional
 
@@ -58,12 +60,9 @@ from .phi_spec import PhiSpec
 from .return_time import return_times_all
 from .shift_core import Word
 
-# pairs of depths per block of logarithms in a word's default-profile
-# ratio column: two slices of this many doubles are alive at a time
-RATIO_BLOCK = 4096
-
 # entry k is math.log(k); entry 0 stands for log 0 = -inf and is never
-# read.  Replaced whole when it grows, never changed in place.
+# read.  Replaced whole when it grows, never changed in place: readers
+# hold memoryviews of it, and an array with a live view cannot resize.
 _logs = array("d", [-math.inf])
 _logs_lock = threading.Lock()
 
@@ -196,41 +195,17 @@ def _log_ratio_column(L: int, top: int, values: Sequence[int]) -> array:
     where R_n = values[n - 1] at the exact depths n <= h = len(values) and
     the bound L - n past them.
 
-    A bound depth n and its mirror L - n read the same two logarithms,
-    swapped: log(L - n)/log(n) and log(n)/log(L - n).  So depths are taken
-    in pairs (n, L - n) with n < L - n, RATIO_BLOCK pairs at a time, and
-    one slice of the log table holds the denominators of the low depths
-    and the numerators of their bound mirrors, another the reverse.  An
-    exact depth reads log(R_n) instead, one table read per run of equal
-    return times.  The blocks are cut where n, or its mirror, crosses h or
-    top, so one rule holds across a block.
+    One pass over two views of the log table: the numerators are the
+    exact head, one table read per run of equal return times, then the
+    bounds log(L - n) as a reversed slice; the denominators are log(n).
+    The views copy nothing.
     """
     if top < 2:
         return array("d")
-    logs = log_table(L)
-    out = array("d", [0.0]) * (top - 1)
-    h = len(values)
-    mid = min((L - 1) // 2, top)    # the last low depth of a pair
-    cuts = {2, mid + 1} | {c for c in (h + 1, L - h, L - top) if 2 < c <= mid}
-    for first, stop in pairwise(sorted(cuts)):
-        for s in range(first, stop, RATIO_BLOCK):
-            e = min(s + RATIO_BLOCK, stop)
-            low = logs[s:e]                   # log n
-            high = logs[L - s:L - e:-1]       # log(L - n), same order
-            num = high if s > h else _run_logs(values, s - 1, e - 1, logs)
-            out[s - 2:e - 2] = array("d", map(truediv, num, low))
-            if s >= L - top:
-                # the mirrors L - e + 1 .. L - s, in increasing depth
-                num = (reversed(low) if s < L - h
-                       else _run_logs(values, L - e, L - s, logs))
-                out[L - e - 1:L - s - 1] = array("d", map(truediv, num,
-                                                          reversed(high)))
-    # the middle depth L/2 is its own mirror; depth L - 1, whose mirror 1
-    # has no ratio, returns within 1 (exact or bound), so its ratio is
-    # log(1)/log(L - 1) = 0.0, as allocated
-    for n in range(mid + 1, min(L - mid, top + 1)):
-        out[n - 2] = logs[values[n - 1] if n <= h else L - n] / logs[n]
-    return out
+    logs = memoryview(log_table(L))
+    h = max(len(values), 1)
+    num = chain(_run_logs(values, 1, h, logs), logs[L - top:L - h][::-1])
+    return array("d", map(truediv, num, logs[2:top + 1]))
 
 
 def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
@@ -241,7 +216,8 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     and so are depths where phi(n) <= 0: n = 1 under the default profile
     since log(1) = 0.  The columns are built without a per-depth
     statement: exact values first, then the bounds as a range; under the
-    default profile each log(k) serves two depths (`_log_ratio_column`).
+    default profile every logarithm is a read of the shared log table
+    (`_log_ratio_column`).
     """
     rt = return_times_all(word, max_n=max_n)
     L, head = rt.length, rt.values

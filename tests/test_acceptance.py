@@ -20,7 +20,6 @@ from recurrencelab import (INF, ExtReal, InsertionPlan, OscLogPhi, SeededFree,
                            recurrence_witnesses, return_time_naive,
                            return_times_all, return_times_naive_all,
                            running_extremes, truncate_plan)
-from recurrencelab.bignum import float_log
 
 
 # one verdict line per criterion; conftest's terminal-summary hook prints
@@ -248,10 +247,10 @@ def test_ac08_oscillating_exponent_band():
     lo, hi = 1.25, 4.0
     bad = 0
     for n, ell in plan.terms:
-        ln_n = float_log(n)
+        ln_n = math.log(n)
         base = math.log(phi.value(n)) + math.log(ln_n)
-        above = (float_log(ell + 1) - base) / ln_n   # > true exponent
-        below = (float_log(ell) - base) / ln_n       # <= true exponent
+        above = (math.log(ell + 1) - base) / ln_n   # > true exponent
+        below = (math.log(ell) - base) / ln_n       # <= true exponent
         if not (above > lo - 1e-9 and below < hi + 1e-9):
             bad += 1
     _report(8, bad == 0,

@@ -13,7 +13,7 @@ from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
 from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, EXP_BURST_PREC,
                                   EXP_POW_PREC, GUARD_DIGITS, LOG10, _exp,
                                   _exp_whole, _ln, digits_of_exp, exp_ceil,
-                                  exp_floor, exp_int, float_log, nlogn_ceil,
+                                  exp_floor, exp_int, nlogn_ceil,
                                   nth_root_floor, power_log_ceil)
 from recurrencelab.errors import CapacityError
 
@@ -53,7 +53,7 @@ def test_exp_ceil_beyond_float_range():
     # e^1000 overflows float arithmetic but not the big-int path
     v = exp_ceil(1000.0)
     assert len(str(v)) == 435
-    assert float_log(v) == pytest.approx(1000.0, abs=1e-9)
+    assert math.log(v) == pytest.approx(1000.0, abs=1e-9)
 
 
 def test_digit_cap_enforced():
@@ -89,11 +89,6 @@ def test_nlogn_ceil():
         with mpmath.workdps(60):
             expected = int(mpmath.ceil(n * mpmath.log(n)))
         assert nlogn_ceil(n) == expected
-
-
-def test_float_log_big_int():
-    n = 10 ** 400
-    assert float_log(n) == pytest.approx(400 * math.log(10), rel=1e-12)
 
 
 # -------------------------------------------------- Newton ln against ln ---
@@ -250,68 +245,72 @@ def test_plans_are_unchanged_without_the_hinted_ln(monkeypatch):
     assert [_hint_plan(*r) for r in HINT_PLANS] == hinted
 
 
-def test_exp_memo_carries_nothing_from_one_plan_into_the_next():
-    def hits(request):
-        before = bignum._exp.cache_info().hits
-        _hint_plan(*request)
-        return bignum._exp.cache_info().hits - before
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The (terms, dps) of every run of the exp kernel during a test."""
+    runs, real = [], bignum._exp
+    monkeypatch.setattr(bignum, "_exp",
+                        lambda terms, dps: runs.append((terms, dps))
+                        or real(terms, dps))
+    return runs
 
+
+def test_exp_outside_a_scope_runs_the_kernel_on_every_call(kernel_runs):
+    x = 2000.25
+    n = exp_ceil(x)
+    assert exp_ceil(x) == n
+    power_log_ceil(n, 1, near=x)
+    assert kernel_runs == [((x,), exp_int_dps(x))] * 3
+
+
+def test_exp_memo_scope_empties_at_the_outermost_close(kernel_runs):
+    xs = (1000.5, 1001.5, 1002.5)
+    with bignum.exp_memo_scope():
+        with bignum.exp_memo_scope():
+            values = [exp_ceil(x) for x in xs]
+        assert [exp_ceil(x) for x in xs] == values
+        assert len(kernel_runs) == 3
+    assert bignum._memo is None
+    assert [exp_ceil(x) for x in xs] == values
+    assert len(kernel_runs) == 6
+
+
+def test_exp_memo_carries_nothing_from_one_plan_into_the_next(kernel_runs):
     request = ("log(n)", "1", "inf", 30)
-    first = hits(request)
-    assert first > 0   # exp_ceil then power_log_ceil of the same exponent
-    assert hits(request) <= first
+    _hint_plan(*request)
+    first = len(kernel_runs)
+    assert first > 0
+    _hint_plan(*request)
+    assert kernel_runs[first:] == kernel_runs[:first]
 
 
 def test_no_exp_memo_entry_outlives_a_plan(monkeypatch):
     seen, real = [], bignum.power_log_ceil
 
     def spy(*args, **kwargs):
-        seen.append(bignum._exp.cache_info())
+        seen.append(len(bignum._memo))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bignum, "power_log_ceil", spy)
     _hint_plan("log(n)", "2", "2", 30)
     # within the plan nothing is evicted; after it nothing is left
-    assert all(info.maxsize is None for info in seen)
-    assert max(info.currsize for info in seen) > bignum.EXP_MEMO_SIZE
-    assert bignum._exp.cache_info().currsize == 0
+    assert seen == sorted(seen) and seen[-1] > 2
+    assert bignum._memo is None
     # a plan that raises, from its ladder, with entries in the memo
     with pytest.raises(CapacityError):
         plan_full_dimension(parse_phi("log(n)"), ExtReal(2), ExtReal(2),
                             count=40, digit_cap=500)
-    assert bignum._exp.cache_info().currsize == 0
-    assert bignum._exp.cache_info().maxsize == bignum.EXP_MEMO_SIZE
+    assert bignum._memo is None
 
 
-def test_exp_memo_hits_keep_counting_across_plans():
-    counts = [bignum._exp.cache_info().hits]
-    for _ in range(2):
-        _hint_plan("log(n)", "2", "2", 30)
-        counts.append(bignum._exp.cache_info().hits)
-    assert counts[1] > counts[0]
-    assert counts[2] - counts[1] == counts[1] - counts[0]
-
-
-def test_exp_memo_scope_empties_at_the_outermost_close():
-    with bignum.exp_memo_scope():
-        with bignum.exp_memo_scope():
-            for x in (1000.5, 1001.5, 1002.5):
-                exp_ceil(x)
-        assert bignum._exp.cache_info().currsize == 3
-    assert bignum._exp.cache_info().currsize == 0
-    for x in (1000.5, 1001.5, 1002.5):
-        exp_ceil(x)
-    assert bignum._exp.cache_info().currsize == bignum.EXP_MEMO_SIZE
-
-
-def test_exp_power_asks_at_the_hinted_lns_digits():
+def test_exp_power_asks_at_the_hinted_lns_digits(kernel_runs):
     x = 2000.25
     n = exp_ceil(x)
-    assert exp_ceil(x, power=Fraction(5, 2)) == n == mp_exp_ceil(x)
-    before = bignum._exp.cache_info()
-    want = power_log_ceil(n, Fraction(5, 2), near=x)
-    after = bignum._exp.cache_info()
-    assert after.hits == before.hits + 1 and after.misses == before.misses
+    kernel_runs.clear()
+    with bignum.exp_memo_scope():
+        assert exp_ceil(x, power=Fraction(5, 2)) == n == mp_exp_ceil(x)
+        want = power_log_ceil(n, Fraction(5, 2), near=x)
+    assert len(kernel_runs) == 1
     assert want == power_log_ceil(n, Fraction(5, 2))
     # past the digit cap the power is ignored, and the integer is the same
     assert exp_ceil(x, digit_cap=900, power=3) == n
@@ -321,12 +320,9 @@ def test_exp_power_asks_at_the_hinted_lns_digits():
     ("log(n)", "2", "2", 120), ("osc 4/5 6/5", "5/6", "5/4", 120),
     ("log(n)", "2", "3", 24)],
     ids=["log-2-2", "osc-5/6-5/4", "log-2-3"])
-def test_case_v_ladders_compute_each_exponent_once(monkeypatch, plan_request):
-    runs, real = [], bignum._exp.__wrapped__
-    monkeypatch.setattr(bignum._exp, "__wrapped__",
-                        lambda terms, dps: runs.append(terms) or real(terms, dps))
+def test_case_v_ladders_compute_each_exponent_once(kernel_runs, plan_request):
     _hint_plan(*plan_request)
-    assert runs and len(runs) == len(set(runs))
+    assert kernel_runs and len(kernel_runs) == len(set(kernel_runs))
 
 
 # ------------------------------------------------------------ exp kernel ---
@@ -343,7 +339,7 @@ def assert_exp_within_an_ulp(terms, dps):
     40 digits further, and has its ceiling and floor unless e^X lies
     within 10^-GUARD_DIGITS (relative) of an integer, as e^X does for a
     tiny X: the module's exactness convention."""
-    got = _exp.__wrapped__(tuple(terms), dps)   # no memo between draws
+    got = _exp(tuple(terms), dps)
     want = mpmath_exp(terms, dps + 40)
     with mpmath.workdps(dps + 40):
         ulp = mpmath.ldexp(1, mpmath.mag(want) - dps_to_prec(dps))
@@ -394,12 +390,12 @@ def test_exp_kernel_on_both_sides_of_the_cut_off(monkeypatch, terms, dps):
                    and x != int(x))
     assert bool(bursts) == takes_burst
     if not takes_burst:   # mpmath's own exp, bit for bit
-        assert _exp.__wrapped__(terms, dps) == mpmath_exp(terms, dps)
+        assert _exp(terms, dps) == mpmath_exp(terms, dps)
 
 
 def test_exp_kernel_refuses_a_non_binary_fraction():
     with pytest.raises(TypeError):
-        _exp.__wrapped__((2000.0, Fraction(1, 3)), 900)
+        _exp((2000.0, Fraction(1, 3)), 900)
 
 
 # requests whose positions reach the bit-burst route (case ii, iv, v) or
@@ -448,7 +444,7 @@ def exp_int_dps(n):
 def test_integer_exponents_are_mpmaths_exp_bit_for_bit(n, mult):
     # mult = 2: the hinted ln of power_log_ceil at A = 2
     dps = mult * exp_int_dps(n)
-    assert _exp.__wrapped__((float(n),), dps) == mpmath_exp((n,), dps), n
+    assert _exp((float(n),), dps) == mpmath_exp((n,), dps), n
 
 
 @pytest.fixture
@@ -466,7 +462,7 @@ def test_integer_exponents_take_the_table_past_mpmaths_cut_off(
                         lambda n, prec: calls.append((n, prec)) or real(n, prec))
     ns = (100, 400, 9000)
     for n in ns:
-        _exp.__wrapped__((float(n),), exp_int_dps(n))
+        _exp((float(n),), exp_int_dps(n))
     prec = [dps_to_prec(exp_int_dps(n)) for n in ns]
     assert prec[0] <= EXP_POW_PREC < prec[1]
     assert calls == [(400, prec[1]), (9000, prec[2])]
@@ -479,14 +475,14 @@ def test_the_table_gives_the_same_value_cold_and_warm(cold_table):
     cold = []
     for n, dps in requests:
         cold_table.__init__()
-        cold.append(_exp.__wrapped__((float(n),), dps))
+        cold.append(_exp((float(n),), dps))
         assert cold_table.prec >= dps_to_prec(dps)
     # one warm table, grown by a larger request and then asked a smaller one
     cold_table.__init__()
     for (n, dps), want in zip(requests, cold):
-        assert _exp.__wrapped__((float(n),), dps) == want, (n, dps)
+        assert _exp((float(n),), dps) == want, (n, dps)
     for (n, dps), want in reversed(list(zip(requests, cold))):
-        assert _exp.__wrapped__((float(n),), dps) == want, (n, dps)
+        assert _exp((float(n),), dps) == want, (n, dps)
 
 
 def test_the_table_stays_bounded(cold_table):
@@ -509,7 +505,7 @@ def test_an_undecided_rounding_falls_back_to_mpmath(cold_table, monkeypatch):
     monkeypatch.setattr(bignum, "_pow_guard", lambda top: 0)
     for n in (700, 5000, 20001):
         dps = exp_int_dps(n)
-        assert _exp.__wrapped__((float(n),), dps) == mpmath_exp((n,), dps)
+        assert _exp((float(n),), dps) == mpmath_exp((n,), dps)
 
 
 # the two count-120 case-v ladders, the heaviest users of integer e^N

@@ -144,6 +144,42 @@ def test_build_reads_stdin(capsys, monkeypatch):
     assert digits[63:70] == "1000111"
 
 
+def _twelve_term_plan(tmp_path, capsys):
+    code, out, _ = run(capsys, "plan", "--phi", "log(n)", "--alpha", "2",
+                       "--beta", "2", "--count", "12")
+    assert code == 0
+    f = tmp_path / "plan.json"
+    f.write_text(json.dumps(lines(out)[1]))
+    return f
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "1e6"])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_cap_must_be_a_positive_integer(tmp_path, capsys, command, cap):
+    if command == "build":
+        argv = ["build", "--plan-file", str(_twelve_term_plan(tmp_path, capsys))]
+    else:
+        argv = ["verify", "--phi", "log(n)", "--alpha", "2", "--beta", "2"]
+    code, out, err = run(capsys, *argv, "--cap", cap)
+    assert code == 2 and out == ""
+    assert "--cap" in err
+
+
+def test_an_absent_cap_falls_back_to_the_environment(tmp_path, capsys,
+                                                     monkeypatch):
+    f = _twelve_term_plan(tmp_path, capsys)
+    monkeypatch.delenv(cli._CAP_ENV, raising=False)
+    code, _, err = run(capsys, "build", "--plan-file", str(f))
+    assert code == 0
+    assert err == f"cap {cli.DEFAULT_MATERIALIZATION_CAP}: materializing 2 of 12 terms\n"
+    monkeypatch.setenv(cli._CAP_ENV, "5000")
+    code, _, err = run(capsys, "build", "--plan-file", str(f))
+    assert code == 0 and err == "cap 5000: materializing 1 of 12 terms\n"
+    # the flag wins over the environment
+    code, _, err = run(capsys, "build", "--plan-file", str(f), "--cap", "30")
+    assert code == 0 and err == "cap 30: materializing 1 of 12 terms\n"
+
+
 def test_build_seeded_free_is_reproducible(tmp_path, capsys):
     plan = {"p": 3, "m": 2, "case_tag": "",
             "terms": [{"i": 1, "n": 4, "ell": "64"},
@@ -226,6 +262,24 @@ def test_witnesses_cli(capsys):
     rows = lines(out)
     assert [r["n"] for r in rows] == [4, 5, 6, 7, 8, 9, 10]
     assert all(r["return_time"] == 2 for r in rows)
+
+
+@pytest.mark.parametrize("rate", [["--alpha", "nan", "--eps", "0"],
+                                  ["--alpha", "inf", "--eps=-inf"]],
+                         ids=["nan", "inf-inf"])
+def test_witnesses_refuse_a_nan_rate(capsys, rate):
+    code, out, err = run(capsys, "witnesses", "--word", "0110100110010110",
+                         "--m", "2", *rate)
+    assert code == 2 and out == ""
+    assert "not a number" in err
+
+
+def test_witnesses_at_an_infinite_rate(capsys):
+    # every exact depth passes an infinite cutoff
+    code, out, _ = run(capsys, "witnesses", "--word", "0110100110010110",
+                       "--m", "2", "--alpha", "inf", "--eps", "0")
+    assert code == 0
+    assert [r["n"] for r in lines(out)] == [1, 2, 3, 4]
 
 
 def test_dim_cli(capsys):

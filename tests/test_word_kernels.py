@@ -1,8 +1,8 @@
 """The word-analysis kernels against per-depth references.
 
 The plain return-time walk does one find and one common-prefix length per
-distinct R_n; the default-profile ratio column takes each log(k) once for
-a depth and its mirror; witnesses map their cutoffs in C; the lower rate
+distinct R_n; the default-profile ratio column reads every log from the
+shared table in one pass; witnesses map their cutoffs in C; the lower rate
 estimate stops at the last exact entry.  Each is checked here against a
 loop over depths that computes the same floats, so agreement is ==.
 """
@@ -21,8 +21,8 @@ from recurrencelab import (EstimationImpossibleError, OscLogPhi, Word,
                            plan_rate_trajectory, rate_trajectory,
                            recurrence_witnesses, return_times_all,
                            return_times_naive_all, running_extremes)
-from recurrencelab.rate_dim_analysis import (RATIO_BLOCK, RateColumns,
-                                             RateEntry, RateTrajectory)
+from recurrencelab.rate_dim_analysis import (RateColumns, RateEntry,
+                                             RateTrajectory)
 from recurrencelab.return_time import ReturnTimes, _common_prefix
 
 from conftest import random_word
@@ -151,7 +151,7 @@ def test_common_prefix_matches_a_symbol_loop():
         assert _common_prefix(text, a, b, cap) == want, (text, a, b, cap)
 
 
-# ------------------------------------------------------ paired log ratios ---
+# ------------------------------------------------- default-profile ratios ---
 
 def loop_trajectory(word, max_n=None):
     """One ratio per depth under the default profile: log(R_n)/log(n),
@@ -182,22 +182,18 @@ def _short_words(L):
     yield Word.from_iterable(_periodic_with_flips(rng, L, 3, 4), 3)
 
 
-@pytest.mark.parametrize("block", [RATIO_BLOCK, 1, 3])
-def test_paired_ratios_equal_the_loop_at_every_length_and_depth(
-        monkeypatch, block):
-    monkeypatch.setattr(rda, "RATIO_BLOCK", block)
+def test_paired_ratios_equal_the_loop_at_every_length_and_depth():
     for L in range(2, 81):
         for word in _short_words(L):
             for max_n in range(1, L + 1):
                 _assert_trajectory_is_the_loop(word, max_n)
 
 
-@pytest.mark.parametrize("L", [2 * RATIO_BLOCK - 1, 2 * RATIO_BLOCK,
-                               2 * RATIO_BLOCK + 1, 2 * RATIO_BLOCK + 5])
+@pytest.mark.parametrize("L", [8191, 8192, 8193, 8197])
 def test_paired_ratios_at_the_block_edge(L):
     rng = random.Random(L)
     word = random_word(rng, 2, L)
-    for max_n in (None, L // 2, L // 2 + 1, L - RATIO_BLOCK, L - 2):
+    for max_n in (None, L // 2, L // 2 + 1, L - 4096, L - 2):
         _assert_trajectory_is_the_loop(word, max_n)
     _assert_trajectory_is_the_loop(Word.from_iterable(_fibonacci(L), 2))
 
