@@ -162,6 +162,17 @@ def _decode_free(desc: dict) -> FreeStream:
 # the base family
 # --------------------------------------------------------------------------
 
+def _free_slots(p: int, j: int) -> int:
+    """Number of free slots among positions 1..j of the block base.
+    Position j = kp + 1 + t (0 <= t < p) lies in block k; blocks 1..k-1
+    hold p - 2 interior slots each, and block k has min(t, p - 2) of its
+    own at or before j (a wall at offset 0, interiors at 1..p-2)."""
+    if j <= p:
+        return 0
+    k, t = divmod(j - 1, p)
+    return (k - 1) * (p - 2) + min(t, p - 2)
+
+
 class FpBase(SymbolSource):
     """x_j = 0 for j <= p; blocks [pk+1, pk+p] start and end with 1.
 
@@ -208,11 +219,7 @@ class FpBase(SymbolSource):
 
     def _free_upto(self, j: int) -> int:
         """Number of free slots among positions 1..j."""
-        p = self.p
-        if j <= p:
-            return 0
-        k, t = divmod(j - 1, p)
-        return (k - 1) * (p - 2) + min(t, p - 2)
+        return _free_slots(self.p, j)
 
     def window(self, i: int, j: int) -> Union[bytes, tuple]:
         """Positions i..j: the opening zeros and whole blocks in one
@@ -289,8 +296,7 @@ def fp_membership(word: Word, p: int) -> bool:
 
 def fp_cylinder_count(p: int, n: int, m: int) -> int:
     """Number of depth-n cylinders meeting the family: m^(#free slots <= n)."""
-    free_slots = sum(1 for j in range(p + 1, n + 1) if j % p not in (0, 1))
-    return m ** free_slots
+    return m ** _free_slots(p, n)
 
 
 # --------------------------------------------------------------------------

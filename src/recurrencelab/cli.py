@@ -13,6 +13,7 @@ human summaries go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -44,14 +45,6 @@ def _emit(obj) -> None:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _cap_from_args(args) -> int:
-    """--cap when given, else RECURRENCELAB_CAP, else the default."""
-    if args.cap is not None:
-        return args.cap
-    raw = os.environ.get(_CAP_ENV)
-    return int(raw) if raw else DEFAULT_MATERIALIZATION_CAP
 
 
 # -- shared argument groups --------------------------------------------------
@@ -93,16 +86,34 @@ def _tail_fraction(text: str) -> float:
     return value
 
 
-def _cap(text: str) -> int:
-    """--cap: a positive symbol count, checked before any output."""
+def _int_at_least(least: int, rule: str):
+    """An argument type: an integer of at least `least`, checked before
+    any output; `rule` names it in the usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
+
+
+_cap = _int_at_least(1, "cap must be a positive integer")
+_prefix = _int_at_least(0, "prefix length must be a nonnegative integer")
+
+
+def _cap_from_env(parser: argparse.ArgumentParser) -> int:
+    """RECURRENCELAB_CAP when set and nonempty, held to the --cap rule
+    (a usage error otherwise), else the default."""
+    raw = os.environ.get(_CAP_ENV)
+    if not raw:
+        return DEFAULT_MATERIALIZATION_CAP
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"cap must be a positive integer, got {text!r}")
-    return value
+        return _cap(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{_CAP_ENV}: {exc}")
 
 
 def _add_plan_args(sp: argparse.ArgumentParser) -> None:
@@ -184,7 +195,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_build(args) -> int:
     plan = _load_plan(args.plan_file)
-    cap = _cap_from_args(args)
+    cap = args.cap
     free = _free_from_args(args, plan.m)
     usable = materializable_term_count(plan, cap)
     if usable < len(plan):
@@ -266,7 +277,7 @@ def _grew(ratios: list[float], factor: float) -> bool:
 def _cmd_verify(args) -> int:
     plan, phi, cls = _plan_from_args(args)
     _emit(plan.to_json_dict())
-    cap = _cap_from_args(args)
+    cap = args.cap
     usable = materializable_term_count(plan, cap)
     sub = truncate_plan(plan, usable)
     brackets = certified_brackets(sub)
@@ -336,7 +347,11 @@ def _cmd_verify(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and the subcommands it dispatches to read this module's
+    globals when they run."""
     parser = argparse.ArgumentParser(
         prog="recurrencelab",
         description="Plan, build, and audit shift-space points with "
@@ -365,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=_cap, default=None,
                     help=f"materialization cap (default {_CAP_ENV} or "
                          f"{DEFAULT_MATERIALIZATION_CAP})")
-    sp.add_argument("--prefix", type=int, default=0,
+    sp.add_argument("--prefix", type=_prefix, default=0,
                     help="also print this many leading symbols")
     sp.set_defaults(func=_cmd_build)
 
@@ -394,8 +409,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", help="symbol digits")
     sp.add_argument("--word-file")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--alpha", type=float, required=True,
+                    help="rate; 'inf' allowed, and a negative infinite "
+                         "rate is written attached: --alpha=-inf")
+    sp.add_argument("--eps", type=float, required=True,
+                    help="slack added to --alpha; 'inf' allowed, and a "
+                         "negative infinite one is written attached: "
+                         "--eps=-inf (a bare -inf reads as an option)")
     sp.add_argument("--max-n", type=int, default=None)
     sp.set_defaults(func=_cmd_witnesses)
 
@@ -424,6 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "cap", 0) is None:   # build or verify without --cap
+        args.cap = _cap_from_env(parser)
     try:
         return args.func(args)
     except PhiParseError as exc:

@@ -170,23 +170,44 @@ def _monomial_extremes(n_exp: Fraction, log_exp: Fraction,
 
 @dataclass(frozen=True)
 class PowerLog(PhiSpec):
-    """phi(n) = coef * n^n_exp * log(n)^log_exp, all parameters exact."""
+    """phi(n) = coef * n^n_exp * log(n)^log_exp, all parameters exact.
+
+    `_floats` holds the three parameters as _raw multiplies them in,
+    converted once (`_float_params`).  It is a plain attribute, not a
+    field, so it takes no part in equality, hash, repr or
+    dataclasses.fields.  It is None when a parameter lies past float
+    range; _raw then converts again on every call, so value() raises
+    OverflowError at every n, as a per-call conversion does.
+    """
 
     coef: Fraction
     n_exp: Fraction
     log_exp: Fraction
     source: Optional[str] = None
 
+    def __post_init__(self):
+        try:
+            floats = self._float_params()
+        except OverflowError:
+            floats = None
+        object.__setattr__(self, "_floats", floats)
+
+    def _float_params(self) -> tuple:
+        """coef, n_exp and log_exp as floats, a zero exponent as None."""
+        return (float(self.coef),
+                float(self.n_exp) if self.n_exp else None,
+                float(self.log_exp) if self.log_exp else None)
+
     def _raw(self, n: int) -> float:
         ln = math.log(n)
-        val = float(self.coef)
-        if self.n_exp:
-            val *= math.exp(float(self.n_exp) * ln)
-        if self.log_exp:
+        val, n_exp, log_exp = self._floats or self._float_params()
+        if n_exp is not None:
+            val *= math.exp(n_exp * ln)
+        if log_exp is not None:
             if ln == 0.0:
                 # 0^positive = 0 triggers the phi(1) fallback upstream
                 return 0.0 if self.log_exp > 0 else math.inf
-            val *= ln ** float(self.log_exp)
+            val *= ln ** log_exp
         return val
 
     def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:

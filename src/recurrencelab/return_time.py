@@ -51,6 +51,17 @@ a true miss, so two threads racing on the record can at worst leave a
 deeper one, which only costs a later scan.  return_time_naive and raw
 sequences never read or write the record, so the oracle stays
 independent of it.
+
+The plain walk depends on top only where it stops: walked to top, it is
+the first top values of any deeper walk, and a walk that ended at a miss
+(fewer values than its top) already holds every exact value there is.
+So a Word keeps `(values, top)` of its deepest walk (`Word._walked`),
+and a later request whose top is at most that one, or any request after
+a walk that ended at a miss, is a slice of it.  Any other request walks
+again and replaces the record with the deeper walk.  The record is one
+tuple swapped in whole, so a racing thread can at worst put back a
+shallower walk, which only costs a later walk.  The primed batch, tuple
+stores, raw sequences and the naive oracles never read or write it.
 """
 from __future__ import annotations
 
@@ -262,8 +273,8 @@ def return_times_all(w: Union[Word, Sequence[int]],
                      max_n: Optional[int] = None,
                      prime: bool = False) -> ReturnTimes:
     """R_n (R'_n with prime=True) for every n in 1..max_n (default: full
-    length): a find-driven walk for plain R_n over bytes, else one Z pass
-    in O(L) total."""
+    length): a find-driven walk for plain R_n over bytes, which a Word
+    remembers (`_walked`), else one Z pass in O(L) total."""
     syms = _text(w)
     L = len(syms)
     if L == 0:
@@ -272,10 +283,21 @@ def return_times_all(w: Union[Word, Sequence[int]],
     if not 1 <= top <= L:
         raise ValueError(f"need 1 <= max_n <= {L}")
     if isinstance(syms, bytes) and not prime:
-        values = _walk(syms, top)
+        values = _word_walk(w, top) if isinstance(w, Word) else _walk(syms, top)
     else:
         values = _exact_prefix(z_array(syms), top, prime)
     return ReturnTimes(tuple(values), L, top, prime)
+
+
+def _word_walk(w: Word, top: int) -> tuple[int, ...]:
+    """The walk to top over a Word's bytes store, sliced from the Word's
+    deepest walk so far when that one reached top or ended at a miss
+    (see the module docstring), else walked and remembered."""
+    values, walked = w._walked
+    if top > walked and len(values) == walked:
+        values = tuple(_walk(w.symbols, top))
+        object.__setattr__(w, "_walked", (values, top))
+    return values[:top]
 
 
 def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:

@@ -83,8 +83,11 @@ class Word:
 
     `_misses` remembers, for return_time (index 0) and return_time_prime
     (index 1), the shallowest depth at which a scan found no return, and
-    len + 1 while none has.  It is a plain attribute, not a field, so it
-    takes no part in equality, hash, repr or dataclasses.fields.
+    len + 1 while none has.  `_walked` is `(values, top)` of the deepest
+    plain return-time walk over a bytes store so far (see
+    return_time.return_times_all), `((), 0)` before the first.  Both are
+    plain attributes, not fields, so they take no part in equality, hash,
+    repr or dataclasses.fields.
     """
 
     symbols: Union[bytes, tuple[int, ...]]
@@ -99,6 +102,7 @@ class Word:
             self.alphabet.check(store)  # names the offending symbol
         object.__setattr__(self, "symbols", store)
         object.__setattr__(self, "_misses", [len(store) + 1] * 2)
+        object.__setattr__(self, "_walked", ((), 0))
 
     @property
     def data(self) -> Optional[bytes]:

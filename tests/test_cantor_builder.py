@@ -41,6 +41,16 @@ def test_fp_cylinder_count_larger_alphabet():
         assert fp_cylinder_count(p, n, m) == want
 
 
+def test_fp_cylinder_count_matches_the_per_depth_loop():
+    # the closed form FpBase uses for its free slots, against a walk over
+    # the positions
+    for p in range(2, 9):
+        for n in range(301):
+            free = sum(1 for j in range(p + 1, n + 1) if j % p not in (0, 1))
+            assert fp_cylinder_count(p, n, 2) == 2 ** free, (p, n)
+            assert fp_cylinder_count(p, n, 5) == 5 ** free, (p, n)
+
+
 def test_fp_base_matches_independent_rule():
     rng = random.Random(21)
     for p, m in ((3, 2), (4, 3), (5, 2)):

@@ -165,6 +165,32 @@ def test_cap_must_be_a_positive_integer(tmp_path, capsys, command, cap):
     assert "--cap" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1e6"])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_the_cap_environment_follows_the_cap_rule(tmp_path, capsys,
+                                                  monkeypatch, command, value):
+    if command == "build":
+        argv = ["build", "--plan-file", str(_twelve_term_plan(tmp_path, capsys))]
+    else:
+        argv = ["verify", "--phi", "log(n)", "--alpha", "2", "--beta", "2"]
+    monkeypatch.setenv(cli._CAP_ENV, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert cli._CAP_ENV in err and repr(value) in err
+    # a valid --cap never reads the variable
+    code, _, _ = run(capsys, *argv, "--cap", "2000000")
+    assert code == 0
+
+
+@pytest.mark.parametrize("prefix", ["-5", "-1", "abc"])
+def test_build_rejects_a_bad_prefix_before_any_output(tmp_path, capsys, prefix):
+    f = _twelve_term_plan(tmp_path, capsys)
+    code, out, err = run(capsys, "build", "--plan-file", str(f),
+                         f"--prefix={prefix}")
+    assert code == 2 and out == ""
+    assert "--prefix" in err and "nonnegative" in err
+
+
 def test_an_absent_cap_falls_back_to_the_environment(tmp_path, capsys,
                                                      monkeypatch):
     f = _twelve_term_plan(tmp_path, capsys)
@@ -282,6 +308,18 @@ def test_witnesses_at_an_infinite_rate(capsys):
     assert [r["n"] for r in lines(out)] == [1, 2, 3, 4]
 
 
+def test_witnesses_at_a_negative_infinite_eps(capsys):
+    # attached, -inf is a value; bare, argparse would read it as an option.
+    # No depth past 1 passes; at n = 1 the cutoff exp(-inf * log 1) is
+    # NaN, which keeps the depth
+    code, out, _ = run(capsys, "witnesses", "--word", "0110100110010110",
+                       "--m", "2", "--alpha", "0.5", "--eps=-inf")
+    assert code == 0 and [r["n"] for r in lines(out)] == [1]
+    code, _, err = run(capsys, "witnesses", "--word", "0110100110010110",
+                       "--m", "2", "--alpha", "0.5", "--eps", "-inf")
+    assert code == 2 and "--eps" in err
+
+
 def test_dim_cli(capsys):
     code, out, _ = run(capsys, "dim", "--p", "4", "--depth", "400")
     assert code == 0
@@ -379,3 +417,21 @@ def test_a_tail_of_one_still_runs(capsys):
                        "--max-n", "12", "--tail", "1")
     assert code == 0
     assert lines(out)[-1]["tail"] == 1.0
+
+
+# ---------------------------------------------------------------- parser ---
+
+def test_one_parser_serves_every_call(capsys):
+    calls = [("return-times", "--word", "0100101001001", "--m", "2", "--prime"),
+             ("classify", "--phi", "log(n)", "--alpha", "2", "--beta", "2"),
+             ("witnesses", "--word", "01" * 20, "--m", "2",
+              "--alpha", "0.5", "--eps", "0")]
+    cli._build_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in calls]
+    assert all(code == 0 and out for code, out, _ in first)
+    # a usage error in between leaves the parser as it was
+    assert run(capsys, "return-times", "--m", "2", "--max-n", "x")[0] == 2
+    assert run(capsys, "classify", "--alpha", "1")[0] == 2
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == first
+    assert cli._build_parser.cache_info().misses == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -109,6 +110,69 @@ def test_powerlog_direct():
     assert phi.value(10) == pytest.approx(1.5 * math.log(10))
     gd = phi.gamma_delta()
     assert (gd.gamma, gd.delta) == (ExtReal(Fraction(3, 2)),) * 2
+
+
+class _PerCall(phi_spec.PhiSpec):
+    """A PowerLog's _raw with each parameter converted to float on every
+    call, as the profile did before it kept the floats."""
+
+    def __init__(self, phi):
+        self.phi = phi
+
+    def _raw(self, n):
+        phi = self.phi
+        ln = math.log(n)
+        val = float(phi.coef)
+        if phi.n_exp:
+            val *= math.exp(float(phi.n_exp) * ln)
+        if phi.log_exp:
+            if ln == 0.0:
+                return 0.0 if phi.log_exp > 0 else math.inf
+            val *= ln ** float(phi.log_exp)
+        return val
+
+
+def _outcome(f, n):
+    """f(n) bit for bit, or the error it raises."""
+    try:
+        return f(n).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_powerlog_values_are_the_per_call_conversion():
+    ns = (list(range(1, 200)) + [10 ** k + d for k in range(3, 13)
+                                  for d in (-1, 0, 1)]
+          + [2 ** 64 + 1, 10 ** 30, 3 ** 400, 10 ** 400])
+    fracs = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(7, 10),
+             Fraction(-1, 2), Fraction(3, 2), Fraction(1, 10 ** 400),
+             Fraction(-1, 10 ** 400))
+    profiles = [PowerLog(c, a, b) for c in (Fraction(1), Fraction(5, 2),
+                                            Fraction(1, 7))
+                for a in fracs for b in fracs]
+    for phi in profiles:
+        ref = _PerCall(phi)
+        for n in ns:
+            assert _outcome(phi._raw, n) == _outcome(ref._raw, n), (phi, n)
+            assert _outcome(phi.value, n) == _outcome(ref.value, n), (phi, n)
+    # a parameter past float range: value() overflows at every n, as before
+    for phi in (PowerLog(Fraction(10 ** 400), Fraction(0), Fraction(1)),
+                PowerLog(Fraction(1), Fraction(1), Fraction(10 ** 400))):
+        assert phi._floats is None
+        for n in ns:
+            with pytest.raises(OverflowError):
+                phi.value(n)
+            with pytest.raises(OverflowError):
+                _PerCall(phi).value(n)
+
+
+def test_powerlog_floats_are_no_field():
+    phi = PowerLog(Fraction(3, 2), Fraction(0), Fraction(1))
+    assert phi._floats == (1.5, None, 1.0)
+    assert phi == PowerLog(Fraction(3, 2), Fraction(0), Fraction(1))
+    assert "_floats" not in repr(phi)
+    assert [f.name for f in dataclasses.fields(phi)] == [
+        "coef", "n_exp", "log_exp", "source"]
 
 
 @pytest.mark.parametrize("a,b", [(-1, 3), (0, 0), (0, Fraction(1, 2)), (0, 1),

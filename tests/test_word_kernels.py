@@ -127,14 +127,68 @@ def test_one_common_prefix_per_distinct_value(monkeypatch):
 
     monkeypatch.setattr(return_time_module, "_common_prefix", counting)
     for name, syms, m in list(_kernel_words(900)):
-        w = Word.from_iterable(syms, m)
         for top in (1, 5, 77, len(syms)):
             calls.clear()
-            rt = return_times_all(w, max_n=top)
+            # a fresh Word each time: a Word's own walk answers later tops
+            rt = return_times_all(Word.from_iterable(syms, m), max_n=top)
             assert len(calls) == len(set(rt.values)), (name, top)
     calls.clear()
     rt = return_times_all(Word.from_iterable(_fibonacci(176531), 2))
     assert rt.exact_depth > 10 ** 5 and len(calls) == len(set(rt.values)) < 30
+
+
+def _counting_walks(monkeypatch):
+    walks = []
+    real = return_time_module._walk
+
+    def counting(text, top):
+        walks.append(top)
+        return real(text, top)
+
+    monkeypatch.setattr(return_time_module, "_walk", counting)
+    return walks
+
+
+def test_a_word_walks_once_for_every_shallower_top(monkeypatch):
+    walks = _counting_walks(monkeypatch)
+    for name, syms, m in list(_kernel_words(300)):
+        w = Word.from_iterable(syms, m)
+        full = return_times_all(w)
+        assert walks == [len(syms)], name
+        walks.clear()
+        for top in range(1, len(syms) + 1):
+            rt = return_times_all(w, max_n=top)
+            fresh = return_times_all(Word.from_iterable(syms, m), max_n=top)
+            assert rt == fresh and rt.values == full.values[:top], (name, top)
+        # one walk per fresh Word, none for w
+        assert len(walks) == len(syms), name
+        walks.clear()
+        # the primed batch and raw sequences keep no record
+        assert return_times_all(w, prime=True) == return_times_all(
+            Word.from_iterable(syms, m), prime=True)
+        assert return_times_all(syms) == full
+        assert return_times_all(syms) == full
+        assert walks == [len(syms)] * 2, name
+        walks.clear()
+
+
+def test_a_deeper_top_walks_again_unless_the_walk_missed(monkeypatch):
+    walks = _counting_walks(monkeypatch)
+    # a Fibonacci word: the walk to 10 reaches its top, the walk to L
+    # ends at a miss past L/2
+    fib = _fibonacci(2000)
+    w = Word.from_iterable(fib, 2)
+    assert return_times_all(w, max_n=10).exact_depth == 10
+    assert return_times_all(w, max_n=5).values == \
+        return_times_all(fib, max_n=5).values
+    assert walks == [10, 5]
+    full = return_times_all(w, max_n=1500)
+    assert walks == [10, 5, 1500] and full.exact_depth < 1500
+    for top in (1999, 2000, 1500, 3):
+        assert return_times_all(w, max_n=top).values == \
+            full.values[:top]
+    assert walks == [10, 5, 1500]
+    assert w._walked == (full.values, 1500)
 
 
 def test_common_prefix_matches_a_symbol_loop():
