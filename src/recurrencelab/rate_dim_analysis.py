@@ -37,7 +37,9 @@ exp(c*log n) grows with n, so the depths that pass (j <= cutoff) are a
 suffix of the run, found by bisection; and a return at shift j of the
 deepest of them is a return of every shallower prefix, so one slice
 comparison re-checks the whole suffix.  Every other rate and profile
-maps its cutoffs in C and runs Python only on the depths that pass them.
+takes one cutoff exp(c*phi(n)) per depth, and e^0 = 1 where phi(n) = 0
+at every rate (c*0 is NaN for an infinite c; IEEE pow(1, c) is 1 too),
+and re-checks only the depths that pass them.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import attrgetter, gt, le, mul, not_, truediv
+from operator import attrgetter, gt, le, not_, truediv
 from typing import Optional
 
 from .cantor_builder import InsertionPlan, certified_brackets, fp_cylinder_count
@@ -359,7 +361,8 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
                          with_times: bool = True):
     """Depths n whose prefix returns within exp((alpha+eps)*phi(n)).
 
-    Under the default profile log n the cutoff is n^(alpha+eps).  Every
+    Under the default profile log n the cutoff is n^(alpha+eps).  Where
+    phi(n) = 0 the cutoff is 1 at every rate, infinite ones too.  Every
     hit is re-verified definitionally: the word shifted by the reported
     return time must agree with itself for at least n symbols.  Returns
     (n, R_n) pairs, or bare depths with with_times=False.
@@ -383,10 +386,10 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     else:
         fs = map(phi.value, range(1, h + 1))
     ns = range(start, h + 1)
-    cutoffs = map(math.exp, map(mul, repeat(c), fs))
+    cutoffs = (math.exp(c * f) if f else 1.0 for f in fs)
     # lazily, in depth order, so an error surfaces at the depth a loop
     # over n would meet it; a depth is dropped only when j > cutoff (a
-    # NaN cutoff keeps it)
+    # NaN cutoff, from a NaN phi(n) or rate, keeps it)
     for n in compress(ns, map(not_, map(gt, values[start - 1:], cutoffs))):
         j = values[n - 1]
         if syms[j:j + n] != syms[:n]:

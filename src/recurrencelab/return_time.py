@@ -14,30 +14,36 @@ it never exists again: a return of the length-(n+1) prefix at shift j is
 also a return of the length-n prefix at j (and j >= n + 1 > n), so the
 candidate sets only shrink.  Exactness is therefore a prefix in n: the
 whole answer of a batch is the array of exact values plus L, every deeper
-depth being the lower bound.  `ReturnTimes` stores exactly that.  The
-inputs alone decide how the exact values are found:
+depth being the lower bound.  `ReturnTimes` stores exactly that.
 
-- Plain R_n over a bytes store (m <= 256), the batch behind every audit
-  and rate trajectory, is a run-length walk with no Z array.  Once
-  R_n = j is known, the length-n prefix reoccurs at j, so R_{n'} = j for
-  every deeper n' with j + n' <= L whose next symbols keep agreeing:
-  R_{n'} >= R_n = j (monotonicity) and j is a return at depth n'.  The
-  whole run n..k is therefore one common-prefix length c of text[n:] and
-  text[j+n:], capped at L - j - n (and at top - n), with k = n + c,
-  found by galloping and then bisecting slice comparisons (O(c) symbols
-  compared in C).
-  At depth k + 1 the return at j fails, so R_{k+1} > j: a return of the
-  length-(k+1) prefix at shift s is also one of the length-k prefix, so
-  s >= j, and s = j has just failed.  R_{k+1} is then the first hit of
-  bytes.find from shift j + 1, and the first depth with no hit ends the
-  walk (past N*, the last depth whose prefix returns).  Each distinct
-  value of R_n costs one find and one common-prefix length, plus the
-  final miss; the values of a run are appended as one repeat.
-- The primed batch and tuple stores (m > 256) run a single Z-array pass:
-  z[i] = length of the longest common prefix of w and w[i:], so R_n =
-  min{i >= 1 : z[i] >= n} and R'_n = min{i >= n : z[i] >= n}, both found
-  by one pointer that only moves forward over z (the positions skipped
-  all have z[i] < n, so they fail every deeper depth too).
+Every batch, plain or primed, over any store, is one run-length walk.
+Once R_n = j is known, the length-n prefix reoccurs at j, so R_{n'} = j
+for every deeper n' with j + n' <= L whose next symbols keep agreeing:
+R_{n'} >= R_n = j (monotonicity) and j is a return at depth n'.  The
+primed walk also needs j >= n', so its runs stop at depth j.  The whole
+run n..k is therefore one common-prefix length c of text[n:] and
+text[j+n:], capped at L - j - n and at top - n (and at j - n when
+primed), with k = n + c, found by galloping and then bisecting slice
+comparisons (O(c) symbols compared in C).
+At depth k + 1 the return at j fails, so R_{k+1} > j: a return of the
+length-(k+1) prefix at shift s is also one of the length-k prefix, so
+s >= j, and s = j has just failed.  R_{k+1} is then the first hit of
+bytes.find from shift j + 1, and the first depth with no hit ends the
+walk (past N*, the last depth whose prefix returns).  A primed run stops
+at depth j at the latest, so j + 1 >= k + 1 and every hit is a primed
+return.  Each distinct value costs one find and one common-prefix
+length, plus the final miss; the values of a run are appended as one
+repeat.
+
+The walk reads bytes.  A bytes store (m <= 256) is its own view, one
+byte per symbol.  A tuple store is viewed as fixed-width symbols,
+`array("Q", syms).tobytes()`, 8 bytes each, where equal symbols are equal
+8-byte words: a find hit whose offset is not a multiple of 8 straddles
+two symbols and is searched past, and a common-prefix length in bytes
+is divided by 8.  A raw sequence whose symbols array("Q") refuses
+(negative ints, ints of 2^64 or more, symbols that are not ints) is
+first mapped to the rank of each symbol's first occurrence, which keeps
+equal symbols equal and distinct ones distinct.
 
 Every entry point reads symbols through one accessor, `_text`: a Word's
 own store, or a raw sequence normalized by shift_core.symbol_store.  A
@@ -55,16 +61,17 @@ independent of it.
 The plain walk depends on top only where it stops: walked to top, it is
 the first top values of any deeper walk, and a walk that ended at a miss
 (fewer values than its top) already holds every exact value there is.
-So a Word keeps `(values, top)` of its deepest walk (`Word._walked`),
-and a later request whose top is at most that one, or any request after
-a walk that ended at a miss, is a slice of it.  Any other request walks
-again and replaces the record with the deeper walk.  The record is one
-tuple swapped in whole, so a racing thread can at worst put back a
-shallower walk, which only costs a later walk.  The primed batch, tuple
-stores, raw sequences and the naive oracles never read or write it.
+So a Word keeps `(values, top)` of its deepest plain walk (`Word._walked`),
+whatever its store, and a later request whose top is at most that one,
+or any request after a walk that ended at a miss, is a slice of it.  Any
+other request walks again and replaces the record with the deeper walk.
+The record is one tuple swapped in whole, so a racing thread can at worst
+put back a shallower walk, which only costs a later walk.  The primed
+batch, raw sequences and the naive oracles never read or write it.
 """
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -190,43 +197,6 @@ def return_time_naive(w: Union[Word, Sequence[int]], n: int,
     return _lookup(w, n, prime)
 
 
-def z_array(syms: Sequence[int]) -> list[int]:
-    """z[i] = longest common prefix of syms and syms[i:]; z[0] = len."""
-    L = len(syms)
-    z = [0] * L
-    if L == 0:
-        return z
-    z[0] = L
-    lo = hi = 0
-    for i in range(1, L):
-        k = min(hi - i, z[i - lo]) if i < hi else 0
-        while i + k < L and syms[k] == syms[i + k]:
-            k += 1
-        z[i] = k
-        if i + k > hi:
-            lo, hi = i, i + k
-    return z
-
-
-def _exact_prefix(z: list[int], top: int, prime: bool) -> list[int]:
-    """min{i >= start : z[i] >= n} for n = 1, 2, ... while it exists and
-    n <= top, where start is n primed and 1 otherwise.  The pointer j only
-    moves forward (see the module docstring), so this is O(L + top)."""
-    L = len(z)
-    values = []
-    j = 1
-    for n in range(1, top + 1):
-        if prime and j < n:
-            j = n
-        while j < L and z[j] < n:
-            j += 1
-        if j == L:
-            break
-        # z[j] >= n forces j + n <= L, so the match sits inside the window
-        values.append(j)
-    return values
-
-
 def _common_prefix(text: bytes, a: int, b: int, cap: int) -> int:
     """Length of the longest common prefix of text[a:] and text[b:], at
     most cap.  Windows of doubling length are compared until one differs
@@ -252,18 +222,38 @@ def _common_prefix(text: bytes, a: int, b: int, cap: int) -> int:
     return done
 
 
-def _walk(text: bytes, top: int) -> list[int]:
-    """R_n for n = 1, 2, ... while it exists and n <= top: one find per
-    distinct value, whose run of depths is one common-prefix length (see
+def _byte_view(syms: Union[bytes, tuple]) -> tuple[bytes, int]:
+    """(view, width): the bytes the walk reads, width bytes per symbol (see
     the module docstring)."""
-    L = len(text)
+    if isinstance(syms, bytes):
+        return syms, 1
+    try:
+        return array("Q", syms).tobytes(), 8
+    except (OverflowError, TypeError):
+        ranks: dict = {}
+        return array("Q", [ranks.setdefault(s, len(ranks))
+                           for s in syms]).tobytes(), 8
+
+
+def _walk(text: bytes, width: int, top: int, prime: bool = False) -> list[int]:
+    """R_n (R'_n with prime=True) for n = 1, 2, ... while it exists and
+    n <= top, over a view of width bytes per symbol: one find per distinct
+    value, whose run of depths is one common-prefix length (see the module
+    docstring)."""
+    L = len(text) // width
     values = []
     n, j = 1, 0   # the next depth, and R_{n-1} (0 before the first depth)
     while n <= top:
-        j = text.find(text[:n], j + 1)
-        if j == -1:
+        pat = text[:n * width]
+        hit = text.find(pat, (j + 1) * width)
+        while hit != -1 and hit % width:   # straddles two symbols
+            hit = text.find(pat, hit + width - hit % width)
+        if hit == -1:
             break
-        k = n + _common_prefix(text, n, j + n, min(L - j, top) - n)
+        j = hit // width
+        end = min(L - j, top, j) if prime else min(L - j, top)
+        k = n + _common_prefix(text, n * width, hit + n * width,
+                               (end - n) * width) // width
         values.extend(repeat(j, k - n + 1))
         n = k + 1
     return values
@@ -273,8 +263,8 @@ def return_times_all(w: Union[Word, Sequence[int]],
                      max_n: Optional[int] = None,
                      prime: bool = False) -> ReturnTimes:
     """R_n (R'_n with prime=True) for every n in 1..max_n (default: full
-    length): a find-driven walk for plain R_n over bytes, which a Word
-    remembers (`_walked`), else one Z pass in O(L) total."""
+    length), by one run-length walk; a Word remembers its plain walk
+    (`_walked`)."""
     syms = _text(w)
     L = len(syms)
     if L == 0:
@@ -282,27 +272,27 @@ def return_times_all(w: Union[Word, Sequence[int]],
     top = L if max_n is None else max_n
     if not 1 <= top <= L:
         raise ValueError(f"need 1 <= max_n <= {L}")
-    if isinstance(syms, bytes) and not prime:
-        values = _word_walk(w, top) if isinstance(w, Word) else _walk(syms, top)
+    if isinstance(w, Word) and not prime:
+        values = _word_walk(w, top)
     else:
-        values = _exact_prefix(z_array(syms), top, prime)
+        values = _walk(*_byte_view(syms), top, prime)
     return ReturnTimes(tuple(values), L, top, prime)
 
 
 def _word_walk(w: Word, top: int) -> tuple[int, ...]:
-    """The walk to top over a Word's bytes store, sliced from the Word's
+    """The plain walk to top over a Word's store, sliced from the Word's
     deepest walk so far when that one reached top or ended at a miss
     (see the module docstring), else walked and remembered."""
     values, walked = w._walked
     if top > walked and len(values) == walked:
-        values = tuple(_walk(w.symbols, top))
+        values = tuple(_walk(*_byte_view(w.symbols), top))
         object.__setattr__(w, "_walked", (values, top))
     return values[:top]
 
 
 def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
-    """R_n for one depth, by one bytes.find (no Z pass), or by a Word's
-    remembered miss with no scan."""
+    """R_n for one depth, by one bytes.find, or by a Word's remembered miss
+    with no scan."""
     return _lookup(w, n, False, remember=True)
 
 
@@ -318,7 +308,7 @@ def return_times_naive_all(w: Union[Word, Sequence[int]],
 
     The conversion to bytes is hoisted out of the loop (it does not depend
     on n); each n still gets its own full scan, so the per-n decisions stay
-    independent of one another and of the batch engines.
+    independent of one another and of the batch walk.
     """
     text = _text(w)
     L = len(text)

@@ -84,7 +84,7 @@ class Word:
     `_misses` remembers, for return_time (index 0) and return_time_prime
     (index 1), the shallowest depth at which a scan found no return, and
     len + 1 while none has.  `_walked` is `(values, top)` of the deepest
-    plain return-time walk over a bytes store so far (see
+    plain return-time walk so far, over either store (see
     return_time.return_times_all), `((), 0)` before the first.  Both are
     plain attributes, not fields, so they take no part in equality, hash,
     repr or dataclasses.fields.

@@ -301,20 +301,21 @@ def test_witnesses_refuse_a_nan_rate(capsys, rate):
 
 
 def test_witnesses_at_an_infinite_rate(capsys):
-    # every exact depth passes an infinite cutoff
+    # every exact depth past 1 passes an infinite cutoff; at n = 1 the
+    # cutoff is e^0 = 1 at every rate, and R_1 = 3
     code, out, _ = run(capsys, "witnesses", "--word", "0110100110010110",
                        "--m", "2", "--alpha", "inf", "--eps", "0")
     assert code == 0
-    assert [r["n"] for r in lines(out)] == [1, 2, 3, 4]
+    assert [r["n"] for r in lines(out)] == [2, 3, 4]
 
 
 def test_witnesses_at_a_negative_infinite_eps(capsys):
     # attached, -inf is a value; bare, argparse would read it as an option.
-    # No depth past 1 passes; at n = 1 the cutoff exp(-inf * log 1) is
-    # NaN, which keeps the depth
+    # No depth passes: past 1 the cutoff is 0, at n = 1 it is e^0 = 1
+    # (not -inf * log 1 = NaN) and R_1 = 3
     code, out, _ = run(capsys, "witnesses", "--word", "0110100110010110",
                        "--m", "2", "--alpha", "0.5", "--eps=-inf")
-    assert code == 0 and [r["n"] for r in lines(out)] == [1]
+    assert code == 0 and lines(out) == []
     code, _, err = run(capsys, "witnesses", "--word", "0110100110010110",
                        "--m", "2", "--alpha", "0.5", "--eps", "-inf")
     assert code == 2 and "--eps" in err

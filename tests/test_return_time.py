@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,18 +9,12 @@ from hypothesis import strategies as st
 from recurrencelab import (Word, return_time, return_time_naive,
                            return_time_prime, return_times_all,
                            return_times_naive_all)
-from recurrencelab.return_time import z_array
+from recurrencelab.return_time import _byte_view
 
 from conftest import brute_return_time, random_word
 
 # the package re-exports the function return_time under the module's name
 return_time_module = importlib.import_module("recurrencelab.return_time")
-
-
-def test_z_array_known():
-    assert z_array("aabxaab") == [7, 1, 0, 0, 3, 1, 0]
-    assert z_array("aaaa") == [4, 3, 2, 1]
-    assert z_array("") == []
 
 
 def test_return_time_periodic_word():
@@ -73,18 +68,31 @@ def test_return_time_dispatcher():
         assert return_time(w, n).value == return_time_naive(w, n).value
 
 
-def test_single_depth_runs_no_z_pass(monkeypatch):
+def _counting_walks(monkeypatch):
+    """Record (width, top, prime) of every return_time._walk call."""
+    walks = []
+    real = return_time_module._walk
+
+    def counting(text, width, top, prime=False):
+        walks.append((width, top, prime))
+        return real(text, width, top, prime)
+
+    monkeypatch.setattr(return_time_module, "_walk", counting)
+    return walks
+
+
+def test_single_depth_runs_no_walk(monkeypatch):
     # R_n for one depth is one scan, like R'_n; it matches the batch,
     # exact values and lower bounds alike
     w = Word.from_iterable(_fibonacci(300) + [1] * 40, 2)
     batch = return_times_all(w)
-
-    def no_z_pass(syms):
-        raise AssertionError("single-depth lookup ran a Z pass")
-
-    monkeypatch.setattr(return_time_module, "z_array", no_z_pass)
+    primed = return_times_all(w, prime=True)
+    walks = _counting_walks(monkeypatch)
     for n in range(1, len(w) + 1):
         assert return_time(w, n) == batch[n - 1], n
+        assert return_time_prime(w, n) == primed[n - 1], n
+        assert return_time_naive(list(w), n) == batch[n - 1], n
+    assert walks == []
     assert not batch[-1].exact
     with pytest.raises(ValueError):
         return_time(w, len(w) + 1)
@@ -115,7 +123,6 @@ def test_raw_sequences_share_the_word_store(m):
         assert return_time(syms, n) == return_time(w, n)
         assert (return_time(syms, n).value, return_time(syms, n).exact) == \
             brute_return_time(syms, n)
-    assert z_array(w.symbols) == z_array(list(syms))
 
 
 def test_exact_values_nondecreasing_in_n():
@@ -219,37 +226,68 @@ def test_columnar_indexing():
             rt[k]
 
 
+# raw forms of a symbol list: as is, and two that array("Q") refuses, so
+# the walk reads first-occurrence ranks
+RAW_FORMS = {"ints": list, "negative": lambda syms: [-1 - s for s in syms],
+             "str": lambda syms: [f"s{s}" for s in syms]}
+LARGE_ALPHABETS = [300, 70_000, 2 ** 70]
+
+
 def test_large_alphabet_uses_tuple_scan():
-    # symbols up to 299 do not fit in a byte: no bytes view, tuple scans
-    rng = random.Random(300)
-    block = [rng.randrange(300) for _ in range(40)]
-    syms = block * 3 + [299, 256] + block[:17]
-    w = Word.from_iterable(syms, 300)
-    assert w.data is None
-    fast = return_times_all(w)
-    slow = return_times_naive_all(w)
-    assert _rows(fast) == _rows(slow)
-    assert fast[0].value == 40 and fast[39].value == 40
-    for n in range(1, len(syms) + 1):
+    # symbols up to m - 1 do not fit in a byte: a tuple store, walked as
+    # 8-byte symbols and scanned as a tuple
+    for m in LARGE_ALPHABETS:
+        for form, make in RAW_FORMS.items():
+            rng = random.Random(300)
+            block = [rng.randrange(m) for _ in range(40)]
+            syms = make(block * 3 + [m - 1, 256] + block[:17])
+            w = Word.from_iterable(syms, m) if form == "ints" else syms
+            assert not isinstance(return_time_module._text(w), bytes)
+            fast = return_times_all(w)
+            assert _rows(fast) == _rows(return_times_naive_all(w)), (m, form)
+            assert fast[0].value == 40 and fast[39].value == 40
+            for n in range(1, len(syms) + 1):
+                for prime in (False, True):
+                    want = brute_return_time(syms, n, prime)
+                    got = (return_time_prime if prime else return_time_naive)(w, n)
+                    assert (got.value, got.exact) == want, (m, form, n, prime)
+            primed = return_times_all(w, prime=True)
+            assert [(r.value, r.exact) for r in primed] == \
+                [brute_return_time(syms, n, True)
+                 for n in range(1, len(syms) + 1)], (m, form)
+
+
+def test_an_unaligned_byte_hit_is_searched_past():
+    # the 8 bytes of symbol 1 first reappear at byte 9, straddling symbols
+    # 2 and 3; symbol 1 itself returns as symbol 4, so R_1 = 3
+    a = b"\x00\x01" + bytes(6)
+    x = b"\x05" + a[:7]
+    y = a[:1] + b"\x02" + bytes(6)
+    syms = [int.from_bytes(s, sys.byteorder) for s in (a, x, y, a, x, y, a)]
+    view, width = _byte_view(tuple(syms))
+    assert width == 8 and view.find(view[:8], 8) == 9
+    for w in (Word.from_iterable(syms, 70_000), syms):
         for prime in (False, True):
-            want = brute_return_time(syms, n, prime)
-            got = (return_time_prime if prime else return_time_naive)(w, n)
-            assert (got.value, got.exact) == want, (n, prime)
-    primed = return_times_all(w, prime=True)
-    assert [(r.value, r.exact) for r in primed] == \
-        [brute_return_time(syms, n, True) for n in range(1, len(syms) + 1)]
+            rt = return_times_all(w, prime=prime)
+            assert [(r.value, r.exact) for r in rt] == \
+                [brute_return_time(syms, n, prime)
+                 for n in range(1, len(syms) + 1)], prime
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 200), st.integers(0, 10 ** 6))
-def test_batched_prime_matches_brute(m, length, seed):
+@given(st.sampled_from([2, 3, 4, 5] + LARGE_ALPHABETS), st.integers(1, 200),
+       st.integers(0, 10 ** 6), st.sampled_from(["word"] + sorted(RAW_FORMS)))
+def test_batched_prime_matches_brute(m, length, seed, form):
     rng = random.Random(seed)
     # half the words are low-entropy, where primed returns exist deep down
     if seed % 2:
-        w = random_word(rng, m, length)
+        syms = [rng.randrange(m) for _ in range(length)]
     else:
-        w = Word.from_iterable(_period7_with_flips(rng, length, m), m)
-    syms = list(w.symbols)
+        syms = _period7_with_flips(rng, length, m)
+    if form == "word":
+        w = Word.from_iterable(syms, m)
+    else:
+        w = syms = RAW_FORMS[form](syms)
     rt = return_times_all(w, prime=True)
     assert len(rt) == length
     for n, res in enumerate(rt, start=1):
@@ -295,20 +333,16 @@ def test_plain_bytes_walk_matches_naive(name, syms, m):
     assert list(full.values) == sorted(full.values)   # nondecreasing
 
 
-def test_plain_bytes_batch_runs_no_z_pass(monkeypatch):
-    calls = []
-    real = return_time_module.z_array
-
-    def counting(syms):
-        calls.append(len(syms))
-        return real(syms)
-
-    monkeypatch.setattr(return_time_module, "z_array", counting)
+def test_every_batch_is_one_walk(monkeypatch):
+    walks = _counting_walks(monkeypatch)
     fib = _fibonacci(400)
     return_times_all(Word.from_iterable(fib, 2))
     return_times_all(fib, max_n=50)
-    assert calls == []
     return_times_all(Word.from_iterable(fib, 2), prime=True)
-    assert calls == [400]
     return_times_all(Word.from_iterable(fib, 300))   # a tuple store
-    assert calls == [400, 400]
+    return_times_all(Word.from_iterable(fib, 300), prime=True)
+    for form in ("negative", "str"):                  # ranked raw input
+        return_times_all(RAW_FORMS[form](fib), prime=form == "str")
+    assert walks == [(1, 400, False), (1, 50, False), (1, 400, True),
+                     (8, 400, False), (8, 400, True), (8, 400, False),
+                     (8, 400, True)]

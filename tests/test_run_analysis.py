@@ -78,11 +78,12 @@ def _longest_run(values):
 
 
 def loop_witnesses(word, alpha, eps, *, max_n=None, with_times=True):
-    """The per-depth loop: one log, one exp and one re-check per depth."""
+    """The per-depth loop: one log, one exp and one re-check per depth;
+    the cutoff at n = 1 is e^0 = 1 at every rate."""
     syms = word.symbols
     out = []
     for n, j in enumerate(rda.return_times_all(word, max_n=max_n).values, 1):
-        if j > math.exp((alpha + eps) * math.log(n)):
+        if j > (math.exp((alpha + eps) * math.log(n)) if n > 1 else 1.0):
             continue
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(
@@ -109,7 +110,7 @@ def _overflow_rate(word, max_n):
 
 
 RATES = [(0.5, 0.1), (1.0, 0.0), (1e-12, 0.0), (0.0, 0.0), (-0.5, 0.0),
-         (math.inf, 0.0), (math.nan, 0.0), "overflow"]
+         (math.inf, 0.0), (0.5, -math.inf), (math.nan, 0.0), "overflow"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -141,9 +141,9 @@ def _counting_walks(monkeypatch):
     walks = []
     real = return_time_module._walk
 
-    def counting(text, top):
+    def counting(text, width, top, prime=False):
         walks.append(top)
-        return real(text, top)
+        return real(text, width, top, prime)
 
     monkeypatch.setattr(return_time_module, "_walk", counting)
     return walks
@@ -151,7 +151,10 @@ def _counting_walks(monkeypatch):
 
 def test_a_word_walks_once_for_every_shallower_top(monkeypatch):
     walks = _counting_walks(monkeypatch)
-    for name, syms, m in list(_kernel_words(300)):
+    words = list(_kernel_words(300))
+    # a Word keeps its walk whatever its store: the same symbols in tuples
+    words += [(name + "-tuple", syms, 300) for name, syms, _ in words[:3]]
+    for name, syms, m in words:
         w = Word.from_iterable(syms, m)
         full = return_times_all(w)
         assert walks == [len(syms)], name
@@ -168,7 +171,7 @@ def test_a_word_walks_once_for_every_shallower_top(monkeypatch):
             Word.from_iterable(syms, m), prime=True)
         assert return_times_all(syms) == full
         assert return_times_all(syms) == full
-        assert walks == [len(syms)] * 2, name
+        assert walks == [len(syms)] * 4, name
         walks.clear()
 
 
@@ -264,12 +267,13 @@ def test_paired_ratios_with_an_exact_head_past_half_the_word():
 
 def loop_witnesses(word, alpha, eps, *, phi=None, max_n=None,
                    with_times=True):
-    """The per-depth loop: one cutoff per depth, dropped when j > cutoff."""
+    """The per-depth loop: one cutoff per depth, dropped when j > cutoff;
+    the cutoff is e^0 = 1 where the profile is 0, whatever the rate."""
     syms = word.symbols
     out = []
     for n, j in enumerate(return_times_all(word, max_n=max_n).values, 1):
         f = math.log(n) if phi is None else phi.value(n)
-        if j > math.exp((alpha + eps) * f):
+        if j > (math.exp((alpha + eps) * f) if f != 0 else 1.0):
             continue
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(f"disagree at n={n}")
@@ -324,10 +328,13 @@ def test_nan_and_overflow_cutoffs_follow_the_loop():
     assert {n for n, _ in want if n % 3 == 0} == \
         {n for n in range(3, return_times_all(w).exact_depth + 1, 3)}
     assert recurrence_witnesses(w, 0.1, 0.0, phi=_NanPhi()) == want
-    # infinite alpha: inf * log(1) is NaN at n = 1, which keeps depth 1
-    inf_want = loop_witnesses(w, math.inf, 0.0)
-    assert inf_want[0] == (1, return_times_all(w).values[0])
-    assert recurrence_witnesses(w, math.inf, 0.0) == inf_want
+    # infinite alpha: the cutoff at n = 1 is e^0 = 1, not inf * log(1) =
+    # NaN, so depth 1 passes only when R_1 = 1
+    for word in (w, Word.from_iterable([0, 1, 1] * 40, 2)):
+        inf_want = loop_witnesses(word, math.inf, 0.0)
+        r1 = return_times_all(word).values[0]
+        assert inf_want[0][0] == (1 if r1 == 1 else 2)
+        assert recurrence_witnesses(word, math.inf, 0.0) == inf_want
     for at in (1, 4, 40):
         for call in (recurrence_witnesses, loop_witnesses):
             with pytest.raises(OverflowError):
