@@ -34,7 +34,8 @@ from .rate_dim_analysis import (box_dimension, plan_rate_trajectory,
                                 rate_trajectory, recurrence_witnesses,
                                 running_extremes)
 from .return_time import return_times_all
-from .shift_core import DEFAULT_MATERIALIZATION_CAP, Word
+from .shift_core import (DEFAULT_MATERIALIZATION_CAP, Word, _word_from_json,
+                         _word_to_json)
 
 _CAP_ENV = "RECURRENCELAB_CAP"
 
@@ -140,11 +141,15 @@ def _word_from_args(args) -> Word:
     if getattr(args, "word_file", None):
         with open(args.word_file, "r", encoding="ascii") as fh:
             text = fh.read().strip()
+        if text.startswith("{"):
+            # the line `build --prefix` emits: digits, or symbols past m = 10
+            rec = json.loads(text)
+            text = rec.get("digits", rec.get("symbols"))
     else:
         text = args.word
     if not text:
         raise ValueError("no input word: pass --word or --word-file")
-    return Word.from_digits(text, args.m)
+    return _word_from_json(text, args.m)
 
 
 def _load_plan(path: str) -> InsertionPlan:
@@ -204,13 +209,9 @@ def _cmd_build(args) -> int:
     seq = apply_insertions(plan, free, cap=cap)
     _emit(seq.to_json_dict())
     if args.prefix:
-        word = seq.prefix(args.prefix)
-        rec: dict = {"n": args.prefix}
-        if plan.m <= 10:
-            rec["digits"] = word.to_digits()
-        else:
-            rec["symbols"] = list(word.symbols)
-        _emit(rec)
+        word = _word_to_json(seq.prefix(args.prefix))
+        _emit({"n": args.prefix,
+               "digits" if isinstance(word, str) else "symbols": word})
     return 0
 
 
@@ -386,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("return-times", help="first return times of a word")
     sp.add_argument("--word", help="symbol digits, e.g. 00101101")
-    sp.add_argument("--word-file", help="file containing the digits")
+    sp.add_argument("--word-file", help="file containing the digits, or the "
+                    "JSON line of build --prefix")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--max-n", type=int, default=None)
     sp.add_argument("--prime", action="store_true",

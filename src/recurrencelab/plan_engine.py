@@ -11,16 +11,21 @@ In the full-dimension regime the products A = alpha*gamma and B = beta*delta
 (read through a small case table that also assigns A or B = 1 when a zero
 rate meets an infinite extreme) split the parameter space into six plan
 shapes.  plan_full_dimension() synthesizes an InsertionPlan for whichever
-shape applies; the two ladder builders below supply the index sequences the
-harder shapes need.  Every position is computed through exact big-integer
-ceilings/floors of float exponents, so regenerating a plan is deterministic.
+shape applies.  Each shape is an endless generator of terms, each built
+from the one before, and the index ladders that cases iii, v and vi climb
+are generators too, pulled one rung per term.  Only `_truncated` knows the
+requested count: it stops there, and when a cap interrupts generation it
+keeps the terms found so far if there are at least two.  The public
+build_subseq* functions return the first count rungs of a ladder.  Every
+position is computed through exact big-integer ceilings/floors of float
+exponents, so regenerating a plan is deterministic.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -233,113 +238,105 @@ def _witness_args(extreme: ExtReal, k: int, inv_tol: float):
 def build_subseq1(phi: PhiSpec, C, gamma, delta, count: int, *, p: int = 2,
                   digit_cap: int = bignum.DEFAULT_DIGIT_CAP,
                   A=1) -> LogLadder:
-    """Indices n_1 < n_2 < ... with consecutive log ratio pinned near C,
-    whose ratio phi/log visits gamma (at n) and delta (at n+1) on witness
-    elements of every cycle, with tolerances shrinking as cycles advance.
+    """The first `count` rungs of `_log_rungs`: indices n_1 < n_2 < ...
+    with consecutive log ratio pinned near C, whose ratio phi/log visits
+    gamma (at n) and delta (at n+1) on witness elements of every cycle,
+    with tolerances shrinking as cycles advance.  A phase record that the
+    count cuts ends at the last rung kept.
 
     A is the power the indices will be raised to (case v's
-    power_log_ceil(n, A, near=log n)); each rung's e^x is computed at the
+    power_log_ceil(n, A, near=...)); each rung's e^x is computed at the
     digits that call wants, so it reads the value from the memo.
     """
+    rungs = _log_rungs(phi, C, gamma, delta, p=p, digit_cap=digit_cap, A=A)
+    if count < 2:
+        raise ValueError("count must be at least 2")
+    ns, lns, _, phases = zip(*itertools.islice(rungs, count))
+    records = [replace(rec, last_index=min(rec.last_index, count))
+               for rec in dict.fromkeys(phases[1:])]
+    C = Fraction(C)
+    return LogLadder(ns, lns, C, "square" if C == 1 else "geometric",
+                     tuple(records))
+
+
+def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
+    """Check the inputs now, then return the endless ladder from
+    n_1 = max(3, p + 1), geometric for C > 1 and square for C = 1.  It
+    yields (n, ln, near, phase): the designed ln(n) float, the exponent n
+    was built from (the hint for `bignum._ln`), and the PhaseRecord of the
+    rung's phase (None on the first rung)."""
     C = Fraction(C)
     gamma, delta = ExtReal(gamma), ExtReal(delta)
     if C < 1:
         raise GuardError("the log-ratio constant must be at least 1")
     if delta.is_zero:
         raise GuardError("the lower extreme must be positive here")
-    if count < 2:
-        raise ValueError("count must be at least 2")
     check_nondecreasing(phi, 256)
     n1 = max(3, p + 1)
     if C == 1:
-        return _square_ladder(phi, gamma, delta, count, n1, digit_cap, A)
-    return _geometric_ladder(phi, C, gamma, delta, count, n1, digit_cap, A)
+        return _square_rungs(phi, gamma, delta, n1, digit_cap, A)
+    return _geometric_rungs(phi, C, gamma, delta, n1, digit_cap, A)
 
 
-def _geometric_ladder(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
-                      count: int, n1: int, digit_cap: int, A) -> LogLadder:
+def _geometric_rungs(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
+                     n1: int, digit_cap: int, A):
     lnC = math.log(C)
-    ns: list[int] = [n1]
-    lls: list[float] = [math.log(n1)]
-    records: list[PhaseRecord] = []
-
-    def phase(cycle: int, kind: str, extreme: ExtReal, shift: int,
-              inv_tol: float) -> int:
-        jump = float(C ** cycle)
-        # at the rung's digits: the witness is often min_n itself
-        min_n = bignum.exp_ceil(jump * lls[-1], digit_cap=digit_cap, power=A)
-        tol, thr = _witness_args(extreme, cycle, inv_tol)
-        w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
-                               eval_shift=shift)
-        ll_w = math.log(w)
-        gap = math.log(ll_w) - math.log(lls[-1])
-        d = max(int(gap // lnC), cycle)
-        first = len(ns) + 1
-        base, step = lls[-1], gap / d
-        for j in range(1, d):
-            if len(ns) >= count:
-                break
-            lnr = base * math.exp(step * j)
-            ns.append(bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A))
-            lls.append(lnr)
-        if len(ns) < count:
-            ns.append(w)
-            lls.append(ll_w)
-        records.append(PhaseRecord(cycle, kind, w, w + shift,
-                                   phi.ratio(w + shift), float(extreme),
-                                   tol, thr, d, first, len(ns)))
-        return d
-
-    k = 0
-    while len(ns) < count:
-        k += 1
-        d_up = phase(k, "upper", gamma, 0, float(k))
-        if len(ns) >= count:
-            break
-        phase(k, "lower", delta, 1, float(k + d_up))
-    return LogLadder(tuple(ns), tuple(lls), C, "geometric", tuple(records))
+    last, index = math.log(n1), 1
+    yield n1, last, last, None
+    for cycle in itertools.count(1):
+        inv_tol = float(cycle)
+        for kind, extreme, shift in (("upper", gamma, 0), ("lower", delta, 1)):
+            x = float(C ** cycle) * last
+            # at the rung's digits: the witness is often min_n itself
+            min_n = bignum.exp_ceil(x, digit_cap=digit_cap, power=A)
+            tol, thr = _witness_args(extreme, cycle, inv_tol)
+            w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
+                                   eval_shift=shift)
+            ll_w = math.log(w)
+            gap = math.log(ll_w) - math.log(last)
+            d = max(int(gap // lnC), cycle)
+            rec = PhaseRecord(cycle, kind, w, w + shift, phi.ratio(w + shift),
+                              float(extreme), tol, thr, d, index + 1,
+                              index + d)
+            step = gap / d
+            for j in range(1, d):
+                lnr = last * math.exp(step * j)
+                yield (bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A),
+                       lnr, lnr, rec)
+            # a witness at min_n was built from x: its ln reads e^x back
+            yield w, ll_w, x if w == min_n else ll_w, rec
+            last, index = ll_w, index + d
+            inv_tol = float(cycle + d)   # the lower phase's, after the upper
 
 
-def _square_ladder(phi, gamma: ExtReal, delta: ExtReal, count: int,
-                   n1: int, digit_cap: int, A) -> LogLadder:
+def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
+                  digit_cap: int, A):
     """C = 1 variant: rungs at log n = k^2 for consecutive k, up to the
     next witness, starting from the k with log(n_1) in [k^2, (k+1)^2)."""
-    ns: list[int] = [n1]
-    lls: list[float] = [math.log(n1)]
-    records: list[PhaseRecord] = []
-    k = _floor_sqrt(lls[0])
-    cycle = 0
-    while len(ns) < count:
-        cycle += 1
+    ln1 = math.log(n1)
+    yield n1, ln1, ln1, None
+    k, index = _floor_sqrt(ln1), 1
+    for cycle in itertools.count(1):
         for kind, extreme, shift in (("upper", gamma, 0), ("lower", delta, 1)):
-            if len(ns) >= count:
-                break
             # the first rung's exponent, so at the rung's digits
-            min_n = bignum.exp_ceil(float((k + 1) ** 2), digit_cap=digit_cap,
-                                    power=A)
+            x = float((k + 1) ** 2)
+            min_n = bignum.exp_ceil(x, digit_cap=digit_cap, power=A)
             tol, thr = _witness_args(extreme, k, float(k))
             w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
                                    eval_shift=shift)
             # w >= exp_ceil((k+1)^2) makes log(w) >= (k+1)^2 exact; clamp
             # away float-conversion dust so the sqrt index always advances
-            ll_w = max(math.log(w), float((k + 1) ** 2))
+            ll_w = max(math.log(w), x)
             s = _floor_sqrt(ll_w)
-            first = len(ns) + 1
+            rec = PhaseRecord(cycle, kind, w, w + shift, phi.ratio(w + shift),
+                              float(extreme), tol, thr, s - k, index + 1,
+                              index + s - k)
             for j in range(1, s - k):
-                if len(ns) >= count:
-                    break
                 lnr = float((k + j) ** 2)
-                ns.append(bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A))
-                lls.append(lnr)
-            if len(ns) < count:
-                ns.append(w)
-                lls.append(ll_w)
-            records.append(PhaseRecord(cycle, kind, w, w + shift,
-                                       phi.ratio(w + shift), float(extreme),
-                                       tol, thr, s - k, first, len(ns)))
-            k = s
-    return LogLadder(tuple(ns), tuple(lls), Fraction(1), "square",
-                     tuple(records))
+                yield (bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A),
+                       lnr, lnr, rec)
+            yield w, ll_w, x if w == min_n else ll_w, rec
+            k, index = s, index + s - k
 
 
 # --------------------------------------------------------------------------
@@ -385,52 +382,53 @@ def _min_crossing(phi: PhiSpec, n_lo: int, target: float,
     return hi
 
 
-def _step_markers(phi: PhiSpec, ns: list[int]) -> list[int]:
-    ms = []
-    for i in range(len(ns) - 1):
-        gap = phi.value(ns[i + 1]) - phi.value(ns[i])
-        ms.append(ns[i] if gap <= 2.0 else ns[i + 1] - 1)
-    return ms
+def _unit_steps(phi: PhiSpec, n: int, product: bool, cap: int = SEARCH_CAP):
+    """The endless unit-increase ladder from n.  Each step goes to the
+    first point where phi exceeds its value at n by more than one; with
+    `product` it goes to ceil(n log n) instead whenever that stays within
+    a unit increase of phi, so each step is long multiplicatively or large
+    in phi (never neither).  Each step yields (the index reached, its
+    marker, "product" | "crossing"); the marker is n when phi gains at
+    most two over the step, else the point just before the step's end."""
+    check_nondecreasing(phi, 256)
+    f = phi.value(n)
+    while True:
+        nxt = bignum.nlogn_ceil(n) if product else None
+        if nxt is not None and _phi_for_search(phi, nxt) <= f + 1.0:
+            branch = "product"
+        else:
+            nxt, branch = _min_crossing(phi, n, f + 1.0, cap), "crossing"
+        f_next = phi.value(nxt)
+        yield nxt, n if f_next - f <= 2.0 else nxt - 1, branch
+        n, f = nxt, f_next
 
 
 def build_subseq2_i(phi: PhiSpec, count: int, *, n_start: int = 3,
                     cap: int = SEARCH_CAP) -> StepLadder:
-    """Pure unit-increase ladder: each index is the first point where phi
-    exceeds its previous value by more than one."""
+    """The first `count` steps of the pure unit-increase ladder: each index
+    is the first point where phi exceeds its previous value by more than
+    one."""
     if count < 1:
         raise ValueError("count must be positive")
     if n_start < 2:
         raise ValueError("n_start must be at least 2")
-    check_nondecreasing(phi, 256)
-    ns = [n_start]
-    while len(ns) < count + 1:
-        ns.append(_min_crossing(phi, ns[-1], phi.value(ns[-1]) + 1.0, cap))
-    return StepLadder(tuple(ns), tuple(_step_markers(phi, ns)))
+    steps = _unit_steps(phi, n_start, product=False, cap=cap)
+    ns, ms, _ = zip(*itertools.islice(steps, count))
+    return StepLadder((n_start, *ns), ms)
 
 
 def build_subseq2_ii(phi: PhiSpec, count: int, *, n_start: int = 3,
                      cap: int = SEARCH_CAP) -> StepLadder:
-    """Variant that steps to ceil(n log n) whenever that stays within a
-    unit increase of phi, guaranteeing each step is long multiplicatively
-    or large in phi (never neither)."""
+    """The first `count` steps of the variant that steps to ceil(n log n)
+    whenever that stays within a unit increase of phi, guaranteeing each
+    step is long multiplicatively or large in phi (never neither)."""
     if count < 1:
         raise ValueError("count must be positive")
     if n_start < 3:
         raise ValueError("n_start must be at least 3")
-    check_nondecreasing(phi, 256)
-    ns = [n_start]
-    branches: list[str] = []
-    while len(ns) < count + 1:
-        n = ns[-1]
-        prod = bignum.nlogn_ceil(n)
-        if _phi_for_search(phi, prod) <= phi.value(n) + 1.0:
-            ns.append(prod)
-            branches.append("product")
-        else:
-            ns.append(_min_crossing(phi, n, phi.value(n) + 1.0, cap))
-            branches.append("crossing")
-    return StepLadder(tuple(ns), tuple(_step_markers(phi, ns)),
-                      tuple(branches))
+    steps = _unit_steps(phi, n_start, product=True, cap=cap)
+    ns, ms, branches = zip(*itertools.islice(steps, count))
+    return StepLadder((n_start, *ns), ms, branches)
 
 
 # --------------------------------------------------------------------------
@@ -456,19 +454,21 @@ def _valid_suffix(terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def _truncated(gen):
     """Collect up to count terms from a case generator.
 
-    This is synthesis's only cut-off rule: stop at count terms without
-    pulling another, and when a capacity limit or float overflow interrupts
-    generation, keep the terms found so far if there are at least two.
+    This is synthesis's only cut-off rule, and the only code that knows
+    count: the generators and their ladders run on without end.  Stop at
+    count terms without pulling another, and when a cap interrupts
+    generation (the digit cap, a search cap, a profile that runs out, or
+    float range), keep the terms found so far if there are at least two.
     """
     @functools.wraps(gen)
     def collect(phi, cls: Classification, p: int, count: int,
                 digit_cap: int) -> list[tuple[int, int]]:
         terms: list[tuple[int, int]] = []
         try:
-            for term in itertools.islice(gen(phi, cls, p, count, digit_cap),
+            for term in itertools.islice(gen(phi, cls, p, digit_cap),
                                          max(count, 0)):
                 terms.append(term)
-        except (CapacityError, OverflowError):
+        except (CapacityError, SearchCapError, OverflowError):
             if len(terms) < 2:
                 raise
         return terms
@@ -477,7 +477,7 @@ def _truncated(gen):
 
 
 @_truncated
-def _gen_case_i(phi, cls, p, count, digit_cap):
+def _gen_case_i(phi, cls, p, digit_cap):
     prev_n, prev_l = 0, 1
     for i in itertools.count(1):
         ell = max(bignum.exp_ceil(i * phi.value(i), digit_cap=digit_cap),
@@ -488,7 +488,7 @@ def _gen_case_i(phi, cls, p, count, digit_cap):
 
 
 @_truncated
-def _gen_case_ii(phi, cls, p, count, digit_cap):
+def _gen_case_ii(phi, cls, p, digit_cap):
     alpha, gamma = cls.alpha, cls.gamma
     gf = None if gamma.is_inf else float(gamma)
     n_prev = max(2, p)
@@ -530,30 +530,25 @@ def _gen_case_ii(phi, cls, p, count, digit_cap):
 
 
 @_truncated
-def _gen_case_iii(phi, cls, p, count, digit_cap):
+def _gen_case_iii(phi, cls, p, digit_cap):
     a, b = float(cls.alpha), float(cls.beta)
     if a <= 0:
         raise GuardError("this regime needs a positive lower rate")
-    ms = build_subseq2_i(phi, count + 2, n_start=max(3, p + 1)).ms
-    k = 0
-    while k < len(ms):
-        fk = phi.value(ms[k])
-        yield ms[k], bignum.exp_ceil(b * fk, digit_cap=digit_cap)
-        cutoff = (2 * b / a - 1) * fk
-        j = 1
-        while k + j < len(ms):
-            fj = phi.value(ms[k + j])
-            if fj >= cutoff:
-                yield ms[k + j], bignum.exp_ceil(a * fj, digit_cap=digit_cap)
-                break
-            yield ms[k + j], bignum.exp_ceil((b - a / 2) * fk + (a / 2) * fj,
-                                             digit_cap=digit_cap)
-            j += 1
-        k = k + j + 1
+    fk = None   # phi at the marker that opened the current cycle
+    for _, m, _ in _unit_steps(phi, max(3, p + 1), product=False):
+        f = phi.value(m)
+        if fk is None:
+            fk, cutoff = f, (2 * b / a - 1) * f
+            x = b * f
+        elif f >= cutoff:
+            fk, x = None, a * f
+        else:
+            x = (b - a / 2) * fk + (a / 2) * f
+        yield m, bignum.exp_ceil(x, digit_cap=digit_cap)
 
 
 @_truncated
-def _gen_case_iv(phi, cls, p, count, digit_cap):
+def _gen_case_iv(phi, cls, p, digit_cap):
     b = float(cls.beta)
     n_prev = max(2, p)
     while True:
@@ -563,20 +558,19 @@ def _gen_case_iv(phi, cls, p, count, digit_cap):
 
 
 @_truncated
-def _gen_case_v(phi, cls, p, count, digit_cap):
-    ladder = build_subseq1(phi, cls.C.fraction, cls.gamma, cls.delta, count,
-                           p=p, digit_cap=digit_cap, A=cls.A.fraction)
-    for n, ln_n in zip(ladder.ns, ladder.log_values):
-        yield n, bignum.power_log_ceil(n, cls.A.fraction, digit_cap=digit_cap,
-                                       near=ln_n)
+def _gen_case_v(phi, cls, p, digit_cap):
+    A = cls.A.fraction
+    for n, _, near, _ in _log_rungs(phi, cls.C.fraction, cls.gamma,
+                                    cls.delta, p=p, digit_cap=digit_cap, A=A):
+        yield n, bignum.power_log_ceil(n, A, digit_cap=digit_cap, near=near)
 
 
 @_truncated
-def _gen_case_vi(phi, cls, p, count, digit_cap):
+def _gen_case_vi(phi, cls, p, digit_cap):
     Cf, Df = float(cls.C), float(cls.D)
     lo = float(cls.delta)
     hi = float(cls.gamma)
-    for m_i in build_subseq2_ii(phi, count, n_start=max(3, p + 1)).ms:
+    for _, m_i, _ in _unit_steps(phi, max(3, p + 1), product=True):
         lnm = math.log(m_i)
         f = phi.value(m_i)
         x = min(max(f / lnm, lo), hi)

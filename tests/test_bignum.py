@@ -296,10 +296,14 @@ def test_no_exp_memo_entry_outlives_a_plan(monkeypatch):
     # within the plan nothing is evicted; after it nothing is left
     assert seen == sorted(seen) and seen[-1] > 2
     assert bignum._memo is None
-    # a plan that raises, from its ladder, with entries in the memo
+    # a plan that raises with entries in the memo: at 4 digits the second
+    # rung's e^4 fits, its position n^2 log n does not, and one term is
+    # too few to keep
+    seen.clear()
     with pytest.raises(CapacityError):
         plan_full_dimension(parse_phi("log(n)"), ExtReal(2), ExtReal(2),
-                            count=40, digit_cap=500)
+                            count=40, digit_cap=4)
+    assert seen[-1] > 0
     assert bignum._memo is None
 
 
@@ -323,6 +327,18 @@ def test_exp_power_asks_at_the_hinted_lns_digits(kernel_runs):
 def test_case_v_ladders_compute_each_exponent_once(kernel_runs, plan_request):
     _hint_plan(*plan_request)
     assert kernel_runs and len(kernel_runs) == len(set(kernel_runs))
+
+
+def test_a_witness_rung_at_min_n_takes_its_exponent_as_the_ln_hint(
+        monkeypatch):
+    # log(n) 1/3 count 12 ends at an 11 855-digit witness rung; its ln is
+    # read from the e^x that built it, with no Newton run
+    newton, real = [], bignum._ln_newton
+    monkeypatch.setattr(bignum, "_ln_newton",
+                        lambda n, x: newton.append(n) or real(n, x))
+    plan = _hint_plan("log(n)", "1", "3", 12)
+    assert max(len(t["ell"]) for t in plan["terms"]) > 10_000
+    assert newton == []
 
 
 # ------------------------------------------------------------ exp kernel ---
@@ -399,29 +415,23 @@ def test_exp_kernel_refuses_a_non_binary_fraction():
 
 
 # requests whose positions reach the bit-burst route (case ii, iv, v) or
-# pass 400 digits below it (case vi), and the D2 requests, which fail
+# pass 400 digits below it (case vi), and two whose ladders the digit cap
+# cuts short
 EXP_PLANS = [("log(n)", "1", "inf", 30), ("n^0.5", "0", "2", 120),
              ("log(n)", "1", "2", 12), ("osc 4/5 6/5", "5/6", "5/4", 120),
              ("osc 1/2 2", "2", "5/2", 120), ("log(n)", "1", "3", 12),
              ("log(n)", "1", "2", 30)]
 
 
-def _plan_or_error(request):
-    try:
-        return _hint_plan(*request)
-    except CapacityError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 def test_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
     bursts, real = [], bignum._exp_fraction
     monkeypatch.setattr(bignum, "_exp_fraction",
                         lambda *a: bursts.append(a) or real(*a))
-    burst = [_plan_or_error(r) for r in EXP_PLANS]
+    # every request plans: none of them raises
+    burst = [_hint_plan(*r) for r in EXP_PLANS]
     assert bursts
-    assert sum(isinstance(p, str) for p in burst) == 2   # the D2 requests
     monkeypatch.setattr(bignum, "_exp", mpmath_exp)
-    assert [_plan_or_error(r) for r in EXP_PLANS] == burst
+    assert [_hint_plan(*r) for r in EXP_PLANS] == burst
 
 
 # ------------------------------------------------------- powers of e ---
@@ -529,8 +539,8 @@ GEOMETRIC_PLANS = [("log(n)", "2", "3", 24), ("log(n)", "3", "4", 24)]
 
 def test_geometric_ladder_plans_are_unchanged_with_mpmaths_own_exp(
         monkeypatch):
-    ladders, real = [], plan_engine._geometric_ladder
-    monkeypatch.setattr(plan_engine, "_geometric_ladder",
+    ladders, real = [], plan_engine._geometric_rungs
+    monkeypatch.setattr(plan_engine, "_geometric_rungs",
                         lambda *a: ladders.append((a[1], a[-1])) or real(*a))
     shared = [_hint_plan(*r) for r in GEOMETRIC_PLANS]
     assert ladders == [(Fraction(3, 2), 2), (Fraction(4, 3), 3)]

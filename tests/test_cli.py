@@ -74,9 +74,9 @@ def test_refusal_is_exit_4(capsys):
 
 
 def test_capacity_is_exit_3(capsys):
-    # a deep unit-ratio request overruns the digit cap
+    # the first position already overruns the digit cap: no term to keep
     code, _, err = run(capsys, "plan", "--phi", "log(n)", "--alpha", "2",
-                       "--beta", "2", "--count", "40", "--digit-cap", "500")
+                       "--beta", "2", "--count", "40", "--digit-cap", "1")
     assert code == 3
 
 
@@ -254,6 +254,40 @@ def test_return_times_rows_match_brute(capsys):
             assert r["prime"] is bool(flag)
             assert (r["value"], r["exact"]) == brute_return_time(
                 syms, r["n"], bool(flag))
+
+
+def test_return_times_read_a_build_prefix_over_300_symbols(tmp_path, capsys):
+    code, out, _ = run(capsys, "plan", "--phi", "log(n)", "--alpha", "2",
+                       "--beta", "2", "--count", "8", "--m", "300")
+    assert code == 0
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(lines(out)[1]))
+    code, out, _ = run(capsys, "build", "--plan-file", str(plan_file),
+                       "--free", "seed:5", "--prefix", "400")
+    assert code == 0
+    prefix_line = out.splitlines()[1]
+    syms = json.loads(prefix_line)["symbols"]
+    assert len(syms) == 400 and max(syms) > 9
+    word_file = tmp_path / "prefix.json"
+    word_file.write_text(prefix_line + "\n")
+    for flag in ([], ["--prime"]):
+        code, out, _ = run(capsys, "return-times", "--word-file",
+                           str(word_file), "--m", "300", *flag)
+        assert code == 0
+        rows = lines(out)
+        assert [r["n"] for r in rows] == list(range(1, 401))
+        for r in rows:
+            assert (r["value"], r["exact"]) == brute_return_time(
+                syms, r["n"], bool(flag))
+
+
+def test_a_digits_prefix_line_reads_as_its_digits(tmp_path, capsys):
+    word_file = tmp_path / "prefix.json"
+    word_file.write_text(json.dumps({"n": 8, "digits": "01101001"}))
+    code, out, _ = run(capsys, "return-times", "--word-file", str(word_file),
+                       "--m", "2")
+    want = run(capsys, "return-times", "--word", "01101001", "--m", "2")
+    assert code == 0 and (code, out) == want[:2]
 
 
 def test_rates_from_word(capsys):

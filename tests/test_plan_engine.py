@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,28 @@ def test_build_subseq1_osc_alternates_sides():
             assert r < 4 / 5 + (rec.tol or 0) + 1e-9
 
 
+@pytest.mark.parametrize("spec,C,gamma,delta", [
+    ("log(n)", Fraction(3, 2), 1, 1),
+    ("log(n)", Fraction(1), 1, 1),
+    ("osc 4/5 6/5", Fraction(1), Fraction(6, 5), Fraction(4, 5))])
+def test_build_subseq1_is_a_prefix_of_a_longer_count(spec, C, gamma, delta):
+    phi = _profile(spec)
+    cut_mid_phase = False
+    for count in range(2, 14):
+        short = build_subseq1(phi, C, gamma, delta, count)
+        full = build_subseq1(phi, C, gamma, delta, count + 10)
+        assert short.ns == full.ns[:count]
+        assert short.log_values == full.log_values[:count]
+        # the phase that the count cuts ends at the last rung kept
+        assert short.records == tuple(
+            replace(rec, last_index=min(rec.last_index, count))
+            for rec in full.records if rec.first_index <= count)
+        last = short.records[-1]
+        cut_mid_phase |= last.last_index - last.first_index + 1 < last.d
+    # log(n)'s unit-ratio phases are one rung each; the others get cut
+    assert cut_mid_phase or all(rec.d == 1 for rec in full.records)
+
+
 # -------------------------------------------------------------- ladder 2 ---
 
 @pytest.mark.parametrize("text", ["log(n)", "log(n)^2", "n^0.5"])
@@ -327,6 +350,19 @@ def test_build_subseq2_rejects_tiny_start():
         build_subseq2_i(phi, 5, n_start=1)
     with pytest.raises(ValueError):
         build_subseq2_ii(phi, 5, n_start=2)
+
+
+@pytest.mark.parametrize("text", ["log(n)", "log(n)^2", "n^0.5"])
+@pytest.mark.parametrize("build", [build_subseq2_i, build_subseq2_ii])
+def test_build_subseq2_is_a_prefix_of_a_longer_count(build, text):
+    phi = parse_phi(text)
+    for count in (1, 2, 7, 20):
+        short, full = build(phi, count), build(phi, count + 10)
+        assert short.ns == full.ns[:count + 1]
+        assert short.ms == full.ms[:count]
+        assert short.branches == full.branches[:count]
+        assert len(short.branches) == (count if build is build_subseq2_ii
+                                       else 0)
 
 
 # ------------------------------------------------------------ generators ---
@@ -406,7 +442,7 @@ def test_plan_case_iv_zero_rate():
 def _stub_case(good: int, exc: BaseException):
     """A case generator that yields `good` terms and then raises `exc`."""
     @_truncated
-    def gen(phi, cls, p, count, digit_cap):
+    def gen(phi, cls, p, digit_cap):
         for i in range(1, good + 1):
             yield i, 10 * i
         raise exc
@@ -437,6 +473,31 @@ def test_truncated_keeps_two_terms_on_overflow():
 def test_truncated_stops_at_count_without_pulling_more(exc):
     # the stub raises on term count + 1, which must never be requested
     assert _run_stub(5, exc, count=5) == [(i, 10 * i) for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("good", [0, 1])
+def test_truncated_reraises_a_search_cap_below_two_terms(good):
+    with pytest.raises(SearchCapError):
+        _run_stub(good, SearchCapError("stub search", what="stub"))
+
+
+def test_truncated_keeps_two_terms_on_search_cap_error():
+    assert _run_stub(2, SearchCapError("stub search", what="stub")) == [
+        (1, 10), (2, 20)]
+
+
+# each ladder hits a cap after some terms: the digit cap on case v's
+# geometric ladder (C = 3 and C = 2), and the 10^100 cap of the
+# unit-increase search on case vi's ladder
+@pytest.mark.parametrize("spec,alpha,beta,count,case", [
+    ("log(n)", "1", "3", 12, "v"), ("log(n)", "1", "2", 30, "v"),
+    ("osc 1 3", "1", "1", 120, "vi")])
+def test_a_cap_that_a_ladder_hits_truncates_the_plan(spec, alpha, beta, count,
+                                                     case):
+    plan = plan_full_dimension(_profile(spec), ExtReal(alpha), ExtReal(beta),
+                               count=count)
+    assert plan.case_tag == case and 2 <= len(plan.terms) < count
+    check_plan_conditions(plan)
 
 
 # ------------------------------------------------------ estimated extremes ---
