@@ -184,7 +184,7 @@ class FpBase(SymbolSource):
 
     def __init__(self, p: int, m: int, free: Optional[FreeStream] = None):
         if p < 2:
-            raise ValueError("block length p must be at least 2")
+            raise ValueError(f"block length p must be at least 2, got {p}")
         self.p = p
         self._alphabet = Alphabet(m)
         self._symbols = bytes(range(min(m, 256)))
@@ -217,10 +217,6 @@ class FpBase(SymbolSource):
             raise ValueError(f"free stream produced symbol {s} outside alphabet")
         return s
 
-    def _free_upto(self, j: int) -> int:
-        """Number of free slots among positions 1..j."""
-        return _free_slots(self.p, j)
-
     def window(self, i: int, j: int) -> Union[bytes, tuple]:
         """Positions i..j: the opening zeros and whole blocks in one
         bytearray, walls by strided slice assignment, then one strided
@@ -244,7 +240,7 @@ class FpBase(SymbolSource):
         buf = bytearray((k1 - k0 + 1) * p)
         wall = p if k0 == 0 else 0
         buf[wall::p] = buf[wall + p - 1::p] = b"\x01" * (k1 - max(k0, 1) + 1)
-        first, last = self._free_upto(i - 1) + 1, self._free_upto(j)
+        first, last = _free_slots(p, i - 1) + 1, _free_slots(p, j)
         if first <= last:
             free = self.free.read(first, last)
             if (len(free) != last - first + 1 or not isinstance(free, bytes)
@@ -295,8 +291,11 @@ def fp_membership(word: Word, p: int) -> bool:
 
 
 def fp_cylinder_count(p: int, n: int, m: int) -> int:
-    """Number of depth-n cylinders meeting the family: m^(#free slots <= n)."""
-    return m ** _free_slots(p, n)
+    """Number of depth-n cylinders meeting the family: m^(#free slots <= n).
+    ValueError when p < 2 or m < 2, as FpBase."""
+    if p < 2:
+        raise ValueError(f"block length p must be at least 2, got {p}")
+    return Alphabet(m).m ** _free_slots(p, n)
 
 
 # --------------------------------------------------------------------------
@@ -307,6 +306,21 @@ def make_insertion_word(prefix: Word, next_symbol: int) -> Word:
     """1 . prefix . (next_symbol + 1 mod m) . 1 — the marker for one term."""
     a = prefix.alphabet
     return Word((1,), a) + prefix + Word(((next_symbol + 1) % a.m, 1), a)
+
+
+def _json_int(obj, key: str, where: str) -> int:
+    """obj[key], a JSON number or a decimal string (ell values travel as
+    strings); PlanValidityError when it is missing or no integer."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise PlanValidityError(f"{where} has no field {key!r}")
+    value = obj[key]
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise PlanValidityError(f"{where} field {key!r} must be an integer, "
+                            f"got {value!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -352,8 +366,15 @@ class InsertionPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "InsertionPlan":
-        terms = tuple((int(t["n"]), int(t["ell"])) for t in data["terms"])
-        return cls(p=data["p"], m=data["m"], terms=terms,
+        """PlanValidityError names a missing or ill-typed field."""
+        terms = data.get("terms") if isinstance(data, dict) else None
+        if not isinstance(terms, list):
+            raise PlanValidityError("plan has no list field 'terms'")
+        return cls(p=_json_int(data, "p", "plan"),
+                   m=_json_int(data, "m", "plan"),
+                   terms=tuple((_json_int(t, "n", f"term {i}"),
+                                _json_int(t, "ell", f"term {i}"))
+                               for i, t in enumerate(terms, 1)),
                    case_tag=data.get("case_tag", ""))
 
     @classmethod

@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from .bignum import DEFAULT_DIGIT_CAP
-from .cantor_builder import (ExplicitFree, FreeStream, InsertionPlan, SeededFree,
+from .cantor_builder import (ExplicitFree, InsertionPlan, SeededFree,
                              ZeroFree, apply_insertions, certified_brackets,
                              materializable_term_count, truncate_plan)
 from .errors import (CapacityError, GuardError, PhiParseError,
@@ -125,16 +125,22 @@ def _add_plan_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP)
 
 
-def _free_from_args(args, m: int) -> FreeStream:
-    spec = getattr(args, "free", None) or "zero"
-    if spec == "zero":
-        return ZeroFree()
-    if spec.startswith("seed:"):
-        return SeededFree(int(spec[5:]), m)
-    if spec.startswith("digits:"):
-        return ExplicitFree([int(c) for c in spec[7:]])
-    raise ValueError(f"unknown free-stream spec {spec!r}; "
-                     "use zero, seed:<int>, or digits:<symbols>")
+def _free_spec(text: str):
+    """--free: zero | seed:<int> | digits:<symbols>, checked before any
+    output.  Returns the function of the plan's m that builds the stream."""
+    kind, _, arg = text.partition(":")
+    try:
+        if text == "zero":
+            return lambda m: ZeroFree()
+        if kind == "seed":
+            return functools.partial(SeededFree, int(arg))
+        if kind == "digits":
+            free = ExplicitFree([int(c) for c in arg])
+            return lambda m: free
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("use zero, seed:<int> or "
+                                     f"digits:<symbols>, got {text!r}")
 
 
 def _word_from_args(args) -> Word:
@@ -201,7 +207,7 @@ def _cmd_plan(args) -> int:
 def _cmd_build(args) -> int:
     plan = _load_plan(args.plan_file)
     cap = args.cap
-    free = _free_from_args(args, plan.m)
+    free = args.free(plan.m)
     usable = materializable_term_count(plan, cap)
     if usable < len(plan):
         _note(f"cap {cap}: materializing {usable} of {len(plan)} terms")
@@ -286,7 +292,7 @@ def _cmd_verify(args) -> int:
         _note(f"no certified bracket fits under cap {cap}; raise it "
               f"(positions start at {plan.ells[0]})")
         return 3
-    free = _free_from_args(args, plan.m)
+    free = args.free(plan.m)
     seq = apply_insertions(sub, free, cap=cap)
     horizon = brackets[-1][2] + brackets[-1][1] + 2
     word = seq.prefix(horizon)
@@ -376,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("build", help="materialize a plan's sequence")
     sp.add_argument("--plan-file", required=True,
                     help="plan JSON path, or - for stdin")
-    sp.add_argument("--free", default="zero",
+    sp.add_argument("--free", type=_free_spec, default="zero",
                     help="free-slot stream: zero | seed:<int> | digits:<sym>")
     sp.add_argument("--cap", type=_cap, default=None,
                     help=f"materialization cap (default {_CAP_ENV} or "
@@ -434,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_rate_args(sp)
     _add_plan_args(sp)
     sp.add_argument("--cap", type=_cap, default=None)
-    sp.add_argument("--free", default="zero")
+    sp.add_argument("--free", type=_free_spec, default="zero")
     sp.add_argument("--tol", type=float, default=0.1)
     sp.add_argument("--tail", type=_tail_fraction, default=0.5)
     sp.add_argument("--growth-factor", type=float, default=5.0)

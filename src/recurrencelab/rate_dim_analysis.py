@@ -416,13 +416,14 @@ class BoxDimensionFit:
 def box_dimension(p: int, m: int, max_depth: int,
                   min_depth: int = 1) -> BoxDimensionFit:
     """Least-squares slope of log(cylinder count) against depth * log(m)
-    for the marker set, alongside its closed-form limit (p - 2)/p."""
-    if max_depth <= min_depth:
-        raise ValueError("need max_depth > min_depth")
+    for the marker set, alongside its closed-form limit (p - 2)/p.
+    ValueError when p < 2, m < 2 or min_depth < 1."""
+    if not 1 <= min_depth < max_depth:
+        raise ValueError("need 1 <= min_depth < max_depth")
     xs, ys = [], []
     for n in range(min_depth, max_depth + 1):
+        ys.append(math.log(fp_cylinder_count(p, n, m)))   # checks p and m
         xs.append(n * math.log(m))
-        ys.append(math.log(fp_cylinder_count(p, n, m)))
     degenerate = len(set(ys)) == 1
     if degenerate:
         return BoxDimensionFit(0.0, ys[0], Fraction(p - 2, p),

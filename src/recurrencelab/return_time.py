@@ -45,29 +45,16 @@ is divided by 8.  A raw sequence whose symbols array("Q") refuses
 first mapped to the rank of each symbol's first occurrence, which keeps
 equal symbols equal and distinct ones distinct.
 
-Every entry point reads symbols through one accessor, `_text`: a Word's
-own store, or a raw sequence normalized by shift_core.symbol_store.  A
-single depth is one scan of that store (bytes.find).
-
-Since a miss at depth n is a miss at every deeper depth, a Word remembers
-the shallowest depth at which return_time, and separately
-return_time_prime, found no return (`Word._misses`).  A query at or past
-it returns the certified bound with no scan.  Any depth recorded there is
-a true miss, so two threads racing on the record can at worst leave a
-deeper one, which only costs a later scan.  return_time_naive and raw
-sequences never read or write the record, so the oracle stays
-independent of it.
-
-The plain walk depends on top only where it stops: walked to top, it is
-the first top values of any deeper walk, and a walk that ended at a miss
-(fewer values than its top) already holds every exact value there is.
-So a Word keeps `(values, top)` of its deepest plain walk (`Word._walked`),
-whatever its store, and a later request whose top is at most that one,
-or any request after a walk that ended at a miss, is a slice of it.  Any
-other request walks again and replaces the record with the deeper walk.
-The record is one tuple swapped in whole, so a racing thread can at worst
-put back a shallower walk, which only costs a later walk.  The primed
-batch, raw sequences and the naive oracles never read or write it.
+Every entry point reads symbols through `_text`: a Word's own store, or
+a raw sequence normalized by shift_core.symbol_store.  A Word keeps one
+record per kind, plain and primed (`Word._walks`): the exact head of one
+walk to its end, walked on the first query of that kind, single depth
+or batch, and read by every later one.  The walk depends on top only
+where it stops, so a batch to any top is a slice of it, and a single
+depth is its value there or, past it, the certified bound.  A raw
+sequence keeps no record: a single depth is one scan of its store
+(bytes.find), a batch one walk to its top.  The naive oracles scan one
+depth at a time and never read the record.
 """
 from __future__ import annotations
 
@@ -169,32 +156,22 @@ def _scan(text: Union[bytes, tuple], n: int, start: int) -> int:
     return -1
 
 
-def _lookup(w: Union[Word, Sequence[int]], n: int, prime: bool,
-            remember: bool = False) -> ReturnTimeResult:
-    """One depth by one scan; with remember=True a Word's remembered miss
-    (see the module docstring) answers every depth at or past it."""
-    text = _text(w)
+def _lookup(text: Union[bytes, tuple], n: int, prime: bool) -> ReturnTimeResult:
+    """One depth of a symbol store by one scan."""
     L = len(text)
     if not 1 <= n <= L:
         raise ValueError(f"need 1 <= n <= {L}, got n={n}")
-    misses = w._misses if remember and isinstance(w, Word) else None
-    if misses is None or n < misses[prime]:
-        hit = _scan(text, n, n if prime else 1)
-        if hit != -1:
-            return ReturnTimeResult(n, hit, True, prime)
-        if misses is not None:
-            misses[prime] = min(misses[prime], n)
+    hit = _scan(text, n, n if prime else 1)
+    if hit != -1:
+        return ReturnTimeResult(n, hit, True, prime)
     return ReturnTimeResult(n, _bound(L, n, prime), False, prime)
 
 
 def return_time_naive(w: Union[Word, Sequence[int]], n: int,
                       prime: bool = False) -> ReturnTimeResult:
-    """Direct scan for the first reoccurrence of the length-n prefix.
-
-    One bytes.find over the word's store; a tuple scan only when the
-    store is a tuple (m > 256).
-    """
-    return _lookup(w, n, prime)
+    """Direct scan for the first reoccurrence of the length-n prefix: one
+    bytes.find over the word's store (a tuple scan past m = 256)."""
+    return _lookup(_text(w), n, prime)
 
 
 def _common_prefix(text: bytes, a: int, b: int, cap: int) -> int:
@@ -259,12 +236,22 @@ def _walk(text: bytes, width: int, top: int, prime: bool = False) -> list[int]:
     return values
 
 
+def _word_walk(w: Word, prime: bool) -> tuple[int, ...]:
+    """A Word's record of one kind: the exact head of its walk to its end,
+    walked on the first query of that kind (see the module docstring)."""
+    values = w._walks[prime]
+    if values is None:
+        values = w._walks[prime] = tuple(
+            _walk(*_byte_view(w.symbols), len(w.symbols), prime))
+    return values
+
+
 def return_times_all(w: Union[Word, Sequence[int]],
                      max_n: Optional[int] = None,
                      prime: bool = False) -> ReturnTimes:
     """R_n (R'_n with prime=True) for every n in 1..max_n (default: full
-    length), by one run-length walk; a Word remembers its plain walk
-    (`_walked`)."""
+    length): a slice of a Word's record, or one run-length walk of a raw
+    sequence."""
     syms = _text(w)
     L = len(syms)
     if L == 0:
@@ -272,54 +259,41 @@ def return_times_all(w: Union[Word, Sequence[int]],
     top = L if max_n is None else max_n
     if not 1 <= top <= L:
         raise ValueError(f"need 1 <= max_n <= {L}")
-    if isinstance(w, Word) and not prime:
-        values = _word_walk(w, top)
+    if isinstance(w, Word):
+        values = _word_walk(w, prime)[:top]
     else:
-        values = _walk(*_byte_view(syms), top, prime)
-    return ReturnTimes(tuple(values), L, top, prime)
+        values = tuple(_walk(*_byte_view(syms), top, prime))
+    return ReturnTimes(values, L, top, prime)
 
 
-def _word_walk(w: Word, top: int) -> tuple[int, ...]:
-    """The plain walk to top over a Word's store, sliced from the Word's
-    deepest walk so far when that one reached top or ended at a miss
-    (see the module docstring), else walked and remembered."""
-    values, walked = w._walked
-    if top > walked and len(values) == walked:
-        values = tuple(_walk(*_byte_view(w.symbols), top))
-        object.__setattr__(w, "_walked", (values, top))
-    return values[:top]
+def _single(w: Union[Word, Sequence[int]], n: int,
+            prime: bool) -> ReturnTimeResult:
+    """One depth: read from a Word's record, or one scan of a raw sequence."""
+    text = _text(w)
+    if not isinstance(w, Word) or not 1 <= n <= len(text):
+        return _lookup(text, n, prime)   # raises for n outside 1..L
+    values = _word_walk(w, prime)
+    if n <= len(values):
+        return ReturnTimeResult(n, values[n - 1], True, prime)
+    return ReturnTimeResult(n, _bound(len(text), n, prime), False, prime)
 
 
 def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
-    """R_n for one depth, by one bytes.find, or by a Word's remembered miss
-    with no scan."""
-    return _lookup(w, n, False, remember=True)
+    """R_n for one depth."""
+    return _single(w, n, False)
 
 
 def return_time_prime(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
-    """R'_n: first return with shift at least n, by one bytes.find, or by
-    a Word's remembered miss with no scan."""
-    return _lookup(w, n, True, remember=True)
+    """R'_n, the first return at a shift of at least n, for one depth."""
+    return _single(w, n, True)
 
 
 def return_times_naive_all(w: Union[Word, Sequence[int]],
                            max_n: Optional[int] = None) -> list[ReturnTimeResult]:
-    """Oracle-grade batch: one independent naive scan per n.
-
-    The conversion to bytes is hoisted out of the loop (it does not depend
-    on n); each n still gets its own full scan, so the per-n decisions stay
-    independent of one another and of the batch walk.
-    """
+    """Oracle-grade batch: one independent naive scan per n, over the
+    store converted once."""
     text = _text(w)
-    L = len(text)
-    top = L if max_n is None else max_n
-    if not 0 <= top <= L:
-        raise ValueError(f"need 0 <= max_n <= {L}")
-    out = []
-    for n in range(1, top + 1):
-        hit = _scan(text, n, 1)
-        if hit != -1:
-            out.append(ReturnTimeResult(n, hit, True))
-        else:
-            out.append(ReturnTimeResult(n, L - n, False))
-    return out
+    top = len(text) if max_n is None else max_n
+    if not 0 <= top <= len(text):
+        raise ValueError(f"need 0 <= max_n <= {len(text)}")
+    return [_lookup(text, n, False) for n in range(1, top + 1)]

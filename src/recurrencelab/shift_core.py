@@ -81,13 +81,10 @@ class Word:
     bytes for m <= 256 (slicing, comparison and search run in C), else a
     tuple.  `data` is that store when it is bytes, None otherwise.
 
-    `_misses` remembers, for return_time (index 0) and return_time_prime
-    (index 1), the shallowest depth at which a scan found no return, and
-    len + 1 while none has.  `_walked` is `(values, top)` of the deepest
-    plain return-time walk so far, over either store (see
-    return_time.return_times_all), `((), 0)` before the first.  Both are
-    plain attributes, not fields, so they take no part in equality, hash,
-    repr or dataclasses.fields.
+    `_walks` holds the return-time record of the plain (index 0) and
+    primed (index 1) kind, each None before its first query (see
+    return_time).  It is a plain attribute, not a field, so it takes no
+    part in equality, hash, repr or dataclasses.fields.
     """
 
     symbols: Union[bytes, tuple[int, ...]]
@@ -101,8 +98,7 @@ class Word:
                 None, bytes(range(self.alphabet.m))):
             self.alphabet.check(store)  # names the offending symbol
         object.__setattr__(self, "symbols", store)
-        object.__setattr__(self, "_misses", [len(store) + 1] * 2)
-        object.__setattr__(self, "_walked", ((), 0))
+        object.__setattr__(self, "_walks", [None, None])
 
     @property
     def data(self) -> Optional[bytes]:

@@ -38,8 +38,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_ac01_oracle_equivalence_corpus():
     # 1000 seeded words, m cycling over {2,3,5}, lengths 20..10^4 (the last
-    # word is exactly 10^4): the Z-array batch must equal the per-n find()
-    # oracle elementwise, values and exactness flags both, in under 10 s.
+    # word is exactly 10^4): the run-length walk batch must equal the
+    # per-n find() oracle elementwise, values and exactness flags both, in
+    # under 10 s.
     rng = random.Random(20260819)
     t0 = time.perf_counter()
     mismatches = 0

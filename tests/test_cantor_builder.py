@@ -8,7 +8,7 @@ from recurrencelab import (CapacityError, ExplicitFree, FpBase, FreeStream,
                            InsertionPlan, LazySequence, OscLogPhi,
                            PlanValidityError, SeededFree,
                            SourceExhaustedError, Word, ZeroFree,
-                           apply_insertions, build_fp_prefix,
+                           apply_insertions, box_dimension, build_fp_prefix,
                            certified_brackets, check_plan_conditions,
                            first_certified_index, fp_cylinder_count,
                            fp_membership, make_insertion_word,
@@ -49,6 +49,16 @@ def test_fp_cylinder_count_matches_the_per_depth_loop():
             free = sum(1 for j in range(p + 1, n + 1) if j % p not in (0, 1))
             assert fp_cylinder_count(p, n, 2) == 2 ** free, (p, n)
             assert fp_cylinder_count(p, n, 5) == 5 ** free, (p, n)
+
+
+@pytest.mark.parametrize("p,m", [(1, 2), (0, 2), (-3, 2), (3, 1), (3, 0)])
+def test_the_block_family_needs_p_and_m_of_at_least_two(p, m):
+    for build in (lambda: FpBase(p, m), lambda: fp_cylinder_count(p, 5, m),
+                  lambda: box_dimension(p, m, 5)):
+        with pytest.raises(ValueError, match="at least 2"):
+            build()
+    with pytest.raises(ValueError, match="1 <= min_depth"):
+        box_dimension(3, 2, 5, min_depth=0)
 
 
 def test_fp_base_matches_independent_rule():

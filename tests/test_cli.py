@@ -221,6 +221,42 @@ def test_build_seeded_free_is_reproducible(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("spec", ["bogus", "seed:abc", "seed:", "digits:1x",
+                                  "zero:1"])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_a_malformed_free_spec_is_a_usage_error(tmp_path, capsys, command,
+                                                spec):
+    if command == "build":
+        argv = ["build", "--plan-file", str(_twelve_term_plan(tmp_path, capsys))]
+    else:
+        argv = ["verify", "--phi", "log(n)", "--alpha", "2", "--beta", "2"]
+    code, out, err = run(capsys, *argv, "--free", spec)
+    assert code == 2 and out == ""
+    assert "--free" in err and repr(spec) in err
+
+
+@pytest.mark.parametrize("plan,field", [
+    ({"p": 3, "m": 2}, "'terms'"),
+    ({"m": 2, "terms": []}, "'p'"),
+    ({"p": 3, "m": 2, "terms": [{"n": 4}]}, "'ell'"),
+    ({"p": 3, "m": 2, "terms": [{"n": 4, "ell": "64"}, {"ell": "256"}]},
+     "term 2 has no field 'n'"),
+    ({"p": 3, "m": 2, "terms": [{"n": 4, "ell": "6.4"}]}, "'ell'"),
+    ({"p": 3, "m": None, "terms": []}, "'m'"),
+    ({"p": 3, "m": 2, "terms": {"n": 4}}, "'terms'"),
+    ({"p": 3, "m": 2, "terms": [[4, 64]]}, "term 1 has no field 'n'"),
+    ([3, 2], "'terms'"),
+])
+@pytest.mark.parametrize("command", ["build", "rates"])
+def test_a_malformed_plan_file_is_an_error(tmp_path, capsys, command, plan,
+                                           field):
+    f = tmp_path / "plan.json"
+    f.write_text(json.dumps(plan))
+    code, out, err = run(capsys, command, "--plan-file", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and field in err, err
+
+
 # --------------------------------------------------- word-facing commands ---
 
 def test_return_times_json_lines(capsys):
@@ -361,6 +397,17 @@ def test_dim_cli(capsys):
     data = lines(out)[0]
     assert data["expected"] == 0.5
     assert abs(data["slope"] - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--p", "1"], "block length p must be at least 2, got 1"),
+    (["--p", "0"], "block length p must be at least 2, got 0"),
+    (["--p", "3", "--m", "1"], "alphabet needs at least 2 symbols, got 1"),
+    (["--p", "3", "--min-depth", "0"], "need 1 <= min_depth < max_depth"),
+])
+def test_dim_refuses_an_impossible_family(capsys, argv, reason):
+    code, out, err = run(capsys, "dim", *argv, "--depth", "5")
+    assert (code, out, err) == (1, "", f"error: {reason}\n")
 
 
 # ----------------------------------------------------------------- verify ---

@@ -82,8 +82,9 @@ def _counting_walks(monkeypatch):
 
 
 def test_single_depth_runs_no_walk(monkeypatch):
-    # R_n for one depth is one scan, like R'_n; it matches the batch,
-    # exact values and lower bounds alike
+    # after the two batches, a single depth R_n or R'_n reads the Word's
+    # record of its kind with no further walk; it matches the batch, exact
+    # values and lower bounds alike, as does one scan of a raw sequence
     w = Word.from_iterable(_fibonacci(300) + [1] * 40, 2)
     batch = return_times_all(w)
     primed = return_times_all(w, prime=True)
@@ -176,8 +177,9 @@ def _period7_with_flips(rng, length, m):
 
 @pytest.mark.parametrize("kind", ["fibonacci", "period7", "all-zero"])
 def test_columnar_matches_naive_on_low_entropy_words(kind):
-    # long self-overlaps push N* = max z[i] deep into the word, so most
-    # depths come from the exact prefix rather than the lower bound
+    # long self-overlaps push N*, where the run-length walk ends at a
+    # miss, deep into the word, so most depths come from the exact head
+    # rather than the lower bound
     rng = random.Random(31)
     for length in (1, 2, 13, 200, 1500):
         if kind == "fibonacci":

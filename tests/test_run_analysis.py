@@ -7,8 +7,8 @@ word, against per-depth references.
   math.exp, so agreement is ==, including the errors raised.
 - Every default-profile logarithm is read from one process-wide table of
   math.log(k), grown under a lock.
-- A Word remembers its shallowest miss, plain and primed, so deeper
-  single-depth queries need no scan.
+- A Word keeps one return-time record per kind, plain and primed, so
+  single depths and batches of one Word run at most one walk per kind.
 """
 import importlib
 import math
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import recurrencelab.rate_dim_analysis as rda
 from recurrencelab import (Word, rate_trajectory, recurrence_witnesses,
                            return_time, return_time_naive, return_time_prime,
-                           return_times_all)
+                           return_times_all, return_times_naive_all)
 from recurrencelab.return_time import ReturnTimes
 
 from conftest import brute_return_time, random_word
@@ -328,37 +328,42 @@ def test_concurrent_growth_never_duplicates_entries(fresh_table,
         assert final[1:].tobytes() == want[:8 * (len(final) - 1)]
 
 
-# ------------------------------------------------------ remembered misses ---
+# ------------------------------------------------- the return-time record ---
 
-def _counting_scan(monkeypatch):
+def _counting(monkeypatch, name):
+    """Record the arguments after the text of every call of
+    return_time.<name>: (n, start) of _scan, (width, top, prime) of _walk."""
     calls = []
-    real = return_time_module._scan
+    real = getattr(return_time_module, name)
 
-    def scan(text, n, start):
-        calls.append(n)
-        return real(text, n, start)
+    def counting(text, *args):
+        calls.append(args)
+        return real(text, *args)
 
-    monkeypatch.setattr(return_time_module, "_scan", scan)
+    monkeypatch.setattr(return_time_module, name, counting)
     return calls
 
 
+@pytest.mark.parametrize("m", [2, 300])
 @pytest.mark.parametrize("query", [return_time, return_time_prime])
-def test_no_scan_runs_past_a_remembered_miss(monkeypatch, query):
-    word = random_word(random.Random(3), 2, 600)
+def test_single_depths_read_one_walk_to_the_end(monkeypatch, query, m):
+    word = Word.from_iterable(random_word(random.Random(3), 2, 600), m)
     prime = query is return_time_prime
-    calls = _counting_scan(monkeypatch)
-    results = [query(word, n) for n in range(1, 601)]
-    first_miss = next(r.n for r in results if not r.exact)
-    assert calls == list(range(1, first_miss + 1))
-    assert word._misses[prime] == first_miss
-    assert word._misses[not prime] == 601
+    scans = _counting(monkeypatch, "_scan")
+    walks = _counting(monkeypatch, "_walk")
+    results = [query(word, n) for n in range(600, 0, -1)]
+    assert (scans, walks) == ([], [(1 if m == 2 else 8, 600, prime)])
+    assert word._walks[prime] is not None and word._walks[not prime] is None
+    assert sum(r.exact for r in results) == len(word._walks[prime])
     for r in results:
         assert (r.value, r.exact) == brute_return_time(word.symbols, r.n,
                                                        prime)
-    calls.clear()
-    assert [query(word, n) for n in range(600, first_miss - 1, -1)] == \
-        results[first_miss - 1:][::-1]
-    assert calls == []
+    # every later query of this kind, single depth or batch, reads the record
+    assert return_times_all(word, max_n=77, prime=prime)[:] == \
+        results[:-78:-1]
+    with pytest.raises(ValueError):
+        query(word, 601)
+    assert len(walks) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,8 +373,15 @@ def test_queries_in_any_order_equal_the_brute_scan(syms, order):
     word = Word.from_iterable(syms, 3)
     L = len(syms)
     queries = order.draw(st.lists(
-        st.tuples(st.integers(1, L), st.booleans()), max_size=3 * L))
-    for n, prime in queries:
+        st.tuples(st.integers(1, L), st.booleans(), st.booleans()),
+        max_size=3 * L))
+    for n, prime, batch in queries:
+        if batch:
+            rt = return_times_all(word, max_n=n, prime=prime)
+            assert (rt.top, rt.prime) == (n, prime)
+            assert [(r.value, r.exact) for r in rt] == \
+                [brute_return_time(syms, k, prime) for k in range(1, n + 1)]
+            continue
         res = (return_time_prime if prime else return_time)(word, n)
         assert (res.n, res.prime) == (n, prime)
         assert (res.value, res.exact) == brute_return_time(syms, n, prime)
@@ -377,28 +389,36 @@ def test_queries_in_any_order_equal_the_brute_scan(syms, order):
 
 def test_the_naive_scan_neither_reads_nor_writes_the_record():
     word = Word.from_digits("0100101001001", 2)
-    # a false record: a miss claimed at depth 1, plain and primed
-    word._misses[:] = [1, 1]
+    # a false record: no exact depth, plain and primed
+    word._walks[:] = [(), ()]
     for n in range(1, len(word) + 1):
         for prime in (False, True):
             res = return_time_naive(word, n, prime)
             assert (res.value, res.exact) == \
                 brute_return_time(word.symbols, n, prime)
     assert return_time(word, 2).exact is False      # the record is read
+    assert return_times_naive_all(word)[1].exact is True
     fresh = Word.from_digits("0100101001001", 2)
     for n in range(1, len(fresh) + 1):
         return_time_naive(fresh, n)
         return_time_naive(fresh, n, True)
-    assert fresh._misses == [len(fresh) + 1] * 2
+    return_times_naive_all(fresh)
+    assert fresh._walks == [None, None]
 
 
 def test_raw_sequences_keep_no_record(monkeypatch):
     syms = [0, 1, 1, 0, 1, 1, 1]
-    calls = _counting_scan(monkeypatch)
+    scans = _counting(monkeypatch, "_scan")
+    walks = _counting(monkeypatch, "_walk")
     for _ in range(2):
         for n in range(1, 8):
             return_time(syms, n)
-    assert calls == list(range(1, 8)) * 2
+            return_time_prime(syms, n)
+        return_times_all(syms, max_n=5)
+        return_times_all(syms, prime=True)
+    assert scans == [(n, start) for n in range(1, 8)
+                     for start in (1, n)] * 2
+    assert walks == [(1, 5, False), (1, 7, True)] * 2
 
 
 def test_the_record_leaves_equality_hash_and_repr_alone():
@@ -406,7 +426,7 @@ def test_the_record_leaves_equality_hash_and_repr_alone():
     b = Word.from_digits("0110100110", 2)
     return_time(a, 9)
     return_time_prime(a, 6)
-    assert a._misses != b._misses
+    assert a._walks != b._walks
     assert a == b and hash(a) == hash(b)
     assert hash(a) == hash((a.symbols, a.alphabet))
     assert repr(a) == repr(b) == \

@@ -19,7 +19,8 @@ import recurrencelab.rate_dim_analysis as rda
 from recurrencelab import (EstimationImpossibleError, OscLogPhi, Word,
                            parse_phi, plan_full_dimension,
                            plan_rate_trajectory, rate_trajectory,
-                           recurrence_witnesses, return_times_all,
+                           recurrence_witnesses, return_time,
+                           return_time_prime, return_times_all,
                            return_times_naive_all, running_extremes)
 from recurrencelab.rate_dim_analysis import (RateColumns, RateEntry,
                                              RateTrajectory)
@@ -83,22 +84,24 @@ KERNEL_WORDS = list(_kernel_words(150))
 @pytest.mark.parametrize("name,syms,m", KERNEL_WORDS,
                          ids=[w[0] for w in KERNEL_WORDS])
 def test_run_length_walk_matches_naive_at_every_top(name, syms, m):
+    # a Word slices its walk to the end; a raw sequence walks to each top
     w = Word.from_iterable(syms, m)
     assert isinstance(w.symbols, bytes)
     for top in range(1, len(syms) + 1):
-        assert _rows(return_times_all(w, max_n=top)) == \
-            _rows(return_times_naive_all(w, max_n=top)), top
+        want = _rows(return_times_naive_all(w, max_n=top))
+        assert _rows(return_times_all(w, max_n=top)) == want, top
+        assert _rows(return_times_all(syms, max_n=top)) == want, top
 
 
 def test_runs_cut_by_top_and_by_the_word_end():
     fib = Word.from_iterable(_fibonacci(400), 2)
     full = return_times_all(fib)
     # a top inside a run: the run is cut there, and the deeper value is
-    # the same return
+    # the same return (a raw sequence walks to its top, a Word to its end)
     runs = [n for n in range(2, full.exact_depth)
             if full.values[n - 1] == full.values[n]]
     for top in runs[::7]:
-        cut = return_times_all(fib, max_n=top)
+        cut = return_times_all(list(fib), max_n=top)
         assert cut.exact_depth == top and cut.values == full.values[:top]
         assert _rows(cut) == _rows(return_times_naive_all(fib, max_n=top))
     # a run that ends because the return reaches the last symbol: R_n + n
@@ -113,7 +116,7 @@ def test_runs_cut_by_top_and_by_the_word_end():
     assert _rows(rt) == _rows(return_times_naive_all(w))
     # ... and one that ends at both: the cap of the last run is L - j - n
     # and top - n at once
-    assert _rows(return_times_all(w, max_n=50)) == \
+    assert _rows(return_times_all(syms, max_n=50)) == \
         _rows(return_times_naive_all(w, max_n=50))
 
 
@@ -129,8 +132,8 @@ def test_one_common_prefix_per_distinct_value(monkeypatch):
     for name, syms, m in list(_kernel_words(900)):
         for top in (1, 5, 77, len(syms)):
             calls.clear()
-            # a fresh Word each time: a Word's own walk answers later tops
-            rt = return_times_all(Word.from_iterable(syms, m), max_n=top)
+            # a raw sequence: it walks to its top and keeps no record
+            rt = return_times_all(syms, max_n=top)
             assert len(calls) == len(set(rt.values)), (name, top)
     calls.clear()
     rt = return_times_all(Word.from_iterable(_fibonacci(176531), 2))
@@ -149,49 +152,35 @@ def _counting_walks(monkeypatch):
     return walks
 
 
-def test_a_word_walks_once_for_every_shallower_top(monkeypatch):
+def test_a_word_walks_once_per_kind_whatever_the_queries(monkeypatch):
     walks = _counting_walks(monkeypatch)
     words = list(_kernel_words(300))
-    # a Word keeps its walk whatever its store: the same symbols in tuples
+    # a Word keeps its record whatever its store: the same symbols in tuples
     words += [(name + "-tuple", syms, 300) for name, syms, _ in words[:3]]
+    rng = random.Random(19)
     for name, syms, m in words:
+        L = len(syms)
+        full = [return_times_all(syms, prime=prime) for prime in (False, True)]
+        walks.clear()
         w = Word.from_iterable(syms, m)
-        full = return_times_all(w)
-        assert walks == [len(syms)], name
+        asked = set()
+        for _ in range(60):
+            prime = rng.random() < 0.5
+            asked.add(prime)
+            if rng.random() < 0.5:
+                top = rng.randint(1, L)
+                rt = return_times_all(w, max_n=top, prime=prime)
+                assert rt == ReturnTimes(full[prime].values[:top], L, top,
+                                         prime), (name, top)
+            else:
+                n = rng.randint(1, L)
+                single = (return_time_prime if prime else return_time)(w, n)
+                assert single == full[prime][n - 1], (name, n, prime)
+        # one walk per kind asked, each to the end of the word
+        assert walks == [L] * len(asked), name
+        assert [v is not None for v in w._walks] == \
+            [False in asked, True in asked], name
         walks.clear()
-        for top in range(1, len(syms) + 1):
-            rt = return_times_all(w, max_n=top)
-            fresh = return_times_all(Word.from_iterable(syms, m), max_n=top)
-            assert rt == fresh and rt.values == full.values[:top], (name, top)
-        # one walk per fresh Word, none for w
-        assert len(walks) == len(syms), name
-        walks.clear()
-        # the primed batch and raw sequences keep no record
-        assert return_times_all(w, prime=True) == return_times_all(
-            Word.from_iterable(syms, m), prime=True)
-        assert return_times_all(syms) == full
-        assert return_times_all(syms) == full
-        assert walks == [len(syms)] * 4, name
-        walks.clear()
-
-
-def test_a_deeper_top_walks_again_unless_the_walk_missed(monkeypatch):
-    walks = _counting_walks(monkeypatch)
-    # a Fibonacci word: the walk to 10 reaches its top, the walk to L
-    # ends at a miss past L/2
-    fib = _fibonacci(2000)
-    w = Word.from_iterable(fib, 2)
-    assert return_times_all(w, max_n=10).exact_depth == 10
-    assert return_times_all(w, max_n=5).values == \
-        return_times_all(fib, max_n=5).values
-    assert walks == [10, 5]
-    full = return_times_all(w, max_n=1500)
-    assert walks == [10, 5, 1500] and full.exact_depth < 1500
-    for top in (1999, 2000, 1500, 3):
-        assert return_times_all(w, max_n=top).values == \
-            full.values[:top]
-    assert walks == [10, 5, 1500]
-    assert w._walked == (full.values, 1500)
 
 
 def test_common_prefix_matches_a_symbol_loop():
