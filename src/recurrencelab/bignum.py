@@ -2,10 +2,18 @@
 
 Insertion positions grow like e^{i*phi(i)} and leave floating point range
 long before they strain memory, so plan construction needs exact integers
-built from log-space descriptions.  mpmath supplies the arbitrary-precision
-exp/ln.  Precision is chosen from the target magnitude plus guard digits, so
-results are exact unless the true value sits within ~10^-G of an integer
-boundary (G = guard digits), which we accept as a working convention.
+built from log-space descriptions.  mpmath's raw layer, `mpmath.libmp`,
+supplies the arbitrary-precision exp/ln.  Precision is chosen from the
+target magnitude plus guard digits, so results are exact unless the true
+value sits within ~10^-G of an integer boundary (G = guard digits), which
+we accept as a working convention.
+
+Every value is a raw libmp tuple (sign, man, exp, bc), and every step
+passes its precision and rounding to libmp as arguments.  So the module
+neither reads nor changes mpmath's global context (`mp.prec`), and two
+threads can compute at different precisions at once.  Each step rounds
+to nearest at a precision of its own, as mpmath's context arithmetic
+would at that precision, so an integer comes out bit for bit as there.
 
 `_exp` takes e^X, X the exact sum of float terms, by one of three routes.
 From EXP_BURST_PREC bits of working precision on, a non-integer X > 1 is
@@ -17,8 +25,10 @@ precision, so the one rounding of their product leaves e^X within one
 unit in the last place.  An integer X >= 1 past EXP_POW_PREC bits is the
 product of cached powers e^(2^j) over the set bits of X, rounded to
 nearest once, where mpmath's exp powers e afresh on every call; the two
-agree bit for bit.  X <= 1, the other non-integers and smaller
-precisions take mpmath's own exp of the exact X, which is as fast there.
+agree bit for bit.  The cache is one immutable snapshot (prec, entries),
+replaced whole, so a reader never pairs entries with another prec.
+X <= 1, the other non-integers and smaller precisions take mpmath's own
+exp of the exact X, which is as fast there.
 
 `_ln` takes ln n by one of three routes.  Inside mpmath's Taylor range
 (below LOG_TAYLOR_PREC bits) it is mpmath's own ln.  Past it, when the
@@ -28,7 +38,7 @@ hint is too far off, it is Newton's method on exp.
 
 exp_int and the hinted ln share `_exp`, a pure function.  Inside
 `exp_memo_scope`, which plan synthesis opens for one plan, they share a
-memo of its values that lives until the scope closes: exp_ceil(x)
+memo of its values (tuples) that lives until the scope closes: exp_ceil(x)
 followed by power_log_ceil(n, 1, near=x) computes e^x once, and a ladder
 that builds all its rungs before the first power_log_ceil still computes
 each e^x once, as exp_int's ``power`` asks for e^x at the digits the
@@ -46,10 +56,13 @@ import bisect
 import contextlib
 import math
 import sys
+import threading
 
-import mpmath
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_e,
-                          mpf_exp, round_floor, round_nearest)
+from mpmath.libmp import (dps_to_prec, fhalf, fone, from_float, from_int,
+                          from_man_exp, mpf_add, mpf_div, mpf_e, mpf_exp,
+                          mpf_log, mpf_mul, mpf_neg, mpf_shift, mpf_sub,
+                          mpf_sum, round_ceiling, round_floor, round_nearest,
+                          to_int)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 from .errors import CapacityError
@@ -103,6 +116,18 @@ def _terms(log_value) -> tuple:
     return tuple(log_value)
 
 
+def _mpf_terms(terms: tuple, prec: int) -> list:
+    """The terms as raw mpfs at prec bits, converted as mpmath converts
+    them: a float exactly, an int rounded to nearest."""
+    return [from_float(t) if isinstance(t, float)
+            else from_int(t, prec, round_nearest) for t in terms]
+
+
+def _mag(x: tuple):
+    """mpmath.mag of a raw mpf: exp + bc, or -inf for zero."""
+    return x[2] + x[3] if x[1] else -math.inf
+
+
 # the `_exp` values computed while an exp_memo_scope is open, keyed by
 # (terms, dps); None outside every scope
 _memo = None
@@ -135,8 +160,8 @@ def _scoped_exp(terms: tuple, dps: int):
     return memo[key]
 
 
-def _exp(terms: tuple, dps: int):
-    """e to the exact sum of terms, as an mpf at dps digits, within one
+def _exp(terms: tuple, dps: int) -> tuple:
+    """e to the exact sum of terms, as a raw mpf at dps digits, within one
     unit in the last place (the routes are in the module docstring).
 
     Pure, so a value from `_scoped_exp`'s memo is the one a fresh call
@@ -148,32 +173,20 @@ def _exp(terms: tuple, dps: int):
     if prec >= EXP_BURST_PREC and whole >= 1 and whole << s != num:
         wp = prec + EXP_GUARD_BITS
         e_whole = _exp_whole(whole, wp)
-        with mpmath.workprec(wp):
-            e_frac = mpmath.mpf((_exp_fraction(num - (whole << s), s, wp),
-                                 -wp))
-        with mpmath.workprec(prec):
-            return e_whole * e_frac
+        e_frac = from_man_exp(_exp_fraction(num - (whole << s), s, wp), -wp,
+                              wp, round_nearest)
+        return mpf_mul(e_whole, e_frac, prec, round_nearest)
     if prec > EXP_POW_PREC and whole >= 1 and whole << s == num:
         return _exp_whole(whole, prec)
-    with mpmath.workprec(max(prec, num.bit_length())):
-        x = mpmath.mpf((num, -s))   # exact
-    with mpmath.workprec(prec):
-        return mpmath.exp(x)
+    return mpf_exp(from_man_exp(num, -s), prec, round_nearest)
 
 
-class _PowersOfE:
-    """A cache of e^(2^j) for j < len(entries), built by `_powers_of_e`.
-
-    Each entry is a pair (man, exp), man 2^exp, with a man of exactly
-    prec + _pow_guard(len(entries) - 1) bits; prec is a power of two.
-    """
-
-    def __init__(self):
-        self.prec = 0
-        self.entries = []
-
-
-_E_POWERS = _PowersOfE()
+# The cache of e^(2^j) that `_powers_of_e` builds, as one snapshot
+# (prec, entries), replaced whole.  Entry j is a pair (man, exp), man 2^exp,
+# with a man of exactly prec + _pow_guard(len(entries) - 1) bits; prec is a
+# power of two.  The lock only keeps two threads from building at once.
+_e_powers = (0, ())
+_e_powers_lock = threading.Lock()
 
 
 def _pow_guard(top: int) -> int:
@@ -192,25 +205,34 @@ def _powers_of_e(top: int, prec: int) -> tuple:
     requests rebuilds a logarithmic number of times.  The entries come
     from repeated squaring of mpmath's e, each square truncated to w bits.
     """
-    table = _E_POWERS
-    if top >= len(table.entries) or prec > table.prec:
-        prec = 1 << (max(prec, table.prec) - 1).bit_length()
-        top = max(top, len(table.entries) - 1)
-        w = prec + _pow_guard(top)
-        _, man, exp, bc = mpf_e(w, round_floor)
-        entries = [(man << (w - bc), exp - (w - bc))]
-        for _ in range(top):
-            man, exp = entries[-1]
-            man *= man
-            cut = man.bit_length() - w
-            entries.append((man >> cut, 2 * exp + cut))
-        # only a finished table replaces the old one
-        table.prec, table.entries = prec, entries
-    return table.entries, table.prec + _pow_guard(len(table.entries) - 1)
+    global _e_powers
+    table = _e_powers
+    if top >= len(table[1]) or prec > table[0]:
+        with _e_powers_lock:
+            table = _e_powers
+            if top >= len(table[1]) or prec > table[0]:
+                table = _e_powers = _build_powers_of_e(
+                    max(top, len(table[1]) - 1),
+                    1 << (max(prec, table[0]) - 1).bit_length())
+    prec, entries = table
+    return entries, prec + _pow_guard(len(entries) - 1)
 
 
-def _exp_whole(n: int, prec: int):
-    """e^n for an integer n >= 1, as an mpf rounded to nearest at prec
+def _build_powers_of_e(top: int, prec: int) -> tuple:
+    """The snapshot (prec, entries) of e^(2^j) for j <= top."""
+    w = prec + _pow_guard(top)
+    _, man, exp, bc = mpf_e(w, round_floor)
+    entries = [(man << (w - bc), exp - (w - bc))]
+    for _ in range(top):
+        man, exp = entries[-1]
+        man *= man
+        cut = man.bit_length() - w
+        entries.append((man >> cut, 2 * exp + cut))
+    return prec, tuple(entries)
+
+
+def _exp_whole(n: int, prec: int) -> tuple:
+    """e^n for an integer n >= 1, as a raw mpf rounded to nearest at prec
     bits: the product of the cached e^(2^j) over the set bits of n.
 
     With u = 2^(1-w) at the table's w bits, e is within u (relatively)
@@ -238,7 +260,7 @@ def _exp_whole(n: int, prec: int):
     out = from_man_exp(man - err, exp, prec, round_nearest)
     if out != from_man_exp(man + err, exp, prec, round_nearest):
         out = mpf_exp(from_int(n), prec, round_nearest)
-    return mpmath.mp.make_mpf(out)
+    return out
 
 
 def _dyadic_sum(terms: tuple) -> tuple:
@@ -335,11 +357,11 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
             power.numerator / getattr(power, "denominator", 1) * approx)
         if shared <= digit_cap:
             places = shared
-    dps = places + GUARD_DIGITS
-    value = _scoped_exp(terms, dps)
-    with mpmath.workdps(dps):
-        out = mpmath.ceil(value) if rounding == "ceil" else mpmath.floor(value)
-        return int(out)
+    value = _scoped_exp(terms, places + GUARD_DIGITS)
+    # the ceiling or floor of a value of prec bits fits in prec bits, so
+    # this is mpmath.ceil/floor at the value's own precision
+    return int(to_int(value,
+                      round_ceiling if rounding == "ceil" else round_floor))
 
 
 def exp_ceil(log_value, digit_cap: int = DEFAULT_DIGIT_CAP, *,
@@ -368,8 +390,8 @@ def nth_root_floor(v: int, k: int) -> int:
     return x
 
 
-def _ln(n: int, near=None, power=1.0):
-    """ln n as an mpf.
+def _ln(n: int, dps: int, near=None, power=1.0) -> tuple:
+    """ln n as a raw mpf, good to dps digits.
 
     Up to LOG_TAYLOR_PREC bits mpmath's own ln reads a cached Taylor table
     and is the faster route; it is taken whatever the hint.  Past it, a
@@ -377,67 +399,75 @@ def _ln(n: int, near=None, power=1.0):
     e^near at the digits of n^power plus GUARD_DIGITS, and `_ln_newton`
     serves what no hint settles.
     """
-    x = mpmath.mpf(n)   # rounded at the working precision, as ln(mpf(n)) was
-    if mpmath.mp.prec + 20 <= LOG_TAYLOR_PREC:   # mpf_log's own switch
-        return mpmath.ln(x)
+    prec = dps_to_prec(dps)
+    x = from_int(n, prec, round_nearest)
+    if prec + 20 <= LOG_TAYLOR_PREC:   # mpf_log's own switch
+        return mpf_log(x, prec, round_nearest)
     if near is not None:
         terms = _terms(near)
         places = digits_of_exp(power * math.fsum(terms)) + GUARD_DIGITS
-        y = _ln_near(x, terms, places)
+        y = _ln_near(x, prec, terms, places)
         if y is not None:
             return y
-    return _ln_newton(n, x)
+    return _ln_newton(n, x, dps)
 
 
-def _ln_near(x, terms: tuple, places: int):
-    """ln x from the terms of an exponent t with x close to e^t, or None.
+def _ln_near(x: tuple, prec: int, terms: tuple, places: int):
+    """ln x at prec bits from the terms of an exponent t with x close to
+    e^t, or None.
 
     With u = x e^-t - 1, ln x = t + log1p(u); when |u| < 2^(-prec/4) four
-    terms of the series are exact to the working precision.  e^t comes
-    from `_exp` at ``places`` digits, so ln x is good to about 10^-places
-    absolutely.  A hint off by more than 2^-90 is turned away by a 128-bit
-    e^t first, so a float's guess at ln x costs little.
+    terms of the series are exact to prec bits.  e^t comes from `_exp` at
+    ``places`` digits, so ln x is good to about 10^-places absolutely.  A
+    hint off by more than 2^-90 is turned away by a 128-bit e^t first, so
+    a float's guess at ln x costs little.
     """
-    prec = mpmath.mp.prec
-    with mpmath.workprec(128):
-        e_t = mpmath.exp(mpmath.fsum(mpmath.mpf(t) for t in terms))
-        if mpmath.mag(x / e_t - 1) >= -90:
-            return None
+    rnd = round_nearest
+    e_t = mpf_exp(mpf_sum(_mpf_terms(terms, 128), 128, rnd), 128, rnd)
+    if _mag(mpf_sub(mpf_div(x, e_t, 128, rnd), fone, 128, rnd)) >= -90:
+        return None
     e_t = _scoped_exp(terms, places)
-    d = x - e_t
+    d = mpf_sub(x, e_t, prec, rnd)
     log1p = d   # zero when x is e^t at this precision
-    if d:
-        # u is needed to the working precision's absolute error only
-        with mpmath.workprec(max(53, prec + mpmath.mag(d) - mpmath.mag(e_t))):
-            u = d / e_t
-            if mpmath.mag(u) >= -(prec // 4):
-                return None
-            log1p = u * (1 - u * (mpmath.mpf(1) / 2 - u * (
-                mpmath.mpf(1) / 3 - u / 4)))
-    return mpmath.fsum([*map(mpmath.mpf, terms), log1p])
+    if d[1]:
+        # u is needed to prec bits' absolute error only
+        wp = max(53, prec + _mag(d) - _mag(e_t))
+        u = mpf_div(d, e_t, wp, rnd)
+        if _mag(u) >= -(prec // 4):
+            return None
+        # u (1 - u (1/2 - u (1/3 - u/4)))
+        log1p = mpf_sub(mpf_div(fone, from_int(3), wp, rnd), mpf_shift(u, -2),
+                        wp, rnd)
+        for c in (fhalf, fone):
+            log1p = mpf_sub(c, mpf_mul(u, log1p, wp, rnd), wp, rnd)
+        log1p = mpf_mul(u, log1p, wp, rnd)
+    return mpf_sum([*_mpf_terms(terms, prec), log1p], prec, rnd)
 
 
-def _ln_newton(n: int, x):
-    """ln n, x = mpf(n), by Newton's method on exp, at least as precise as
-    the working precision.
+def _ln_newton(n: int, x: tuple, dps: int) -> tuple:
+    """ln n, x = n as a raw mpf, by Newton's method on exp, good to at
+    least dps digits.
 
     Past LOG_TAYLOR_PREC mpmath switches to an AGM, which runs pure-Python
     square roots when gmpy is absent.  This iterates y <- y - 1 +
     n*exp(-y) from the float math.log(n) instead.  Each step doubles the
     correct digits, so each runs at about twice the precision of the step
-    before; the last runs at the working precision plus 5 digits.
+    before; the last runs at dps plus 5 digits.
     """
     y0 = math.log(n)
     lead = max(1, math.ceil(math.log10(y0)))   # digits before the point
     # a step at dps digits needs (dps + lead)/2 correct digits on input;
     # the float start has 15
-    steps = [mpmath.mp.dps + 5]
+    steps = [dps + 5]
     while (steps[-1] + lead) // 2 + 2 > 15:
         steps.append((steps[-1] + lead) // 2 + 2)
-    y = mpmath.mpf(y0)
-    for dps in reversed(steps):
-        with mpmath.workdps(dps):
-            y = y - 1 + x * mpmath.exp(-y)
+    rnd = round_nearest
+    y = from_float(y0)
+    for step in reversed(steps):
+        prec = dps_to_prec(step)
+        y = mpf_add(mpf_sub(y, fone, prec, rnd),
+                    mpf_mul(x, mpf_exp(mpf_neg(y), prec, rnd), prec, rnd),
+                    prec, rnd)
     return y
 
 
@@ -466,13 +496,16 @@ def power_log_ceil(n: int, exponent, *, times_log: bool = True,
     exact = den == 1 or root ** den == power
     if not times_log:
         return root if exact else root + 1
-    with mpmath.workdps(digits_of_exp(approx_log) + GUARD_DIGITS):
-        ln_n = _ln(n, near, num / den)
-        if exact:
-            value = mpmath.mpf(root) * ln_n
-        else:
-            value = mpmath.exp(mpmath.mpf(num) / den * ln_n) * ln_n
-        return int(mpmath.ceil(value))
+    dps = digits_of_exp(approx_log) + GUARD_DIGITS
+    prec, rnd = dps_to_prec(dps), round_nearest
+    ln_n = _ln(n, dps, near, num / den)
+    if exact:
+        value = mpf_mul(from_int(root, prec, rnd), ln_n, prec, rnd)
+    else:
+        a = mpf_div(from_int(num, prec, rnd), from_int(den), prec, rnd)
+        value = mpf_mul(mpf_exp(mpf_mul(a, ln_n, prec, rnd), prec, rnd),
+                        ln_n, prec, rnd)
+    return int(to_int(value, round_ceiling))
 
 
 def nlogn_ceil(n: int, near=None) -> int:
@@ -488,6 +521,8 @@ def nlogn_ceil(n: int, near=None) -> int:
         if NLOGN_FLOAT_ERR * y < frac < 1 - NLOGN_FLOAT_ERR * y:
             return math.ceil(y)
     # digits from the bit length: str(n) is quadratic in CPython
-    with mpmath.workdps(digits_of_exp(n.bit_length() * LN2) + GUARD_DIGITS):
-        return int(mpmath.ceil(mpmath.mpf(n) * _ln(n, near)))
-
+    dps = digits_of_exp(n.bit_length() * LN2) + GUARD_DIGITS
+    prec = dps_to_prec(dps)
+    value = mpf_mul(from_int(n, prec, round_nearest), _ln(n, dps, near),
+                    prec, round_nearest)
+    return int(to_int(value, round_ceiling))

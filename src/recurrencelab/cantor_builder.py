@@ -366,16 +366,22 @@ class InsertionPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "InsertionPlan":
-        """PlanValidityError names a missing or ill-typed field."""
+        """PlanValidityError names a missing or ill-typed field, or
+        'terms' when there are fewer than the two that
+        `check_plan_conditions` and a rate trajectory need."""
         terms = data.get("terms") if isinstance(data, dict) else None
         if not isinstance(terms, list):
             raise PlanValidityError("plan has no list field 'terms'")
-        return cls(p=_json_int(data, "p", "plan"),
-                   m=_json_int(data, "m", "plan"),
-                   terms=tuple((_json_int(t, "n", f"term {i}"),
-                                _json_int(t, "ell", f"term {i}"))
-                               for i, t in enumerate(terms, 1)),
-                   case_tag=data.get("case_tag", ""))
+        p = _json_int(data, "p", "plan")
+        m = _json_int(data, "m", "plan")
+        pairs = tuple((_json_int(t, "n", f"term {i}"),
+                       _json_int(t, "ell", f"term {i}"))
+                      for i, t in enumerate(terms, 1))
+        if len(pairs) < 2:
+            raise PlanValidityError(
+                f"plan field 'terms' needs at least two terms, not "
+                f"{len(pairs)}")
+        return cls(p=p, m=m, terms=pairs, case_tag=data.get("case_tag", ""))
 
     @classmethod
     def from_json(cls, text: str) -> "InsertionPlan":

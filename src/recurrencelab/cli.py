@@ -283,19 +283,22 @@ def _grew(ratios: list[float], factor: float) -> bool:
 
 def _cmd_verify(args) -> int:
     plan, phi, cls = _plan_from_args(args)
-    _emit(plan.to_json_dict())
     cap = args.cap
     usable = materializable_term_count(plan, cap)
     sub = truncate_plan(plan, usable)
     brackets = certified_brackets(sub)
     if not brackets:
+        _emit(plan.to_json_dict())
         _note(f"no certified bracket fits under cap {cap}; raise it "
               f"(positions start at {plan.ells[0]})")
         return 3
     free = args.free(plan.m)
     seq = apply_insertions(sub, free, cap=cap)
     horizon = brackets[-1][2] + brackets[-1][1] + 2
+    # materialized before any output, so a free stream that runs short
+    # fails with nothing on stdout
     word = seq.prefix(horizon)
+    _emit(plan.to_json_dict())
     rt = return_times_all(word, max_n=brackets[-1][1])
     ok = True
     mismatch_lines = 0

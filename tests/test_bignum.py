@@ -1,12 +1,14 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import dps_to_prec, prec_to_dps
+from mpmath.libmp import dps_to_prec, from_int, prec_to_dps, round_nearest
 
 from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
                            plan_engine, plan_full_dimension)
@@ -150,9 +152,9 @@ def test_ln_is_good_to_the_working_precision(dps):
     for n in (2, 3, 10 ** 9, rng.randrange(10 ** (dps - 1), 10 ** dps)):
         with mpmath.workdps(dps + 20):
             want = mpmath.ln(mpmath.mpf(n))
-        with mpmath.workdps(dps):
-            got = _ln(n)
-            if dps <= 740:   # mpmath's own ln, to the last bit
+        got = mpmath.mp.make_mpf(_ln(n, dps))
+        if dps <= 740:   # mpmath's own ln, to the last bit
+            with mpmath.workdps(dps):
                 assert got == mpmath.ln(mpmath.mpf(n)), n
         with mpmath.workdps(dps + 20):
             assert abs(got - want) <= want * mpmath.mpf(10) ** -dps, n
@@ -168,10 +170,12 @@ def test_hinted_ln_is_good_to_the_working_precision(near, dps):
     n = exp_ceil(near)
     with mpmath.workdps(dps + 20):
         want = mpmath.ln(mpmath.mpf(n))
-    with mpmath.workdps(dps):
-        got = bignum._ln_near(mpmath.mpf(n), bignum._terms(near), dps)
+    prec = dps_to_prec(dps)
+    got = bignum._ln_near(from_int(n, prec, round_nearest), prec,
+                          bignum._terms(near), dps)
     assert got is not None
     with mpmath.workdps(dps + 20):
+        got = mpmath.mp.make_mpf(got)
         assert abs(got - want) <= want * mpmath.mpf(10) ** -dps
 
 
@@ -183,9 +187,10 @@ def test_wrong_hints_fall_back_to_newton(off):
     x = 2345.678
     near = (x + off,) if isinstance(off, float) else (x, *off)
     n = exp_ceil(x)
-    with mpmath.workdps(1200):
-        assert bignum._ln_near(mpmath.mpf(n), near, 1200) is None
-        assert _ln(n, near) == _ln(n)
+    prec = dps_to_prec(1200)
+    assert bignum._ln_near(from_int(n, prec, round_nearest), prec, near,
+                           1200) is None
+    assert _ln(n, 1200, near) == _ln(n, 1200)
 
 
 def _hinted_inputs():
@@ -233,15 +238,15 @@ def _hint_plan(spec, alpha, beta, count):
 def test_plans_are_unchanged_without_the_hinted_ln(monkeypatch):
     settled, real = [], bignum._ln_near
 
-    def spy(x, terms, places):
-        y = real(x, terms, places)
+    def spy(*args):
+        y = real(*args)
         settled.append(y is not None)
         return y
 
     monkeypatch.setattr(bignum, "_ln_near", spy)
     hinted = [_hint_plan(*r) for r in HINT_PLANS]
     assert any(settled)
-    monkeypatch.setattr(bignum, "_ln_near", lambda x, terms, places: None)
+    monkeypatch.setattr(bignum, "_ln_near", lambda *args: None)
     assert [_hint_plan(*r) for r in HINT_PLANS] == hinted
 
 
@@ -335,7 +340,7 @@ def test_a_witness_rung_at_min_n_takes_its_exponent_as_the_ln_hint(
     # read from the e^x that built it, with no Newton run
     newton, real = [], bignum._ln_newton
     monkeypatch.setattr(bignum, "_ln_newton",
-                        lambda n, x: newton.append(n) or real(n, x))
+                        lambda n, *a: newton.append(n) or real(n, *a))
     plan = _hint_plan("log(n)", "1", "3", 12)
     assert max(len(t["ell"]) for t in plan["terms"]) > 10_000
     assert newton == []
@@ -350,12 +355,17 @@ def mpmath_exp(terms, dps):
         return mpmath.exp(mpmath.fsum(mpmath.mpf(t) for t in terms))
 
 
+def mpmath_exp_mpf(terms, dps):
+    """The reference as the raw mpf tuple `_exp` returns."""
+    return mpmath_exp(terms, dps)._mpf_
+
+
 def assert_exp_within_an_ulp(terms, dps):
     """_exp(terms, dps) is within one unit in the last place of e^X, taken
     40 digits further, and has its ceiling and floor unless e^X lies
     within 10^-GUARD_DIGITS (relative) of an integer, as e^X does for a
     tiny X: the module's exactness convention."""
-    got = _exp(tuple(terms), dps)
+    got = mpmath.mp.make_mpf(_exp(tuple(terms), dps))
     want = mpmath_exp(terms, dps + 40)
     with mpmath.workdps(dps + 40):
         ulp = mpmath.ldexp(1, mpmath.mag(want) - dps_to_prec(dps))
@@ -406,7 +416,7 @@ def test_exp_kernel_on_both_sides_of_the_cut_off(monkeypatch, terms, dps):
                    and x != int(x))
     assert bool(bursts) == takes_burst
     if not takes_burst:   # mpmath's own exp, bit for bit
-        assert _exp(terms, dps) == mpmath_exp(terms, dps)
+        assert _exp(terms, dps) == mpmath_exp(terms, dps)._mpf_
 
 
 def test_exp_kernel_refuses_a_non_binary_fraction():
@@ -430,8 +440,69 @@ def test_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
     # every request plans: none of them raises
     burst = [_hint_plan(*r) for r in EXP_PLANS]
     assert bursts
-    monkeypatch.setattr(bignum, "_exp", mpmath_exp)
+    monkeypatch.setattr(bignum, "_exp", mpmath_exp_mpf)
     assert [_hint_plan(*r) for r in EXP_PLANS] == burst
+
+
+# ------------------------------------------- mpmath's global context ---
+
+def _kernel_integers():
+    """exp_int, power_log_ceil and nlogn_ceil over every route of `_exp`
+    and `_ln`: Taylor, hinted and Newton ln; mpmath's exp, the table and
+    bit-burst."""
+    out = []
+    for x in (5.3, 700.0, 2000.25, 9000.0, 12000.5, (3000.0, 1e-13, 0.25)):
+        n = exp_ceil(x)
+        out += [n, exp_floor(x), nlogn_ceil(n), nlogn_ceil(n, near=x)]
+        for exponent in (1, 2, Fraction(5, 4)):
+            out += [power_log_ceil(n, exponent),
+                    power_log_ceil(n, exponent, near=x)]
+    return out
+
+
+@pytest.mark.parametrize("prec", [17, 3000])
+def test_the_kernel_neither_reads_nor_changes_mpmaths_precision(prec):
+    want = _kernel_integers()
+    plans = [_hint_plan(*r) for r in EXP_PLANS]
+    with mpmath.workprec(prec):
+        assert _kernel_integers() == want
+        assert [_hint_plan(*r) for r in EXP_PLANS] == plans
+        assert mpmath.mp.prec == prec
+        # a plan that raises with values in the exp memo
+        with pytest.raises(CapacityError):
+            plan_full_dimension(parse_phi("log(n)"), ExtReal(2), ExtReal(2),
+                                count=40, digit_cap=4)
+        with pytest.raises(CapacityError):
+            exp_ceil(1e9)
+        assert mpmath.mp.prec == prec
+
+
+# case v's two count-60 ladders, the heaviest users of the table
+THREAD_PLANS = [("log(n)", "2", "2", 60), ("osc 4/5 6/5", "5/6", "5/4", 60)]
+
+
+def test_threads_plan_as_one_thread_does(cold_table):
+    serial = [_hint_plan(*r) for r in THREAD_PLANS]
+    cold_table()
+    order = [[k % 2, 1 - k % 2] for k in range(4)]
+    got = [None] * 4
+
+    def plan_both(k):
+        got[k] = [_hint_plan(*THREAD_PLANS[i]) for i in order[k]]
+
+    threads = [threading.Thread(target=plan_both, args=(k,))
+               for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[serial[i] for i in ks] for ks in order]
 
 
 # ------------------------------------------------------- powers of e ---
@@ -454,15 +525,18 @@ def exp_int_dps(n):
 def test_integer_exponents_are_mpmaths_exp_bit_for_bit(n, mult):
     # mult = 2: the hinted ln of power_log_ceil at A = 2
     dps = mult * exp_int_dps(n)
-    assert _exp((float(n),), dps) == mpmath_exp((n,), dps), n
+    assert _exp((float(n),), dps) == mpmath_exp((n,), dps)._mpf_, n
 
 
 @pytest.fixture
 def cold_table(monkeypatch):
-    """An empty table of powers of e for one test."""
-    table = bignum._PowersOfE()
-    monkeypatch.setattr(bignum, "_E_POWERS", table)
-    return table
+    """An empty table of powers of e for one test; calling it empties the
+    table again."""
+    def empty():
+        monkeypatch.setattr(bignum, "_e_powers", (0, ()))
+
+    empty()
+    return empty
 
 
 def test_integer_exponents_take_the_table_past_mpmaths_cut_off(
@@ -484,11 +558,11 @@ def test_the_table_gives_the_same_value_cold_and_warm(cold_table):
                 (31999, 2 * exp_int_dps(31999))]
     cold = []
     for n, dps in requests:
-        cold_table.__init__()
+        cold_table()
         cold.append(_exp((float(n),), dps))
-        assert cold_table.prec >= dps_to_prec(dps)
+        assert bignum._e_powers[0] >= dps_to_prec(dps)
     # one warm table, grown by a larger request and then asked a smaller one
-    cold_table.__init__()
+    cold_table()
     for (n, dps), want in zip(requests, cold):
         assert _exp((float(n),), dps) == want, (n, dps)
     for (n, dps), want in reversed(list(zip(requests, cold))):
@@ -505,8 +579,9 @@ def test_the_table_stays_bounded(cold_table):
             continue
         _exp_whole(n, prec)
         top_n, top_prec = max(top_n, n), max(top_prec, prec)
-        assert len(cold_table.entries) <= top_n.bit_length()
-        assert top_prec <= cold_table.prec < 2 * top_prec
+        table_prec, entries = bignum._e_powers
+        assert len(entries) <= top_n.bit_length()
+        assert top_prec <= table_prec < 2 * top_prec
 
 
 def test_an_undecided_rounding_falls_back_to_mpmath(cold_table, monkeypatch):
@@ -515,7 +590,7 @@ def test_an_undecided_rounding_falls_back_to_mpmath(cold_table, monkeypatch):
     monkeypatch.setattr(bignum, "_pow_guard", lambda top: 0)
     for n in (700, 5000, 20001):
         dps = exp_int_dps(n)
-        assert _exp((float(n),), dps) == mpmath_exp((n,), dps)
+        assert _exp((float(n),), dps) == mpmath_exp((n,), dps)._mpf_
 
 
 # the two count-120 case-v ladders, the heaviest users of integer e^N
@@ -528,7 +603,7 @@ def test_ladder_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
                         lambda n, prec: calls.append(n) or real(n, prec))
     tabled = [_hint_plan(*r) for r in LADDER_PLANS]
     assert calls
-    monkeypatch.setattr(bignum, "_exp", mpmath_exp)
+    monkeypatch.setattr(bignum, "_exp", mpmath_exp_mpf)
     assert [_hint_plan(*r) for r in LADDER_PLANS] == tabled
 
 
@@ -544,7 +619,7 @@ def test_geometric_ladder_plans_are_unchanged_with_mpmaths_own_exp(
                         lambda *a: ladders.append((a[1], a[-1])) or real(*a))
     shared = [_hint_plan(*r) for r in GEOMETRIC_PLANS]
     assert ladders == [(Fraction(3, 2), 2), (Fraction(4, 3), 3)]
-    monkeypatch.setattr(bignum, "_exp", mpmath_exp)
+    monkeypatch.setattr(bignum, "_exp", mpmath_exp_mpf)
     assert [_hint_plan(*r) for r in GEOMETRIC_PLANS] == shared
     # and with every rung's e^x at its own digits, as before power=
     monkeypatch.undo()

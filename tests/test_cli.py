@@ -235,6 +235,14 @@ def test_a_malformed_free_spec_is_a_usage_error(tmp_path, capsys, command,
     assert "--free" in err and repr(spec) in err
 
 
+def test_verify_reads_a_short_free_stream_before_any_output(capsys):
+    code, out, err = run(capsys, "verify", "--phi", "log(n)", "--alpha", "2",
+                         "--beta", "2", "--cap", "200000",
+                         "--free", "digits:0101")
+    assert code == 1 and out == ""
+    assert err == "error: free stream of length 4 read at 5\n"
+
+
 @pytest.mark.parametrize("plan,field", [
     ({"p": 3, "m": 2}, "'terms'"),
     ({"m": 2, "terms": []}, "'p'"),
@@ -246,6 +254,10 @@ def test_a_malformed_free_spec_is_a_usage_error(tmp_path, capsys, command,
     ({"p": 3, "m": 2, "terms": {"n": 4}}, "'terms'"),
     ({"p": 3, "m": 2, "terms": [[4, 64]]}, "term 1 has no field 'n'"),
     ([3, 2], "'terms'"),
+    # well formed, but too few terms for a plan
+    ({"p": 3, "m": 2, "terms": []}, "'terms' needs at least two"),
+    ({"p": 3, "m": 2, "terms": [{"n": 4, "ell": "64"}]},
+     "'terms' needs at least two"),
 ])
 @pytest.mark.parametrize("command", ["build", "rates"])
 def test_a_malformed_plan_file_is_an_error(tmp_path, capsys, command, plan,
