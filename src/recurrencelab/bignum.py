@@ -38,7 +38,8 @@ hint is too far off, it is Newton's method on exp.
 
 exp_int and the hinted ln share `_exp`, a pure function.  Inside
 `exp_memo_scope`, which plan synthesis opens for one plan, they share a
-memo of its values (tuples) that lives until the scope closes: exp_ceil(x)
+memo of its values (tuples), one per thread, that lives until the scope
+closes: exp_ceil(x)
 followed by power_log_ceil(n, 1, near=x) computes e^x once, and a ladder
 that builds all its rungs before the first power_log_ceil still computes
 each e^x once, as exp_int's ``power`` asks for e^x at the digits the
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import contextvars
 import math
 import sys
 import threading
@@ -129,29 +131,30 @@ def _mag(x: tuple):
 
 
 # the `_exp` values computed while an exp_memo_scope is open, keyed by
-# (terms, dps); None outside every scope
-_memo = None
+# (terms, dps); None outside every scope.  A context variable, so each
+# thread (and each asyncio task) has its own scope and memo.
+_memo = contextvars.ContextVar("exp_memo", default=None)
 
 
 @contextlib.contextmanager
 def exp_memo_scope():
     """Keep every `_exp` value that exp_int and the hinted ln ask for until
     the outermost scope closes, then drop them, also when the body raises.
-    Nested scopes share the outermost one's memo."""
-    global _memo
-    outermost = _memo is None
-    if outermost:
-        _memo = {}
+    Nested scopes share the outermost one's memo; scopes in other threads
+    neither see nor close it."""
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
     try:
         yield
     finally:
-        if outermost:
-            _memo = None
+        _memo.reset(token)
 
 
 def _scoped_exp(terms: tuple, dps: int):
     """`_exp(terms, dps)`, read from the open scope's memo when it is there."""
-    memo = _memo
+    memo = _memo.get()
     if memo is None:
         return _exp(terms, dps)
     key = (terms, dps)

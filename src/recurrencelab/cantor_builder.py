@@ -118,7 +118,9 @@ class SeededFree(FreeStream):
     def read(self, first: int, last: int) -> Union[bytes, tuple]:
         self._fill(last)
         if self._bulk:
-            return bytes(self._cache[first - 1:last])
+            # one copy, straight from the cache (a bytearray slice is a copy)
+            with memoryview(self._cache) as cache:
+                return cache[first - 1:last].tobytes()
         return symbol_store(self._cache[first - 1:last], self.m)
 
     def descriptor(self) -> dict:
@@ -173,14 +175,29 @@ def _free_slots(p: int, j: int) -> int:
     return (k - 1) * (p - 2) + min(t, p - 2)
 
 
+def _tile(view: memoryview, pattern: bytes) -> None:
+    """Fill the view with the pattern repeated and cut to its length: one
+    write of the pattern, then copies of the filled head onto the rest,
+    doubling it each time (log2(len / len(pattern)) copies, no temporary)."""
+    done = min(len(pattern), len(view))
+    view[:done] = pattern[:done]
+    while done < len(view):
+        step = min(done, len(view) - done)
+        view[done:done + step] = view[:step]
+        done += step
+
+
 class FpBase(SymbolSource):
     """x_j = 0 for j <= p; blocks [pk+1, pk+p] start and end with 1.
 
     The interior slot at offset r (1..p-2) of block k >= 1, position
     kp + 1 + r, holds free symbol number (k-1)(p-2) + r.  `symbol_at`
-    reads one position; `window` builds a run of positions in bulk (see
-    there) and raises exactly what reading its positions in order would.
+    reads one position; `fill` writes a run of positions in bulk (see
+    there), `window` is `fill` into a fresh buffer, and both raise exactly
+    what reading their positions in order would.
     """
+
+    _window_checked = True   # by fill's translate, or by the default's Word
 
     def __init__(self, p: int, m: int, free: Optional[FreeStream] = None):
         if p < 2:
@@ -188,6 +205,7 @@ class FpBase(SymbolSource):
         self.p = p
         self._alphabet = Alphabet(m)
         self._symbols = bytes(range(min(m, 256)))
+        self._block = b"\x01" + bytes(p - 2) + b"\x01"
         self.free = free if free is not None else ZeroFree()
 
     @property
@@ -218,49 +236,64 @@ class FpBase(SymbolSource):
         return s
 
     def window(self, i: int, j: int) -> Union[bytes, tuple]:
-        """Positions i..j: the opening zeros and whole blocks in one
-        bytearray, walls by strided slice assignment, then one strided
-        assignment per interior offset from a single free-stream read of
-        exactly the ordinals inside [i, j]; cut to [i, j].
-
-        An out-of-alphabet or missing free symbol (checked once, by
-        bytes.translate) sends the read through _free_symbol ordinal by
-        ordinal, which raises what symbol_at would at the first bad one.
-        Alphabets past 256 symbols take the per-symbol default.
-        """
+        """Positions i..j: `fill` into a fresh bytearray, as bytes.
+        Alphabets past 256 symbols take the per-symbol default."""
         if self._alphabet.m > 256:
             return super().window(i, j)
+        buf = bytearray(max(0, j - i + 1))
+        self.fill(buf, 0, i, j)
+        return bytes(buf)
+
+    def fill(self, buf, at: int, i: int, j: int) -> None:
+        """Write positions i..j into buf[at:at + j - i + 1].  Alphabets
+        past 256 symbols take the default, through `window`.
+
+        The opening zeros are one write.  Walls and zero interiors are the
+        block template 1 0^(p-2) 1, rotated to the first block position
+        and tiled by doubling copies inside the buffer, so nothing the
+        size of the window is allocated beside it.  Unless the stream is
+        a ZeroFree, whose symbols the template already holds, one
+        free-stream read of exactly the ordinals inside [i, j] is checked
+        once by bytes.translate and laid down by one strided copy per
+        interior offset.  An out-of-alphabet or missing free symbol sends
+        the read through _free_symbol ordinal by ordinal, which raises
+        what symbol_at would at the first bad one.
+        """
+        if self._alphabet.m > 256:
+            return super().fill(buf, at, i, j)
         if j < i:
-            return b""
+            return
         if i < 1:
             raise IndexError("positions start at 1")
         p = self.p
-        k0, k1 = (i - 1) // p, (j - 1) // p   # blocks of i and j; 0 is the opening
-        start = k0 * p + 1                     # position of buf[0]
-        buf = bytearray((k1 - k0 + 1) * p)
-        wall = p if k0 == 0 else 0
-        buf[wall::p] = buf[wall + p - 1::p] = b"\x01" * (k1 - max(k0, 1) + 1)
+        view = memoryview(buf)[at:at + j - i + 1]
+        s = max(i, p + 1)                      # first block position
+        if s > i:
+            view[:s - i] = bytes(min(s, j + 1) - i)
+        if s > j:
+            return
+        o = (s - 1) % p                        # offset of s in its block
+        _tile(view[s - i:], self._block[o:] + self._block[:o])
         first, last = _free_slots(p, i - 1) + 1, _free_slots(p, j)
-        if first <= last:
-            free = self.free.read(first, last)
-            if (len(free) != last - first + 1 or not isinstance(free, bytes)
-                    or free.translate(None, self._symbols)):
-                free = bytes(map(self._free_symbol, range(first, last + 1)))
-            for r in range(1, p - 1):
-                # blocks k whose slot r, at kp + 1 + r, lies in [i, j]
-                k_lo = max(1, -((r + 1 - i) // p))   # ceil((i - 1 - r) / p)
-                k_hi = (j - 1 - r) // p
-                if k_lo > k_hi:
-                    continue
-                at = k_lo * p + 1 + r - start
-                ord_at = (k_lo - 1) * (p - 2) + r - first
-                count = k_hi - k_lo + 1
-                buf[at:at + (count - 1) * p + 1:p] = \
-                    free[ord_at:ord_at + (count - 1) * (p - 2) + 1:p - 2]
-            del free   # release the read before the copy below
-        del buf[j - start + 1:]
-        del buf[:i - start]
-        return bytes(buf)
+        if first > last or type(self.free) is ZeroFree:
+            return
+        free = self.free.read(first, last)
+        if (len(free) != last - first + 1 or not isinstance(free, bytes)
+                or free.translate(None, self._symbols)):
+            free = bytes(map(self._free_symbol, range(first, last + 1)))
+        for r in range(1, p - 1):
+            # blocks k whose slot r, at kp + 1 + r, lies in [i, j]
+            k_lo = max(1, -((r + 1 - i) // p))   # ceil((i - 1 - r) / p)
+            k_hi = (j - 1 - r) // p
+            if k_lo > k_hi:
+                continue
+            to = at + k_lo * p + 1 + r - i
+            src = (k_lo - 1) * (p - 2) + r - first
+            count = k_hi - k_lo + 1
+            # a strided bytearray write: through a memoryview it is a
+            # per-element copy, several times slower
+            buf[to:to + (count - 1) * p + 1:p] = \
+                free[src:src + (count - 1) * (p - 2) + 1:p - 2]
 
     def descriptor(self) -> dict:
         return {"kind": "fp", "p": self.p, "m": self._alphabet.m,

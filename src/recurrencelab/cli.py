@@ -197,8 +197,10 @@ def _plan_from_args(args) -> tuple[InsertionPlan, PhiSpec, Classification]:
 def _cmd_plan(args) -> int:
     plan, _, cls = _plan_from_args(args)
     _emit(cls.to_json_dict())
-    _emit(plan.to_json_dict())
-    digits = max(len(str(ell)) for ell in plan.ells)
+    data = plan.to_json_dict()
+    _emit(data)
+    # the positions' decimal strings, already made once for the JSON
+    digits = max(len(t["ell"]) for t in data["terms"])
     _note(f"case {plan.case_tag}: {len(plan)} terms, deepest position has "
           f"{digits} digits")
     return 0
@@ -213,9 +215,11 @@ def _cmd_build(args) -> int:
         _note(f"cap {cap}: materializing {usable} of {len(plan)} terms")
         plan = truncate_plan(plan, usable)
     seq = apply_insertions(plan, free, cap=cap)
+    # materialized before any output, so a free stream that runs short
+    # fails with nothing on stdout
+    word = _word_to_json(seq.prefix(args.prefix)) if args.prefix else None
     _emit(seq.to_json_dict())
-    if args.prefix:
-        word = _word_to_json(seq.prefix(args.prefix))
+    if word is not None:
         _emit({"n": args.prefix,
                "digits" if isinstance(word, str) else "symbols": word})
     return 0

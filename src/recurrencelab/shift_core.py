@@ -10,7 +10,10 @@ overlaid with finitely many inserted words at fixed positions.  Positions of
 the overlay are expressed in the coordinates of the final sequence: inserting
 words left to right at nondecreasing gaps means an inserted word never moves
 once placed, so a single sorted table answers random access, and a prefix is
-the base's windows between events interleaved with the event words.
+the base's windows between events interleaved with the event words.  Those
+pieces are written in place into one buffer, each checked against the
+alphabet where it is made (SymbolSource.fill), and the Word is built once
+from it without a second scan.
 
 Words travel in JSON as digit strings when m <= 10 and as symbol lists
 otherwise; readers accept either form.
@@ -73,6 +76,15 @@ def join_stores(stores, m: int) -> Union[bytes, tuple]:
     return tuple(chain.from_iterable(stores))
 
 
+def _check_store(store, alphabet: Alphabet) -> None:
+    """ValueError naming the first symbol of the store outside the
+    alphabet.  A bytes store is checked by one translate(), which deletes
+    every in-alphabet byte, so any byte left over is a symbol >= m."""
+    if not isinstance(store, bytes) or store.translate(
+            None, bytes(range(alphabet.m))):
+        alphabet.check(store)
+
+
 @dataclass(frozen=True)
 class Word:
     """A finite word; symbols are ints in [0, m).
@@ -92,13 +104,21 @@ class Word:
 
     def __post_init__(self):
         store = symbol_store(self.symbols, self.alphabet.m)
-        # translate() deletes every in-alphabet byte; any byte left over is
-        # a symbol >= m
-        if not isinstance(store, bytes) or store.translate(
-                None, bytes(range(self.alphabet.m))):
-            self.alphabet.check(store)  # names the offending symbol
+        _check_store(store, self.alphabet)
         object.__setattr__(self, "symbols", store)
         object.__setattr__(self, "_walks", [None, None])
+
+    @classmethod
+    def _checked(cls, store: Union[bytes, tuple],
+                 alphabet: Alphabet) -> "Word":
+        """A Word over a store as symbol_store makes it (bytes for
+        m <= 256, else a tuple) whose symbols were already checked against
+        the alphabet where they were made: no second scan."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "symbols", store)
+        object.__setattr__(word, "alphabet", alphabet)
+        object.__setattr__(word, "_walks", [None, None])
+        return word
 
     @property
     def data(self) -> Optional[bytes]:
@@ -182,10 +202,27 @@ class SymbolSource:
     def symbol_at(self, j: int) -> int:  # 1-based
         raise NotImplementedError
 
+    # True where `window` returns only symbols already checked against the
+    # alphabet (slices of Words, say), so that `fill` need not check again
+    _window_checked = False
+
     def window(self, i: int, j: int) -> Union[bytes, tuple]:
         """Symbols at 1-based positions i..j inclusive (empty when j < i),
         as a Word's symbol store.  This default reads them one by one."""
         return Word(map(self.symbol_at, range(i, j + 1)), self.alphabet).symbols
+
+    def fill(self, buf: Union[bytearray, list], at: int, i: int,
+             j: int) -> None:
+        """Write positions i..j into buf[at:at + j - i + 1], a bytearray
+        when m <= 256 and a list otherwise, raising what `window` would;
+        every symbol written is in the alphabet.  This default copies
+        `window`, checking it as it copies unless `_window_checked` says
+        it is checked already: a symbol outside the alphabet raises the
+        ValueError a Word over it would."""
+        syms = self.window(i, j)
+        if not self._window_checked:
+            _check_store(syms, self.alphabet)
+        buf[at:at + len(syms)] = syms
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -208,6 +245,7 @@ class PeriodicBase(SymbolSource):
     """Infinite periodic repetition of a finite word."""
 
     word: Word
+    _window_checked = True
 
     def __post_init__(self):
         if len(self.word) == 0:
@@ -248,6 +286,7 @@ class ExplicitBase(SymbolSource):
     """A finite word used as a base; reads past the end raise."""
 
     word: Word
+    _window_checked = True
 
     @property
     def alphabet(self) -> Alphabet:
@@ -303,10 +342,14 @@ class LazySequence:
     Invariants: event positions are >= 1, strictly increasing, and each
     event starts at or after the previous event's end + 1 (no overlap).
     Random access costs O(log #events).  A prefix is one left-to-right
-    walk over the events, one base window per gap and then the event
-    word, joined once (join_stores): over the bases of this package with
-    m <= 256 no per-symbol Python runs, and the peak is about two bytes
-    per symbol.
+    walk over the events, one base range per gap and then the event word,
+    each written in place into one buffer of the prefix's length (the
+    base's `fill`, which checks what it writes).  The Word is built once
+    from the buffer, with no second alphabet scan.  For m <= 256 the
+    buffer is a bytearray: over the bases of this package no per-symbol
+    Python runs, and the peak is about two bytes per symbol, the bytearray
+    and the Word's bytes.  Past 256 symbols it is a list, and the Word's
+    store a tuple.
     """
 
     base: SymbolSource
@@ -363,17 +406,20 @@ class LazySequence:
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
         self._check_cap(n)
-        chunks = []
+        m = self.alphabet.m
+        buf = bytearray(n) if m <= 256 else [0] * n
         pos = bp = 1   # next final position, next base position
         for start, word in self.events:
             if start > n:
                 break
-            chunks.append(self.base.window(bp, bp + start - pos - 1))
-            chunks.append(word.symbols[:n - start + 1])
+            self.base.fill(buf, pos - 1, bp, bp + start - pos - 1)
+            syms = word.symbols[:n - start + 1]
+            buf[start - 1:start - 1 + len(syms)] = syms
             bp += start - pos
             pos = start + len(word)
-        chunks.append(self.base.window(bp, bp + n - pos))
-        return Word(join_stores(chunks, self.alphabet.m), self.alphabet)
+        self.base.fill(buf, pos - 1, bp, bp + n - pos)
+        return Word._checked(bytes(buf) if m <= 256 else tuple(buf),
+                             self.alphabet)
 
     # -- serialization ------------------------------------------------------
 

@@ -275,7 +275,7 @@ def test_exp_memo_scope_empties_at_the_outermost_close(kernel_runs):
             values = [exp_ceil(x) for x in xs]
         assert [exp_ceil(x) for x in xs] == values
         assert len(kernel_runs) == 3
-    assert bignum._memo is None
+    assert bignum._memo.get() is None
     assert [exp_ceil(x) for x in xs] == values
     assert len(kernel_runs) == 6
 
@@ -293,14 +293,14 @@ def test_no_exp_memo_entry_outlives_a_plan(monkeypatch):
     seen, real = [], bignum.power_log_ceil
 
     def spy(*args, **kwargs):
-        seen.append(len(bignum._memo))
+        seen.append(len(bignum._memo.get()))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bignum, "power_log_ceil", spy)
     _hint_plan("log(n)", "2", "2", 30)
     # within the plan nothing is evicted; after it nothing is left
     assert seen == sorted(seen) and seen[-1] > 2
-    assert bignum._memo is None
+    assert bignum._memo.get() is None
     # a plan that raises with entries in the memo: at 4 digits the second
     # rung's e^4 fits, its position n^2 log n does not, and one term is
     # too few to keep
@@ -309,7 +309,7 @@ def test_no_exp_memo_entry_outlives_a_plan(monkeypatch):
         plan_full_dimension(parse_phi("log(n)"), ExtReal(2), ExtReal(2),
                             count=40, digit_cap=4)
     assert seen[-1] > 0
-    assert bignum._memo is None
+    assert bignum._memo.get() is None
 
 
 def test_exp_power_asks_at_the_hinted_lns_digits(kernel_runs):
@@ -481,14 +481,29 @@ def test_the_kernel_neither_reads_nor_changes_mpmaths_precision(prec):
 THREAD_PLANS = [("log(n)", "2", "2", 60), ("osc 4/5 6/5", "5/6", "5/4", 60)]
 
 
-def test_threads_plan_as_one_thread_does(cold_table):
-    serial = [_hint_plan(*r) for r in THREAD_PLANS]
+def test_threads_plan_as_one_thread_does(cold_table, monkeypatch):
+    # the kernel runs of each plan, recorded into the list its thread names
+    plan_runs, real = {}, bignum._exp
+    monkeypatch.setattr(
+        bignum, "_exp", lambda terms, dps: plan_runs[threading.get_ident()]
+        .append((terms, dps)) or real(terms, dps))
+
+    def plan_recording(i):
+        runs = plan_runs[threading.get_ident()] = []
+        return _hint_plan(*THREAD_PLANS[i]), runs
+
+    serial, serial_runs = zip(*map(plan_recording, range(len(THREAD_PLANS))))
+    # a case v plan asks for some exponents more than once; its scope runs
+    # the kernel once for each distinct one
+    for runs in serial_runs:
+        assert len(set(runs)) == len(runs) and len(runs) > 1
     cold_table()
     order = [[k % 2, 1 - k % 2] for k in range(4)]
     got = [None] * 4
+    got_runs = [None] * 4
 
     def plan_both(k):
-        got[k] = [_hint_plan(*THREAD_PLANS[i]) for i in order[k]]
+        got[k], got_runs[k] = zip(*map(plan_recording, order[k]))
 
     threads = [threading.Thread(target=plan_both, args=(k,))
                for k in range(4)]
@@ -502,7 +517,10 @@ def test_threads_plan_as_one_thread_does(cold_table):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert got == [[serial[i] for i in ks] for ks in order]
+    assert got == [tuple(serial[i] for i in ks) for ks in order]
+    # no thread's scope shares or closes another's memo: every plan runs
+    # the kernel exactly as it does alone
+    assert got_runs == [tuple(serial_runs[i] for i in ks) for ks in order]
 
 
 # ------------------------------------------------------- powers of e ---

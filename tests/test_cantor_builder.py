@@ -1,13 +1,17 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from recurrencelab import (CapacityError, ExplicitFree, FpBase, FreeStream,
-                           InsertionPlan, LazySequence, OscLogPhi,
+from recurrencelab import (Alphabet, CapacityError, ExplicitBase,
+                           ExplicitFree, FpBase, FreeStream, InsertionPlan,
+                           LazySequence, OscLogPhi, PeriodicBase,
                            PlanValidityError, SeededFree,
-                           SourceExhaustedError, Word, ZeroFree,
+                           SourceExhaustedError, SymbolSource, Word, ZeroFree,
                            apply_insertions, box_dimension, build_fp_prefix,
                            certified_brackets, check_plan_conditions,
                            first_certified_index, fp_cylinder_count,
@@ -503,3 +507,151 @@ def test_seeded_bulk_draw_matches_randrange_across_chunks(m):
                 first = len(got) + 1
                 got += s.read(first, min(count, first + rng.randrange(40_000)))
         assert bytes(got) == want
+
+
+# ------------------------------------------------------ one-buffer prefix ---
+
+def _either(fn):
+    """('ok', symbols as a tuple) or (exception type, message)."""
+    try:
+        return "ok", tuple(fn())
+    except (ValueError, SourceExhaustedError) as exc:
+        return type(exc), str(exc)
+
+
+def _walked(seq, n):
+    """The first n symbols read one by one through index, as a Word: the
+    outcome a prefix must have, error included."""
+    return Word([seq.index(j) for j in range(1, n + 1)], seq.alphabet).symbols
+
+
+class LooseSource(SymbolSource):
+    """A periodic source whose window hands out its symbols unchecked."""
+
+    def __init__(self, symbols, m):
+        self.symbols = symbols
+        self.alphabet = Alphabet(m)
+
+    def symbol_at(self, j):
+        return self.symbols[(j - 1) % len(self.symbols)]
+
+    def window(self, i, j):
+        return bytes(map(self.symbol_at, range(i, j + 1)))
+
+
+@st.composite
+def overlays(draw):
+    """(seq, n): a random base under a random event table, and a prefix
+    length that may end inside an event."""
+    m = draw(st.sampled_from([2, 3, 5, 300]))
+    kind = draw(st.sampled_from(["fp", "periodic", "explicit"]))
+    if kind == "fp":
+        p = draw(st.integers(2, 7))
+        free = draw(st.sampled_from(["zero", "seeded", "explicit"]))
+        if free == "zero":
+            free = ZeroFree()
+        elif free == "seeded":
+            free = SeededFree(draw(st.integers(0, 99)), m)
+        else:   # long enough for most prefixes, short for a few
+            free = ExplicitFree(draw(st.lists(st.integers(0, m - 1),
+                                              min_size=0, max_size=300)))
+        base = FpBase(p, m, free)
+        reach = 3 * p
+    else:
+        word = Word(draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                  max_size=400 if kind == "explicit" else 9)),
+                    Alphabet(m))
+        base = (PeriodicBase if kind == "periodic" else ExplicitBase)(word)
+        reach = 12
+    events, pos = [], 1
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, reach),
+                                               st.integers(1, 24)),
+                                     max_size=8)):
+        pos += gap
+        symbols = draw(st.lists(st.integers(0, m - 1), min_size=length,
+                                max_size=length))
+        events.append((pos, Word(symbols, Alphabet(m))))
+        pos += length
+    seq = LazySequence(base, tuple(events))
+    if events and draw(st.booleans()):   # end inside an event
+        start, word = draw(st.sampled_from(events))
+        n = start + draw(st.integers(0, len(word) - 1))
+    else:
+        n = draw(st.integers(0, pos + 3 * reach))
+    return seq, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlays())
+# a window starting inside the opening zeros, then one starting mid-block
+@example((LazySequence(FpBase(5, 2, SeededFree(3, 2)),
+                       ((3, Word.from_digits("11", 2)),
+                        (13, Word.from_digits("0110", 2)))), 40))
+def test_prefix_is_the_symbols_read_one_by_one(case):
+    seq, n = case
+    want = _either(lambda: _walked(seq, n))
+    got = _either(lambda: seq.prefix(n).symbols)
+    assert got == want, (seq, n)
+    if want[0] == "ok" and seq.alphabet.m <= 256:
+        assert isinstance(seq.prefix(n).symbols, bytes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 6),
+       st.lists(st.integers(-1, 6), max_size=80), st.integers(0, 160))
+def test_a_bad_free_stream_raises_as_reading_one_by_one_does(m, p, symbols, n):
+    seq = LazySequence(FpBase(p, m, ExplicitFree(symbols)),
+                       ((p + 2, Word.from_digits("1" * (p + 1), m)),))
+    assert _either(lambda: seq.prefix(n).symbols) == \
+        _either(lambda: _walked(seq, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.lists(st.integers(0, 7), min_size=1,
+                                             max_size=12),
+       st.integers(0, 60))
+@example(2, [0, 1, 5], 10)
+def test_a_bad_source_window_raises_as_a_word_over_it_does(m, symbols, n):
+    seq = LazySequence(LooseSource(symbols, m),
+                       ((4, Word.from_digits("10", m)),
+                        (11, Word.from_digits("0", m))))
+    assert _either(lambda: seq.prefix(n).symbols) == \
+        _either(lambda: _walked(seq, n))
+
+
+@pytest.mark.parametrize("free", ["zero", "seeded"])
+def test_one_buffer_prefix_peaks_at_two_bytes_per_symbol(free):
+    # the prefix's bytearray and the Word's bytes, with nothing the size of
+    # the prefix beside them (a warm seeded cache allocates nothing)
+    n = 10 ** 6
+    stream = ZeroFree() if free == "zero" else SeededFree(7, 2)
+    seq = LazySequence(FpBase(3, 2, stream), ((10, Word.from_digits("1101", 2)),),
+                       cap=n)
+    seq.prefix(n)
+    tracemalloc.start()
+    try:
+        word = seq.prefix(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 2.01, f"{peak / n:.4f} bytes per symbol"
+    assert len(word) == n
+
+
+def test_fill_writes_exactly_its_window_over_any_bytes():
+    rng = random.Random(12)
+    word = Word([rng.randrange(3) for _ in range(50)], Alphabet(3))
+    sources = [PeriodicBase(word.prefix(7)), ExplicitBase(word),
+               LooseSource([2, 0, 1, 1], 3)]
+    sources += [FpBase(p, 3, make()) for p in (2, 3, 5)
+                for make in (ZeroFree, lambda: SeededFree(4, 3),
+                             lambda: ExplicitFree([2, 1] * 40))]
+    for source in sources:
+        for _ in range(40):
+            i = rng.randint(1, 50)
+            j = rng.randint(i - 1, 50)
+            at = rng.randint(0, 5)
+            buf = bytearray(b"\xaa" * (at + j - i + 9))
+            source.fill(buf, at, i, j)
+            want = bytes(source.symbol_at(x) for x in range(i, j + 1))
+            assert buf == b"\xaa" * at + want + b"\xaa" * 8, (source, i, j)

@@ -243,6 +243,20 @@ def test_verify_reads_a_short_free_stream_before_any_output(capsys):
     assert err == "error: free stream of length 4 read at 5\n"
 
 
+def test_build_reads_a_short_free_stream_before_any_output(tmp_path, capsys):
+    code, out, _ = run(capsys, "plan", "--phi", "log(n)", "--alpha", "3",
+                       "--beta", "3")
+    assert code == 0
+    f = tmp_path / "plan.json"
+    f.write_text(json.dumps(lines(out)[1]))
+    code, out, err = run(capsys, "build", "--plan-file", str(f), "--cap",
+                         "2000000", "--free", "digits:" + "01" * 200,
+                         "--prefix", "5000")
+    assert code == 1 and out == ""
+    assert err == ("cap 2000000: materializing 2 of 12 terms\n"
+                   "error: free stream of length 400 read at 401\n")
+
+
 @pytest.mark.parametrize("plan,field", [
     ({"p": 3, "m": 2}, "'terms'"),
     ({"m": 2, "terms": []}, "'p'"),
