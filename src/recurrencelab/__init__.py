@@ -25,10 +25,9 @@ from .cantor_builder import (ExplicitFree, FpBase, FreeStream, InsertionPlan,
                              make_insertion_word, materializable_term_count,
                              predicted_return_time, remove_insertions,
                              truncate_plan)
-from .plan_engine import (Classification, LogLadder, PhaseRecord, StepLadder,
-                          build_subseq1, build_subseq2_i, build_subseq2_ii,
-                          classify_profile, classify_thresholds, compute_AB,
-                          dichotomy, find_ratio_witness, plan_full_dimension)
+from .plan_engine import (Classification, classify_profile,
+                          classify_thresholds, compute_AB, dichotomy,
+                          find_ratio_witness, plan_full_dimension)
 from .rate_dim_analysis import (BoxDimensionFit, RateEntry, RateTrajectory,
                                 box_dimension, plan_rate_trajectory,
                                 rate_trajectory, recurrence_witnesses,
@@ -41,15 +40,15 @@ __all__ = [
     "Classification", "EstimationImpossibleError", "ExplicitBase",
     "ExplicitFree", "ExprPhi", "ExtReal", "FpBase", "FreeStream",
     "GammaDelta", "GuardError", "INF", "InsertionPlan", "LazySequence",
-    "LogLadder", "ONE", "OscLogPhi", "PeriodicBase", "PhaseRecord",
+    "ONE", "OscLogPhi", "PeriodicBase",
     "PhiDomainError", "PhiParseError", "PhiSpec", "PlanValidityError",
     "PowerLog", "RateEntry", "RateTrajectory", "RecurrenceLabError",
     "RefusalError", "ReturnTimeResult", "ReturnTimes", "SearchCapError",
-    "SeededFree", "SourceExhaustedError", "StepLadder", "SymbolSource",
+    "SeededFree", "SourceExhaustedError", "SymbolSource",
     "TablePhi",
     "Word", "ZERO", "ZeroFree", "agreement_length", "apply_insertions",
-    "box_dimension", "build_fp_prefix", "build_subseq1", "build_subseq2_i",
-    "build_subseq2_ii", "certified_brackets", "check_nondecreasing",
+    "box_dimension", "build_fp_prefix", "certified_brackets",
+    "check_nondecreasing",
     "check_plan_conditions", "classify_profile", "classify_thresholds",
     "compute_AB", "dichotomy", "distance", "find_ratio_witness",
     "first_certified_index", "fp_cylinder_count", "fp_membership",

@@ -474,9 +474,9 @@ def _ln_newton(n: int, x: tuple, dps: int) -> tuple:
     return y
 
 
-def power_log_ceil(n: int, exponent, *, times_log: bool = True,
-                   digit_cap: int = DEFAULT_DIGIT_CAP, near=None) -> int:
-    """Exact ceil(n**exponent * ln(n)) (or of the bare power).
+def power_log_ceil(n: int, exponent, *, digit_cap: int = DEFAULT_DIGIT_CAP,
+                   near=None) -> int:
+    """Exact ceil(n**exponent * ln(n)).
 
     The power n^(p/q) is anchored in integer arithmetic — n^p, and its
     exact q-th root when one exists — so integer-valued powers never pick
@@ -491,14 +491,11 @@ def power_log_ceil(n: int, exponent, *, times_log: bool = True,
     den = getattr(exponent, "denominator", 1)
     if num < 0:
         raise ValueError("exponent must be nonnegative")
-    approx_log = (num / den) * math.log(n) + (math.log(math.log(n))
-                                              if times_log else 0.0)
+    approx_log = (num / den) * math.log(n) + math.log(math.log(n))
     check_digit_cap(approx_log, digit_cap)
     power = n ** num
     root = power if den == 1 else nth_root_floor(power, den)
     exact = den == 1 or root ** den == power
-    if not times_log:
-        return root if exact else root + 1
     dps = digits_of_exp(approx_log) + GUARD_DIGITS
     prec, rnd = dps_to_prec(dps), round_nearest
     ln_n = _ln(n, dps, near, num / den)

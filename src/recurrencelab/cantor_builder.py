@@ -338,7 +338,11 @@ def fp_cylinder_count(p: int, n: int, m: int) -> int:
 def make_insertion_word(prefix: Word, next_symbol: int) -> Word:
     """1 . prefix . (next_symbol + 1 mod m) . 1 — the marker for one term."""
     a = prefix.alphabet
-    return Word((1,), a) + prefix + Word(((next_symbol + 1) % a.m, 1), a)
+    # 1 and a residue mod m lie in every alphabet; the prefix is checked
+    store = join_stores((symbol_store((1,), a.m), prefix.symbols,
+                         symbol_store(((next_symbol + 1) % a.m, 1), a.m)),
+                        a.m)
+    return Word._checked(store, a)
 
 
 def _json_int(obj, key: str, where: str) -> int:
@@ -521,7 +525,8 @@ def apply_insertions(plan: InsertionPlan,
         if not _inserted(plan.p, n_k, ell_k):
             continue
         pref = seq.prefix(n_k + 1)
-        w = make_insertion_word(pref.sub(1, n_k), pref.at(n_k + 1))
+        head = Word._checked(pref.symbols[:n_k], pref.alphabet)
+        w = make_insertion_word(head, pref.symbols[n_k])
         events.append((ell_k, w))
         seq = LazySequence(base, tuple(events), cap=cap)
     return seq

@@ -15,8 +15,7 @@ shape applies.  Each shape is an endless generator of terms, each built
 from the one before, and the index ladders that cases iii, v and vi climb
 are generators too, pulled one rung per term.  Only `_truncated` knows the
 requested count: it stops there, and when a cap interrupts generation it
-keeps the terms found so far if there are at least two.  The public
-build_subseq* functions return the first count rungs of a ladder.  Every
+keeps the terms found so far if there are at least two.  Every
 position is computed through exact big-integer ceilings/floors of float
 exponents, so regenerating a plan is deterministic.
 """
@@ -25,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -210,15 +209,6 @@ class PhaseRecord:
     last_index: int
 
 
-@dataclass(frozen=True)
-class LogLadder:
-    ns: tuple[int, ...]
-    log_values: tuple[float, ...]   # the designed ln(n_i) floats
-    C: Fraction
-    branch: str                     # "geometric" (C > 1) | "square" (C == 1)
-    records: tuple[PhaseRecord, ...]
-
-
 def _floor_sqrt(x: float) -> int:
     s = int(math.sqrt(x))
     while (s + 1) * (s + 1) <= x:
@@ -235,42 +225,15 @@ def _witness_args(extreme: ExtReal, k: int, inv_tol: float):
     return 1.0 / inv_tol, None
 
 
-def build_subseq1(phi: PhiSpec, C, gamma, delta, count: int, *, p: int = 2,
-                  digit_cap: int = bignum.DEFAULT_DIGIT_CAP,
-                  A=1) -> LogLadder:
-    """The first `count` rungs of `_log_rungs`: indices n_1 < n_2 < ...
-    with consecutive log ratio pinned near C, whose ratio phi/log visits
-    gamma (at n) and delta (at n+1) on witness elements of every cycle,
-    with tolerances shrinking as cycles advance.  A phase record that the
-    count cuts ends at the last rung kept.
-
-    A is the power the indices will be raised to (case v's
-    power_log_ceil(n, A, near=...)); each rung's e^x is computed at the
-    digits that call wants, so it reads the value from the memo.
-    """
-    rungs = _log_rungs(phi, C, gamma, delta, p=p, digit_cap=digit_cap, A=A)
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    ns, lns, _, phases = zip(*itertools.islice(rungs, count))
-    records = [replace(rec, last_index=min(rec.last_index, count))
-               for rec in dict.fromkeys(phases[1:])]
-    C = Fraction(C)
-    return LogLadder(ns, lns, C, "square" if C == 1 else "geometric",
-                     tuple(records))
-
-
 def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
-    """Check the inputs now, then return the endless ladder from
+    """Check the profile now, then return the endless ladder from
     n_1 = max(3, p + 1), geometric for C > 1 and square for C = 1.  It
     yields (n, ln, near, phase): the designed ln(n) float, the exponent n
     was built from (the hint for `bignum._ln`), and the PhaseRecord of the
-    rung's phase (None on the first rung)."""
+    rung's phase (None on the first rung).  Case v's classification gives
+    C = B/A >= 1 and delta > 0."""
     C = Fraction(C)
     gamma, delta = ExtReal(gamma), ExtReal(delta)
-    if C < 1:
-        raise GuardError("the log-ratio constant must be at least 1")
-    if delta.is_zero:
-        raise GuardError("the lower extreme must be positive here")
     check_nondecreasing(phi, 256)
     n1 = max(3, p + 1)
     if C == 1:
@@ -343,16 +306,6 @@ def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
 # ladder 2: unit increases of phi
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepLadder:
-    """ns: one more entry than ms; ms[i] marks where phi's i-th unit step
-    is realized (either at ns[i] or just before ns[i+1])."""
-
-    ns: tuple[int, ...]
-    ms: tuple[int, ...]
-    branches: tuple[str, ...] = ()
-
-
 def _phi_for_search(phi: PhiSpec, n: int) -> float:
     try:
         return phi.value(n)
@@ -363,12 +316,11 @@ def _phi_for_search(phi: PhiSpec, n: int) -> float:
                              what="phi domain") from exc
 
 
-def _min_crossing(phi: PhiSpec, n_lo: int, target: float,
-                  cap: int = SEARCH_CAP) -> int:
+def _min_crossing(phi: PhiSpec, n_lo: int, target: float) -> int:
     """Least n > n_lo with computed phi(n) > target (phi nondecreasing)."""
     lo, hi = n_lo, n_lo + 1
     while _phi_for_search(phi, hi) <= target:
-        if hi > cap:
+        if hi > SEARCH_CAP:
             raise SearchCapError(
                 "phi appears bounded: no unit increase found below 1e100",
                 what="phi crossing")
@@ -382,53 +334,23 @@ def _min_crossing(phi: PhiSpec, n_lo: int, target: float,
     return hi
 
 
-def _unit_steps(phi: PhiSpec, n: int, product: bool, cap: int = SEARCH_CAP):
+def _unit_steps(phi: PhiSpec, n: int, product: bool):
     """The endless unit-increase ladder from n.  Each step goes to the
     first point where phi exceeds its value at n by more than one; with
     `product` it goes to ceil(n log n) instead whenever that stays within
     a unit increase of phi, so each step is long multiplicatively or large
     in phi (never neither).  Each step yields (the index reached, its
-    marker, "product" | "crossing"); the marker is n when phi gains at
-    most two over the step, else the point just before the step's end."""
+    marker); the marker is n when phi gains at most two over the step,
+    else the point just before the step's end."""
     check_nondecreasing(phi, 256)
     f = phi.value(n)
     while True:
         nxt = bignum.nlogn_ceil(n) if product else None
-        if nxt is not None and _phi_for_search(phi, nxt) <= f + 1.0:
-            branch = "product"
-        else:
-            nxt, branch = _min_crossing(phi, n, f + 1.0, cap), "crossing"
+        if nxt is None or _phi_for_search(phi, nxt) > f + 1.0:
+            nxt = _min_crossing(phi, n, f + 1.0)
         f_next = phi.value(nxt)
-        yield nxt, n if f_next - f <= 2.0 else nxt - 1, branch
+        yield nxt, n if f_next - f <= 2.0 else nxt - 1
         n, f = nxt, f_next
-
-
-def build_subseq2_i(phi: PhiSpec, count: int, *, n_start: int = 3,
-                    cap: int = SEARCH_CAP) -> StepLadder:
-    """The first `count` steps of the pure unit-increase ladder: each index
-    is the first point where phi exceeds its previous value by more than
-    one."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    if n_start < 2:
-        raise ValueError("n_start must be at least 2")
-    steps = _unit_steps(phi, n_start, product=False, cap=cap)
-    ns, ms, _ = zip(*itertools.islice(steps, count))
-    return StepLadder((n_start, *ns), ms)
-
-
-def build_subseq2_ii(phi: PhiSpec, count: int, *, n_start: int = 3,
-                     cap: int = SEARCH_CAP) -> StepLadder:
-    """The first `count` steps of the variant that steps to ceil(n log n)
-    whenever that stays within a unit increase of phi, guaranteeing each
-    step is long multiplicatively or large in phi (never neither)."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    if n_start < 3:
-        raise ValueError("n_start must be at least 3")
-    steps = _unit_steps(phi, n_start, product=True, cap=cap)
-    ns, ms, branches = zip(*itertools.islice(steps, count))
-    return StepLadder((n_start, *ns), ms, branches)
 
 
 # --------------------------------------------------------------------------
@@ -532,10 +454,10 @@ def _gen_case_ii(phi, cls, p, digit_cap):
 @_truncated
 def _gen_case_iii(phi, cls, p, digit_cap):
     a, b = float(cls.alpha), float(cls.beta)
-    if a <= 0:
+    if a <= 0:   # alpha > 0 exactly, but float() can underflow to 0.0
         raise GuardError("this regime needs a positive lower rate")
     fk = None   # phi at the marker that opened the current cycle
-    for _, m, _ in _unit_steps(phi, max(3, p + 1), product=False):
+    for _, m in _unit_steps(phi, max(3, p + 1), product=False):
         f = phi.value(m)
         if fk is None:
             fk, cutoff = f, (2 * b / a - 1) * f
@@ -570,7 +492,7 @@ def _gen_case_vi(phi, cls, p, digit_cap):
     Cf, Df = float(cls.C), float(cls.D)
     lo = float(cls.delta)
     hi = float(cls.gamma)
-    for _, m_i, _ in _unit_steps(phi, max(3, p + 1), product=True):
+    for _, m_i in _unit_steps(phi, max(3, p + 1), product=True):
         lnm = math.log(m_i)
         f = phi.value(m_i)
         x = min(max(f / lnm, lo), hi)

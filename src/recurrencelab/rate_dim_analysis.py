@@ -254,29 +254,18 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
 
 
 def plan_rate_trajectory(plan: InsertionPlan, phi: Optional[PhiSpec] = None,
-                         *, endpoints: str = "right",
-                         ns: Optional[Sequence[int]] = None) -> RateTrajectory:
+                         *, endpoints: str = "right") -> RateTrajectory:
     """Ratio trajectory predicted by a plan alone, no materialization.
 
     Within each certified bracket (lo, hi] the return time is the constant
-    position ell, so the trajectory can be sampled anywhere; by default it
-    is sampled at the right endpoints, where the engineered ratio is
-    cleanest.  Pass ns to sample explicit depths instead (depths outside
-    every bracket are skipped).
+    position ell, so the trajectory can be sampled anywhere; it is sampled
+    at the right endpoints, where the engineered ratio is cleanest, or with
+    endpoints="left" at the left ones.
     """
-    brackets = certified_brackets(plan)
-    if ns is not None:
-        pairs = []
-        for n in ns:
-            for lo, hi, ell in brackets:
-                if lo < n <= hi:
-                    pairs.append((n, ell))
-                    break
-    else:
-        if endpoints not in ("right", "left"):
-            raise ValueError("endpoints must be 'right' or 'left'")
-        pairs = [(hi if endpoints == "right" else lo + 1, ell)
-                 for lo, hi, ell in brackets]
+    if endpoints not in ("right", "left"):
+        raise ValueError("endpoints must be 'right' or 'left'")
+    pairs = [(hi if endpoints == "right" else lo + 1, ell)
+             for lo, hi, ell in certified_brackets(plan)]
     depths, ells = tuple(zip(*pairs)) or ((), ())
     ratios = _ratio_column(ells, map(partial(_phi_value, phi), depths))
     return RateTrajectory(RateColumns(depths, ells, (), b"\1" * len(ells),

@@ -81,11 +81,6 @@ def test_power_log_ceil_fractional_exponent():
     assert power_log_ceil(16, Fraction(5, 4)) == expected
 
 
-def test_power_log_ceil_without_log_factor():
-    assert power_log_ceil(16, Fraction(5, 4), times_log=False) == 32
-    assert power_log_ceil(8, Fraction(2), times_log=False) == 64
-
-
 def test_nlogn_ceil():
     for n in [3, 10, 1000, 2 ** 40, 2 ** 60]:
         with mpmath.workdps(60):

@@ -452,6 +452,17 @@ def test_verify_pipeline_passes(capsys):
     assert "PASS" in err
 
 
+def test_case_iii_with_an_underflowing_lower_rate_is_unsupported(capsys):
+    # alpha = 1e-400 is exactly positive, so this is case iii, but it is
+    # 0.0 as a float: the generator's guard turns the division by the
+    # lower rate into exit 4 instead of a traceback
+    code, out, err = run(capsys, "plan", "--phi", "n^0.5",
+                         "--alpha", "1e-400", "--beta", "3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("unsupported:")
+
+
 def test_verify_refusal_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--phi", "log(n)", "--alpha", "1/3",
                        "--beta", "1/2")

@@ -1,18 +1,18 @@
+import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from recurrencelab import (ExtReal, GuardError, INF, OscLogPhi, RefusalError,
-                           build_subseq1, build_subseq2_i, build_subseq2_ii,
                            check_plan_conditions, classify_profile,
                            classify_thresholds, compute_AB, dichotomy,
                            find_ratio_witness, parse_phi, plan_full_dimension)
-from recurrencelab import phi_spec
+from recurrencelab import bignum, phi_spec
 from recurrencelab.errors import CapacityError, PhiDomainError, SearchCapError
 from recurrencelab.phi_spec import DEFAULT_ESTIMATE_HORIZON, TablePhi
-from recurrencelab.plan_engine import WITNESS_CAP, _truncated
+from recurrencelab.plan_engine import (WITNESS_CAP, _log_rungs, _truncated,
+                                       _unit_steps)
 
 
 # ------------------------------------------------------------- dichotomy ---
@@ -124,6 +124,25 @@ def test_classification_refuses_nothing_but_tags_dim_zero():
     assert cls.dim == 0 and cls.case_tag is None
 
 
+def test_no_classification_reaches_a_ladder_guard():
+    # every valid tuple over the grid classifies without a GuardError, and
+    # the preconditions of the case ladders hold exactly: case v's log
+    # ladder needs C >= 1 and delta > 0, case iii a positive lower rate
+    grid = [ExtReal(v) for v in (0, Fraction(1, 3), Fraction(1, 2), 1, 2, 3,
+                                 INF)]
+    pairs = [(lo, hi) for lo in grid for hi in grid if lo <= hi]
+    tags = []
+    for (alpha, beta), (delta, gamma) in itertools.product(pairs, pairs):
+        cls = classify_thresholds(alpha, beta, gamma, delta)
+        tags.append(cls.case_tag)
+        if cls.case_tag == "v":
+            assert cls.C >= ExtReal(1) and cls.delta > ExtReal(0), cls
+        elif cls.case_tag == "iii":
+            assert cls.alpha > ExtReal(0), cls
+    assert len(tags) == 784
+    assert tags.count("v") > 0 and tags.count("iii") > 0
+
+
 def test_classify_profile_reads_extremes():
     cls = classify_profile(parse_phi("log(n)"), 1, 2)
     assert cls.gamma == ExtReal(1) and cls.delta == ExtReal(1)
@@ -208,39 +227,61 @@ def test_slow_rate_plans_with_witnesses_past_the_cap(text, alpha, count):
 
 
 # -------------------------------------------------------------- ladder 1 ---
+# The ladder tests keep the names of the build_subseq* wrappers that once
+# returned these ladders; they climb the generators directly.
+
+def _log_ladder(phi, C, gamma, delta, count, *, p=2,
+                digit_cap=bignum.DEFAULT_DIGIT_CAP):
+    """The first count rungs of `_log_rungs` for A = 1, as the tuples
+    (ns, designed ln values, phase records)."""
+    rungs = _log_rungs(phi, C, gamma, delta, p=p, digit_cap=digit_cap, A=1)
+    ns, lns, _, phases = zip(*itertools.islice(rungs, count))
+    return ns, lns, phases
+
+
+def _distinct_records(phases):
+    assert phases[0] is None   # the seed rung belongs to no phase
+    return list(dict.fromkeys(phases[1:]))
+
+
+def _assert_records_tile(phases):
+    """Every rung past the seed lies in its phase's index range, and the
+    phases follow each other without gap or overlap."""
+    for i, rec in enumerate(phases[1:], start=2):
+        assert rec.first_index <= i <= rec.last_index, (i, rec)
+    recs = _distinct_records(phases)
+    assert recs[0].first_index == 2
+    for a, b in zip(recs, recs[1:]):
+        assert b.first_index == a.last_index + 1, (a, b)
+
 
 def test_build_subseq1_geometric_brackets():
     phi = parse_phi("log(n)")  # gamma = delta = 1
-    lad = build_subseq1(phi, Fraction(2), 1, 1, count=13)
-    assert lad.branch == "geometric"
-    assert all(a < b for a, b in zip(lad.ns, lad.ns[1:]))
+    ns, ls, phases = _log_ladder(phi, 2, 1, 1, 13)
+    assert all(a < b for a, b in zip(ns, ns[1:]))
     # within each phase the designed log ratio lives in [C, C^(1+1/d))
-    ls = lad.log_values
-    for rec in lad.records:
-        for idx in range(rec.first_index, rec.last_index + 1):
-            r = ls[idx - 1] / ls[idx - 2]
-            assert r >= 2 * (1 - 1e-9), (idx, r)
-            assert r < 2 ** (1 + 1 / rec.d) * (1 + 1e-9), (idx, r)
+    for idx in range(2, len(ns) + 1):
+        r = ls[idx - 1] / ls[idx - 2]
+        assert r >= 2 * (1 - 1e-9), (idx, r)
+        assert r < 2 ** (1 + 1 / phases[idx - 1].d) * (1 + 1e-9), (idx, r)
 
 
 def test_build_subseq1_geometric_digit_cap():
     # the doubling of log(n) per phase overruns any finite digit budget;
     # deep requests stop with a capacity signal rather than looping
-    from recurrencelab import CapacityError
     with pytest.raises(CapacityError):
-        build_subseq1(parse_phi("log(n)"), Fraction(2), 1, 1, count=30)
+        _log_ladder(parse_phi("log(n)"), 2, 1, 1, 30)
     # a raised cap admits more rungs
-    lad = build_subseq1(parse_phi("log(n)"), Fraction(2), 1, 1, count=15,
-                        digit_cap=10 ** 5)
-    assert len(lad.ns) == 15
+    ns, _, _ = _log_ladder(parse_phi("log(n)"), 2, 1, 1, 15,
+                           digit_cap=10 ** 5)
+    assert len(ns) == 15
 
 
 def test_build_subseq1_square_branch():
     phi = parse_phi("log(n)")
-    lad = build_subseq1(phi, Fraction(1), 1, 1, count=40)
-    assert lad.branch == "square"
-    assert all(a < b for a, b in zip(lad.ns, lad.ns[1:]))
-    for i, ln in enumerate(lad.log_values, start=1):
+    ns, lns, _ = _log_ladder(phi, 1, 1, 1, 40)
+    assert all(a < b for a, b in zip(ns, ns[1:]))
+    for i, ln in enumerate(lns, start=1):
         assert i * i <= ln + 1e-9, (i, ln)
         assert ln < (i + 1) ** 2 + 1e-9, (i, ln)
 
@@ -249,50 +290,40 @@ def test_build_subseq1_square_ladder_starts_at_the_rung_of_n1():
     # log(61) lies in [2^2, 3^2): the ladder goes on from log n = 3^2,
     # where it once refused every p >= 54
     phi = parse_phi("log(n)")
-    lad = build_subseq1(phi, Fraction(1), 1, 1, count=10, p=60)
-    assert lad.branch == "square"
-    assert lad.ns[:2] == (61, math.ceil(math.exp(9)))
-    assert all(a < b for a, b in zip(lad.ns, lad.ns[1:]))
-    assert lad.records[0].first_index == 2
-
-
-def test_build_subseq1_validates_inputs():
-    phi = parse_phi("log(n)")
-    with pytest.raises(GuardError):
-        build_subseq1(phi, Fraction(1, 2), 1, 1, count=10)  # C < 1
-    with pytest.raises(GuardError):
-        build_subseq1(phi, Fraction(2), 1, 0, count=10)     # delta = 0
+    ns, _, phases = _log_ladder(phi, 1, 1, 1, 10, p=60)
+    assert ns[:2] == (61, math.ceil(math.exp(9)))
+    assert all(a < b for a, b in zip(ns, ns[1:]))
+    assert phases[1].first_index == 2
 
 
 def test_build_subseq1_phase_records():
     phi = parse_phi("log(n)")
-    lad = build_subseq1(phi, Fraction(2), 1, 1, count=12)
-    assert lad.records
-    covered = set()
-    for j, rec in enumerate(lad.records):
+    ns, _, phases = _log_ladder(phi, 2, 1, 1, 12)
+    recs = _distinct_records(phases)
+    for j, rec in enumerate(recs):
         assert rec.kind == ("upper" if j % 2 == 0 else "lower")
         assert rec.eval_point == rec.witness + (0 if rec.kind == "upper" else 1)
         assert rec.d >= rec.cycle
-        if j < len(lad.records) - 1:  # a truncated final phase may stop early
-            assert rec.witness == lad.ns[rec.last_index - 1]
-        covered.update(range(rec.first_index, rec.last_index + 1))
-    # records tile the ladder past the seed
-    assert covered == set(range(2, len(lad.ns) + 1))
+        assert rec.last_index - rec.first_index + 1 == rec.d
+        if rec.last_index <= len(ns):   # the count may cut the last phase
+            assert rec.witness == ns[rec.last_index - 1]
+    _assert_records_tile(phases)
 
 
 def test_build_subseq1_osc_alternates_sides():
     o = OscLogPhi(Fraction(4, 5), Fraction(6, 5))
-    lad = build_subseq1(o, Fraction(1), Fraction(6, 5), Fraction(4, 5),
-                        count=16)
-    kinds = [r.kind for r in lad.records]
+    _, _, phases = _log_ladder(o, 1, Fraction(6, 5), Fraction(4, 5), 16)
+    recs = _distinct_records(phases)
+    kinds = [r.kind for r in recs]
     assert "upper" in kinds and "lower" in kinds
     # witnesses actually achieve their side of the ratio
-    for rec in lad.records:
+    for rec in recs:
         r = o.ratio(rec.eval_point)
         if rec.kind == "upper":
             assert r > 6 / 5 - (rec.tol or 0) - 1e-9
         else:
             assert r < 4 / 5 + (rec.tol or 0) + 1e-9
+    _assert_records_tile(phases)
 
 
 @pytest.mark.parametrize("spec,C,gamma,delta", [
@@ -303,66 +334,57 @@ def test_build_subseq1_is_a_prefix_of_a_longer_count(spec, C, gamma, delta):
     phi = _profile(spec)
     cut_mid_phase = False
     for count in range(2, 14):
-        short = build_subseq1(phi, C, gamma, delta, count)
-        full = build_subseq1(phi, C, gamma, delta, count + 10)
-        assert short.ns == full.ns[:count]
-        assert short.log_values == full.log_values[:count]
-        # the phase that the count cuts ends at the last rung kept
-        assert short.records == tuple(
-            replace(rec, last_index=min(rec.last_index, count))
-            for rec in full.records if rec.first_index <= count)
-        last = short.records[-1]
-        cut_mid_phase |= last.last_index - last.first_index + 1 < last.d
+        short = _log_ladder(phi, C, gamma, delta, count)
+        full = _log_ladder(phi, C, gamma, delta, count + 10)
+        assert short == tuple(col[:count] for col in full)
+        cut_mid_phase |= count < short[2][-1].last_index
     # log(n)'s unit-ratio phases are one rung each; the others get cut
-    assert cut_mid_phase or all(rec.d == 1 for rec in full.records)
+    assert cut_mid_phase or all(rec.d == 1 for rec in full[2][1:])
 
 
 # -------------------------------------------------------------- ladder 2 ---
 
+def _step_ladder(phi, count, product, n_start=3):
+    """The first count steps of `_unit_steps` from n_start, as the tuples
+    (n_start and the indices reached, markers)."""
+    ns, ms = zip(*itertools.islice(_unit_steps(phi, n_start, product), count))
+    return (n_start, *ns), ms
+
+
 @pytest.mark.parametrize("text", ["log(n)", "log(n)^2", "n^0.5"])
 def test_build_subseq2_i_chain(text):
     phi = parse_phi(text)
-    lad = build_subseq2_i(phi, 30)
-    assert len(lad.ns) == 31 and len(lad.ms) == 30
+    ns, ms = _step_ladder(phi, 30, product=False)
+    assert len(ns) == 31 and len(ms) == 30
     for i in range(30):
-        assert lad.ns[i] <= lad.ms[i] < lad.ns[i + 1]
+        assert ns[i] <= ms[i] < ns[i + 1]
     # the defining inequalities
-    for i in range(len(lad.ms) - 1):
-        gap = phi.value(lad.ms[i + 1]) - phi.value(lad.ms[i])
+    for i in range(len(ms) - 1):
+        gap = phi.value(ms[i + 1]) - phi.value(ms[i])
         assert gap > 1 - 1e-12, i
-        assert phi.value(lad.ms[i + 1]) - phi.value(lad.ms[i] + 1) <= 3 + 1e-12, i
+        assert phi.value(ms[i + 1]) - phi.value(ms[i] + 1) <= 3 + 1e-12, i
 
 
 def test_build_subseq2_ii_chain():
     phi = parse_phi("log(n)")
-    lad = build_subseq2_ii(phi, 30)
-    for i in range(len(lad.ms) - 1):
-        m_i, m_next = lad.ms[i], lad.ms[i + 1]
+    _, ms = _step_ladder(phi, 30, product=True)
+    for i in range(len(ms) - 1):
+        m_i, m_next = ms[i], ms[i + 1]
         grows = m_next >= m_i * math.log(m_i)
         jumps = phi.value(m_next) - phi.value(m_i) > 1 - 1e-12
         assert grows or jumps, i
-    assert set(lad.branches) <= {"product", "crossing"}
-
-
-def test_build_subseq2_rejects_tiny_start():
-    phi = parse_phi("log(n)")
-    with pytest.raises(ValueError):
-        build_subseq2_i(phi, 5, n_start=1)
-    with pytest.raises(ValueError):
-        build_subseq2_ii(phi, 5, n_start=2)
 
 
 @pytest.mark.parametrize("text", ["log(n)", "log(n)^2", "n^0.5"])
-@pytest.mark.parametrize("build", [build_subseq2_i, build_subseq2_ii])
-def test_build_subseq2_is_a_prefix_of_a_longer_count(build, text):
+@pytest.mark.parametrize("product", [False, True],
+                         ids=["build_subseq2_i", "build_subseq2_ii"])
+def test_build_subseq2_is_a_prefix_of_a_longer_count(product, text):
     phi = parse_phi(text)
     for count in (1, 2, 7, 20):
-        short, full = build(phi, count), build(phi, count + 10)
-        assert short.ns == full.ns[:count + 1]
-        assert short.ms == full.ms[:count]
-        assert short.branches == full.branches[:count]
-        assert len(short.branches) == (count if build is build_subseq2_ii
-                                       else 0)
+        short_ns, short_ms = _step_ladder(phi, count, product)
+        full_ns, full_ms = _step_ladder(phi, count + 10, product)
+        assert short_ns == full_ns[:count + 1]
+        assert short_ms == full_ms[:count]
 
 
 # ------------------------------------------------------------ generators ---

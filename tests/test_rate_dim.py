@@ -60,14 +60,6 @@ def test_plan_rate_trajectory_endpoints():
         plan_rate_trajectory(plan, endpoints="middle")
 
 
-def test_plan_rate_trajectory_explicit_ns():
-    plan = InsertionPlan(3, 2, ((4, 64), (8, 256), (16, 1024)))
-    traj = plan_rate_trajectory(plan, ns=[5, 6, 12, 40])
-    # 40 exceeds every bracket: skipped
-    assert [(e.n, e.return_time) for e in traj.entries] == \
-        [(5, 256), (6, 256), (12, 1024)]
-
-
 def test_plan_rate_trajectory_ratio_matches_formula():
     plan = InsertionPlan(3, 2, ((4, 64), (8, 256), (16, 1024)))
     traj = plan_rate_trajectory(plan)
