@@ -30,20 +30,38 @@ replaced whole, so a reader never pairs entries with another prec.
 X <= 1, the other non-integers and smaller precisions take mpmath's own
 exp of the exact X, which is as fast there.
 
-`_ln` takes ln n by one of three routes.  Inside mpmath's Taylor range
-(below LOG_TAYLOR_PREC bits) it is mpmath's own ln.  Past it, when the
-caller passes the exponent x from which n was built (n = ceil(e^x)), it
-is x + log1p(n e^-x - 1) by a four-term series; otherwise, or when that
-hint is too far off, it is Newton's method on exp.
+power_log_ceil takes ceil(n^A ln n) by one of two routes.  When the
+caller passes the exponent X that n was built from (``near``, with n =
+ceil(e^X)), the value is anchored to X (`_anchored`).  With d = n - e^X,
+ln n = X - ln(1 - d/n), so
 
-exp_int and the hinted ln share `_exp`, a pure function.  Inside
+    n^A ln n = n^A X + sum_{j>=1} n^A (d/n)^j / j.
+
+n^A X is an integer times a dyadic, exact for an integer A.  The j-th term
+is n^(A-j) d^j / j, and the terms shrink by |d|/n each, so for n =
+ceil(e^X) only j <= A + 1 reach the guard.  e^X is taken at the digits of
+e^(AX) plus GUARD_DIGITS, and it is still the one full-width value: a
+relative error e in it moves d by e^X e, and the sum by about n^A e,
+10^-GUARD_DIGITS at that width.  Every other step carries only the
+ANCHOR_BITS fraction bits of the result that it can move, and loses a
+few units of the last, so the sum lies within about 10^-GUARD_DIGITS of
+n^A ln n.  A hint whose e^X the memo does not hold yet is checked first
+against a 128-bit e^X, which turns it away when it is off by more than
+2^-90; one whose series would run past floor(A) + 2 terms is turned
+away by the bound on them.  Without a hint, or when it is turned away,
+the value is n^A times `_ln` n: mpmath's own ln inside its Taylor range
+(below LOG_TAYLOR_PREC bits), Newton's method on exp past it.  A
+rational A = p/q takes n^A 2^g as the integer q-th root of n^p 2^(q g),
+exact when the root is, on both routes.
+
+exp_int and the anchored route share `_exp`, a pure function.  Inside
 `exp_memo_scope`, which plan synthesis opens for one plan, they share a
 memo of its values (tuples), one per thread, that lives until the scope
-closes: exp_ceil(x)
-followed by power_log_ceil(n, 1, near=x) computes e^x once, and a ladder
-that builds all its rungs before the first power_log_ceil still computes
-each e^x once, as exp_int's ``power`` asks for e^x at the digits the
-hinted ln of n^power will want.  Outside a scope each call computes e^x.
+closes: exp_ceil(x) followed by power_log_ceil(n, 1, near=x) computes e^x
+once, and a ladder that builds all its rungs before the first
+power_log_ceil still computes each e^x once, as exp_int's ``power`` asks
+for e^x at the digits of e^(power x) that the anchored route reads it at.
+Outside a scope each call computes e^x.
 
 Desk-scale note: direct float arithmetic does not settle ceilings even at
 desk scale.  float n*log(n) is within about 2^-51 of n ln n relatively,
@@ -60,17 +78,20 @@ import math
 import sys
 import threading
 
-from mpmath.libmp import (dps_to_prec, fhalf, fone, from_float, from_int,
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int,
                           from_man_exp, mpf_add, mpf_div, mpf_e, mpf_exp,
-                          mpf_log, mpf_mul, mpf_neg, mpf_shift, mpf_sub,
-                          mpf_sum, round_ceiling, round_floor, round_nearest,
-                          to_int)
+                          mpf_log, mpf_mul, mpf_neg, mpf_sub, mpf_sum,
+                          round_ceiling, round_floor, round_nearest, to_int)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 from .errors import CapacityError
 
 GUARD_DIGITS = 30
 DEFAULT_DIGIT_CAP = 20_000
+
+# the fraction bits `_anchored` carries past the point: GUARD_DIGITS, and
+# 16 bits for its few truncations
+ANCHOR_BITS = dps_to_prec(GUARD_DIGITS) + 16
 
 # Plans serialize positions as decimal strings; CPython's int<->str guard
 # (default 4300 digits) would reject them.
@@ -138,7 +159,7 @@ _memo = contextvars.ContextVar("exp_memo", default=None)
 
 @contextlib.contextmanager
 def exp_memo_scope():
-    """Keep every `_exp` value that exp_int and the hinted ln ask for until
+    """Keep every `_exp` value that exp_int and `_anchored` ask for until
     the outermost scope closes, then drop them, also when the body raises.
     Nested scopes share the outermost one's memo; scopes in other threads
     neither see nor close it."""
@@ -343,10 +364,9 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
 
     A ``power`` above 1 (an int or a Fraction) asks for e**log_value
     at the digits of e**(power*log_value) plus GUARD_DIGITS when those
-    stay within the digit cap: the digits the hinted ln of n**power asks
-    for (see `_ln`), so inside `exp_memo_scope` power_log_ceil(n, power,
-    near=log_value) finds the value in the memo.  The integer returned
-    is the same.
+    stay within the digit cap: the digits `_anchored` reads it at, so
+    inside `exp_memo_scope` power_log_ceil(n, power, near=log_value)
+    finds the value in the memo.  The integer returned is the same.
     """
     terms = _terms(log_value)
     approx = math.fsum(terms)
@@ -355,7 +375,7 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
     check_digit_cap(approx, digit_cap)
     places = digits_of_exp(approx)
     if power > 1:
-        # `_ln`'s own expression, so the two agree to the digit
+        # `_anchored`'s own expression, so the two agree to the digit
         shared = digits_of_exp(
             power.numerator / getattr(power, "denominator", 1) * approx)
         if shared <= digit_cap:
@@ -377,12 +397,25 @@ def exp_floor(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
 
 
 def nth_root_floor(v: int, k: int) -> int:
-    """floor(v ** (1/k)) for positive ints, by Newton on integers."""
+    """floor(v ** (1/k)) for positive ints, by Newton on integers.
+
+    A root of more than a few hundred bits starts from the root of the top
+    half of its bits, so only the last few Newton steps run at full width.
+    """
     if v < 0 or k < 1:
         raise ValueError("need v >= 0 and k >= 1")
     if k == 1 or v < 2:
         return v
-    x = 1 << ((v.bit_length() + k - 1) // k + 1)
+    if k == 2:
+        return math.isqrt(v)
+    half = v.bit_length() // k // 2
+    if half < 256:
+        x = 1 << ((v.bit_length() + k - 1) // k + 1)
+    else:
+        # with a = floor(floor(w)^(1/k)), w = v/2^(k half), the integer
+        # (a+1)^k exceeds floor(w), hence w: so x lies above the root,
+        # where Newton descends to its floor
+        x = (nth_root_floor(v >> (k * half), k) + 1) << half
     while True:
         y = ((k - 1) * x + v // x ** (k - 1)) // k
         if y >= x:
@@ -393,58 +426,15 @@ def nth_root_floor(v: int, k: int) -> int:
     return x
 
 
-def _ln(n: int, dps: int, near=None, power=1.0) -> tuple:
-    """ln n as a raw mpf, good to dps digits.
-
-    Up to LOG_TAYLOR_PREC bits mpmath's own ln reads a cached Taylor table
-    and is the faster route; it is taken whatever the hint.  Past it, a
-    hint ``near`` (the exponent n was built from) goes to `_ln_near`, with
-    e^near at the digits of n^power plus GUARD_DIGITS, and `_ln_newton`
-    serves what no hint settles.
-    """
+def _ln(n: int, dps: int) -> tuple:
+    """ln n as a raw mpf, good to dps digits: mpmath's own ln up to
+    LOG_TAYLOR_PREC bits, where it reads a cached Taylor table, and
+    `_ln_newton` past it."""
     prec = dps_to_prec(dps)
     x = from_int(n, prec, round_nearest)
     if prec + 20 <= LOG_TAYLOR_PREC:   # mpf_log's own switch
         return mpf_log(x, prec, round_nearest)
-    if near is not None:
-        terms = _terms(near)
-        places = digits_of_exp(power * math.fsum(terms)) + GUARD_DIGITS
-        y = _ln_near(x, prec, terms, places)
-        if y is not None:
-            return y
     return _ln_newton(n, x, dps)
-
-
-def _ln_near(x: tuple, prec: int, terms: tuple, places: int):
-    """ln x at prec bits from the terms of an exponent t with x close to
-    e^t, or None.
-
-    With u = x e^-t - 1, ln x = t + log1p(u); when |u| < 2^(-prec/4) four
-    terms of the series are exact to prec bits.  e^t comes from `_exp` at
-    ``places`` digits, so ln x is good to about 10^-places absolutely.  A
-    hint off by more than 2^-90 is turned away by a 128-bit e^t first, so
-    a float's guess at ln x costs little.
-    """
-    rnd = round_nearest
-    e_t = mpf_exp(mpf_sum(_mpf_terms(terms, 128), 128, rnd), 128, rnd)
-    if _mag(mpf_sub(mpf_div(x, e_t, 128, rnd), fone, 128, rnd)) >= -90:
-        return None
-    e_t = _scoped_exp(terms, places)
-    d = mpf_sub(x, e_t, prec, rnd)
-    log1p = d   # zero when x is e^t at this precision
-    if d[1]:
-        # u is needed to prec bits' absolute error only
-        wp = max(53, prec + _mag(d) - _mag(e_t))
-        u = mpf_div(d, e_t, wp, rnd)
-        if _mag(u) >= -(prec // 4):
-            return None
-        # u (1 - u (1/2 - u (1/3 - u/4)))
-        log1p = mpf_sub(mpf_div(fone, from_int(3), wp, rnd), mpf_shift(u, -2),
-                        wp, rnd)
-        for c in (fhalf, fone):
-            log1p = mpf_sub(c, mpf_mul(u, log1p, wp, rnd), wp, rnd)
-        log1p = mpf_mul(u, log1p, wp, rnd)
-    return mpf_sum([*_mpf_terms(terms, prec), log1p], prec, rnd)
 
 
 def _ln_newton(n: int, x: tuple, dps: int) -> tuple:
@@ -474,16 +464,89 @@ def _ln_newton(n: int, x: tuple, dps: int) -> tuple:
     return y
 
 
+def _anchored(n: int, num: int, den: int, power: int, terms: tuple):
+    """n^A ln n, A = num/den and power = n^num, as an exact raw mpf within
+    about 10^-GUARD_DIGITS, from the terms of the exponent X that n was
+    built from; None when n is not close enough to e^X.
+
+    The route is in the module docstring.  The j-th term of the series
+    is n^(A-j) d^j / j, with d^j carried to the bits the term adds:
+    integers for an integer A and j <= A, a division by j n^j otherwise.
+    A rational A takes n^A 2^g as the floor of the q-th root of
+    n^p 2^(q g), exact when the root is.  The sum stops at the first term
+    below 2^-ANCHOR_BITS, whose successors shrink by |d|/n each, so every
+    step but e^X carries ANCHOR_BITS fraction bits and loses at most a
+    few units of the last.  The value is right for any hint it takes;
+    the tests that turn hints away only bound its cost.
+    """
+    x = math.fsum(terms)
+    # the digits exp_int(X, power=A) stored e^X at
+    dps = digits_of_exp(num / den * x) + GUARD_DIGITS
+    memo = _memo.get()
+    e_x = None if memo is None else memo.get((terms, dps))
+    if e_x is None:
+        # before e^X is computed at full width, a 128-bit e^X turns away
+        # a hint off by more than 2^-90, such as a float's guess at ln n
+        rnd = round_nearest
+        e_t = mpf_exp(mpf_sum(_mpf_terms(terms, 128), 128, rnd), 128, rnd)
+        if _mag(mpf_sub(mpf_div(from_int(n, 128, rnd), e_t, 128, rnd), fone,
+                        128, rnd)) >= -90:
+            return None
+        e_x = _scoped_exp(terms, dps)
+    _, man, exp, _ = e_x
+    t = max(0, -exp)
+    dm = (n << t) - (man << (exp + t))   # d = n - e^X = dm / 2^t
+    bl = n.bit_length()
+    ld = abs(dm).bit_length() - t        # |d| < 2^ld
+    T = ANCHOR_BITS
+    # |term j| < 2^(A bl - j drop), so terms j <= last can reach 2^-T
+    last = 0
+    if dm:
+        drop = bl - 1 - ld
+        if drop <= 0:
+            return None
+        last = (num * bl + T * den) // (drop * den)
+        if last > num // den + 2:
+            return None
+    xnum, s = _dyadic_sum(terms)
+    if den == 1:
+        pa, g = power, 0
+    else:
+        # n^A X loses less than a unit of 2^-T to the floor of n^A 2^g
+        g = T + max(1, int(x)).bit_length() + 1
+        pa = nth_root_floor(power << (den * g), den)
+    acc = _shift(pa * xnum, T - g - s)   # n^A X
+    for j in range(1, last + 1):
+        # d^j to w fraction bits: n^(A-j) 2^-w is at most 2^-T
+        w = T + max(0, -((j * den - num) * bl // den))
+        if j == 1:
+            dj = _shift(dm, w - t)
+        else:
+            v = w + j.bit_length() + 1 + (j - 1) * max(0, ld)
+            dj = _shift(_shift(dm, v - t) ** j, w - j * v)
+        if den == 1 and j <= num:
+            acc += (n ** (num - j) * dj >> (w - T)) // j
+        else:
+            acc += (pa * dj >> (g + w - T)) // (j * n ** j)
+    return from_man_exp(acc, -T)
+
+
+def _shift(v: int, k: int) -> int:
+    """floor(v 2^k) for any int v and k."""
+    return v << k if k >= 0 else v >> -k
+
+
 def power_log_ceil(n: int, exponent, *, digit_cap: int = DEFAULT_DIGIT_CAP,
                    near=None) -> int:
     """Exact ceil(n**exponent * ln(n)).
 
-    The power n^(p/q) is anchored in integer arithmetic — n^p, and its
-    exact q-th root when one exists — so integer-valued powers never pick
-    up a spurious +1 from working-precision fuzz.  The ln factor is
-    transcendental and rounds past the guard digits as usual.  ``near`` is
-    the exponent n was built from, if any (see `_ln`); ln n is then needed
-    only to digits(n^exponent) + GUARD_DIGITS places.
+    The power n^(p/q) is anchored in integer arithmetic: n^p, or the floor
+    of n^(p/q) 2^g as an integer q-th root, exact when the root is, so
+    integer-valued powers never pick up a spurious +1 from
+    working-precision fuzz.  The ln factor is transcendental and rounds
+    past the guard digits as usual.  ``near`` is the exponent n was built
+    from, if any: the value is then finished from it (`_anchored`), and
+    otherwise, or when the hint is too far off, from `_ln`.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -491,26 +554,35 @@ def power_log_ceil(n: int, exponent, *, digit_cap: int = DEFAULT_DIGIT_CAP,
     den = getattr(exponent, "denominator", 1)
     if num < 0:
         raise ValueError("exponent must be nonnegative")
-    approx_log = (num / den) * math.log(n) + math.log(math.log(n))
-    check_digit_cap(approx_log, digit_cap)
+    check_digit_cap(num / den * math.log(n) + math.log(math.log(n)),
+                    digit_cap)
+    return _power_log_ceil(n, num, den, near)
+
+
+def _power_log_ceil(n: int, num: int, den: int, near) -> int:
+    """power_log_ceil(n, num/den, near=near) without the digit cap."""
     power = n ** num
-    root = power if den == 1 else nth_root_floor(power, den)
-    exact = den == 1 or root ** den == power
-    dps = digits_of_exp(approx_log) + GUARD_DIGITS
+    if near is not None:
+        value = _anchored(n, num, den, power, _terms(near))
+        if value is not None:
+            return int(to_int(value, round_ceiling))
+    ln_n = math.log(n)
+    dps = digits_of_exp(num / den * ln_n + math.log(ln_n)) + GUARD_DIGITS
     prec, rnd = dps_to_prec(dps), round_nearest
-    ln_n = _ln(n, dps, near, num / den)
-    if exact:
-        value = mpf_mul(from_int(root, prec, rnd), ln_n, prec, rnd)
+    if den == 1:
+        root = from_int(power, prec, rnd)
     else:
-        a = mpf_div(from_int(num, prec, rnd), from_int(den), prec, rnd)
-        value = mpf_mul(mpf_exp(mpf_mul(a, ln_n, prec, rnd), prec, rnd),
-                        ln_n, prec, rnd)
+        # g bits past the guard, as ln n multiplies the root's error
+        g = ANCHOR_BITS + int(ln_n).bit_length()
+        root = from_man_exp(nth_root_floor(power << (den * g), den), -g,
+                            prec, rnd)
+    value = mpf_mul(root, _ln(n, dps), prec, rnd)
     return int(to_int(value, round_ceiling))
 
 
 def nlogn_ceil(n: int, near=None) -> int:
     """ceil(n * ln n) for an exact integer n of any size; ``near`` as in
-    power_log_ceil."""
+    power_log_ceil, which serves what the float value does not settle."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if n <= 1 << 40:
@@ -520,9 +592,4 @@ def nlogn_ceil(n: int, near=None) -> int:
         frac = y - math.floor(y)
         if NLOGN_FLOAT_ERR * y < frac < 1 - NLOGN_FLOAT_ERR * y:
             return math.ceil(y)
-    # digits from the bit length: str(n) is quadratic in CPython
-    dps = digits_of_exp(n.bit_length() * LN2) + GUARD_DIGITS
-    prec = dps_to_prec(dps)
-    value = mpf_mul(from_int(n, prec, round_nearest), _ln(n, dps, near),
-                    prec, round_nearest)
-    return int(to_int(value, round_ceiling))
+    return _power_log_ceil(n, 1, 1, near)

@@ -406,7 +406,11 @@ class OscLogPhi(PhiSpec):
     limsup = gamma (finite or not).
 
     Segments are generated on demand and memoized append-only; once
-    created they never change, so lookups may cache freely.
+    created they never change, so lookups may cache freely.  A cycle
+    opens with its low and climb legs; its closing boundary c, an integer
+    of about mult/delta times the digits of 2E, and its hold leg are
+    computed only when a lookup first reaches past the climb, or the next
+    cycle opens.
     """
 
     _SEGMENT_DIGIT_CAP = 100_000
@@ -425,8 +429,16 @@ class OscLogPhi(PhiSpec):
         self._starts: list[int] = []
         self._cycles = 0
         self._next_start = 2
+        self._held: Optional[float] = None   # the open cycle's, if any
 
-    def _add_cycle(self) -> None:
+    def _grow(self) -> None:
+        """Close the open cycle, or open the next one."""
+        if self._held is None:
+            self._open_cycle()
+        else:
+            self._close_cycle()
+
+    def _open_cycle(self) -> None:
         s = self._next_start
         k = self._cycles + 1
         end_low = 4 * s
@@ -434,14 +446,18 @@ class OscLogPhi(PhiSpec):
         mult = self._gf if self._gf is not None else self._df + k
         climb_end = 2 * end_low
         self._push(end_low + 1, climb_end, "climb", mult, None)
-        held = mult * math.log(climb_end)
+        self._held = mult * math.log(climb_end)
+        self._cycles = k
+
+    def _close_cycle(self) -> None:
+        held, climb_end = self._held, self._segments[-1][1]
         catch = bignum.exp_ceil(held / self._df,
                                 digit_cap=self._SEGMENT_DIGIT_CAP)
         if catch <= climb_end:  # can't happen for mult > delta, but be safe
             catch = climb_end + 1
         if catch > climb_end + 1:
             self._push(climb_end + 1, catch - 1, "hold", None, held)
-        self._cycles = k
+        self._held = None
         self._next_start = catch
 
     def _push(self, start, end, kind, mult, held) -> None:
@@ -450,7 +466,7 @@ class OscLogPhi(PhiSpec):
 
     def _extend_to(self, n: int) -> None:
         while not self._segments or self._segments[-1][1] < n:
-            self._add_cycle()
+            self._grow()
 
     def segment_for(self, n: int) -> tuple[int, int, str, Optional[float], Optional[float]]:
         if n < 2:
@@ -480,7 +496,7 @@ class OscLogPhi(PhiSpec):
         idx = 0
         while True:
             while idx >= len(self._segments):
-                self._add_cycle()
+                self._grow()
             start, end, seg_kind, mult, _ = self._segments[idx]
             if (seg_kind == kind and end >= min_n
                     and (min_mult is None or mult >= min_mult)):

@@ -229,9 +229,9 @@ def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
     """Check the profile now, then return the endless ladder from
     n_1 = max(3, p + 1), geometric for C > 1 and square for C = 1.  It
     yields (n, ln, near, phase): the designed ln(n) float, the exponent n
-    was built from (the hint for `bignum._ln`), and the PhaseRecord of the
-    rung's phase (None on the first rung).  Case v's classification gives
-    C = B/A >= 1 and delta > 0."""
+    was built from (the hint for `bignum.power_log_ceil`), and the
+    PhaseRecord of the rung's phase (None on the first rung).  Case v's
+    classification gives C = B/A >= 1 and delta > 0."""
     C = Fraction(C)
     gamma, delta = ExtReal(gamma), ExtReal(delta)
     check_nondecreasing(phi, 256)
@@ -266,7 +266,7 @@ def _geometric_rungs(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
                 lnr = last * math.exp(step * j)
                 yield (bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A),
                        lnr, lnr, rec)
-            # a witness at min_n was built from x: its ln reads e^x back
+            # a witness at min_n was built from x: its position reads e^x back
             yield w, ll_w, x if w == min_n else ll_w, rec
             last, index = ll_w, index + d
             inv_tol = float(cycle + d)   # the lower phase's, after the upper

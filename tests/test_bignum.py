@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import dps_to_prec, from_int, prec_to_dps, round_nearest
+from mpmath.libmp import dps_to_prec, prec_to_dps
 
 from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
                            plan_engine, plan_full_dimension)
@@ -88,6 +88,19 @@ def test_nlogn_ceil():
         assert nlogn_ceil(n) == expected
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+def test_nth_root_floor_around_exact_powers(k):
+    # roots of a few bits up to past the 256 bits where the start comes
+    # from the root of the top half
+    rng = random.Random(k)
+    roots = [1, 2, 3, 2 ** 255 - 1, 2 ** 256, 2 ** 600 + 1]
+    roots += [rng.getrandbits(b) | 1 << (b - 1) for b in (100, 520, 3000)]
+    for r in roots:
+        for v in (r ** k - 1, r ** k, r ** k + 1, r ** k + rng.randrange(r)):
+            got = nth_root_floor(v, k)
+            assert got ** k <= v < (got + 1) ** k, (k, r, v - r ** k)
+
+
 # -------------------------------------------------- Newton ln against ln ---
 
 def ln_power_log_ceil(n, exponent):
@@ -162,30 +175,41 @@ def test_ln_is_good_to_the_working_precision(dps):
                          ids=["integer", "fractional", "terms"])
 @pytest.mark.parametrize("dps", [760, 1500, 3000])
 def test_hinted_ln_is_good_to_the_working_precision(near, dps):
+    # the anchored n^A ln n, A putting it at about dps digits, keeps the
+    # GUARD_DIGITS places past the point that power_log_ceil works to
     n = exp_ceil(near)
-    with mpmath.workdps(dps + 20):
-        want = mpmath.ln(mpmath.mpf(n))
-    prec = dps_to_prec(dps)
-    got = bignum._ln_near(from_int(n, prec, round_nearest), prec,
-                          bignum._terms(near), dps)
+    A = Fraction(dps, len(str(n))).limit_denominator(8)
+    # power_log_ceil's working precision, plus 20 digits
+    work = digits_of_exp(float(A) * math.log(n) + math.log(math.log(n))) \
+        + GUARD_DIGITS + 20
+    with mpmath.workdps(work):
+        want = mpmath.mpf(n) ** (mpmath.mpf(A.numerator) / A.denominator) \
+            * mpmath.ln(mpmath.mpf(n))
+    got = bignum._anchored(n, A.numerator, A.denominator, n ** A.numerator,
+                           bignum._terms(near))
     assert got is not None
-    with mpmath.workdps(dps + 20):
+    with mpmath.workdps(work):
         got = mpmath.mp.make_mpf(got)
-        assert abs(got - want) <= want * mpmath.mpf(10) ** -dps
+        assert abs(got - want) <= mpmath.mpf(10) ** -GUARD_DIGITS
 
 
 @pytest.mark.parametrize("off", [1e-9, math.ulp(2345.678), (0.0, 1e-30),
                                  (0.0, 1e-60)],
                          ids=["float-far", "one-ulp", "past-128-bits",
                               "series-too-short"])
-def test_wrong_hints_fall_back_to_newton(off):
+def test_wrong_hints_fall_back_to_newton(off, monkeypatch):
+    # a hint off by more than 2^-90 fails the 128-bit test; one off by
+    # 10^-30 or 10^-60 passes it, but its series would run to dozens of
+    # terms
     x = 2345.678
     near = (x + off,) if isinstance(off, float) else (x, *off)
     n = exp_ceil(x)
-    prec = dps_to_prec(1200)
-    assert bignum._ln_near(from_int(n, prec, round_nearest), prec, near,
-                           1200) is None
-    assert _ln(n, 1200, near) == _ln(n, 1200)
+    assert bignum._anchored(n, 1, 1, n, near) is None
+    newton, real = [], bignum._ln_newton
+    monkeypatch.setattr(bignum, "_ln_newton",
+                        lambda n, *a: newton.append(n) or real(n, *a))
+    assert power_log_ceil(n, 1, near=near) == power_log_ceil(n, 1)
+    assert newton == [n, n]
 
 
 def _hinted_inputs():
@@ -231,17 +255,17 @@ def _hint_plan(spec, alpha, beta, count):
 
 
 def test_plans_are_unchanged_without_the_hinted_ln(monkeypatch):
-    settled, real = [], bignum._ln_near
+    settled, real = [], bignum._anchored
 
     def spy(*args):
         y = real(*args)
         settled.append(y is not None)
         return y
 
-    monkeypatch.setattr(bignum, "_ln_near", spy)
+    monkeypatch.setattr(bignum, "_anchored", spy)
     hinted = [_hint_plan(*r) for r in HINT_PLANS]
     assert any(settled)
-    monkeypatch.setattr(bignum, "_ln_near", lambda *args: None)
+    monkeypatch.setattr(bignum, "_anchored", lambda *args: None)
     assert [_hint_plan(*r) for r in HINT_PLANS] == hinted
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from recurrencelab import (ExtReal, INF, OscLogPhi, PhiDomainError,
                            PhiParseError, PlanValidityError, PowerLog,
                            TablePhi, check_nondecreasing, parse_phi)
-from recurrencelab import phi_spec
+from recurrencelab import bignum, phi_spec, plan_full_dimension
+from recurrencelab.errors import CapacityError
 from recurrencelab.phi_spec import (DEFAULT_ESTIMATE_HORIZON, SCAN_BLOCK,
                                     ExprPhi, _Add, _estimated_gamma_delta,
                                     _gamma_delta_from_monomials, _Log, _Mul,
@@ -283,6 +285,79 @@ def test_osc_log_infinite_gamma_multipliers_grow():
     _, e1, m1 = o.climb_segment_at_least(10)
     _, e2, m2 = o.climb_segment_at_least(e1 + 1)
     assert m2 > m1  # climb targets escalate without bound
+
+
+def _closed_eagerly(delta, gamma, cycles, digit_cap):
+    """The segments of the first cycles of OscLogPhi(delta, gamma), each
+    cycle closed as it opens, from the construction's definition; it stops
+    before the first closing boundary past digit_cap."""
+    df = float(Fraction(delta))
+    gf = None if gamma == "inf" else float(Fraction(gamma))
+    segments, s = [], 2
+    for k in range(1, cycles + 1):
+        end_low = 4 * s
+        mult = gf if gf is not None else df + k
+        held = mult * math.log(2 * end_low)
+        try:
+            catch = bignum.exp_ceil(held / df, digit_cap=digit_cap)
+        except CapacityError:
+            break
+        segments += [(s, end_low, "low", df, None),
+                     (end_low + 1, 2 * end_low, "climb", mult, None)]
+        if catch > 2 * end_low + 1:
+            segments.append((2 * end_low + 1, catch - 1, "hold", None, held))
+        s = catch
+    return segments
+
+
+@pytest.mark.parametrize("delta,gamma", [("4/5", "6/5"), ("1", "3"),
+                                         ("1/2", "2"), ("1/2", "inf")])
+def test_lazily_closed_profiles_agree_with_eagerly_closed_ones(delta, gamma):
+    # the first 12 cycles, or as many as close within the default digit cap
+    eager = _closed_eagerly(delta, gamma, 12, bignum.DEFAULT_DIGIT_CAP)
+    assert len(eager) >= 12
+    points = sorted({n for seg in eager for b in seg[:2]
+                     for n in (b - 1, b, b + 1)
+                     if 2 <= n <= eager[-1][1]})
+    for order in (points, points[::-1]):
+        o = OscLogPhi(delta, gamma)
+        for n in order:
+            seg = next(g for g in eager if g[0] <= n <= g[1])
+            assert o.segment_for(n) == seg, n
+            want = seg[4] if seg[2] == "hold" else seg[3] * math.log(n)
+            assert o.value(n) == want, n
+
+
+def test_a_plan_closes_no_cycle_past_the_last_one_a_lookup_reached(
+        monkeypatch):
+    # --osc 4/5 6/5 5/6, 5/4 count 120: the lookups reach into cycle 20
+    # but not past its climb, so its closing boundary, an integer of about
+    # 10 000 digits, is never computed
+    phi = OscLogPhi("4/5", "6/5")
+    closed, reached, real = [], [], bignum.exp_ceil
+
+    def spy(*args, **kwargs):
+        value = real(*args, **kwargs)
+        if sys._getframe(1).f_globals["__name__"] == phi_spec.__name__:
+            closed.append(value)
+        return value
+
+    monkeypatch.setattr(bignum, "exp_ceil", spy)
+    for name in ("segment_for", "_segment_at_least"):
+        def lookup(*args, real_lookup=getattr(phi, name), **kwargs):
+            seg = real_lookup(*args, **kwargs)
+            reached.append(seg[0])
+            return seg
+        monkeypatch.setattr(phi, name, lookup)
+    plan_full_dimension(phi, ExtReal("5/6"), ExtReal("5/4"), count=120)
+    # a cycle is closed only when a lookup lands past its climb
+    climbs = [seg for seg in phi._segments if seg[2] == "climb"]
+    assert closed == [seg[1] + 1 for seg in phi._segments
+                      if seg[2] == "hold"]
+    assert len(closed) == len(climbs) - 1
+    assert all(climb[1] < max(reached) for climb in climbs[:-1])
+    assert max(reached) <= climbs[-1][1]
+    assert len(str(closed[-1])) < 7_000
 
 
 # ---------------------------------------------------------- estimate scan ---

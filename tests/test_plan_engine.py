@@ -1,13 +1,15 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from recurrencelab import (ExtReal, GuardError, INF, OscLogPhi, RefusalError,
-                           check_plan_conditions, classify_profile,
-                           classify_thresholds, compute_AB, dichotomy,
-                           find_ratio_witness, parse_phi, plan_full_dimension)
+from recurrencelab import (ExtReal, GuardError, INF, InsertionPlan, OscLogPhi,
+                           RefusalError, check_plan_conditions,
+                           classify_profile, classify_thresholds, compute_AB,
+                           dichotomy, find_ratio_witness, parse_phi,
+                           plan_full_dimension)
 from recurrencelab import bignum, phi_spec
 from recurrencelab.errors import CapacityError, PhiDomainError, SearchCapError
 from recurrencelab.phi_spec import DEFAULT_ESTIMATE_HORIZON, TablePhi
@@ -227,8 +229,6 @@ def test_slow_rate_plans_with_witnesses_past_the_cap(text, alpha, count):
 
 
 # -------------------------------------------------------------- ladder 1 ---
-# The ladder tests keep the names of the build_subseq* wrappers that once
-# returned these ladders; they climb the generators directly.
 
 def _log_ladder(phi, C, gamma, delta, count, *, p=2,
                 digit_cap=bignum.DEFAULT_DIGIT_CAP):
@@ -255,7 +255,7 @@ def _assert_records_tile(phases):
         assert b.first_index == a.last_index + 1, (a, b)
 
 
-def test_build_subseq1_geometric_brackets():
+def test_log_ladder_geometric_brackets():
     phi = parse_phi("log(n)")  # gamma = delta = 1
     ns, ls, phases = _log_ladder(phi, 2, 1, 1, 13)
     assert all(a < b for a, b in zip(ns, ns[1:]))
@@ -266,7 +266,7 @@ def test_build_subseq1_geometric_brackets():
         assert r < 2 ** (1 + 1 / phases[idx - 1].d) * (1 + 1e-9), (idx, r)
 
 
-def test_build_subseq1_geometric_digit_cap():
+def test_log_ladder_geometric_digit_cap():
     # the doubling of log(n) per phase overruns any finite digit budget;
     # deep requests stop with a capacity signal rather than looping
     with pytest.raises(CapacityError):
@@ -277,7 +277,7 @@ def test_build_subseq1_geometric_digit_cap():
     assert len(ns) == 15
 
 
-def test_build_subseq1_square_branch():
+def test_log_ladder_square_branch():
     phi = parse_phi("log(n)")
     ns, lns, _ = _log_ladder(phi, 1, 1, 1, 40)
     assert all(a < b for a, b in zip(ns, ns[1:]))
@@ -286,7 +286,7 @@ def test_build_subseq1_square_branch():
         assert ln < (i + 1) ** 2 + 1e-9, (i, ln)
 
 
-def test_build_subseq1_square_ladder_starts_at_the_rung_of_n1():
+def test_log_ladder_square_branch_starts_at_the_rung_of_n1():
     # log(61) lies in [2^2, 3^2): the ladder goes on from log n = 3^2,
     # where it once refused every p >= 54
     phi = parse_phi("log(n)")
@@ -296,7 +296,7 @@ def test_build_subseq1_square_ladder_starts_at_the_rung_of_n1():
     assert phases[1].first_index == 2
 
 
-def test_build_subseq1_phase_records():
+def test_log_ladder_phase_records():
     phi = parse_phi("log(n)")
     ns, _, phases = _log_ladder(phi, 2, 1, 1, 12)
     recs = _distinct_records(phases)
@@ -310,7 +310,7 @@ def test_build_subseq1_phase_records():
     _assert_records_tile(phases)
 
 
-def test_build_subseq1_osc_alternates_sides():
+def test_log_ladder_osc_alternates_sides():
     o = OscLogPhi(Fraction(4, 5), Fraction(6, 5))
     _, _, phases = _log_ladder(o, 1, Fraction(6, 5), Fraction(4, 5), 16)
     recs = _distinct_records(phases)
@@ -330,7 +330,7 @@ def test_build_subseq1_osc_alternates_sides():
     ("log(n)", Fraction(3, 2), 1, 1),
     ("log(n)", Fraction(1), 1, 1),
     ("osc 4/5 6/5", Fraction(1), Fraction(6, 5), Fraction(4, 5))])
-def test_build_subseq1_is_a_prefix_of_a_longer_count(spec, C, gamma, delta):
+def test_log_ladder_is_a_prefix_of_a_longer_count(spec, C, gamma, delta):
     phi = _profile(spec)
     cut_mid_phase = False
     for count in range(2, 14):
@@ -376,9 +376,8 @@ def test_build_subseq2_ii_chain():
 
 
 @pytest.mark.parametrize("text", ["log(n)", "log(n)^2", "n^0.5"])
-@pytest.mark.parametrize("product", [False, True],
-                         ids=["build_subseq2_i", "build_subseq2_ii"])
-def test_build_subseq2_is_a_prefix_of_a_longer_count(product, text):
+@pytest.mark.parametrize("product", [False, True])
+def test_step_ladder_is_a_prefix_of_a_longer_count(product, text):
     phi = parse_phi(text)
     for count in (1, 2, 7, 20):
         short_ns, short_ms = _step_ladder(phi, count, product)
@@ -519,6 +518,43 @@ def test_a_cap_that_a_ladder_hits_truncates_the_plan(spec, alpha, beta, count,
     plan = plan_full_dimension(_profile(spec), ExtReal(alpha), ExtReal(beta),
                                count=count)
     assert plan.case_tag == case and 2 <= len(plan.terms) < count
+    check_plan_conditions(plan)
+
+
+def _digest(plan):
+    return hashlib.sha256(plan.to_json().encode()).hexdigest()
+
+
+# case v with A = 3/2 and 5/4: n^A is an integer root, not mpmath's exp of
+# A ln n; the digests of to_json() are those of the exp route
+@pytest.mark.parametrize("spec,alpha,beta,count,digest", [
+    ("log(n)", "3/2", "3/2", 60,
+     "fe7996db305218948ea15180f2c7d9c71c7ec2abcd0de1347345d8715cfed231"),
+    ("2*log(n)", "3/4", "3/4", 30,
+     "afdc8ba1e637cb2eebf2adb31c879f16bae446046fd58d7272a2edcfb8a2e5fd"),
+    ("log(n)", "5/4", "5/4", 60,
+     "d6416d4b79a2a02fd23ffea6b64a833bfe029068df8ac24fc605b31145561e5e")])
+def test_plans_with_a_rational_exponent_keep_their_terms(spec, alpha, beta,
+                                                         count, digest):
+    plan = plan_full_dimension(parse_phi(spec), ExtReal(alpha),
+                               ExtReal(beta), count=count)
+    assert plan.case_tag == "v" and len(plan.terms) == count
+    assert _digest(plan) == digest
+
+
+def test_a_boundary_past_the_segment_cap_that_no_lookup_reaches():
+    # --osc 1/2 3 at A = 1, C = 3: the witness search opens cycle 7, whose
+    # closing boundary would have about 388 000 digits, past the profile's
+    # segment cap.  While cycles were closed as they opened, that stopped
+    # the plan at 7 terms (the digest); it now runs on to the plan's own
+    # digit cap
+    plan = plan_full_dimension(OscLogPhi("1/2", "3"), ExtReal("1/3"),
+                               ExtReal("6"), count=120)
+    assert plan.case_tag == "v" and len(plan.terms) == 9
+    head = InsertionPlan(plan.p, plan.m, plan.terms[:7], plan.case_tag)
+    assert _digest(head) == (
+        "078c484ac86be4dae49326d85956d83a8edd61f8f0fa1385503f56f4e24d39c5")
+    assert len(str(plan.terms[-1][1])) > 19_000
     check_plan_conditions(plan)
 
 
