@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import PlanValidityError, SourceExhaustedError
 from .shift_core import (BASE_DECODERS, DEFAULT_MATERIALIZATION_CAP, Alphabet,
-                         LazySequence, SymbolSource, Word, join_stores,
+                         LazySequence, SymbolSource, Word, _tile, join_stores,
                          symbol_store)
 
 
@@ -175,29 +175,14 @@ def _free_slots(p: int, j: int) -> int:
     return (k - 1) * (p - 2) + min(t, p - 2)
 
 
-def _tile(view: memoryview, pattern: bytes) -> None:
-    """Fill the view with the pattern repeated and cut to its length: one
-    write of the pattern, then copies of the filled head onto the rest,
-    doubling it each time (log2(len / len(pattern)) copies, no temporary)."""
-    done = min(len(pattern), len(view))
-    view[:done] = pattern[:done]
-    while done < len(view):
-        step = min(done, len(view) - done)
-        view[done:done + step] = view[:step]
-        done += step
-
-
 class FpBase(SymbolSource):
     """x_j = 0 for j <= p; blocks [pk+1, pk+p] start and end with 1.
 
     The interior slot at offset r (1..p-2) of block k >= 1, position
     kp + 1 + r, holds free symbol number (k-1)(p-2) + r.  `symbol_at`
-    reads one position; `fill` writes a run of positions in bulk (see
-    there), `window` is `fill` into a fresh buffer, and both raise exactly
-    what reading their positions in order would.
+    reads one position and `fill` writes a run of positions in bulk (see
+    there), raising exactly what reading them in order would.
     """
-
-    _window_checked = True   # by fill's translate, or by the default's Word
 
     def __init__(self, p: int, m: int, free: Optional[FreeStream] = None):
         if p < 2:
@@ -211,10 +196,6 @@ class FpBase(SymbolSource):
     @property
     def alphabet(self) -> Alphabet:
         return self._alphabet
-
-    @property
-    def length(self) -> Optional[int]:
-        return None
 
     def symbol_at(self, j: int) -> int:
         if j < 1:
@@ -235,18 +216,10 @@ class FpBase(SymbolSource):
             raise ValueError(f"free stream produced symbol {s} outside alphabet")
         return s
 
-    def window(self, i: int, j: int) -> Union[bytes, tuple]:
-        """Positions i..j: `fill` into a fresh bytearray, as bytes.
-        Alphabets past 256 symbols take the per-symbol default."""
-        if self._alphabet.m > 256:
-            return super().window(i, j)
-        buf = bytearray(max(0, j - i + 1))
-        self.fill(buf, 0, i, j)
-        return bytes(buf)
-
     def fill(self, buf, at: int, i: int, j: int) -> None:
         """Write positions i..j into buf[at:at + j - i + 1].  Alphabets
-        past 256 symbols take the default, through `window`.
+        past 256 symbols, whose buffer is a list, take the per-symbol
+        default.
 
         The opening zeros are one write.  Walls and zero interiors are the
         block template 1 0^(p-2) 1, rotated to the first block position
@@ -266,14 +239,15 @@ class FpBase(SymbolSource):
         if i < 1:
             raise IndexError("positions start at 1")
         p = self.p
-        view = memoryview(buf)[at:at + j - i + 1]
         s = max(i, p + 1)                      # first block position
         if s > i:
-            view[:s - i] = bytes(min(s, j + 1) - i)
+            zeros = min(s, j + 1) - i
+            buf[at:at + zeros] = bytes(zeros)
         if s > j:
             return
         o = (s - 1) % p                        # offset of s in its block
-        _tile(view[s - i:], self._block[o:] + self._block[:o])
+        _tile(buf, at + s - i, at + j - i + 1,
+              self._block[o:] + self._block[:o])
         first, last = _free_slots(p, i - 1) + 1, _free_slots(p, j)
         if first > last or type(self.free) is ZeroFree:
             return

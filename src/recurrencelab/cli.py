@@ -27,7 +27,7 @@ from .cantor_builder import (ExplicitFree, InsertionPlan, SeededFree,
 from .errors import (CapacityError, GuardError, PhiParseError,
                      RecurrenceLabError, RefusalError, SearchCapError)
 from .extreal import ONE, ExtReal
-from .phi_spec import DEFAULT_ESTIMATE_HORIZON, OscLogPhi, PhiSpec, parse_phi
+from .phi_spec import OscLogPhi, PhiSpec, parse_phi
 from .plan_engine import (Classification, classify_profile,
                           classify_thresholds, plan_for_classification)
 from .rate_dim_analysis import (box_dimension, plan_rate_trajectory,
@@ -38,6 +38,11 @@ from .shift_core import (DEFAULT_MATERIALIZATION_CAP, Word, _word_from_json,
                          _word_to_json)
 
 _CAP_ENV = "RECURRENCELAB_CAP"
+# verify's rate verdict: a finite rate passes within this fraction of
+# max(target, 1), and an infinite one when the last ratio exceeds this
+# factor times the first
+RATE_TOL = 0.1
+GROWTH_FACTOR = 5.0
 
 
 def _emit(obj) -> None:
@@ -102,6 +107,7 @@ def _int_at_least(least: int, rule: str):
 
 
 _cap = _int_at_least(1, "cap must be a positive integer")
+_count = _int_at_least(2, "count must be an integer of at least 2")
 _prefix = _int_at_least(0, "prefix length must be a nonnegative integer")
 
 
@@ -120,8 +126,7 @@ def _cap_from_env(parser: argparse.ArgumentParser) -> int:
 def _add_plan_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--count", type=int, default=12)
-    sp.add_argument("--horizon", type=int, default=DEFAULT_ESTIMATE_HORIZON)
+    sp.add_argument("--count", type=_count, default=12)
     sp.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP)
 
 
@@ -171,7 +176,7 @@ def _cmd_classify(args) -> int:
     phi = _profile_from_args(args)
     alpha, beta = ExtReal(args.alpha), ExtReal(args.beta)
     if phi is not None:
-        cls = classify_profile(phi, alpha, beta, horizon=args.horizon)
+        cls = classify_profile(phi, alpha, beta)
     elif args.gamma is not None and args.delta is not None:
         cls = classify_thresholds(alpha, beta, ExtReal(args.gamma),
                                   ExtReal(args.delta))
@@ -187,8 +192,7 @@ def _cmd_classify(args) -> int:
 
 def _plan_from_args(args) -> tuple[InsertionPlan, PhiSpec, Classification]:
     phi = _profile_from_args(args)
-    cls = classify_profile(phi, ExtReal(args.alpha), ExtReal(args.beta),
-                           horizon=args.horizon)
+    cls = classify_profile(phi, ExtReal(args.alpha), ExtReal(args.beta))
     plan = plan_for_classification(phi, cls, p=args.p, m=args.m,
                                    count=args.count, digit_cap=args.digit_cap)
     return plan, phi, cls
@@ -335,18 +339,18 @@ def _cmd_verify(args) -> int:
     upper = plan_rate_trajectory(plan, phi, endpoints="left") if wide else right
     rate_report: dict = {}
     if cls.alpha.is_inf:
-        ok_a = _grew(right.ratios(), args.growth_factor)
+        ok_a = _grew(right.ratios(), GROWTH_FACTOR)
         rate_report["alpha_growth"] = ok_a
     else:
         a_hat, _ = running_extremes(right, args.tail)
-        ok_a = _rel_ok(a_hat, float(cls.alpha), args.tol)
+        ok_a = _rel_ok(a_hat, float(cls.alpha), RATE_TOL)
         rate_report["alpha_hat"] = a_hat
     if cls.beta.is_inf:
-        ok_b = _grew(upper.ratios(), args.growth_factor)
+        ok_b = _grew(upper.ratios(), GROWTH_FACTOR)
         rate_report["beta_growth"] = ok_b
     else:
         _, b_hat = running_extremes(upper, args.tail)
-        ok_b = _rel_ok(b_hat, float(cls.beta), args.tol)
+        ok_b = _rel_ok(b_hat, float(cls.beta), RATE_TOL)
         rate_report["beta_hat"] = b_hat
     ok = ok and ok_a and ok_b
     rate_report.update({"rates_ok": ok_a and ok_b, "ok": ok,
@@ -377,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_rate_args(sp)
     sp.add_argument("--gamma", help="upper ratio extreme, if no profile is given")
     sp.add_argument("--delta", help="lower ratio extreme, if no profile is given")
-    sp.add_argument("--horizon", type=int, default=DEFAULT_ESTIMATE_HORIZON)
     sp.set_defaults(func=_cmd_classify)
 
     sp = subs.add_parser("plan", help="synthesize an insertion plan")
@@ -448,9 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_plan_args(sp)
     sp.add_argument("--cap", type=_cap, default=None)
     sp.add_argument("--free", type=_free_spec, default="zero")
-    sp.add_argument("--tol", type=float, default=0.1)
     sp.add_argument("--tail", type=_tail_fraction, default=0.5)
-    sp.add_argument("--growth-factor", type=float, default=5.0)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -33,7 +33,7 @@ from .cantor_builder import InsertionPlan, check_plan_conditions
 from .errors import (CapacityError, GuardError, PhiDomainError, PlanValidityError,
                      RefusalError, SearchCapError)
 from .extreal import INF, ONE, ExtReal
-from .phi_spec import DEFAULT_ESTIMATE_HORIZON, PhiSpec, check_nondecreasing
+from .phi_spec import PhiSpec, check_nondecreasing
 
 SEARCH_CAP = 10 ** 100   # unit-increase searches stop here
 WITNESS_CAP = 10 ** 9    # ratio-witness scans stop here (not the first candidate)
@@ -127,9 +127,8 @@ def classify_thresholds(alpha, beta, gamma, delta,
                           A, B, C, D)
 
 
-def classify_profile(phi: PhiSpec, alpha, beta,
-                     horizon: int = DEFAULT_ESTIMATE_HORIZON) -> Classification:
-    gd = phi.gamma_delta(horizon)
+def classify_profile(phi: PhiSpec, alpha, beta) -> Classification:
+    gd = phi.gamma_delta()
     return classify_thresholds(alpha, beta, gd.gamma, gd.delta,
                                provenance=gd.provenance)
 
@@ -503,7 +502,6 @@ def _gen_case_vi(phi, cls, p, digit_cap):
 
 def plan_full_dimension(phi: PhiSpec, alpha, beta, *, p: int = 3, m: int = 2,
                         count: int = 12,
-                        horizon: int = DEFAULT_ESTIMATE_HORIZON,
                         digit_cap: int = bignum.DEFAULT_DIGIT_CAP
                         ) -> InsertionPlan:
     """Synthesize an insertion plan whose constructed point realizes the
@@ -512,7 +510,7 @@ def plan_full_dimension(phi: PhiSpec, alpha, beta, *, p: int = 3, m: int = 2,
     Refuses (with the full classification attached) when the dichotomy
     puts the requested level set at dimension zero.
     """
-    cls = classify_profile(phi, ExtReal(alpha), ExtReal(beta), horizon=horizon)
+    cls = classify_profile(phi, ExtReal(alpha), ExtReal(beta))
     return plan_for_classification(phi, cls, p=p, m=m, count=count,
                                    digit_cap=digit_cap)
 

@@ -193,36 +193,64 @@ def distance(x: Word, y: Word) -> float:
     return float(x.alphabet.m) ** (-k)
 
 
+def _new_buffer(m: int, n: int) -> Union[bytearray, list]:
+    """A buffer for n symbols of an m-symbol alphabet, as `fill` writes
+    them: a bytearray when m <= 256, else a list."""
+    return bytearray(n) if m <= 256 else [0] * n
+
+
+def _frozen(buf: Union[bytearray, list]) -> Union[bytes, tuple]:
+    """The symbol store of a filled buffer: bytes or a tuple."""
+    return bytes(buf) if isinstance(buf, bytearray) else tuple(buf)
+
+
+def _tile(buf: Union[bytearray, list], at: int, stop: int,
+          pattern: Union[bytes, tuple]) -> None:
+    """Fill buf[at:stop] with the pattern repeated and cut to length: one
+    write of the pattern, then copies of the filled head onto the rest,
+    doubling it each time (log2((stop - at) / len(pattern)) copies).  A
+    bytearray is copied through a memoryview, with no temporary."""
+    view = memoryview(buf) if isinstance(buf, bytearray) else buf
+    n = stop - at
+    done = min(len(pattern), n)
+    view[at:at + done] = pattern[:done]
+    while done < n:
+        step = min(done, n - done)
+        view[at + done:at + done + step] = view[at:at + step]
+        done += step
+
+
 class SymbolSource:
-    """Positional access to a finite or infinite symbol stream."""
+    """Positional access to a finite or infinite symbol stream.
+
+    A source implements `symbol_at` and may implement `fill`, its one bulk
+    read; `window` is `fill` into a fresh buffer."""
 
     alphabet: Alphabet
-    length: Optional[int] = None  # None means infinite
 
     def symbol_at(self, j: int) -> int:  # 1-based
         raise NotImplementedError
 
-    # True where `window` returns only symbols already checked against the
-    # alphabet (slices of Words, say), so that `fill` need not check again
-    _window_checked = False
+    def fill(self, buf: Union[bytearray, list], at: int, i: int,
+             j: int) -> None:
+        """Write positions i..j (none when j < i) into
+        buf[at:at + j - i + 1], a buffer as _new_buffer makes it, raising
+        what reading the positions in order with `symbol_at` would; every
+        symbol written is in the alphabet.  This default reads the symbols
+        one by one and checks each as it writes it: a symbol outside the
+        alphabet raises the ValueError a Word over it would."""
+        m = self.alphabet.m
+        for k, s in enumerate(map(self.symbol_at, range(i, j + 1)), at):
+            if not 0 <= s < m:
+                raise ValueError(f"symbol {s} outside alphabet of size {m}")
+            buf[k] = s
 
     def window(self, i: int, j: int) -> Union[bytes, tuple]:
         """Symbols at 1-based positions i..j inclusive (empty when j < i),
-        as a Word's symbol store.  This default reads them one by one."""
-        return Word(map(self.symbol_at, range(i, j + 1)), self.alphabet).symbols
-
-    def fill(self, buf: Union[bytearray, list], at: int, i: int,
-             j: int) -> None:
-        """Write positions i..j into buf[at:at + j - i + 1], a bytearray
-        when m <= 256 and a list otherwise, raising what `window` would;
-        every symbol written is in the alphabet.  This default copies
-        `window`, checking it as it copies unless `_window_checked` says
-        it is checked already: a symbol outside the alphabet raises the
-        ValueError a Word over it would."""
-        syms = self.window(i, j)
-        if not self._window_checked:
-            _check_store(syms, self.alphabet)
-        buf[at:at + len(syms)] = syms
+        as a Word's symbol store: `fill` into a fresh buffer."""
+        buf = _new_buffer(self.alphabet.m, max(0, j - i + 1))
+        self.fill(buf, 0, i, j)
+        return _frozen(buf)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -245,7 +273,6 @@ class PeriodicBase(SymbolSource):
     """Infinite periodic repetition of a finite word."""
 
     word: Word
-    _window_checked = True
 
     def __post_init__(self):
         if len(self.word) == 0:
@@ -255,26 +282,20 @@ class PeriodicBase(SymbolSource):
     def alphabet(self) -> Alphabet:
         return self.word.alphabet
 
-    @property
-    def length(self) -> Optional[int]:
-        return None
-
     def symbol_at(self, j: int) -> int:
         if j < 1:
             raise IndexError("positions start at 1")
         return self.word.symbols[(j - 1) % len(self.word)]
 
-    def window(self, i: int, j: int) -> Union[bytes, tuple]:
-        """The period rotated to start at i, repeated and cut to length."""
-        syms = self.word.symbols
+    def fill(self, buf, at: int, i: int, j: int) -> None:
+        """The period rotated to start at i, tiled over the range."""
         if j < i:
-            return syms[:0]
+            return
         if i < 1:
             raise IndexError("positions start at 1")
+        syms = self.word.symbols
         start = (i - 1) % len(syms)
-        turn = syms[start:] + syms[:start]
-        reps, rest = divmod(j - i + 1, len(syms))
-        return turn * reps + turn[:rest]
+        _tile(buf, at, at + j - i + 1, syms[start:] + syms[:start])
 
     def descriptor(self) -> dict:
         return {"kind": "periodic", "word": _word_to_json(self.word),
@@ -286,15 +307,10 @@ class ExplicitBase(SymbolSource):
     """A finite word used as a base; reads past the end raise."""
 
     word: Word
-    _window_checked = True
 
     @property
     def alphabet(self) -> Alphabet:
         return self.word.alphabet
-
-    @property
-    def length(self) -> Optional[int]:
-        return len(self.word)
 
     def symbol_at(self, j: int) -> int:
         if j < 1:
@@ -304,16 +320,16 @@ class ExplicitBase(SymbolSource):
                 f"base of length {len(self.word)} read at position {j}")
         return self.word.symbols[j - 1]
 
-    def window(self, i: int, j: int) -> Union[bytes, tuple]:
-        """A slice of the word; raises like symbol_at at the first position
-        past its end."""
+    def fill(self, buf, at: int, i: int, j: int) -> None:
+        """One slice copy of the word; raises like symbol_at at the first
+        position past its end."""
         if j < i:
-            return self.word.symbols[:0]
+            return
         if i < 1:
             raise IndexError("positions start at 1")
         if j > len(self.word):   # raises at the first position past the end
             self.symbol_at(max(i, len(self.word) + 1))
-        return self.word.symbols[i - 1:j]
+        buf[at:at + j - i + 1] = self.word.symbols[i - 1:j]
 
     def descriptor(self) -> dict:
         return {"kind": "explicit", "word": _word_to_json(self.word),
@@ -406,8 +422,7 @@ class LazySequence:
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
         self._check_cap(n)
-        m = self.alphabet.m
-        buf = bytearray(n) if m <= 256 else [0] * n
+        buf = _new_buffer(self.alphabet.m, n)
         pos = bp = 1   # next final position, next base position
         for start, word in self.events:
             if start > n:
@@ -418,8 +433,7 @@ class LazySequence:
             bp += start - pos
             pos = start + len(word)
         self.base.fill(buf, pos - 1, bp, bp + n - pos)
-        return Word._checked(bytes(buf) if m <= 256 else tuple(buf),
-                             self.alphabet)
+        return Word._checked(_frozen(buf), self.alphabet)
 
     # -- serialization ------------------------------------------------------
 

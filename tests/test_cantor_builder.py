@@ -337,7 +337,7 @@ def _interior_ordinals(p, i, j):
 def test_fp_window_matches_symbol_at(kind, p):
     rng = random.Random(100 * p + len(kind))
     horizon = 600
-    for m in (2, 3, 256):
+    for m in (2, 3, 256, 300):
         make = _free_kind(kind, m, rng)
         ref_base = FpBase(p, m, make())
         ref = [ref_base.symbol_at(x) for x in range(1, horizon + 1)]
@@ -352,8 +352,17 @@ def test_fp_window_matches_symbol_at(kind, p):
         rng.shuffle(windows)
         for i, j in windows:
             got = base.window(i, j)
-            assert isinstance(got, bytes), (i, j)
-            assert got == bytes(ref[i - 1:j]), (m, i, j)
+            assert isinstance(got, bytes if m <= 256 else tuple), (i, j)
+            assert list(got) == ref[i - 1:j], (m, i, j)
+            # fill at an offset into a larger buffer (a list past 256
+            # symbols) leaves the neighbours as they were
+            at = rng.randint(1, 5)
+            pad = 0xAA if m <= 256 else -1
+            buf = (bytearray if m <= 256 else list)(
+                [pad] * (at + len(got) + 4))
+            base.fill(buf, at, i, j)
+            assert list(buf) == [pad] * at + ref[i - 1:j] + [pad] * 4, \
+                (m, i, j)
 
 
 def test_fp_window_reads_only_its_own_free_ordinals():
@@ -526,7 +535,8 @@ def _walked(seq, n):
 
 
 class LooseSource(SymbolSource):
-    """A periodic source whose window hands out its symbols unchecked."""
+    """A periodic source with only `symbol_at`, which hands out its
+    symbols unchecked."""
 
     def __init__(self, symbols, m):
         self.symbols = symbols
@@ -534,9 +544,6 @@ class LooseSource(SymbolSource):
 
     def symbol_at(self, j):
         return self.symbols[(j - 1) % len(self.symbols)]
-
-    def window(self, i, j):
-        return bytes(map(self.symbol_at, range(i, j + 1)))
 
 
 @st.composite

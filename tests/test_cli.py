@@ -531,6 +531,21 @@ def test_verify_rejects_a_tail_outside_the_unit_interval(capsys, monkeypatch,
     assert "--tail" in err and "(0, 1]" in err
 
 
+@pytest.mark.parametrize("count", ["0", "1", "-2", "many"])
+@pytest.mark.parametrize("command", ["plan", "verify"])
+def test_a_count_below_two_is_a_usage_error(capsys, monkeypatch, command,
+                                            count):
+    # rejected while parsing, before the profile is classified
+    called = []
+    monkeypatch.setattr(cli, "_plan_from_args",
+                        lambda args: called.append(args))
+    code, out, err = run(capsys, command, "--phi", "log(n)", "--alpha", "2",
+                         "--beta", "2", "--count", count)
+    assert code == 2
+    assert out == "" and not called
+    assert "--count" in err and "at least 2" in err
+
+
 def test_a_tail_of_one_still_runs(capsys):
     code, out, _ = run(capsys, "rates", "--word", "01" * 64, "--m", "2",
                        "--max-n", "12", "--tail", "1")

@@ -134,7 +134,6 @@ def test_distance_ultrametric(m, data):
 def test_periodic_and_explicit_bases():
     per = PeriodicBase(Word.from_digits("01", 2))
     assert [per.symbol_at(j) for j in range(1, 6)] == [0, 1, 0, 1, 0]
-    assert per.length is None
     exp = ExplicitBase(Word.from_digits("0110", 2))
     assert exp.symbol_at(4) == 0
     with pytest.raises(SourceExhaustedError):
@@ -229,10 +228,18 @@ def test_periodic_and_explicit_windows_match_symbol_at(m):
                 i = rng.randint(1, horizon)
                 windows.append((i, rng.randint(i - 1, horizon)))
             for i, j in windows:
+                want = [base.symbol_at(x) for x in range(i, j + 1)]
                 got = base.window(i, j)
                 assert type(got) is type(word.symbols), (i, j)
-                assert list(got) == [base.symbol_at(x)
-                                     for x in range(i, j + 1)], (period, i, j)
+                assert list(got) == want, (period, i, j)
+                # fill at an offset into a larger buffer leaves the
+                # neighbours as they were
+                at = rng.randint(1, 5)
+                pad = 0xAA if m <= 256 else -1
+                buf = (bytearray if m <= 256 else list)(
+                    [pad] * (at + len(want) + 4))
+                base.fill(buf, at, i, j)
+                assert list(buf) == [pad] * at + want + [pad] * 4, (i, j)
 
 
 def test_explicit_window_raises_like_symbol_at():
