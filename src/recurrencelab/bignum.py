@@ -30,9 +30,10 @@ replaced whole, so a reader never pairs entries with another prec.
 X <= 1, the other non-integers and smaller precisions take mpmath's own
 exp of the exact X, which is as fast there.
 
-power_log_ceil takes ceil(n^A ln n) by one of two routes.  When the
-caller passes the exponent X that n was built from (``near``, with n =
-ceil(e^X)), the value is anchored to X (`_anchored`).  With d = n - e^X,
+power_log_ceil takes ceil(n^A ln n) by one of two routes.  A position
+built as n = ceil(e^X) by exp_ceil_anchor comes with an `Anchor`, which
+holds X and the e^X that made n; passed on as ``near``, it finishes the
+value without taking ln n (`_anchored`).  With d = n - e^X,
 ln n = X - ln(1 - d/n), so
 
     n^A ln n = n^A X + sum_{j>=1} n^A (d/n)^j / j.
@@ -40,28 +41,18 @@ ln n = X - ln(1 - d/n), so
 n^A X is an integer times a dyadic, exact for an integer A.  The j-th term
 is n^(A-j) d^j / j, and the terms shrink by |d|/n each, so for n =
 ceil(e^X) only j <= A + 1 reach the guard.  e^X is taken at the digits of
-e^(AX) plus GUARD_DIGITS, and it is still the one full-width value: a
+e^(AX) plus GUARD_DIGITS, and it is the one full-width value: a
 relative error e in it moves d by e^X e, and the sum by about n^A e,
 10^-GUARD_DIGITS at that width.  Every other step carries only the
 ANCHOR_BITS fraction bits of the result that it can move, and loses a
 few units of the last, so the sum lies within about 10^-GUARD_DIGITS of
-n^A ln n.  A hint whose e^X the memo does not hold yet is checked first
-against a 128-bit e^X, which turns it away when it is off by more than
-2^-90; one whose series would run past floor(A) + 2 terms is turned
-away by the bound on them.  Without a hint, or when it is turned away,
-the value is n^A times `_ln` n: mpmath's own ln inside its Taylor range
-(below LOG_TAYLOR_PREC bits), Newton's method on exp past it.  A
-rational A = p/q takes n^A 2^g as the integer q-th root of n^p 2^(q g),
-exact when the root is, on both routes.
-
-exp_int and the anchored route share `_exp`, a pure function.  Inside
-`exp_memo_scope`, which plan synthesis opens for one plan, they share a
-memo of its values (tuples), one per thread, that lives until the scope
-closes: exp_ceil(x) followed by power_log_ceil(n, 1, near=x) computes e^x
-once, and a ladder that builds all its rungs before the first
-power_log_ceil still computes each e^x once, as exp_int's ``power`` asks
-for e^x at the digits of e^(power x) that the anchored route reads it at.
-Outside a scope each call computes e^x.
+n^A ln n.  An anchor taken at fewer digits, or one whose series would
+run past floor(A) + 2 terms because n is not ceil(e^X), is turned away.
+Without an anchor, or when it is turned away, the value is n^A times
+`_ln` n: mpmath's own ln inside its Taylor range (below LOG_TAYLOR_PREC
+bits), Newton's method on exp past it.  A rational A = p/q takes n^A 2^g
+as the integer q-th root of n^p 2^(q g), exact when the root is, on both
+routes.
 
 Desk-scale note: direct float arithmetic does not settle ceilings even at
 desk scale.  float n*log(n) is within about 2^-51 of n ln n relatively,
@@ -72,16 +63,15 @@ only when it lies farther than twice that bound from an integer.
 from __future__ import annotations
 
 import bisect
-import contextlib
-import contextvars
 import math
 import sys
 import threading
+from typing import NamedTuple
 
 from mpmath.libmp import (dps_to_prec, fone, from_float, from_int,
-                          from_man_exp, mpf_add, mpf_div, mpf_e, mpf_exp,
-                          mpf_log, mpf_mul, mpf_neg, mpf_sub, mpf_sum,
-                          round_ceiling, round_floor, round_nearest, to_int)
+                          from_man_exp, mpf_add, mpf_e, mpf_exp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_sub, round_ceiling,
+                          round_floor, round_nearest, to_int)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 from .errors import CapacityError
@@ -139,58 +129,9 @@ def _terms(log_value) -> tuple:
     return tuple(log_value)
 
 
-def _mpf_terms(terms: tuple, prec: int) -> list:
-    """The terms as raw mpfs at prec bits, converted as mpmath converts
-    them: a float exactly, an int rounded to nearest."""
-    return [from_float(t) if isinstance(t, float)
-            else from_int(t, prec, round_nearest) for t in terms]
-
-
-def _mag(x: tuple):
-    """mpmath.mag of a raw mpf: exp + bc, or -inf for zero."""
-    return x[2] + x[3] if x[1] else -math.inf
-
-
-# the `_exp` values computed while an exp_memo_scope is open, keyed by
-# (terms, dps); None outside every scope.  A context variable, so each
-# thread (and each asyncio task) has its own scope and memo.
-_memo = contextvars.ContextVar("exp_memo", default=None)
-
-
-@contextlib.contextmanager
-def exp_memo_scope():
-    """Keep every `_exp` value that exp_int and `_anchored` ask for until
-    the outermost scope closes, then drop them, also when the body raises.
-    Nested scopes share the outermost one's memo; scopes in other threads
-    neither see nor close it."""
-    if _memo.get() is not None:
-        yield
-        return
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def _scoped_exp(terms: tuple, dps: int):
-    """`_exp(terms, dps)`, read from the open scope's memo when it is there."""
-    memo = _memo.get()
-    if memo is None:
-        return _exp(terms, dps)
-    key = (terms, dps)
-    if key not in memo:
-        memo[key] = _exp(terms, dps)
-    return memo[key]
-
-
 def _exp(terms: tuple, dps: int) -> tuple:
     """e to the exact sum of terms, as a raw mpf at dps digits, within one
-    unit in the last place (the routes are in the module docstring).
-
-    Pure, so a value from `_scoped_exp`'s memo is the one a fresh call
-    would return.
-    """
+    unit in the last place (the routes are in the module docstring)."""
     num, s = _dyadic_sum(terms)
     whole = num >> s
     prec = dps_to_prec(dps)
@@ -353,7 +294,7 @@ def _exp_split(a: int, e: int, lo: int, hi: int) -> tuple:
 
 
 def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
-            *, rounding: str = "ceil", power=1) -> int:
+            *, rounding: str = "ceil") -> int:
     """Exact ceil/floor of e**log_value as a Python int.
 
     log_value is a float — or a sequence of floats whose exact sum is
@@ -361,35 +302,56 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
     before exponentiation.  Floats carry ~1e-16 relative uncertainty to
     begin with; the construction is deterministic and self-consistent,
     which is what downstream equality checks rely on.
-
-    A ``power`` above 1 (an int or a Fraction) asks for e**log_value
-    at the digits of e**(power*log_value) plus GUARD_DIGITS when those
-    stay within the digit cap: the digits `_anchored` reads it at, so
-    inside `exp_memo_scope` power_log_ceil(n, power, near=log_value)
-    finds the value in the memo.  The integer returned is the same.
     """
     terms = _terms(log_value)
     approx = math.fsum(terms)
     if approx < 0:
         return 1 if rounding == "ceil" else 0
     check_digit_cap(approx, digit_cap)
-    places = digits_of_exp(approx)
-    if power > 1:
-        # `_anchored`'s own expression, so the two agree to the digit
-        shared = digits_of_exp(
-            power.numerator / getattr(power, "denominator", 1) * approx)
-        if shared <= digit_cap:
-            places = shared
-    value = _scoped_exp(terms, places + GUARD_DIGITS)
+    value = _exp(terms, digits_of_exp(approx) + GUARD_DIGITS)
     # the ceiling or floor of a value of prec bits fits in prec bits, so
     # this is mpmath.ceil/floor at the value's own precision
     return int(to_int(value,
                       round_ceiling if rounding == "ceil" else round_floor))
 
 
-def exp_ceil(log_value, digit_cap: int = DEFAULT_DIGIT_CAP, *,
-             power=1) -> int:
-    return exp_int(log_value, digit_cap, rounding="ceil", power=power)
+def exp_ceil(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
+    return exp_int(log_value, digit_cap, rounding="ceil")
+
+
+class Anchor(NamedTuple):
+    """The exponent X a position n = ceil(e^X) was built from, as its
+    terms, with e^X as a raw mpf and the digits it was taken at."""
+    terms: tuple
+    e_x: tuple
+    dps: int
+
+
+def _anchor_dps(x: float, num: int, den: int) -> int:
+    """The digits an anchor at X needs to finish ceil(n^A ln n), A =
+    num/den: those of e^(A X), plus GUARD_DIGITS."""
+    return digits_of_exp(num / den * x) + GUARD_DIGITS
+
+
+def exp_ceil_anchor(log_value, exponent,
+                    digit_cap: int = DEFAULT_DIGIT_CAP) -> tuple[int, Anchor]:
+    """(ceil(e^X), its Anchor) for X = log_value, read as by exp_int.
+
+    Passed as ``near`` to power_log_ceil(n, exponent) or (at exponent 1)
+    nlogn_ceil(n), the anchor finishes that value from e^X.  e^X is taken
+    at the digits of e^(exponent X) when those fit the digit cap, and at
+    the digits of e^X otherwise; the integer is the same either way.
+    """
+    terms = _terms(log_value)
+    x = math.fsum(terms)
+    check_digit_cap(x, digit_cap)
+    num = exponent.numerator
+    den = getattr(exponent, "denominator", 1)
+    dps = _anchor_dps(x, num, den)
+    if num <= den or dps - GUARD_DIGITS > digit_cap:
+        dps = digits_of_exp(x) + GUARD_DIGITS
+    e_x = _exp(terms, dps)
+    return int(to_int(e_x, round_ceiling)), Anchor(terms, e_x, dps)
 
 
 def exp_floor(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
@@ -464,10 +426,11 @@ def _ln_newton(n: int, x: tuple, dps: int) -> tuple:
     return y
 
 
-def _anchored(n: int, num: int, den: int, power: int, terms: tuple):
+def _anchored(n: int, num: int, den: int, power: int, anchor: Anchor):
     """n^A ln n, A = num/den and power = n^num, as an exact raw mpf within
-    about 10^-GUARD_DIGITS, from the terms of the exponent X that n was
-    built from; None when n is not close enough to e^X.
+    about 10^-GUARD_DIGITS, from the Anchor of the exponent X that n was
+    built from; None when the anchor holds e^X at fewer digits than A
+    needs, or n is not close enough to e^X.
 
     The route is in the module docstring.  The j-th term of the series
     is n^(A-j) d^j / j, with d^j carried to the bits the term adds:
@@ -476,23 +439,13 @@ def _anchored(n: int, num: int, den: int, power: int, terms: tuple):
     n^p 2^(q g), exact when the root is.  The sum stops at the first term
     below 2^-ANCHOR_BITS, whose successors shrink by |d|/n each, so every
     step but e^X carries ANCHOR_BITS fraction bits and loses at most a
-    few units of the last.  The value is right for any hint it takes;
-    the tests that turn hints away only bound its cost.
+    few units of the last.  The value is right for any anchor it takes;
+    the bounds that turn anchors away only bound its cost.
     """
+    terms, e_x, dps = anchor
     x = math.fsum(terms)
-    # the digits exp_int(X, power=A) stored e^X at
-    dps = digits_of_exp(num / den * x) + GUARD_DIGITS
-    memo = _memo.get()
-    e_x = None if memo is None else memo.get((terms, dps))
-    if e_x is None:
-        # before e^X is computed at full width, a 128-bit e^X turns away
-        # a hint off by more than 2^-90, such as a float's guess at ln n
-        rnd = round_nearest
-        e_t = mpf_exp(mpf_sum(_mpf_terms(terms, 128), 128, rnd), 128, rnd)
-        if _mag(mpf_sub(mpf_div(from_int(n, 128, rnd), e_t, 128, rnd), fone,
-                        128, rnd)) >= -90:
-            return None
-        e_x = _scoped_exp(terms, dps)
+    if dps < _anchor_dps(x, num, den):
+        return None
     _, man, exp, _ = e_x
     t = max(0, -exp)
     dm = (n << t) - (man << (exp + t))   # d = n - e^X = dm / 2^t
@@ -544,9 +497,10 @@ def power_log_ceil(n: int, exponent, *, digit_cap: int = DEFAULT_DIGIT_CAP,
     of n^(p/q) 2^g as an integer q-th root, exact when the root is, so
     integer-valued powers never pick up a spurious +1 from
     working-precision fuzz.  The ln factor is transcendental and rounds
-    past the guard digits as usual.  ``near`` is the exponent n was built
-    from, if any: the value is then finished from it (`_anchored`), and
-    otherwise, or when the hint is too far off, from `_ln`.
+    past the guard digits as usual.  ``near`` is the Anchor of the
+    exponent n was built from (exp_ceil_anchor), if any: the value is
+    then finished from its e^X (`_anchored`), and otherwise, or when the
+    anchor is turned away, from `_ln`.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -563,7 +517,7 @@ def _power_log_ceil(n: int, num: int, den: int, near) -> int:
     """power_log_ceil(n, num/den, near=near) without the digit cap."""
     power = n ** num
     if near is not None:
-        value = _anchored(n, num, den, power, _terms(near))
+        value = _anchored(n, num, den, power, near)
         if value is not None:
             return int(to_int(value, round_ceiling))
     ln_n = math.log(n)
@@ -581,8 +535,9 @@ def _power_log_ceil(n: int, num: int, den: int, near) -> int:
 
 
 def nlogn_ceil(n: int, near=None) -> int:
-    """ceil(n * ln n) for an exact integer n of any size; ``near`` as in
-    power_log_ceil, which serves what the float value does not settle."""
+    """ceil(n * ln n) for an exact integer n of any size; ``near`` an
+    Anchor as in power_log_ceil, which serves what the float value does
+    not settle."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if n <= 1 << 40:

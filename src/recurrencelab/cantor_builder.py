@@ -216,10 +216,16 @@ class FpBase(SymbolSource):
             raise ValueError(f"free stream produced symbol {s} outside alphabet")
         return s
 
+    def _in_alphabet(self, free: Union[bytes, tuple]) -> bool:
+        """Whether every symbol of a nonempty free-stream read is in the
+        alphabet."""
+        if isinstance(free, bytes):
+            return not free.translate(None, self._symbols)
+        return min(free) >= 0 and max(free) < self._alphabet.m
+
     def fill(self, buf, at: int, i: int, j: int) -> None:
-        """Write positions i..j into buf[at:at + j - i + 1].  Alphabets
-        past 256 symbols, whose buffer is a list, take the per-symbol
-        default.
+        """Write positions i..j into buf[at:at + j - i + 1], a bytearray,
+        or a list past 256 symbols.
 
         The opening zeros are one write.  Walls and zero interiors are the
         block template 1 0^(p-2) 1, rotated to the first block position
@@ -227,13 +233,12 @@ class FpBase(SymbolSource):
         size of the window is allocated beside it.  Unless the stream is
         a ZeroFree, whose symbols the template already holds, one
         free-stream read of exactly the ordinals inside [i, j] is checked
-        once by bytes.translate and laid down by one strided copy per
-        interior offset.  An out-of-alphabet or missing free symbol sends
-        the read through _free_symbol ordinal by ordinal, which raises
-        what symbol_at would at the first bad one.
+        once, by bytes.translate for bytes and by C-level min and max for
+        a tuple, and laid down by one strided copy per interior offset.
+        An out-of-alphabet or missing free symbol sends the read through
+        _free_symbol ordinal by ordinal, which raises what symbol_at
+        would at the first bad one.
         """
-        if self._alphabet.m > 256:
-            return super().fill(buf, at, i, j)
         if j < i:
             return
         if i < 1:
@@ -252,9 +257,9 @@ class FpBase(SymbolSource):
         if first > last or type(self.free) is ZeroFree:
             return
         free = self.free.read(first, last)
-        if (len(free) != last - first + 1 or not isinstance(free, bytes)
-                or free.translate(None, self._symbols)):
-            free = bytes(map(self._free_symbol, range(first, last + 1)))
+        if len(free) != last - first + 1 or not self._in_alphabet(free):
+            free = symbol_store(map(self._free_symbol, range(first, last + 1)),
+                                self._alphabet.m)
         for r in range(1, p - 1):
             # blocks k whose slot r, at kp + 1 + r, lies in [i, j]
             k_lo = max(1, -((r + 1 - i) // p))   # ceil((i - 1 - r) / p)

@@ -108,6 +108,9 @@ def _int_at_least(least: int, rule: str):
 
 _cap = _int_at_least(1, "cap must be a positive integer")
 _count = _int_at_least(2, "count must be an integer of at least 2")
+_block = _int_at_least(2, "block length must be an integer of at least 2")
+_symbols = _int_at_least(2, "alphabet size must be an integer of at least 2")
+_digit_cap = _int_at_least(1, "digit cap must be a positive integer")
 _prefix = _int_at_least(0, "prefix length must be a nonnegative integer")
 
 
@@ -124,10 +127,10 @@ def _cap_from_env(parser: argparse.ArgumentParser) -> int:
 
 
 def _add_plan_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--m", type=int, default=2)
+    sp.add_argument("--p", type=_block, default=3)
+    sp.add_argument("--m", type=_symbols, default=2)
     sp.add_argument("--count", type=_count, default=12)
-    sp.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP)
+    sp.add_argument("--digit-cap", type=_digit_cap, default=DEFAULT_DIGIT_CAP)
 
 
 def _free_spec(text: str):

@@ -227,10 +227,12 @@ def _witness_args(extreme: ExtReal, k: int, inv_tol: float):
 def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
     """Check the profile now, then return the endless ladder from
     n_1 = max(3, p + 1), geometric for C > 1 and square for C = 1.  It
-    yields (n, ln, near, phase): the designed ln(n) float, the exponent n
-    was built from (the hint for `bignum.power_log_ceil`), and the
-    PhaseRecord of the rung's phase (None on the first rung).  Case v's
-    classification gives C = B/A >= 1 and delta > 0."""
+    yields (n, ln, near, phase): the designed ln(n) float, the
+    `bignum.Anchor` of the exponent n was built from, for
+    `bignum.power_log_ceil(n, A)` (None for n_1 and for a witness other
+    than its phase's min_n), and the PhaseRecord of the rung's phase
+    (None on the first rung).  Case v's classification gives C = B/A >= 1
+    and delta > 0."""
     C = Fraction(C)
     gamma, delta = ExtReal(gamma), ExtReal(delta)
     check_nondecreasing(phi, 256)
@@ -244,13 +246,12 @@ def _geometric_rungs(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
                      n1: int, digit_cap: int, A):
     lnC = math.log(C)
     last, index = math.log(n1), 1
-    yield n1, last, last, None
+    yield n1, last, None, None
     for cycle in itertools.count(1):
         inv_tol = float(cycle)
         for kind, extreme, shift in (("upper", gamma, 0), ("lower", delta, 1)):
             x = float(C ** cycle) * last
-            # at the rung's digits: the witness is often min_n itself
-            min_n = bignum.exp_ceil(x, digit_cap=digit_cap, power=A)
+            min_n, anchor = bignum.exp_ceil_anchor(x, A, digit_cap)
             tol, thr = _witness_args(extreme, cycle, inv_tol)
             w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
                                    eval_shift=shift)
@@ -263,10 +264,10 @@ def _geometric_rungs(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
             step = gap / d
             for j in range(1, d):
                 lnr = last * math.exp(step * j)
-                yield (bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A),
-                       lnr, lnr, rec)
-            # a witness at min_n was built from x: its position reads e^x back
-            yield w, ll_w, x if w == min_n else ll_w, rec
+                n, near = bignum.exp_ceil_anchor(lnr, A, digit_cap)
+                yield n, lnr, near, rec
+            # a witness at min_n was built from x
+            yield w, ll_w, anchor if w == min_n else None, rec
             last, index = ll_w, index + d
             inv_tol = float(cycle + d)   # the lower phase's, after the upper
 
@@ -276,13 +277,13 @@ def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
     """C = 1 variant: rungs at log n = k^2 for consecutive k, up to the
     next witness, starting from the k with log(n_1) in [k^2, (k+1)^2)."""
     ln1 = math.log(n1)
-    yield n1, ln1, ln1, None
+    yield n1, ln1, None, None
     k, index = _floor_sqrt(ln1), 1
     for cycle in itertools.count(1):
         for kind, extreme, shift in (("upper", gamma, 0), ("lower", delta, 1)):
-            # the first rung's exponent, so at the rung's digits
+            # the first rung's exponent
             x = float((k + 1) ** 2)
-            min_n = bignum.exp_ceil(x, digit_cap=digit_cap, power=A)
+            min_n, anchor = bignum.exp_ceil_anchor(x, A, digit_cap)
             tol, thr = _witness_args(extreme, k, float(k))
             w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
                                    eval_shift=shift)
@@ -293,11 +294,14 @@ def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
             rec = PhaseRecord(cycle, kind, w, w + shift, phi.ratio(w + shift),
                               float(extreme), tol, thr, s - k, index + 1,
                               index + s - k)
+            # the first rung is min_n
+            n, near = min_n, anchor
             for j in range(1, s - k):
                 lnr = float((k + j) ** 2)
-                yield (bignum.exp_ceil(lnr, digit_cap=digit_cap, power=A),
-                       lnr, lnr, rec)
-            yield w, ll_w, x if w == min_n else ll_w, rec
+                if j > 1:
+                    n, near = bignum.exp_ceil_anchor(lnr, A, digit_cap)
+                yield n, lnr, near, rec
+            yield w, ll_w, anchor if w == min_n else None, rec
             k, index = s, index + s - k
 
 
@@ -412,6 +416,9 @@ def _gen_case_i(phi, cls, p, digit_cap):
 def _gen_case_ii(phi, cls, p, digit_cap):
     alpha, gamma = cls.alpha, cls.gamma
     gf = None if gamma.is_inf else float(gamma)
+    # the power of ell = ceil(n^A ln n); an infinite gamma with alpha > 0
+    # takes ell = ceil(e^(alpha phi(n))) instead
+    A = 1 if alpha.is_zero or gamma.is_inf else (alpha * gamma).fraction
     n_prev = max(2, p)
     prev_ratio = 0.0
     for i in itertools.count(1):
@@ -420,7 +427,7 @@ def _gen_case_ii(phi, cls, p, digit_cap):
         if gf is not None:
             need_ln = max(need_ln, 1.01 * i * t / gf)
         min_ln = need_ln
-        min_n = bignum.exp_ceil(min_ln, digit_cap=digit_cap)
+        min_n, anchor = bignum.exp_ceil_anchor(min_ln, A, digit_cap)
         for _attempt in range(64):
             if gamma.is_inf:
                 cand = find_ratio_witness(phi, INF, min_n,
@@ -433,18 +440,19 @@ def _gen_case_ii(phi, cls, p, digit_cap):
                     and ln_c > math.log(n_prev) + i * i + 2):
                 break
             min_ln = ln_c * 1.5
-            min_n = bignum.exp_ceil(min_ln, digit_cap=digit_cap)
+            min_n, anchor = bignum.exp_ceil_anchor(min_ln, A, digit_cap)
         else:
             raise SearchCapError(
                 "could not satisfy the growth conditions for this regime",
                 what="slow-rate witness")
+        near = anchor if cand == min_n else None
         if alpha.is_zero:
-            ell = bignum.nlogn_ceil(cand, near=min_ln)
+            ell = bignum.nlogn_ceil(cand, near=near)
         elif gamma.is_inf:
             ell = bignum.exp_ceil(float(alpha) * f_c, digit_cap=digit_cap)
         else:
-            ell = bignum.power_log_ceil(cand, (alpha * gamma).fraction,
-                                        digit_cap=digit_cap, near=min_ln)
+            ell = bignum.power_log_ceil(cand, A, digit_cap=digit_cap,
+                                        near=near)
         yield cand, ell
         prev_ratio = f_c / ln_c
         n_prev = cand
@@ -474,8 +482,10 @@ def _gen_case_iv(phi, cls, p, digit_cap):
     n_prev = max(2, p)
     while True:
         t = phi.value(n_prev + 1)
-        n_prev = max(bignum.exp_ceil(b * t, digit_cap=digit_cap), n_prev + 1)
-        yield n_prev, bignum.nlogn_ceil(n_prev, near=b * t)
+        n, anchor = bignum.exp_ceil_anchor(b * t, 1, digit_cap)
+        near = anchor if n > n_prev else None
+        n_prev = max(n, n_prev + 1)
+        yield n_prev, bignum.nlogn_ceil(n_prev, near=near)
 
 
 @_truncated
@@ -525,10 +535,8 @@ def plan_for_classification(phi: PhiSpec, cls: Classification, *,
             "these rate targets sit in the dimension-zero regime for this "
             "profile; no full-dimension plan exists", cls.to_json_dict())
     tag = cls.case_tag
-    # one plan's e^x values are shared within it and dropped after it
-    with bignum.exp_memo_scope():
-        # looked up at call time so a rebound module attribute takes effect
-        terms = globals()[f"_gen_case_{tag}"](phi, cls, p, count, digit_cap)
+    # looked up at call time so a rebound module attribute takes effect
+    terms = globals()[f"_gen_case_{tag}"](phi, cls, p, count, digit_cap)
     terms = _valid_suffix(terms)
     if len(terms) < 2:
         raise PlanValidityError(

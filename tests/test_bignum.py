@@ -15,8 +15,8 @@ from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
 from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, EXP_BURST_PREC,
                                   EXP_POW_PREC, GUARD_DIGITS, LOG10, _exp,
                                   _exp_whole, _ln, digits_of_exp, exp_ceil,
-                                  exp_floor, exp_int, nlogn_ceil,
-                                  nth_root_floor, power_log_ceil)
+                                  exp_ceil_anchor, exp_floor, exp_int,
+                                  nlogn_ceil, nth_root_floor, power_log_ceil)
 from recurrencelab.errors import CapacityError
 
 
@@ -168,7 +168,7 @@ def test_ln_is_good_to_the_working_precision(dps):
             assert abs(got - want) <= want * mpmath.mpf(10) ** -dps, n
 
 
-# ------------------------------------------------------------ hinted ln ---
+# ---------------------------------------------------------- anchored ln ---
 
 
 @pytest.mark.parametrize("near", [2000.0, 2345.678, (2000.0, 1e-13, 0.25)],
@@ -179,6 +179,8 @@ def test_hinted_ln_is_good_to_the_working_precision(near, dps):
     # GUARD_DIGITS places past the point that power_log_ceil works to
     n = exp_ceil(near)
     A = Fraction(dps, len(str(n))).limit_denominator(8)
+    m, anchor = exp_ceil_anchor(near, A)
+    assert m == n
     # power_log_ceil's working precision, plus 20 digits
     work = digits_of_exp(float(A) * math.log(n) + math.log(math.log(n))) \
         + GUARD_DIGITS + 20
@@ -186,7 +188,7 @@ def test_hinted_ln_is_good_to_the_working_precision(near, dps):
         want = mpmath.mpf(n) ** (mpmath.mpf(A.numerator) / A.denominator) \
             * mpmath.ln(mpmath.mpf(n))
     got = bignum._anchored(n, A.numerator, A.denominator, n ** A.numerator,
-                           bignum._terms(near))
+                           anchor)
     assert got is not None
     with mpmath.workdps(work):
         got = mpmath.mp.make_mpf(got)
@@ -198,11 +200,12 @@ def test_hinted_ln_is_good_to_the_working_precision(near, dps):
                          ids=["float-far", "one-ulp", "past-128-bits",
                               "series-too-short"])
 def test_wrong_hints_fall_back_to_newton(off, monkeypatch):
-    # a hint off by more than 2^-90 fails the 128-bit test; one off by
-    # 10^-30 or 10^-60 passes it, but its series would run to dozens of
-    # terms
+    # the anchor of an exponent off by 10^-9, by one ulp, by 10^-30 or by
+    # 10^-60 is turned away by the bound on the series: n - e^X is so
+    # large against n that its series would run to dozens of terms
     x = 2345.678
-    near = (x + off,) if isinstance(off, float) else (x, *off)
+    near = exp_ceil_anchor((x + off,) if isinstance(off, float)
+                           else (x, *off), 1)[1]
     n = exp_ceil(x)
     assert bignum._anchored(n, 1, 1, n, near) is None
     newton, real = [], bignum._ln_newton
@@ -212,28 +215,31 @@ def test_wrong_hints_fall_back_to_newton(off, monkeypatch):
     assert newton == [n, n]
 
 
-def _hinted_inputs():
-    """(n, x) with n = exp_ceil(x), and NEWTON_LN_INPUTS with the float
-    log as a hint, right or wrong."""
-    pairs = [(n, math.log(n)) for n in NEWTON_LN_INPUTS]
-    for x in (900.0, 1728.5, 3600.0, 4096.25, 9000.125, 14400.0):
-        pairs.append((exp_ceil(x), x))
-    return pairs
+def _hinted_inputs(exponent):
+    """(n, anchor): n = ceil(e^x) with the anchor that built it, and
+    NEWTON_LN_INPUTS with the anchor of their float log, right or wrong;
+    the anchors at the exponent's digits.  Positions whose n^exponent
+    ln n would near the digit cap are left out."""
+    ns = NEWTON_LN_INPUTS + [exp_ceil(x) for x in (900.0, 1728.5, 3600.0,
+                                                  4096.25, 9000.125, 14400.0)]
+    xs = [math.log(n) for n in NEWTON_LN_INPUTS] + [
+        900.0, 1728.5, 3600.0, 4096.25, 9000.125, 14400.0]
+    return [(n, exp_ceil_anchor(x, exponent)[1]) for n, x in zip(ns, xs)
+            if digits_of_exp(float(exponent) * math.log(n))
+            <= DEFAULT_DIGIT_CAP - 100]
 
 
 @pytest.mark.parametrize("exponent", [1, 2, Fraction(3, 2), Fraction(5, 4),
                                       Fraction(1, 2)],
                          ids=["1", "2", "3/2", "5/4", "1/2"])
 def test_power_log_ceil_is_the_same_with_a_hint(exponent):
-    for n, x in _hinted_inputs():
-        if digits_of_exp(float(exponent) * math.log(n)) > DEFAULT_DIGIT_CAP - 100:
-            continue
-        assert power_log_ceil(n, exponent, near=x) == power_log_ceil(n, exponent), n
+    for n, near in _hinted_inputs(exponent):
+        assert power_log_ceil(n, exponent, near=near) == power_log_ceil(n, exponent), n
 
 
 def test_nlogn_ceil_is_the_same_with_a_hint():
-    for n, x in _hinted_inputs():
-        assert nlogn_ceil(n, near=x) == nlogn_ceil(n) == ln_nlogn_ceil(n), n
+    for n, near in _hinted_inputs(1):
+        assert nlogn_ceil(n, near=near) == nlogn_ceil(n) == ln_nlogn_ceil(n), n
 
 
 # the full-dimension rows of the benchmark's plan mix, each at a count the
@@ -269,6 +275,39 @@ def test_plans_are_unchanged_without_the_hinted_ln(monkeypatch):
     assert [_hint_plan(*r) for r in HINT_PLANS] == hinted
 
 
+def test_no_position_built_from_its_exponent_loses_its_anchor(monkeypatch):
+    # a term whose n a plan built as ceil(e^X), and whose anchor passes
+    # the bounds of the series, has its ell finished from that anchor:
+    # ladder rungs and witnesses at min_n (case v), a candidate at min_n
+    # (case ii) and case iv's positions never reach `_ln`
+    built, real_anchor = {}, bignum.exp_ceil_anchor
+    finished_by_ln, real_ln = [], bignum._ln
+
+    def anchor_spy(x, exponent, digit_cap=DEFAULT_DIGIT_CAP):
+        n, anchor = real_anchor(x, exponent, digit_cap)
+        built[n] = exponent, anchor
+        return n, anchor
+
+    monkeypatch.setattr(bignum, "exp_ceil_anchor", anchor_spy)
+    monkeypatch.setattr(bignum, "_ln", lambda n, dps: finished_by_ln.append(n)
+                        or real_ln(n, dps))
+    cases = set()
+    for request in HINT_PLANS:
+        built.clear()
+        finished_by_ln.clear()
+        plan = _hint_plan(*request)
+        if any(int(t["n"]) in built for t in plan["terms"]):
+            cases.add(plan["case_tag"])
+        for n in finished_by_ln:
+            if n in built:
+                exponent, anchor = built[n]
+                A = Fraction(exponent)
+                assert bignum._anchored(n, A.numerator, A.denominator,
+                                        n ** A.numerator, anchor) is None, (
+                    request, n)
+    assert cases == {"ii", "iv", "v"}
+
+
 @pytest.fixture
 def kernel_runs(monkeypatch):
     """The (terms, dps) of every run of the exp kernel during a test."""
@@ -279,69 +318,24 @@ def kernel_runs(monkeypatch):
     return runs
 
 
-def test_exp_outside_a_scope_runs_the_kernel_on_every_call(kernel_runs):
-    x = 2000.25
-    n = exp_ceil(x)
-    assert exp_ceil(x) == n
-    power_log_ceil(n, 1, near=x)
-    assert kernel_runs == [((x,), exp_int_dps(x))] * 3
-
-
-def test_exp_memo_scope_empties_at_the_outermost_close(kernel_runs):
-    xs = (1000.5, 1001.5, 1002.5)
-    with bignum.exp_memo_scope():
-        with bignum.exp_memo_scope():
-            values = [exp_ceil(x) for x in xs]
-        assert [exp_ceil(x) for x in xs] == values
-        assert len(kernel_runs) == 3
-    assert bignum._memo.get() is None
-    assert [exp_ceil(x) for x in xs] == values
-    assert len(kernel_runs) == 6
-
-
-def test_exp_memo_carries_nothing_from_one_plan_into_the_next(kernel_runs):
-    request = ("log(n)", "1", "inf", 30)
-    _hint_plan(*request)
-    first = len(kernel_runs)
-    assert first > 0
-    _hint_plan(*request)
-    assert kernel_runs[first:] == kernel_runs[:first]
-
-
-def test_no_exp_memo_entry_outlives_a_plan(monkeypatch):
-    seen, real = [], bignum.power_log_ceil
-
-    def spy(*args, **kwargs):
-        seen.append(len(bignum._memo.get()))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(bignum, "power_log_ceil", spy)
-    _hint_plan("log(n)", "2", "2", 30)
-    # within the plan nothing is evicted; after it nothing is left
-    assert seen == sorted(seen) and seen[-1] > 2
-    assert bignum._memo.get() is None
-    # a plan that raises with entries in the memo: at 4 digits the second
-    # rung's e^4 fits, its position n^2 log n does not, and one term is
-    # too few to keep
-    seen.clear()
-    with pytest.raises(CapacityError):
-        plan_full_dimension(parse_phi("log(n)"), ExtReal(2), ExtReal(2),
-                            count=40, digit_cap=4)
-    assert seen[-1] > 0
-    assert bignum._memo.get() is None
-
-
 def test_exp_power_asks_at_the_hinted_lns_digits(kernel_runs):
+    # the anchor takes e^x at the digits of e^(5x/2), and the anchored ln
+    # runs no kernel of its own
     x = 2000.25
     n = exp_ceil(x)
     kernel_runs.clear()
-    with bignum.exp_memo_scope():
-        assert exp_ceil(x, power=Fraction(5, 2)) == n == mp_exp_ceil(x)
-        want = power_log_ceil(n, Fraction(5, 2), near=x)
+    m, near = exp_ceil_anchor(x, Fraction(5, 2))
+    assert m == n == mp_exp_ceil(x)
+    assert kernel_runs == [((x,), digits_of_exp(2.5 * x) + GUARD_DIGITS)]
+    want = power_log_ceil(n, Fraction(5, 2), near=near)
     assert len(kernel_runs) == 1
     assert want == power_log_ceil(n, Fraction(5, 2))
-    # past the digit cap the power is ignored, and the integer is the same
-    assert exp_ceil(x, digit_cap=900, power=3) == n
+    # past the digit cap the power is ignored, and the integer is the same;
+    # an anchor at e^x's own digits is turned away at A = 3
+    m, own = exp_ceil_anchor(x, 3, digit_cap=900)
+    assert m == n and own.dps == exp_int_dps(x)
+    assert bignum._anchored(n, 3, 1, n ** 3, own) is None
+    assert bignum._anchored(n, 1, 1, n, own) is not None
 
 
 @pytest.mark.parametrize("plan_request", [
@@ -467,15 +461,17 @@ def test_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
 
 def _kernel_integers():
     """exp_int, power_log_ceil and nlogn_ceil over every route of `_exp`
-    and `_ln`: Taylor, hinted and Newton ln; mpmath's exp, the table and
+    and `_ln`: Taylor, anchored and Newton ln; mpmath's exp, the table and
     bit-burst."""
     out = []
     for x in (5.3, 700.0, 2000.25, 9000.0, 12000.5, (3000.0, 1e-13, 0.25)):
-        n = exp_ceil(x)
-        out += [n, exp_floor(x), nlogn_ceil(n), nlogn_ceil(n, near=x)]
+        n, near = exp_ceil_anchor(x, 1)
+        out += [n, exp_ceil(x), exp_floor(x), nlogn_ceil(n),
+                nlogn_ceil(n, near=near)]
         for exponent in (1, 2, Fraction(5, 4)):
             out += [power_log_ceil(n, exponent),
-                    power_log_ceil(n, exponent, near=x)]
+                    power_log_ceil(n, exponent,
+                                   near=exp_ceil_anchor(x, exponent)[1])]
     return out
 
 
@@ -487,7 +483,7 @@ def test_the_kernel_neither_reads_nor_changes_mpmaths_precision(prec):
         assert _kernel_integers() == want
         assert [_hint_plan(*r) for r in EXP_PLANS] == plans
         assert mpmath.mp.prec == prec
-        # a plan that raises with values in the exp memo
+        # a plan that raises
         with pytest.raises(CapacityError):
             plan_full_dimension(parse_phi("log(n)"), ExtReal(2), ExtReal(2),
                                 count=40, digit_cap=4)
@@ -658,12 +654,13 @@ def test_geometric_ladder_plans_are_unchanged_with_mpmaths_own_exp(
     assert ladders == [(Fraction(3, 2), 2), (Fraction(4, 3), 3)]
     monkeypatch.setattr(bignum, "_exp", mpmath_exp_mpf)
     assert [_hint_plan(*r) for r in GEOMETRIC_PLANS] == shared
-    # and with every rung's e^x at its own digits, as before power=
+    # and with every rung's e^x at its own digits, where the anchored ln
+    # turns each anchor away
     monkeypatch.undo()
-    own, real_ceil = [], bignum.exp_ceil
-    monkeypatch.setattr(bignum, "exp_ceil",
-                        lambda x, digit_cap=DEFAULT_DIGIT_CAP, *, power=1:
-                        own.append(power) or real_ceil(x, digit_cap))
+    own, real_anchor = [], bignum.exp_ceil_anchor
+    monkeypatch.setattr(bignum, "exp_ceil_anchor",
+                        lambda x, exponent, digit_cap=DEFAULT_DIGIT_CAP:
+                        own.append(exponent) or real_anchor(x, 1, digit_cap))
     assert [_hint_plan(*r) for r in GEOMETRIC_PLANS] == shared
     assert set(own) == {2, 3}
 

@@ -363,6 +363,24 @@ def test_fp_window_matches_symbol_at(kind, p):
             base.fill(buf, at, i, j)
             assert list(buf) == [pad] * at + ref[i - 1:j] + [pad] * 4, \
                 (m, i, j)
+    if kind != "explicit":
+        return
+    # over 300 symbols too, a stream that runs short or holds a symbol
+    # outside the alphabet raises in a window what symbol_at raises
+    for symbols in ([299, 1] * 20, [1] * 30 + [300] + [2] * 9,
+                    [5] * 12 + [-1] + [0] * 40):
+        for _ in range(40):
+            i = rng.randint(1, 60)
+            j = rng.randint(i, 140)
+            outcomes = []
+            for read in (lambda base: [base.symbol_at(x)
+                                       for x in range(i, j + 1)],
+                         lambda base: list(base.window(i, j))):
+                try:
+                    outcomes.append(read(FpBase(p, 300, ExplicitFree(symbols))))
+                except (ValueError, SourceExhaustedError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (symbols, i, j)
 
 
 def test_fp_window_reads_only_its_own_free_ordinals():

@@ -546,6 +546,26 @@ def test_a_count_below_two_is_a_usage_error(capsys, monkeypatch, command,
     assert "--count" in err and "at least 2" in err
 
 
+@pytest.mark.parametrize("option, value, rule", [
+    ("--p", "1", "at least 2"), ("--p", "-3", "at least 2"),
+    ("--m", "1", "at least 2"), ("--m", "two", "at least 2"),
+    ("--digit-cap", "0", "positive"), ("--digit-cap", "-5", "positive")],
+    ids=["p-1", "p-negative", "m-1", "m-word", "digit-cap-0",
+         "digit-cap-negative"])
+@pytest.mark.parametrize("command", ["plan", "verify"])
+def test_a_block_length_alphabet_or_digit_cap_out_of_range_is_a_usage_error(
+        capsys, monkeypatch, command, option, value, rule):
+    # rejected while parsing, before the profile is classified
+    called = []
+    monkeypatch.setattr(cli, "_plan_from_args",
+                        lambda args: called.append(args))
+    code, out, err = run(capsys, command, "--phi", "log(n)", "--alpha", "2",
+                         "--beta", "2", option, value)
+    assert code == 2
+    assert out == "" and not called
+    assert option in err and rule in err
+
+
 def test_a_tail_of_one_still_runs(capsys):
     code, out, _ = run(capsys, "rates", "--word", "01" * 64, "--m", "2",
                        "--max-n", "12", "--tail", "1")
