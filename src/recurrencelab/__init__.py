@@ -16,7 +16,7 @@ from .return_time import (ReturnTimeResult, ReturnTimes, return_time,
                           return_time_naive, return_time_prime,
                           return_times_all, return_times_naive_all)
 from .phi_spec import (ExprPhi, GammaDelta, OscLogPhi, PhiSpec, PowerLog,
-                       TablePhi, check_nondecreasing, parse_phi)
+                       check_nondecreasing, parse_phi)
 from .cantor_builder import (ExplicitFree, FpBase, FreeStream, InsertionPlan,
                              SeededFree, ZeroFree, apply_insertions,
                              build_fp_prefix, certified_brackets,
@@ -45,7 +45,6 @@ __all__ = [
     "PowerLog", "RateEntry", "RateTrajectory", "RecurrenceLabError",
     "RefusalError", "ReturnTimeResult", "ReturnTimes", "SearchCapError",
     "SeededFree", "SourceExhaustedError", "SymbolSource",
-    "TablePhi",
     "Word", "ZERO", "ZeroFree", "agreement_length", "apply_insertions",
     "box_dimension", "build_fp_prefix", "certified_brackets",
     "check_nondecreasing",

@@ -370,6 +370,8 @@ def nth_root_floor(v: int, k: int) -> int:
         return v
     if k == 2:
         return math.isqrt(v)
+    if v.bit_length() <= k:   # 2 <= v < 2^k: no power of 4 needs forming
+        return 1
     half = v.bit_length() // k // 2
     if half < 256:
         x = 1 << ((v.bit_length() + k - 1) // k + 1)

@@ -404,16 +404,20 @@ class InsertionPlan:
         return cls.from_json_dict(json.loads(text))
 
 
-def check_plan_conditions(plan: InsertionPlan, eps: float = 0.5,
-                          tail_fraction: float = 1 / 3) -> None:
+# condition (ii) of check_plan_conditions, as checked on finitely many terms
+OVERHEAD_EPS = 0.5
+OVERHEAD_TAIL = 1 / 3
+
+
+def check_plan_conditions(plan: InsertionPlan) -> None:
     """Validate the two structural conditions a usable plan must satisfy.
 
     (i)  ell_{i+1} >= ell_i + n_i + 3 for every consecutive pair (exact),
          with the n_i strictly increasing;
     (ii) i*(n_i+3)/ell_i tends to 0 — finitely checkable only as: the
-         final value is below eps, and the maximum over the trailing
-         tail_fraction of the terms does not exceed the maximum over the
-         earlier terms (the ratio may oscillate when the position
+         final value is below OVERHEAD_EPS, and the maximum over the
+         trailing OVERHEAD_TAIL of the terms does not exceed the maximum
+         over the earlier terms (the ratio may oscillate when the position
          exponent does, but its envelope must not grow).
 
     Raises PlanValidityError with the first offending index.
@@ -432,11 +436,11 @@ def check_plan_conditions(plan: InsertionPlan, eps: float = 0.5,
                 f"gap condition fails at i={i + 1}: "
                 f"ell={ell_next} < {ell_i} + {n_i} + 3")
     ratios = [(i + 1) * (n + 3) / ell for i, (n, ell) in enumerate(terms)]
-    if ratios[-1] >= eps:
+    if ratios[-1] >= OVERHEAD_EPS:
         raise PlanValidityError(
             f"vanishing-overhead condition fails: final ratio "
-            f"{ratios[-1]:.4g} >= {eps}")
-    tail = max(2, int(len(ratios) * tail_fraction))
+            f"{ratios[-1]:.4g} >= {OVERHEAD_EPS}")
+    tail = max(2, int(len(ratios) * OVERHEAD_TAIL))
     if len(ratios) > tail:
         tail_max = max(ratios[-tail:])
         head_max = max(ratios[:-tail])

@@ -1,10 +1,9 @@
 """Growth profiles phi: N -> (0, inf) and their log-ratio asymptotics.
 
-A profile enters the library in one of four shapes:
+A profile enters the library in one of three shapes:
 
 * PowerLog      -- c * n^a * log(n)^b with exact rational c, a, b.
 * ExprPhi       -- an arithmetic expression over n, log, +, *, ^.
-* TablePhi      -- explicit values on 1..N.
 * OscLogPhi     -- a nondecreasing profile whose ratio phi(n)/log(n)
                    oscillates between two prescribed targets.
 
@@ -13,7 +12,8 @@ The quantity that drives everything downstream is the pair
     gamma = limsup phi(n)/log(n),    delta = liminf phi(n)/log(n),
 
 reported as a GammaDelta with provenance "analytic" when the shape pins
-the limits down exactly and "estimated" (a finite-window scan) otherwise.
+the limits down exactly and "estimated" (a finite-window scan of an
+ExprPhi) otherwise.
 
 Expression grammar ('+' and '*' share one precedence level, left
 associative; '^' binds tighter and does not chain):
@@ -33,16 +33,22 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from . import bignum
 from .errors import PhiDomainError, PhiParseError, PlanValidityError
 from .extreal import INF, ExtReal
 
-DEFAULT_ESTIMATE_HORIZON = 100_000
+# an ExprPhi without exact extremes is scanned up to this n
+ESTIMATE_HORIZON = 100_000
 
 # the estimate scan reads its ratios in blocks of at most this many n
 SCAN_BLOCK = 4096
+
+# check_nondecreasing scans phi on 2..MONOTONE_WINDOW and forgives a
+# relative dip of MONOTONE_SLACK (float rounding)
+MONOTONE_WINDOW = 256
+MONOTONE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,7 @@ class PhiSpec:
             raise PhiDomainError("ratio needs n >= 2")
         return self.value(n) / math.log(n)
 
-    def _raw_block(self, ns: range, logs: list):
-        """_raw at every n of ns (n >= 2), logs holding math.log(n), as a
-        sequence; None when the profile has no block form.  It may raise,
-        or differ in length, where some _raw(n) would raise."""
-        return None
-
-    def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
+    def gamma_delta(self) -> GammaDelta:
         raise NotImplementedError
 
     def first_witness_candidate(self, target: ExtReal, min_n: int, *,
@@ -102,7 +102,8 @@ class PhiSpec:
         return min_n
 
 
-def _estimated_gamma_delta(phi: PhiSpec, horizon: int) -> GammaDelta:
+def _estimated_gamma_delta(phi: ExprPhi,
+                           horizon: int = ESTIMATE_HORIZON) -> GammaDelta:
     """Sup/inf of the ratio over the top decade of a finite window.
 
     A scan can only ever bound the limits from one side, so the result
@@ -129,30 +130,19 @@ def _estimated_gamma_delta(phi: PhiSpec, horizon: int) -> GammaDelta:
     return GammaDelta(ExtReal(Fraction(sup)), ExtReal(Fraction(inf_)), "estimated")
 
 
-def _block_ratios(phi: PhiSpec, ns: range) -> Optional[list]:
-    """phi.ratio(n) for every n of ns (n >= 2) from the profile's block
-    form, or None when it has none, or when the block raises or fails
-    one of value()'s checks; the caller then replays the block n by n,
-    which raises what the ratio loop would, at the same n."""
+def _block_ratios(phi: ExprPhi, ns: range) -> Optional[list]:
+    """phi.ratio(n) for every n of ns (n >= 2), each operation of the
+    expression mapped over the block, or None when the block raises or
+    fails one of value()'s checks; the caller then replays the block n by
+    n, which raises what the ratio loop would, at the same n."""
     logs = list(map(math.log, ns))
     try:
-        values = phi._raw_block(ns, logs)
+        values = _eval_block(phi.ast, ns, {_LOG_N: logs})
     except Exception:
         return None
-    if (values is None or len(values) != len(ns)
-            or not all(map(math.isfinite, values)) or min(values) <= 0):
+    if not all(map(math.isfinite, values)) or min(values) <= 0:
         return None
     return list(map(operator.truediv, values, logs))
-
-
-def _estimated_once(phi: PhiSpec, horizon: int) -> GammaDelta:
-    """`_estimated_gamma_delta`, memoized on the profile per horizon: a
-    profile's values never change, so classifying and then planning one
-    profile scans its ratios once."""
-    memo = phi._estimates
-    if horizon not in memo:
-        memo[horizon] = _estimated_gamma_delta(phi, horizon)
-    return memo[horizon]
 
 
 def _monomial_extremes(n_exp: Fraction, log_exp: Fraction,
@@ -210,7 +200,7 @@ class PowerLog(PhiSpec):
             val *= ln ** log_exp
         return val
 
-    def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
+    def gamma_delta(self) -> GammaDelta:
         return _monomial_extremes(self.n_exp, self.log_exp, self.coef)
 
     def __str__(self) -> str:
@@ -334,55 +324,24 @@ class ExprPhi(PhiSpec):
         self.ast = ast
         self.source = source
         self.monomials = monomials  # {(n_exp, log_exp): coef} or None
-        self._estimates: dict[int, GammaDelta] = {}
+        self._extremes: Optional[GammaDelta] = None
 
     def _raw(self, n: int) -> float:
         return _eval_ast(self.ast, n)
 
-    def _raw_block(self, ns: range, logs: list) -> list:
-        return _eval_block(self.ast, ns, {_LOG_N: logs})
-
-    def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
-        if self.monomials is not None:
-            gd = _gamma_delta_from_monomials(self.monomials)
-            if gd is not None:
-                return gd
-        return _estimated_once(self, horizon)
+    def gamma_delta(self) -> GammaDelta:
+        """Exact from the monomials when they decide it, else the block
+        scan; either is kept on the profile, whose values never change, so
+        classifying and then planning one profile scans its ratios once."""
+        if self._extremes is None:
+            gd = None
+            if self.monomials is not None:
+                gd = _gamma_delta_from_monomials(self.monomials)
+            self._extremes = gd or _estimated_gamma_delta(self)
+        return self._extremes
 
     def __str__(self) -> str:
         return self.source
-
-
-class TablePhi(PhiSpec):
-    """Profile given by explicit values at n = 1..N."""
-
-    def __init__(self, values: Sequence[float]):
-        vals = tuple(float(v) for v in values)
-        if len(vals) < 2:
-            raise PhiDomainError("a table needs values at least at n = 1, 2")
-        for v in vals:
-            if not math.isfinite(v):
-                raise PhiDomainError("table values must be finite")
-        if vals[1] <= 0:
-            raise PhiDomainError("phi(2) must be positive")
-        self.values = vals
-        self._estimates: dict[int, GammaDelta] = {}
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values)
-
-    def _raw(self, n: int) -> float:
-        if n > len(self.values):
-            raise PhiDomainError(
-                f"table covers n <= {len(self.values)}, got {n}")
-        return self.values[n - 1]
-
-    def _raw_block(self, ns: range, logs: list) -> tuple:
-        return self.values[ns.start - 1:ns.stop - 1]
-
-    def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
-        return _estimated_once(self, min(horizon, self.horizon))
 
 
 # --------------------------------------------------------------------------
@@ -483,7 +442,7 @@ class OscLogPhi(PhiSpec):
             return held
         return mult * math.log(n)
 
-    def gamma_delta(self, horizon: int = DEFAULT_ESTIMATE_HORIZON) -> GammaDelta:
+    def gamma_delta(self) -> GammaDelta:
         return GammaDelta(self.gamma, self.delta, "analytic")
 
     # -- witness queries -----------------------------------------------------
@@ -645,21 +604,6 @@ class _Parser:
 # exact normalization to sums of c * n^a * log(n)^b
 # --------------------------------------------------------------------------
 
-def _int_nth_root(k: int, v: int) -> Optional[int]:
-    if k < 0:
-        return None
-    if k in (0, 1) or v == 1:
-        return k
-    try:
-        guess = int(round(k ** (1.0 / v)))
-    except OverflowError:
-        return None
-    for r in range(max(guess - 2, 0), guess + 3):
-        if r ** v == k:
-            return r
-    return None
-
-
 def _frac_pow(c: Fraction, e: Fraction) -> Optional[Fraction]:
     """c ** e when the result is exactly rational, else None."""
     if e.denominator == 1:
@@ -668,9 +612,10 @@ def _frac_pow(c: Fraction, e: Fraction) -> Optional[Fraction]:
         return c ** e.numerator
     if c < 0:
         return None
-    rp = _int_nth_root(c.numerator, e.denominator)
-    rq = _int_nth_root(c.denominator, e.denominator)
-    if rp is None or rq is None:
+    v = e.denominator
+    rp = bignum.nth_root_floor(c.numerator, v)
+    rq = bignum.nth_root_floor(c.denominator, v)
+    if rp ** v != c.numerator or rq ** v != c.denominator:
         return None
     if rp == 0 and e < 0:
         return None
@@ -783,18 +728,18 @@ def parse_phi(text: str) -> PhiSpec:
     return spec
 
 
-def check_nondecreasing(phi: PhiSpec, up_to: int,
-                        rel_slack: float = 1e-9) -> None:
-    """Verify phi does not decrease on 2..up_to (finite-window check only).
+def check_nondecreasing(phi: PhiSpec) -> None:
+    """Verify phi does not decrease on 2..MONOTONE_WINDOW, up to a relative
+    MONOTONE_SLACK (finite-window check only).
 
     Raises PlanValidityError at the first violation.  A pass certifies the
     scanned window and nothing beyond it; callers relying on monotonicity
     at larger n inherit that caveat.
     """
     prev = phi.value(2)
-    for n in range(3, up_to + 1):
+    for n in range(3, MONOTONE_WINDOW + 1):
         cur = phi.value(n)
-        if cur < prev * (1 - rel_slack) - 1e-300:
+        if cur < prev * (1 - MONOTONE_SLACK) - 1e-300:
             raise PlanValidityError(
                 f"phi decreases between n={n - 1} ({prev}) and n={n} ({cur})")
         prev = max(prev, cur)

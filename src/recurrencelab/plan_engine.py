@@ -35,7 +35,6 @@ from .errors import (CapacityError, GuardError, PhiDomainError, PlanValidityErro
 from .extreal import INF, ONE, ExtReal
 from .phi_spec import PhiSpec, check_nondecreasing
 
-SEARCH_CAP = 10 ** 100   # unit-increase searches stop here
 WITNESS_CAP = 10 ** 9    # ratio-witness scans stop here (not the first candidate)
 
 
@@ -152,14 +151,13 @@ def _interpolation_coefficients(alpha: ExtReal, beta: ExtReal,
 def find_ratio_witness(phi: PhiSpec, target, min_n: int, *,
                        tol: Optional[float] = None,
                        threshold: Optional[float] = None,
-                       eval_shift: int = 0,
-                       cap: int = WITNESS_CAP) -> int:
+                       eval_shift: int = 0) -> int:
     """An n >= min_n whose ratio at n + eval_shift approximates the target.
 
     Finite targets take |ratio - target| < tol; an infinite target takes
     ratio > threshold.  The profile's first candidate is always tested,
-    even past the cap; after it the scan runs geometrically from min_n up
-    to the cap.
+    even past WITNESS_CAP; after it the scan runs geometrically from min_n
+    up to WITNESS_CAP.
     """
     target = ExtReal(target)
     min_n = max(min_n, 2)
@@ -179,11 +177,11 @@ def find_ratio_witness(phi: PhiSpec, target, min_n: int, *,
     if hits(cand):
         return cand
     n = min_n
-    while n <= cap:
+    while n <= WITNESS_CAP:
         if hits(n):
             return n
         n = n + n // 1024 + 1
-    raise SearchCapError(f"no ratio witness found below {cap:.2e}",
+    raise SearchCapError(f"no ratio witness found below {WITNESS_CAP:.2e}",
                          what="ratio witness")
 
 
@@ -235,7 +233,7 @@ def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
     and delta > 0."""
     C = Fraction(C)
     gamma, delta = ExtReal(gamma), ExtReal(delta)
-    check_nondecreasing(phi, 256)
+    check_nondecreasing(phi)
     n1 = max(3, p + 1)
     if C == 1:
         return _square_rungs(phi, gamma, delta, n1, digit_cap, A)
@@ -319,14 +317,13 @@ def _phi_for_search(phi: PhiSpec, n: int) -> float:
                              what="phi domain") from exc
 
 
-def _min_crossing(phi: PhiSpec, n_lo: int, target: float) -> int:
-    """Least n > n_lo with computed phi(n) > target (phi nondecreasing)."""
+def _min_crossing(phi: PhiSpec, n_lo: int, target: float,
+                  digit_cap: int) -> int:
+    """Least n > n_lo with computed phi(n) > target (phi nondecreasing).
+    CapacityError once the doubling search passes digit_cap digits."""
     lo, hi = n_lo, n_lo + 1
     while _phi_for_search(phi, hi) <= target:
-        if hi > SEARCH_CAP:
-            raise SearchCapError(
-                "phi appears bounded: no unit increase found below 1e100",
-                what="phi crossing")
+        bignum.check_digit_cap(math.log(hi), digit_cap)
         lo, hi = hi, hi * 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -337,20 +334,21 @@ def _min_crossing(phi: PhiSpec, n_lo: int, target: float) -> int:
     return hi
 
 
-def _unit_steps(phi: PhiSpec, n: int, product: bool):
+def _unit_steps(phi: PhiSpec, n: int, product: bool, *, digit_cap: int):
     """The endless unit-increase ladder from n.  Each step goes to the
     first point where phi exceeds its value at n by more than one; with
     `product` it goes to ceil(n log n) instead whenever that stays within
     a unit increase of phi, so each step is long multiplicatively or large
     in phi (never neither).  Each step yields (the index reached, its
     marker); the marker is n when phi gains at most two over the step,
-    else the point just before the step's end."""
-    check_nondecreasing(phi, 256)
+    else the point just before the step's end.  A search for a step
+    that passes digit_cap digits raises CapacityError."""
+    check_nondecreasing(phi)
     f = phi.value(n)
     while True:
         nxt = bignum.nlogn_ceil(n) if product else None
         if nxt is None or _phi_for_search(phi, nxt) > f + 1.0:
-            nxt = _min_crossing(phi, n, f + 1.0)
+            nxt = _min_crossing(phi, n, f + 1.0, digit_cap)
         f_next = phi.value(nxt)
         yield nxt, n if f_next - f <= 2.0 else nxt - 1
         n, f = nxt, f_next
@@ -464,7 +462,8 @@ def _gen_case_iii(phi, cls, p, digit_cap):
     if a <= 0:   # alpha > 0 exactly, but float() can underflow to 0.0
         raise GuardError("this regime needs a positive lower rate")
     fk = None   # phi at the marker that opened the current cycle
-    for _, m in _unit_steps(phi, max(3, p + 1), product=False):
+    for _, m in _unit_steps(phi, max(3, p + 1), product=False,
+                            digit_cap=digit_cap):
         f = phi.value(m)
         if fk is None:
             fk, cutoff = f, (2 * b / a - 1) * f
@@ -501,7 +500,8 @@ def _gen_case_vi(phi, cls, p, digit_cap):
     Cf, Df = float(cls.C), float(cls.D)
     lo = float(cls.delta)
     hi = float(cls.gamma)
-    for _, m_i in _unit_steps(phi, max(3, p + 1), product=True):
+    for _, m_i in _unit_steps(phi, max(3, p + 1), product=True,
+                              digit_cap=digit_cap):
         lnm = math.log(m_i)
         f = phi.value(m_i)
         x = min(max(f / lnm, lo), hi)

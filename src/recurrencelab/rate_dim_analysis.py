@@ -305,7 +305,7 @@ def _cutoff_fits(c, log_h: float) -> bool:
 
 
 def _run_witnesses(syms, values: Sequence[int], c, logs: array,
-                   with_times: bool, out: list) -> int:
+                   out: list) -> int:
     """Witnesses of the default profile at a finite rate c > 0 whose
     deepest cutoff fits in a float, one run of equal R_n at a time,
     appended to out in depth order.  Returns the first depth left to the
@@ -339,22 +339,20 @@ def _run_witnesses(syms, values: Sequence[int], c, logs: array,
                          if syms[j:j + n] != syms[:n])
                 raise RuntimeError(
                     f"return-time engine and definition disagree at n={n}")
-            depths = range(a, end + 1)
-            out.extend(zip(depths, repeat(j)) if with_times else depths)
+            out.extend(zip(range(a, end + 1), repeat(j)))
     return len(values) + 1
 
 
 def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
                          phi: Optional[PhiSpec] = None,
-                         max_n: Optional[int] = None,
-                         with_times: bool = True):
+                         max_n: Optional[int] = None):
     """Depths n whose prefix returns within exp((alpha+eps)*phi(n)).
 
     Under the default profile log n the cutoff is n^(alpha+eps).  Where
     phi(n) = 0 the cutoff is 1 at every rate, infinite ones too.  Every
     hit is re-verified definitionally: the word shifted by the reported
     return time must agree with itself for at least n symbols.  Returns
-    (n, R_n) pairs, or bare depths with with_times=False.
+    (n, R_n) pairs.
 
     The default profile at a finite rate alpha + eps > 0, with a deepest
     cutoff that fits in a float, is decided per run of equal R_n
@@ -370,7 +368,7 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     if phi is None:
         logs = log_table(h + 1)
         if h and 0 < c < math.inf and _cutoff_fits(c, logs[h]):
-            start = _run_witnesses(syms, values, c, logs, with_times, out)
+            start = _run_witnesses(syms, values, c, logs, out)
         fs = logs[start:h + 1]
     else:
         fs = map(phi.value, range(1, h + 1))
@@ -384,7 +382,7 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(
                 f"return-time engine and definition disagree at n={n}")
-        out.append((n, j) if with_times else n)
+        out.append((n, j))
     return out
 
 

@@ -20,6 +20,7 @@ from recurrencelab import (INF, ExtReal, InsertionPlan, OscLogPhi, SeededFree,
                            recurrence_witnesses, return_time_naive,
                            return_times_all, return_times_naive_all,
                            running_extremes, truncate_plan)
+from recurrencelab.bignum import DEFAULT_DIGIT_CAP
 from recurrencelab.plan_engine import _unit_steps
 
 
@@ -175,7 +176,8 @@ def test_ac05_unit_step_ladder_inequalities():
     bad = steps = 0
     for text in ("log(n)", "n", "2*log(n)^1.5"):
         phi = parse_phi(text)
-        ms = [m for _, m in islice(_unit_steps(phi, 3, product=False), 30)]
+        ms = [m for _, m in islice(_unit_steps(
+            phi, 3, product=False, digit_cap=DEFAULT_DIGIT_CAP), 30)]
         assert len(ms) == 30
         for i in range(len(ms) - 1):
             steps += 1
@@ -196,7 +198,8 @@ def test_ac06_growth_disjunction_and_tail_ratios():
     # both phi(m_{i+1})/phi(m_i + 1) and log m_{i+1}/log m_i sit within
     # 10% of 1
     phi = parse_phi("log(n)")
-    ms = [m for _, m in islice(_unit_steps(phi, 3, product=True), 30)]
+    ms = [m for _, m in islice(_unit_steps(
+        phi, 3, product=True, digit_cap=DEFAULT_DIGIT_CAP), 30)]
     bad = 0
     for i in range(len(ms) - 1):
         grows = ms[i + 1] >= ms[i] * math.log(ms[i])

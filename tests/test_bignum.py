@@ -101,6 +101,14 @@ def test_nth_root_floor_around_exact_powers(k):
             assert got ** k <= v < (got + 1) ** k, (k, r, v - r ** k)
 
 
+def test_nth_root_floor_below_two_to_the_k_is_one():
+    # a literal like 2^0.000001 asks for a millionth root: 1, found
+    # without forming a power of the Newton start
+    for k in (3, 64, 10 ** 6):
+        assert nth_root_floor(2, k) == nth_root_floor(2 ** k - 1, k) == 1
+    assert nth_root_floor(2 ** 64, 64) == 2
+
+
 # -------------------------------------------------- Newton ln against ln ---
 
 def ln_power_log_ceil(n, exponent):

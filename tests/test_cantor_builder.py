@@ -175,7 +175,7 @@ def test_check_plan_conditions_final_ratio():
     # 3*19/58 = 0.98 >= eps
     slow = InsertionPlan(3, 2, ((4, 40), (8, 47), (16, 58)))
     with pytest.raises(PlanValidityError, match="final ratio"):
-        check_plan_conditions(slow, eps=0.5)
+        check_plan_conditions(slow)
 
 
 def test_check_plan_conditions_envelope():
@@ -184,10 +184,10 @@ def test_check_plan_conditions_envelope():
     grow = ((4, 10 ** 7), (8, 2 * 10 ** 7), (16, 4 * 10 ** 7),
             (32, 8 * 10 ** 7), (64, 10 ** 8), (128, 12 * 10 ** 7))
     with pytest.raises(PlanValidityError, match="envelope"):
-        check_plan_conditions(InsertionPlan(3, 2, grow), eps=0.5)
+        check_plan_conditions(InsertionPlan(3, 2, grow))
     # geometric ells give a decaying envelope: accepted
     decay = tuple((2 ** (i + 2), 10 ** 4 * 4 ** i) for i in range(6))
-    check_plan_conditions(InsertionPlan(3, 2, decay), eps=0.5)
+    check_plan_conditions(InsertionPlan(3, 2, decay))
 
 
 def test_first_certified_and_brackets():

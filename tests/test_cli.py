@@ -43,6 +43,16 @@ def test_classify_with_profile(capsys):
     assert data["provenance"] == "analytic"
 
 
+def test_classify_an_exact_root_of_a_large_literal(capsys):
+    # (10^60)^0.5 log(n) = 10^30 log(n): exact extremes, so case v, C = 1
+    code, out, _ = run(capsys, "classify", "--phi",
+                       f"{10 ** 60}^0.5*log(n)", "--alpha", "1", "--beta", "1")
+    assert code == 0
+    data = lines(out)[0]
+    assert data["gamma"] == data["delta"] == 10 ** 30
+    assert (data["provenance"], data["case"], data["C"]) == ("analytic", "v", 1)
+
+
 def test_classify_fraction_inputs(capsys):
     code, out, _ = run(capsys, "classify", "--alpha", "1/3", "--beta", "inf",
                        "--gamma", "inf", "--delta", "3/2")

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -10,10 +9,10 @@ from hypothesis import strategies as st
 
 from recurrencelab import (ExtReal, INF, OscLogPhi, PhiDomainError,
                            PhiParseError, PlanValidityError, PowerLog,
-                           TablePhi, check_nondecreasing, parse_phi)
+                           check_nondecreasing, parse_phi)
 from recurrencelab import bignum, phi_spec, plan_full_dimension
 from recurrencelab.errors import CapacityError
-from recurrencelab.phi_spec import (DEFAULT_ESTIMATE_HORIZON, SCAN_BLOCK,
+from recurrencelab.phi_spec import (ESTIMATE_HORIZON, SCAN_BLOCK,
                                     ExprPhi, _Add, _estimated_gamma_delta,
                                     _gamma_delta_from_monomials, _Log, _Mul,
                                     _Num, _Pow, _Var)
@@ -97,6 +96,26 @@ def test_analytic_gamma_delta(text, gamma, delta):
     assert gd.provenance == "analytic"
     assert gd.gamma == ExtReal(gamma)
     assert gd.delta == ExtReal(delta)
+
+
+BIG = 10 ** 60
+
+
+@pytest.mark.parametrize("text,gamma", [
+    (f"{BIG}^0.5*log(n)", 10 ** 30),    # 10^30 log(n)
+    (f"({3 ** 80}*n)^0.5", "inf"),       # 3^40 n^0.5
+])
+def test_exact_roots_past_float_precision(text, gamma):
+    # integer roots past 2^53 are found exactly, not by a float guess
+    phi = parse_phi(text)
+    gd = phi.gamma_delta()
+    assert isinstance(phi, PowerLog) and gd.provenance == "analytic"
+    assert gd.gamma == gd.delta == ExtReal(gamma)
+
+
+def test_an_inexact_root_leaves_the_monomial_form():
+    phi = parse_phi(f"(2*{BIG})^0.5")
+    assert not isinstance(phi, PowerLog) and phi.monomials is None
 
 
 def test_estimated_provenance_for_mixed_sums():
@@ -196,28 +215,13 @@ def test_powerlog_zero_coefficient_is_analytic_zero():
                                                        "analytic")
 
 
-# ----------------------------------------------------------------- table ---
-
-def test_table_phi():
-    t = TablePhi([0.5, 1.0, 1.5, 2.0])
-    assert t.value(1) == 0.5 and t.value(4) == 2.0
-    assert t.horizon == 4
-    with pytest.raises(PhiDomainError):
-        t.value(5)
-    gd = t.gamma_delta()
-    assert gd.provenance == "estimated"
-    with pytest.raises(PhiDomainError):
-        TablePhi([1.0])
-    with pytest.raises(PhiDomainError):
-        TablePhi([1.0, -2.0, 3.0])
-
-
 # ------------------------------------------------------------- monotone ---
 
 def test_check_nondecreasing():
-    check_nondecreasing(parse_phi("log(n)"), 400)
-    with pytest.raises(PlanValidityError):
-        check_nondecreasing(TablePhi([1.0, 2.0, 1.5, 3.0]), 4)
+    check_nondecreasing(parse_phi("log(n)"))
+    # log(5) + n log(0.9) decreases from the start
+    with pytest.raises(PlanValidityError, match="n=2 .* n=3 "):
+        check_nondecreasing(parse_phi("log(5*0.9^n)"))
 
 
 # -------------------------------------------------------------- osc log ---
@@ -420,15 +424,8 @@ def test_block_scan_matches_the_loop(source, horizon):
 def test_block_scan_matches_the_loop_on_the_default_horizon():
     phi = parse_phi("log(n)+log(log(n))")
     assert phi.monomials is None
-    assert scanned(phi, DEFAULT_ESTIMATE_HORIZON) == loop_gamma_delta(
-        phi, DEFAULT_ESTIMATE_HORIZON)
-
-
-@pytest.mark.parametrize("horizon", SCAN_HORIZONS)
-def test_block_scan_matches_the_loop_on_a_table(horizon):
-    rng = random.Random(horizon)
-    table = TablePhi([1.0 + n * rng.random() for n in range(1, horizon + 1)])
-    assert scanned(table, horizon) == loop_gamma_delta(table, horizon)
+    assert scanned(phi, ESTIMATE_HORIZON) == loop_gamma_delta(
+        phi, ESTIMATE_HORIZON)
 
 
 def test_block_scan_evaluates_each_subtree_once_per_block(monkeypatch):
@@ -462,15 +459,15 @@ def raising_n(phi, scan, horizon):
 
 
 def failing_profiles():
-    bad_table = [1.0 + math.log(n) for n in range(1, 6001)]
-    bad_table[5000 - 1] = 0.0   # fails value()'s positivity at n = 5000
     return [
         (ExprPhi(_Log(_Log(LOG_N)), "log(log(log(n)))"), 20),
-        (parse_phi("n^1000+log(log(n))"), DEFAULT_ESTIMATE_HORIZON),
+        (parse_phi("n^1000+log(log(n))"), ESTIMATE_HORIZON),
         (ExprPhi(_Add(_Pow(_Num(Fraction(0)), _Num(Fraction(0))), LOG_N),
                  "0^0+log(n)"), 300),   # not finite at n = 30
-        (TablePhi(bad_table), 6000),
-        (TablePhi(bad_table[:4000]), 6000),   # runs out at n = 4001
+        # 3*0.9999^n drops to 1 at n = 10 986, in the middle of a block:
+        # the log fails value()'s positivity there, its root goes negative
+        (parse_phi("log(3*0.9999^n)"), 20_000),
+        (parse_phi("log(3*0.9999^n)^0.5"), 20_000),
     ]
 
 
@@ -491,5 +488,4 @@ def test_the_failures_named_for_the_scan():
                        match=r"^log of nonpositive value at n=2$"):
         _estimated_gamma_delta(phi, 20)
     with pytest.raises(OverflowError):
-        _estimated_gamma_delta(parse_phi("n^1000+log(log(n))"),
-                               DEFAULT_ESTIMATE_HORIZON)
+        _estimated_gamma_delta(parse_phi("n^1000+log(log(n))"))

@@ -12,7 +12,6 @@ from recurrencelab import (ExtReal, GuardError, INF, InsertionPlan, OscLogPhi,
                            plan_full_dimension)
 from recurrencelab import bignum, phi_spec
 from recurrencelab.errors import CapacityError, PhiDomainError, SearchCapError
-from recurrencelab.phi_spec import DEFAULT_ESTIMATE_HORIZON, TablePhi
 from recurrencelab.plan_engine import (WITNESS_CAP, _log_rungs, _truncated,
                                        _unit_steps)
 
@@ -202,7 +201,9 @@ def test_missed_first_candidate_past_the_cap_raises():
 
 def test_unevaluable_first_candidate_raises_like_a_scanned_one():
     with pytest.raises(PhiDomainError):
-        find_ratio_witness(TablePhi([1.0] * 10), 1, WITNESS_CAP + 1, tol=0.1)
+        # 5*0.9^n underflows to 0 long before n = WITNESS_CAP + 1
+        find_ratio_witness(parse_phi("log(5*0.9^n)"), 1, WITNESS_CAP + 1,
+                           tol=0.1)
 
 
 def test_osc_first_candidate_is_a_segment_start():
@@ -347,7 +348,9 @@ def test_log_ladder_is_a_prefix_of_a_longer_count(spec, C, gamma, delta):
 def _step_ladder(phi, count, product, n_start=3):
     """The first count steps of `_unit_steps` from n_start, as the tuples
     (n_start and the indices reached, markers)."""
-    ns, ms = zip(*itertools.islice(_unit_steps(phi, n_start, product), count))
+    steps = _unit_steps(phi, n_start, product,
+                        digit_cap=bignum.DEFAULT_DIGIT_CAP)
+    ns, ms = zip(*itertools.islice(steps, count))
     return (n_start, *ns), ms
 
 
@@ -508,17 +511,43 @@ def test_truncated_keeps_two_terms_on_search_cap_error():
 
 
 # each ladder hits a cap after some terms: the digit cap on case v's
-# geometric ladder (C = 3 and C = 2), and the 10^100 cap of the
-# unit-increase search on case vi's ladder
+# geometric ladder (C = 3 and C = 2)
 @pytest.mark.parametrize("spec,alpha,beta,count,case", [
-    ("log(n)", "1", "3", 12, "v"), ("log(n)", "1", "2", 30, "v"),
-    ("osc 1 3", "1", "1", 120, "vi")])
+    ("log(n)", "1", "3", 12, "v"), ("log(n)", "1", "2", 30, "v")])
 def test_a_cap_that_a_ladder_hits_truncates_the_plan(spec, alpha, beta, count,
                                                      case):
     plan = plan_full_dimension(_profile(spec), ExtReal(alpha), ExtReal(beta),
                                count=count)
     assert plan.case_tag == case and 2 <= len(plan.terms) < count
     check_plan_conditions(plan)
+
+
+def test_a_small_digit_cap_truncates_a_case_vi_plan():
+    # at a 60-digit cap --osc 1 3 1/1 stops after 40 terms: the 41st ell
+    # would pass the cap (each ell outgrows its n)
+    plan = plan_full_dimension(_profile("osc 1 3"), ExtReal(1), ExtReal(1),
+                               count=120, digit_cap=60)
+    assert plan.case_tag == "vi" and len(plan.terms) == 40
+    assert max(len(str(ell)) for _, ell in plan.terms) <= 60
+    check_plan_conditions(plan)
+
+
+def test_the_unit_increase_ladder_reaches_its_count():
+    # the search for a unit increase is bounded by the digit cap alone:
+    # --osc 1 3 1/1 climbs past 10^100 to a 225-digit n and a 407-digit ell
+    plan = plan_full_dimension(_profile("osc 1 3"), ExtReal(1), ExtReal(1),
+                               count=120)
+    assert plan.case_tag == "vi" and len(plan.terms) == 120
+    assert len(str(plan.terms[-1][0])) == 225
+    assert max(len(str(ell)) for _, ell in plan.terms) == 407
+    check_plan_conditions(plan)
+
+
+def test_a_bounded_profile_stops_the_unit_increase_search_at_the_digit_cap():
+    # phi = 2 never gains a unit: the doubling search gives up once its
+    # bound passes 30 digits
+    with pytest.raises(CapacityError, match="digit cap of 30"):
+        next(_unit_steps(parse_phi("2"), 3, False, digit_cap=30))
 
 
 def _digest(plan):
@@ -560,38 +589,19 @@ def test_a_boundary_past_the_segment_cap_that_no_lookup_reaches():
 
 # ------------------------------------------------------ estimated extremes ---
 
-def _count_estimates(monkeypatch):
-    horizons, real = [], phi_spec._estimated_gamma_delta
-
-    def spy(phi, horizon):
-        horizons.append(horizon)
-        return real(phi, horizon)
-
-    monkeypatch.setattr(phi_spec, "_estimated_gamma_delta", spy)
-    return horizons
-
-
 def test_classify_then_plan_estimates_the_extremes_once(monkeypatch):
-    horizons = _count_estimates(monkeypatch)
+    scans, real = [], phi_spec._estimated_gamma_delta
+    monkeypatch.setattr(phi_spec, "_estimated_gamma_delta",
+                        lambda phi: scans.append(phi) or real(phi))
     phi = parse_phi("log(n)+log(log(n))")   # D1: estimated extremes
     rate = ExtReal("0.9")
     cls = classify_profile(phi, rate, rate)
     plan = plan_full_dimension(phi, rate, rate, count=12)
-    assert horizons == [DEFAULT_ESTIMATE_HORIZON]
+    assert scans == [phi]
     # still the estimated (wrong) class of the known defect
     assert (cls.dim, cls.case_tag, cls.provenance) == (1, "vi", "estimated")
     assert plan.case_tag == "vi"
-    # another horizon, or another instance, is scanned afresh
-    phi.gamma_delta(5_000)
-    parse_phi("log(n)+log(log(n))").gamma_delta()
-    assert horizons == [DEFAULT_ESTIMATE_HORIZON, 5_000,
-                        DEFAULT_ESTIMATE_HORIZON]
-
-
-def test_table_profile_estimates_once_per_horizon(monkeypatch):
-    horizons = _count_estimates(monkeypatch)
-    table = TablePhi([2.0 * math.log(max(n, 2)) for n in range(1, 401)])
-    first = table.gamma_delta()
-    assert table.gamma_delta() == first
-    assert table.gamma_delta(10 ** 9) == first   # both clipped to the table
-    assert horizons == [400]
+    # another instance is scanned afresh
+    other = parse_phi("log(n)+log(log(n))")
+    assert other.gamma_delta() == phi.gamma_delta()
+    assert scans == [phi, other]

@@ -123,14 +123,6 @@ def test_recurrence_witnesses_match_brute():
         assert got == brute_witnesses(w, 0.5, 0.1, 60)
 
 
-def test_recurrence_witnesses_without_times():
-    rng = random.Random(4)
-    w = random_word(rng, 3, 200)
-    pairs = recurrence_witnesses(w, 0.6, 0.05, max_n=40)
-    bare = recurrence_witnesses(w, 0.6, 0.05, max_n=40, with_times=False)
-    assert bare == [n for n, _ in pairs]
-
-
 def test_recurrence_witnesses_periodic_word():
     w = Word.from_digits("01" * 50, 2)
     ws = recurrence_witnesses(w, 0.5, 0.0, max_n=30)

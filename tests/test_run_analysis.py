@@ -77,7 +77,7 @@ def _longest_run(values):
     return best
 
 
-def loop_witnesses(word, alpha, eps, *, max_n=None, with_times=True):
+def loop_witnesses(word, alpha, eps, *, max_n=None):
     """The per-depth loop: one log, one exp and one re-check per depth;
     the cutoff at n = 1 is e^0 = 1 at every rate."""
     syms = word.symbols
@@ -88,7 +88,7 @@ def loop_witnesses(word, alpha, eps, *, max_n=None, with_times=True):
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(
                 f"return-time engine and definition disagree at n={n}")
-        out.append((n, j) if with_times else n)
+        out.append((n, j))
     return out
 
 
@@ -115,27 +115,26 @@ RATES = [(0.5, 0.1), (1.0, 0.0), (1e-12, 0.0), (0.0, 0.0), (-0.5, 0.0),
 
 @settings(max_examples=60, deadline=None)
 @example(kind="fibonacci", length=50_000, seed=1, rate=(0.5, 0.1),
-         with_times=True, depth=None)
+         depth=None)
 @example(kind="fibonacci", length=50_000, seed=2, rate=(1.0, 0.0),
-         with_times=False, depth=0.4)
+         depth=0.4)
 @example(kind="periodic", length=50_000, seed=3, rate=(0.5, 0.1),
-         with_times=True, depth=None)
+         depth=None)
 @example(kind="zero", length=50_000, seed=4, rate="overflow",
-         with_times=True, depth=None)
+         depth=None)
 @given(kind=st.sampled_from(["fibonacci", "periodic", "zero"]),
        length=st.integers(1, 50_000), seed=st.integers(0, 2 ** 16),
-       rate=st.sampled_from(RATES), with_times=st.booleans(),
+       rate=st.sampled_from(RATES),
        depth=st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_run_witnesses_equal_the_depth_loop(kind, length, seed, rate,
-                                            with_times, depth):
+                                            depth):
     word = _long_run_word(kind, length, seed)
     max_n = None if depth is None else max(1, int(depth * length))
     if rate == "overflow":
         c = _overflow_rate(word, max_n)
         rate = (1.0, 0.0) if c is None else (c, 0.0)
-    kw = dict(max_n=max_n, with_times=with_times)
-    got = _outcome(recurrence_witnesses, word, *rate, **kw)
-    assert got == _outcome(loop_witnesses, word, *rate, **kw)
+    got = _outcome(recurrence_witnesses, word, *rate, max_n=max_n)
+    assert got == _outcome(loop_witnesses, word, *rate, max_n=max_n)
 
 
 def test_an_overflow_inside_a_run_is_raised_like_the_loop():
@@ -200,14 +199,7 @@ def test_a_wrong_value_inside_a_long_run_raises_at_the_loops_depth(
 
     with mock.patch.object(rda, "return_times_all", _wrong_engine(change)):
         want = _outcome(loop_witnesses, word, *rate)
-        for with_times in (True, False):
-            got = _outcome(recurrence_witnesses, word, *rate,
-                           with_times=with_times)
-            if want[0] == "ok":
-                assert got == ("ok", [n for n, _ in want[1]] if not with_times
-                               else want[1])
-            else:
-                assert got == want
+        assert _outcome(recurrence_witnesses, word, *rate) == want
 
 
 def test_a_wrong_value_deep_in_a_run_is_named():

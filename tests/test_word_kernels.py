@@ -254,8 +254,7 @@ def test_paired_ratios_with_an_exact_head_past_half_the_word():
 
 # ----------------------------------------------- witnesses and extremes ---
 
-def loop_witnesses(word, alpha, eps, *, phi=None, max_n=None,
-                   with_times=True):
+def loop_witnesses(word, alpha, eps, *, phi=None, max_n=None):
     """The per-depth loop: one cutoff per depth, dropped when j > cutoff;
     the cutoff is e^0 = 1 where the profile is 0, whatever the rate."""
     syms = word.symbols
@@ -266,7 +265,7 @@ def loop_witnesses(word, alpha, eps, *, phi=None, max_n=None,
             continue
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(f"disagree at n={n}")
-        out.append((n, j) if with_times else n)
+        out.append((n, j))
     return out
 
 
@@ -281,10 +280,9 @@ def test_witnesses_equal_the_loop(profile):
         w = Word.from_iterable(syms, m)
         for alpha, eps in ((0.5, 0.1), (0.2, 0.0), (1.0, 0.5), (0.0, 0.0)):
             for max_n in (None, 1, 30, 399):
-                for with_times in (True, False):
-                    kw = dict(phi=phi, max_n=max_n, with_times=with_times)
-                    assert recurrence_witnesses(w, alpha, eps, **kw) == \
-                        loop_witnesses(w, alpha, eps, **kw), (name, alpha, max_n)
+                kw = dict(phi=phi, max_n=max_n)
+                assert recurrence_witnesses(w, alpha, eps, **kw) == \
+                    loop_witnesses(w, alpha, eps, **kw), (name, alpha, max_n)
 
 
 def test_a_cutoff_equal_to_the_return_keeps_the_depth():
@@ -344,8 +342,6 @@ def test_a_wrong_engine_value_still_raises(monkeypatch):
     monkeypatch.setattr(rda, "return_times_all", wrong)
     with pytest.raises(RuntimeError, match="n=21"):
         recurrence_witnesses(w, 1.0, 0.0)
-    with pytest.raises(RuntimeError, match="n=21"):
-        recurrence_witnesses(w, 1.0, 0.0, with_times=False)
 
 
 def loop_extremes(entries, tail_fraction):
