@@ -38,9 +38,11 @@ from .shift_core import (DEFAULT_MATERIALIZATION_CAP, Word, _word_from_json,
                          _word_to_json)
 
 _CAP_ENV = "RECURRENCELAB_CAP"
-# verify's rate verdict: a finite rate passes within this fraction of
+# verify's rate verdict: a finite rate, estimated over this trailing
+# fraction of the trajectory, passes within this fraction of
 # max(target, 1), and an infinite one when the last ratio exceeds this
 # factor times the first
+RATE_TAIL = 0.5
 RATE_TOL = 0.1
 GROWTH_FACTOR = 5.0
 
@@ -345,14 +347,14 @@ def _cmd_verify(args) -> int:
         ok_a = _grew(right.ratios(), GROWTH_FACTOR)
         rate_report["alpha_growth"] = ok_a
     else:
-        a_hat, _ = running_extremes(right, args.tail)
+        a_hat, _ = running_extremes(right, RATE_TAIL)
         ok_a = _rel_ok(a_hat, float(cls.alpha), RATE_TOL)
         rate_report["alpha_hat"] = a_hat
     if cls.beta.is_inf:
         ok_b = _grew(upper.ratios(), GROWTH_FACTOR)
         rate_report["beta_growth"] = ok_b
     else:
-        _, b_hat = running_extremes(upper, args.tail)
+        _, b_hat = running_extremes(upper, RATE_TAIL)
         ok_b = _rel_ok(b_hat, float(cls.beta), RATE_TOL)
         rate_report["beta_hat"] = b_hat
     ok = ok and ok_a and ok_b
@@ -454,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_plan_args(sp)
     sp.add_argument("--cap", type=_cap, default=None)
     sp.add_argument("--free", type=_free_spec, default="zero")
-    sp.add_argument("--tail", type=_tail_fraction, default=0.5)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -34,14 +34,7 @@ class PhiDomainError(RecurrenceLabError):
 
 
 class SearchCapError(RecurrenceLabError):
-    """A bounded witness search ran out of budget.
-
-    ``what`` names the witness that could not be located.
-    """
-
-    def __init__(self, message: str, what: str = ""):
-        super().__init__(message)
-        self.what = what
+    """A bounded witness search ran out of budget."""
 
 
 class GuardError(RecurrenceLabError):

@@ -462,16 +462,6 @@ class OscLogPhi(PhiSpec):
                 return (max(start, min_n), end, mult)
             idx += 1
 
-    def climb_segment_at_least(self, min_n: int,
-                               min_mult: Optional[float] = None
-                               ) -> tuple[int, int, float]:
-        """(start, end, mult) of a climb segment ending at or after min_n."""
-        return self._segment_at_least("climb", min_n, min_mult)
-
-    def low_segment_at_least(self, min_n: int) -> tuple[int, int, float]:
-        """(start, end, delta) of a low leg ending at or after min_n."""
-        return self._segment_at_least("low", min_n)
-
     def first_witness_candidate(self, target: ExtReal, min_n: int, *,
                                 threshold: Optional[float] = None,
                                 eval_shift: int = 0) -> int:
@@ -480,9 +470,10 @@ class OscLogPhi(PhiSpec):
         n + eval_shift); min_n for any other target."""
         if target == self.gamma:
             min_mult = (threshold + 1e-9) if target.is_inf else None
-            return self.climb_segment_at_least(min_n, min_mult=min_mult)[0]
+            return self._segment_at_least("climb", min_n, min_mult)[0]
         if target == self.delta:
-            return self.low_segment_at_least(min_n + eval_shift)[0] - eval_shift
+            return (self._segment_at_least("low", min_n + eval_shift)[0]
+                    - eval_shift)
         return min_n
 
     def __str__(self) -> str:

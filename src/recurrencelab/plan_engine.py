@@ -181,55 +181,38 @@ def find_ratio_witness(phi: PhiSpec, target, min_n: int, *,
         if hits(n):
             return n
         n = n + n // 1024 + 1
-    raise SearchCapError(f"no ratio witness found below {WITNESS_CAP:.2e}",
-                         what="ratio witness")
+    raise SearchCapError(f"no ratio witness found below {WITNESS_CAP:.2e}")
 
 
 # --------------------------------------------------------------------------
 # ladder 1: prescribed log-ratio C between consecutive indices
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhaseRecord:
-    """Audit trail for one witness phase of an index ladder."""
-
-    cycle: int
-    kind: str                 # "upper" | "lower"
-    witness: int
-    eval_point: int           # witness, or witness + 1 on the lower side
-    ratio: float
-    target: float             # math.inf in threshold mode
-    tol: Optional[float]
-    threshold: Optional[float]
-    d: int
-    first_index: int          # 1-based positions appended by this phase
-    last_index: int
-
-
 def _floor_sqrt(x: float) -> int:
-    s = int(math.sqrt(x))
-    while (s + 1) * (s + 1) <= x:
-        s += 1
-    while s * s > x:
-        s -= 1
-    return s
+    """The largest s with s*s <= x, exact for floats x >= 0."""
+    return math.isqrt(math.floor(x))
 
 
-def _witness_args(extreme: ExtReal, k: int, inv_tol: float):
-    """tol/threshold pair for one phase: near the extreme, or above k."""
-    if extreme.is_inf:
-        return None, float(k)
-    return 1.0 / inv_tol, None
+def _witness(phi: PhiSpec, target, x: float, A, digit_cap: int, *,
+             tol: float, threshold: float, shift: int = 0):
+    """The witness search from min_n = ceil(e^x), as two (n, near) rungs:
+    (min_n, the `bignum.Anchor` of x), and the ratio witness w for target
+    (find_ratio_witness reads tol for a finite target and threshold for an
+    infinite one) with that anchor only when w is min_n, which x built."""
+    min_n, anchor = bignum.exp_ceil_anchor(x, A, digit_cap)
+    w = find_ratio_witness(phi, target, min_n, tol=tol, threshold=threshold,
+                           eval_shift=shift)
+    return (min_n, anchor), (w, anchor if w == min_n else None)
 
 
 def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
     """Check the profile now, then return the endless ladder from
-    n_1 = max(3, p + 1), geometric for C > 1 and square for C = 1.  It
-    yields (n, ln, near, phase): the designed ln(n) float, the
-    `bignum.Anchor` of the exponent n was built from, for
+    n_1 = max(3, p + 1), geometric for C > 1 and square for C = 1.  Its
+    phases alternate a witness near gamma (ratio read at w) and one near
+    delta (read at w + 1), each ending its phase.  It yields (n, near):
+    near is the `bignum.Anchor` of the exponent n was built from, for
     `bignum.power_log_ceil(n, A)` (None for n_1 and for a witness other
-    than its phase's min_n), and the PhaseRecord of the rung's phase
-    (None on the first rung).  Case v's classification gives C = B/A >= 1
+    than its phase's min_n).  Case v's classification gives C = B/A >= 1
     and delta > 0."""
     C = Fraction(C)
     gamma, delta = ExtReal(gamma), ExtReal(delta)
@@ -242,65 +225,49 @@ def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
 
 def _geometric_rungs(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
                      n1: int, digit_cap: int, A):
+    """C > 1: each phase of cycle c searches its witness from log n = C^c
+    times the last witness's log n and spreads d >= c rungs geometrically
+    in log n up to it."""
     lnC = math.log(C)
-    last, index = math.log(n1), 1
-    yield n1, last, None, None
+    last = math.log(n1)
+    yield n1, None
     for cycle in itertools.count(1):
-        inv_tol = float(cycle)
-        for kind, extreme, shift in (("upper", gamma, 0), ("lower", delta, 1)):
-            x = float(C ** cycle) * last
-            min_n, anchor = bignum.exp_ceil_anchor(x, A, digit_cap)
-            tol, thr = _witness_args(extreme, cycle, inv_tol)
-            w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
-                                   eval_shift=shift)
+        tol = 1 / cycle
+        for extreme, shift in ((gamma, 0), (delta, 1)):
+            _, (w, near) = _witness(phi, extreme, float(C ** cycle) * last,
+                                    A, digit_cap, tol=tol,
+                                    threshold=float(cycle), shift=shift)
             ll_w = math.log(w)
             gap = math.log(ll_w) - math.log(last)
             d = max(int(gap // lnC), cycle)
-            rec = PhaseRecord(cycle, kind, w, w + shift, phi.ratio(w + shift),
-                              float(extreme), tol, thr, d, index + 1,
-                              index + d)
             step = gap / d
             for j in range(1, d):
-                lnr = last * math.exp(step * j)
-                n, near = bignum.exp_ceil_anchor(lnr, A, digit_cap)
-                yield n, lnr, near, rec
-            # a witness at min_n was built from x
-            yield w, ll_w, anchor if w == min_n else None, rec
-            last, index = ll_w, index + d
-            inv_tol = float(cycle + d)   # the lower phase's, after the upper
+                yield bignum.exp_ceil_anchor(last * math.exp(step * j), A,
+                                             digit_cap)
+            yield w, near
+            last = ll_w
+            tol = 1 / (cycle + d)   # the lower phase's, after the upper
 
 
 def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
                   digit_cap: int, A):
     """C = 1 variant: rungs at log n = k^2 for consecutive k, up to the
     next witness, starting from the k with log(n_1) in [k^2, (k+1)^2)."""
-    ln1 = math.log(n1)
-    yield n1, ln1, None, None
-    k, index = _floor_sqrt(ln1), 1
-    for cycle in itertools.count(1):
-        for kind, extreme, shift in (("upper", gamma, 0), ("lower", delta, 1)):
-            # the first rung's exponent
-            x = float((k + 1) ** 2)
-            min_n, anchor = bignum.exp_ceil_anchor(x, A, digit_cap)
-            tol, thr = _witness_args(extreme, k, float(k))
-            w = find_ratio_witness(phi, extreme, min_n, tol=tol, threshold=thr,
-                                   eval_shift=shift)
-            # w >= exp_ceil((k+1)^2) makes log(w) >= (k+1)^2 exact; clamp
-            # away float-conversion dust so the sqrt index always advances
-            ll_w = max(math.log(w), x)
-            s = _floor_sqrt(ll_w)
-            rec = PhaseRecord(cycle, kind, w, w + shift, phi.ratio(w + shift),
-                              float(extreme), tol, thr, s - k, index + 1,
-                              index + s - k)
-            # the first rung is min_n
-            n, near = min_n, anchor
-            for j in range(1, s - k):
-                lnr = float((k + j) ** 2)
-                if j > 1:
-                    n, near = bignum.exp_ceil_anchor(lnr, A, digit_cap)
-                yield n, lnr, near, rec
-            yield w, ll_w, anchor if w == min_n else None, rec
-            k, index = s, index + s - k
+    yield n1, None
+    k = _floor_sqrt(math.log(n1))
+    for extreme, shift in itertools.cycle(((gamma, 0), (delta, 1))):
+        x = float((k + 1) ** 2)
+        first, (w, near) = _witness(phi, extreme, x, A, digit_cap,
+                                    tol=1 / k, threshold=float(k), shift=shift)
+        # w >= ceil(e^x) makes log(w) >= x exact; clamp away
+        # float-conversion dust so the sqrt index always advances
+        s = _floor_sqrt(max(math.log(w), x))
+        for j in range(1, s - k):
+            # the first rung is the search's min_n
+            yield first if j == 1 else bignum.exp_ceil_anchor(
+                float((k + j) ** 2), A, digit_cap)
+        yield w, near
+        k = s
 
 
 # --------------------------------------------------------------------------
@@ -313,8 +280,8 @@ def _phi_for_search(phi: PhiSpec, n: int) -> float:
     except OverflowError:
         return math.inf
     except PhiDomainError as exc:
-        raise SearchCapError(f"profile ran out during the search: {exc}",
-                             what="phi domain") from exc
+        raise SearchCapError(
+            f"profile ran out during the search: {exc}") from exc
 
 
 def _min_crossing(phi: PhiSpec, n_lo: int, target: float,
@@ -421,29 +388,22 @@ def _gen_case_ii(phi, cls, p, digit_cap):
     prev_ratio = 0.0
     for i in itertools.count(1):
         t = phi.value(n_prev + 1)
-        need_ln = max(i * t, math.log(n_prev) + i * i + 2)
+        min_ln = max(i * t, math.log(n_prev) + i * i + 2)
         if gf is not None:
-            need_ln = max(need_ln, 1.01 * i * t / gf)
-        min_ln = need_ln
-        min_n, anchor = bignum.exp_ceil_anchor(min_ln, A, digit_cap)
+            min_ln = max(min_ln, 1.01 * i * t / gf)
         for _attempt in range(64):
-            if gamma.is_inf:
-                cand = find_ratio_witness(phi, INF, min_n,
-                                          threshold=max(float(i), prev_ratio))
-            else:
-                cand = find_ratio_witness(phi, gamma, min_n, tol=1.0 / i)
+            _, (cand, near) = _witness(phi, gamma, min_ln, A, digit_cap,
+                                       tol=1.0 / i,
+                                       threshold=max(float(i), prev_ratio))
             ln_c = math.log(cand)
             f_c = phi.value(cand)
             if (f_c > i * t and ln_c > i * t
                     and ln_c > math.log(n_prev) + i * i + 2):
                 break
             min_ln = ln_c * 1.5
-            min_n, anchor = bignum.exp_ceil_anchor(min_ln, A, digit_cap)
         else:
             raise SearchCapError(
-                "could not satisfy the growth conditions for this regime",
-                what="slow-rate witness")
-        near = anchor if cand == min_n else None
+                "could not satisfy the growth conditions for this regime")
         if alpha.is_zero:
             ell = bignum.nlogn_ceil(cand, near=near)
         elif gamma.is_inf:
@@ -490,8 +450,8 @@ def _gen_case_iv(phi, cls, p, digit_cap):
 @_truncated
 def _gen_case_v(phi, cls, p, digit_cap):
     A = cls.A.fraction
-    for n, _, near, _ in _log_rungs(phi, cls.C.fraction, cls.gamma,
-                                    cls.delta, p=p, digit_cap=digit_cap, A=A):
+    for n, near in _log_rungs(phi, cls.C.fraction, cls.gamma, cls.delta,
+                              p=p, digit_cap=digit_cap, A=A):
         yield n, bignum.power_log_ceil(n, A, digit_cap=digit_cap, near=near)
 
 
@@ -535,6 +495,13 @@ def plan_for_classification(phi: PhiSpec, cls: Classification, *,
             "these rate targets sit in the dimension-zero regime for this "
             "profile; no full-dimension plan exists", cls.to_json_dict())
     tag = cls.case_tag
+    if cls.provenance == "estimated" and tag in ("ii", "v"):
+        # an estimated gamma is a float: A = alpha*gamma would have a
+        # denominator near 2^52, and the positions n^A an exponent as large
+        raise GuardError(
+            f"case {tag} builds its positions as exact powers of "
+            f"A = alpha*gamma, which the estimated gamma ~ "
+            f"{float(cls.gamma):.6g} does not give")
     # looked up at call time so a rebound module attribute takes effect
     terms = globals()[f"_gen_case_{tag}"](phi, cls, p, count, digit_cap)
     terms = _valid_suffix(terms)

@@ -473,6 +473,19 @@ def test_case_iii_with_an_underflowing_lower_rate_is_unsupported(capsys):
     assert err.startswith("unsupported:")
 
 
+@pytest.mark.parametrize("beta,case", [("2", "v"), ("inf", "ii")])
+def test_a_power_case_on_estimated_extremes_is_unsupported(capsys, beta,
+                                                           case):
+    # 2^0.5*log(n) has scanned float extremes: A = alpha*gamma would have
+    # a denominator near 2^52, and n^A an exponent that large
+    code, out, err = run(capsys, "plan", "--phi", "2^0.5*log(n)",
+                         "--alpha", "1", "--beta", beta)
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"unsupported: case {case} ")
+    assert err.count("\n") == 1
+
+
 def test_verify_refusal_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--phi", "log(n)", "--alpha", "1/3",
                        "--beta", "1/2")
@@ -528,9 +541,12 @@ def test_rates_rejects_a_tail_outside_the_unit_interval(capsys, tail):
     assert "--tail" in err and "(0, 1]" in err
 
 
-@pytest.mark.parametrize("tail", ["0", "1.0001", "nan"])
+@pytest.mark.parametrize("tail", ["0", "1.0001", "nan", "0.5"])
 def test_verify_rejects_a_tail_outside_the_unit_interval(capsys, monkeypatch,
                                                          tail):
+    # verify takes no tail at all, inside (0, 1] or not: its rate verdict
+    # reads the constant RATE_TAIL, and the option is a usage error before
+    # the profile is classified
     called = []
     monkeypatch.setattr(cli, "_plan_from_args",
                         lambda args: called.append(args))
@@ -538,7 +554,7 @@ def test_verify_rejects_a_tail_outside_the_unit_interval(capsys, monkeypatch,
                          "--beta", "3", "--tail", tail)
     assert code == 2
     assert out == "" and not called
-    assert "--tail" in err and "(0, 1]" in err
+    assert "unrecognized arguments: --tail" in err
 
 
 @pytest.mark.parametrize("count", ["0", "1", "-2", "many"])

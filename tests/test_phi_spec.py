@@ -4,8 +4,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from recurrencelab import (ExtReal, INF, OscLogPhi, PhiDomainError,
                            PhiParseError, PlanValidityError, PowerLog,
@@ -275,10 +273,10 @@ def test_osc_log_ratio_attains_extremes():
 
 def test_osc_log_segment_queries():
     o = OscLogPhi(Fraction(1, 2), Fraction(2))
-    s, e, mult = o.climb_segment_at_least(100)
+    s, e, mult = o._segment_at_least("climb", 100)
     assert s >= 100 and e >= s
     assert o.ratio(e) == pytest.approx(mult, rel=1e-6)
-    ls, le, lm = o.low_segment_at_least(100)
+    ls, le, lm = o._segment_at_least("low", 100)
     assert ls >= 100 and le >= ls
     assert lm == pytest.approx(0.5)
     assert o.ratio(ls) == pytest.approx(0.5, abs=0.02)
@@ -286,8 +284,8 @@ def test_osc_log_segment_queries():
 
 def test_osc_log_infinite_gamma_multipliers_grow():
     o = OscLogPhi(Fraction(1), INF)
-    _, e1, m1 = o.climb_segment_at_least(10)
-    _, e2, m2 = o.climb_segment_at_least(e1 + 1)
+    _, e1, m1 = o._segment_at_least("climb", 10)
+    _, e2, m2 = o._segment_at_least("climb", e1 + 1)
     assert m2 > m1  # climb targets escalate without bound
 
 

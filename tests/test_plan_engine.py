@@ -2,18 +2,21 @@ import hashlib
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recurrencelab import (ExtReal, GuardError, INF, InsertionPlan, OscLogPhi,
                            RefusalError, check_plan_conditions,
                            classify_profile, classify_thresholds, compute_AB,
                            dichotomy, find_ratio_witness, parse_phi,
                            plan_full_dimension)
-from recurrencelab import bignum, phi_spec
+from recurrencelab import bignum, phi_spec, plan_engine
 from recurrencelab.errors import CapacityError, PhiDomainError, SearchCapError
-from recurrencelab.plan_engine import (WITNESS_CAP, _log_rungs, _truncated,
-                                       _unit_steps)
+from recurrencelab.plan_engine import (WITNESS_CAP, _floor_sqrt, _log_rungs,
+                                       _truncated, _unit_steps)
 
 
 # ------------------------------------------------------------- dichotomy ---
@@ -209,15 +212,15 @@ def test_unevaluable_first_candidate_raises_like_a_scanned_one():
 def test_osc_first_candidate_is_a_segment_start():
     o = OscLogPhi(Fraction(1, 2), Fraction(2))
     up = o.first_witness_candidate(o.gamma, 50)
-    assert up == o.climb_segment_at_least(50)[0] and o.ratio(up) == 2.0
+    assert up == o._segment_at_least("climb", 50)[0] and o.ratio(up) == 2.0
     lo = o.first_witness_candidate(o.delta, 50, eval_shift=1)
-    assert lo == o.low_segment_at_least(51)[0] - 1
+    assert lo == o._segment_at_least("low", 51)[0] - 1
     assert o.ratio(lo + 1) == pytest.approx(0.5)
     assert o.first_witness_candidate(ExtReal(1), 50) == 50
     # infinite gamma: the first climb whose ratio clears the threshold
     u = OscLogPhi(1, INF)
     c = u.first_witness_candidate(INF, 50, threshold=3.0)
-    assert u.ratio(c) > 3.0 and u.ratio(c) == u.climb_segment_at_least(c)[2]
+    assert u.ratio(c) > 3.0 and u.ratio(c) == u._segment_at_least("climb", c)[2]
 
 
 @pytest.mark.parametrize("text,alpha,count", [("n^0.5", 0, 12),
@@ -234,37 +237,100 @@ def test_slow_rate_plans_with_witnesses_past_the_cap(text, alpha, count):
 def _log_ladder(phi, C, gamma, delta, count, *, p=2,
                 digit_cap=bignum.DEFAULT_DIGIT_CAP):
     """The first count rungs of `_log_rungs` for A = 1, as the tuples
-    (ns, designed ln values, phase records)."""
+    (ns, anchors)."""
     rungs = _log_rungs(phi, C, gamma, delta, p=p, digit_cap=digit_cap, A=1)
-    ns, lns, _, phases = zip(*itertools.islice(rungs, count))
-    return ns, lns, phases
+    ns, nears = zip(*itertools.islice(rungs, count))
+    return ns, nears
 
 
-def _distinct_records(phases):
-    assert phases[0] is None   # the seed rung belongs to no phase
-    return list(dict.fromkeys(phases[1:]))
+class Search(NamedTuple):
+    target: ExtReal
+    min_n: int
+    tol: float
+    threshold: float
+    shift: int
+    w: int
 
 
-def _assert_records_tile(phases):
-    """Every rung past the seed lies in its phase's index range, and the
-    phases follow each other without gap or overlap."""
-    for i, rec in enumerate(phases[1:], start=2):
-        assert rec.first_index <= i <= rec.last_index, (i, rec)
-    recs = _distinct_records(phases)
-    assert recs[0].first_index == 2
-    for a, b in zip(recs, recs[1:]):
-        assert b.first_index == a.last_index + 1, (a, b)
+@pytest.fixture
+def searches(monkeypatch):
+    """Every ratio-witness search that plan_engine makes, in order."""
+    calls, real = [], plan_engine.find_ratio_witness
+
+    def spy(phi, target, min_n, *, tol=None, threshold=None, eval_shift=0):
+        w = real(phi, target, min_n, tol=tol, threshold=threshold,
+                 eval_shift=eval_shift)
+        calls.append(Search(ExtReal(target), min_n, tol, threshold,
+                            eval_shift, w))
+        return w
+
+    monkeypatch.setattr(plan_engine, "find_ratio_witness", spy)
+    return calls
 
 
-def test_log_ladder_geometric_brackets():
-    phi = parse_phi("log(n)")  # gamma = delta = 1
-    ns, ls, phases = _log_ladder(phi, 2, 1, 1, 13)
+def _assert_phases(phi, gamma, delta, ns, nears, calls, geometric):
+    """The searches alternate an upper witness (ratio read at w) and a
+    lower one (read at w + 1), each reaching its side of the ratio within
+    its tolerance or above its threshold.  Each witness ends its phase, in
+    order, carrying its search's anchor only when it is the search's
+    min_n; a geometric phase of cycle c holds at least c rungs.  Only the
+    last search's phase may be cut by the count."""
     assert all(a < b for a, b in zip(ns, ns[1:]))
-    # within each phase the designed log ratio lives in [C, C^(1+1/d))
-    for idx in range(2, len(ns) + 1):
-        r = ls[idx - 1] / ls[idx - 2]
-        assert r >= 2 * (1 - 1e-9), (idx, r)
-        assert r < 2 ** (1 + 1 / phases[idx - 1].d) * (1 + 1e-9), (idx, r)
+    assert nears[0] is None
+    ends = []
+    for j, c in enumerate(calls):
+        upper = j % 2 == 0
+        assert (c.target, c.shift) == ((ExtReal(gamma), 0) if upper
+                                       else (ExtReal(delta), 1)), j
+        r = phi.ratio(c.w + c.shift)
+        if c.target.is_inf:
+            assert r > c.threshold, (j, r)
+        else:
+            assert abs(r - float(c.target)) < c.tol, (j, r)
+        if geometric:
+            cycle = j // 2 + 1
+            assert c.threshold == cycle and c.tol <= 1 / cycle, j
+        if c.w in ns:
+            e = ns.index(c.w)
+            assert (nears[e] is not None) == (c.w == c.min_n), j
+            ends.append(e)
+    assert calls and all(c.w in ns for c in calls[:-1])
+    lengths = [b - a for a, b in zip([0, *ends], ends)]
+    assert all(d >= 1 for d in lengths), lengths
+    if geometric:
+        assert all(d >= j // 2 + 1 for j, d in enumerate(lengths)), lengths
+    # every rung inside a phase is built from its exponent
+    assert all(near is not None for i, near in enumerate(nears)
+               if i and i not in ends)
+    return lengths
+
+
+def test_log_ladder_geometric_brackets(searches):
+    phi = parse_phi("log(n)")  # gamma = delta = 1
+    # 13 rungs end on a witness; 11 cut the fifth phase after one rung
+    for count in (13, 11):
+        searches.clear()
+        ns, nears = _log_ladder(phi, 2, 1, 1, count)
+        lengths = _assert_phases(phi, 1, 1, ns, nears, searches,
+                                 geometric=True)
+        # a rung's designed log n: the exponent it was built from, or for
+        # n_1 and a witness log n itself
+        ends = list(itertools.accumulate(lengths))
+        lns = [math.log(n) if i == 0 or i in ends else math.fsum(near.terms)
+               for i, (n, near) in enumerate(zip(ns, nears))]
+        # within each phase of d rungs the designed log ratio lives in
+        # [C, C^(1+1/d)); a phase the count cuts before its witness has
+        # d above the rungs it has so far and at least its cycle
+        cut = len(ns) - 1 - ends[-1]
+        start = 1
+        for d, end in zip([*lengths, max(cut + 1, len(lengths) // 2 + 1)],
+                          [*ends, len(ns) - 1]):
+            for idx in range(start, end + 1):
+                r = lns[idx] / lns[idx - 1]
+                assert r >= 2 * (1 - 1e-9), (count, idx, r)
+                assert r < 2 ** (1 + 1 / d) * (1 + 1e-9), (count, idx, r)
+            start = end + 1
+        assert ends[-1] >= 9 and cut == (count == 11)
 
 
 def test_log_ladder_geometric_digit_cap():
@@ -273,74 +339,87 @@ def test_log_ladder_geometric_digit_cap():
     with pytest.raises(CapacityError):
         _log_ladder(parse_phi("log(n)"), 2, 1, 1, 30)
     # a raised cap admits more rungs
-    ns, _, _ = _log_ladder(parse_phi("log(n)"), 2, 1, 1, 15,
-                           digit_cap=10 ** 5)
+    ns, _ = _log_ladder(parse_phi("log(n)"), 2, 1, 1, 15, digit_cap=10 ** 5)
     assert len(ns) == 15
 
 
-def test_log_ladder_square_branch():
+def test_log_ladder_square_branch(searches):
     phi = parse_phi("log(n)")
-    ns, lns, _ = _log_ladder(phi, 1, 1, 1, 40)
-    assert all(a < b for a, b in zip(ns, ns[1:]))
-    for i, ln in enumerate(lns, start=1):
-        assert i * i <= ln + 1e-9, (i, ln)
-        assert ln < (i + 1) ** 2 + 1e-9, (i, ln)
+    ns, nears = _log_ladder(phi, 1, 1, 1, 40)
+    for i, n in enumerate(ns, start=1):
+        assert i * i <= math.log(n) + 1e-9, (i, n)
+        assert math.log(n) < (i + 1) ** 2 + 1e-9, (i, n)
+    _assert_phases(phi, 1, 1, ns, nears, searches, geometric=False)
 
 
-def test_log_ladder_square_branch_starts_at_the_rung_of_n1():
+def test_log_ladder_square_branch_starts_at_the_rung_of_n1(searches):
     # log(61) lies in [2^2, 3^2): the ladder goes on from log n = 3^2,
     # where it once refused every p >= 54
     phi = parse_phi("log(n)")
-    ns, _, phases = _log_ladder(phi, 1, 1, 1, 10, p=60)
+    ns, nears = _log_ladder(phi, 1, 1, 1, 10, p=60)
     assert ns[:2] == (61, math.ceil(math.exp(9)))
-    assert all(a < b for a, b in zip(ns, ns[1:]))
-    assert phases[1].first_index == 2
+    assert searches[0].min_n == ns[1]
+    _assert_phases(phi, 1, 1, ns, nears, searches, geometric=False)
 
 
-def test_log_ladder_phase_records():
+def test_log_ladder_phase_records(searches):
+    # the searches the spy records are the ladder's phases: one witness
+    # ends each, upper and lower in turn, after at least cycle rungs
     phi = parse_phi("log(n)")
-    ns, _, phases = _log_ladder(phi, 2, 1, 1, 12)
-    recs = _distinct_records(phases)
-    for j, rec in enumerate(recs):
-        assert rec.kind == ("upper" if j % 2 == 0 else "lower")
-        assert rec.eval_point == rec.witness + (0 if rec.kind == "upper" else 1)
-        assert rec.d >= rec.cycle
-        assert rec.last_index - rec.first_index + 1 == rec.d
-        if rec.last_index <= len(ns):   # the count may cut the last phase
-            assert rec.witness == ns[rec.last_index - 1]
-    _assert_records_tile(phases)
+    ns, nears = _log_ladder(phi, 2, 1, 1, 12)
+    lengths = _assert_phases(phi, 1, 1, ns, nears, searches, geometric=True)
+    assert len(searches) >= 2 and sum(lengths) <= len(ns) - 1
 
 
-def test_log_ladder_osc_alternates_sides():
+def test_log_ladder_osc_alternates_sides(searches):
     o = OscLogPhi(Fraction(4, 5), Fraction(6, 5))
-    _, _, phases = _log_ladder(o, 1, Fraction(6, 5), Fraction(4, 5), 16)
-    recs = _distinct_records(phases)
-    kinds = [r.kind for r in recs]
-    assert "upper" in kinds and "lower" in kinds
-    # witnesses actually achieve their side of the ratio
-    for rec in recs:
-        r = o.ratio(rec.eval_point)
-        if rec.kind == "upper":
-            assert r > 6 / 5 - (rec.tol or 0) - 1e-9
-        else:
-            assert r < 4 / 5 + (rec.tol or 0) + 1e-9
-    _assert_records_tile(phases)
+    ns, nears = _log_ladder(o, 1, Fraction(6, 5), Fraction(4, 5), 16)
+    lengths = _assert_phases(o, Fraction(6, 5), Fraction(4, 5), ns, nears,
+                             searches, geometric=False)
+    # the square ladder's phases run several rungs here
+    assert len(lengths) >= 2 and max(lengths) > 1
+
+
+def test_log_ladder_osc_geometric_alternates_sides(searches):
+    o = OscLogPhi(Fraction(4, 5), Fraction(6, 5))
+    ns, nears = _log_ladder(o, Fraction(3, 2), Fraction(6, 5),
+                            Fraction(4, 5), 16)
+    lengths = _assert_phases(o, Fraction(6, 5), Fraction(4, 5), ns, nears,
+                             searches, geometric=True)
+    assert len(lengths) >= 2 and max(lengths) > 1
 
 
 @pytest.mark.parametrize("spec,C,gamma,delta", [
     ("log(n)", Fraction(3, 2), 1, 1),
     ("log(n)", Fraction(1), 1, 1),
     ("osc 4/5 6/5", Fraction(1), Fraction(6, 5), Fraction(4, 5))])
-def test_log_ladder_is_a_prefix_of_a_longer_count(spec, C, gamma, delta):
+def test_log_ladder_is_a_prefix_of_a_longer_count(searches, spec, C, gamma,
+                                                  delta):
     phi = _profile(spec)
     cut_mid_phase = False
     for count in range(2, 14):
+        searches.clear()
         short = _log_ladder(phi, C, gamma, delta, count)
+        short_ends = [c.w for c in searches if c.w in short[0]]
+        searches.clear()
         full = _log_ladder(phi, C, gamma, delta, count + 10)
         assert short == tuple(col[:count] for col in full)
-        cut_mid_phase |= count < short[2][-1].last_index
+        lengths = _assert_phases(phi, gamma, delta, *full, searches,
+                                 geometric=C != 1)
+        cut_mid_phase |= short[0][-1] not in short_ends
     # log(n)'s unit-ratio phases are one rung each; the others get cut
-    assert cut_mid_phase or all(rec.d == 1 for rec in full[2][1:])
+    assert cut_mid_phase or all(d == 1 for d in lengths)
+
+
+@given(st.integers(0, 10 ** 12), st.sampled_from([-1, 0, 1]))
+def test_floor_sqrt_is_exact_next_to_perfect_squares(s, side):
+    x = float(s * s)
+    if side:
+        x = math.nextafter(x, side * math.inf)
+    if x < 0:
+        x = 0.0
+    r = _floor_sqrt(x)
+    assert r * r <= x < (r + 1) * (r + 1)
 
 
 # -------------------------------------------------------------- ladder 2 ---
@@ -502,11 +581,11 @@ def test_truncated_stops_at_count_without_pulling_more(exc):
 @pytest.mark.parametrize("good", [0, 1])
 def test_truncated_reraises_a_search_cap_below_two_terms(good):
     with pytest.raises(SearchCapError):
-        _run_stub(good, SearchCapError("stub search", what="stub"))
+        _run_stub(good, SearchCapError("stub search"))
 
 
 def test_truncated_keeps_two_terms_on_search_cap_error():
-    assert _run_stub(2, SearchCapError("stub search", what="stub")) == [
+    assert _run_stub(2, SearchCapError("stub search")) == [
         (1, 10), (2, 20)]
 
 
@@ -588,6 +667,19 @@ def test_a_boundary_past_the_segment_cap_that_no_lookup_reaches():
 
 
 # ------------------------------------------------------ estimated extremes ---
+
+@pytest.mark.parametrize("spec,alpha,beta,case", [
+    ("2^0.5*log(n)", "1", "2", "v"), ("2^0.5*log(n)", "1", "inf", "ii"),
+    ("log(n)+log(log(n))", "1", "2", "v")])
+def test_power_cases_refuse_estimated_extremes(spec, alpha, beta, case):
+    # each once ran for minutes, or out of memory, raising an exact power
+    # to a numerator near 2^52
+    phi = parse_phi(spec)
+    cls = classify_profile(phi, ExtReal(alpha), ExtReal(beta))
+    assert (cls.provenance, cls.case_tag) == ("estimated", case)
+    with pytest.raises(GuardError, match=f"case {case} "):
+        plan_full_dimension(phi, ExtReal(alpha), ExtReal(beta))
+
 
 def test_classify_then_plan_estimates_the_extremes_once(monkeypatch):
     scans, real = [], phi_spec._estimated_gamma_delta
