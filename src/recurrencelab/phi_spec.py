@@ -25,15 +25,27 @@ associative; '^' binds tighter and does not chain):
 Numbers are decimal literals kept as exact Fractions.  Profiles must be
 positive from n = 2 on; phi(1) falls back to phi(2)/2 whenever the raw
 formula is undefined or nonpositive there.
+
+Plan synthesis asks a profile three questions on the log scale:
+`first_above(t, n_lo, digit_cap)`, the least n > n_lo whose computed
+value exceeds t; `nondecreasing_by_shape()`; and `boundary_anchor(n)`,
+the `bignum.Anchor` of an exponent the profile built n (or n + 1) from.
+A PowerLog and the legs of an OscLogPhi are functions of math.log(n), so
+they answer `first_above` from their inverse: the least double y at which
+their value passes t, then the least integer whose math.log reaches y.
+A PowerLog also gives its value at math.log(n) = y (`at_log`).  An
+ExprPhi answers none of them, and synthesis searches instead.
 """
 from __future__ import annotations
 
 import math
 import operator
+import struct
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bignum
 from .errors import PhiDomainError, PhiParseError, PlanValidityError
@@ -101,6 +113,175 @@ class PhiSpec:
         read at n + eval_shift); profiles that know better override it."""
         return min_n
 
+    def first_above(self, t: float, n_lo: int,
+                    digit_cap: int) -> Optional[int]:
+        """The least n > n_lo whose computed value exceeds t, a value past
+        float range counting as above t; None when the profile cannot
+        tell without a search.  Raises CapacityError where a doubling
+        search from n_lo + 1 would (`_check_doubling_cap`)."""
+        return None
+
+    def nondecreasing_by_shape(self) -> bool:
+        """True when the profile's form makes it nondecreasing; False
+        when only a scan can tell."""
+        return False
+
+    def at_log(self, y: float) -> Optional[float]:
+        """_raw(n) for every n >= 2 with math.log(n) == y, when the
+        profile is a function of math.log(n) alone; else None."""
+        return None
+
+    def boundary_anchor(self, n: int) -> Optional[bignum.Anchor]:
+        """The Anchor of the exponent X of a boundary c = ceil(e^X) that
+        the profile built, for n = c or c - 1; else None."""
+        return None
+
+
+# --------------------------------------------------------------------------
+# inverses on the log scale
+# --------------------------------------------------------------------------
+
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+
+
+def _bits(x: float) -> int:
+    """The bit pattern of a double x >= 0, an int ordered as x is."""
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
+
+
+def _double(b: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(b))[0]
+
+
+_INF_BITS = _bits(math.inf)
+_LOG_MAX = math.log(sys.float_info.max)
+_MANT = 1 << 52                  # the least 53-bit mantissa
+_LOG_EXACT = math.log(2 * _MANT)  # up to 2^53 every integer is a double
+
+
+def _least(pred: Callable[[int], bool], lo: int, start: int,
+           hi: Optional[int] = None) -> int:
+    """The least integer x > lo with pred(x), for pred false at lo, true
+    at hi (if given) and monotone: false, then true.  The search steps
+    away from the estimate start in doubling steps and bisects the
+    bracket it finds."""
+    x = max(start, lo + 1)
+    if hi is not None:
+        x = min(x, hi)
+    step = 1
+    if pred(x):
+        hi = x
+        while hi - step > lo and pred(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:
+        lo = x
+        while True:
+            x = lo + step
+            if hi is not None and x >= hi:
+                break
+            if pred(x):
+                hi = x
+                break
+            lo, step = x, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _least_int_with_log(y: float) -> int:
+    """The least integer n >= 1 whose math.log(n) is at least y.
+
+    math.log takes the log of n rounded to 53 bits, half to even: as a
+    double below 2^1024, in frexp form (log(x) + log(2) e) above.  So
+    past 2^53 it is a function of that rounding m 2^k, m a 53-bit
+    mantissa and k >= 1: find the least k, then the least m, for which
+    the log of m 2^k reaches y, and return the least integer that
+    rounds to m 2^k.
+    """
+    if y <= _LOG_EXACT:
+        return _least(lambda n: math.log(n) >= y, 0,
+                      math.ceil(math.exp(max(y, 0.0))))
+    top = 2 * _MANT - 1
+    k = max(1, int(y / bignum.LN2) - 53)
+    while k > 1 and math.log(top << (k - 1)) >= y:
+        k -= 1
+    while math.log(top << k) < y:
+        k += 1
+    # so (_MANT - 1) 2^k, at most top 2^(k-1), lies below y
+    m = _least(lambda m: math.log(m << k) >= y, _MANT - 1, _MANT
+               + int(_MANT * math.expm1(y - math.log(_MANT << k))), top)
+    # the integers that round to m 2^k start at its midpoint with the
+    # value below, which a tie rounds to the even mantissa
+    below = top << (k - 1) if m == _MANT else (m - 1) << k
+    return ((m << k) + below) // 2 + (m & 1)
+
+
+def _check_doubling_cap(n_lo: int, below: Optional[Callable[[int], bool]],
+                        digit_cap: int) -> None:
+    """CapacityError where a doubling search for the crossing past n_lo
+    raises: it probes (n_lo + 1) 2^k for k = 0, 1, ... while a probe lies
+    below the crossing (`below`; None when there is no crossing), and
+    gives up at the first probe that passes digit_cap digits."""
+    base = n_lo + 1
+
+    def past(k):
+        return bignum.digits_of_exp(math.log(base << k)) > digit_cap
+
+    k = max(0, int((digit_cap * bignum.LOG10 - math.log(base))
+                   / bignum.LN2) - 1)
+    while k > 0 and past(k - 1):
+        k -= 1
+    while not past(k):
+        k += 1
+    probe = base << k
+    if below is None or below(probe):
+        bignum.check_digit_cap(math.log(probe), digit_cap)
+
+
+def _check_crossing_cap(n_lo: int, c: int, digit_cap: int) -> None:
+    """`_check_doubling_cap` for the crossing c."""
+    if bignum.digits_of_exp(math.log(c - 1)) > digit_cap:
+        _check_doubling_cap(n_lo, lambda probe: probe < c, digit_cap)
+
+
+def _crossing_on_log(key: Callable[[float], float], t: float, n_lo: int,
+                     y_est: Optional[float], digit_cap: Optional[int]) -> int:
+    """The least n > n_lo with key(math.log(n)) > t, for a finite t and a
+    nondecreasing key, unbounded unless constant, that reads a value past
+    float range as inf.  The estimate y_est of the crossing's log steers
+    the search; it is None for a constant key.  CapacityError where a
+    doubling search from n_lo + 1 would raise, so also when key never
+    exceeds t; no check for a digit_cap of None, whose caller bounds the
+    crossing."""
+    n = n_lo + 1
+    y_lo = math.log(n)
+    if key(y_lo) > t:
+        return n
+    if y_est is None:   # never crosses: the doubling gives up, so this raises
+        _check_doubling_cap(n_lo, None, digit_cap)
+    if y_est <= _LOG_EXACT:   # both searches at once, on the integers
+        c = _least(lambda m: key(math.log(m)) > t, n,
+                   math.ceil(math.exp(max(y_est, 0.0))))
+        if digit_cap is not None:
+            _check_crossing_cap(n_lo, c, digit_cap)
+        return c
+    # the least double y past y_lo with key(y) > t, on the doubles' bit
+    # patterns, which are ordered as the doubles are
+    y = _double(_least(lambda b: key(_double(b)) > t, _bits(y_lo),
+                       _bits(y_est), _INF_BITS))
+    if digit_cap is not None and (y == math.inf
+                                  or bignum.digits_of_exp(y) > digit_cap):
+        _check_doubling_cap(n_lo, lambda probe: math.log(probe) < y,
+                            digit_cap)
+    return _least_int_with_log(y)
+
 
 def _estimated_gamma_delta(phi: ExprPhi,
                            horizon: int = ESTIMATE_HORIZON) -> GammaDelta:
@@ -167,7 +348,8 @@ class PowerLog(PhiSpec):
     field, so it takes no part in equality, hash, repr or
     dataclasses.fields.  It is None when a parameter lies past float
     range; _raw then converts again on every call, so value() raises
-    OverflowError at every n, as a per-call conversion does.
+    OverflowError at every n, as a per-call conversion does.  So is
+    `_monotone`, the verdict of `nondecreasing_by_shape`.
     """
 
     coef: Fraction
@@ -181,6 +363,8 @@ class PowerLog(PhiSpec):
         except OverflowError:
             floats = None
         object.__setattr__(self, "_floats", floats)
+        object.__setattr__(self, "_monotone", self.coef > 0
+                           and self.n_exp >= 0 and self.log_exp >= 0)
 
     def _float_params(self) -> tuple:
         """coef, n_exp and log_exp as floats, a zero exponent as None."""
@@ -189,16 +373,51 @@ class PowerLog(PhiSpec):
                 float(self.log_exp) if self.log_exp else None)
 
     def _raw(self, n: int) -> float:
-        ln = math.log(n)
+        return self.at_log(math.log(n))
+
+    def at_log(self, y: float) -> float:
         val, n_exp, log_exp = self._floats or self._float_params()
         if n_exp is not None:
-            val *= math.exp(n_exp * ln)
+            val *= math.exp(n_exp * y)
         if log_exp is not None:
-            if ln == 0.0:
+            if y == 0.0:
                 # 0^positive = 0 triggers the phi(1) fallback upstream
                 return 0.0 if self.log_exp > 0 else math.inf
-            val *= ln ** log_exp
+            val *= y ** log_exp
         return val
+
+    def nondecreasing_by_shape(self) -> bool:
+        return self._monotone
+
+    def first_above(self, t: float, n_lo: int,
+                    digit_cap: int) -> Optional[int]:
+        """Searched on the log scale when the profile is nondecreasing by
+        its shape (and n_lo >= 1, past the phi(1) fallback)."""
+        if n_lo < 1 or not self._monotone:
+            return None
+        return _crossing_on_log(self._key, t, n_lo, self._log_estimate(t),
+                                digit_cap)
+
+    def _key(self, y: float) -> float:
+        """at_log, a value past float range read as inf."""
+        try:
+            return self.at_log(y)
+        except OverflowError:
+            return math.inf
+
+    def _log_estimate(self, t: float) -> Optional[float]:
+        """About the y with coef e^(n_exp y) y^log_exp = t > 0, where a
+        search for the crossing of t starts; None for a constant."""
+        coef, a, b = self._floats
+        r = math.log(t) - math.log(coef)
+        if b is None:
+            return r / a if a is not None else None
+        if a is None:
+            return math.exp(min(r / b, _LOG_MAX))
+        y = max(r / a, 1.0)   # Newton on a y + b ln y = r, from above
+        for _ in range(6):
+            y = max(y - (a * y + b * math.log(y) - r) / (a + b / y), 1.0)
+        return y
 
     def gamma_delta(self) -> GammaDelta:
         return _monomial_extremes(self.n_exp, self.log_exp, self.coef)
@@ -389,6 +608,7 @@ class OscLogPhi(PhiSpec):
         self._cycles = 0
         self._next_start = 2
         self._held: Optional[float] = None   # the open cycle's, if any
+        self._anchors: dict[int, bignum.Anchor] = {}   # by boundary
 
     def _grow(self) -> None:
         """Close the open cycle, or open the next one."""
@@ -410,10 +630,12 @@ class OscLogPhi(PhiSpec):
 
     def _close_cycle(self) -> None:
         held, climb_end = self._held, self._segments[-1][1]
-        catch = bignum.exp_ceil(held / self._df,
-                                digit_cap=self._SEGMENT_DIGIT_CAP)
+        catch, anchor = bignum.exp_ceil_anchor(held / self._df, 1,
+                                               self._SEGMENT_DIGIT_CAP)
         if catch <= climb_end:  # can't happen for mult > delta, but be safe
             catch = climb_end + 1
+        else:
+            self._anchors[catch] = anchor
         if catch > climb_end + 1:
             self._push(climb_end + 1, catch - 1, "hold", None, held)
         self._held = None
@@ -444,6 +666,32 @@ class OscLogPhi(PhiSpec):
 
     def gamma_delta(self) -> GammaDelta:
         return GammaDelta(self.gamma, self.delta, "analytic")
+
+    def nondecreasing_by_shape(self) -> bool:
+        return True
+
+    def first_above(self, t: float, n_lo: int,
+                    digit_cap: int) -> Optional[int]:
+        """Leg by leg from n_lo + 1: a hold leg crosses t at its start when
+        its held value exceeds t, a log leg where mult log n does."""
+        if n_lo < 1:
+            return None
+        n = n_lo + 1
+        while True:
+            _, end, kind, mult, held = self.segment_for(n)
+            if kind == "hold":
+                if held > t:
+                    break
+            elif mult * math.log(end) > t:
+                n = _crossing_on_log(lambda y: mult * y, t, n - 1, t / mult,
+                                     None)
+                break
+            n = end + 1
+        _check_crossing_cap(n_lo, n, digit_cap)
+        return n
+
+    def boundary_anchor(self, n: int) -> Optional[bignum.Anchor]:
+        return self._anchors.get(n + 1) or self._anchors.get(n)
 
     # -- witness queries -----------------------------------------------------
 
@@ -720,13 +968,16 @@ def parse_phi(text: str) -> PhiSpec:
 
 
 def check_nondecreasing(phi: PhiSpec) -> None:
-    """Verify phi does not decrease on 2..MONOTONE_WINDOW, up to a relative
-    MONOTONE_SLACK (finite-window check only).
+    """Verify phi does not decrease: by its shape when that tells
+    (`nondecreasing_by_shape`), else on 2..MONOTONE_WINDOW, up to a
+    relative MONOTONE_SLACK.
 
-    Raises PlanValidityError at the first violation.  A pass certifies the
-    scanned window and nothing beyond it; callers relying on monotonicity
-    at larger n inherit that caveat.
+    Raises PlanValidityError at the first violation of the scan.  A
+    scan certifies its window and nothing beyond it; callers relying on
+    monotonicity at larger n inherit that caveat.
     """
+    if phi.nondecreasing_by_shape():
+        return
     prev = phi.value(2)
     for n in range(3, MONOTONE_WINDOW + 1):
         cur = phi.value(n)

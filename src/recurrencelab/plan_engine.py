@@ -198,11 +198,13 @@ def _witness(phi: PhiSpec, target, x: float, A, digit_cap: int, *,
     """The witness search from min_n = ceil(e^x), as two (n, near) rungs:
     (min_n, the `bignum.Anchor` of x), and the ratio witness w for target
     (find_ratio_witness reads tol for a finite target and threshold for an
-    infinite one) with that anchor only when w is min_n, which x built."""
+    infinite one) with that anchor when w is min_n, which x built, and
+    else with the anchor of a profile boundary at w or w + 1, if any."""
     min_n, anchor = bignum.exp_ceil_anchor(x, A, digit_cap)
     w = find_ratio_witness(phi, target, min_n, tol=tol, threshold=threshold,
                            eval_shift=shift)
-    return (min_n, anchor), (w, anchor if w == min_n else None)
+    near = anchor if w == min_n else phi.boundary_anchor(w)
+    return (min_n, anchor), (w, near)
 
 
 def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
@@ -286,8 +288,18 @@ def _phi_for_search(phi: PhiSpec, n: int) -> float:
 
 def _min_crossing(phi: PhiSpec, n_lo: int, target: float,
                   digit_cap: int) -> int:
-    """Least n > n_lo with computed phi(n) > target (phi nondecreasing).
-    CapacityError once the doubling search passes digit_cap digits."""
+    """Least n > n_lo with computed phi(n) > target (phi nondecreasing):
+    the profile's own answer (`first_above`), else `_search_crossing`."""
+    crossing = phi.first_above(target, n_lo, digit_cap)
+    if crossing is None:
+        crossing = _search_crossing(phi, n_lo, target, digit_cap)
+    return crossing
+
+
+def _search_crossing(phi: PhiSpec, n_lo: int, target: float,
+                     digit_cap: int) -> int:
+    """_min_crossing by a doubling search and a bisection.  CapacityError
+    once the doubling search passes digit_cap digits."""
     lo, hi = n_lo, n_lo + 1
     while _phi_for_search(phi, hi) <= target:
         bignum.check_digit_cap(math.log(hi), digit_cap)
@@ -377,6 +389,18 @@ def _gen_case_i(phi, cls, p, digit_cap):
         prev_n, prev_l = i, ell
 
 
+def _check_ell_floor(phi: PhiSpec, alpha: float, min_ln: float,
+                     digit_cap: int) -> None:
+    """CapacityError when even the least ell = ceil(e^(alpha phi(n))) of
+    a candidate n >= ceil(e^min_ln) passes digit_cap digits."""
+    try:
+        f_lo = phi.at_log(math.nextafter(min_ln, 0.0))
+    except OverflowError:
+        return   # the candidate's own value raises
+    if f_lo is not None:
+        bignum.check_digit_cap(alpha * f_lo, digit_cap)
+
+
 @_truncated
 def _gen_case_ii(phi, cls, p, digit_cap):
     alpha, gamma = cls.alpha, cls.gamma
@@ -384,6 +408,10 @@ def _gen_case_ii(phi, cls, p, digit_cap):
     # the power of ell = ceil(n^A ln n); an infinite gamma with alpha > 0
     # takes ell = ceil(e^(alpha phi(n))) instead
     A = 1 if alpha.is_zero or gamma.is_inf else (alpha * gamma).fraction
+    # that ell's exponent is at least alpha phi at the double below min_ln,
+    # which a candidate's math.log reaches, when phi is nondecreasing
+    cap_first = (gamma.is_inf and not alpha.is_zero
+                 and phi.nondecreasing_by_shape())
     n_prev = max(2, p)
     prev_ratio = 0.0
     for i in itertools.count(1):
@@ -392,6 +420,8 @@ def _gen_case_ii(phi, cls, p, digit_cap):
         if gf is not None:
             min_ln = max(min_ln, 1.01 * i * t / gf)
         for _attempt in range(64):
+            if cap_first:
+                _check_ell_floor(phi, float(alpha), min_ln, digit_cap)
             _, (cand, near) = _witness(phi, gamma, min_ln, A, digit_cap,
                                        tol=1.0 / i,
                                        threshold=max(float(i), prev_ratio))

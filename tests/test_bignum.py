@@ -284,23 +284,25 @@ def test_plans_are_unchanged_without_the_hinted_ln(monkeypatch):
 
 
 def test_no_position_built_from_its_exponent_loses_its_anchor(monkeypatch):
-    # a term whose n a plan built as ceil(e^X), and whose anchor passes
-    # the bounds of the series, has its ell finished from that anchor:
-    # ladder rungs and witnesses at min_n (case v), a candidate at min_n
-    # (case ii) and case iv's positions never reach `_ln`
+    # a term whose n a plan built as ceil(e^X), or one below it, and whose
+    # anchor passes the bounds of the series, has its ell finished from
+    # that anchor: ladder rungs and witnesses at min_n (case v), a lower
+    # witness one below an OscLogPhi boundary (case v on --osc 4/5 6/5), a
+    # candidate at min_n (case ii) and case iv's positions never reach `_ln`
     built, real_anchor = {}, bignum.exp_ceil_anchor
     finished_by_ln, real_ln = [], bignum._ln
 
     def anchor_spy(x, exponent, digit_cap=DEFAULT_DIGIT_CAP):
         n, anchor = real_anchor(x, exponent, digit_cap)
         built[n] = exponent, anchor
+        built.setdefault(n - 1, (exponent, anchor))
         return n, anchor
 
     monkeypatch.setattr(bignum, "exp_ceil_anchor", anchor_spy)
     monkeypatch.setattr(bignum, "_ln", lambda n, dps: finished_by_ln.append(n)
                         or real_ln(n, dps))
     cases = set()
-    for request in HINT_PLANS:
+    for request in HINT_PLANS + [("osc 4/5 6/5", "5/6", "5/4", 120)]:
         built.clear()
         finished_by_ln.clear()
         plan = _hint_plan(*request)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from recurrencelab import bignum, phi_spec, plan_full_dimension
 from recurrencelab.errors import CapacityError
 from recurrencelab.phi_spec import (ESTIMATE_HORIZON, SCAN_BLOCK,
                                     ExprPhi, _Add, _estimated_gamma_delta,
-                                    _gamma_delta_from_monomials, _Log, _Mul,
-                                    _Num, _Pow, _Var)
+                                    _gamma_delta_from_monomials,
+                                    _least_int_with_log, _Log, _Mul, _Num,
+                                    _Pow, _Var)
 
 
 # ---------------------------------------------------------------- parser ---
@@ -222,6 +224,97 @@ def test_check_nondecreasing():
         check_nondecreasing(parse_phi("log(5*0.9^n)"))
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The profiles whose values check_nondecreasing reads (the scan)."""
+    seen, real = [], phi_spec.PhiSpec.value
+
+    def spy(self, n):
+        if sys._getframe(1).f_code.co_name == "check_nondecreasing":
+            seen.append(self)
+        return real(self, n)
+
+    monkeypatch.setattr(phi_spec.PhiSpec, "value", spy)
+    return seen
+
+
+def _scan_verdict(phi, monkeypatch):
+    """check_nondecreasing with the shape verdict withheld: the scan's."""
+    with monkeypatch.context() as m:
+        m.setattr(type(phi), "nondecreasing_by_shape", lambda self: False)
+        try:
+            check_nondecreasing(phi)
+        except PlanValidityError:
+            return False
+    return True
+
+
+def test_the_shape_verdict_is_the_scans(monkeypatch, scans):
+    # a PowerLog with a positive coefficient and nonnegative exponents,
+    # and every OscLogPhi, is nondecreasing by its shape, which the scan
+    # confirms; check_nondecreasing then reads no value
+    rng = random.Random(7)
+    profiles = [PowerLog(Fraction(rng.randrange(1, 400), rng.randrange(1, 40)),
+                         Fraction(rng.randrange(0, 30), rng.randrange(1, 12)),
+                         Fraction(rng.randrange(0, 60), rng.randrange(1, 12)))
+                for _ in range(40)]
+    profiles += [PowerLog(Fraction(1), Fraction(0), Fraction(0))]
+    for _ in range(12):
+        delta = Fraction(rng.randrange(1, 40), rng.randrange(1, 20))
+        gamma = (INF if rng.random() < 0.25
+                 else delta + Fraction(rng.randrange(1, 40), rng.randrange(1, 20)))
+        profiles.append(OscLogPhi(delta, gamma))
+    for phi in profiles:
+        assert phi.nondecreasing_by_shape(), phi
+        assert _scan_verdict(phi, monkeypatch), phi
+    scans.clear()
+    for phi in profiles:
+        check_nondecreasing(phi)
+    assert scans == []
+
+
+def test_a_profile_with_a_negative_exponent_is_still_scanned(scans):
+    # log(n)^2 / n^(1/100) rises over the window, log(n)^2 / n^(1/2) peaks
+    # near n = e^4 and falls from n = 55 on; an ExprPhi is always scanned
+    rising = PowerLog(Fraction(1), Fraction(-1, 100), Fraction(2))
+    falling = PowerLog(Fraction(1), Fraction(-1, 2), Fraction(2))
+    expr = parse_phi("log(n)+log(log(n))")
+    for phi in (rising, falling, expr):
+        assert not phi.nondecreasing_by_shape()
+    check_nondecreasing(rising)
+    with pytest.raises(PlanValidityError, match="n=55 .* n=56 "):
+        check_nondecreasing(falling)
+    check_nondecreasing(expr)
+    assert set(map(id, scans)) == {id(rising), id(falling), id(expr)}
+
+
+# ----------------------------------------------------- inverse of log ---
+
+def _log_inverse_inputs():
+    """Integers around 2^53 and 2^1024, up to 10^400, and the ties of
+    53-bit rounding: m 2^k plus or minus 2^(k-1), m even and odd."""
+    rng = random.Random(11)
+    ns = [1, 2, 3, 10 ** 6, 2 ** 52, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1,
+          2 ** 53 + 2, 2 ** 53 + 3, 10 ** 17, 2 ** 1024 - 2 ** 970 - 1,
+          2 ** 1024 - 2 ** 970, 2 ** 1024 - 1, 2 ** 1024, 10 ** 400]
+    ns += [rng.randrange(2, 10 ** rng.randrange(2, 401)) for _ in range(60)]
+    for k in (1, 2, 30, 970, 971, 972, 1300):
+        for m in (2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1,
+                  rng.randrange(2 ** 52, 2 ** 53)):
+            ns += [(m << k) + d for d in (-(1 << (k - 1)), 1 << (k - 1))]
+    return ns
+
+
+def test_least_int_with_log_is_the_least():
+    # y on a value math.log takes, and one double past it: the answer
+    # reaches y and the integer before it does not
+    for n in _log_inverse_inputs():
+        y0 = math.log(n)
+        for y in (y0, math.nextafter(y0, math.inf)):
+            r = _least_int_with_log(y)
+            assert math.log(r) >= y and (r == 1 or math.log(r - 1) < y), n
+
+
 # -------------------------------------------------------------- osc log ---
 
 def test_osc_log_validation():
@@ -336,15 +429,15 @@ def test_a_plan_closes_no_cycle_past_the_last_one_a_lookup_reached(
     # but not past its climb, so its closing boundary, an integer of about
     # 10 000 digits, is never computed
     phi = OscLogPhi("4/5", "6/5")
-    closed, reached, real = [], [], bignum.exp_ceil
+    closed, reached, real = [], [], bignum.exp_ceil_anchor
 
     def spy(*args, **kwargs):
-        value = real(*args, **kwargs)
+        value, anchor = real(*args, **kwargs)
         if sys._getframe(1).f_globals["__name__"] == phi_spec.__name__:
             closed.append(value)
-        return value
+        return value, anchor
 
-    monkeypatch.setattr(bignum, "exp_ceil", spy)
+    monkeypatch.setattr(bignum, "exp_ceil_anchor", spy)
     for name in ("segment_for", "_segment_at_least"):
         def lookup(*args, real_lookup=getattr(phi, name), **kwargs):
             seg = real_lookup(*args, **kwargs)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -232,6 +233,25 @@ def test_slow_rate_plans_with_witnesses_past_the_cap(text, alpha, count):
     check_plan_conditions(plan)
 
 
+def test_case_ii_checks_the_ell_cap_before_the_candidate(monkeypatch):
+    # log(n)^2 1/inf: the third ell = ceil(e^phi(n)) would have about
+    # 6*10^7 digits, which phi at the double below min_ln already shows,
+    # so the candidates of 3 433 and 5 134 digits are never computed
+    runs, real = [], bignum._exp
+    monkeypatch.setattr(bignum, "_exp",
+                        lambda terms, dps: runs.append(dps) or real(terms, dps))
+    plan = plan_full_dimension(parse_phi("log(n)^2"), 1, INF, count=4)
+    assert [len(str(v)) for term in plan.terms for v in term] == [2, 8, 23,
+                                                                  1135]
+    assert max(runs) < 2000
+    # a profile that is not nondecreasing by its shape still computes them
+    monkeypatch.setattr(phi_spec.PowerLog, "nondecreasing_by_shape",
+                        lambda self: False)
+    runs.clear()
+    again = plan_full_dimension(parse_phi("log(n)^2"), 1, INF, count=4)
+    assert again == plan and max(runs) >= 5134
+
+
 # -------------------------------------------------------------- ladder 1 ---
 
 def _log_ladder(phi, C, gamma, delta, count, *, p=2,
@@ -272,9 +292,10 @@ def _assert_phases(phi, gamma, delta, ns, nears, calls, geometric):
     """The searches alternate an upper witness (ratio read at w) and a
     lower one (read at w + 1), each reaching its side of the ratio within
     its tolerance or above its threshold.  Each witness ends its phase, in
-    order, carrying its search's anchor only when it is the search's
-    min_n; a geometric phase of cycle c holds at least c rungs.  Only the
-    last search's phase may be cut by the count."""
+    order, carrying an anchor only when it is the search's min_n or sits
+    at (or one below) a boundary the profile built from its exponent; a
+    geometric phase of cycle c holds at least c rungs.  Only the last
+    search's phase may be cut by the count."""
     assert all(a < b for a, b in zip(ns, ns[1:]))
     assert nears[0] is None
     ends = []
@@ -292,7 +313,8 @@ def _assert_phases(phi, gamma, delta, ns, nears, calls, geometric):
             assert c.threshold == cycle and c.tol <= 1 / cycle, j
         if c.w in ns:
             e = ns.index(c.w)
-            assert (nears[e] is not None) == (c.w == c.min_n), j
+            assert (nears[e] is not None) == (
+                c.w == c.min_n or phi.boundary_anchor(c.w) is not None), j
             ends.append(e)
     assert calls and all(c.w in ns for c in calls[:-1])
     lengths = [b - a for a, b in zip([0, *ends], ends)]
@@ -629,6 +651,98 @@ def test_a_bounded_profile_stops_the_unit_increase_search_at_the_digit_cap():
         next(_unit_steps(parse_phi("2"), 3, False, digit_cap=30))
 
 
+# ------------------------------------------- crossings on the log scale ---
+
+CROSSING_PROFILES = ["n", "2*n^2", "log(n)^1.5", "log(n)^3", "n^0.5*log(n)",
+                     "osc 1 3", "osc 1/2 2", "osc 4/5 6/5", "osc 1 inf"]
+# starts from 2 to 10^400, on both sides of 2^53 and of 2^1024 (where
+# math.log turns from a double's log to the frexp form), and where a
+# double's rounding of n - 1 crosses a tie
+CROSSING_STARTS = [2, 3, 10, 1000, 10 ** 6, 2 ** 52 - 2, 2 ** 53 - 3,
+                   2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 6, 10 ** 17,
+                   2 ** 1023 + 1, 2 ** 1024 - 2 ** 971, 2 ** 1024 - 2 ** 970,
+                   2 ** 1024 - 1, 2 ** 1024, 2 ** 1024 + 1, 10 ** 308,
+                   10 ** 309, 10 ** 400]
+
+
+def _oracle_crossing(phi, n_lo, t, digit_cap):
+    """The doubling search and bisection, or the CapacityError it raises."""
+    try:
+        return plan_engine._search_crossing(phi, n_lo, t, digit_cap)
+    except CapacityError as exc:
+        return str(exc)
+
+
+def _crossing_targets(phi, n_lo, rng):
+    """phi(n_lo) + 1, and values phi takes past n_lo (so phi's float steps
+    decide the crossing), as far as they stay in float range."""
+    targets = []
+    for m in (n_lo, n_lo + 1, n_lo + rng.randrange(2, 1000),
+              n_lo + n_lo // rng.randrange(2, 10 ** 6),
+              n_lo * rng.randrange(2, 50)):
+        try:
+            targets.append(phi.value(m))
+        except OverflowError:
+            pass
+    if targets:
+        targets.append(targets[0] + 1.0)
+    return targets or [1e300]
+
+
+@pytest.mark.parametrize("spec", CROSSING_PROFILES)
+def test_first_above_is_the_searched_crossing(spec):
+    # a PowerLog and an OscLogPhi answer the crossing on the log scale;
+    # the doubling search and bisection that an ExprPhi keeps is the
+    # oracle, for the crossing and for the CapacityError it raises at
+    # the digit cap (default, and a few digits past the start)
+    rng = random.Random(spec)
+    phi = _profile(spec)
+    starts = CROSSING_STARTS + [rng.randrange(2, 10 ** rng.randrange(2, 401))
+                                for _ in range(12)]
+    for n_lo in starts:
+        digits = len(str(n_lo))
+        for t in _crossing_targets(phi, n_lo, rng):
+            for cap in (bignum.DEFAULT_DIGIT_CAP, digits + 1, digits + 4):
+                want = _oracle_crossing(phi, n_lo, t, cap)
+                try:
+                    got = phi.first_above(t, n_lo, cap)
+                except CapacityError as exc:
+                    got = str(exc)
+                assert got == want, (spec, n_lo, t, cap)
+
+
+def test_first_above_raises_where_the_doubling_passes_the_cap():
+    # phi = 2 never crosses 3: both give up at the first probe past the
+    # cap; log(n)^3 crosses 10^9 + 1 near e^1000, past a 30-digit cap
+    for spec, n_lo, t in (("2", 3, 3.0), ("log(n)^3", 5, 1e9 + 1)):
+        phi = parse_phi(spec)
+        with pytest.raises(CapacityError) as exc:
+            phi.first_above(t, n_lo, 30)
+        assert str(exc.value) == _oracle_crossing(phi, n_lo, t, 30)
+    # an ExprPhi leaves the crossing to the search
+    assert parse_phi("log(n)+log(log(n))").first_above(3.0, 5, 30) is None
+
+
+def test_no_profile_with_a_log_scale_inverse_reaches_the_bisection(
+        monkeypatch):
+    # every crossing that the unit-increase ladders of cases iii and vi
+    # ask a PowerLog or an OscLogPhi for is answered by the profile
+    searched, real = [], plan_engine._search_crossing
+    monkeypatch.setattr(plan_engine, "_search_crossing",
+                        lambda phi, *a: searched.append(type(phi).__name__)
+                        or real(phi, *a))
+    for spec, alpha, beta in (("log(n)^1.5", "1", "2"), ("n", "1", "2"),
+                              ("osc 1 3", "1", "1"),
+                              ("osc 1/2 2", "2", "5/2")):
+        plan = plan_full_dimension(_profile(spec), ExtReal(alpha),
+                                   ExtReal(beta), count=120)
+        assert plan.case_tag in ("iii", "vi")
+    assert searched == []
+    rate = ExtReal("0.9")
+    plan_full_dimension(parse_phi("log(n)+log(log(n))"), rate, rate)
+    assert searched and set(searched) == {"ExprPhi"}
+
+
 def _digest(plan):
     return hashlib.sha256(plan.to_json().encode()).hexdigest()
 
@@ -647,6 +761,26 @@ def test_plans_with_a_rational_exponent_keep_their_terms(spec, alpha, beta,
     plan = plan_full_dimension(parse_phi(spec), ExtReal(alpha),
                                ExtReal(beta), count=count)
     assert plan.case_tag == "v" and len(plan.terms) == count
+    assert _digest(plan) == digest
+
+
+# the only passing benchmark requests whose plans climb the geometric
+# ladder (log(n) at C = 3 and C = 2), both stopped by the digit cap: the
+# digests pin their to_json(), which no benchmark check reads
+@pytest.mark.parametrize("beta,count,terms,digest", [
+    ("3", 12, 10,
+     "35857cdaadca66ea790b1a05c18ad4da38312e4b64081359241cb6d57a3ffd5f"),
+    ("2", 30, 13,
+     "a8b5edae3558852ae5bb8320a98165a2bcc339f29ded69c55c70052b68f33981")])
+def test_geometric_ladder_plans_keep_their_terms(monkeypatch, beta, count,
+                                                 terms, digest):
+    ladders, real = [], plan_engine._geometric_rungs
+    monkeypatch.setattr(plan_engine, "_geometric_rungs",
+                        lambda *a: ladders.append(a[1]) or real(*a))
+    plan = plan_full_dimension(parse_phi("log(n)"), ExtReal(1),
+                               ExtReal(beta), count=count)
+    assert ladders == [Fraction(beta)]
+    assert plan.case_tag == "v" and len(plan.terms) == terms
     assert _digest(plan) == digest
 
 
