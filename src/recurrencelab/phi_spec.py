@@ -33,11 +33,14 @@ the `bignum.Anchor` of an exponent the profile built n (or n + 1) from.
 A PowerLog and the legs of an OscLogPhi are functions of math.log(n), so
 they answer `first_above` from their inverse: the least double y at which
 their value passes t, then the least integer whose math.log reaches y.
-A PowerLog also gives its value at math.log(n) = y (`at_log`).  An
-ExprPhi answers none of them, and synthesis searches instead.
+A PowerLog also gives its value at math.log(n) = y (`at_log`).  Every
+other profile (an ExprPhi, a PowerLog that may decrease) takes the base
+class's `first_above`: a doubling search from n_lo + 1 and a bisection,
+each probe `exceeds(n, t)`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import struct
@@ -48,7 +51,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import bignum
-from .errors import PhiDomainError, PhiParseError, PlanValidityError
+from .errors import (CapacityError, PhiDomainError, PhiParseError,
+                     PlanValidityError, SearchCapError)
 from .extreal import INF, ExtReal
 
 # an ExprPhi without exact extremes is scanned up to this n
@@ -113,13 +117,34 @@ class PhiSpec:
         read at n + eval_shift); profiles that know better override it."""
         return min_n
 
-    def first_above(self, t: float, n_lo: int,
-                    digit_cap: int) -> Optional[int]:
-        """The least n > n_lo whose computed value exceeds t, a value past
-        float range counting as above t; None when the profile cannot
-        tell without a search.  Raises CapacityError where a doubling
-        search from n_lo + 1 would (`_check_doubling_cap`)."""
-        return None
+    def exceeds(self, n: int, t: float) -> bool:
+        """value(n) > t, a value past float range counting as above t;
+        SearchCapError where the profile runs out (PhiDomainError)."""
+        try:
+            return self.value(n) > t
+        except OverflowError:
+            return True
+        except PhiDomainError as exc:
+            raise SearchCapError(
+                f"profile ran out during the search: {exc}") from exc
+
+    def first_above(self, t: float, n_lo: int, digit_cap: int) -> int:
+        """The least n > n_lo whose computed value exceeds t (`exceeds`),
+        for a nondecreasing profile: a doubling search from n_lo + 1 and a
+        bisection.  CapacityError once the doubling passes digit_cap
+        digits; a profile that answers on the log scale raises it where
+        this search would (`_check_doubling_cap`)."""
+        lo, hi = n_lo, n_lo + 1
+        while not self.exceeds(hi, t):
+            bignum.check_digit_cap(math.log(hi), digit_cap)
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.exceeds(mid, t):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     def nondecreasing_by_shape(self) -> bool:
         """True when the profile's form makes it nondecreasing; False
@@ -389,14 +414,18 @@ class PowerLog(PhiSpec):
     def nondecreasing_by_shape(self) -> bool:
         return self._monotone
 
-    def first_above(self, t: float, n_lo: int,
-                    digit_cap: int) -> Optional[int]:
+    def first_above(self, t: float, n_lo: int, digit_cap: int) -> int:
         """Searched on the log scale when the profile is nondecreasing by
-        its shape (and n_lo >= 1, past the phi(1) fallback)."""
+        its shape (and n_lo >= 1, past the phi(1) fallback); else the
+        default search."""
         if n_lo < 1 or not self._monotone:
-            return None
-        return _crossing_on_log(self._key, t, n_lo, self._log_estimate(t),
-                                digit_cap)
+            return super().first_above(t, n_lo, digit_cap)
+        n = _crossing_on_log(self._key, t, n_lo, self._log_estimate(t),
+                             digit_cap)
+        # the search's probe of n: SearchCapError where the value there
+        # leaves float range as a product, not by an OverflowError
+        self.exceeds(n, t)
+        return n
 
     def _key(self, y: float) -> float:
         """at_log, a value past float range read as inf."""
@@ -583,12 +612,11 @@ class OscLogPhi(PhiSpec):
     both endpoints on whole segments, hence liminf = delta exactly and
     limsup = gamma (finite or not).
 
-    Segments are generated on demand and memoized append-only; once
-    created they never change, so lookups may cache freely.  A cycle
-    opens with its low and climb legs; its closing boundary c, an integer
-    of about mult/delta times the digits of 2E, and its hold leg are
-    computed only when a lookup first reaches past the climb, or the next
-    cycle opens.
+    Segments come from one lazy generator (`_generate`) and are memoized
+    append-only; once created they never change, so lookups may cache
+    freely.  A cycle's closing boundary c, an integer of about
+    mult/delta times the digits of 2E, and its hold leg are computed only
+    when a lookup first reaches past its climb.
     """
 
     _SEGMENT_DIGIT_CAP = 100_000
@@ -605,56 +633,60 @@ class OscLogPhi(PhiSpec):
         # (start, end, kind, mult, hold_value); kind in {"low","climb","hold"}
         self._segments: list[tuple[int, int, str, Optional[float], Optional[float]]] = []
         self._starts: list[int] = []
-        self._cycles = 0
-        self._next_start = 2
-        self._held: Optional[float] = None   # the open cycle's, if any
         self._anchors: dict[int, bignum.Anchor] = {}   # by boundary
+        self._pending = self._generate()
 
-    def _grow(self) -> None:
-        """Close the open cycle, or open the next one."""
-        if self._held is None:
-            self._open_cycle()
-        else:
-            self._close_cycle()
-
-    def _open_cycle(self) -> None:
-        s = self._next_start
-        k = self._cycles + 1
-        end_low = 4 * s
-        self._push(s, end_low, "low", self._df, None)
-        mult = self._gf if self._gf is not None else self._df + k
-        climb_end = 2 * end_low
-        self._push(end_low + 1, climb_end, "climb", mult, None)
-        self._held = mult * math.log(climb_end)
-        self._cycles = k
-
-    def _close_cycle(self) -> None:
-        held, climb_end = self._held, self._segments[-1][1]
-        catch, anchor = bignum.exp_ceil_anchor(held / self._df, 1,
-                                               self._SEGMENT_DIGIT_CAP)
-        if catch <= climb_end:  # can't happen for mult > delta, but be safe
-            catch = climb_end + 1
-        else:
-            self._anchors[catch] = anchor
-        if catch > climb_end + 1:
-            self._push(climb_end + 1, catch - 1, "hold", None, held)
-        self._held = None
-        self._next_start = catch
-
-    def _push(self, start, end, kind, mult, held) -> None:
-        self._segments.append((start, end, kind, mult, held))
-        self._starts.append(start)
-
-    def _extend_to(self, n: int) -> None:
-        while not self._segments or self._segments[-1][1] < n:
-            self._grow()
+    def _generate(self):
+        """The segments in order, cycle by cycle.  A cycle's closing
+        boundary (its Anchor kept) and hold leg are built when the segment
+        after its climb is pulled; a boundary past _SEGMENT_DIGIT_CAP
+        digits comes as the CapacityError that building it raised, at that
+        pull and every later one."""
+        s = 2
+        for k in itertools.count(1):
+            end_low = 4 * s
+            yield s, end_low, "low", self._df, None
+            mult = self._gf if self._gf is not None else self._df + k
+            climb_end = 2 * end_low
+            yield end_low + 1, climb_end, "climb", mult, None
+            held = mult * math.log(climb_end)
+            while True:
+                try:
+                    s, anchor = bignum.exp_ceil_anchor(
+                        held / self._df, 1, self._SEGMENT_DIGIT_CAP)
+                    break
+                except CapacityError as exc:
+                    yield exc
+            # mult > delta can round to mult == delta as doubles: then
+            # held/delta is math.log(climb_end), which may lie below the
+            # true log, and the boundary comes out as climb_end itself
+            if s <= climb_end:
+                s = climb_end + 1
+            else:
+                self._anchors[s] = anchor
+            if s > climb_end + 1:
+                yield climb_end + 1, s - 1, "hold", None, held
 
     def segment_for(self, n: int) -> tuple[int, int, str, Optional[float], Optional[float]]:
         if n < 2:
             raise PhiDomainError("segments cover n >= 2")
-        self._extend_to(n)
-        i = bisect_right(self._starts, n) - 1
-        return self._segments[i]
+        while not self._segments or self._segments[-1][1] < n:
+            seg = next(self._pending)
+            if isinstance(seg, CapacityError):
+                raise seg.with_traceback(None)
+            self._segments.append(seg)
+            self._starts.append(seg[0])
+        return self._segments[bisect_right(self._starts, n) - 1]
+
+    def _legs_from(self, n: int):
+        """The segments from the one holding n on, the first clipped to
+        start at n (at 2, where the segments start, for n < 2)."""
+        n = max(n, 2)
+        seg = self.segment_for(n)
+        yield (n,) + seg[1:]
+        while True:
+            seg = self.segment_for(seg[1] + 1)
+            yield seg
 
     def _raw(self, n: int) -> float:
         if n < 2:
@@ -670,45 +702,25 @@ class OscLogPhi(PhiSpec):
     def nondecreasing_by_shape(self) -> bool:
         return True
 
-    def first_above(self, t: float, n_lo: int,
-                    digit_cap: int) -> Optional[int]:
+    def first_above(self, t: float, n_lo: int, digit_cap: int) -> int:
         """Leg by leg from n_lo + 1: a hold leg crosses t at its start when
         its held value exceeds t, a log leg where mult log n does."""
         if n_lo < 1:
-            return None
-        n = n_lo + 1
-        while True:
-            _, end, kind, mult, held = self.segment_for(n)
+            return super().first_above(t, n_lo, digit_cap)
+        for start, end, kind, mult, held in self._legs_from(n_lo + 1):
             if kind == "hold":
                 if held > t:
+                    n = start
                     break
             elif mult * math.log(end) > t:
-                n = _crossing_on_log(lambda y: mult * y, t, n - 1, t / mult,
-                                     None)
+                n = _crossing_on_log(lambda y: mult * y, t, start - 1,
+                                     t / mult, None)
                 break
-            n = end + 1
         _check_crossing_cap(n_lo, n, digit_cap)
         return n
 
     def boundary_anchor(self, n: int) -> Optional[bignum.Anchor]:
         return self._anchors.get(n + 1) or self._anchors.get(n)
-
-    # -- witness queries -----------------------------------------------------
-
-    def _segment_at_least(self, kind: str, min_n: int,
-                          min_mult: Optional[float] = None
-                          ) -> tuple[int, int, float]:
-        """(start, end, mult) of the first `kind` segment ending at or after
-        min_n (and with mult >= min_mult, if given), clipped to min_n."""
-        idx = 0
-        while True:
-            while idx >= len(self._segments):
-                self._grow()
-            start, end, seg_kind, mult, _ = self._segments[idx]
-            if (seg_kind == kind and end >= min_n
-                    and (min_mult is None or mult >= min_mult)):
-                return (max(start, min_n), end, mult)
-            idx += 1
 
     def first_witness_candidate(self, target: ExtReal, min_n: int, *,
                                 threshold: Optional[float] = None,
@@ -717,11 +729,14 @@ class OscLogPhi(PhiSpec):
         gamma is inf) or of the next low leg (ratio delta, read at
         n + eval_shift); min_n for any other target."""
         if target == self.gamma:
-            min_mult = (threshold + 1e-9) if target.is_inf else None
-            return self._segment_at_least("climb", min_n, min_mult)[0]
+            least = threshold + 1e-9 if target.is_inf else -math.inf
+            return next(start for start, _, kind, mult, _
+                        in self._legs_from(min_n)
+                        if kind == "climb" and mult >= least)
         if target == self.delta:
-            return (self._segment_at_least("low", min_n + eval_shift)[0]
-                    - eval_shift)
+            return next(start for start, _, kind, _, _
+                        in self._legs_from(min_n + eval_shift)
+                        if kind == "low") - eval_shift
         return min_n
 
     def __str__(self) -> str:

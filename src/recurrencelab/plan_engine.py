@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import bignum
 from .cantor_builder import InsertionPlan, check_plan_conditions
-from .errors import (CapacityError, GuardError, PhiDomainError, PlanValidityError,
+from .errors import (CapacityError, GuardError, PlanValidityError,
                      RefusalError, SearchCapError)
 from .extreal import INF, ONE, ExtReal
 from .phi_spec import PhiSpec, check_nondecreasing
@@ -157,7 +157,7 @@ def find_ratio_witness(phi: PhiSpec, target, min_n: int, *,
     Finite targets take |ratio - target| < tol; an infinite target takes
     ratio > threshold.  The profile's first candidate is always tested,
     even past WITNESS_CAP; after it the scan runs geometrically from min_n
-    up to WITNESS_CAP.
+    up to WITNESS_CAP, from its second probe when the candidate was min_n.
     """
     target = ExtReal(target)
     min_n = max(min_n, 2)
@@ -177,10 +177,12 @@ def find_ratio_witness(phi: PhiSpec, target, min_n: int, *,
     if hits(cand):
         return cand
     n = min_n
+    if cand == n:
+        n += n // 1024 + 1
     while n <= WITNESS_CAP:
         if hits(n):
             return n
-        n = n + n // 1024 + 1
+        n += n // 1024 + 1
     raise SearchCapError(f"no ratio witness found below {WITNESS_CAP:.2e}")
 
 
@@ -276,43 +278,6 @@ def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
 # ladder 2: unit increases of phi
 # --------------------------------------------------------------------------
 
-def _phi_for_search(phi: PhiSpec, n: int) -> float:
-    try:
-        return phi.value(n)
-    except OverflowError:
-        return math.inf
-    except PhiDomainError as exc:
-        raise SearchCapError(
-            f"profile ran out during the search: {exc}") from exc
-
-
-def _min_crossing(phi: PhiSpec, n_lo: int, target: float,
-                  digit_cap: int) -> int:
-    """Least n > n_lo with computed phi(n) > target (phi nondecreasing):
-    the profile's own answer (`first_above`), else `_search_crossing`."""
-    crossing = phi.first_above(target, n_lo, digit_cap)
-    if crossing is None:
-        crossing = _search_crossing(phi, n_lo, target, digit_cap)
-    return crossing
-
-
-def _search_crossing(phi: PhiSpec, n_lo: int, target: float,
-                     digit_cap: int) -> int:
-    """_min_crossing by a doubling search and a bisection.  CapacityError
-    once the doubling search passes digit_cap digits."""
-    lo, hi = n_lo, n_lo + 1
-    while _phi_for_search(phi, hi) <= target:
-        bignum.check_digit_cap(math.log(hi), digit_cap)
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _phi_for_search(phi, mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _unit_steps(phi: PhiSpec, n: int, product: bool, *, digit_cap: int):
     """The endless unit-increase ladder from n.  Each step goes to the
     first point where phi exceeds its value at n by more than one; with
@@ -326,8 +291,8 @@ def _unit_steps(phi: PhiSpec, n: int, product: bool, *, digit_cap: int):
     f = phi.value(n)
     while True:
         nxt = bignum.nlogn_ceil(n) if product else None
-        if nxt is None or _phi_for_search(phi, nxt) > f + 1.0:
-            nxt = _min_crossing(phi, n, f + 1.0, digit_cap)
+        if nxt is None or phi.exceeds(nxt, f + 1.0):
+            nxt = phi.first_above(f + 1.0, n, digit_cap)
         f_next = phi.value(nxt)
         yield nxt, n if f_next - f <= 2.0 else nxt - 1
         n, f = nxt, f_next

@@ -317,7 +317,7 @@ def _run_witnesses(syms, values: Sequence[int], c, logs: array,
     computed log(n) is strictly increasing for n < 2^40, since log(n + 1)
     - log(n) > 1/(n + 1) exceeds two ulps there and math.log is within
     one; c*x rounds monotonically for c > 0; and exp is taken to be
-    monotone, as plan_engine._min_crossing takes the computed values it
+    monotone, as PhiSpec.first_above takes the computed values it
     bisects.  So the depths with j <= cutoff(n) are a suffix of the run,
     and bisecting the loop's own float test finds its first depth.
     """

@@ -118,6 +118,36 @@ def test_an_inexact_root_leaves_the_monomial_form():
     assert not isinstance(phi, PowerLog) and phi.monomials is None
 
 
+def test_an_integer_power_of_a_sum_expands_to_its_monomials():
+    # (log(n) + 1)^2 = log(n)^2 + 2 log(n) + 1, dominated by log(n)^2
+    phi = parse_phi("(log(n)+1)^2")
+    assert isinstance(phi, ExprPhi)
+    assert phi.monomials == {(0, 2): 1, (0, 1): 2, (0, 0): 1}
+    gd = phi.gamma_delta()
+    assert gd.provenance == "analytic"
+    assert gd.gamma == gd.delta == INF
+
+
+def test_a_monomial_sum_is_analytic_without_a_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("the monomials decide the extremes")
+
+    monkeypatch.setattr(phi_spec, "_estimated_gamma_delta", scan)
+    phi = parse_phi("2*log(n)+1")
+    assert isinstance(phi, ExprPhi)
+    gd = phi.gamma_delta()
+    assert gd.provenance == "analytic"
+    assert gd.gamma == gd.delta == ExtReal(2)
+
+
+def test_a_power_of_a_sum_past_16_is_estimated():
+    phi = parse_phi("(log(n)+1)^17")
+    assert isinstance(phi, ExprPhi) and phi.monomials is None
+    gd = phi.gamma_delta()
+    assert gd.provenance == "estimated"
+    assert float(gd.delta) > 1.0
+
+
 def test_estimated_provenance_for_mixed_sums():
     gd = parse_phi("log(n)+log(log(n))").gamma_delta()
     assert gd.provenance == "estimated"
@@ -364,12 +394,19 @@ def test_osc_log_ratio_attains_extremes():
     assert max(highs) >= 2 - 0.02
 
 
+def _first_leg(o, kind, n):
+    """(start, end, mult) of the first `kind` leg of o's leg walk from n."""
+    start, end, _, mult, _ = next(leg for leg in o._legs_from(n)
+                                  if leg[2] == kind)
+    return start, end, mult
+
+
 def test_osc_log_segment_queries():
     o = OscLogPhi(Fraction(1, 2), Fraction(2))
-    s, e, mult = o._segment_at_least("climb", 100)
+    s, e, mult = _first_leg(o, "climb", 100)
     assert s >= 100 and e >= s
     assert o.ratio(e) == pytest.approx(mult, rel=1e-6)
-    ls, le, lm = o._segment_at_least("low", 100)
+    ls, le, lm = _first_leg(o, "low", 100)
     assert ls >= 100 and le >= ls
     assert lm == pytest.approx(0.5)
     assert o.ratio(ls) == pytest.approx(0.5, abs=0.02)
@@ -377,9 +414,44 @@ def test_osc_log_segment_queries():
 
 def test_osc_log_infinite_gamma_multipliers_grow():
     o = OscLogPhi(Fraction(1), INF)
-    _, e1, m1 = o._segment_at_least("climb", 10)
-    _, e2, m2 = o._segment_at_least("climb", e1 + 1)
+    _, e1, m1 = _first_leg(o, "climb", 10)
+    _, e2, m2 = _first_leg(o, "climb", e1 + 1)
     assert m2 > m1  # climb targets escalate without bound
+
+
+def test_osc_log_targets_equal_as_doubles():
+    # mult = gamma and delta are one double, so each boundary e^(held/delta)
+    # rounds to about the climb's end: the next low leg starts just past
+    # the climb, with no hold leg, whether or not the boundary needed the
+    # guard that moves it past the climb
+    o = OscLogPhi("1", "1.00000000000000000001")
+    assert o._df == o._gf
+    for n in (2, 10 ** 9):
+        o.segment_for(n)
+    kinds = [seg[2] for seg in o._segments]
+    assert "hold" not in kinds
+    assert set(kinds[::2]) == {"low"} and set(kinds[1::2]) == {"climb"}
+    for climb, low in zip(o._segments[1::2], o._segments[2::2]):
+        assert low[0] == climb[1] + 1
+        assert o.value(climb[1]) <= o.value(low[0])
+    # some boundaries are the guard's (no anchor), others the ceiling's
+    starts = [low[0] for low in o._segments[2::2]]
+    assert any(s not in o._anchors for s in starts)
+    assert any(s in o._anchors for s in starts)
+
+
+def test_a_boundary_past_the_segment_cap_raises_at_every_lookup():
+    # delta = 1/1000: the first boundary c has 1205 digits, the second
+    # about 1.2 million
+    o = OscLogPhi("1/1000", "1")
+    c = o.segment_for(17)[1] + 1
+    assert len(str(c)) == 1205
+    climb_end = 8 * c
+    assert o.segment_for(climb_end)[:3] == (4 * c + 1, climb_end, "climb")
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="digit cap of 100000"):
+            o.segment_for(climb_end + 1)
+    assert o.value(climb_end) == math.log(climb_end)
 
 
 def _closed_eagerly(delta, gamma, cycles, digit_cap):
@@ -438,7 +510,7 @@ def test_a_plan_closes_no_cycle_past_the_last_one_a_lookup_reached(
         return value, anchor
 
     monkeypatch.setattr(bignum, "exp_ceil_anchor", spy)
-    for name in ("segment_for", "_segment_at_least"):
+    for name in ("segment_for",):
         def lookup(*args, real_lookup=getattr(phi, name), **kwargs):
             seg = real_lookup(*args, **kwargs)
             reached.append(seg[0])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recurrencelab import (ExtReal, GuardError, INF, InsertionPlan, OscLogPhi,
-                           RefusalError, check_plan_conditions,
+                           PhiSpec, RefusalError, check_plan_conditions,
                            classify_profile, classify_thresholds, compute_AB,
                            dichotomy, find_ratio_witness, parse_phi,
                            plan_full_dimension)
@@ -185,6 +186,17 @@ def test_find_ratio_witness_threshold_mode():
     assert phi.ratio(n) >= 3.0
 
 
+def test_a_missed_first_candidate_at_min_n_is_read_once(monkeypatch):
+    # log(n)^2 has no candidate of its own: it names min_n = 5, which
+    # misses ratio 3, and the scan goes on from 6 to the witness 21
+    reads, real = [], PhiSpec.ratio
+    monkeypatch.setattr(PhiSpec, "ratio",
+                        lambda phi, n: reads.append(n) or real(phi, n))
+    assert find_ratio_witness(parse_phi("log(n)^2"), math.inf, 5,
+                              threshold=3.0) == 21
+    assert reads == list(range(5, 22))
+
+
 def test_first_candidate_is_tested_past_the_cap():
     phi = parse_phi("log(n)^2")
     assert find_ratio_witness(phi, math.inf, 10 ** 15, threshold=3.0) == 10 ** 15
@@ -210,18 +222,26 @@ def test_unevaluable_first_candidate_raises_like_a_scanned_one():
                            tol=0.1)
 
 
+def _first_leg(o, kind, n):
+    """The first `kind` leg of o's leg walk from n."""
+    return next(leg for leg in o._legs_from(n) if leg[2] == kind)
+
+
 def test_osc_first_candidate_is_a_segment_start():
     o = OscLogPhi(Fraction(1, 2), Fraction(2))
     up = o.first_witness_candidate(o.gamma, 50)
-    assert up == o._segment_at_least("climb", 50)[0] and o.ratio(up) == 2.0
+    assert up == _first_leg(o, "climb", 50)[0] and o.ratio(up) == 2.0
     lo = o.first_witness_candidate(o.delta, 50, eval_shift=1)
-    assert lo == o._segment_at_least("low", 51)[0] - 1
+    assert lo == _first_leg(o, "low", 51)[0] - 1
     assert o.ratio(lo + 1) == pytest.approx(0.5)
     assert o.first_witness_candidate(ExtReal(1), 50) == 50
+    # below the first segment: the first climb, and the low leg from 2
+    assert o.first_witness_candidate(o.gamma, 1) == 9
+    assert o.first_witness_candidate(o.delta, 1, eval_shift=1) == 1
     # infinite gamma: the first climb whose ratio clears the threshold
     u = OscLogPhi(1, INF)
     c = u.first_witness_candidate(INF, 50, threshold=3.0)
-    assert u.ratio(c) > 3.0 and u.ratio(c) == u._segment_at_least("climb", c)[2]
+    assert u.ratio(c) > 3.0 and u.ratio(c) == _first_leg(u, "climb", c)[3]
 
 
 @pytest.mark.parametrize("text,alpha,count", [("n^0.5", 0, 12),
@@ -668,7 +688,7 @@ CROSSING_STARTS = [2, 3, 10, 1000, 10 ** 6, 2 ** 52 - 2, 2 ** 53 - 3,
 def _oracle_crossing(phi, n_lo, t, digit_cap):
     """The doubling search and bisection, or the CapacityError it raises."""
     try:
-        return plan_engine._search_crossing(phi, n_lo, t, digit_cap)
+        return PhiSpec.first_above(phi, t, n_lo, digit_cap)
     except CapacityError as exc:
         return str(exc)
 
@@ -719,16 +739,28 @@ def test_first_above_raises_where_the_doubling_passes_the_cap():
         with pytest.raises(CapacityError) as exc:
             phi.first_above(t, n_lo, 30)
         assert str(exc.value) == _oracle_crossing(phi, n_lo, t, 30)
-    # an ExprPhi leaves the crossing to the search
-    assert parse_phi("log(n)+log(log(n))").first_above(3.0, 5, 30) is None
+    # an ExprPhi's crossing is the search's
+    phi = parse_phi("log(n)+log(log(n))")
+    assert phi.first_above(3.0, 5, 30) == _oracle_crossing(phi, 5, 3.0, 30)
+
+
+def test_a_crossing_whose_value_leaves_float_range_is_a_search_cap():
+    # 2 n^2 leaves float range as a product (inf, no OverflowError) just
+    # before its exp does, past n = 9.4 * 10^153: the search's probe there
+    # raises SearchCapError, and so does the log-scale answer, which never
+    # returns an n whose value() raises
+    phi = parse_phi("2*n^2")
+    for first_above in (PhiSpec.first_above, type(phi).first_above):
+        with pytest.raises(SearchCapError, match="is not finite"):
+            first_above(phi, sys.float_info.max, 9 * 10 ** 153, 20000)
 
 
 def test_no_profile_with_a_log_scale_inverse_reaches_the_bisection(
         monkeypatch):
     # every crossing that the unit-increase ladders of cases iii and vi
     # ask a PowerLog or an OscLogPhi for is answered by the profile
-    searched, real = [], plan_engine._search_crossing
-    monkeypatch.setattr(plan_engine, "_search_crossing",
+    searched, real = [], PhiSpec.first_above
+    monkeypatch.setattr(PhiSpec, "first_above",
                         lambda phi, *a: searched.append(type(phi).__name__)
                         or real(phi, *a))
     for spec, alpha, beta in (("log(n)^1.5", "1", "2"), ("n", "1", "2"),
