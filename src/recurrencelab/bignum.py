@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import sys
 import threading
 from typing import NamedTuple
@@ -293,6 +294,16 @@ def _exp_split(a: int, e: int, lo: int, hi: int) -> tuple:
     return p1 * p2, q1 * q2, ((t1 * q2) << (e * (hi - mid))) + p1 * t2
 
 
+def _exponent_parts(exponent) -> tuple[int, int]:
+    """(numerator, denominator) of a rational exponent: an int or a
+    Fraction.  A float is refused, since its binary fraction is rarely the
+    exponent meant."""
+    if not isinstance(exponent, numbers.Rational):
+        raise TypeError(f"exponent must be an int or a Fraction, got "
+                        f"{type(exponent).__name__} {exponent!r}")
+    return exponent.numerator, exponent.denominator
+
+
 def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
             *, rounding: str = "ceil") -> int:
     """Exact ceil/floor of e**log_value as a Python int.
@@ -301,8 +312,12 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
     the exponent, summed at working precision so no accuracy is lost
     before exponentiation.  Floats carry ~1e-16 relative uncertainty to
     begin with; the construction is deterministic and self-consistent,
-    which is what downstream equality checks rely on.
+    which is what downstream equality checks rely on.  rounding is
+    "ceil" or "floor"; anything else is a ValueError.
     """
+    if rounding not in ("ceil", "floor"):
+        raise ValueError(
+            f"rounding must be 'ceil' or 'floor', got {rounding!r}")
     terms = _terms(log_value)
     approx = math.fsum(terms)
     if approx < 0:
@@ -345,8 +360,7 @@ def exp_ceil_anchor(log_value, exponent,
     terms = _terms(log_value)
     x = math.fsum(terms)
     check_digit_cap(x, digit_cap)
-    num = exponent.numerator
-    den = getattr(exponent, "denominator", 1)
+    num, den = _exponent_parts(exponent)
     dps = _anchor_dps(x, num, den)
     if num <= den or dps - GUARD_DIGITS > digit_cap:
         dps = digits_of_exp(x) + GUARD_DIGITS
@@ -493,7 +507,8 @@ def _shift(v: int, k: int) -> int:
 
 def power_log_ceil(n: int, exponent, *, digit_cap: int = DEFAULT_DIGIT_CAP,
                    near=None) -> int:
-    """Exact ceil(n**exponent * ln(n)).
+    """Exact ceil(n**exponent * ln(n)), exponent an int or a Fraction
+    (TypeError otherwise).
 
     The power n^(p/q) is anchored in integer arithmetic: n^p, or the floor
     of n^(p/q) 2^g as an integer q-th root, exact when the root is, so
@@ -506,8 +521,7 @@ def power_log_ceil(n: int, exponent, *, digit_cap: int = DEFAULT_DIGIT_CAP,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    num = exponent.numerator
-    den = getattr(exponent, "denominator", 1)
+    num, den = _exponent_parts(exponent)
     if num < 0:
         raise ValueError("exponent must be nonnegative")
     check_digit_cap(num / den * math.log(n) + math.log(math.log(n)),

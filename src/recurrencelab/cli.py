@@ -252,10 +252,11 @@ def _cmd_rates(args) -> int:
         traj = plan_rate_trajectory(plan, phi, endpoints=args.endpoints)
     else:
         traj = rate_trajectory(_word_from_args(args), phi, max_n=args.max_n)
+    # estimated first, so that a window it cannot estimate writes nothing
+    a_hat, b_hat = running_extremes(traj, args.tail)
     for e in traj.entries:
         _emit({"n": e.n, "return_time": e.return_time, "exact": e.exact,
                "ratio": e.ratio})
-    a_hat, b_hat = running_extremes(traj, args.tail)
     _emit({"alpha_hat": a_hat, "beta_hat": b_hat, "tail": args.tail,
            "entries": len(traj)})
     _note(f"rates over the trailing {args.tail:.0%}: "

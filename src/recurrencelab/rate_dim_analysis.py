@@ -29,7 +29,12 @@ thread grows the next.
 The ratio column of a length-L word is one pass over two memoryviews of
 the table (`_log_ratio_column`): the numerators log(R_n), one read per
 run of equal exact return times and then the bounds log(L - n) as a
-reversed slice, and the denominators log(n).
+reversed slice, and the denominators log(n).  Along each run, and along
+the bounds, the ratio never increases, so the columns keep where each of
+these stretches starts, and `running_extremes` reads one ratio per
+stretch in its window: the first for the upper estimate, the last exact
+one for the lower (`_run_extremes`).  Plan trajectories, other profiles
+and columns built from entries keep no stretches and are scanned.
 
 `recurrence_witnesses` works per run of equal R_n = j under the default
 profile with a finite rate c = alpha + eps > 0.  Within a run the cutoff
@@ -86,7 +91,7 @@ def log_table(size: int) -> array:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateEntry:
     n: int
     return_time: int
@@ -103,14 +108,20 @@ class RateColumns(Sequence):
     head holds the exact values and tail the descending bounds L - n.
     Behaves as a read-only sequence of RateEntry views, each built only
     when indexed or iterated.
+
+    `_starts` is set only by rate_trajectory under the default profile:
+    the entry index of each run of equal exact return times, then of the
+    bound range, the stretches along which the ratio never increases
+    (`_run_extremes`).  Elsewhere it is None and the columns are scanned.
     """
 
-    __slots__ = ("ns", "head", "tail", "exact", "ratios")
+    __slots__ = ("ns", "head", "tail", "exact", "ratios", "_starts")
 
     def __init__(self, ns: Sequence[int], head: Sequence[int],
                  tail: Sequence[int], exact: bytes, ratios: array):
         self.ns, self.head, self.tail = ns, head, tail
         self.exact, self.ratios = exact, ratios
+        self._starts = None
 
     @classmethod
     def from_entries(cls, entries) -> "RateColumns":
@@ -185,29 +196,35 @@ def _runs(values: Sequence[int], lo: int, hi: int):
         lo = end
 
 
-def _run_logs(values: Sequence[int], lo: int, hi: int, logs: array):
-    """log(values[i]) for i = lo..hi-1 of nondecreasing values, one table
-    read per run of equal values."""
-    return chain.from_iterable(repeat(logs[j], end - start)
-                               for j, start, end in _runs(values, lo, hi))
-
-
-def _log_ratio_column(L: int, top: int, values: Sequence[int]) -> array:
-    """log(R_n)/log(n) for n = 2..top of a length-L word, as array('d'),
-    where R_n = values[n - 1] at the exact depths n <= h = len(values) and
-    the bound L - n past them.
+def _log_ratio_column(L: int, top: int,
+                      values: Sequence[int]) -> tuple[array, list[int]]:
+    """(ratios, starts): log(R_n)/log(n) for n = 2..top of a length-L
+    word, as array('d'), where R_n = values[n - 1] at the exact depths
+    n <= h = len(values) and the bound L - n past them; and the entry index
+    (depth n at n - 2) where each run of equal exact values starts, then
+    where the bounds start.
 
     One pass over two views of the log table: the numerators are the
     exact head, one table read per run of equal return times, then the
     bounds log(L - n) as a reversed slice; the denominators are log(n).
-    The views copy nothing.
+    The views copy nothing.  Along each run the numerator is one double
+    and the denominator increases (math.log is strictly increasing below
+    2^40; see `_run_witnesses`), and along the bounds the numerator falls
+    as the denominator rises, so the ratio never increases between two
+    starts: division rounds monotonically in both arguments.
     """
     if top < 2:
-        return array("d")
+        return array("d"), []
     logs = memoryview(log_table(L))
     h = max(len(values), 1)
-    num = chain(_run_logs(values, 1, h, logs), logs[L - top:L - h][::-1])
-    return array("d", map(truediv, num, logs[2:top + 1]))
+    runs = list(_runs(values, 1, h))
+    num = chain(chain.from_iterable(repeat(logs[j], end - start)
+                                    for j, start, end in runs),
+                logs[L - top:L - h][::-1])
+    starts = [start - 1 for _, start, _ in runs]
+    if top > h:
+        starts.append(h - 1)
+    return array("d", map(truediv, num, logs[2:top + 1])), starts
 
 
 def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
@@ -240,16 +257,18 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     ns, head, tail, keep = ns[skip:], head[cut:], tail[skip - cut:], keep[skip:]
     exact = b"\1" * len(head) + bytes(len(tail))
     if fs is None:
-        ratios = _log_ratio_column(L, top, rt.values)
-    else:
-        fs = fs[skip:]
-        if 0 in keep:
-            # a drop past a kept depth: only a profile that overrides
-            # PhiSpec.value can be nonpositive beyond n = 1
-            ns, exact, fs = (tuple(compress(ns, keep)),
-                             bytes(compress(exact, keep)), compress(fs, keep))
-            head, tail = tuple(compress(chain(head, tail), keep)), ()
-        ratios = _ratio_column(chain(head, tail), fs)
+        ratios, starts = _log_ratio_column(L, top, rt.values)
+        cols = RateColumns(ns, head, tail, exact, ratios)
+        cols._starts = starts
+        return RateTrajectory(cols, "word")
+    fs = fs[skip:]
+    if 0 in keep:
+        # a drop past a kept depth: only a profile that overrides
+        # PhiSpec.value can be nonpositive beyond n = 1
+        ns, exact, fs = (tuple(compress(ns, keep)),
+                         bytes(compress(exact, keep)), compress(fs, keep))
+        head, tail = tuple(compress(chain(head, tail), keep)), ()
+    ratios = _ratio_column(chain(head, tail), fs)
     return RateTrajectory(RateColumns(ns, head, tail, exact, ratios), "word")
 
 
@@ -272,27 +291,52 @@ def plan_rate_trajectory(plan: InsertionPlan, phi: Optional[PhiSpec] = None,
                                       ratios), "plan")
 
 
+_NO_EXACT_ENTRY = ("every tail entry is a lower bound; the window is too "
+                   "short to estimate the lower rate")
+
+
 def running_extremes(traj: RateTrajectory,
                      tail_fraction: float = 0.5) -> tuple[float, float]:
     """(alpha_hat, beta_hat) over the trailing tail_fraction of the
     trajectory.  The lower estimate uses exact entries only — a lower
     bound says nothing about how small the true ratio is — while the upper
-    estimate may use bounds as well."""
+    estimate may use bounds as well.  Default-profile word columns are
+    read one ratio per stretch (`_run_extremes`), all others scanned."""
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
     cols = traj.entries
     if not cols:
         raise EstimationImpossibleError("empty trajectory")
     start = int(len(cols) * (1 - tail_fraction))
+    if cols._starts is not None:
+        return _run_extremes(cols, start)
     # the lower estimate stops at the last exact entry: on a word every
     # bound follows the exact head
     last = cols.exact.rfind(b"\1", start) + 1
     if not last:
-        raise EstimationImpossibleError(
-            "every tail entry is a lower bound; the window is too short "
-            "to estimate the lower rate")
+        raise EstimationImpossibleError(_NO_EXACT_ENTRY)
     low = min(compress(cols.ratios[start:last], cols.exact[start:last]))
     return low, max(cols.ratios[start:])
+
+
+def _run_extremes(cols: RateColumns, start: int) -> tuple[float, float]:
+    """running_extremes over entries start.. of default-profile word
+    columns, reading one ratio per stretch of cols._starts in the window.
+
+    The ratio never increases along a stretch (`_log_ratio_column`), so
+    the window's largest ratio is at its first entry or at a stretch
+    start inside it, and its smallest exact ratio at the last entry of an
+    exact stretch, one that ends at or before len(cols.head), the first
+    bound.  Each ratio is a double of at least +0.0, so two that compare
+    equal are the same bits, and the result is the scan's.
+    """
+    ratios, k = cols.ratios, len(cols.head)
+    inside = cols._starts[bisect_right(cols._starts, start):]
+    lows = [ratios[b - 1] for b in chain(inside, (len(ratios),))
+            if start < b <= k]
+    if not lows:
+        raise EstimationImpossibleError(_NO_EXACT_ENTRY)
+    return min(lows), max(map(ratios.__getitem__, chain((start,), inside)))
 
 
 def _cutoff_fits(c, log_h: float) -> bool:

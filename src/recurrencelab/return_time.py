@@ -67,7 +67,7 @@ from typing import Optional, Union
 from .shift_core import Word, symbol_store
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReturnTimeResult:
     """Either an exact return time or a certified lower bound.
 

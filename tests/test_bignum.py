@@ -709,3 +709,25 @@ def test_nlogn_ceil_float_path_matches_mpmath():
     with mpmath.workdps(60):
         assert [n for n in ns if abs(n * math.log(n) - mp_nlogn(n))
                 > bignum.NLOGN_FLOAT_ERR / 2 * n * math.log(n)] == []
+
+
+@pytest.mark.parametrize("rounding", ["Ceil", "up", "", None])
+def test_an_unknown_rounding_is_a_value_error(rounding):
+    # e^10.5 is not an integer, so its ceiling is one more than its floor
+    # and a misspelt rounding that fell back to either would show
+    assert exp_int(10.5, rounding="ceil") == 36316
+    assert exp_int(10.5, rounding="floor") == 36315
+    with pytest.raises(ValueError, match="rounding"):
+        exp_int(10.5, rounding=rounding)
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, "3/2", mpmath.mpf(1.5)])
+def test_a_non_rational_exponent_is_a_type_error(exponent):
+    with pytest.raises(TypeError, match="exponent"):
+        power_log_ceil(10 ** 6, exponent)
+    with pytest.raises(TypeError, match="exponent"):
+        exp_ceil_anchor(10.5, exponent)
+    # an int and a Fraction are taken as before
+    assert power_log_ceil(10 ** 6, Fraction(3, 2)) == 13815510558
+    assert exp_ceil_anchor(10.5, 1)[0] == 36316
+    assert exp_ceil_anchor(10.5, Fraction(3, 2))[0] == 36316

@@ -599,6 +599,16 @@ def test_a_tail_of_one_still_runs(capsys):
     assert lines(out)[-1]["tail"] == 1.0
 
 
+def test_rates_writes_nothing_when_the_tail_cannot_be_estimated(capsys):
+    # a tail of 1e-9 of 11 entries is an empty window: no exact entry to
+    # estimate the lower rate from, so the command fails before any entry
+    code, out, err = run(capsys, "rates", "--word", "0100101001001",
+                         "--m", "2", "--tail", "1e-9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: every tail entry is a lower bound")
+
+
 # ---------------------------------------------------------------- parser ---
 
 def test_one_parser_serves_every_call(capsys):

@@ -9,11 +9,14 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurrencelab import (EstimationImpossibleError, OscLogPhi, Word,
                            parse_phi, rate_trajectory, return_times_all,
                            running_extremes)
-from recurrencelab.rate_dim_analysis import RateEntry, RateTrajectory
+from recurrencelab.rate_dim_analysis import (RateColumns, RateEntry,
+                                             RateTrajectory)
 
 from conftest import random_word
 
@@ -135,3 +138,56 @@ def test_trajectory_peak_memory_per_depth():
         tracemalloc.stop()
     assert peak / n <= 12, f"{peak / n:.2f} bytes per depth"
     assert len(traj) == n - 2
+
+
+# ------------------------------------------ run-granular extremes vs scan ---
+
+def _word_symbols(kind, m, length, seed):
+    """A random word, a periodic word with flips, or a Fibonacci word over
+    two of the m symbols."""
+    rng = random.Random(seed)
+    if kind == "random":
+        return [rng.randrange(m) for _ in range(length)]
+    if kind == "periodic":
+        block = [rng.randrange(m) for _ in range(rng.randint(1, 9))]
+        syms = [block[i % len(block)] for i in range(length)]
+        for i in rng.sample(range(length), min(length, rng.randint(0, 6))):
+            syms[i] = rng.randrange(m)
+        return syms
+    a, b = rng.sample(range(m), 2)
+    fib, prev = [a], [b]
+    while len(fib) < length:
+        fib, prev = fib + prev, fib
+    return fib[:length]
+
+
+def _extremes_or_error(traj, tail):
+    """running_extremes as bit patterns, or the error it raises."""
+    try:
+        a_hat, b_hat = running_extremes(traj, tail)
+    except EstimationImpossibleError as err:
+        return "error", str(err)
+    return a_hat.hex(), b_hat.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["random", "periodic", "fibonacci"]),
+       st.sampled_from([2, 3, 5, 300]), st.integers(1, 1500),
+       st.integers(0, 10 ** 6), st.data())
+def test_run_extremes_equal_the_scan(kind, m, length, seed, data):
+    word = Word.from_iterable(_word_symbols(kind, m, length, seed), m)
+    max_n = data.draw(st.none() | st.integers(1, length), label="max_n")
+    traj = rate_trajectory(word, max_n=max_n)
+    scanned = RateTrajectory(RateColumns.from_entries(traj.entries), "word")
+    assert traj.entries._starts is not None
+    assert scanned.entries._starts is None
+    size = len(traj)
+    single = 0.5 / size if size else 1.0
+    tails = [1.0, 0.5, single, 1e-17,
+             data.draw(st.floats(1e-17, 1.0), label="tail")]
+    if size:
+        assert int(size * (1 - single)) == size - 1
+        assert int(size * (1 - 1e-17)) == size     # an empty window
+    for tail in tails:
+        assert _extremes_or_error(traj, tail) == \
+            _extremes_or_error(scanned, tail), tail
