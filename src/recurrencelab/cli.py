@@ -251,7 +251,14 @@ def _cmd_rates(args) -> int:
         plan = _load_plan(args.plan_file)
         traj = plan_rate_trajectory(plan, phi, endpoints=args.endpoints)
     else:
-        traj = rate_trajectory(_word_from_args(args), phi, max_n=args.max_n)
+        word, max_n = _word_from_args(args), args.max_n
+        if max_n is None:
+            # the window ends at the exact head, so that its tail holds
+            # exact entries; a head of one depth has no ratio to hold
+            depth = return_times_all(word).exact_depth
+            if depth >= 2:
+                max_n = depth
+        traj = rate_trajectory(word, phi, max_n=max_n)
     # estimated first, so that a window it cannot estimate writes nothing
     a_hat, b_hat = running_extremes(traj, args.tail)
     for e in traj.entries:
@@ -424,7 +431,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--plan-file", help="estimate from a plan instead")
     sp.add_argument("--endpoints", choices=("right", "left"), default="right")
-    sp.add_argument("--max-n", type=int, default=None)
+    sp.add_argument("--max-n", type=int, default=None,
+                    help="deepest n of a word's trajectory (default: the "
+                         "word's exact depth, the last n whose R_n returns "
+                         "inside the word, when it is at least 2; else the "
+                         "word's length)")
     sp.add_argument("--tail", type=_tail_fraction, default=0.5)
     sp.set_defaults(func=_cmd_rates)
 

@@ -25,6 +25,11 @@ class ExtReal:
         if isinstance(value, ExtReal):
             self._v = value._v
             return
+        if isinstance(value, Fraction):
+            if value.numerator < 0:
+                raise ValueError(f"negative value {value} is not a rate value")
+            self._v = value
+            return
         if isinstance(value, str):
             text = value.strip().lower()
             if text in ("inf", "infinity", "oo"):
@@ -98,14 +103,16 @@ class ExtReal:
     # -- ordering ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        try:
-            other = ExtReal(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+        if not isinstance(other, ExtReal):
+            try:
+                other = ExtReal(other)
+            except (TypeError, ValueError):
+                return NotImplemented
         return self._v == other._v
 
     def __lt__(self, other) -> bool:
-        other = ExtReal(other)
+        if not isinstance(other, ExtReal):
+            other = ExtReal(other)
         if self._v is None:
             return False
         if other._v is None:

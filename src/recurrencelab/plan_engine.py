@@ -38,20 +38,26 @@ from .phi_spec import PhiSpec, check_nondecreasing
 WITNESS_CAP = 10 ** 9    # ratio-witness scans stop here (not the first candidate)
 
 
-def _validate_pairs(alpha: ExtReal, beta: ExtReal,
-                    gamma: ExtReal, delta: ExtReal) -> None:
+def _checked(alpha, beta, gamma, delta) -> tuple:
+    """The four thresholds as ExtReals, with alpha <= beta and
+    delta <= gamma checked."""
+    alpha, beta, gamma, delta = map(ExtReal, (alpha, beta, gamma, delta))
     if beta < alpha:
         raise ValueError("rate targets need alpha <= beta")
     if gamma < delta:
         raise ValueError("profile extremes need delta <= gamma")
+    return alpha, beta, gamma, delta
+
+
+def _dim(alpha: ExtReal, beta: ExtReal, gamma: ExtReal,
+         delta: ExtReal) -> int:
+    full = (alpha >= gamma.reciprocal()) and (beta >= delta.reciprocal())
+    return 1 if full else 0
 
 
 def dichotomy(alpha, beta, gamma, delta) -> int:
     """1 when the level set has full dimension, else 0 (it is never between)."""
-    alpha, beta, gamma, delta = (ExtReal(v) for v in (alpha, beta, gamma, delta))
-    _validate_pairs(alpha, beta, gamma, delta)
-    full = (alpha >= gamma.reciprocal()) and (beta >= delta.reciprocal())
-    return 1 if full else 0
+    return _dim(*_checked(alpha, beta, gamma, delta))
 
 
 def _table_product(rate: ExtReal, extreme: ExtReal,
@@ -67,7 +73,11 @@ def _table_product(rate: ExtReal, extreme: ExtReal,
 
 def compute_AB(alpha, beta, gamma, delta) -> tuple[ExtReal, ExtReal]:
     """The two case-splitting products; only defined on the table's cells."""
-    alpha, beta, gamma, delta = (ExtReal(v) for v in (alpha, beta, gamma, delta))
+    return _products(*map(ExtReal, (alpha, beta, gamma, delta)))
+
+
+def _products(alpha: ExtReal, beta: ExtReal, gamma: ExtReal,
+              delta: ExtReal) -> tuple[ExtReal, ExtReal]:
     return (_table_product(alpha, gamma, "alpha", "gamma"),
             _table_product(beta, delta, "beta", "delta"))
 
@@ -100,9 +110,8 @@ class Classification:
 
 def classify_thresholds(alpha, beta, gamma, delta,
                         provenance: str = "given") -> Classification:
-    alpha, beta, gamma, delta = (ExtReal(v) for v in (alpha, beta, gamma, delta))
-    _validate_pairs(alpha, beta, gamma, delta)
-    dim = dichotomy(alpha, beta, gamma, delta)
+    alpha, beta, gamma, delta = _checked(alpha, beta, gamma, delta)
+    dim = _dim(alpha, beta, gamma, delta)
     tag = A = B = C = D = None
     if dim == 1:
         if alpha.is_inf and beta.is_inf:
@@ -110,7 +119,7 @@ def classify_thresholds(alpha, beta, gamma, delta,
         elif beta.is_inf:
             tag = "ii"
         else:
-            A, B = compute_AB(alpha, beta, gamma, delta)
+            A, B = _products(alpha, beta, gamma, delta)
             if A.is_inf and B.is_inf:
                 tag = "iii"
             elif B.is_inf:
@@ -195,18 +204,18 @@ def _floor_sqrt(x: float) -> int:
     return math.isqrt(math.floor(x))
 
 
-def _witness(phi: PhiSpec, target, x: float, A, digit_cap: int, *,
-             tol: float, threshold: float, shift: int = 0):
-    """The witness search from min_n = ceil(e^x), as two (n, near) rungs:
-    (min_n, the `bignum.Anchor` of x), and the ratio witness w for target
-    (find_ratio_witness reads tol for a finite target and threshold for an
-    infinite one) with that anchor when w is min_n, which x built, and
-    else with the anchor of a profile boundary at w or w + 1, if any."""
-    min_n, anchor = bignum.exp_ceil_anchor(x, A, digit_cap)
+def _witness(phi: PhiSpec, target, start, *, tol: float, threshold: float,
+             shift: int = 0):
+    """The witness search from start = (min_n, the `bignum.Anchor` of the
+    x that built min_n = ceil(e^x)), as a rung (w, near): the ratio
+    witness w for target (find_ratio_witness reads tol for a finite
+    target and threshold for an infinite one) with that anchor when w is
+    min_n, and else with the anchor of a profile boundary at w or w + 1,
+    if any."""
+    min_n, anchor = start
     w = find_ratio_witness(phi, target, min_n, tol=tol, threshold=threshold,
                            eval_shift=shift)
-    near = anchor if w == min_n else phi.boundary_anchor(w)
-    return (min_n, anchor), (w, near)
+    return w, anchor if w == min_n else phi.boundary_anchor(w)
 
 
 def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
@@ -238,9 +247,10 @@ def _geometric_rungs(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
     for cycle in itertools.count(1):
         tol = 1 / cycle
         for extreme, shift in ((gamma, 0), (delta, 1)):
-            _, (w, near) = _witness(phi, extreme, float(C ** cycle) * last,
-                                    A, digit_cap, tol=tol,
-                                    threshold=float(cycle), shift=shift)
+            start = bignum.exp_ceil_anchor(float(C ** cycle) * last, A,
+                                           digit_cap)
+            w, near = _witness(phi, extreme, start, tol=tol,
+                               threshold=float(cycle), shift=shift)
             ll_w = math.log(w)
             gap = math.log(ll_w) - math.log(last)
             d = max(int(gap // lnC), cycle)
@@ -256,20 +266,24 @@ def _geometric_rungs(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
 def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
                   digit_cap: int, A):
     """C = 1 variant: rungs at log n = k^2 for consecutive k, up to the
-    next witness, starting from the k with log(n_1) in [k^2, (k+1)^2)."""
+    next witness, starting from the k with log(n_1) in [k^2, (k+1)^2).
+    Every rung and witness search start is ceil(e^(k^2)) with its anchor,
+    from one running product (`bignum.SquareExp`), asked for k in
+    increasing order."""
     yield n1, None
+    squares = bignum.SquareExp(A, digit_cap)
     k = _floor_sqrt(math.log(n1))
     for extreme, shift in itertools.cycle(((gamma, 0), (delta, 1))):
         x = float((k + 1) ** 2)
-        first, (w, near) = _witness(phi, extreme, x, A, digit_cap,
-                                    tol=1 / k, threshold=float(k), shift=shift)
+        first = squares.ceil_anchor(k + 1)
+        w, near = _witness(phi, extreme, first, tol=1 / k,
+                           threshold=float(k), shift=shift)
         # w >= ceil(e^x) makes log(w) >= x exact; clamp away
         # float-conversion dust so the sqrt index always advances
         s = _floor_sqrt(max(math.log(w), x))
         for j in range(1, s - k):
             # the first rung is the search's min_n
-            yield first if j == 1 else bignum.exp_ceil_anchor(
-                float((k + j) ** 2), A, digit_cap)
+            yield first if j == 1 else squares.ceil_anchor(k + j)
         yield w, near
         k = s
 
@@ -387,9 +401,9 @@ def _gen_case_ii(phi, cls, p, digit_cap):
         for _attempt in range(64):
             if cap_first:
                 _check_ell_floor(phi, float(alpha), min_ln, digit_cap)
-            _, (cand, near) = _witness(phi, gamma, min_ln, A, digit_cap,
-                                       tol=1.0 / i,
-                                       threshold=max(float(i), prev_ratio))
+            start = bignum.exp_ceil_anchor(min_ln, A, digit_cap)
+            cand, near = _witness(phi, gamma, start, tol=1.0 / i,
+                                  threshold=max(float(i), prev_ratio))
             ln_c = math.log(cand)
             f_c = phi.value(cand)
             if (f_c > i * t and ln_c > i * t

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
 import recurrencelab.cli as cli
 import recurrencelab.plan_engine as plan_engine
-from recurrencelab import LazySequence
+from recurrencelab import LazySequence, return_times_all
 from recurrencelab.cli import main
 
 from conftest import brute_return_time
@@ -603,9 +604,32 @@ def test_rates_writes_nothing_when_the_tail_cannot_be_estimated(capsys):
     # a tail of 1e-9 of 11 entries is an empty window: no exact entry to
     # estimate the lower rate from, so the command fails before any entry
     code, out, err = run(capsys, "rates", "--word", "0100101001001",
-                         "--m", "2", "--tail", "1e-9")
+                         "--m", "2", "--max-n", "13", "--tail", "1e-9")
     assert code == 1
     assert out == ""
+    assert err.startswith("error: every tail entry is a lower bound")
+
+
+def test_rates_of_a_random_word_end_at_its_exact_depth(capsys):
+    # at full depth the trailing half of a random word's trajectory holds
+    # only lower bounds; by default the window ends at the exact head, so
+    # the estimates come from exact entries
+    rng = random.Random(30)
+    word = "".join(rng.choice("01") for _ in range(4000))
+    depth = return_times_all([int(c) for c in word]).exact_depth
+    assert 2 <= depth < 4000 // 2
+    code, out, _ = run(capsys, "rates", "--word", word, "--m", "2")
+    assert code == 0
+    *entries, est = lines(out)
+    assert [e["n"] for e in entries] == list(range(2, depth + 1))
+    assert est["entries"] == depth - 1 and all(e["exact"] for e in entries)
+    window = entries[len(entries) // 2:]
+    assert est["alpha_hat"] == min(e["ratio"] for e in window)
+    assert est["beta_hat"] == max(e["ratio"] for e in window)
+    # an explicit --max-n keeps the full depth, and with it the failure
+    code, out, err = run(capsys, "rates", "--word", word, "--m", "2",
+                         "--max-n", "4000")
+    assert code == 1 and out == ""
     assert err.startswith("error: every tail entry is a lower bound")
 
 

@@ -816,6 +816,34 @@ def test_geometric_ladder_plans_keep_their_terms(monkeypatch, beta, count,
     assert _digest(plan) == digest
 
 
+# case v on the square ladder (C = 1) at count 200, each stopped by the
+# digit cap but --osc 4/5 6/5: every rung and witness search start is
+# ceil(e^(k^2)) from the ladder's running product; the digests are those
+# of one exp_ceil_anchor per rung
+@pytest.mark.parametrize("spec,alpha,beta,terms,digest", [
+    ("log(n)", "2", "2", 151,
+     "892f7e4f27d6120c7f61518aa66c7bc945bb165dfa9cefacafa9fbae9da8e4ff"),
+    ("log(n)", "3", "3", 123,
+     "f7423959501a90c6443ed59f1b6396faeb0d04f70fcc56c5ad4e7ce68d9490db"),
+    ("log(n)", "3/2", "3/2", 175,
+     "0518f87cef034c501172e51173a9aeb513f906e0878a67bb50e48e25cb839f00"),
+    ("log(n)", "5/4", "5/4", 191,
+     "4ef49f36879b454f58849fedd3900e9b958ed193f39dd946822649c129884a4e"),
+    ("osc 4/5 6/5", "5/6", "5/4", 200,
+     "cefabaa4e0ee080889360936886c5829b06edb612833d147ddceedbcebba96d6")])
+def test_square_ladder_plans_keep_their_terms(monkeypatch, spec, alpha, beta,
+                                              terms, digest):
+    chains, real = [], bignum.SquareExp
+    monkeypatch.setattr(bignum, "SquareExp",
+                        lambda *a: chains.append(a) or real(*a))
+    phi = (OscLogPhi(*spec.split()[1:]) if spec.startswith("osc ")
+           else parse_phi(spec))
+    plan = plan_full_dimension(phi, ExtReal(alpha), ExtReal(beta), count=200)
+    assert len(chains) == 1
+    assert plan.case_tag == "v" and len(plan.terms) == terms
+    assert _digest(plan) == digest
+
+
 def test_a_boundary_past_the_segment_cap_that_no_lookup_reaches():
     # --osc 1/2 3 at A = 1, C = 3: the witness search opens cycle 7, whose
     # closing boundary would have about 388 000 digits, past the profile's
