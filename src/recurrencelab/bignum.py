@@ -510,15 +510,20 @@ def exp_floor(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
 def nth_root_floor(v: int, k: int) -> int:
     """floor(v ** (1/k)) for positive ints, by Newton on integers.
 
-    A root of more than a few hundred bits starts from the root of the top
+    A power of two k = 2^j takes j nested math.isqrt calls, which is
+    exact: floor(sqrt(floor(w))) = floor(sqrt(w)) for real w >= 0, since
+    an integer x has x^2 <= w exactly when x^2 <= floor(w).  Any other
+    root of more than a few hundred bits starts from the root of the top
     half of its bits, so only the last few Newton steps run at full width.
     """
     if v < 0 or k < 1:
         raise ValueError("need v >= 0 and k >= 1")
     if k == 1 or v < 2:
         return v
-    if k == 2:
-        return math.isqrt(v)
+    if k & (k - 1) == 0:
+        for _ in range(k.bit_length() - 1):
+            v = math.isqrt(v)
+        return v
     if v.bit_length() <= k:   # 2 <= v < 2^k: no power of 4 needs forming
         return 1
     half = v.bit_length() // k // 2

@@ -114,6 +114,7 @@ _block = _int_at_least(2, "block length must be an integer of at least 2")
 _symbols = _int_at_least(2, "alphabet size must be an integer of at least 2")
 _digit_cap = _int_at_least(1, "digit cap must be a positive integer")
 _prefix = _int_at_least(0, "prefix length must be a nonnegative integer")
+_max_n = _int_at_least(1, "max-n must be a positive integer")
 
 
 def _cap_from_env(parser: argparse.ArgumentParser) -> int:
@@ -419,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word-file", help="file containing the digits, or the "
                     "JSON line of build --prefix")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--max-n", type=int, default=None)
+    sp.add_argument("--max-n", type=_max_n, default=None)
     sp.add_argument("--prime", action="store_true",
                     help="restrict candidate shifts to j >= n")
     sp.set_defaults(func=_cmd_return_times)
@@ -431,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--plan-file", help="estimate from a plan instead")
     sp.add_argument("--endpoints", choices=("right", "left"), default="right")
-    sp.add_argument("--max-n", type=int, default=None,
+    sp.add_argument("--max-n", type=_max_n, default=None,
                     help="deepest n of a word's trajectory (default: the "
                          "word's exact depth, the last n whose R_n returns "
                          "inside the word, when it is at least 2; else the "
@@ -451,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="slack added to --alpha; 'inf' allowed, and a "
                          "negative infinite one is written attached: "
                          "--eps=-inf (a bare -inf reads as an option)")
-    sp.add_argument("--max-n", type=int, default=None)
+    sp.add_argument("--max-n", type=_max_n, default=None)
     sp.set_defaults(func=_cmd_witnesses)
 
     sp = subs.add_parser("dim", help="box-dimension fit of the marker set")

@@ -8,17 +8,18 @@ push the upper estimate up, never drag the lower one down), and the
 estimators here are careful about that asymmetry.
 
 A trajectory is stored as columns (`RateColumns`), the way return_time
-stores `ReturnTimes`: depths, return times, exactness bytes and an
-array('d') of ratios.  On a word the exact values come first and the
-bounds after them are a range, and every column is built by C-level
-map/chain/compress, with no per-depth Python statement.  `entries` is a
-read-only sequence whose RateEntry views are built only on access;
-`ratios()` and `running_extremes` read the columns directly.
+stores `ReturnTimes`: depths, return times, exactness bytes and ratios.
+On a word the exact values come first and the bounds after them are a
+range, and every column is built by C-level map/chain/compress, with no
+per-depth Python statement.  `entries` is a read-only sequence whose
+RateEntry views are built only on access; `ratios()` and
+`running_extremes` read the columns directly.
 
 Under the default profile log n every logarithm is read from one
 process-wide table, `log_table`: an array('d') whose entry k is
 math.log(k), the very double a call would return.  It grows to the
-longest word analysed so far (by at least a quarter of its size at a
+longest word whose ratio column has been read in full, or whose exact
+head a witness search has read (by at least a quarter of its size at a
 time, so a stream of slowly growing words does not copy it once per
 word), never shrinks and needs no setting: 8 bytes per symbol, about
 1.4 MB for a 176 531-symbol word.  Growth builds a new table under a lock
@@ -26,15 +27,21 @@ and then swaps it in; a table is never changed once published, so a
 reader that holds one, or a memoryview of one, may read it while another
 thread grows the next.
 
-The ratio column of a length-L word is one pass over two memoryviews of
-the table (`_log_ratio_column`): the numerators log(R_n), one read per
-run of equal exact return times and then the bounds log(L - n) as a
-reversed slice, and the denominators log(n).  Along each run, and along
-the bounds, the ratio never increases, so the columns keep where each of
-these stretches starts, and `running_extremes` reads one ratio per
-stretch in its window: the first for the upper estimate, the last exact
-one for the lower (`_run_extremes`).  Plan trajectories, other profiles
-and columns built from entries keep no stretches and are scanned.
+The ratio column of a length-L word is held in closed form
+(`LogRatioColumn`): L, the deepest depth and the exact head of
+ReturnTimes, so building it costs nothing per depth and holds no table.
+An entry is one division, log(R_n)/log(n), with the bound L - n past
+the exact head; iteration and slices take the table when they run and
+make one C-level pass over two memoryviews of it, the numerators one
+read per run of equal exact return times and then the bounds log(L - n)
+as a reversed slice.
+Along each run, and along the bounds, the ratio never increases, so the
+columns keep where each of these stretches starts, and
+`running_extremes` reads one ratio per stretch in its window: the first
+for the upper estimate, the last exact one for the lower
+(`_run_extremes`).  Plan trajectories, other profiles and columns built
+from entries hold an array('d') of ratios, keep no stretches and are
+scanned.
 
 `recurrence_witnesses` works per run of equal R_n = j under the default
 profile with a finite rate c = alpha + eps > 0.  Within a run the cutoff
@@ -103,7 +110,8 @@ class RateColumns(Sequence):
     """The store of a rate trajectory, one column per field.
 
     Entry i has depth ns[i], exactness exact[i] (a byte, 1 or 0) and ratio
-    ratios[i] (an array of doubles).  Its return time is read from two
+    ratios[i]: an array of doubles, or under the default profile the
+    closed-form `LogRatioColumn` of a word.  Its return time is read from two
     runs, `head` then `tail`, so that a word's bound region stays a range:
     head holds the exact values and tail the descending bounds L - n.
     Behaves as a read-only sequence of RateEntry views, each built only
@@ -118,7 +126,7 @@ class RateColumns(Sequence):
     __slots__ = ("ns", "head", "tail", "exact", "ratios", "_starts")
 
     def __init__(self, ns: Sequence[int], head: Sequence[int],
-                 tail: Sequence[int], exact: bytes, ratios: array):
+                 tail: Sequence[int], exact: bytes, ratios: Sequence[float]):
         self.ns, self.head, self.tail = ns, head, tail
         self.exact, self.ratios = exact, ratios
         self._starts = None
@@ -196,35 +204,70 @@ def _runs(values: Sequence[int], lo: int, hi: int):
         lo = end
 
 
-def _log_ratio_column(L: int, top: int,
-                      values: Sequence[int]) -> tuple[array, list[int]]:
-    """(ratios, starts): log(R_n)/log(n) for n = 2..top of a length-L
-    word, as array('d'), where R_n = values[n - 1] at the exact depths
-    n <= h = len(values) and the bound L - n past them; and the entry index
-    (depth n at n - 2) where each run of equal exact values starts, then
-    where the bounds start.
+class LogRatioColumn(Sequence):
+    """log(R_n)/log(n) for n = 2..top of a length-L word, in closed form.
 
-    One pass over two views of the log table: the numerators are the
-    exact head, one table read per run of equal return times, then the
-    bounds log(L - n) as a reversed slice; the denominators are log(n).
-    The views copy nothing.  Along each run the numerator is one double
-    and the denominator increases (math.log is strictly increasing below
-    2^40; see `_run_witnesses`), and along the bounds the numerator falls
-    as the denominator rises, so the ratio never increases between two
-    starts: division rounds monotonically in both arguments.
+    R_n = values[n - 1] at the exact depths n <= h = len(values) and the
+    bound L - n past them; entry i is depth n = i + 2.  The column holds
+    no ratio, and building it computes no logarithm.  An index is one
+    division of two math.log calls; iteration, slices, tolist() and
+    tobytes() run one C-level pass over two memoryviews of the log table,
+    taken (and grown to L entries) when they run (`_span`): the
+    numerators one table read per run of equal exact return times, then
+    the bounds log(L - n) as a reversed slice, and the denominators
+    log(n).  A table entry is the double math.log returns, so every ratio
+    is the one that math.log and a division give at that depth.
+
+    Along each run the numerator is one double and the denominator
+    increases (math.log is strictly increasing below 2^40; see
+    `_run_witnesses`), and along the bounds the numerator falls as the
+    denominator rises, so the ratio never increases within a run or
+    within the bounds: division rounds monotonically in both arguments.
     """
-    if top < 2:
-        return array("d"), []
-    logs = memoryview(log_table(L))
-    h = max(len(values), 1)
-    runs = list(_runs(values, 1, h))
-    num = chain(chain.from_iterable(repeat(logs[j], end - start)
-                                    for j, start, end in runs),
-                logs[L - top:L - h][::-1])
-    starts = [start - 1 for _, start, _ in runs]
-    if top > h:
-        starts.append(h - 1)
-    return array("d", map(truediv, num, logs[2:top + 1])), starts
+
+    __slots__ = ("length", "top", "values")
+
+    def __init__(self, length: int, top: int, values: Sequence[int]):
+        self.length, self.top, self.values = length, top, values
+
+    def __len__(self) -> int:
+        return max(self.top - 1, 0)
+
+    def __getitem__(self, i):
+        size = len(self)
+        if isinstance(i, slice):
+            r = range(size)[i]
+            if not r:
+                return array("d")
+            lo, hi = min(r[0], r[-1]), max(r[0], r[-1]) + 1
+            return array("d", self._span(lo, hi))[::r.step]
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"index {i} outside a column of length {size}")
+        n = i + 2
+        r = self.values[n - 1] if n <= len(self.values) else self.length - n
+        return math.log(r) / math.log(n)
+
+    def _span(self, a: int, b: int) -> Iterator[float]:
+        """Entries a..b-1 (depths a + 2 .. b + 1), lazily."""
+        values, L = self.values, self.length
+        logs = memoryview(log_table(L))
+        h = len(values)
+        runs = _runs(values, a + 1, min(b + 1, h))
+        num = chain(chain.from_iterable(repeat(logs[j], end - start)
+                                        for j, start, end in runs),
+                    logs[L - b - 1:L - max(a + 2, h + 1) + 1][::-1])
+        return map(truediv, num, logs[a + 2:b + 2])
+
+    def __iter__(self) -> Iterator[float]:
+        return self._span(0, len(self))
+
+    def tolist(self) -> list[float]:
+        return list(self)
+
+    def tobytes(self) -> bytes:
+        return array("d", self).tobytes()
 
 
 def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
@@ -235,8 +278,8 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     and so are depths where phi(n) <= 0: n = 1 under the default profile
     since log(1) = 0.  The columns are built without a per-depth
     statement: exact values first, then the bounds as a range; under the
-    default profile every logarithm is a read of the shared log table
-    (`_log_ratio_column`).
+    default profile the ratios are the closed-form `LogRatioColumn`, every
+    logarithm a read of the shared log table.
     """
     rt = return_times_all(word, max_n=max_n)
     L, head = rt.length, rt.values
@@ -255,11 +298,16 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     skip = len(keep) - len(keep.lstrip(b"\0"))
     cut = min(skip, len(head))
     ns, head, tail, keep = ns[skip:], head[cut:], tail[skip - cut:], keep[skip:]
-    exact = b"\1" * len(head) + bytes(len(tail))
+    exact = (b"\1" * len(head)).ljust(len(ns), b"\0")
     if fs is None:
-        ratios, starts = _log_ratio_column(L, top, rt.values)
+        ratios = LogRatioColumn(L, top, rt.values)
         cols = RateColumns(ns, head, tail, exact, ratios)
-        cols._starts = starts
+        # the entry index (depth n at n - 2) where each run of equal exact
+        # values starts, then where the bounds start
+        h = max(len(rt.values), 1)
+        cols._starts = [start - 1 for _, start, _ in _runs(rt.values, 1, h)]
+        if top > h:
+            cols._starts.append(h - 1)
         return RateTrajectory(cols, "word")
     fs = fs[skip:]
     if 0 in keep:
@@ -323,7 +371,7 @@ def _run_extremes(cols: RateColumns, start: int) -> tuple[float, float]:
     """running_extremes over entries start.. of default-profile word
     columns, reading one ratio per stretch of cols._starts in the window.
 
-    The ratio never increases along a stretch (`_log_ratio_column`), so
+    The ratio never increases along a stretch (`LogRatioColumn`), so
     the window's largest ratio is at its first entry or at a stretch
     start inside it, and its smallest exact ratio at the last entry of an
     exact stretch, one that ends at or before len(cols.head), the first

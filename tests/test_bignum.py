@@ -101,6 +101,23 @@ def test_nth_root_floor_around_exact_powers(k):
             assert got ** k <= v < (got + 1) ** k, (k, r, v - r ** k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 10 ** 5),
+       st.sampled_from(["random", "below", "power", "above"]),
+       st.integers(0, 2 ** 32))
+def test_nth_root_floor_brackets_the_root(k, bits, shape, seed):
+    # random values of up to 10^5 bits, and values next to a k-th power:
+    # nested square roots at k = 2, 4, 8, Newton elsewhere
+    rng = random.Random(seed)
+    if shape == "random":
+        v = rng.getrandbits(bits)
+    else:
+        r = rng.getrandbits(max(bits // k, 1)) + 1
+        v = r ** k + {"below": -1, "power": 0, "above": 1}[shape]
+    x = nth_root_floor(v, k)
+    assert x ** k <= v < (x + 1) ** k, (k, v.bit_length(), shape)
+
+
 def test_nth_root_floor_below_two_to_the_k_is_one():
     # a literal like 2^0.000001 asks for a millionth root: 1, found
     # without forming a power of the Newton start

@@ -593,6 +593,39 @@ def test_a_block_length_alphabet_or_digit_cap_out_of_range_is_a_usage_error(
     assert option in err and rule in err
 
 
+_MAX_N_COMMANDS = {
+    "return-times": (),
+    "rates": ("--tail", "1"),
+    "witnesses": ("--alpha", "0.5", "--eps", "0"),
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "three"])
+@pytest.mark.parametrize("command", sorted(_MAX_N_COMMANDS))
+def test_a_max_n_below_one_is_a_usage_error(capsys, monkeypatch, command,
+                                            value):
+    # rejected while parsing, before the word is read
+    called = []
+    monkeypatch.setattr(cli, "_word_from_args",
+                        lambda args: called.append(args))
+    code, out, err = run(capsys, command, "--word", "0100101001001",
+                         "--m", "2", "--max-n", value,
+                         *_MAX_N_COMMANDS[command])
+    assert code == 2
+    assert out == "" and not called
+    assert "--max-n" in err and "positive integer" in err
+
+
+@pytest.mark.parametrize("command", sorted(_MAX_N_COMMANDS))
+def test_a_max_n_past_the_word_is_still_an_error(capsys, command):
+    # whether a depth fits depends on the word: exit 1, not a usage error
+    code, out, err = run(capsys, command, "--word", "0100101001001",
+                         "--m", "2", "--max-n", "14",
+                         *_MAX_N_COMMANDS[command])
+    assert code == 1 and out == ""
+    assert err == "error: need 1 <= max_n <= 13\n"
+
+
 def test_a_tail_of_one_still_runs(capsys):
     code, out, _ = run(capsys, "rates", "--word", "01" * 64, "--m", "2",
                        "--max-n", "12", "--tail", "1")

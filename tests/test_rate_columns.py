@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from recurrencelab import (EstimationImpossibleError, OscLogPhi, Word,
                            parse_phi, rate_trajectory, return_times_all,
                            running_extremes)
-from recurrencelab.rate_dim_analysis import (RateColumns, RateEntry,
-                                             RateTrajectory)
+from recurrencelab.rate_dim_analysis import (LogRatioColumn, RateColumns,
+                                             RateEntry, RateTrajectory)
 
 from conftest import random_word
 
@@ -140,6 +140,25 @@ def test_trajectory_peak_memory_per_depth():
     assert len(traj) == n - 2
 
 
+def test_a_word_trajectory_holds_no_column_of_ratios():
+    # the ratios are held in closed form, and the exactness bytes are the
+    # one column built per depth: about 1 byte per depth measured (9.5
+    # with an array of ratios)
+    rng = random.Random(99)
+    n = 2 * 10 ** 5
+    word = random_word(rng, 2, n)
+    rate_trajectory(word, max_n=100)
+    tracemalloc.start()
+    try:
+        traj = rate_trajectory(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 3, f"{peak / n:.2f} bytes per depth"
+    assert isinstance(traj.entries.ratios, LogRatioColumn)
+    assert len(traj) == n - 2
+
+
 # ------------------------------------------ run-granular extremes vs scan ---
 
 def _word_symbols(kind, m, length, seed):
@@ -191,3 +210,51 @@ def test_run_extremes_equal_the_scan(kind, m, length, seed, data):
     for tail in tails:
         assert _extremes_or_error(traj, tail) == \
             _extremes_or_error(scanned, tail), tail
+
+
+# ------------------------------------------- closed-form column vs loop ---
+
+def _hexes(ratios):
+    return [float.hex(r) for r in ratios]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["random", "periodic", "fibonacci"]),
+       st.sampled_from([2, 3, 5, 300]), st.integers(1, 1500),
+       st.integers(0, 10 ** 6), st.data())
+def test_closed_form_column_equals_the_loop(kind, m, length, seed, data):
+    word = Word.from_iterable(_word_symbols(kind, m, length, seed), m)
+    depth = return_times_all(word).exact_depth
+    max_n = data.draw(st.sampled_from(
+        [None, "below", length - 1 if length > 1 else None,
+         min(2, length), 1]), label="max_n")
+    if max_n == "below":
+        max_n = data.draw(st.integers(1, max(depth - 1, 1)), label="below")
+    traj = rate_trajectory(word, max_n=max_n)
+    cols = traj.entries
+    col = cols.ratios
+    assert isinstance(col, LogRatioColumn)
+    want = RateColumns.from_entries(loop_trajectory(word, None, max_n))
+    ratios = want.ratios.tolist()
+    size = len(ratios)
+    assert len(col) == len(cols) == size
+    assert _hexes(col) == _hexes(ratios)
+    assert _hexes(col.tolist()) == _hexes(ratios)
+    assert col.tobytes() == want.ratios.tobytes()
+    assert _hexes(col[i] for i in range(-size, size)) == _hexes(ratios * 2)
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            col[i]
+        with pytest.raises(IndexError):
+            cols[i]
+    start = data.draw(st.none() | st.integers(-size - 2, size + 2),
+                      label="start")
+    stop = data.draw(st.none() | st.integers(-size - 2, size + 2),
+                     label="stop")
+    step = data.draw(st.none() | st.integers(-5, 5).filter(bool),
+                     label="step")
+    part = slice(start, stop, step)
+    assert _hexes(col[part]) == _hexes(ratios[part])
+    assert cols[part] == tuple(want)[part]
+    assert cols == want and hash(cols) == hash(want)
+    assert tuple(cols) == tuple(want)

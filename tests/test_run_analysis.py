@@ -255,6 +255,19 @@ def test_a_short_word_reads_the_same_logs_before_and_after_a_long_one(
         array("d", map(math.log, range(1, len(table)))).tobytes()
 
 
+def test_only_a_full_read_of_a_word_column_grows_the_table(fresh_table):
+    # building the trajectory and estimating its rates read O(runs)
+    # ratios, each from two math.log calls; iterating it takes the table
+    rng = random.Random(12)
+    word = random_word(rng, 2, 20_000)
+    traj = rate_trajectory(word)
+    rda.running_extremes(traj, 1.0)
+    assert traj.entries[100].ratio == math.log(20_000 - 102) / math.log(102)
+    assert len(rda._logs) == 1
+    assert traj.entries.ratios.tobytes() == _loop_ratios(word).tobytes()
+    assert len(rda._logs) >= 20_000
+
+
 def test_the_table_grows_by_a_quarter_at_least(fresh_table):
     assert len(rda.log_table(1000)) == 1000
     assert len(rda.log_table(1001)) == 1250
