@@ -75,10 +75,21 @@ def _profile_from_args(args) -> Optional[PhiSpec]:
     return None
 
 
+def _rate(text: str) -> ExtReal:
+    """A rate or ratio extreme: a nonnegative fraction, decimal or 'inf',
+    checked before any output."""
+    try:
+        return ExtReal(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"a rate is a nonnegative fraction, decimal or 'inf', got {text!r}"
+        ) from None
+
+
 def _add_rate_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--alpha", required=True,
+    sp.add_argument("--alpha", type=_rate, required=True,
                     help="lower rate target (fraction, decimal, or 'inf')")
-    sp.add_argument("--beta", required=True,
+    sp.add_argument("--beta", type=_rate, required=True,
                     help="upper rate target (fraction, decimal, or 'inf')")
 
 
@@ -180,12 +191,11 @@ def _load_plan(path: str) -> InsertionPlan:
 
 def _cmd_classify(args) -> int:
     phi = _profile_from_args(args)
-    alpha, beta = ExtReal(args.alpha), ExtReal(args.beta)
     if phi is not None:
-        cls = classify_profile(phi, alpha, beta)
+        cls = classify_profile(phi, args.alpha, args.beta)
     elif args.gamma is not None and args.delta is not None:
-        cls = classify_thresholds(alpha, beta, ExtReal(args.gamma),
-                                  ExtReal(args.delta))
+        cls = classify_thresholds(args.alpha, args.beta, args.gamma,
+                                  args.delta)
     else:
         _note("classify needs a profile (--phi/--osc) or both --gamma and --delta")
         return 2
@@ -198,7 +208,7 @@ def _cmd_classify(args) -> int:
 
 def _plan_from_args(args) -> tuple[InsertionPlan, PhiSpec, Classification]:
     phi = _profile_from_args(args)
-    cls = classify_profile(phi, ExtReal(args.alpha), ExtReal(args.beta))
+    cls = classify_profile(phi, args.alpha, args.beta)
     plan = plan_for_classification(phi, cls, p=args.p, m=args.m,
                                    count=args.count, digit_cap=args.digit_cap)
     return plan, phi, cls
@@ -393,8 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("classify", help="dimension and case for rate targets")
     _add_profile_args(sp, required=False)
     _add_rate_args(sp)
-    sp.add_argument("--gamma", help="upper ratio extreme, if no profile is given")
-    sp.add_argument("--delta", help="lower ratio extreme, if no profile is given")
+    sp.add_argument("--gamma", type=_rate,
+                    help="upper ratio extreme, if no profile is given")
+    sp.add_argument("--delta", type=_rate,
+                    help="lower ratio extreme, if no profile is given")
     sp.set_defaults(func=_cmd_classify)
 
     sp = subs.add_parser("plan", help="synthesize an insertion plan")

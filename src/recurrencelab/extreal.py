@@ -35,7 +35,12 @@ class ExtReal:
             if text in ("inf", "infinity", "oo"):
                 self._v = None
                 return
-            value = Fraction(text)
+            try:
+                value = Fraction(text)
+            except ValueError:
+                if text.lstrip("+-") == "nan":
+                    raise ValueError("NaN is not a rate value") from None
+                raise
         if isinstance(value, float):
             if math.isinf(value):
                 if value < 0:

@@ -78,7 +78,11 @@ class GammaDelta:
 
 
 class PhiSpec:
-    """Base class: positive profile with the phi(1) fallback rule."""
+    """Base class: positive profile with the phi(1) fallback rule.
+
+    value(n) is finite and positive at every n >= 1, or raises
+    PhiDomainError naming the depth where the profile is not.
+    """
 
     def _raw(self, n: int) -> float:
         raise NotImplementedError
@@ -92,7 +96,7 @@ class PhiSpec:
             except (PhiDomainError, ValueError, OverflowError, ZeroDivisionError):
                 v = None
             if v is None or not math.isfinite(v) or v <= 0:
-                return self._raw(2) / 2
+                return self.value(2) / 2
             return v
         v = self._raw(n)
         if not math.isfinite(v):

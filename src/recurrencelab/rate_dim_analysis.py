@@ -9,10 +9,13 @@ estimators here are careful about that asymmetry.
 
 A trajectory is stored as columns (`RateColumns`), the way return_time
 stores `ReturnTimes`: depths, return times, exactness bytes and ratios.
-On a word the exact values come first and the bounds after them are a
-range, and every column is built by C-level map/chain/compress, with no
-per-depth Python statement.  `entries` is a read-only sequence whose
-RateEntry views are built only on access; `ratios()` and
+On a word the exact values come first, held by reference to the
+ReturnTimes head, and the bounds after them are a range, and every
+column is built by C-level map/chain, with no per-depth Python
+statement.  A word trajectory holds depths 2..top under the default
+profile, since log(1) = 0, and 1..top under a profile, which is positive
+at every depth or raises PhiDomainError there.  `entries` is a read-only
+sequence whose RateEntry views are built only on access; `ratios()` and
 `running_extremes` read the columns directly.
 
 Under the default profile log n every logarithm is read from one
@@ -27,21 +30,18 @@ and then swaps it in; a table is never changed once published, so a
 reader that holds one, or a memoryview of one, may read it while another
 thread grows the next.
 
-The ratio column of a length-L word is held in closed form
-(`LogRatioColumn`): L, the deepest depth and the exact head of
-ReturnTimes, so building it costs nothing per depth and holds no table.
-An entry is one division, log(R_n)/log(n), with the bound L - n past
-the exact head; iteration and slices take the table when they run and
-make one C-level pass over two memoryviews of it, the numerators one
-read per run of equal exact return times and then the bounds log(L - n)
-as a reversed slice.
-Along each run, and along the bounds, the ratio never increases, so the
-columns keep where each of these stretches starts, and
-`running_extremes` reads one ratio per stretch in its window: the first
-for the upper estimate, the last exact one for the lower
-(`_run_extremes`).  Plan trajectories, other profiles and columns built
-from entries hold an array('d') of ratios, keep no stretches and are
-scanned.
+The ratio column of a length-L word under the default profile is held in
+closed form (`LogRatioColumn`): L, the deepest depth and the exact head
+of ReturnTimes, so building it costs nothing per depth and holds no
+table.  It is the one owner of the word's runs of equal R_n.  An entry
+is one division, log(R_n)/log(n), with the bound L - n past the exact
+head; iteration and slices take the table when they run and make one
+C-level pass over two memoryviews of it, the numerators one read per run
+and then the bounds log(L - n) as a reversed slice.  Along each run, and
+along the bounds, the ratio never increases, so the column answers
+`running_extremes` itself (`LogRatioColumn.extremes`) with two ratios
+per run in the window and one for the bounds.  Plan trajectories and
+other profiles hold an array('d') of ratios and are scanned.
 
 `recurrence_witnesses` works per run of equal R_n = j under the default
 profile with a finite rate c = alpha + eps > 0.  Within a run the cutoff
@@ -51,7 +51,8 @@ deepest of them is a return of every shallower prefix, so one slice
 comparison re-checks the whole suffix.  Every other rate and profile
 takes one cutoff exp(c*phi(n)) per depth, and e^0 = 1 where phi(n) = 0
 at every rate (c*0 is NaN for an infinite c; IEEE pow(1, c) is 1 too),
-and re-checks only the depths that pass them.
+and re-checks only the depths that pass them.  Both read a cutoff past
+float range as inf (`_cutoff`): it exceeds every return time.
 """
 from __future__ import annotations
 
@@ -64,8 +65,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import attrgetter, gt, le, not_, truediv
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, gt, not_, truediv
 from typing import Optional
 
 from .cantor_builder import InsertionPlan, certified_brackets, fp_cylinder_count
@@ -113,23 +114,21 @@ class RateColumns(Sequence):
     ratios[i]: an array of doubles, or under the default profile the
     closed-form `LogRatioColumn` of a word.  Its return time is read from two
     runs, `head` then `tail`, so that a word's bound region stays a range:
-    head holds the exact values and tail the descending bounds L - n.
-    Behaves as a read-only sequence of RateEntry views, each built only
-    when indexed or iterated.
-
-    `_starts` is set only by rate_trajectory under the default profile:
-    the entry index of each run of equal exact return times, then of the
-    bound range, the stretches along which the ratio never increases
-    (`_run_extremes`).  Elsewhere it is None and the columns are scanned.
+    head holds the exact values and tail the descending bounds L - n.  A
+    word's head is its ReturnTimes head itself, held by reference, and may
+    open with values that have no entry (R_1 under the default profile):
+    their count is len(head) + len(tail) - len(ns).  Behaves as a
+    read-only sequence of RateEntry views, each built only when indexed
+    or iterated.
     """
 
-    __slots__ = ("ns", "head", "tail", "exact", "ratios", "_starts")
+    __slots__ = ("ns", "head", "tail", "exact", "ratios", "_skip")
 
     def __init__(self, ns: Sequence[int], head: Sequence[int],
                  tail: Sequence[int], exact: bytes, ratios: Sequence[float]):
         self.ns, self.head, self.tail = ns, head, tail
         self.exact, self.ratios = exact, ratios
-        self._starts = None
+        self._skip = len(head) + len(tail) - len(ns)
 
     @classmethod
     def from_entries(cls, entries) -> "RateColumns":
@@ -138,8 +137,8 @@ class RateColumns(Sequence):
         return cls(ns, times, (), bytes(map(bool, exact)), array("d", ratios))
 
     def return_time(self, i: int) -> int:
-        k = len(self.head)
-        return self.head[i] if i < k else self.tail[i - k]
+        k = len(self.head) - self._skip
+        return self.head[i + self._skip] if i < k else self.tail[i - k]
 
     def __len__(self) -> int:
         return len(self.ratios)
@@ -155,7 +154,8 @@ class RateColumns(Sequence):
                          self.ratios[i])
 
     def __iter__(self) -> Iterator[RateEntry]:
-        return map(RateEntry, self.ns, chain(self.head, self.tail),
+        return map(RateEntry, self.ns,
+                   chain(islice(self.head, self._skip, None), self.tail),
                    map(bool, self.exact), self.ratios)
 
     def __eq__(self, other):
@@ -204,6 +204,10 @@ def _runs(values: Sequence[int], lo: int, hi: int):
         lo = end
 
 
+_NO_EXACT_ENTRY = ("every tail entry is a lower bound; the window is too "
+                   "short to estimate the lower rate")
+
+
 class LogRatioColumn(Sequence):
     """log(R_n)/log(n) for n = 2..top of a length-L word, in closed form.
 
@@ -223,6 +227,7 @@ class LogRatioColumn(Sequence):
     `_run_witnesses`), and along the bounds the numerator falls as the
     denominator rises, so the ratio never increases within a run or
     within the bounds: division rounds monotonically in both arguments.
+    `extremes` reads the window extremes off the runs on that ground.
     """
 
     __slots__ = ("length", "top", "values")
@@ -269,17 +274,41 @@ class LogRatioColumn(Sequence):
     def tobytes(self) -> bytes:
         return array("d", self).tobytes()
 
+    def extremes(self, start: int) -> tuple[float, float]:
+        """(lowest exact ratio, highest ratio) over entries start.., the
+        pair running_extremes scans for, one run at a time.
+
+        The ratio never increases along a run or along the bounds, so the
+        highest is the first ratio of a run or of the bounds in the window,
+        and the lowest exact one the last ratio of a run.  Each ratio is a
+        double of at least +0.0, so two that compare equal are the same
+        bits, and the pair is the scan's.
+        """
+        log, values = math.log, self.values
+        h = len(values)
+        highs, lows = [], []
+        # the runs clipped to depths start + 2 .. h, each depths lo + 1 .. end
+        for j, lo, end in _runs(values, start + 1, h):
+            highs.append(log(j) / log(lo + 1))
+            lows.append(log(j) / log(end))
+        if not lows:
+            raise EstimationImpossibleError(_NO_EXACT_ENTRY)
+        n = max(h + 1, start + 2)       # the first bound in the window
+        if n <= self.top:
+            highs.append(log(self.length - n) / log(n))
+        return min(lows), max(highs)
+
 
 def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
                     max_n: Optional[int] = None) -> RateTrajectory:
     """Ratio trajectory read off a concrete word, one entry per n.
 
-    Entries with an uninformative bound (return time below 1) are dropped,
-    and so are depths where phi(n) <= 0: n = 1 under the default profile
-    since log(1) = 0.  The columns are built without a per-depth
-    statement: exact values first, then the bounds as a range; under the
-    default profile the ratios are the closed-form `LogRatioColumn`, every
-    logarithm a read of the shared log table.
+    The entries are depths 2..top under the default profile, since
+    log(1) = 0, and 1..top under a profile, whose value is positive at
+    every depth or raises PhiDomainError there.  The columns are built
+    without a per-depth statement: the exact head held by reference, then
+    the bounds as a range; under the default profile the ratios are the
+    closed-form `LogRatioColumn`, and under a profile one array('d').
     """
     rt = return_times_all(word, max_n=max_n)
     L, head = rt.length, rt.values
@@ -287,36 +316,15 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     # n = L - 1, which is therefore the deepest entry; the bounds fall by
     # one per depth, so they form a range
     top = min(rt.top, L - 1)
-    ns = range(1, top + 1)
-    tail = range(rt.bound(len(head) + 1), rt.bound(top + 1), -1)
+    first = 2 if phi is None else 1
+    ns = range(first, top + 1)
+    last = max(len(head), first - 1)      # the last depth before the bounds
+    tail = range(rt.bound(last + 1), rt.bound(top + 1), -1)
+    exact = (b"\1" * (last + 1 - first)).ljust(len(ns), b"\0")
     if phi is None:
-        fs, keep = None, b"\0"     # log(1) = 0: n = 1 has no ratio
+        ratios = LogRatioColumn(L, top, head)
     else:
-        fs = list(map(phi.value, ns))
-        keep = bytes(map(not_, map(le, fs, repeat(0))))
-    # dropped leading depths are sliced off, which keeps ns and tail ranges
-    skip = len(keep) - len(keep.lstrip(b"\0"))
-    cut = min(skip, len(head))
-    ns, head, tail, keep = ns[skip:], head[cut:], tail[skip - cut:], keep[skip:]
-    exact = (b"\1" * len(head)).ljust(len(ns), b"\0")
-    if fs is None:
-        ratios = LogRatioColumn(L, top, rt.values)
-        cols = RateColumns(ns, head, tail, exact, ratios)
-        # the entry index (depth n at n - 2) where each run of equal exact
-        # values starts, then where the bounds start
-        h = max(len(rt.values), 1)
-        cols._starts = [start - 1 for _, start, _ in _runs(rt.values, 1, h)]
-        if top > h:
-            cols._starts.append(h - 1)
-        return RateTrajectory(cols, "word")
-    fs = fs[skip:]
-    if 0 in keep:
-        # a drop past a kept depth: only a profile that overrides
-        # PhiSpec.value can be nonpositive beyond n = 1
-        ns, exact, fs = (tuple(compress(ns, keep)),
-                         bytes(compress(exact, keep)), compress(fs, keep))
-        head, tail = tuple(compress(chain(head, tail), keep)), ()
-    ratios = _ratio_column(chain(head, tail), fs)
+        ratios = _ratio_column(chain(head, tail), map(phi.value, ns))
     return RateTrajectory(RateColumns(ns, head, tail, exact, ratios), "word")
 
 
@@ -339,25 +347,21 @@ def plan_rate_trajectory(plan: InsertionPlan, phi: Optional[PhiSpec] = None,
                                       ratios), "plan")
 
 
-_NO_EXACT_ENTRY = ("every tail entry is a lower bound; the window is too "
-                   "short to estimate the lower rate")
-
-
 def running_extremes(traj: RateTrajectory,
                      tail_fraction: float = 0.5) -> tuple[float, float]:
     """(alpha_hat, beta_hat) over the trailing tail_fraction of the
     trajectory.  The lower estimate uses exact entries only — a lower
     bound says nothing about how small the true ratio is — while the upper
-    estimate may use bounds as well.  Default-profile word columns are
-    read one ratio per stretch (`_run_extremes`), all others scanned."""
+    estimate may use bounds as well.  A closed-form word column answers
+    per run (`LogRatioColumn.extremes`); every other column is scanned."""
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
     cols = traj.entries
     if not cols:
         raise EstimationImpossibleError("empty trajectory")
     start = int(len(cols) * (1 - tail_fraction))
-    if cols._starts is not None:
-        return _run_extremes(cols, start)
+    if isinstance(cols.ratios, LogRatioColumn):
+        return cols.ratios.extremes(start)
     # the lower estimate stops at the last exact entry: on a word every
     # bound follows the exact head
     last = cols.exact.rfind(b"\1", start) + 1
@@ -367,51 +371,31 @@ def running_extremes(traj: RateTrajectory,
     return low, max(cols.ratios[start:])
 
 
-def _run_extremes(cols: RateColumns, start: int) -> tuple[float, float]:
-    """running_extremes over entries start.. of default-profile word
-    columns, reading one ratio per stretch of cols._starts in the window.
-
-    The ratio never increases along a stretch (`LogRatioColumn`), so
-    the window's largest ratio is at its first entry or at a stretch
-    start inside it, and its smallest exact ratio at the last entry of an
-    exact stretch, one that ends at or before len(cols.head), the first
-    bound.  Each ratio is a double of at least +0.0, so two that compare
-    equal are the same bits, and the result is the scan's.
-    """
-    ratios, k = cols.ratios, len(cols.head)
-    inside = cols._starts[bisect_right(cols._starts, start):]
-    lows = [ratios[b - 1] for b in chain(inside, (len(ratios),))
-            if start < b <= k]
-    if not lows:
-        raise EstimationImpossibleError(_NO_EXACT_ENTRY)
-    return min(lows), max(map(ratios.__getitem__, chain((start,), inside)))
-
-
-def _cutoff_fits(c, log_h: float) -> bool:
-    """True when exp(c*log_h) is a finite float: then no shallower depth's
-    cutoff overflows either."""
+def _cutoff(x: float) -> float:
+    """exp(x), and inf past float range: such a cutoff exceeds every
+    return time, as the true e^x does."""
     try:
-        return math.exp(c * log_h) < math.inf
+        return math.exp(x)
     except OverflowError:
-        return False
+        return math.inf
 
 
 def _run_witnesses(syms, values: Sequence[int], c, logs: array,
                    out: list) -> int:
-    """Witnesses of the default profile at a finite rate c > 0 whose
-    deepest cutoff fits in a float, one run of equal R_n at a time,
-    appended to out in depth order.  Returns the first depth left to the
-    per-depth rule: len(values) + 1 when every run was handled, or the
-    start of a stretch whose values are not one run (an engine that is not
-    nondecreasing).
+    """Witnesses of the default profile at a finite rate c > 0, one run
+    of equal R_n at a time, appended to out in depth order.  Returns the
+    first depth left to the per-depth rule: len(values) + 1 when every run
+    was handled, or the start of a stretch whose values are not one run
+    (an engine that is not nondecreasing).
 
     Within a run, n < m implies cutoff(n) <= cutoff(m) in floats: the
     computed log(n) is strictly increasing for n < 2^40, since log(n + 1)
     - log(n) > 1/(n + 1) exceeds two ulps there and math.log is within
     one; c*x rounds monotonically for c > 0; and exp is taken to be
     monotone, as PhiSpec.first_above takes the computed values it
-    bisects.  So the depths with j <= cutoff(n) are a suffix of the run,
-    and bisecting the loop's own float test finds its first depth.
+    bisects, with every cutoff past float range read as inf (`_cutoff`).
+    So the depths with j <= cutoff(n) are a suffix of the run, and
+    bisecting the loop's own float test finds its first depth.
     """
     for j, lo, end in _runs(values, 0, len(values)):
         if values[lo:end].count(j) != end - lo:
@@ -419,7 +403,7 @@ def _run_witnesses(syms, values: Sequence[int], c, logs: array,
         a, b = lo + 1, end + 1      # the run is depths lo + 1 .. end
         while a < b:
             mid = (a + b) // 2
-            if j > math.exp(c * logs[mid]):
+            if j > _cutoff(c * logs[mid]):
                 a = mid + 1
             else:
                 b = mid
@@ -446,8 +430,9 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     return time must agree with itself for at least n symbols.  Returns
     (n, R_n) pairs.
 
-    The default profile at a finite rate alpha + eps > 0, with a deepest
-    cutoff that fits in a float, is decided per run of equal R_n
+    A cutoff past float range is read as inf (`_cutoff`), so it passes
+    every depth, as the true cutoff does.  The default profile at a
+    finite rate alpha + eps > 0 is decided per run of equal R_n
     (`_run_witnesses`); everything else, and whatever a run cannot
     decide, follows the per-depth rule below.
     """
@@ -459,13 +444,13 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     start = 1     # the first depth left to the per-depth rule
     if phi is None:
         logs = log_table(h + 1)
-        if h and 0 < c < math.inf and _cutoff_fits(c, logs[h]):
+        if h and 0 < c < math.inf:
             start = _run_witnesses(syms, values, c, logs, out)
         fs = logs[start:h + 1]
     else:
         fs = map(phi.value, range(1, h + 1))
     ns = range(start, h + 1)
-    cutoffs = (math.exp(c * f) if f else 1.0 for f in fs)
+    cutoffs = (_cutoff(c * f) if f else 1.0 for f in fs)
     # lazily, in depth order, so an error surfaces at the depth a loop
     # over n would meet it; a depth is dropped only when j > cutoff (a
     # NaN cutoff, from a NaN phi(n) or rate, keeps it)

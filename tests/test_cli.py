@@ -593,6 +593,32 @@ def test_a_block_length_alphabet_or_digit_cap_out_of_range_is_a_usage_error(
     assert option in err and rule in err
 
 
+_RATE_OPTIONS = [("classify", "--alpha"), ("classify", "--beta"),
+                 ("classify", "--gamma"), ("classify", "--delta"),
+                 ("plan", "--alpha"), ("plan", "--beta"),
+                 ("verify", "--alpha"), ("verify", "--beta")]
+
+
+@pytest.mark.parametrize("value", ["x", "nan", "-1", "1/0"])
+@pytest.mark.parametrize("command, option", _RATE_OPTIONS,
+                         ids=[f"{c}{o}" for c, o in _RATE_OPTIONS])
+def test_a_malformed_rate_is_a_usage_error(capsys, monkeypatch, command,
+                                           option, value):
+    # rejected while parsing, before anything is classified
+    called = []
+    monkeypatch.setattr(cli, "_plan_from_args",
+                        lambda args: called.append(args))
+    monkeypatch.setattr(cli, "classify_thresholds",
+                        lambda *args: called.append(args))
+    argv = [command, "--alpha", "1", "--beta", "2"]
+    argv += (["--gamma", "1", "--delta", "1"] if command == "classify"
+             else ["--phi", "log(n)"])
+    code, out, err = run(capsys, *argv, option, value)
+    assert code == 2
+    assert out == "" and not called
+    assert option in err and f"got {value!r}" in err
+
+
 _MAX_N_COMMANDS = {
     "return-times": (),
     "rates": ("--tail", "1"),

@@ -27,6 +27,14 @@ def test_rejects_negative_and_nan():
         ExtReal(math.nan)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("nan", "NaN is not a rate value"), (" -NaN ", "NaN is not a rate value"),
+    ("x", "Invalid literal for Fraction")])
+def test_strings_that_fraction_refuses(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        ExtReal(text)
+
+
 def test_reciprocal_conventions():
     assert ZERO.reciprocal().is_inf
     assert INF.reciprocal().is_zero

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurrencelab import (EstimationImpossibleError, OscLogPhi, Word,
-                           parse_phi, rate_trajectory, return_times_all,
+from recurrencelab import (EstimationImpossibleError, OscLogPhi,
+                           PhiDomainError, PhiSpec, Word, parse_phi,
+                           rate_trajectory, return_times_all,
                            running_extremes)
 from recurrencelab.rate_dim_analysis import (LogRatioColumn, RateColumns,
                                              RateEntry, RateTrajectory)
@@ -63,7 +64,8 @@ def _trajectory_words():
 
 TRAJECTORY_WORDS = _trajectory_words()
 PROFILES = {"default": None, "2log": parse_phi("2*log(n)"),
-            "osc": OscLogPhi(Fraction(4, 5), Fraction(6, 5))}
+            "osc": OscLogPhi(Fraction(4, 5), Fraction(6, 5)),
+            "expr": parse_phi("log(n)^2+log(n)")}
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
@@ -91,22 +93,38 @@ def test_columnar_trajectory_matches_the_loop(name, profile):
                     running_extremes(traj, tail)
 
 
-class _DippingPhi:
-    """A profile whose own value() is nonpositive at scattered depths."""
+class _NonpositivePhi(PhiSpec):
+    """log(n + 1), but 0 at the depths in `bad`: not a profile, and
+    value() says so at the first of them."""
 
-    def value(self, n):
-        return 0.0 if n % 7 == 3 or n == 1 else math.log(n + 1)
+    def __init__(self, bad):
+        self.bad = bad
+
+    def _raw(self, n):
+        return 0.0 if n in self.bad else math.log(n + 1)
 
 
-def test_drops_past_a_kept_depth_follow_the_loop():
+@pytest.mark.parametrize("bad, depth", [({17}, 17), ({2}, 2), ({1, 40}, 40)])
+def test_a_profile_nonpositive_at_a_depth_raises_there(bad, depth):
     word = TRAJECTORY_WORDS["periodic-noise"]
-    phi = _DippingPhi()
-    want = loop_trajectory(word, phi)
-    assert {3, 10, 17} <= {e.n for e in loop_trajectory(word)} - \
-        {e.n for e in want}
-    traj = rate_trajectory(word, phi)
+    phi = _NonpositivePhi(bad)
+    with pytest.raises(PhiDomainError,
+                       match=rf"^phi\({depth}\) = 0\.0 is not positive$"):
+        rate_trajectory(word, phi)
+    # the depths above it have a trajectory, every depth an entry
+    traj = rate_trajectory(word, phi, max_n=depth - 1)
+    want = loop_trajectory(word, phi, depth - 1)
+    assert [e.n for e in traj.entries] == list(range(1, depth))
     assert list(traj.entries) == want
-    assert running_extremes(traj, 1.0) == loop_extremes(want, 1.0)
+
+
+def test_a_profile_nonpositive_at_one_and_two_raises_at_two():
+    # phi(1) falls back to phi(2)/2, which raises at 2 even when n = 1 is
+    # the only depth asked for
+    word = TRAJECTORY_WORDS["periodic-noise"]
+    with pytest.raises(PhiDomainError,
+                       match=r"^phi\(2\) = 0\.0 is not positive$"):
+        rate_trajectory(word, _NonpositivePhi({1, 2}), max_n=1)
 
 
 def test_tuple_store_with_non_prefix_exactness():
@@ -159,6 +177,28 @@ def test_a_word_trajectory_holds_no_column_of_ratios():
     assert len(traj) == n - 2
 
 
+def test_a_word_trajectory_holds_its_exact_head_by_reference():
+    # a 176 531-symbol Fibonacci word, the length of the benchmark's
+    # longest, has an exact head of over 10^5 depths; the trajectory holds
+    # the ReturnTimes head itself, so the exactness bytes are the one
+    # column built: about 1.6 bytes per depth measured, 6.2 with the head
+    # copied
+    n = 176_531
+    word = Word.from_iterable(_word_symbols("fibonacci", 2, n, 0), 2)
+    head = return_times_all(word).values
+    assert len(head) > n // 2
+    rate_trajectory(word, max_n=100)
+    tracemalloc.start()
+    try:
+        traj = rate_trajectory(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 2, f"{peak / n:.2f} bytes per depth"
+    assert traj.entries.head is head
+    assert len(traj) == n - 2
+
+
 # ------------------------------------------ run-granular extremes vs scan ---
 
 def _word_symbols(kind, m, length, seed):
@@ -198,8 +238,8 @@ def test_run_extremes_equal_the_scan(kind, m, length, seed, data):
     max_n = data.draw(st.none() | st.integers(1, length), label="max_n")
     traj = rate_trajectory(word, max_n=max_n)
     scanned = RateTrajectory(RateColumns.from_entries(traj.entries), "word")
-    assert traj.entries._starts is not None
-    assert scanned.entries._starts is None
+    assert isinstance(traj.entries.ratios, LogRatioColumn)
+    assert not isinstance(scanned.entries.ratios, LogRatioColumn)
     size = len(traj)
     single = 0.5 / size if size else 1.0
     tails = [1.0, 0.5, single, 1e-17,

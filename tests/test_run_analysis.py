@@ -77,13 +77,22 @@ def _longest_run(values):
     return best
 
 
+def _exp_or_inf(x):
+    """e^x, inf past float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def loop_witnesses(word, alpha, eps, *, max_n=None):
     """The per-depth loop: one log, one exp and one re-check per depth;
-    the cutoff at n = 1 is e^0 = 1 at every rate."""
+    the cutoff at n = 1 is e^0 = 1 at every rate, and one past float
+    range is inf."""
     syms = word.symbols
     out = []
     for n, j in enumerate(rda.return_times_all(word, max_n=max_n).values, 1):
-        if j > (math.exp((alpha + eps) * math.log(n)) if n > 1 else 1.0):
+        if j > (_exp_or_inf((alpha + eps) * math.log(n)) if n > 1 else 1.0):
             continue
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(
@@ -138,12 +147,16 @@ def test_run_witnesses_equal_the_depth_loop(kind, length, seed, rate,
 
 
 def test_an_overflow_inside_a_run_is_raised_like_the_loop():
+    # a cutoff past float range exceeds every return time: it reads as
+    # inf, and every depth of the run passes, where exp raised before
     word = Word.from_iterable(bytes(5000), 2)
     c = _overflow_rate(word, None)
     assert math.exp(c * math.log(2400)) < math.inf
-    for call in (recurrence_witnesses, loop_witnesses):
-        with pytest.raises(OverflowError):
-            call(word, c, 0.0)
+    with pytest.raises(OverflowError):
+        math.exp(c * math.log(4999))
+    want = [(n, 1) for n in range(1, 5000)]
+    assert recurrence_witnesses(word, c, 0.0) == want
+    assert loop_witnesses(word, c, 0.0) == want
 
 
 def test_a_run_costs_a_bisection_not_a_cutoff_per_depth():

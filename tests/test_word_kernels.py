@@ -256,12 +256,20 @@ def test_paired_ratios_with_an_exact_head_past_half_the_word():
 
 def loop_witnesses(word, alpha, eps, *, phi=None, max_n=None):
     """The per-depth loop: one cutoff per depth, dropped when j > cutoff;
-    the cutoff is e^0 = 1 where the profile is 0, whatever the rate."""
+    the cutoff is e^0 = 1 where the profile is 0, whatever the rate, and
+    inf where it leaves float range."""
     syms = word.symbols
     out = []
     for n, j in enumerate(return_times_all(word, max_n=max_n).values, 1):
         f = math.log(n) if phi is None else phi.value(n)
-        if j > (math.exp((alpha + eps) * f) if f != 0 else 1.0):
+        if f == 0:
+            cutoff = 1.0
+        else:
+            try:
+                cutoff = math.exp((alpha + eps) * f)
+            except OverflowError:
+                cutoff = math.inf    # past float range: above every R_n
+        if j > cutoff:
             continue
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(f"disagree at n={n}")
@@ -322,10 +330,15 @@ def test_nan_and_overflow_cutoffs_follow_the_loop():
         r1 = return_times_all(word).values[0]
         assert inf_want[0][0] == (1 if r1 == 1 else 2)
         assert recurrence_witnesses(word, math.inf, 0.0) == inf_want
+    # a cutoff past float range is inf: every depth from `at` on passes,
+    # and below it only R_n = 1 passes the cutoff e^0 = 1
+    values = return_times_all(w).values
     for at in (1, 4, 40):
-        for call in (recurrence_witnesses, loop_witnesses):
-            with pytest.raises(OverflowError):
-                call(w, 1.0, 0.0, phi=_HugePhi(at))
+        huge = [(n, j) for n, j in enumerate(values, 1)
+                if n >= at or j == 1]
+        assert len(huge) > len(values) - at
+        assert recurrence_witnesses(w, 1.0, 0.0, phi=_HugePhi(at)) == huge
+        assert loop_witnesses(w, 1.0, 0.0, phi=_HugePhi(at)) == huge
 
 
 def test_a_wrong_engine_value_still_raises(monkeypatch):
