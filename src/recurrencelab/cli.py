@@ -126,6 +126,8 @@ _symbols = _int_at_least(2, "alphabet size must be an integer of at least 2")
 _digit_cap = _int_at_least(1, "digit cap must be a positive integer")
 _prefix = _int_at_least(0, "prefix length must be a nonnegative integer")
 _max_n = _int_at_least(1, "max-n must be a positive integer")
+_depth = _int_at_least(2, "depth must be an integer of at least 2")
+_min_depth = _int_at_least(1, "min-depth must be a positive integer")
 
 
 def _cap_from_env(parser: argparse.ArgumentParser) -> int:
@@ -431,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", help="symbol digits, e.g. 00101101")
     sp.add_argument("--word-file", help="file containing the digits, or the "
                     "JSON line of build --prefix")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_symbols, required=True)
     sp.add_argument("--max-n", type=_max_n, default=None)
     sp.add_argument("--prime", action="store_true",
                     help="restrict candidate shifts to j >= n")
@@ -441,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_profile_args(sp, required=False)
     sp.add_argument("--word", help="symbol digits")
     sp.add_argument("--word-file")
-    sp.add_argument("--m", type=int, default=2)
+    sp.add_argument("--m", type=_symbols, default=2)
     sp.add_argument("--plan-file", help="estimate from a plan instead")
     sp.add_argument("--endpoints", choices=("right", "left"), default="right")
     sp.add_argument("--max-n", type=_max_n, default=None,
@@ -456,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_profile_args(sp, required=False)
     sp.add_argument("--word", help="symbol digits")
     sp.add_argument("--word-file")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=_symbols, required=True)
     sp.add_argument("--alpha", type=float, required=True,
                     help="rate; 'inf' allowed, and a negative infinite "
                          "rate is written attached: --alpha=-inf")
@@ -468,10 +470,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_witnesses)
 
     sp = subs.add_parser("dim", help="box-dimension fit of the marker set")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--min-depth", type=int, default=1)
+    sp.add_argument("--p", type=_block, required=True)
+    sp.add_argument("--m", type=_symbols, default=2)
+    sp.add_argument("--depth", type=_depth, required=True)
+    sp.add_argument("--min-depth", type=_min_depth, default=1)
     sp.set_defaults(func=_cmd_dim)
 
     sp = subs.add_parser("verify",

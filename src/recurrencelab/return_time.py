@@ -51,7 +51,8 @@ record per kind, plain and primed (`Word._walks`): the exact head of one
 walk to its end, walked on the first query of that kind, single depth
 or batch, and read by every later one.  The walk depends on top only
 where it stops, so a batch to any top is a slice of it, and a single
-depth is its value there or, past it, the certified bound.  A raw
+depth is its value there or, past it, the certified bound, read from
+`Word._walks` with no batch object in between.  A raw
 sequence keeps no record: a single depth is one scan of its store
 (bytes.find), a batch one walk to its top.  The naive oracles scan one
 depth at a time and never read the record.
@@ -62,18 +63,20 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .shift_core import Word, symbol_store
 
 
-@dataclass(frozen=True, slots=True)
-class ReturnTimeResult:
+class ReturnTimeResult(NamedTuple):
     """Either an exact return time or a certified lower bound.
 
     exact=True: value is R_n itself.
     exact=False: every candidate up to and including `value` was excluded,
     i.e. R_n > value.  (value = L - n for a length-L observation window.)
+
+    A named tuple: immutable, compared and hashed by its fields, and one
+    allocation to build (half the cost of a slotted frozen dataclass).
     """
 
     n: int
@@ -269,13 +272,16 @@ def return_times_all(w: Union[Word, Sequence[int]],
 def _single(w: Union[Word, Sequence[int]], n: int,
             prime: bool) -> ReturnTimeResult:
     """One depth: read from a Word's record, or one scan of a raw sequence."""
-    text = _text(w)
-    if not isinstance(w, Word) or not 1 <= n <= len(text):
-        return _lookup(text, n, prime)   # raises for n outside 1..L
-    values = _word_walk(w, prime)
-    if n <= len(values):
-        return ReturnTimeResult(n, values[n - 1], True, prime)
-    return ReturnTimeResult(n, _bound(len(text), n, prime), False, prime)
+    if isinstance(w, Word):
+        L = len(w.symbols)
+        if 1 <= n <= L:
+            values = w._walks[prime]
+            if values is None:
+                values = _word_walk(w, prime)
+            if n <= len(values):
+                return ReturnTimeResult(n, values[n - 1], True, prime)
+            return ReturnTimeResult(n, _bound(L, n, prime), False, prime)
+    return _lookup(_text(w), n, prime)   # raises for n outside 1..L
 
 
 def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:

@@ -1,11 +1,12 @@
 import json
 import random
+import re
 
 import pytest
 
 import recurrencelab.cli as cli
 import recurrencelab.plan_engine as plan_engine
-from recurrencelab import LazySequence, return_times_all
+from recurrencelab import LazySequence, box_dimension, return_times_all
 from recurrencelab.cli import main
 
 from conftest import brute_return_time
@@ -442,9 +443,47 @@ def test_dim_cli(capsys):
     (["--p", "3", "--m", "1"], "alphabet needs at least 2 symbols, got 1"),
     (["--p", "3", "--min-depth", "0"], "need 1 <= min_depth < max_depth"),
 ])
-def test_dim_refuses_an_impossible_family(capsys, argv, reason):
+def test_dim_refuses_an_impossible_family(capsys, monkeypatch, argv, reason):
+    # box_dimension refuses the family with the reason; the command
+    # refuses it while parsing, before box_dimension is called
+    opts = dict(zip(argv[::2], map(int, argv[1::2])))
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        box_dimension(opts["--p"], opts.get("--m", 2), 5,
+                      min_depth=opts.get("--min-depth", 1))
+    called = []
+    monkeypatch.setattr(cli, "box_dimension",
+                        lambda *args, **kwargs: called.append(args))
     code, out, err = run(capsys, "dim", *argv, "--depth", "5")
-    assert (code, out, err) == (1, "", f"error: {reason}\n")
+    assert (code, out, called) == (2, "", [])
+    assert f"argument {argv[-2]}: " in err and f"got {argv[-1]!r}" in err
+
+
+@pytest.mark.parametrize("option, value, rule", [
+    ("--p", "three", "at least 2"), ("--m", "two", "at least 2"),
+    ("--depth", "1", "at least 2"), ("--depth", "-5", "at least 2"),
+    ("--min-depth", "x", "positive")],
+    ids=["p-word", "m-word", "depth-1", "depth-negative", "min-depth-word"])
+def test_a_dim_parameter_out_of_range_is_a_usage_error(capsys, monkeypatch,
+                                                       option, value, rule):
+    # rejected while parsing, before any cylinder is counted
+    called = []
+    monkeypatch.setattr(cli, "box_dimension",
+                        lambda *args, **kwargs: called.append(args))
+    argv = {"--p": "3", "--depth": "5", option: value}
+    code, out, err = run(capsys, "dim",
+                         *[t for item in argv.items() for t in item])
+    assert code == 2
+    assert out == "" and not called
+    assert option in err and rule in err and f"got {value!r}" in err
+
+
+@pytest.mark.parametrize("min_depth", ["5", "9"])
+def test_dim_needs_min_depth_below_depth(capsys, min_depth):
+    # each option is in range, but not against the other: exit 1
+    code, out, err = run(capsys, "dim", "--p", "3", "--min-depth", min_depth,
+                         "--depth", "5")
+    assert (code, out, err) == (
+        1, "", "error: need 1 <= min_depth < max_depth\n")
 
 
 # ----------------------------------------------------------------- verify ---
@@ -640,6 +679,22 @@ def test_a_max_n_below_one_is_a_usage_error(capsys, monkeypatch, command,
     assert code == 2
     assert out == "" and not called
     assert "--max-n" in err and "positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["1", "0", "two"])
+@pytest.mark.parametrize("command", sorted(_MAX_N_COMMANDS))
+def test_an_alphabet_below_two_is_a_usage_error(capsys, monkeypatch, command,
+                                                value):
+    # --m on the word commands: rejected while parsing, before the word
+    # is read
+    called = []
+    monkeypatch.setattr(cli, "_word_from_args",
+                        lambda args: called.append(args))
+    code, out, err = run(capsys, command, "--word", "0101", "--m", value,
+                         *_MAX_N_COMMANDS[command])
+    assert code == 2
+    assert out == "" and not called
+    assert "--m" in err and "at least 2" in err and f"got {value!r}" in err
 
 
 @pytest.mark.parametrize("command", sorted(_MAX_N_COMMANDS))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurrencelab import (Word, return_time, return_time_naive,
-                           return_time_prime, return_times_all,
-                           return_times_naive_all)
+from recurrencelab import (ReturnTimeResult, Word, return_time,
+                           return_time_naive, return_time_prime,
+                           return_times_all, return_times_naive_all)
 from recurrencelab.return_time import _byte_view
 
 from conftest import brute_return_time, random_word
@@ -173,6 +173,76 @@ def _period7_with_flips(rng, length, m):
     for i in range(0, length, 97):
         syms[i] = (syms[i] + 1) % m
     return syms
+
+
+def _single_depth_words():
+    rng = random.Random(34)
+    yield "random", [rng.randrange(3) for _ in range(400)], 3
+    yield "period7-flips", _period7_with_flips(rng, 600, 3), 3
+    yield "fibonacci", _fibonacci(500), 2
+
+
+@pytest.mark.parametrize("batch_first", [False, True],
+                         ids=["before-batch", "after-batch"])
+@pytest.mark.parametrize("name,syms,m", list(_single_depth_words()),
+                         ids=[w[0] for w in _single_depth_words()])
+def test_single_depth_reads_equal_the_record_and_the_oracle(name, syms, m,
+                                                            batch_first):
+    # every depth of both kinds, read from a Word's record whether the
+    # first query of its kind was a batch or a single depth
+    w = Word.from_iterable(syms, m)
+    depths = range(1, len(w) + 1)
+    if batch_first:
+        for prime in (False, True):
+            return_times_all(w, prime=prime)
+    for prime, single in ((False, return_time), (True, return_time_prime)):
+        got = [single(w, n) for n in depths]
+        assert got == list(return_times_all(w, prime=prime)), prime
+        assert got == [return_time_naive(syms, n, prime) for n in depths]
+        assert any(r.exact for r in got) and not got[-1].exact
+
+
+def test_a_word_with_an_empty_record_walks_once_per_kind(monkeypatch):
+    # "01" has no return at any depth: both records are empty, and an
+    # empty record is read as it is, not walked again
+    walks = _counting_walks(monkeypatch)
+    w = Word.from_digits("01", 2)
+    for _ in range(3):
+        assert [return_time(w, n) for n in (1, 2)] == [
+            ReturnTimeResult(1, 1, False), ReturnTimeResult(2, 0, False)]
+        assert [return_time_prime(w, n) for n in (1, 2)] == [
+            ReturnTimeResult(1, 1, False, True),
+            ReturnTimeResult(2, 1, False, True)]
+    assert walks == [(1, 2, False), (1, 2, True)]
+    assert w._walks == [(), ()]
+
+
+@pytest.mark.parametrize("single", [return_time, return_time_prime])
+def test_depths_outside_the_word_raise(single):
+    syms = [0, 1, 1, 0, 1, 1]
+    word = Word.from_iterable(syms, 2)
+    for w in (word, syms, tuple(syms), word):   # the word again, walked
+        for n in (0, len(syms) + 1):
+            with pytest.raises(ValueError, match="need 1 <= n <= 6"):
+                single(w, n)
+        single(w, 3)
+
+
+def test_return_time_result_contract():
+    r = ReturnTimeResult(3, 5, False, True)
+    with pytest.raises(AttributeError):
+        r.value = 6
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert str(r) == "R'_3 > 5"
+    assert str(ReturnTimeResult(4, 2, True)) == "R_4 = 2"
+    assert repr(r) == ("ReturnTimeResult(n=3, value=5, exact=False, "
+                       "prime=True)")
+    same = ReturnTimeResult(3, 5, False, True)
+    assert r == same and hash(r) == hash(same) and r is not same
+    assert r != ReturnTimeResult(3, 5, False)
+    assert ReturnTimeResult(3, 5, False).prime is False
+    assert (r.n, r.value, r.exact, r.prime) == (3, 5, False, True)
 
 
 @pytest.mark.parametrize("kind", ["fibonacci", "period7", "all-zero"])

@@ -13,6 +13,7 @@ from recurrencelab import (Alphabet, AlphabetMismatchError, ExplicitBase,
                            SymbolSource, Word, agreement_length, distance,
                            make_insertion_word)
 from recurrencelab.errors import CapacityError
+from recurrencelab.shift_core import symbol_store
 
 from conftest import random_word
 
@@ -62,6 +63,47 @@ def test_word_equal_across_input_kinds(m):
     for w in words:
         assert w == words[0] and hash(w) == hash(words[0])
         assert list(w) == syms and [w.at(j) for j in range(1, 6)] == syms
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 5, 256]),
+       st.lists(st.integers(0, 255), max_size=300), st.booleans())
+def test_symbol_store_packs_like_bytes(m, syms, as_tuple):
+    # every symbol fits in a byte, so the store is the bytes of the
+    # symbols, whatever m <= 256 says about the alphabet
+    store = symbol_store(tuple(syms) if as_tuple else syms, m)
+    assert type(store) is bytes and store == bytes(syms)
+
+
+class _Index:
+    """An int-like symbol: only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_symbol_store_edge_cases():
+    assert symbol_store([True, False, True], 2) == b"\x01\x00\x01"
+    assert symbol_store((_Index(3), _Index(200)), 256) == b"\x03\xc8"
+    # a symbol that is no byte falls back to a tuple of the input
+    for bad in ([0, 256], (1, -1), [0, 1.0], ("0", "1")):
+        assert symbol_store(bad, 256) == tuple(bad), bad
+    data = bytes([0, 1, 1])
+    assert symbol_store(data, 2) is data
+    assert symbol_store(data, 300) == (0, 1, 1)
+    # an iterator is read once, also when the bytes route fails
+    pulled = []
+
+    def symbols():
+        for s in (0, 1, 300):
+            pulled.append(s)
+            yield s
+
+    assert symbol_store(symbols(), 256) == (0, 1, 300)
+    assert pulled == [0, 1, 300]
 
 
 @pytest.mark.parametrize("m,store", [(2, bytes), (256, bytes), (300, tuple)])
