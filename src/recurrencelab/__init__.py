@@ -19,7 +19,8 @@ from .phi_spec import (ExprPhi, GammaDelta, OscLogPhi, PhiSpec, PowerLog,
                        check_nondecreasing, parse_phi)
 from .cantor_builder import (ExplicitFree, FpBase, FreeStream, InsertionPlan,
                              SeededFree, ZeroFree, apply_insertions,
-                             build_fp_prefix, certified_brackets,
+                             bracket_return_times, build_fp_prefix,
+                             certified_brackets,
                              check_plan_conditions, first_certified_index,
                              fp_cylinder_count, fp_membership,
                              make_insertion_word, materializable_term_count,
@@ -46,7 +47,8 @@ __all__ = [
     "RefusalError", "ReturnTimeResult", "ReturnTimes", "SearchCapError",
     "SeededFree", "SourceExhaustedError", "SymbolSource",
     "Word", "ZERO", "ZeroFree", "agreement_length", "apply_insertions",
-    "box_dimension", "build_fp_prefix", "certified_brackets",
+    "box_dimension", "bracket_return_times", "build_fp_prefix",
+    "certified_brackets",
     "check_nondecreasing",
     "check_plan_conditions", "classify_profile", "classify_thresholds",
     "compute_AB", "dichotomy", "distance", "find_ratio_witness",

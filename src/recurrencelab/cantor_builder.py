@@ -15,7 +15,9 @@ a base stream plus a sorted event table — exactly a LazySequence.
 
 The payoff: for bracket indices i past a small threshold, the first
 return time of the length-n prefix equals ell_{i+1} for every n with
-n_i < n <= n_{i+1}.  predicted_return_time exposes that dictionary.
+n_i < n <= n_{i+1}.  predicted_return_time exposes that dictionary, and
+bracket_return_times measures R_n of a constructed point at the few
+shifts where a return can start, without materializing it.
 """
 from __future__ import annotations
 
@@ -23,9 +25,10 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import PlanValidityError, SourceExhaustedError
+from .return_time import ReturnTimes, _common_prefix
 from .shift_core import (BASE_DECODERS, DEFAULT_MATERIALIZATION_CAP, Alphabet,
                          LazySequence, SymbolSource, Word, _tile, join_stores,
                          symbol_store)
@@ -52,6 +55,12 @@ class FreeStream:
             pass
         return symbol_store(out)
 
+    def within(self, m: int) -> bool:
+        """Whether every ordinal holds a symbol below m, so that no read
+        can run short or leave an m-symbol alphabet.  This default does
+        not know."""
+        return False
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -62,6 +71,9 @@ class ZeroFree(FreeStream):
 
     def read(self, first: int, last: int) -> bytes:
         return bytes(max(0, last - first + 1))
+
+    def within(self, m: int) -> bool:
+        return True
 
     def descriptor(self) -> dict:
         return {"kind": "zero"}
@@ -122,6 +134,9 @@ class SeededFree(FreeStream):
             with memoryview(self._cache) as cache:
                 return cache[first - 1:last].tobytes()
         return symbol_store(self._cache[first - 1:last], self.m)
+
+    def within(self, m: int) -> bool:
+        return 0 < self.m <= m
 
     def descriptor(self) -> dict:
         return {"kind": "seeded", "seed": self.seed, "m": self.m}
@@ -223,6 +238,18 @@ class FpBase(SymbolSource):
             return not free.translate(None, self._symbols)
         return min(free) >= 0 and max(free) < self._alphabet.m
 
+    def _free_read(self, first: int, last: int) -> Union[bytes, tuple]:
+        """Free symbols first..last (first <= last) as a symbol store: one
+        read of the stream, checked once, by bytes.translate for bytes and
+        by C-level min and max for a tuple.  An out-of-alphabet or missing
+        symbol sends the read through _free_symbol ordinal by ordinal,
+        which raises what symbol_at would at the first bad one."""
+        free = self.free.read(first, last)
+        if len(free) != last - first + 1 or not self._in_alphabet(free):
+            free = symbol_store(map(self._free_symbol, range(first, last + 1)),
+                                self._alphabet.m)
+        return free
+
     def fill(self, buf, at: int, i: int, j: int) -> None:
         """Write positions i..j into buf[at:at + j - i + 1], a bytearray,
         or a list past 256 symbols.
@@ -231,13 +258,9 @@ class FpBase(SymbolSource):
         block template 1 0^(p-2) 1, rotated to the first block position
         and tiled by doubling copies inside the buffer, so nothing the
         size of the window is allocated beside it.  Unless the stream is
-        a ZeroFree, whose symbols the template already holds, one
-        free-stream read of exactly the ordinals inside [i, j] is checked
-        once, by bytes.translate for bytes and by C-level min and max for
-        a tuple, and laid down by one strided copy per interior offset.
-        An out-of-alphabet or missing free symbol sends the read through
-        _free_symbol ordinal by ordinal, which raises what symbol_at
-        would at the first bad one.
+        a ZeroFree, whose symbols the template already holds, one checked
+        free-stream read of exactly the ordinals inside [i, j]
+        (_free_read) is laid down by one strided copy per interior offset.
         """
         if j < i:
             return
@@ -256,10 +279,7 @@ class FpBase(SymbolSource):
         first, last = _free_slots(p, i - 1) + 1, _free_slots(p, j)
         if first > last or type(self.free) is ZeroFree:
             return
-        free = self.free.read(first, last)
-        if len(free) != last - first + 1 or not self._in_alphabet(free):
-            free = symbol_store(map(self._free_symbol, range(first, last + 1)),
-                                self._alphabet.m)
+        free = self._free_read(first, last)
         for r in range(1, p - 1):
             # blocks k whose slot r, at kp + 1 + r, lies in [i, j]
             k_lo = max(1, -((r + 1 - i) // p))   # ceil((i - 1 - r) / p)
@@ -513,6 +533,106 @@ def apply_insertions(plan: InsertionPlan,
         events.append((ell_k, w))
         seq = LazySequence(base, tuple(events), cap=cap)
     return seq
+
+
+def _zero_starts(syms: Union[bytes, tuple], p: int) -> Iterator[int]:
+    """0-based starts of 0^p in a symbol store, overlapping ones included."""
+    text = syms if isinstance(syms, bytes) else bytes(map(bool, syms))
+    zeros = bytes(p)
+    hit = text.find(zeros)
+    while hit != -1:
+        yield hit
+        hit = text.find(zeros, hit + 1)
+
+
+def bracket_return_times(seq: LazySequence, horizon: int,
+                         max_n: Optional[int] = None) -> ReturnTimes:
+    """R_n for n = 1..max_n (default: horizon) of the first `horizon`
+    symbols of a constructed point, read only at the shifts where a return
+    can start: the ReturnTimes that
+    return_times_all(seq.prefix(horizon), max_n=max_n) returns, and what
+    it raises.
+
+    The premise is the shape apply_insertions builds: an FpBase, and event
+    words that begin and end with 1, all placed past the opening 0^p.
+    Past the opening, every zero run of the base is then at most p - 2
+    long and bounded by 1s, and the 1s that bound each event word keep its
+    zeros apart from the base's.  So for n >= p a return of x_1..x_n,
+    which opens with 0^p, starts at a start of 0^p inside an event word:
+    those are the candidate shifts.  R_n = 1 for n < p, and for n >= p
+    R_n is the least candidate whose agreement with the prefix reaches n.
+    An agreement is measured by doubling windows of the sequence
+    (LazySequence.window) against a head of the prefix, read once and
+    doubled as it is needed.  ValueError when the premise fails.
+
+    A free stream that could run short or leave the alphabet (see
+    FreeStream.within) is first read through the horizon, so that it
+    raises what the materialized prefix would, before any window.
+    """
+    base = seq.base
+    if not isinstance(base, FpBase):
+        raise ValueError("the bracket audit needs an FpBase, not a "
+                         f"{type(base).__name__}")
+    p = base.p
+    for start, word in seq.events:
+        if start <= p or word.symbols[0] != 1 or word.symbols[-1] != 1:
+            raise ValueError(f"the event at {start} is no marker: the "
+                             "audit needs words that begin and end with 1, "
+                             f"placed past the opening 0^{p}")
+    if horizon < 0:
+        raise ValueError("prefix length must be nonnegative")
+    seq._check_cap(horizon)
+    if horizon == 0:
+        return ReturnTimes((), 0, 0)
+    top = horizon if max_n is None else max_n
+    if not 1 <= top <= horizon:
+        raise ValueError(f"need 1 <= max_n <= {horizon}")
+    if not base.free.within(base.alphabet.m):
+        inserted = sum(min(len(word), horizon - start + 1)
+                       for start, word in seq.events if start <= horizon)
+        last = _free_slots(p, horizon - inserted)
+        if last:
+            base._free_read(1, last)
+    # x_2..x_{n+1} = 0^n for n < p
+    values = [1] * min(top, p - 1, horizon - 1)
+    if top < p or horizon <= p:
+        return ReturnTimes(tuple(values), horizon, top)
+    head = seq.window(1, p)
+
+    def agreement(j: int, cap: int) -> int:
+        """Length of the common prefix of x_{j+1}.. and x_1.., at most
+        cap; the first p symbols agree, j + 1 being a start of 0^p."""
+        nonlocal head
+        done = width = p
+        while done < cap:
+            width = min(width, cap - done)
+            if len(head) < done + width:
+                head += seq.window(len(head) + 1,
+                                   min(top, max(2 * len(head), done + width)))
+            got = seq.window(j + done + 1, j + done + width)
+            want = head[done:done + width]
+            if got != want:
+                return done + _common_prefix(got + want, 0, width, width)
+            done += width
+            width *= 2
+        return cap
+
+    best = p - 1   # values holds R_1..R_best
+    for start, word in seq.events:
+        if start - 1 + p > horizon:
+            break
+        for h in _zero_starts(word.symbols, p):
+            j = start + h - 1
+            cap = min(horizon - j, top)
+            if cap <= best:
+                continue
+            reach = agreement(j, cap)
+            if reach > best:
+                # no earlier candidate reaches past best, and j reaches
+                # every depth up to reach
+                values.extend(repeat(j, reach - best))
+                best = reach
+    return ReturnTimes(tuple(values), horizon, top)
 
 
 def materializable_term_count(plan: InsertionPlan, cap: int) -> int:

@@ -22,7 +22,8 @@ from typing import Optional
 
 from .bignum import DEFAULT_DIGIT_CAP
 from .cantor_builder import (ExplicitFree, InsertionPlan, SeededFree,
-                             ZeroFree, apply_insertions, certified_brackets,
+                             ZeroFree, apply_insertions,
+                             bracket_return_times, certified_brackets,
                              materializable_term_count, truncate_plan)
 from .errors import (CapacityError, GuardError, PhiParseError,
                      RecurrenceLabError, RefusalError, SearchCapError)
@@ -329,11 +330,11 @@ def _cmd_verify(args) -> int:
     free = args.free(plan.m)
     seq = apply_insertions(sub, free, cap=cap)
     horizon = brackets[-1][2] + brackets[-1][1] + 2
-    # materialized before any output, so a free stream that runs short
-    # fails with nothing on stdout
-    word = seq.prefix(horizon)
+    # audited before any output: a free stream that could run short or
+    # leave the alphabet is read through the horizon first, so it fails
+    # with nothing on stdout
+    rt = bracket_return_times(seq, horizon, brackets[-1][1])
     _emit(plan.to_json_dict())
-    rt = return_times_all(word, max_n=brackets[-1][1])
     ok = True
     mismatch_lines = 0
     for lo, hi, ell in brackets:

@@ -99,12 +99,23 @@ def log_table(size: int) -> array:
     return table
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RateEntry:
+    """One depth of a rate trajectory.  Frozen, and slotted by its own
+    __slots__: dataclass(slots=True) rebuilds the class, and the frozen
+    __setattr__ it keeps, bound to the old class, raises TypeError for a
+    name that is not a field.  Here every assignment raises
+    FrozenInstanceError, an AttributeError.  __reduce__ pickles and copies
+    it, since a frozen object cannot set its slots back."""
+
+    __slots__ = ("n", "return_time", "exact", "ratio")
     n: int
     return_time: int
     exact: bool       # False: return_time is only a lower bound
     ratio: float      # log(return_time)/phi(n), same bound caveat
+
+    def __reduce__(self):
+        return RateEntry, (self.n, self.return_time, self.exact, self.ratio)
 
 
 class RateColumns(Sequence):

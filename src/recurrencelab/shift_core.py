@@ -9,11 +9,11 @@ A LazySequence is a base sequence (periodic, explicit, or any SymbolSource)
 overlaid with finitely many inserted words at fixed positions.  Positions of
 the overlay are expressed in the coordinates of the final sequence: inserting
 words left to right at nondecreasing gaps means an inserted word never moves
-once placed, so a single sorted table answers random access, and a prefix is
-the base's windows between events interleaved with the event words.  Those
+once placed, so a single sorted table answers random access, and a window is
+the base's ranges between events interleaved with the event words.  Those
 pieces are written in place into one buffer, each checked against the
-alphabet where it is made (SymbolSource.fill), and the Word is built once
-from it without a second scan.
+alphabet where it is made (SymbolSource.fill), and a prefix's Word is built
+once from it without a second scan.
 
 Words travel in JSON as digit strings when m <= 10 and as symbol lists
 otherwise; readers accept either form.
@@ -364,15 +364,16 @@ class LazySequence:
 
     Invariants: event positions are >= 1, strictly increasing, and each
     event starts at or after the previous event's end + 1 (no overlap).
-    Random access costs O(log #events).  A prefix is one left-to-right
-    walk over the events, one base range per gap and then the event word,
-    each written in place into one buffer of the prefix's length (the
-    base's `fill`, which checks what it writes).  The Word is built once
-    from the buffer, with no second alphabet scan.  For m <= 256 the
-    buffer is a bytearray: over the bases of this package no per-symbol
-    Python runs, and the peak is about two bytes per symbol, the bytearray
-    and the Word's bytes.  Past 256 symbols it is a list, and the Word's
-    store a tuple.
+    Random access costs O(log #events).  A window is one left-to-right
+    walk over the events that reach it, one base range per gap and then
+    the event word, each written in place into one buffer of the window's
+    length (the base's `fill`, which checks what it writes); a prefix is
+    the window from position 1.  Its Word is built once from the buffer,
+    with no second alphabet scan.  For m <= 256 the buffer is a
+    bytearray: over the bases of this package no per-symbol Python runs,
+    and the peak is about two bytes per symbol, the bytearray and the
+    Word's bytes.  Past 256 symbols it is a list, and the Word's store a
+    tuple.
     """
 
     base: SymbolSource
@@ -424,23 +425,42 @@ class LazySequence:
         base_pos = j - self._inserted_before[k + 1]
         return self.base.symbol_at(base_pos)
 
+    def window(self, i: int, j: int) -> Union[bytes, tuple]:
+        """Symbols at 1-based positions i..j inclusive (empty when j < i),
+        as a Word's symbol store.  One left-to-right walk over the events
+        that reach the window, from the first that ends at or after i: a
+        base range per gap and then the part of the event word inside the
+        window, each written in place into one buffer of the window's
+        length."""
+        if j < i:
+            return _frozen(_new_buffer(self.alphabet.m, 0))
+        if i < 1:
+            raise IndexError("positions start at 1")
+        self._check_cap(j)
+        buf = _new_buffer(self.alphabet.m, j - i + 1)
+        starts, before = self._starts, self._inserted_before
+        pos = i                                 # next position to write
+        k = bisect_right(self._ends, i - 1)     # events 0..k-1 end before i
+        while k < len(starts) and starts[k] <= j:
+            start, word = self.events[k]
+            # the base position of pos, when pos < start, is pos less the
+            # lengths of the k events before it
+            bp = pos - before[k]
+            self.base.fill(buf, pos - i, bp, bp + start - pos - 1)
+            lo = max(pos, start)
+            syms = word.symbols[lo - start:j - start + 1]
+            buf[lo - i:lo - i + len(syms)] = syms
+            pos = start + len(word)
+            k += 1
+        bp = pos - before[k]
+        self.base.fill(buf, pos - i, bp, bp + j - pos)
+        return _frozen(buf)
+
     def prefix(self, n: int) -> Word:
-        """The first n symbols as a Word."""
+        """The first n symbols as a Word: window(1, n)."""
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
-        self._check_cap(n)
-        buf = _new_buffer(self.alphabet.m, n)
-        pos = bp = 1   # next final position, next base position
-        for start, word in self.events:
-            if start > n:
-                break
-            self.base.fill(buf, pos - 1, bp, bp + start - pos - 1)
-            syms = word.symbols[:n - start + 1]
-            buf[start - 1:start - 1 + len(syms)] = syms
-            bp += start - pos
-            pos = start + len(word)
-        self.base.fill(buf, pos - 1, bp, bp + n - pos)
-        return Word._checked(_frozen(buf), self.alphabet)
+        return Word._checked(self.window(1, n), self.alphabet)
 
     # -- serialization ------------------------------------------------------
 

@@ -4,21 +4,23 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from recurrencelab import (Alphabet, CapacityError, ExplicitBase,
-                           ExplicitFree, FpBase, FreeStream, InsertionPlan,
-                           LazySequence, OscLogPhi, PeriodicBase,
-                           PlanValidityError, SeededFree,
-                           SourceExhaustedError, SymbolSource, Word, ZeroFree,
-                           apply_insertions, box_dimension, build_fp_prefix,
+                           ExplicitFree, ExtReal, FpBase, FreeStream,
+                           InsertionPlan, LazySequence, OscLogPhi,
+                           PeriodicBase, PlanValidityError, ReturnTimes,
+                           SeededFree, SourceExhaustedError, SymbolSource,
+                           Word, ZeroFree, apply_insertions, box_dimension,
+                           bracket_return_times, build_fp_prefix,
                            certified_brackets, check_plan_conditions,
                            first_certified_index, fp_cylinder_count,
                            fp_membership, make_insertion_word,
                            materializable_term_count, plan_full_dimension,
                            predicted_return_time, remove_insertions,
-                           return_times_naive_all, truncate_plan)
+                           return_times_all, return_times_naive_all,
+                           truncate_plan)
 
 from conftest import marker_base_symbol, splice_oracle
 
@@ -546,10 +548,10 @@ def _either(fn):
         return type(exc), str(exc)
 
 
-def _walked(seq, n):
-    """The first n symbols read one by one through index, as a Word: the
-    outcome a prefix must have, error included."""
-    return Word([seq.index(j) for j in range(1, n + 1)], seq.alphabet).symbols
+def _walked(seq, n, i=1):
+    """Symbols i..n read one by one through index, as a Word: the outcome
+    a window (a prefix when i = 1) must have, error included."""
+    return Word([seq.index(j) for j in range(i, n + 1)], seq.alphabet).symbols
 
 
 class LooseSource(SymbolSource):
@@ -621,6 +623,17 @@ def test_prefix_is_the_symbols_read_one_by_one(case):
         assert isinstance(seq.prefix(n).symbols, bytes)
 
 
+@settings(max_examples=300, deadline=None)
+@given(overlays(), st.data())
+def test_a_window_is_the_symbols_read_one_by_one(case, data):
+    # windows that start anywhere: in the opening, mid-block, inside an
+    # event or past the end
+    seq, n = case
+    i = data.draw(st.integers(1, n + 2))
+    want = _either(lambda: _walked(seq, n, i))
+    assert _either(lambda: seq.window(i, n)) == want, (seq, i, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(2, 6),
        st.lists(st.integers(-1, 6), max_size=80), st.integers(0, 160))
@@ -680,3 +693,109 @@ def test_fill_writes_exactly_its_window_over_any_bytes():
             source.fill(buf, at, i, j)
             want = bytes(source.symbol_at(x) for x in range(i, j + 1))
             assert buf == b"\xaa" * at + want + b"\xaa" * 8, (source, i, j)
+
+
+# ------------------------------------------------------------ bracket audit ---
+
+def _returns_or_raises(fn):
+    """The ReturnTimes fn returns, or (exception type, message)."""
+    try:
+        return fn()
+    except (ValueError, SourceExhaustedError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def marker_plans(draw):
+    """(seq, horizon, max_n): apply_insertions over a random term table
+    whose later markers copy earlier ones whole (n past an earlier
+    marker's end) or cut off (n inside it), on a zero, seeded or explicit
+    stream; the horizon ends at the last marker or anywhere near it."""
+    p = draw(st.integers(2, 5))
+    m = draw(st.sampled_from([2, 3, 300]))
+    kind = draw(st.sampled_from(["zero", "seeded", "explicit"]))
+    if kind == "zero":
+        free = ZeroFree()
+    elif kind == "seeded":
+        free = SeededFree(draw(st.integers(0, 99)), m)
+    else:   # long enough for most horizons, short for a few
+        free = ExplicitFree(draw(st.lists(st.integers(0, m - 1),
+                                          max_size=400)))
+    n, ell = draw(st.integers(1, 2 * p)), draw(st.integers(p + 2, 4 * p))
+    terms = [(n, ell)]
+    for _ in range(draw(st.integers(1, 5))):
+        n_next = draw(st.integers(n + 1, ell + n + 10))
+        ell = draw(st.integers(max(ell + n + 3, n_next + 2),
+                               max(ell + n + 3, n_next + 2) + 4 * n_next))
+        n = n_next
+        terms.append((n, ell))
+    try:
+        seq = apply_insertions(InsertionPlan(p, m, tuple(terms)), free)
+    except (ValueError, SourceExhaustedError):
+        assume(False)   # the stream is too short for the markers themselves
+    end = ell + n + 2
+    horizon = end if draw(st.booleans()) else draw(st.integers(1, end + 20))
+    max_n = draw(st.one_of(st.none(), st.integers(1, horizon)))
+    return seq, horizon, max_n
+
+
+@settings(max_examples=300, deadline=None)
+@given(marker_plans())
+# R_2 = 1 on the opening, then the whole-copy and cut-off candidates
+@example((apply_insertions(InsertionPlan(3, 2, ((2, 6), (9, 11), (20, 24))),
+                           ZeroFree()), 46, None))
+# an empty horizon, a negative one and one past the cap
+@example((apply_insertions(InsertionPlan(3, 2, ((2, 6), (9, 11))),
+                           ZeroFree(), cap=30), 0, None))
+@example((apply_insertions(InsertionPlan(3, 2, ((2, 6), (9, 11))),
+                           ZeroFree(), cap=30), -1, None))
+@example((apply_insertions(InsertionPlan(3, 2, ((2, 6), (9, 11))),
+                           ZeroFree(), cap=30), 31, 20))
+def test_bracket_return_times_matches_the_full_rescan(case):
+    seq, horizon, max_n = case
+    want = _returns_or_raises(lambda: return_times_all(seq.prefix(horizon),
+                                                       max_n=max_n))
+    got = _returns_or_raises(lambda: bracket_return_times(seq, horizon,
+                                                          max_n))
+    assert got == want, (seq.events, horizon, max_n)
+    if isinstance(want, ReturnTimes):
+        assert (got.values, got.length, got.top) == \
+            (want.values, want.length, want.top)
+
+
+@pytest.mark.parametrize("seq,reason", [
+    # the opening 0^p, but periodic: its zero runs come back whole
+    (LazySequence(PeriodicBase(Word.from_digits("0001101", 2))), "FpBase"),
+    (LazySequence(FpBase(3, 2), ((8, Word.from_digits("1100", 2)),)),
+     "no marker"),
+    (LazySequence(FpBase(3, 2), ((8, Word.from_digits("0011", 2)),)),
+     "no marker"),
+    # a marker inside the opening splits its zeros
+    (LazySequence(FpBase(3, 2), ((2, Word.from_digits("101", 2)),)),
+     "no marker"),
+])
+def test_the_bracket_audit_refuses_a_point_outside_its_premise(seq, reason):
+    with pytest.raises(ValueError, match=reason):
+        bracket_return_times(seq, 40, 20)
+
+
+def test_the_bracket_audit_reads_a_sliver_of_its_horizon(monkeypatch):
+    # the verify request --osc 1/2 2 --alpha 2 --beta 5/2 at cap 2 000 000
+    # (p = 3, m = 2, 12 terms, zero stream): its audit reads a few hundred
+    # symbols where the re-scan materializes the whole horizon
+    cap = 2_000_000
+    phi = OscLogPhi("1/2", "2")
+    plan = plan_full_dimension(phi, ExtReal(2), ExtReal("5/2"), count=12)
+    sub = truncate_plan(plan, materializable_term_count(plan, cap))
+    lo, hi, ell = certified_brackets(sub)[-1]
+    horizon = ell + hi + 2
+    assert horizon == 1_846_794
+    seq = apply_insertions(sub, ZeroFree(), cap=cap)
+    read = []
+    window = LazySequence.window
+    monkeypatch.setattr(LazySequence, "window", lambda self, i, j: (
+        read.append(max(0, j - i + 1)), window(self, i, j))[1])
+    rt = bracket_return_times(seq, horizon, hi)
+    monkeypatch.undo()
+    assert sum(read) < horizon / 100, sum(read)
+    assert rt == return_times_all(seq.prefix(horizon), max_n=hi)

@@ -255,6 +255,14 @@ def test_verify_reads_a_short_free_stream_before_any_output(capsys):
     assert err == "error: free stream of length 4 read at 5\n"
 
 
+def test_verify_reads_an_out_of_alphabet_free_stream_before_any_output(capsys):
+    code, out, err = run(capsys, "verify", "--phi", "log(n)", "--alpha", "2",
+                         "--beta", "2", "--cap", "200000",
+                         "--free", "digits:0120")
+    assert code == 1 and out == ""
+    assert err == "error: free stream produced symbol 2 outside alphabet\n"
+
+
 def test_build_reads_a_short_free_stream_before_any_output(tmp_path, capsys):
     code, out, _ = run(capsys, "plan", "--phi", "log(n)", "--alpha", "3",
                        "--beta", "3")

@@ -3,7 +3,10 @@
 The reference below is that loop, verbatim in its arithmetic: ratios must
 agree with ==, not approximately.
 """
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -139,6 +142,26 @@ def test_tuple_store_with_non_prefix_exactness():
     for tail in (0.25, 0.5, 1.0):
         assert running_extremes(traj, tail) == loop_extremes(entries, tail)
     assert running_extremes(traj, 0.6) == (1.25, 2.75)
+
+
+def test_rate_entry_contract():
+    e = RateEntry(2, 3, True, 1.5)
+    with pytest.raises(AttributeError):
+        e.ratio = 2.0
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    with pytest.raises(AttributeError):
+        del e.n
+    assert repr(e) == "RateEntry(n=2, return_time=3, exact=True, ratio=1.5)"
+    same = RateEntry(2, 3, True, 1.5)
+    assert e == same and hash(e) == hash(same) and e is not same
+    assert e != RateEntry(2, 3, False, 1.5)
+    assert (e.n, e.return_time, e.exact, e.ratio) == (2, 3, True, 1.5)
+    assert [f.name for f in dataclasses.fields(e)] == [
+        "n", "return_time", "exact", "ratio"]
+    assert not hasattr(e, "__dict__")
+    for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and twin is not e
 
 
 def test_trajectory_peak_memory_per_depth():

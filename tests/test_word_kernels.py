@@ -421,10 +421,10 @@ def _old_audit_lines(rt, brackets):
 @pytest.mark.parametrize("damage", ["none", "one", "scattered", "truncated"])
 def test_verify_audit_lines_are_the_depth_loop(capsys, monkeypatch, damage):
     seen = {}
-    real = cli.return_times_all
+    real = cli.bracket_return_times
 
-    def damaged(word, max_n=None):
-        rt = real(word, max_n=max_n)
+    def damaged(seq, horizon, max_n=None):
+        rt = real(seq, horizon, max_n)
         values = list(rt.values)
         if damage == "one":
             values[max_n // 2] += 1
@@ -436,7 +436,7 @@ def test_verify_audit_lines_are_the_depth_loop(capsys, monkeypatch, damage):
         seen["rt"] = ReturnTimes(tuple(values), rt.length, rt.top)
         return seen["rt"]
 
-    monkeypatch.setattr(cli, "return_times_all", damaged)
+    monkeypatch.setattr(cli, "bracket_return_times", damaged)
     code = cli.main(["verify", "--phi", "log(n)", "--alpha", "2", "--beta", "2",
                      "--count", "12", "--cap", "2000000"])
     out = capsys.readouterr().out.splitlines()
