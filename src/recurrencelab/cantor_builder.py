@@ -15,7 +15,7 @@ a base stream plus a sorted event table — exactly a LazySequence.
 
 The payoff: for bracket indices i past a small threshold, the first
 return time of the length-n prefix equals ell_{i+1} for every n with
-n_i < n <= n_{i+1}.  predicted_return_time exposes that dictionary, and
+n_i < n <= n_{i+1}.  certified_brackets lists those brackets, and
 bracket_return_times measures R_n of a constructed point at the few
 shifts where a return can start, without materializing it.
 """
@@ -29,9 +29,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import PlanValidityError, SourceExhaustedError
 from .return_time import ReturnTimes, _common_prefix
-from .shift_core import (BASE_DECODERS, DEFAULT_MATERIALIZATION_CAP, Alphabet,
-                         LazySequence, SymbolSource, Word, _tile, join_stores,
-                         symbol_store)
+from .shift_core import (DEFAULT_MATERIALIZATION_CAP, Alphabet, LazySequence,
+                         SymbolSource, Word, _tile, join_stores, symbol_store)
 
 
 # --------------------------------------------------------------------------
@@ -163,18 +162,6 @@ class ExplicitFree(FreeStream):
         return {"kind": "explicit", "symbols": list(self.symbols)}
 
 
-def _decode_free(desc: dict) -> FreeStream:
-    kind = desc.get("kind")
-    if kind == "zero":
-        return ZeroFree()
-    if kind == "seeded":
-        return SeededFree(desc["seed"], desc["m"])
-    if kind == "explicit":
-        # a digit string or a symbol list: int() reads an item of either
-        return ExplicitFree(tuple(int(ch) for ch in desc["symbols"]))
-    raise ValueError(f"unknown free-stream kind {kind!r}")
-
-
 # --------------------------------------------------------------------------
 # the base family
 # --------------------------------------------------------------------------
@@ -233,16 +220,19 @@ class FpBase(SymbolSource):
 
     def _in_alphabet(self, free: Union[bytes, tuple]) -> bool:
         """Whether every symbol of a nonempty free-stream read is in the
-        alphabet."""
+        alphabet: an int in [0, m)."""
         if isinstance(free, bytes):
             return not free.translate(None, self._symbols)
-        return min(free) >= 0 and max(free) < self._alphabet.m
+        # plain ints only; any other type takes the per-ordinal path
+        return (set(map(type, free)) == {int}
+                and min(free) >= 0 and max(free) < self._alphabet.m)
 
     def _free_read(self, first: int, last: int) -> Union[bytes, tuple]:
         """Free symbols first..last (first <= last) as a symbol store: one
         read of the stream, checked once, by bytes.translate for bytes and
-        by C-level min and max for a tuple.  An out-of-alphabet or missing
-        symbol sends the read through _free_symbol ordinal by ordinal,
+        for a tuple by a type scan and C-level min and max.  An
+        out-of-alphabet, non-int or missing symbol sends the read through
+        _free_symbol ordinal by ordinal,
         which raises what symbol_at would at the first bad one."""
         free = self.free.read(first, last)
         if len(free) != last - first + 1 or not self._in_alphabet(free):
@@ -297,29 +287,6 @@ class FpBase(SymbolSource):
     def descriptor(self) -> dict:
         return {"kind": "fp", "p": self.p, "m": self._alphabet.m,
                 "free": self.free.descriptor()}
-
-
-BASE_DECODERS["fp"] = lambda desc: FpBase(desc["p"], desc["m"],
-                                          _decode_free(desc["free"]))
-
-
-def build_fp_prefix(p: int, m: int, n: int,
-                    free: Optional[FreeStream] = None) -> Word:
-    base = FpBase(p, m, free)
-    return Word(base.window(1, n), base.alphabet)
-
-
-def fp_membership(word: Word, p: int) -> bool:
-    """Does the word satisfy every F_p constraint it is long enough to see?"""
-    for j in range(1, len(word) + 1):
-        s = word.at(j)
-        if j <= p:
-            if s != 0:
-                return False
-        elif j % p in (0, 1):
-            if s != 1:
-                return False
-    return True
 
 
 def fp_cylinder_count(p: int, n: int, m: int) -> int:
@@ -501,15 +468,6 @@ def certified_brackets(plan: InsertionPlan) -> list[tuple[int, int, int]]:
     return out
 
 
-def predicted_return_time(plan: InsertionPlan, n: int) -> Optional[int]:
-    """R_n of the constructed point, or None when n is outside the
-    certified brackets."""
-    for n_lo, n_hi, ell in certified_brackets(plan):
-        if n_lo < n <= n_hi:
-            return ell
-    return None
-
-
 def apply_insertions(plan: InsertionPlan,
                      free: Optional[FreeStream] = None,
                      cap: int = DEFAULT_MATERIALIZATION_CAP) -> LazySequence:
@@ -654,16 +612,3 @@ def truncate_plan(plan: InsertionPlan, count: int) -> InsertionPlan:
                          case_tag=plan.case_tag)
 
 
-def remove_insertions(prefix: Word, plan: InsertionPlan) -> Word:
-    """Strip marker regions from a prefix of the constructed sequence,
-    recovering the corresponding base prefix (partial markers at the end
-    are dropped as far as they reach)."""
-    syms = prefix.symbols
-    keep = []
-    cut = 0   # 0-based index past the last marker [ell, ell + n + 2]
-    for n, ell in plan.terms:
-        if _inserted(plan.p, n, ell):
-            keep.append(syms[cut:ell - 1])
-            cut = ell + n + 2
-    keep.append(syms[cut:])
-    return Word(join_stores(keep, prefix.alphabet.m), prefix.alphabet)

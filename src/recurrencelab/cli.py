@@ -68,6 +68,16 @@ def _add_profile_args(sp: argparse.ArgumentParser, required: bool) -> None:
                         "[DELTA, GAMMA]; GAMMA may be 'inf'")
 
 
+def _add_word_args(sp: argparse.ArgumentParser, word_help: str,
+                   file_help: Optional[str] = None):
+    """--word and --word-file, at most one of them (neither is an error
+    when the command runs, exit 1); the group, for a further input."""
+    g = sp.add_mutually_exclusive_group()
+    g.add_argument("--word", help=word_help)
+    g.add_argument("--word-file", help=file_help)
+    return g
+
+
 def _profile_from_args(args) -> Optional[PhiSpec]:
     if getattr(args, "phi", None):
         return parse_phi(args.phi)
@@ -431,9 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_build)
 
     sp = subs.add_parser("return-times", help="first return times of a word")
-    sp.add_argument("--word", help="symbol digits, e.g. 00101101")
-    sp.add_argument("--word-file", help="file containing the digits, or the "
-                    "JSON line of build --prefix")
+    _add_word_args(sp, "symbol digits, e.g. 00101101",
+                   "file containing the digits, or the JSON line of "
+                   "build --prefix")
     sp.add_argument("--m", type=_symbols, required=True)
     sp.add_argument("--max-n", type=_max_n, default=None)
     sp.add_argument("--prime", action="store_true",
@@ -442,10 +452,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("rates", help="ratio trajectory and rate estimates")
     _add_profile_args(sp, required=False)
-    sp.add_argument("--word", help="symbol digits")
-    sp.add_argument("--word-file")
+    g = _add_word_args(sp, "symbol digits")
+    g.add_argument("--plan-file", help="estimate from a plan instead")
     sp.add_argument("--m", type=_symbols, default=2)
-    sp.add_argument("--plan-file", help="estimate from a plan instead")
     sp.add_argument("--endpoints", choices=("right", "left"), default="right")
     sp.add_argument("--max-n", type=_max_n, default=None,
                     help="deepest n of a word's trajectory (default: the "
@@ -457,8 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("witnesses", help="depths that return unusually fast")
     _add_profile_args(sp, required=False)
-    sp.add_argument("--word", help="symbol digits")
-    sp.add_argument("--word-file")
+    _add_word_args(sp, "symbol digits")
     sp.add_argument("--m", type=_symbols, required=True)
     sp.add_argument("--alpha", type=float, required=True,
                     help="rate; 'inf' allowed, and a negative infinite "

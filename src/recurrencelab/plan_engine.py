@@ -71,11 +71,6 @@ def _table_product(rate: ExtReal, extreme: ExtReal,
     return rate * extreme
 
 
-def compute_AB(alpha, beta, gamma, delta) -> tuple[ExtReal, ExtReal]:
-    """The two case-splitting products; only defined on the table's cells."""
-    return _products(*map(ExtReal, (alpha, beta, gamma, delta)))
-
-
 def _products(alpha: ExtReal, beta: ExtReal, gamma: ExtReal,
               delta: ExtReal) -> tuple[ExtReal, ExtReal]:
     return (_table_product(alpha, gamma, "alpha", "gamma"),

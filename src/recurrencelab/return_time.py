@@ -16,15 +16,22 @@ candidate sets only shrink.  Exactness is therefore a prefix in n: the
 whole answer of a batch is the array of exact values plus L, every deeper
 depth being the lower bound.  `ReturnTimes` stores exactly that.
 
-Every batch, plain or primed, over any store, is one run-length walk.
-Once R_n = j is known, the length-n prefix reoccurs at j, so R_{n'} = j
-for every deeper n' with j + n' <= L whose next symbols keep agreeing:
-R_{n'} >= R_n = j (monotonicity) and j is a return at depth n'.  The
-primed walk also needs j >= n', so its runs stop at depth j.  The whole
-run n..k is therefore one common-prefix length c of text[n:] and
-text[j+n:], capped at L - j - n and at top - n (and at j - n when
-primed), with k = n + c, found by galloping and then bisecting slice
-comparisons (O(c) symbols compared in C).
+Every entry point takes a Word (Word.from_iterable(symbols, m) builds
+one); anything else is a TypeError.  A Word keeps one record per kind,
+plain and primed (`Word._walks`): the exact head of one run-length walk
+to its end, walked on the first query of that kind, single depth or
+batch, and read by every later one.  A batch to any max_n is a slice of
+it, and a single depth is its value there or, past it, the certified
+bound, read from `Word._walks` with no batch object in between.
+
+The walk, plain or primed, over any store: once R_n = j is known, the
+length-n prefix reoccurs at j, so R_{n'} = j for every deeper n' with
+j + n' <= L whose next symbols keep agreeing: R_{n'} >= R_n = j
+(monotonicity) and j is a return at depth n'.  The primed walk also needs
+j >= n', so its runs stop at depth j.  The whole run n..k is therefore one
+common-prefix length c of text[n:] and text[j+n:], capped at L - j - n
+(and at j - n when primed), with k = n + c, found by galloping and then
+bisecting slice comparisons (O(c) symbols compared in C).
 At depth k + 1 the return at j fails, so R_{k+1} > j: a return of the
 length-(k+1) prefix at shift s is also one of the length-k prefix, so
 s >= j, and s = j has just failed.  R_{k+1} is then the first hit of
@@ -40,22 +47,10 @@ byte per symbol.  A tuple store is viewed as fixed-width symbols,
 `array("Q", syms).tobytes()`, 8 bytes each, where equal symbols are equal
 8-byte words: a find hit whose offset is not a multiple of 8 straddles
 two symbols and is searched past, and a common-prefix length in bytes
-is divided by 8.  A raw sequence whose symbols array("Q") refuses
-(negative ints, ints of 2^64 or more, symbols that are not ints) is
-first mapped to the rank of each symbol's first occurrence, which keeps
-equal symbols equal and distinct ones distinct.
-
-Every entry point reads symbols through `_text`: a Word's own store, or
-a raw sequence normalized by shift_core.symbol_store.  A Word keeps one
-record per kind, plain and primed (`Word._walks`): the exact head of one
-walk to its end, walked on the first query of that kind, single depth
-or batch, and read by every later one.  The walk depends on top only
-where it stops, so a batch to any top is a slice of it, and a single
-depth is its value there or, past it, the certified bound, read from
-`Word._walks` with no batch object in between.  A raw
-sequence keeps no record: a single depth is one scan of its store
-(bytes.find), a batch one walk to its top.  The naive oracles scan one
-depth at a time and never read the record.
+is divided by 8.  A store that array("Q") refuses, one with a symbol of
+2^64 or more (an alphabet past 2^64 symbols), is first mapped to the
+rank of each symbol's first occurrence, which keeps equal symbols equal
+and distinct ones distinct.
 """
 from __future__ import annotations
 
@@ -65,7 +60,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Optional, Union
 
-from .shift_core import Word, symbol_store
+from .shift_core import Word
 
 
 class ReturnTimeResult(NamedTuple):
@@ -143,40 +138,6 @@ def _bound(L: int, n: int, prime: bool) -> int:
     return max(L - n, n - 1) if prime else L - n
 
 
-def _text(w: Union[Word, Sequence[int]]) -> Union[bytes, tuple]:
-    """The word's symbol store, or a raw sequence normalized the same way."""
-    return w.symbols if isinstance(w, Word) else symbol_store(w)
-
-
-def _scan(text: Union[bytes, tuple], n: int, start: int) -> int:
-    """First shift j >= start with text[j:j+n] == text[:n], or -1."""
-    if isinstance(text, bytes):
-        return text.find(text[:n], start)
-    pat = text[:n]
-    for j in range(start, len(text) - n + 1):
-        if text[j:j + n] == pat:
-            return j
-    return -1
-
-
-def _lookup(text: Union[bytes, tuple], n: int, prime: bool) -> ReturnTimeResult:
-    """One depth of a symbol store by one scan."""
-    L = len(text)
-    if not 1 <= n <= L:
-        raise ValueError(f"need 1 <= n <= {L}, got n={n}")
-    hit = _scan(text, n, n if prime else 1)
-    if hit != -1:
-        return ReturnTimeResult(n, hit, True, prime)
-    return ReturnTimeResult(n, _bound(L, n, prime), False, prime)
-
-
-def return_time_naive(w: Union[Word, Sequence[int]], n: int,
-                      prime: bool = False) -> ReturnTimeResult:
-    """Direct scan for the first reoccurrence of the length-n prefix: one
-    bytes.find over the word's store (a tuple scan past m = 256)."""
-    return _lookup(_text(w), n, prime)
-
-
 def _common_prefix(text: bytes, a: int, b: int, cap: int) -> int:
     """Length of the longest common prefix of text[a:] and text[b:], at
     most cap.  Windows of doubling length are compared until one differs
@@ -209,34 +170,32 @@ def _byte_view(syms: Union[bytes, tuple]) -> tuple[bytes, int]:
         return syms, 1
     try:
         return array("Q", syms).tobytes(), 8
-    except (OverflowError, TypeError):
+    except OverflowError:   # a symbol of 2^64 or more
         ranks: dict = {}
         return array("Q", [ranks.setdefault(s, len(ranks))
                            for s in syms]).tobytes(), 8
 
 
-def _walk(text: bytes, width: int, top: int, prime: bool = False) -> list[int]:
-    """R_n (R'_n with prime=True) for n = 1, 2, ... while it exists and
-    n <= top, over a view of width bytes per symbol: one find per distinct
-    value, whose run of depths is one common-prefix length (see the module
-    docstring)."""
+def _walk(text: bytes, width: int, prime: bool) -> list[int]:
+    """R_n (R'_n with prime=True) for n = 1, 2, ... while it exists, over a
+    view of width bytes per symbol: one find per distinct value, whose run
+    of depths is one common-prefix length (see the module docstring)."""
     L = len(text) // width
     values = []
     n, j = 1, 0   # the next depth, and R_{n-1} (0 before the first depth)
-    while n <= top:
+    while True:
         pat = text[:n * width]
         hit = text.find(pat, (j + 1) * width)
         while hit != -1 and hit % width:   # straddles two symbols
             hit = text.find(pat, hit + width - hit % width)
         if hit == -1:
-            break
+            return values
         j = hit // width
-        end = min(L - j, top, j) if prime else min(L - j, top)
+        end = min(L - j, j) if prime else L - j
         k = n + _common_prefix(text, n * width, hit + n * width,
                                (end - n) * width) // width
         values.extend(repeat(j, k - n + 1))
         n = k + 1
-    return values
 
 
 def _word_walk(w: Word, prime: bool) -> tuple[int, ...]:
@@ -245,61 +204,49 @@ def _word_walk(w: Word, prime: bool) -> tuple[int, ...]:
     values = w._walks[prime]
     if values is None:
         values = w._walks[prime] = tuple(
-            _walk(*_byte_view(w.symbols), len(w.symbols), prime))
+            _walk(*_byte_view(w.symbols), prime))
     return values
 
 
-def return_times_all(w: Union[Word, Sequence[int]],
-                     max_n: Optional[int] = None,
+def _length(w: Word) -> int:
+    """The Word's length; TypeError for anything that is no Word."""
+    if not isinstance(w, Word):
+        raise TypeError(f"return times take a Word, not a {type(w).__name__}:"
+                        " build one with Word.from_iterable(symbols, m)")
+    return len(w.symbols)
+
+
+def return_times_all(w: Word, max_n: Optional[int] = None,
                      prime: bool = False) -> ReturnTimes:
     """R_n (R'_n with prime=True) for every n in 1..max_n (default: full
-    length): a slice of a Word's record, or one run-length walk of a raw
-    sequence."""
-    syms = _text(w)
-    L = len(syms)
+    length): a slice of the Word's record."""
+    L = _length(w)
     if L == 0:
         return ReturnTimes((), 0, 0, prime)
     top = L if max_n is None else max_n
     if not 1 <= top <= L:
         raise ValueError(f"need 1 <= max_n <= {L}")
-    if isinstance(w, Word):
-        values = _word_walk(w, prime)[:top]
-    else:
-        values = tuple(_walk(*_byte_view(syms), top, prime))
-    return ReturnTimes(values, L, top, prime)
+    return ReturnTimes(_word_walk(w, prime)[:top], L, top, prime)
 
 
-def _single(w: Union[Word, Sequence[int]], n: int,
-            prime: bool) -> ReturnTimeResult:
-    """One depth: read from a Word's record, or one scan of a raw sequence."""
-    if isinstance(w, Word):
-        L = len(w.symbols)
-        if 1 <= n <= L:
-            values = w._walks[prime]
-            if values is None:
-                values = _word_walk(w, prime)
-            if n <= len(values):
-                return ReturnTimeResult(n, values[n - 1], True, prime)
-            return ReturnTimeResult(n, _bound(L, n, prime), False, prime)
-    return _lookup(_text(w), n, prime)   # raises for n outside 1..L
+def _single(w: Word, n: int, prime: bool) -> ReturnTimeResult:
+    """One depth, read from the Word's record."""
+    L = _length(w)
+    if not 1 <= n <= L:
+        raise ValueError(f"need 1 <= n <= {L}, got n={n}")
+    values = w._walks[prime]
+    if values is None:
+        values = _word_walk(w, prime)
+    if n <= len(values):
+        return ReturnTimeResult(n, values[n - 1], True, prime)
+    return ReturnTimeResult(n, _bound(L, n, prime), False, prime)
 
 
-def return_time(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
+def return_time(w: Word, n: int) -> ReturnTimeResult:
     """R_n for one depth."""
     return _single(w, n, False)
 
 
-def return_time_prime(w: Union[Word, Sequence[int]], n: int) -> ReturnTimeResult:
+def return_time_prime(w: Word, n: int) -> ReturnTimeResult:
     """R'_n, the first return at a shift of at least n, for one depth."""
     return _single(w, n, True)
-
-
-def return_times_naive_all(w: Union[Word, Sequence[int]],
-                           max_n: Optional[int] = None) -> list[ReturnTimeResult]:
-    """Oracle-grade batch: one independent naive scan per n, over the
-    store converted once."""
-    text = _text(w)
-    top = len(text) if max_n is None else max_n
-    if not 0 <= top <= len(text):
-        raise ValueError(f"need 0 <= max_n <= {len(text)}")
-    return [_lookup(text, n, False) for n in range(1, top + 1)]

@@ -5,18 +5,20 @@ Indexing is 1-based throughout the public API (position 1 is the first
 symbol); storage is 0-based, converted at the boundary.  A word stores its
 symbols once, as bytes whenever they fit; symbol_store alone decides.
 
-A LazySequence is a base sequence (periodic, explicit, or any SymbolSource)
-overlaid with finitely many inserted words at fixed positions.  Positions of
-the overlay are expressed in the coordinates of the final sequence: inserting
-words left to right at nondecreasing gaps means an inserted word never moves
-once placed, so a single sorted table answers random access, and a window is
-the base's ranges between events interleaved with the event words.  Those
-pieces are written in place into one buffer, each checked against the
-alphabet where it is made (SymbolSource.fill), and a prefix's Word is built
-once from it without a second scan.
+A LazySequence is a base sequence (any SymbolSource; in the pipeline the
+block base cantor_builder.FpBase) overlaid with finitely many inserted
+words at fixed positions.  Positions of the overlay are expressed in the
+coordinates of the final sequence: inserting words left to right at
+nondecreasing gaps means an inserted word never moves once placed, so a
+single sorted table answers random access, and a window is the base's
+ranges between events interleaved with the event words.  Those pieces are
+written in place into one buffer, each checked against the alphabet where
+it is made (SymbolSource.fill), and a prefix's Word is built once from it
+without a second scan.
 
 Words travel in JSON as digit strings when m <= 10 and as symbol lists
-otherwise; readers accept either form.
+otherwise; the word reader of the command line accepts either form.  A
+LazySequence is written (to_json_dict), never read back.
 """
 from __future__ import annotations
 
@@ -26,8 +28,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import (AlphabetMismatchError, CapacityError, PlanValidityError,
-                     SourceExhaustedError)
+from .errors import AlphabetMismatchError, CapacityError, PlanValidityError
 
 DEFAULT_MATERIALIZATION_CAP = 10_000_000
 
@@ -43,10 +44,12 @@ class Alphabet:
             raise ValueError(f"alphabet needs at least 2 symbols, got {self.m}")
 
     def contains(self, symbol: int) -> bool:
-        return 0 <= symbol < self.m
+        return isinstance(symbol, int) and 0 <= symbol < self.m
 
     def check(self, symbols: Sequence[int]) -> None:
         for s in symbols:
+            if not isinstance(s, int):
+                raise ValueError(f"symbol {s!r} is not an integer")
             if not (0 <= s < self.m):
                 raise ValueError(f"symbol {s} outside alphabet of size {self.m}")
 
@@ -85,8 +88,10 @@ def join_stores(stores, m: int) -> Union[bytes, tuple]:
 
 def _check_store(store, alphabet: Alphabet) -> None:
     """ValueError naming the first symbol of the store outside the
-    alphabet.  A bytes store is checked by one translate(), which deletes
-    every in-alphabet byte, so any byte left over is a symbol >= m."""
+    alphabet, or that is not an int.  A bytes store is checked by one
+    translate(), which deletes every in-alphabet byte, so any byte left
+    over is a symbol >= m; only then, or for a tuple store, are the
+    symbols read one by one."""
     if not isinstance(store, bytes) or store.translate(
             None, bytes(range(alphabet.m))):
         alphabet.check(store)
@@ -174,32 +179,6 @@ class Word:
         return Word(self.symbols + other.symbols, self.alphabet)
 
 
-def agreement_length(x: Word, y: Word) -> int:
-    """Length of the common prefix of two words of equal length."""
-    if x.alphabet != y.alphabet:
-        raise AlphabetMismatchError("distance requires a common alphabet")
-    if len(x) != len(y):
-        raise ValueError("distance requires words of equal length")
-    for k, (a, b) in enumerate(zip(x.symbols, y.symbols)):
-        if a != b:
-            return k
-    return len(x)
-
-
-def distance(x: Word, y: Word) -> float:
-    """m^-k where k symbols agree before the first difference.
-
-    Equal words give 0.0, which on finite data is an upper bound: the
-    sequences are indistinguishable at every observed depth.  Underflows
-    to 0.0 for very long agreements; compare agreement_length directly
-    when exactness matters.
-    """
-    k = agreement_length(x, y)
-    if k == len(x):
-        return 0.0
-    return float(x.alphabet.m) ** (-k)
-
-
 def _new_buffer(m: int, n: int) -> Union[bytearray, list]:
     """A buffer for n symbols of an m-symbol alphabet, as `fill` writes
     them: a bytearray when m <= 256, else a list."""
@@ -245,11 +224,12 @@ class SymbolSource:
         what reading the positions in order with `symbol_at` would; every
         symbol written is in the alphabet.  This default reads the symbols
         one by one and checks each as it writes it: a symbol outside the
-        alphabet raises the ValueError a Word over it would."""
-        m = self.alphabet.m
+        alphabet, or that is not an int, raises the ValueError a Word over
+        it would."""
+        contains = self.alphabet.contains
         for k, s in enumerate(map(self.symbol_at, range(i, j + 1)), at):
-            if not 0 <= s < m:
-                raise ValueError(f"symbol {s} outside alphabet of size {m}")
+            if not contains(s):
+                self.alphabet.check((s,))
             buf[k] = s
 
     def window(self, i: int, j: int) -> Union[bytes, tuple]:
@@ -273,89 +253,6 @@ def _word_from_json(value: Union[str, list], m: int) -> Word:
     if isinstance(value, str):
         return Word.from_digits(value, m)
     return Word.from_iterable(value, m)
-
-
-@dataclass(frozen=True)
-class PeriodicBase(SymbolSource):
-    """Infinite periodic repetition of a finite word."""
-
-    word: Word
-
-    def __post_init__(self):
-        if len(self.word) == 0:
-            raise ValueError("period must be nonempty")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.word.alphabet
-
-    def symbol_at(self, j: int) -> int:
-        if j < 1:
-            raise IndexError("positions start at 1")
-        return self.word.symbols[(j - 1) % len(self.word)]
-
-    def fill(self, buf, at: int, i: int, j: int) -> None:
-        """The period rotated to start at i, tiled over the range."""
-        if j < i:
-            return
-        if i < 1:
-            raise IndexError("positions start at 1")
-        syms = self.word.symbols
-        start = (i - 1) % len(syms)
-        _tile(buf, at, at + j - i + 1, syms[start:] + syms[:start])
-
-    def descriptor(self) -> dict:
-        return {"kind": "periodic", "word": _word_to_json(self.word),
-                "m": self.alphabet.m}
-
-
-@dataclass(frozen=True)
-class ExplicitBase(SymbolSource):
-    """A finite word used as a base; reads past the end raise."""
-
-    word: Word
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.word.alphabet
-
-    def symbol_at(self, j: int) -> int:
-        if j < 1:
-            raise IndexError("positions start at 1")
-        if j > len(self.word):
-            raise SourceExhaustedError(
-                f"base of length {len(self.word)} read at position {j}")
-        return self.word.symbols[j - 1]
-
-    def fill(self, buf, at: int, i: int, j: int) -> None:
-        """One slice copy of the word; raises like symbol_at at the first
-        position past its end."""
-        if j < i:
-            return
-        if i < 1:
-            raise IndexError("positions start at 1")
-        if j > len(self.word):   # raises at the first position past the end
-            self.symbol_at(max(i, len(self.word) + 1))
-        buf[at:at + j - i + 1] = self.word.symbols[i - 1:j]
-
-    def descriptor(self) -> dict:
-        return {"kind": "explicit", "word": _word_to_json(self.word),
-                "m": self.alphabet.m}
-
-
-# populated by modules that define further base kinds (see cantor_builder)
-BASE_DECODERS: dict = {}
-
-
-def _decode_base(desc: dict) -> SymbolSource:
-    kind = desc.get("kind")
-    if kind == "periodic":
-        return PeriodicBase(_word_from_json(desc["word"], desc["m"]))
-    if kind == "explicit":
-        return ExplicitBase(_word_from_json(desc["word"], desc["m"]))
-    if kind in BASE_DECODERS:
-        return BASE_DECODERS[kind](desc)
-    raise ValueError(f"unknown base kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -474,19 +371,3 @@ class LazySequence:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict,
-                       cap: int = DEFAULT_MATERIALIZATION_CAP) -> "LazySequence":
-        base = _decode_base(data["base"])
-        m = data["m"]
-        if base.alphabet.m != m:
-            raise AlphabetMismatchError("base alphabet disagrees with declared m")
-        events = tuple((int(e["pos"]), _word_from_json(e["word"], m))
-                       for e in data["events"])
-        return cls(base=base, events=events, cap=cap)
-
-    @classmethod
-    def from_json(cls, text: str,
-                  cap: int = DEFAULT_MATERIALIZATION_CAP) -> "LazySequence":
-        return cls.from_json_dict(json.loads(text), cap=cap)

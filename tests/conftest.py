@@ -1,16 +1,20 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and sources for the test suite.
 
 Everything here is deliberately independent of the package internals:
 plain-list splicing, brute-force scans, and closed-form block logic, so
 the fast implementations are checked against something that cannot share
-their bugs.
+their bugs.  The two symbol sources below read symbol by symbol through
+SymbolSource's default fill; they serve as bases that are not an FpBase.
 """
 import random
 import sys
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import pytest
 
-from recurrencelab import Word
+from recurrencelab import (Alphabet, SourceExhaustedError, SymbolSource, Word,
+                           certified_brackets)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -59,6 +63,94 @@ def brute_return_time(syms, n: int, prime: bool = False):
         if syms[j:j + n] == syms[:n]:
             return j, True
     return max(L - n, start - 1), False
+
+
+class NaiveResult(NamedTuple):
+    """One depth of a naive scan; equal, as a tuple, to the
+    ReturnTimeResult of the same fields."""
+
+    n: int
+    value: int
+    exact: bool
+    prime: bool = False
+
+
+def return_time_naive(w: Word, n: int, prime: bool = False) -> NaiveResult:
+    """R_n (R'_n with prime=True) of a Word by one direct scan of its
+    store: bytes.find from the first candidate shift, or, for a tuple
+    store (m > 256), a slice comparison at each shift.  Without a return
+    the value is the bound L - n (max(L - n, n - 1) primed)."""
+    syms = w.symbols
+    L = len(syms)
+    if not 1 <= n <= L:
+        raise ValueError(f"need 1 <= n <= {L}, got n={n}")
+    start = n if prime else 1
+    if isinstance(syms, bytes):
+        hit = syms.find(syms[:n], start)
+    else:
+        hit = next((j for j in range(start, L - n + 1)
+                    if syms[j:j + n] == syms[:n]), -1)
+    if hit != -1:
+        return NaiveResult(n, hit, True, prime)
+    return NaiveResult(n, max(L - n, start - 1), False, prime)
+
+
+def return_times_naive_all(w: Word,
+                           max_n: Optional[int] = None) -> list[NaiveResult]:
+    """R_n for n = 1..max_n (default: the word's length), one independent
+    scan per depth."""
+    top = len(w.symbols) if max_n is None else max_n
+    if not 0 <= top <= len(w.symbols):
+        raise ValueError(f"need 0 <= max_n <= {len(w.symbols)}")
+    return [return_time_naive(w, n) for n in range(1, top + 1)]
+
+
+def predicted_return_time(plan, n: int) -> Optional[int]:
+    """R_n of a plan's constructed point as its certified brackets
+    promise it, or None when n lies in no bracket."""
+    for n_lo, n_hi, ell in certified_brackets(plan):
+        if n_lo < n <= n_hi:
+            return ell
+    return None
+
+
+@dataclass(frozen=True)
+class PeriodicBase(SymbolSource):
+    """Infinite periodic repetition of a finite word."""
+
+    word: Word
+
+    def __post_init__(self):
+        if len(self.word) == 0:
+            raise ValueError("period must be nonempty")
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.word.alphabet
+
+    def symbol_at(self, j: int) -> int:
+        if j < 1:
+            raise IndexError("positions start at 1")
+        return self.word.symbols[(j - 1) % len(self.word)]
+
+
+@dataclass(frozen=True)
+class ExplicitBase(SymbolSource):
+    """A finite word used as a base; reads past the end raise."""
+
+    word: Word
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.word.alphabet
+
+    def symbol_at(self, j: int) -> int:
+        if j < 1:
+            raise IndexError("positions start at 1")
+        if j > len(self.word):
+            raise SourceExhaustedError(
+                f"base of length {len(self.word)} read at position {j}")
+        return self.word.symbols[j - 1]
 
 
 def random_word(rng: random.Random, m: int, length: int) -> Word:

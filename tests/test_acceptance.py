@@ -16,12 +16,13 @@ from recurrencelab import (INF, ExtReal, InsertionPlan, OscLogPhi, SeededFree,
                            Word, apply_insertions, box_dimension,
                            certified_brackets, classify_profile, dichotomy,
                            parse_phi, plan_full_dimension,
-                           plan_rate_trajectory, predicted_return_time,
-                           recurrence_witnesses, return_time_naive,
-                           return_times_all, return_times_naive_all,
-                           running_extremes, truncate_plan)
+                           plan_rate_trajectory, recurrence_witnesses,
+                           return_times_all, running_extremes, truncate_plan)
 from recurrencelab.bignum import DEFAULT_DIGIT_CAP
 from recurrencelab.plan_engine import _unit_steps
+
+from conftest import (predicted_return_time, return_time_naive,
+                      return_times_naive_all)
 
 
 # one verdict line per criterion; conftest's terminal-summary hook prints

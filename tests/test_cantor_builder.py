@@ -7,22 +7,28 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from recurrencelab import (Alphabet, CapacityError, ExplicitBase,
-                           ExplicitFree, ExtReal, FpBase, FreeStream,
-                           InsertionPlan, LazySequence, OscLogPhi,
-                           PeriodicBase, PlanValidityError, ReturnTimes,
+from recurrencelab import (Alphabet, CapacityError, ExplicitFree, ExtReal,
+                           FpBase, FreeStream, InsertionPlan, LazySequence,
+                           OscLogPhi, PlanValidityError, ReturnTimes,
                            SeededFree, SourceExhaustedError, SymbolSource,
                            Word, ZeroFree, apply_insertions, box_dimension,
-                           bracket_return_times, build_fp_prefix,
-                           certified_brackets, check_plan_conditions,
-                           first_certified_index, fp_cylinder_count,
-                           fp_membership, make_insertion_word,
+                           bracket_return_times, certified_brackets,
+                           check_plan_conditions, first_certified_index,
+                           fp_cylinder_count, make_insertion_word,
                            materializable_term_count, plan_full_dimension,
-                           predicted_return_time, remove_insertions,
-                           return_times_all, return_times_naive_all,
-                           truncate_plan)
+                           return_times_all, truncate_plan)
 
-from conftest import marker_base_symbol, splice_oracle
+from conftest import (ExplicitBase, PeriodicBase, marker_base_symbol,
+                      predicted_return_time, return_times_naive_all,
+                      splice_oracle)
+
+
+def in_family(symbols, p: int, m: int) -> bool:
+    """Does a word meet every F_p constraint it is long enough to see?
+    The independent block rule, with each free slot taking the word's own
+    symbol."""
+    return all(s == marker_base_symbol(p, m, j, lambda _, s=s: s)
+               for j, s in enumerate(symbols, 1))
 
 
 # ------------------------------------------------------------ base family ---
@@ -31,9 +37,8 @@ from conftest import marker_base_symbol, splice_oracle
 def test_fp_cylinder_count_by_enumeration(p):
     m = 2
     for n in range(1, 17):
-        want = sum(
-            fp_membership(Word.from_iterable(bits, m), p)
-            for bits in itertools.product(range(m), repeat=n))
+        want = sum(in_family(bits, p, m)
+                   for bits in itertools.product(range(m), repeat=n))
         assert fp_cylinder_count(p, n, m) == want, (p, n)
 
 
@@ -41,9 +46,8 @@ def test_fp_cylinder_count_larger_alphabet():
     # free positions contribute a factor of m each
     p, m = 3, 3
     for n in range(1, 13):
-        want = sum(
-            fp_membership(Word.from_iterable(sym, m), p)
-            for sym in itertools.product(range(m), repeat=n))
+        want = sum(in_family(sym, p, m)
+                   for sym in itertools.product(range(m), repeat=n))
         assert fp_cylinder_count(p, n, m) == want
 
 
@@ -78,16 +82,16 @@ def test_fp_base_matches_independent_rule():
         for j in range(1, 200):
             assert base.symbol_at(j) == marker_base_symbol(p, m, j, free), \
                 (p, m, j)
-        pref = build_fp_prefix(p, m, 150, ExplicitFree(draws))
+        pref = FpBase(p, m, ExplicitFree(draws)).window(1, 150)
         fresh = FpBase(p, m, ExplicitFree(draws))
-        assert list(pref.symbols) == [fresh.symbol_at(j) for j in range(1, 151)]
+        assert list(pref) == [fresh.symbol_at(j) for j in range(1, 151)]
 
 
 def test_fp_base_prefix_is_member():
-    w = build_fp_prefix(3, 2, 60, SeededFree(5, 2))
-    assert fp_membership(w, 3)
+    w = LazySequence(FpBase(3, 2, SeededFree(5, 2))).prefix(60)
+    assert in_family(w, 3, 2)
     # position 4 is a block wall (4 % 3 == 1): a 0 there breaks membership
-    assert not fp_membership(Word.from_digits("0010", 2), 3)
+    assert not in_family(Word.from_digits("0010", 2), 3, 2)
 
 
 def test_zero_free_and_seeded_free():
@@ -266,9 +270,8 @@ def test_marker_over_its_own_copy_is_not_inserted():
     assert certified_brackets(plan) == [(8, 16, 1024)]
     seq = apply_insertions(plan, ZeroFree())
     assert [pos for pos, _ in seq.events] == [64, 1024]
-    spliced = seq.prefix(1100)
-    assert remove_insertions(spliced, plan) == build_fp_prefix(
-        3, 2, 1100 - 11 - 19, ZeroFree())
+    assert list(seq.prefix(1100)) == splice_oracle(
+        3, 2, plan.terms[1:], lambda _: 0, 1100)
 
 
 def test_oscillating_case_vi_plan_audits_clean():
@@ -294,13 +297,25 @@ def test_apply_insertions_respects_cap():
         apply_insertions(plan, ZeroFree(), cap=100).prefix(101)
 
 
+def _without_markers(seq: LazySequence, n: int) -> list:
+    """The first n symbols of a constructed point with its marker words
+    cut out, as far as they reach into the n."""
+    syms, keep, cut = list(seq.prefix(n)), [], 0
+    for start, word in seq.events:
+        keep += syms[cut:start - 1]
+        cut = start - 1 + len(word)
+    return keep + syms[cut:]
+
+
 def test_remove_insertions_inverse():
+    # the construction only inserts: cutting its markers out of a prefix
+    # leaves a prefix of the base
     plan = InsertionPlan(3, 2, ((4, 100), (6, 200), (9, 400)))
     seq = apply_insertions(plan, SeededFree(13, 2))
-    spliced = Word.from_iterable(seq.prefix(500), 2)
-    recovered = remove_insertions(spliced, plan)
-    base = build_fp_prefix(3, 2, len(recovered), SeededFree(13, 2))
-    assert recovered.to_digits() == base.to_digits()
+    recovered = _without_markers(seq, 500)
+    assert len(recovered) == 500 - 7 - 9 - 12
+    base = FpBase(3, 2, SeededFree(13, 2)).window(1, len(recovered))
+    assert recovered == list(base)
 
 
 def test_materializable_and_truncate():
@@ -416,7 +431,6 @@ def test_explicit_free_exactly_covering_a_prefix():
             want = [marker_base_symbol(p, 2, j, free.symbol)
                     for j in range(1, n + 1)]
             assert list(FpBase(p, 2, free).window(1, n)) == want
-            assert list(build_fp_prefix(p, 2, n, free)) == want
             assert list(LazySequence(FpBase(p, 2, free)).prefix(n)) == want
             # the next interior position needs one symbol more
             nxt = next(x for x in range(n + 1, n + p + 2) if x % p not in (0, 1))
@@ -425,7 +439,7 @@ def test_explicit_free_exactly_covering_a_prefix():
     # a constructed point whose base prefix uses every free symbol
     plan = hand_plan()
     n = 300
-    base_len = len(remove_insertions(apply_insertions(plan).prefix(n), plan))
+    base_len = len(_without_markers(apply_insertions(plan), n))
     need = len(_interior_ordinals(3, 1, base_len))
     free = ExplicitFree([1, 0] * (need // 2) + [1] * (need % 2))
     seq = apply_insertions(plan, free)
@@ -457,6 +471,7 @@ def test_bulk_read_errors_match_per_symbol():
         [1] * 10 + [7] + [0] * 5 + [9],       # two bad symbols, then exhausted
         [0] * 12 + [300] + [0] * 8,           # too big for a byte
         [1] * 6 + [-1] + [1] * 3,             # negative
+        [0, 1] * 3 + [0.5] + [1] * 5,         # not an int
     ]
     raised = set()
     for symbols in streams:
@@ -510,14 +525,15 @@ def test_free_reads_stop_short_at_the_stream_end():
 @pytest.mark.parametrize("m,symbols", [(3, [2, 0, 1, 1]), (12, [10, 0, 3, 1]),
                                        (300, [11, 0, 3, 299])])
 def test_explicit_free_json_roundtrip(m, symbols):
+    # a digit string or a list, which reads back, item by item, as the
+    # symbols
     free = ExplicitFree(symbols * 40)
     seq = LazySequence(FpBase(3, m, free))
     data = json.loads(json.dumps(seq.to_json_dict()))
     desc = data["base"]["free"]
+    assert desc["kind"] == "explicit"
     assert isinstance(desc["symbols"], str if m <= 10 else list)
-    back = LazySequence.from_json_dict(data)
-    assert list(back.base.free.symbols) == list(free.symbols)
-    assert back.prefix(200) == seq.prefix(200)
+    assert [int(s) for s in desc["symbols"]] == list(free.symbols)
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 100, 255])
@@ -655,6 +671,18 @@ def test_a_bad_source_window_raises_as_a_word_over_it_does(m, symbols, n):
                         (11, Word.from_digits("0", m))))
     assert _either(lambda: seq.prefix(n).symbols) == \
         _either(lambda: _walked(seq, n))
+
+
+@pytest.mark.parametrize("m", [3, 300])
+def test_a_symbol_that_is_not_an_int_never_reaches_a_word(m):
+    # past 256 symbols the buffers are lists, which would hold a float
+    for seq, message in (
+            (LazySequence(LooseSource([0, 1.5, 2], m)),
+             "symbol 1.5 is not an integer"),
+            (LazySequence(FpBase(3, m, ExplicitFree([1, 0.25, 0] * 9))),
+             "free stream produced symbol 0.25 outside alphabet")):
+        with pytest.raises(ValueError, match=message):
+            seq.prefix(20)
 
 
 @pytest.mark.parametrize("free", ["zero", "seeded"])

@@ -6,8 +6,12 @@ import pytest
 
 import recurrencelab.cli as cli
 import recurrencelab.plan_engine as plan_engine
-from recurrencelab import LazySequence, box_dimension, return_times_all
+from recurrencelab import (ExplicitFree, InsertionPlan, LazySequence,
+                           SeededFree, Word, ZeroFree, apply_insertions,
+                           box_dimension, materializable_term_count,
+                           return_times_all, truncate_plan)
 from recurrencelab.cli import main
+from recurrencelab.shift_core import DEFAULT_MATERIALIZATION_CAP
 
 from conftest import brute_return_time
 
@@ -111,6 +115,40 @@ def test_invalid_order_is_exit_1(capsys):
 
 def test_empty_word_is_exit_1(capsys):
     assert run(capsys, "return-times", "--word", "", "--m", "2")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["return-times", "--m", "2"], ["rates"],
+    ["witnesses", "--m", "2", "--alpha", "1", "--eps", "0"]],
+    ids=["return-times", "rates", "witnesses"])
+def test_a_missing_word_is_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: no input word: pass --word or --word-file\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["return-times", "--word", "0110", "--word-file", "{word}", "--m", "2"],
+    ["witnesses", "--word", "0110", "--word-file", "{word}", "--m", "2",
+     "--alpha", "1", "--eps", "0"],
+    ["rates", "--word", "0110", "--word-file", "{word}"],
+    ["rates", "--word", "0110", "--plan-file", "{plan}"],
+    ["rates", "--word-file", "{word}", "--plan-file", "{plan}"]],
+    ids=["return-times", "witnesses", "rates-word-file", "rates-word-plan",
+         "rates-file-plan"])
+def test_conflicting_inputs_are_a_usage_error(tmp_path, capsys, argv):
+    # each input alone would run; two of them exit 2 while parsing, with
+    # nothing on stdout, rather than one silently dropped
+    word = tmp_path / "word.txt"
+    word.write_text("0110100110010110")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(
+        {"p": 3, "m": 2, "terms": [{"n": 4, "ell": "64"},
+                                   {"n": 8, "ell": "512"}]}))
+    code, out, err = run(capsys, *(a.format(word=word, plan=plan)
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
 
 
 # ------------------------------------------------------- plan and build ---
@@ -561,11 +599,11 @@ def test_plan_and_verify_classify_once(capsys, monkeypatch, command):
 
 def test_build_large_alphabet_plan(tmp_path, capsys):
     # m > 10: event words and the prefix travel as symbol lists
-    code, out, _ = run(capsys, "plan", "--phi", "log(n)", "--alpha", "2",
-                       "--beta", "2", "--m", "12", "--count", "5")
+    code, out_plan, _ = run(capsys, "plan", "--phi", "log(n)", "--alpha", "2",
+                            "--beta", "2", "--m", "12", "--count", "5")
     assert code == 0
     plan_file = tmp_path / "plan.json"
-    plan_file.write_text(json.dumps(lines(out)[1]))
+    plan_file.write_text(json.dumps(lines(out_plan)[1]))
     code, out, err = run(capsys, "build", "--plan-file", str(plan_file),
                          "--prefix", "3000")
     assert code == 0, err
@@ -573,8 +611,50 @@ def test_build_large_alphabet_plan(tmp_path, capsys):
     assert seq["m"] == 12 and all(isinstance(e["word"], list)
                                   for e in seq["events"])
     assert pref["n"] == 3000 and len(pref["symbols"]) == 3000
-    back = LazySequence.from_json_dict(json.loads(json.dumps(seq)))
-    assert list(back.prefix(3000)) == pref["symbols"]
+    built = _built(lines(out_plan)[1], ZeroFree(), DEFAULT_MATERIALIZATION_CAP)
+    assert seq == built.to_json_dict()
+    assert pref["symbols"] == list(built.prefix(3000).symbols)
+
+
+def _built(plan: dict, free, cap: int) -> LazySequence:
+    """The point build writes for a plan line: the plan cut to the terms
+    that fit under the cap, then apply_insertions."""
+    plan = InsertionPlan.from_json_dict(plan)
+    plan = truncate_plan(plan, materializable_term_count(plan, cap))
+    return apply_insertions(plan, free, cap=cap)
+
+
+_DIGITS = "10" * 300
+
+
+@pytest.mark.parametrize("spec", ["zero", "seed:7", "digits:" + _DIGITS],
+                         ids=["zero", "seed", "digits"])
+@pytest.mark.parametrize("m", [2, 12])
+def test_build_writes_the_sequence_apply_insertions_makes(tmp_path, capsys,
+                                                          m, spec):
+    # the sequence line is to_json_dict of the constructed point, event
+    # words as digit strings at m = 2 and as symbol lists at m = 12, with
+    # the free stream's descriptor; the prefix line is the point's prefix
+    code, out, _ = run(capsys, "plan", "--phi", "log(n)", "--alpha", "3",
+                       "--beta", "3", "--m", str(m), "--count", "8")
+    assert code == 0
+    plan = lines(out)[1]
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    code, out, err = run(capsys, "build", "--plan-file", str(plan_file),
+                         "--cap", "2000000", "--free", spec,
+                         "--prefix", "600")
+    assert code == 0, err
+    free = {"zero": ZeroFree, "seed:7": lambda: SeededFree(7, m)}.get(
+        spec, lambda: ExplicitFree([int(c) for c in _DIGITS]))()
+    seq = _built(plan, free, 2_000_000)
+    data = seq.to_json_dict()
+    assert data["events"] and {type(e["word"]) for e in data["events"]} \
+        == ({str} if m == 2 else {list})
+    prefix = seq.prefix(600)
+    tail = ({"n": 600, "digits": prefix.to_digits()} if m == 2 else
+            {"n": 600, "symbols": list(prefix.symbols)})
+    assert out == json.dumps(data) + "\n" + json.dumps(tail) + "\n"
 
 
 # ---------------------------------------------------------- tail fraction ---
@@ -738,7 +818,7 @@ def test_rates_of_a_random_word_end_at_its_exact_depth(capsys):
     # the estimates come from exact entries
     rng = random.Random(30)
     word = "".join(rng.choice("01") for _ in range(4000))
-    depth = return_times_all([int(c) for c in word]).exact_depth
+    depth = return_times_all(Word.from_digits(word, 2)).exact_depth
     assert 2 <= depth < 4000 // 2
     code, out, _ = run(capsys, "rates", "--word", word, "--m", "2")
     assert code == 0

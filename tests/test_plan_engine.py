@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from recurrencelab import (ExtReal, GuardError, INF, InsertionPlan, OscLogPhi,
                            PhiSpec, RefusalError, check_plan_conditions,
-                           classify_profile, classify_thresholds, compute_AB,
-                           dichotomy, find_ratio_witness, parse_phi,
+                           classify_profile, classify_thresholds, dichotomy, find_ratio_witness, parse_phi,
                            plan_full_dimension)
 from recurrencelab import bignum, phi_spec, plan_engine
 from recurrencelab.errors import CapacityError, PhiDomainError, SearchCapError
@@ -57,6 +56,12 @@ def test_dichotomy_validates_order():
 
 
 # ------------------------------------------------------------------- A/B ---
+
+def compute_AB(alpha, beta, gamma, delta):
+    """The two case-splitting products A = alpha*gamma, B = beta*delta of
+    the classification table, over the extended reals."""
+    return plan_engine._products(*map(ExtReal, (alpha, beta, gamma, delta)))
+
 
 def test_compute_AB_finite():
     A, B = compute_AB(1, 2, 2, 1)

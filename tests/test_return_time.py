@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurrencelab import (ReturnTimeResult, Word, return_time,
-                           return_time_naive, return_time_prime,
-                           return_times_all, return_times_naive_all)
+                           return_time_prime, return_times_all)
 from recurrencelab.return_time import _byte_view
 
-from conftest import brute_return_time, random_word
+from conftest import (brute_return_time, random_word, return_time_naive,
+                      return_times_naive_all)
 
 # the package re-exports the function return_time under the module's name
 return_time_module = importlib.import_module("recurrencelab.return_time")
@@ -69,13 +69,13 @@ def test_return_time_dispatcher():
 
 
 def _counting_walks(monkeypatch):
-    """Record (width, top, prime) of every return_time._walk call."""
+    """Record (width, prime) of every return_time._walk call."""
     walks = []
     real = return_time_module._walk
 
-    def counting(text, width, top, prime=False):
-        walks.append((width, top, prime))
-        return real(text, width, top, prime)
+    def counting(text, width, prime=False):
+        walks.append((width, prime))
+        return real(text, width, prime)
 
     monkeypatch.setattr(return_time_module, "_walk", counting)
     return walks
@@ -84,7 +84,7 @@ def _counting_walks(monkeypatch):
 def test_single_depth_runs_no_walk(monkeypatch):
     # after the two batches, a single depth R_n or R'_n reads the Word's
     # record of its kind with no further walk; it matches the batch, exact
-    # values and lower bounds alike, as does one scan of a raw sequence
+    # values and lower bounds alike, as does the naive scan
     w = Word.from_iterable(_fibonacci(300) + [1] * 40, 2)
     batch = return_times_all(w)
     primed = return_times_all(w, prime=True)
@@ -92,7 +92,7 @@ def test_single_depth_runs_no_walk(monkeypatch):
     for n in range(1, len(w) + 1):
         assert return_time(w, n) == batch[n - 1], n
         assert return_time_prime(w, n) == primed[n - 1], n
-        assert return_time_naive(list(w), n) == batch[n - 1], n
+        assert return_time_naive(w, n) == batch[n - 1], n
     assert walks == []
     assert not batch[-1].exact
     with pytest.raises(ValueError):
@@ -109,21 +109,16 @@ def test_bounds_agree_between_batch_and_lookup():
                 (single.value, single.exact), (n, prime)
 
 
-@pytest.mark.parametrize("m", [3, 300])
-def test_raw_sequences_share_the_word_store(m):
-    # a raw list goes through the same normalization as a Word: bytes when
-    # every symbol fits, a tuple otherwise, with identical answers
-    rng = random.Random(m)
-    block = [rng.randrange(m) for _ in range(25)]
-    syms = block * 3 + [m - 1] + block[:11]
-    w = Word.from_iterable(syms, m)
-    for prime in (False, True):
-        assert _rows(return_times_all(syms, prime=prime)) == \
-            _rows(return_times_all(w, prime=prime))
-    for n in range(1, len(syms) + 1):
-        assert return_time(syms, n) == return_time(w, n)
-        assert (return_time(syms, n).value, return_time(syms, n).exact) == \
-            brute_return_time(syms, n)
+@pytest.mark.parametrize("query", [return_time, return_time_prime,
+                                   return_times_all])
+def test_return_times_take_a_word_only(query):
+    # a list, tuple, bytes or str of symbols is refused, whatever its
+    # symbols: Word.from_iterable(symbols, m) makes the Word
+    for raw in ([0, 1, 1, 0], (0, 1, 1, 0), b"\x00\x01\x01\x00", "0110",
+                None):
+        with pytest.raises(TypeError, match="Word.from_iterable"):
+            query(raw, 2)
+    assert query(Word.from_iterable([0, 1, 1, 0], 2), 2)
 
 
 def test_exact_values_nondecreasing_in_n():
@@ -198,7 +193,7 @@ def test_single_depth_reads_equal_the_record_and_the_oracle(name, syms, m,
     for prime, single in ((False, return_time), (True, return_time_prime)):
         got = [single(w, n) for n in depths]
         assert got == list(return_times_all(w, prime=prime)), prime
-        assert got == [return_time_naive(syms, n, prime) for n in depths]
+        assert got == [return_time_naive(w, n, prime) for n in depths]
         assert any(r.exact for r in got) and not got[-1].exact
 
 
@@ -213,7 +208,7 @@ def test_a_word_with_an_empty_record_walks_once_per_kind(monkeypatch):
         assert [return_time_prime(w, n) for n in (1, 2)] == [
             ReturnTimeResult(1, 1, False, True),
             ReturnTimeResult(2, 1, False, True)]
-    assert walks == [(1, 2, False), (1, 2, True)]
+    assert walks == [(1, False), (1, True)]
     assert w._walks == [(), ()]
 
 
@@ -221,7 +216,7 @@ def test_a_word_with_an_empty_record_walks_once_per_kind(monkeypatch):
 def test_depths_outside_the_word_raise(single):
     syms = [0, 1, 1, 0, 1, 1]
     word = Word.from_iterable(syms, 2)
-    for w in (word, syms, tuple(syms), word):   # the word again, walked
+    for w in (word, word):   # before its walk and after
         for n in (0, len(syms) + 1):
             with pytest.raises(ValueError, match="need 1 <= n <= 6"):
                 single(w, n)
@@ -298,10 +293,8 @@ def test_columnar_indexing():
             rt[k]
 
 
-# raw forms of a symbol list: as is, and two that array("Q") refuses, so
-# the walk reads first-occurrence ranks
-RAW_FORMS = {"ints": list, "negative": lambda syms: [-1 - s for s in syms],
-             "str": lambda syms: [f"s{s}" for s in syms]}
+# 2^70 symbols: most symbols are 2^64 or more, which array("Q") refuses,
+# so the walk reads first-occurrence ranks
 LARGE_ALPHABETS = [300, 70_000, 2 ** 70]
 
 
@@ -309,24 +302,26 @@ def test_large_alphabet_uses_tuple_scan():
     # symbols up to m - 1 do not fit in a byte: a tuple store, walked as
     # 8-byte symbols and scanned as a tuple
     for m in LARGE_ALPHABETS:
-        for form, make in RAW_FORMS.items():
-            rng = random.Random(300)
-            block = [rng.randrange(m) for _ in range(40)]
-            syms = make(block * 3 + [m - 1, 256] + block[:17])
-            w = Word.from_iterable(syms, m) if form == "ints" else syms
-            assert not isinstance(return_time_module._text(w), bytes)
-            fast = return_times_all(w)
-            assert _rows(fast) == _rows(return_times_naive_all(w)), (m, form)
-            assert fast[0].value == 40 and fast[39].value == 40
-            for n in range(1, len(syms) + 1):
-                for prime in (False, True):
-                    want = brute_return_time(syms, n, prime)
-                    got = (return_time_prime if prime else return_time_naive)(w, n)
-                    assert (got.value, got.exact) == want, (m, form, n, prime)
-            primed = return_times_all(w, prime=True)
-            assert [(r.value, r.exact) for r in primed] == \
-                [brute_return_time(syms, n, True)
-                 for n in range(1, len(syms) + 1)], (m, form)
+        rng = random.Random(300)
+        block = [rng.randrange(m) for _ in range(40)]
+        syms = block * 3 + [m - 1, 256] + block[:17]
+        w = Word.from_iterable(syms, m)
+        assert not isinstance(w.symbols, bytes)
+        view, width = _byte_view(w.symbols)
+        ranked = m > 2 ** 64
+        assert width == 8 and (view[:8] == bytes(8)) == ranked, m
+        fast = return_times_all(w)
+        assert _rows(fast) == _rows(return_times_naive_all(w)), m
+        assert fast[0].value == 40 and fast[39].value == 40
+        for n in range(1, len(syms) + 1):
+            for prime in (False, True):
+                want = brute_return_time(syms, n, prime)
+                got = (return_time_prime if prime else return_time_naive)(w, n)
+                assert (got.value, got.exact) == want, (m, n, prime)
+        primed = return_times_all(w, prime=True)
+        assert [(r.value, r.exact) for r in primed] == \
+            [brute_return_time(syms, n, True)
+             for n in range(1, len(syms) + 1)], m
 
 
 def test_an_unaligned_byte_hit_is_searched_past():
@@ -338,29 +333,25 @@ def test_an_unaligned_byte_hit_is_searched_past():
     syms = [int.from_bytes(s, sys.byteorder) for s in (a, x, y, a, x, y, a)]
     view, width = _byte_view(tuple(syms))
     assert width == 8 and view.find(view[:8], 8) == 9
-    for w in (Word.from_iterable(syms, 70_000), syms):
-        for prime in (False, True):
-            rt = return_times_all(w, prime=prime)
-            assert [(r.value, r.exact) for r in rt] == \
-                [brute_return_time(syms, n, prime)
-                 for n in range(1, len(syms) + 1)], prime
+    w = Word.from_iterable(syms, 70_000)
+    for prime in (False, True):
+        rt = return_times_all(w, prime=prime)
+        assert [(r.value, r.exact) for r in rt] == \
+            [brute_return_time(syms, n, prime)
+             for n in range(1, len(syms) + 1)], prime
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 4, 5] + LARGE_ALPHABETS), st.integers(1, 200),
-       st.integers(0, 10 ** 6), st.sampled_from(["word"] + sorted(RAW_FORMS)))
-def test_batched_prime_matches_brute(m, length, seed, form):
+       st.integers(0, 10 ** 6))
+def test_batched_prime_matches_brute(m, length, seed):
     rng = random.Random(seed)
     # half the words are low-entropy, where primed returns exist deep down
     if seed % 2:
         syms = [rng.randrange(m) for _ in range(length)]
     else:
         syms = _period7_with_flips(rng, length, m)
-    if form == "word":
-        w = Word.from_iterable(syms, m)
-    else:
-        w = syms = RAW_FORMS[form](syms)
-    rt = return_times_all(w, prime=True)
+    rt = return_times_all(Word.from_iterable(syms, m), prime=True)
     assert len(rt) == length
     for n, res in enumerate(rt, start=1):
         assert res.prime and res.n == n
@@ -406,15 +397,15 @@ def test_plain_bytes_walk_matches_naive(name, syms, m):
 
 
 def test_every_batch_is_one_walk(monkeypatch):
+    # one walk per Word and kind, to the end, whatever the batch's max_n
     walks = _counting_walks(monkeypatch)
     fib = _fibonacci(400)
-    return_times_all(Word.from_iterable(fib, 2))
-    return_times_all(fib, max_n=50)
+    word = Word.from_iterable(fib, 2)
+    return_times_all(word, max_n=50)
+    return_times_all(word)
     return_times_all(Word.from_iterable(fib, 2), prime=True)
     return_times_all(Word.from_iterable(fib, 300))   # a tuple store
     return_times_all(Word.from_iterable(fib, 300), prime=True)
-    for form in ("negative", "str"):                  # ranked raw input
-        return_times_all(RAW_FORMS[form](fib), prime=form == "str")
-    assert walks == [(1, 400, False), (1, 50, False), (1, 400, True),
-                     (8, 400, False), (8, 400, True), (8, 400, False),
-                     (8, 400, True)]
+    ranked = [2 ** 70 - 1 - s for s in fib]           # read as ranks
+    return_times_all(Word.from_iterable(ranked, 2 ** 70), prime=True)
+    assert walks == [(1, False), (1, True), (8, False), (8, True), (8, True)]

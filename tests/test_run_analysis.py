@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 
 import recurrencelab.rate_dim_analysis as rda
 from recurrencelab import (Word, rate_trajectory, recurrence_witnesses,
-                           return_time, return_time_naive, return_time_prime,
-                           return_times_all, return_times_naive_all)
+                           return_time, return_time_prime, return_times_all)
 from recurrencelab.return_time import ReturnTimes
 
-from conftest import brute_return_time, random_word
+from conftest import (brute_return_time, random_word, return_time_naive,
+                      return_times_naive_all)
 
 # the package re-exports the function return_time under the module's name
 return_time_module = importlib.import_module("recurrencelab.return_time")
@@ -348,17 +348,17 @@ def test_concurrent_growth_never_duplicates_entries(fresh_table,
 
 # ------------------------------------------------- the return-time record ---
 
-def _counting(monkeypatch, name):
-    """Record the arguments after the text of every call of
-    return_time.<name>: (n, start) of _scan, (width, top, prime) of _walk."""
+def _counting_walks(monkeypatch):
+    """Record the arguments after the text, (width, prime), of every call
+    of return_time._walk."""
     calls = []
-    real = getattr(return_time_module, name)
+    real = return_time_module._walk
 
     def counting(text, *args):
         calls.append(args)
         return real(text, *args)
 
-    monkeypatch.setattr(return_time_module, name, counting)
+    monkeypatch.setattr(return_time_module, "_walk", counting)
     return calls
 
 
@@ -367,10 +367,9 @@ def _counting(monkeypatch, name):
 def test_single_depths_read_one_walk_to_the_end(monkeypatch, query, m):
     word = Word.from_iterable(random_word(random.Random(3), 2, 600), m)
     prime = query is return_time_prime
-    scans = _counting(monkeypatch, "_scan")
-    walks = _counting(monkeypatch, "_walk")
+    walks = _counting_walks(monkeypatch)
     results = [query(word, n) for n in range(600, 0, -1)]
-    assert (scans, walks) == ([], [(1 if m == 2 else 8, 600, prime)])
+    assert walks == [(1 if m == 2 else 8, prime)]
     assert word._walks[prime] is not None and word._walks[not prime] is None
     assert sum(r.exact for r in results) == len(word._walks[prime])
     for r in results:
@@ -422,21 +421,6 @@ def test_the_naive_scan_neither_reads_nor_writes_the_record():
         return_time_naive(fresh, n, True)
     return_times_naive_all(fresh)
     assert fresh._walks == [None, None]
-
-
-def test_raw_sequences_keep_no_record(monkeypatch):
-    syms = [0, 1, 1, 0, 1, 1, 1]
-    scans = _counting(monkeypatch, "_scan")
-    walks = _counting(monkeypatch, "_walk")
-    for _ in range(2):
-        for n in range(1, 8):
-            return_time(syms, n)
-            return_time_prime(syms, n)
-        return_times_all(syms, max_n=5)
-        return_times_all(syms, prime=True)
-    assert scans == [(n, start) for n in range(1, 8)
-                     for start in (1, n)] * 2
-    assert walks == [(1, 5, False), (1, 7, True)] * 2
 
 
 def test_the_record_leaves_equality_hash_and_repr_alone():

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurrencelab import (Alphabet, AlphabetMismatchError, ExplicitBase,
-                           FpBase, LazySequence, PeriodicBase,
-                           PlanValidityError, SourceExhaustedError,
-                           SymbolSource, Word, agreement_length, distance,
-                           make_insertion_word)
+from recurrencelab import (Alphabet, AlphabetMismatchError, ExplicitFree,
+                           FpBase, LazySequence, PlanValidityError,
+                           SeededFree, SourceExhaustedError, SymbolSource,
+                           Word, make_insertion_word)
 from recurrencelab.errors import CapacityError
-from recurrencelab.shift_core import symbol_store
+from recurrencelab.shift_core import _word_from_json, symbol_store
 
-from conftest import random_word
+from conftest import ExplicitBase, PeriodicBase, random_word
 
 
 def test_alphabet_validation():
@@ -25,6 +24,21 @@ def test_alphabet_validation():
     assert a.contains(2) and not a.contains(3)
     with pytest.raises(ValueError):
         Word.from_iterable([0, 3], 3)
+
+
+@pytest.mark.parametrize("syms,m,bad", [
+    ([0.5, 1, 0.5, 1], 3, "0.5"), ([0, 1.0, 2], 3, "1.0"),
+    ([0, 299, 2.0], 300, "2.0"), (["0", "1"], 2, "'0'"),
+    ([0, None], 300, "None")])
+def test_a_symbol_that_is_not_an_int_is_refused(syms, m, bad):
+    # a store of such symbols is a tuple, checked symbol by symbol: every
+    # symbol must be an int in [0, m), even where it compares like one
+    for make in (lambda: Word(syms, Alphabet(m)),
+                 lambda: Word.from_iterable(syms, m),
+                 lambda: Word.from_iterable(iter(syms), m)):
+        with pytest.raises(ValueError, match=f"symbol {bad} is not an "
+                           "integer"):
+            make()
 
 
 def test_word_bytes_view():
@@ -151,28 +165,6 @@ def test_word_basics():
         w + Word.from_digits("01", 2)
 
 
-def test_agreement_and_distance():
-    x = Word.from_digits("00110", 2)
-    y = Word.from_digits("00101", 2)
-    assert agreement_length(x, y) == 3
-    assert distance(x, y) == 2.0 ** -3
-    assert distance(x, x) == 0.0
-
-
-@settings(max_examples=200)
-@given(st.integers(2, 5), st.data())
-def test_distance_ultrametric(m, data):
-    length = data.draw(st.integers(1, 24))
-    sym = st.integers(0, m - 1)
-    def word():
-        return Word.from_iterable(
-            data.draw(st.lists(sym, min_size=length, max_size=length)), m)
-    x, y, z = word(), word(), word()
-    dxz = distance(x, z)
-    assert dxz <= max(distance(x, y), distance(y, z)) + 1e-15
-    assert distance(x, y) == distance(y, x)
-
-
 def test_periodic_and_explicit_bases():
     per = PeriodicBase(Word.from_digits("01", 2))
     assert [per.symbol_at(j) for j in range(1, 6)] == [0, 1, 0, 1, 0]
@@ -230,11 +222,17 @@ def test_lazy_sequence_cap():
 
 
 def test_lazy_sequence_json_roundtrip():
-    base = PeriodicBase(Word.from_digits("011", 2))
-    seq = LazySequence(base, ((4, Word.from_digits("101", 2)),))
-    data = json.loads(json.dumps(seq.to_json_dict()))
-    back = LazySequence.from_json_dict(data)
-    assert list(back.prefix(20)) == list(seq.prefix(20))
+    # the JSON text reads back as the dict it was written from; positions
+    # travel as decimal strings, exact past 2^53
+    far = 2 ** 60
+    seq = LazySequence(FpBase(3, 2, SeededFree(4, 2)),
+                       ((4, Word.from_digits("101", 2)),
+                        (far, Word.from_digits("1001", 2))), cap=far + 10)
+    data = json.loads(seq.to_json())
+    assert data == seq.to_json_dict()
+    assert [e["pos"] for e in data["events"]] == ["4", str(far)]
+    assert data["base"] == {"kind": "fp", "p": 3, "m": 2,
+                            "free": {"kind": "seeded", "seed": 4, "m": 2}}
 
 
 @settings(max_examples=60)
@@ -316,22 +314,21 @@ def test_to_digits_matches_str_join(m):
 
 @pytest.mark.parametrize("m", [3, 12, 300])
 def test_lazy_sequence_json_roundtrip_any_alphabet(m):
+    # event words are written as digit strings when m <= 10 and as symbol
+    # lists above, and each reads back, in its form, as the word written
     rng = random.Random(m)
-    for base in (PeriodicBase(random_word(rng, m, 7)),
-                 ExplicitBase(random_word(rng, m, 200)),
-                 FpBase(3, m)):
-        seq = LazySequence(base, ((4, random_word(rng, m, 5)),
-                                  (30, random_word(rng, m, 9))))
-        data = json.loads(seq.to_json())
-        forms = {type(e["word"]) for e in data["events"]}
-        assert forms == ({str} if m <= 10 else {list})
-        back = LazySequence.from_json_dict(data)
-        assert back.prefix(150) == seq.prefix(150)
-    # readers take the list form at any alphabet size
-    data = {"base": {"kind": "periodic", "word": [0, 1, m - 1], "m": m},
-            "events": [{"pos": "2", "word": [m - 1, 0]}], "m": m}
-    assert list(LazySequence.from_json_dict(data).prefix(6)) == \
-        [0, m - 1, 0, 1, m - 1, 0]
+    for free in (None, SeededFree(m, m), ExplicitFree([m - 1, 0, 1] * 50)):
+        base = FpBase(3, m, free)
+        events = ((4, random_word(rng, m, 5)), (30, random_word(rng, m, 9)))
+        data = json.loads(LazySequence(base, events).to_json())
+        assert data["m"] == m and data["base"] == base.descriptor()
+        words = [e["word"] for e in data["events"]]
+        assert {type(w) for w in words} == ({str} if m <= 10 else {list})
+        assert [_word_from_json(w, m) for w in words] == \
+            [w for _, w in events]
+    # the word reader of the command line takes the list form at any
+    # alphabet size
+    assert list(_word_from_json([0, 1, m - 1], m)) == [0, 1, m - 1]
 
 
 def test_prefix_peak_memory_is_bytes_only():

@@ -21,12 +21,12 @@ from recurrencelab import (EstimationImpossibleError, OscLogPhi, Word,
                            plan_rate_trajectory, rate_trajectory,
                            recurrence_witnesses, return_time,
                            return_time_prime, return_times_all,
-                           return_times_naive_all, running_extremes)
+                           running_extremes)
 from recurrencelab.rate_dim_analysis import (RateColumns, RateEntry,
                                              RateTrajectory)
 from recurrencelab.return_time import ReturnTimes, _common_prefix
 
-from conftest import random_word
+from conftest import random_word, return_times_naive_all
 
 # the package re-exports the function return_time under the module's name
 return_time_module = importlib.import_module("recurrencelab.return_time")
@@ -84,24 +84,23 @@ KERNEL_WORDS = list(_kernel_words(150))
 @pytest.mark.parametrize("name,syms,m", KERNEL_WORDS,
                          ids=[w[0] for w in KERNEL_WORDS])
 def test_run_length_walk_matches_naive_at_every_top(name, syms, m):
-    # a Word slices its walk to the end; a raw sequence walks to each top
+    # a Word slices its walk to the end at every top
     w = Word.from_iterable(syms, m)
     assert isinstance(w.symbols, bytes)
     for top in range(1, len(syms) + 1):
         want = _rows(return_times_naive_all(w, max_n=top))
         assert _rows(return_times_all(w, max_n=top)) == want, top
-        assert _rows(return_times_all(syms, max_n=top)) == want, top
 
 
 def test_runs_cut_by_top_and_by_the_word_end():
     fib = Word.from_iterable(_fibonacci(400), 2)
     full = return_times_all(fib)
     # a top inside a run: the run is cut there, and the deeper value is
-    # the same return (a raw sequence walks to its top, a Word to its end)
+    # the same return
     runs = [n for n in range(2, full.exact_depth)
             if full.values[n - 1] == full.values[n]]
     for top in runs[::7]:
-        cut = return_times_all(list(fib), max_n=top)
+        cut = return_times_all(fib, max_n=top)
         assert cut.exact_depth == top and cut.values == full.values[:top]
         assert _rows(cut) == _rows(return_times_naive_all(fib, max_n=top))
     # a run that ends because the return reaches the last symbol: R_n + n
@@ -114,9 +113,8 @@ def test_runs_cut_by_top_and_by_the_word_end():
     assert rt.values[-1] + rt.exact_depth == len(syms)
     assert rt.exact_depth == 50 and len(set(rt.values)) > 1
     assert _rows(rt) == _rows(return_times_naive_all(w))
-    # ... and one that ends at both: the cap of the last run is L - j - n
-    # and top - n at once
-    assert _rows(return_times_all(syms, max_n=50)) == \
+    # ... and a batch whose top is that last exact depth
+    assert _rows(return_times_all(w, max_n=50)) == \
         _rows(return_times_naive_all(w, max_n=50))
 
 
@@ -130,11 +128,11 @@ def test_one_common_prefix_per_distinct_value(monkeypatch):
 
     monkeypatch.setattr(return_time_module, "_common_prefix", counting)
     for name, syms, m in list(_kernel_words(900)):
-        for top in (1, 5, 77, len(syms)):
+        for prime in (False, True):
             calls.clear()
-            # a raw sequence: it walks to its top and keeps no record
-            rt = return_times_all(syms, max_n=top)
-            assert len(calls) == len(set(rt.values)), (name, top)
+            # a fresh Word: one walk to its end
+            rt = return_times_all(Word.from_iterable(syms, m), prime=prime)
+            assert len(calls) == len(set(rt.values)), (name, prime)
     calls.clear()
     rt = return_times_all(Word.from_iterable(_fibonacci(176531), 2))
     assert rt.exact_depth > 10 ** 5 and len(calls) == len(set(rt.values)) < 30
@@ -144,9 +142,9 @@ def _counting_walks(monkeypatch):
     walks = []
     real = return_time_module._walk
 
-    def counting(text, width, top, prime=False):
-        walks.append(top)
-        return real(text, width, top, prime)
+    def counting(text, width, prime=False):
+        walks.append(len(text) // width)   # the symbols the walk reads
+        return real(text, width, prime)
 
     monkeypatch.setattr(return_time_module, "_walk", counting)
     return walks
@@ -160,7 +158,8 @@ def test_a_word_walks_once_per_kind_whatever_the_queries(monkeypatch):
     rng = random.Random(19)
     for name, syms, m in words:
         L = len(syms)
-        full = [return_times_all(syms, prime=prime) for prime in (False, True)]
+        full = [return_times_all(Word.from_iterable(syms, m), prime=prime)
+                for prime in (False, True)]
         walks.clear()
         w = Word.from_iterable(syms, m)
         asked = set()
