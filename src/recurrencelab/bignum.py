@@ -26,7 +26,13 @@ unit in the last place.  An integer X >= 1 past EXP_POW_PREC bits is the
 product of cached powers e^(2^j) over the set bits of X, rounded to
 nearest once, where mpmath's exp powers e afresh on every call; the two
 agree bit for bit.  The cache is one immutable snapshot (prec, entries),
-replaced whole, so a reader never pairs entries with another prec.
+replaced whole, so a reader never pairs entries with another prec.  It
+starts from the snapshot the package ships, e_powers.bin (16 entries at
+66 566 bits, about 133 KB, read at import after a zlib.crc32 check): the
+largest j and prec that a request under DEFAULT_DIGIT_CAP asks for, so
+such a request never builds.  A request past it rebuilds by squaring
+mpmath's e, and a missing or corrupt file starts the cache empty.
+`_write_powers_of_e` regenerates the file.
 X <= 1, the other non-integers and smaller precisions take mpmath's own
 exp of the exact X, which is as fast there.
 
@@ -73,11 +79,13 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import os
 import sys
 import threading
+import zlib
 from typing import NamedTuple
 
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_int,
+from mpmath.libmp import (MPZ, dps_to_prec, fone, from_float, from_int,
                           from_man_exp, mpf_add, mpf_e, mpf_exp, mpf_log,
                           mpf_mul, mpf_neg, mpf_sub, round_ceiling,
                           round_floor, round_nearest, to_int)
@@ -162,10 +170,22 @@ def _exp(terms: tuple, dps: int) -> tuple:
 
 # The cache of e^(2^j) that `_powers_of_e` builds, as one snapshot
 # (prec, entries), replaced whole.  Entry j is a pair (man, exp), man 2^exp,
-# with a man of exactly prec + _pow_guard(len(entries) - 1) bits; prec is a
-# power of two.  The lock only keeps two threads from building at once.
-_e_powers = (0, ())
+# with a man of exactly prec + _pow_guard(len(entries) - 1) bits; prec is
+# the shipped snapshot's or a power of two.  It starts as the shipped
+# snapshot (`_load_powers_of_e`, below).  The lock only keeps two threads
+# from building at once.
 _e_powers_lock = threading.Lock()
+
+# The shipped snapshot: e^(2^j) up to the largest j and prec that a request
+# under DEFAULT_DIGIT_CAP asks for, N < e^X below 10^DEFAULT_DIGIT_CAP and
+# bit-burst's guard on top of exp_int's digits
+E_POWERS_FILE = os.path.join(os.path.dirname(__file__), "e_powers.bin")
+E_POWERS_TOP = int(DEFAULT_DIGIT_CAP * LOG10).bit_length() - 1
+E_POWERS_PREC = dps_to_prec(DEFAULT_DIGIT_CAP + GUARD_DIGITS) + EXP_GUARD_BITS
+# the file: this tag, prec and the entry count as 4-byte little-endian
+# ints, per entry exp as 8 bytes signed and man in (w + 7) // 8 bytes,
+# then a zlib.crc32 of all of that in 4 bytes
+_E_POWERS_TAG = b"e2^j"
 
 
 def _pow_guard(top: int) -> int:
@@ -208,6 +228,54 @@ def _build_powers_of_e(top: int, prec: int) -> tuple:
         cut = man.bit_length() - w
         entries.append((man >> cut, 2 * exp + cut))
     return prec, tuple(entries)
+
+
+def _load_powers_of_e(path: str = E_POWERS_FILE) -> tuple:
+    """The table (prec, entries) that _write_powers_of_e wrote to path, or
+    the empty table (0, ()) when the file is missing, short or corrupt."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return 0, ()
+    body = memoryview(data)[:-4]
+    if (len(data) < 16 or data[:4] != _E_POWERS_TAG
+            or zlib.crc32(body) != int.from_bytes(data[-4:], "little")):
+        return 0, ()
+    prec = int.from_bytes(body[4:8], "little")
+    count = int.from_bytes(body[8:12], "little")
+    w = prec + _pow_guard(count - 1)
+    step = 8 + (w + 7) // 8
+    if count < 1 or len(body) != 12 + count * step:
+        return 0, ()
+    entries = []
+    for at in range(12, len(body), step):
+        man = int.from_bytes(body[at + 8:at + step], "little")
+        if man.bit_length() != w:
+            return 0, ()
+        # an mpz under the gmpy2 backend, as mpf_e's mantissas are
+        entries.append((MPZ(man), int.from_bytes(body[at:at + 8], "little",
+                                                 signed=True)))
+    return prec, tuple(entries)
+
+
+def _write_powers_of_e(path: str = E_POWERS_FILE) -> None:
+    """Write _build_powers_of_e(E_POWERS_TOP, E_POWERS_PREC) to path, by
+    default the shipped file: python3 -c "from recurrencelab import bignum;
+    bignum._write_powers_of_e()" regenerates it."""
+    prec, entries = _build_powers_of_e(E_POWERS_TOP, E_POWERS_PREC)
+    size = (prec + _pow_guard(E_POWERS_TOP) + 7) // 8
+    out = bytearray(_E_POWERS_TAG)
+    out += prec.to_bytes(4, "little") + len(entries).to_bytes(4, "little")
+    for man, exp in entries:
+        out += int(exp).to_bytes(8, "little", signed=True)
+        out += int(man).to_bytes(size, "little")
+    out += zlib.crc32(out).to_bytes(4, "little")
+    with open(path, "wb") as fh:
+        fh.write(out)
+
+
+_e_powers = _load_powers_of_e()
 
 
 def _pow_err(top: int) -> int:
@@ -316,21 +384,30 @@ def _exp_fraction(r: int, s: int, wp: int) -> int:
     return out
 
 
-def _exp_split(a: int, e: int, lo: int, hi: int) -> tuple:
-    """(P, Q, T) with P = a^(hi-lo), Q = lo*(lo+1)*...*(hi-1) and
-    sum_{k=lo}^{hi-1} prod_{j=lo}^{k} a/(j 2^e) = T / (Q 2^(e(hi-lo)))."""
+def _exp_split(a: int, e: int, lo: int, hi: int,
+               want_p: bool = False) -> tuple:
+    """(P, Q, T) with Q = lo*(lo+1)*...*(hi-1),
+    sum_{k=lo}^{hi-1} prod_{j=lo}^{k} a/(j 2^e) = T / (Q 2^(e(hi-lo))),
+    and P = a^(hi-lo) when want_p, else None.
+
+    Only a left half's P is read, by T, so a right half takes none, and a
+    left half squares its own left half's: the right one is as long, or
+    one longer.
+    """
     if hi - lo <= EXP_SPLIT_LEAF:
-        p = q = 1
+        q = 1
         t = 0
         for j in range(hi - 1, lo - 1, -1):
             t = a * ((q << (e * (hi - 1 - j))) + t)
             q *= j
-            p *= a
-        return p, q, t
+        return a ** (hi - lo) if want_p else None, q, t
     mid = (lo + hi) // 2
-    p1, q1, t1 = _exp_split(a, e, lo, mid)
-    p2, q2, t2 = _exp_split(a, e, mid, hi)
-    return p1 * p2, q1 * q2, ((t1 * q2) << (e * (hi - mid))) + p1 * t2
+    p1, q1, t1 = _exp_split(a, e, lo, mid, True)
+    _, q2, t2 = _exp_split(a, e, mid, hi)
+    p = None
+    if want_p:
+        p = p1 * p1 if hi - mid == mid - lo else p1 * p1 * a
+    return p, q1 * q2, ((t1 * q2) << (e * (hi - mid))) + p1 * t2
 
 
 def _exponent_parts(exponent) -> tuple[int, int]:
@@ -451,8 +528,8 @@ class SquareExp:
     value, and steps k by U <- U V and V <- V e^2, two truncated products
     (`_chain_mul`).  It is seeded from the table of e^(2^j) with W =
     1 + EXP_CHAIN_HEADROOM times the need, the wp at which `_exp_whole`
-    takes e^(k^2), but no more bits than the table that need builds
-    holds.  It is seeded again when k goes back, when the need passes W,
+    takes e^(k^2), but no more bits than the table holds once it serves
+    the need.  It is seeded again when k goes back, when the need passes W,
     and when W passes what a seed at the need would take (the need
     drops where e^(A k^2) passes the digit cap).  U is rounded to prec
     only when the window of `_chain_slack` around it rounds alike: that

@@ -1,5 +1,8 @@
+import json
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -669,6 +672,84 @@ def test_the_table_stays_bounded(cold_table):
         table_prec, entries = bignum._e_powers
         assert len(entries) <= top_n.bit_length()
         assert top_prec <= table_prec < 2 * top_prec
+
+
+def _shipped_bytes():
+    with open(bignum.E_POWERS_FILE, "rb") as fh:
+        return fh.read()
+
+
+def test_the_shipped_table_is_the_one_its_helper_builds(tmp_path):
+    path = tmp_path / "e_powers.bin"
+    bignum._write_powers_of_e(str(path))
+    assert path.read_bytes() == _shipped_bytes()
+    prec, entries = bignum._load_powers_of_e()
+    assert (prec, entries) == bignum._build_powers_of_e(len(entries) - 1,
+                                                         prec)
+    # it covers every request under the default digit cap: bit-burst's
+    # guard on exp_int's digits, and the top bit of any N < e^X there
+    assert prec >= (dps_to_prec(DEFAULT_DIGIT_CAP + GUARD_DIGITS)
+                    + bignum.EXP_GUARD_BITS)
+    assert len(entries) - 1 >= int(DEFAULT_DIGIT_CAP * LOG10).bit_length() - 1
+
+
+def test_a_fresh_process_starts_from_the_shipped_table():
+    code = ("import sys; from recurrencelab import bignum; "
+            "prec, entries = bignum._e_powers; "
+            "print(prec, len(entries), 'hashlib' in sys.modules)")
+    # the interpreter sees the package this suite imports, wherever it is
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(bignum.__file__))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.split()
+    assert out == [str(bignum.E_POWERS_PREC), str(bignum.E_POWERS_TOP + 1),
+                   "False"]
+
+
+def test_a_damaged_table_file_starts_the_table_empty(tmp_path):
+    data = _shipped_bytes()
+    path = tmp_path / "e_powers.bin"
+    assert bignum._load_powers_of_e(str(path)) == (0, ())   # missing
+    damaged = [data[:n] for n in (0, 3, 12, 16, len(data) // 2,
+                                  len(data) - 1)]
+    for at in (0, 5, 9, 13, len(data) // 2, len(data) - 1):
+        flipped = bytearray(data)
+        flipped[at] ^= 1 << (at % 8)
+        damaged.append(bytes(flipped))
+    for bad in damaged:
+        path.write_bytes(bad)
+        assert bignum._load_powers_of_e(str(path)) == (0, ())
+    path.write_bytes(data)
+    assert bignum._load_powers_of_e(str(path))[0] == bignum.E_POWERS_PREC
+
+
+# case ii, and case v's square ladder near the digit cap
+WARM_PLANS = [("1", "inf", 12), ("2", "2", 170)]
+
+
+def _warm_plans():
+    return [plan_full_dimension(parse_phi("log(n)"), ExtReal(alpha),
+                                ExtReal(beta), count=count).to_json()
+            for alpha, beta, count in WARM_PLANS]
+
+
+def test_the_shipped_table_serves_plans_under_the_digit_cap(cold_table,
+                                                            monkeypatch):
+    cold = _warm_plans()
+    monkeypatch.setattr(bignum, "_e_powers", bignum._load_powers_of_e())
+    builds = []
+
+    def spy(name, real):
+        return lambda *a: builds.append(name) or real(*a)
+
+    monkeypatch.setattr(bignum, "_build_powers_of_e",
+                        spy("table", bignum._build_powers_of_e))
+    for module in (bignum, mpmath.libmp, mpmath.libmp.libelefun):
+        monkeypatch.setattr(module, "mpf_e", spy("mpf_e", module.mpf_e))
+    warm = _warm_plans()
+    assert builds == []
+    assert warm == cold
+    assert len(json.loads(warm[1])["terms"]) > 120
 
 
 def test_an_undecided_rounding_falls_back_to_mpmath(cold_table, monkeypatch):
