@@ -28,7 +28,7 @@ from itertools import repeat
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import PlanValidityError, SourceExhaustedError
-from .return_time import ReturnTimes, _common_prefix
+from .return_time import ReturnTimes, Runs, _common_prefix, _depth
 from .shift_core import (DEFAULT_MATERIALIZATION_CAP, Alphabet, LazySequence,
                          SymbolSource, Word, _tile, join_stores, symbol_store)
 
@@ -540,9 +540,9 @@ def bracket_return_times(seq: LazySequence, horizon: int,
     if horizon < 0:
         raise ValueError("prefix length must be nonnegative")
     seq._check_cap(horizon)
+    top = horizon if max_n is None else _depth(max_n, "max_n")
     if horizon == 0:
-        return ReturnTimes((), 0, 0)
-    top = horizon if max_n is None else max_n
+        return ReturnTimes(Runs(), 0, 0)
     if not 1 <= top <= horizon:
         raise ValueError(f"need 1 <= max_n <= {horizon}")
     if not base.free.within(base.alphabet.m):
@@ -551,10 +551,11 @@ def bracket_return_times(seq: LazySequence, horizon: int,
         last = _free_slots(p, horizon - inserted)
         if last:
             base._free_read(1, last)
-    # x_2..x_{n+1} = 0^n for n < p
-    values = [1] * min(top, p - 1, horizon - 1)
+    # x_2..x_{n+1} = 0^n for n < p: the run R_n = 1 to depth `best`
+    best = min(top, p - 1, horizon - 1)
+    returns, ends = ([1], [best]) if best else ([], [])
     if top < p or horizon <= p:
-        return ReturnTimes(tuple(values), horizon, top)
+        return ReturnTimes(Runs(tuple(returns), tuple(ends)), horizon, top)
     head = seq.window(1, p)
 
     def agreement(j: int, cap: int) -> int:
@@ -575,7 +576,7 @@ def bracket_return_times(seq: LazySequence, horizon: int,
             width *= 2
         return cap
 
-    best = p - 1   # values holds R_1..R_best
+    # the runs hold R_1..R_best, best = p - 1 here
     for start, word in seq.events:
         if start - 1 + p > horizon:
             break
@@ -587,10 +588,12 @@ def bracket_return_times(seq: LazySequence, horizon: int,
             reach = agreement(j, cap)
             if reach > best:
                 # no earlier candidate reaches past best, and j reaches
-                # every depth up to reach
-                values.extend(repeat(j, reach - best))
+                # every depth up to reach: one run, j above every earlier
+                # value, since candidates come in increasing order
+                returns.append(j)
+                ends.append(reach)
                 best = reach
-    return ReturnTimes(tuple(values), horizon, top)
+    return ReturnTimes(Runs(tuple(returns), tuple(ends)), horizon, top)
 
 
 def materializable_term_count(plan: InsertionPlan, cap: int) -> int:

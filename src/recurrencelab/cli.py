@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, islice
 from typing import Optional
 
 from .bignum import DEFAULT_DIGIT_CAP
@@ -34,7 +35,7 @@ from .plan_engine import (Classification, classify_profile,
 from .rate_dim_analysis import (box_dimension, plan_rate_trajectory,
                                 rate_trajectory, recurrence_witnesses,
                                 running_extremes)
-from .return_time import return_times_all
+from .return_time import ReturnTimes, return_times_all
 from .shift_core import (DEFAULT_MATERIALIZATION_CAP, Word, _word_from_json,
                          _word_to_json)
 
@@ -326,6 +327,19 @@ def _grew(ratios: list[float], factor: float) -> bool:
     return len(ratios) >= 2 and ratios[-1] > factor * max(ratios[0], 1e-12)
 
 
+def _mismatched_stretches(rt: ReturnTimes, lo: int, hi: int,
+                          ell: int) -> list[tuple[int, int]]:
+    """The depths n in lo+1..hi where R_n is not exactly ell, as stretches
+    (a, b) of depths a..b in depth order, read off the runs: each run of
+    another value, clipped to the bracket, and then every depth past the
+    exact head."""
+    wrong = [(a, b) for j, a, b in rt.values.spans(lo + 1, hi) if j != ell]
+    depth = rt.exact_depth
+    if depth < hi:
+        wrong.append((max(lo, depth) + 1, hi))
+    return wrong
+
+
 def _cmd_verify(args) -> int:
     plan, phi, cls = _plan_from_args(args)
     cap = args.cap
@@ -348,16 +362,13 @@ def _cmd_verify(args) -> int:
     ok = True
     mismatch_lines = 0
     for lo, hi, ell in brackets:
-        # depths lo+1..hi; a depth past the exact head is a mismatch
-        mismatches = hi - lo - rt.values[lo:min(hi, rt.exact_depth)].count(ell)
+        wrong = _mismatched_stretches(rt, lo, hi, ell)
+        mismatches = sum(b - a + 1 for a, b in wrong)
         if mismatches:
             ok = False
             # only the first 20 mismatches overall are named, depth by depth
-            for n in range(lo + 1, hi + 1):
-                if mismatch_lines == 20:
-                    break
-                if n <= rt.exact_depth and rt.values[n - 1] == ell:
-                    continue
+            named = chain.from_iterable(range(a, b + 1) for a, b in wrong)
+            for n in islice(named, 20 - mismatch_lines):
                 res = rt.result(n)
                 _emit({"n": n, "expected": str(ell),
                        "got": res.value, "exact": res.exact})

@@ -7,11 +7,11 @@ rest are lower bounds, which still carry one-sided evidence (they can only
 push the upper estimate up, never drag the lower one down), and the
 estimators here are careful about that asymmetry.
 
-A trajectory is stored as columns (`RateColumns`), the way return_time
-stores `ReturnTimes`: depths, return times, exactness bytes and ratios.
-On a word the exact values come first, held by reference to the
-ReturnTimes head, and the bounds after them are a range, and every
-column is built by C-level map/chain, with no per-depth Python
+A trajectory is stored as columns (`RateColumns`): depths, return
+times, exactness bytes and ratios.  On a word the exact values come
+first, held as the runs of the ReturnTimes head (return_time.Runs, two
+ints per run of equal R_n), and the bounds after them are a range, and
+every column is built by C-level map/chain, with no per-depth Python
 statement.  A word trajectory holds depths 2..top under the default
 profile, since log(1) = 0, and 1..top under a profile, which is positive
 at every depth or raises PhiDomainError there.  `entries` is a read-only
@@ -31,28 +31,28 @@ reader that holds one, or a memoryview of one, may read it while another
 thread grows the next.
 
 The ratio column of a length-L word under the default profile is held in
-closed form (`LogRatioColumn`): L, the deepest depth and the exact head
-of ReturnTimes, so building it costs nothing per depth and holds no
-table.  It is the one owner of the word's runs of equal R_n.  An entry
-is one division, log(R_n)/log(n), with the bound L - n past the exact
-head; iteration and slices take the table when they run and make one
-C-level pass over two memoryviews of it, the numerators one read per run
-and then the bounds log(L - n) as a reversed slice.  Along each run, and
-along the bounds, the ratio never increases, so the column answers
-`running_extremes` itself (`LogRatioColumn.extremes`) with two ratios
-per run in the window and one for the bounds.  Plan trajectories and
-other profiles hold an array('d') of ratios and are scanned.
+closed form (`LogRatioColumn`): L, the deepest depth and the runs of the
+exact head, so building it costs nothing per depth and holds no table.
+An entry is one division, log(R_n)/log(n), with the bound L - n past the
+exact head; iteration and slices take the table when they run and make
+one C-level pass over two memoryviews of it, the numerators one read per
+run and then the bounds log(L - n) as a reversed slice.  Along each run,
+and along the bounds, the ratio never increases, so the column answers
+`running_extremes` itself (`LogRatioColumn.extremes`) with two ratios per
+run in the window and one for the bounds.  Plan trajectories and other
+profiles hold an array('d') of ratios and are scanned.
 
-`recurrence_witnesses` works per run of equal R_n = j under the default
-profile with a finite rate c = alpha + eps > 0.  Within a run the cutoff
-exp(c*log n) grows with n, so the depths that pass (j <= cutoff) are a
-suffix of the run, found by bisection; and a return at shift j of the
-deepest of them is a return of every shallower prefix, so one slice
-comparison re-checks the whole suffix.  Every other rate and profile
-takes one cutoff exp(c*phi(n)) per depth, and e^0 = 1 where phi(n) = 0
-at every rate (c*0 is NaN for an infinite c; IEEE pow(1, c) is 1 too),
-and re-checks only the depths that pass them.  Both read a cutoff past
-float range as inf (`_cutoff`): it exceeds every return time.
+`recurrence_witnesses` works per run of equal R_n = j, read from the
+runs of the record, under the default profile with a finite rate
+c = alpha + eps > 0.  Within a run the cutoff exp(c*log n) grows with n,
+so the depths that pass (j <= cutoff) are a suffix of the run, found by
+bisection; and a return at shift j of the deepest of them is a return of
+every shallower prefix, so one slice comparison re-checks the whole
+suffix.  Every other rate and profile takes one cutoff exp(c*phi(n)) per
+depth, and e^0 = 1 where phi(n) = 0 at every rate (c*0 is NaN for an
+infinite c; IEEE pow(1, c) is 1 too), and re-checks only the depths that
+pass them.  Both read a cutoff past float range as inf (`_cutoff`): it
+exceeds every return time.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ import math
 import statistics
 import threading
 from array import array
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +71,7 @@ from typing import Optional
 from .cantor_builder import InsertionPlan, certified_brackets, fp_cylinder_count
 from .errors import EstimationImpossibleError
 from .phi_spec import PhiSpec
-from .return_time import return_times_all
+from .return_time import Runs, return_times_all
 from .shift_core import Word
 
 # entry k is math.log(k); entry 0 stands for log 0 = -inf and is never
@@ -124,10 +123,11 @@ class RateColumns(Sequence):
     Entry i has depth ns[i], exactness exact[i] (a byte, 1 or 0) and ratio
     ratios[i]: an array of doubles, or under the default profile the
     closed-form `LogRatioColumn` of a word.  Its return time is read from two
-    runs, `head` then `tail`, so that a word's bound region stays a range:
+    parts, `head` then `tail`, so that a word's bound region stays a range:
     head holds the exact values and tail the descending bounds L - n.  A
-    word's head is its ReturnTimes head itself, held by reference, and may
-    open with values that have no entry (R_1 under the default profile):
+    word's head is the runs of its ReturnTimes head (return_time.Runs, one
+    bisect per index), and may open with values that have no entry (R_1
+    under the default profile):
     their count is len(head) + len(tail) - len(ns).  Behaves as a
     read-only sequence of RateEntry views, each built only when indexed
     or iterated.
@@ -204,17 +204,6 @@ def _ratio_column(times, fs) -> array:
     return array("d", map(truediv, map(math.log, times), fs))
 
 
-def _runs(values: Sequence[int], lo: int, hi: int):
-    """(j, start, end) per run values[start:end] of the value j, over
-    values[lo:hi], each end found by bisect_right: the runs of equal
-    values when values is nondecreasing."""
-    while lo < hi:
-        j = values[lo]
-        end = bisect_right(values, j, lo, hi)
-        yield j, lo, end
-        lo = end
-
-
 _NO_EXACT_ENTRY = ("every tail entry is a lower bound; the window is too "
                    "short to estimate the lower rate")
 
@@ -222,13 +211,14 @@ _NO_EXACT_ENTRY = ("every tail entry is a lower bound; the window is too "
 class LogRatioColumn(Sequence):
     """log(R_n)/log(n) for n = 2..top of a length-L word, in closed form.
 
-    R_n = values[n - 1] at the exact depths n <= h = len(values) and the
-    bound L - n past them; entry i is depth n = i + 2.  The column holds
-    no ratio, and building it computes no logarithm.  An index is one
-    division of two math.log calls; iteration, slices, tolist() and
-    tobytes() run one C-level pass over two memoryviews of the log table,
-    taken (and grown to L entries) when they run (`_span`): the
-    numerators one table read per run of equal exact return times, then
+    R_n is read from the runs of the exact head at the depths
+    n <= h = len(runs) and is the bound L - n past them; entry i is depth
+    n = i + 2.  The column holds no ratio, and building it computes no
+    logarithm.  An index is one division of two math.log calls;
+    iteration, slices, tolist() and tobytes() run one C-level pass over
+    two memoryviews of the log table, taken (and grown to L entries) when
+    they run (`_span`): the numerators one table read per run of equal
+    exact return times, then
     the bounds log(L - n) as a reversed slice, and the denominators
     log(n).  A table entry is the double math.log returns, so every ratio
     is the one that math.log and a division give at that depth.
@@ -241,10 +231,10 @@ class LogRatioColumn(Sequence):
     `extremes` reads the window extremes off the runs on that ground.
     """
 
-    __slots__ = ("length", "top", "values")
+    __slots__ = ("length", "top", "runs")
 
-    def __init__(self, length: int, top: int, values: Sequence[int]):
-        self.length, self.top, self.values = length, top, values
+    def __init__(self, length: int, top: int, runs: Runs):
+        self.length, self.top, self.runs = length, top, runs
 
     def __len__(self) -> int:
         return max(self.top - 1, 0)
@@ -262,17 +252,17 @@ class LogRatioColumn(Sequence):
         if not 0 <= i < size:
             raise IndexError(f"index {i} outside a column of length {size}")
         n = i + 2
-        r = self.values[n - 1] if n <= len(self.values) else self.length - n
+        r = self.runs[n - 1] if n <= len(self.runs) else self.length - n
         return math.log(r) / math.log(n)
 
     def _span(self, a: int, b: int) -> Iterator[float]:
         """Entries a..b-1 (depths a + 2 .. b + 1), lazily."""
-        values, L = self.values, self.length
+        runs, L = self.runs, self.length
         logs = memoryview(log_table(L))
-        h = len(values)
-        runs = _runs(values, a + 1, min(b + 1, h))
-        num = chain(chain.from_iterable(repeat(logs[j], end - start)
-                                        for j, start, end in runs),
+        h = len(runs)
+        spans = runs.spans(a + 2, b + 1)
+        num = chain(chain.from_iterable(repeat(logs[j], hi - lo + 1)
+                                        for j, lo, hi in spans),
                     logs[L - b - 1:L - max(a + 2, h + 1) + 1][::-1])
         return map(truediv, num, logs[a + 2:b + 2])
 
@@ -295,13 +285,13 @@ class LogRatioColumn(Sequence):
         double of at least +0.0, so two that compare equal are the same
         bits, and the pair is the scan's.
         """
-        log, values = math.log, self.values
-        h = len(values)
+        log, runs = math.log, self.runs
+        h = len(runs)
         highs, lows = [], []
-        # the runs clipped to depths start + 2 .. h, each depths lo + 1 .. end
-        for j, lo, end in _runs(values, start + 1, h):
-            highs.append(log(j) / log(lo + 1))
-            lows.append(log(j) / log(end))
+        # the runs clipped to depths start + 2 .. h
+        for j, lo, hi in runs.spans(start + 2, h):
+            highs.append(log(j) / log(lo))
+            lows.append(log(j) / log(hi))
         if not lows:
             raise EstimationImpossibleError(_NO_EXACT_ENTRY)
         n = max(h + 1, start + 2)       # the first bound in the window
@@ -317,8 +307,8 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     The entries are depths 2..top under the default profile, since
     log(1) = 0, and 1..top under a profile, whose value is positive at
     every depth or raises PhiDomainError there.  The columns are built
-    without a per-depth statement: the exact head held by reference, then
-    the bounds as a range; under the default profile the ratios are the
+    without a per-depth statement: the runs of the exact head, then the
+    bounds as a range; under the default profile the ratios are the
     closed-form `LogRatioColumn`, and under a profile one array('d').
     """
     rt = return_times_all(word, max_n=max_n)
@@ -391,13 +381,9 @@ def _cutoff(x: float) -> float:
         return math.inf
 
 
-def _run_witnesses(syms, values: Sequence[int], c, logs: array,
-                   out: list) -> int:
+def _run_witnesses(syms, runs: Runs, c, logs: array) -> list:
     """Witnesses of the default profile at a finite rate c > 0, one run
-    of equal R_n at a time, appended to out in depth order.  Returns the
-    first depth left to the per-depth rule: len(values) + 1 when every run
-    was handled, or the start of a stretch whose values are not one run
-    (an engine that is not nondecreasing).
+    of equal R_n at a time, in depth order.
 
     Within a run, n < m implies cutoff(n) <= cutoff(m) in floats: the
     computed log(n) is strictly increasing for n < 2^40, since log(n + 1)
@@ -408,10 +394,9 @@ def _run_witnesses(syms, values: Sequence[int], c, logs: array,
     So the depths with j <= cutoff(n) are a suffix of the run, and
     bisecting the loop's own float test finds its first depth.
     """
-    for j, lo, end in _runs(values, 0, len(values)):
-        if values[lo:end].count(j) != end - lo:
-            return lo + 1
-        a, b = lo + 1, end + 1      # the run is depths lo + 1 .. end
+    out = []
+    for j, lo, end in runs.spans(1, len(runs)):
+        a, b = lo, end + 1      # the run is depths lo .. end
         while a < b:
             mid = (a + b) // 2
             if j > _cutoff(c * logs[mid]):
@@ -427,7 +412,7 @@ def _run_witnesses(syms, values: Sequence[int], c, logs: array,
                 raise RuntimeError(
                     f"return-time engine and definition disagree at n={n}")
             out.extend(zip(range(a, end + 1), repeat(j)))
-    return len(values) + 1
+    return out
 
 
 def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
@@ -444,29 +429,27 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     A cutoff past float range is read as inf (`_cutoff`), so it passes
     every depth, as the true cutoff does.  The default profile at a
     finite rate alpha + eps > 0 is decided per run of equal R_n
-    (`_run_witnesses`); everything else, and whatever a run cannot
-    decide, follows the per-depth rule below.
+    (`_run_witnesses`), reading the runs of the record; everything else
+    follows the per-depth rule below.
     """
     syms = word.symbols
-    values = return_times_all(word, max_n=max_n).values
-    h = len(values)
+    runs = return_times_all(word, max_n=max_n).values
+    h = len(runs)
     c = alpha + eps
-    out = []
-    start = 1     # the first depth left to the per-depth rule
     if phi is None:
         logs = log_table(h + 1)
         if h and 0 < c < math.inf:
-            start = _run_witnesses(syms, values, c, logs, out)
-        fs = logs[start:h + 1]
+            return _run_witnesses(syms, runs, c, logs)
+        fs = logs[1:h + 1]
     else:
         fs = map(phi.value, range(1, h + 1))
-    ns = range(start, h + 1)
     cutoffs = (_cutoff(c * f) if f else 1.0 for f in fs)
+    out = []
     # lazily, in depth order, so an error surfaces at the depth a loop
     # over n would meet it; a depth is dropped only when j > cutoff (a
     # NaN cutoff, from a NaN phi(n) or rate, keeps it)
-    for n in compress(ns, map(not_, map(gt, values[start - 1:], cutoffs))):
-        j = values[n - 1]
+    for n, j in compress(enumerate(runs, 1),
+                         map(not_, map(gt, runs, cutoffs))):
         if syms[j:j + n] != syms[:n]:
             raise RuntimeError(
                 f"return-time engine and definition disagree at n={n}")

@@ -106,9 +106,10 @@ class Word:
     tuple.  `data` is that store when it is bytes, None otherwise.
 
     `_walks` holds the return-time record of the plain (index 0) and
-    primed (index 1) kind, each None before its first query (see
-    return_time).  It is a plain attribute, not a field, so it takes no
-    part in equality, hash, repr or dataclasses.fields.
+    primed (index 1) kind, each None before its first query and then the
+    runs of equal R_n of its exact head (return_time.Runs, two ints per
+    run; see return_time).  It is a plain attribute, not a field, so it
+    takes no part in equality, hash, repr or dataclasses.fields.
     """
 
     symbols: Union[bytes, tuple[int, ...]]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from recurrencelab import (ReturnTimeResult, Word, return_time,
                            return_time_prime, return_times_all)
-from recurrencelab.return_time import _byte_view
+from recurrencelab.return_time import Runs, _byte_view
 
 from conftest import (brute_return_time, random_word, return_time_naive,
                       return_times_naive_all)
@@ -209,7 +209,7 @@ def test_a_word_with_an_empty_record_walks_once_per_kind(monkeypatch):
             ReturnTimeResult(1, 1, False, True),
             ReturnTimeResult(2, 1, False, True)]
     assert walks == [(1, False), (1, True)]
-    assert w._walks == [(), ()]
+    assert w._walks == [Runs(), Runs()]
 
 
 @pytest.mark.parametrize("single", [return_time, return_time_prime])

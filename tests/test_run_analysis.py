@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import recurrencelab.rate_dim_analysis as rda
 from recurrencelab import (Word, rate_trajectory, recurrence_witnesses,
                            return_time, return_time_prime, return_times_all)
-from recurrencelab.return_time import ReturnTimes
+from recurrencelab.return_time import ReturnTimes, Runs
 
 from conftest import (brute_return_time, random_word, return_time_naive,
                       return_times_naive_all)
@@ -407,7 +407,7 @@ def test_queries_in_any_order_equal_the_brute_scan(syms, order):
 def test_the_naive_scan_neither_reads_nor_writes_the_record():
     word = Word.from_digits("0100101001001", 2)
     # a false record: no exact depth, plain and primed
-    word._walks[:] = [(), ()]
+    word._walks[:] = [Runs(), Runs()]
     for n in range(1, len(word) + 1):
         for prime in (False, True):
             res = return_time_naive(word, n, prime)
