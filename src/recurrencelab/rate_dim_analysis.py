@@ -18,29 +18,17 @@ at every depth or raises PhiDomainError there.  `entries` is a read-only
 sequence whose RateEntry views are built only on access; `ratios()` and
 `running_extremes` read the columns directly.
 
-Under the default profile log n every logarithm is read from one
-process-wide table, `log_table`: an array('d') whose entry k is
-math.log(k), the very double a call would return.  It grows to the
-longest word whose ratio column has been read in full, or whose exact
-head a witness search has read (by at least a quarter of its size at a
-time, so a stream of slowly growing words does not copy it once per
-word), never shrinks and needs no setting: 8 bytes per symbol, about
-1.4 MB for a 176 531-symbol word.  Growth builds a new table under a lock
-and then swaps it in; a table is never changed once published, so a
-reader that holds one, or a memoryview of one, may read it while another
-thread grows the next.
-
 The ratio column of a length-L word under the default profile is held in
 closed form (`LogRatioColumn`): L, the deepest depth and the runs of the
-exact head, so building it costs nothing per depth and holds no table.
-An entry is one division, log(R_n)/log(n), with the bound L - n past the
-exact head; iteration and slices take the table when they run and make
-one C-level pass over two memoryviews of it, the numerators one read per
-run and then the bounds log(L - n) as a reversed slice.  Along each run,
-and along the bounds, the ratio never increases, so the column answers
-`running_extremes` itself (`LogRatioColumn.extremes`) with two ratios per
-run in the window and one for the bounds.  Plan trajectories and other
-profiles hold an array('d') of ratios and are scanned.
+exact head, so building it costs nothing per depth and computes no
+logarithm.  An entry is one division, log(R_n)/log(n), with the bound
+L - n past the exact head; iteration and slices map math.log in one
+C-level pass, the numerators one call per run and then the bounds
+log(L - n) in descending order.  Along each run, and along the bounds,
+the ratio never increases, so the column answers `running_extremes`
+itself (`LogRatioColumn.extremes`) with two ratios per run in the window
+and one for the bounds.  Plan trajectories and other profiles hold an
+array('d') of ratios and are scanned.
 
 `recurrence_witnesses` works per run of equal R_n = j, read from the
 runs of the record, under the default profile with a finite rate
@@ -58,7 +46,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import threading
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -73,30 +60,6 @@ from .errors import EstimationImpossibleError
 from .phi_spec import PhiSpec
 from .return_time import Runs, return_times_all
 from .shift_core import Word
-
-# entry k is math.log(k); entry 0 stands for log 0 = -inf and is never
-# read.  Replaced whole when it grows, never changed in place: readers
-# hold memoryviews of it, and an array with a live view cannot resize.
-_logs = array("d", [-math.inf])
-_logs_lock = threading.Lock()
-
-
-def log_table(size: int) -> array:
-    """The process-wide array('d') of math.log(k), with at least `size`
-    entries (k = 0 .. size - 1).  The returned table never changes; a
-    later call may return a longer one."""
-    global _logs
-    table = _logs
-    if len(table) < size:
-        with _logs_lock:
-            table = _logs
-            if len(table) < size:
-                size = max(size, len(table) + len(table) // 4)
-                table = table + array("d", map(math.log,
-                                               range(len(table), size)))
-                _logs = table
-    return table
-
 
 @dataclass(frozen=True)
 class RateEntry:
@@ -215,13 +178,11 @@ class LogRatioColumn(Sequence):
     n <= h = len(runs) and is the bound L - n past them; entry i is depth
     n = i + 2.  The column holds no ratio, and building it computes no
     logarithm.  An index is one division of two math.log calls;
-    iteration, slices, tolist() and tobytes() run one C-level pass over
-    two memoryviews of the log table, taken (and grown to L entries) when
-    they run (`_span`): the numerators one table read per run of equal
-    exact return times, then
-    the bounds log(L - n) as a reversed slice, and the denominators
-    log(n).  A table entry is the double math.log returns, so every ratio
-    is the one that math.log and a division give at that depth.
+    iteration, slices, tolist() and tobytes() run one C-level pass of
+    math.log (`_span`): the numerators one call per run of equal exact
+    return times, then the bounds log(L - n) in descending order, and the
+    denominators log(n).  Every ratio is therefore the one that math.log
+    and a division give at that depth.
 
     Along each run the numerator is one double and the denominator
     increases (math.log is strictly increasing below 2^40; see
@@ -257,14 +218,13 @@ class LogRatioColumn(Sequence):
 
     def _span(self, a: int, b: int) -> Iterator[float]:
         """Entries a..b-1 (depths a + 2 .. b + 1), lazily."""
-        runs, L = self.runs, self.length
-        logs = memoryview(log_table(L))
-        h = len(runs)
+        log, runs, L = math.log, self.runs, self.length
+        first = max(a + 2, len(runs) + 1)   # the first bound in the span
         spans = runs.spans(a + 2, b + 1)
-        num = chain(chain.from_iterable(repeat(logs[j], hi - lo + 1)
+        num = chain(chain.from_iterable(repeat(log(j), hi - lo + 1)
                                         for j, lo, hi in spans),
-                    logs[L - b - 1:L - max(a + 2, h + 1) + 1][::-1])
-        return map(truediv, num, logs[a + 2:b + 2])
+                    map(log, range(L - first, L - b - 2, -1)))
+        return map(truediv, num, map(log, range(a + 2, b + 2)))
 
     def __iter__(self) -> Iterator[float]:
         return self._span(0, len(self))
@@ -381,7 +341,7 @@ def _cutoff(x: float) -> float:
         return math.inf
 
 
-def _run_witnesses(syms, runs: Runs, c, logs: array) -> list:
+def _run_witnesses(syms, runs: Runs, c) -> list:
     """Witnesses of the default profile at a finite rate c > 0, one run
     of equal R_n at a time, in depth order.
 
@@ -399,7 +359,7 @@ def _run_witnesses(syms, runs: Runs, c, logs: array) -> list:
         a, b = lo, end + 1      # the run is depths lo .. end
         while a < b:
             mid = (a + b) // 2
-            if j > _cutoff(c * logs[mid]):
+            if j > _cutoff(c * math.log(mid)):
                 a = mid + 1
             else:
                 b = mid
@@ -437,10 +397,9 @@ def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
     h = len(runs)
     c = alpha + eps
     if phi is None:
-        logs = log_table(h + 1)
         if h and 0 < c < math.inf:
-            return _run_witnesses(syms, runs, c, logs)
-        fs = logs[1:h + 1]
+            return _run_witnesses(syms, runs, c)
+        fs = map(math.log, range(1, h + 1))
     else:
         fs = map(phi.value, range(1, h + 1))
     cutoffs = (_cutoff(c * f) if f else 1.0 for f in fs)

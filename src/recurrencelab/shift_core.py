@@ -250,7 +250,8 @@ def _word_to_json(word: Word) -> Union[str, list]:
 
 
 def _word_from_json(value: Union[str, list], m: int) -> Word:
-    """Inverse of _word_to_json; takes either form at any m."""
+    """Inverse of _word_to_json: a symbol list at any m, a digit string
+    only at m <= 10 (ValueError past it, as Word.from_digits raises)."""
     if isinstance(value, str):
         return Word.from_digits(value, m)
     return Word.from_iterable(value, m)

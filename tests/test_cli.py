@@ -117,6 +117,12 @@ def test_empty_word_is_exit_1(capsys):
     assert run(capsys, "return-times", "--word", "", "--m", "2")[0] == 1
 
 
+def test_a_digit_string_past_m_10_is_exit_1(capsys):
+    code, out, err = run(capsys, "return-times", "--word", "0101", "--m", "12")
+    assert (code, out) == (1, "")
+    assert err == "error: digit-string words require m <= 10\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["return-times", "--m", "2"], ["rates"],
     ["witnesses", "--m", "2", "--alpha", "1", "--eps", "0"]],

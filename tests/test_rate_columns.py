@@ -165,20 +165,22 @@ def test_rate_entry_contract():
 
 
 def test_trajectory_peak_memory_per_depth():
-    # ratios as doubles, exactness as bytes, depths and bounds as ranges:
-    # 9.5 bytes per depth measured (about 208 with one object per depth)
+    # under a profile: ratios as doubles, exactness as bytes, depths and
+    # bounds as ranges: 9.5 bytes per depth measured (about 208 with one
+    # object per depth)
     rng = random.Random(99)
     n = 2 * 10 ** 5
     word = random_word(rng, 2, n)
-    rate_trajectory(word, max_n=100)
+    phi = parse_phi("2*log(n)")
+    rate_trajectory(word, phi, max_n=100)
     tracemalloc.start()
     try:
-        traj = rate_trajectory(word)
+        traj = rate_trajectory(word, phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak / n <= 12, f"{peak / n:.2f} bytes per depth"
-    assert len(traj) == n - 2
+    assert len(traj) == n - 1
 
 
 def test_a_word_trajectory_holds_no_column_of_ratios():

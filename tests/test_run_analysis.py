@@ -1,20 +1,19 @@
-"""Word analysis that pays per run of equal R_n, per process, or once per
-word, against per-depth references.
+"""Word analysis that pays per run of equal R_n or once per word, against
+per-depth references.
 
 - Witnesses under the default profile are decided per run of equal R_n:
   one bisection for the suffix that passes, one slice comparison for the
   re-check.  The reference is the loop over depths with math.log and
   math.exp, so agreement is ==, including the errors raised.
-- Every default-profile logarithm is read from one process-wide table of
-  math.log(k), grown under a lock.
+- A word's ratio column takes math.log where it reads it, and keeps no
+  logarithm once dropped.
 - A Word keeps one return-time record per kind, plain and primed, so
   single depths and batches of one Word run at most one walk per kind.
 """
 import importlib
 import math
 import random
-import sys
-import threading
+import tracemalloc
 from array import array
 from unittest import mock
 
@@ -245,105 +244,32 @@ def _loop_ratios(word):
     return out
 
 
-@pytest.fixture
-def fresh_table(monkeypatch):
-    """An empty log table for the test, the shared one restored after."""
-    monkeypatch.setattr(rda, "_logs", array("d", [-math.inf]))
-
-
-def test_a_short_word_reads_the_same_logs_before_and_after_a_long_one(
-        fresh_table):
+def test_a_word_column_equals_the_depth_loop_bit_for_bit():
+    # longer than the hypothesis test reaches: a Fibonacci word and a
+    # random one, every ratio against math.log at its own depth
     rng = random.Random(7)
-    short = Word.from_iterable(_fibonacci(3000), 2)
-    long_word = random_word(rng, 3, 40_000)
-    want_short = _loop_ratios(short).tobytes()
-    assert rate_trajectory(short).entries.ratios.tobytes() == want_short
-    assert 3000 <= len(rda._logs) < 40_000
-    assert rate_trajectory(long_word).entries.ratios.tobytes() == \
-        _loop_ratios(long_word).tobytes()
-    assert len(rda._logs) >= 40_000
-    assert rate_trajectory(short).entries.ratios.tobytes() == want_short
-    table = rda._logs
-    assert table[1:].tobytes() == \
-        array("d", map(math.log, range(1, len(table)))).tobytes()
+    for word in (Word.from_iterable(_fibonacci(3000), 2),
+                 random_word(rng, 3, 40_000)):
+        assert rate_trajectory(word).entries.ratios.tobytes() == \
+            _loop_ratios(word).tobytes()
 
 
-def test_only_a_full_read_of_a_word_column_grows_the_table(fresh_table):
-    # building the trajectory and estimating its rates read O(runs)
-    # ratios, each from two math.log calls; iterating it takes the table
-    rng = random.Random(12)
-    word = random_word(rng, 2, 20_000)
-    traj = rate_trajectory(word)
-    rda.running_extremes(traj, 1.0)
-    assert traj.entries[100].ratio == math.log(20_000 - 102) / math.log(102)
-    assert len(rda._logs) == 1
-    assert traj.entries.ratios.tobytes() == _loop_ratios(word).tobytes()
-    assert len(rda._logs) >= 20_000
-
-
-def test_the_table_grows_by_a_quarter_at_least(fresh_table):
-    assert len(rda.log_table(1000)) == 1000
-    assert len(rda.log_table(1001)) == 1250
-    assert len(rda.log_table(10)) == 1250
-    assert len(rda.log_table(5000)) == 5000
-
-
-@pytest.fixture
-def fast_switching():
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def test_reading_a_whole_column_leaves_nothing_behind():
+    # longer than any other test's word; the column reads every logarithm
+    # when it runs and keeps none once the trajectory is dropped
+    n = 300_000
+    word = random_word(random.Random(12), 2, n)
+    return_times_all(word)
+    tracemalloc.start()
     try:
-        yield
+        traj = rate_trajectory(word)
+        rda.running_extremes(traj, 1.0)
+        assert len(traj.entries.ratios.tobytes()) == 8 * (n - 2)
+        del traj
+        current = tracemalloc.get_traced_memory()[0]
     finally:
-        sys.setswitchinterval(old)
-
-
-def test_two_threads_build_identical_columns(fresh_table, fast_switching):
-    rng = random.Random(11)
-    words = [Word.from_iterable(_fibonacci(25_000), 2),
-             random_word(rng, 2, 60_000)]
-    want = [_loop_ratios(w).tobytes() for w in words]
-    for _ in range(3):
-        rda._logs = array("d", [-math.inf])
-        start = threading.Barrier(len(words))
-        got = [None] * len(words)
-
-        def build(i):
-            start.wait()
-            got[i] = rate_trajectory(words[i]).entries.ratios.tobytes()
-
-        threads = [threading.Thread(target=build, args=(i,))
-                   for i in range(len(words))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert got == want
-
-
-def test_concurrent_growth_never_duplicates_entries(fresh_table,
-                                                    fast_switching):
-    sizes = [500 * k for k in range(1, 17)]
-    want = array("d", map(math.log, range(1, sizes[-1] * 2))).tobytes()
-    for _ in range(30):
-        rda._logs = array("d", [-math.inf])
-        seen = {}
-        start = threading.Barrier(len(sizes))
-
-        def grow(size):
-            start.wait()
-            seen[size] = rda.log_table(size)
-
-        threads = [threading.Thread(target=grow, args=(s,)) for s in sizes]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for size, table in seen.items():
-            assert len(table) >= size
-            assert table[1:].tobytes() == want[:8 * (len(table) - 1)]
-        final = rda._logs
-        assert final[1:].tobytes() == want[:8 * (len(final) - 1)]
+        tracemalloc.stop()
+    assert current / n < 1, f"{current / n:.2f} bytes per symbol kept"
 
 
 # ------------------------------------------------- the return-time record ---
