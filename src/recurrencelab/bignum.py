@@ -16,23 +16,26 @@ to nearest at a precision of its own, as mpmath's context arithmetic
 would at that precision, so an integer comes out bit for bit as there.
 
 `_exp` takes e^X, X the exact sum of float terms, by one of three routes.
-From EXP_BURST_PREC bits of working precision on, a non-integer X > 1 is
-split as N + r/2^s (a float's fraction is a short dyadic): e^N comes from
-the table below, and e^(r/2^s) from bit-burst, the Taylor series of
-successively longer bit chunks of r/2^s summed exactly by binary
-splitting (Brent 1976).  Both carry EXP_GUARD_BITS past the working
-precision, so the one rounding of their product leaves e^X within one
-unit in the last place.  An integer X >= 1 past EXP_POW_PREC bits is the
-product of cached powers e^(2^j) over the set bits of X, rounded to
-nearest once, where mpmath's exp powers e afresh on every call; the two
-agree bit for bit.  The cache is one immutable snapshot (prec, entries),
-replaced whole, so a reader never pairs entries with another prec.  It
-starts from the snapshot the package ships, e_powers.bin (16 entries at
-66 566 bits, about 133 KB, read at import after a zlib.crc32 check): the
-largest j and prec that a request under DEFAULT_DIGIT_CAP asks for, so
-such a request never builds.  A request past it rebuilds by squaring
-mpmath's e, and a missing or corrupt file starts the cache empty.
-`_write_powers_of_e` regenerates the file.
+An integer X >= 1 past EXP_POW_PREC bits is the product of cached powers
+e^(2^j) over the set bits of X, rounded to nearest once, where mpmath's
+exp powers e afresh on every call; the two agree bit for bit.  From
+EXP_BURST_PREC bits of working precision on, a non-integer X > 1 is a
+short dyadic N + r/2^s (a float's fraction is one): the same table also
+holds e^(2^-j) for j <= 20, so e^X down to its bit 2^-20 is one product
+of entries, and only the bits of r/2^s below it are summed by bit-burst,
+the Taylor series of successively longer bit chunks summed exactly by
+binary splitting (Brent 1976).  Both carry EXP_GUARD_BITS past the
+working precision, so the one rounding of their product leaves e^X within
+one unit in the last place.  The cache is one immutable snapshot (prec,
+entries, fractions), replaced whole, so a reader never pairs entries with
+another prec.  It starts from the snapshot the package ships,
+e_powers.bin (16 entries and 20 fractions at 66 566 bits, about 300 KB,
+read at import after a zlib.crc32 check): the largest j and prec that a
+request under DEFAULT_DIGIT_CAP asks for, so such a request never builds.
+A request past it rebuilds by squaring mpmath's e, with no fractions,
+and a missing or corrupt file starts the cache empty; without fractions
+bit-burst sums every fraction bit, from bit 0.  `_write_powers_of_e`
+regenerates the file.
 X <= 1, the other non-integers and smaller precisions take mpmath's own
 exp of the exact X, which is as fast there.
 
@@ -100,9 +103,11 @@ DEFAULT_DIGIT_CAP = 20_000
 # 16 bits for its few truncations
 ANCHOR_BITS = dps_to_prec(GUARD_DIGITS) + 16
 
-# Plans serialize positions as decimal strings; CPython's int<->str guard
-# (default 4300 digits) would reject them.
-if sys.get_int_max_str_digits() < 2_000_000:
+# Plans serialize positions as decimal digits, in strings and JSON
+# integers; CPython's int<->str guard (default 4300 digits, from 3.10.7 and
+# 3.11 on; 0 is no limit) would reject them.
+if (hasattr(sys, "get_int_max_str_digits")
+        and 0 < sys.get_int_max_str_digits() < 2_000_000):
     sys.set_int_max_str_digits(2_000_000)
 
 LOG10 = math.log(10)
@@ -112,12 +117,13 @@ LN2 = math.log(2)
 # from an integer: twice the error of its two roundings
 NLOGN_FLOAT_ERR = 2.0 ** -50
 
-# `_exp` takes bit-burst from EXP_BURST_PREC bits on: below about 5 000
-# bits mpmath's own exp of a 40-bit fraction is as fast (pure-Python
-# backend, measured at 1 000-45 000 bits).  The fraction's first chunk is
-# EXP_BURST_FIRST bits wide, and binary splitting sums runs of up to
-# EXP_SPLIT_LEAF terms in a plain loop.
-EXP_BURST_PREC = 5000
+# `_exp` takes a non-integer exponent from the table and bit-burst
+# (`_exp_mixed`) from EXP_BURST_PREC bits on: at about 2 000 bits mpmath's
+# own exp of a 40-bit fraction is as fast, at 2 500 it takes 0.18 ms to
+# 0.14, at 5 000 0.75 to 0.38 (pure-Python backend).  Without fractions in
+# the table bit-burst's first chunk is EXP_BURST_FIRST bits wide, and
+# binary splitting sums runs of up to EXP_SPLIT_LEAF terms in a plain loop.
+EXP_BURST_PREC = 2500
 EXP_GUARD_BITS = 24
 EXP_BURST_FIRST = 16
 EXP_SPLIT_LEAF = 8
@@ -158,34 +164,63 @@ def _exp(terms: tuple, dps: int) -> tuple:
     whole = num >> s
     prec = dps_to_prec(dps)
     if prec >= EXP_BURST_PREC and whole >= 1 and whole << s != num:
-        wp = prec + EXP_GUARD_BITS
-        e_whole = _exp_whole(whole, wp)
-        e_frac = from_man_exp(_exp_fraction(num - (whole << s), s, wp), -wp,
-                              wp, round_nearest)
-        return mpf_mul(e_whole, e_frac, prec, round_nearest)
+        return _exp_mixed(num, s, prec)
     if prec > EXP_POW_PREC and whole >= 1 and whole << s == num:
         return _exp_whole(whole, prec)
     return mpf_exp(from_man_exp(num, -s), prec, round_nearest)
 
 
+def _exp_mixed(num: int, s: int, prec: int) -> tuple:
+    """e^(num/2^s), num/2^s > 1 and not an integer, as a raw mpf rounded to
+    nearest at prec bits, within one unit in the last place.
+
+    With f the fractions the table holds, the bits of num/2^s down to 2^-f
+    are one product of table entries (`_table_product`), and only the bits
+    below are summed by bit-burst (`_exp_fraction`, its chunks from bit f
+    on).  The product carries _pow_guard bits past wp = prec +
+    EXP_GUARD_BITS, the sum wp fraction bits, and their product is rounded
+    once: together they are within about 2^-15 units of the last place.
+    """
+    wp = prec + EXP_GUARD_BITS
+    top = (num >> s).bit_length() - 1
+    entries, fractions, w = _powers_of_e(top, wp)
+    f = len(fractions)
+    n = _shift(num, f - s)
+    rest = num - _shift(n, s - f)
+    man, exp, _ = _table_product(n, entries, w, wp + _pow_guard(top),
+                                 fractions)
+    if rest:
+        man *= _exp_fraction(rest, s, wp, f)
+        exp -= wp
+    return from_man_exp(man, exp, prec, round_nearest)
+
+
 # The cache of e^(2^j) that `_powers_of_e` builds, as one snapshot
-# (prec, entries), replaced whole.  Entry j is a pair (man, exp), man 2^exp,
-# with a man of exactly prec + _pow_guard(len(entries) - 1) bits; prec is
-# the shipped snapshot's or a power of two.  It starts as the shipped
-# snapshot (`_load_powers_of_e`, below).  The lock only keeps two threads
-# from building at once.
+# (prec, entries, fractions), replaced whole.  Entry j is e^(2^j) and
+# fraction j - 1 is e^(2^-j), each a pair (man, exp), man 2^exp, with a
+# man of exactly prec + _pow_guard(len(entries) - 1) bits; prec is the
+# shipped snapshot's or a power of two.  It starts as the shipped snapshot
+# (`_load_powers_of_e`, below).  The lock only keeps two threads from
+# building at once.
 _e_powers_lock = threading.Lock()
 
 # The shipped snapshot: e^(2^j) up to the largest j and prec that a request
 # under DEFAULT_DIGIT_CAP asks for, N < e^X below 10^DEFAULT_DIGIT_CAP and
-# bit-burst's guard on top of exp_int's digits
+# bit-burst's guard on top of exp_int's digits, and e^(2^-j) for j up to
+# E_FRACTION_BITS, so that bit-burst sums only the fraction bits below
+# 2^-E_FRACTION_BITS.  On float exponents of 7 000-46 000 (37 to 40
+# fraction bits) at exp_int's digits, 20 took 11.6-11.9 ms a call, against
+# 12.7 at 16, 12.5 at 24, 13.1 at 28 and 15.9 with none.
 E_POWERS_FILE = os.path.join(os.path.dirname(__file__), "e_powers.bin")
 E_POWERS_TOP = int(DEFAULT_DIGIT_CAP * LOG10).bit_length() - 1
 E_POWERS_PREC = dps_to_prec(DEFAULT_DIGIT_CAP + GUARD_DIGITS) + EXP_GUARD_BITS
-# the file: this tag, prec and the entry count as 4-byte little-endian
-# ints, per entry exp as 8 bytes signed and man in (w + 7) // 8 bytes,
-# then a zlib.crc32 of all of that in 4 bytes
-_E_POWERS_TAG = b"e2^j"
+E_FRACTION_BITS = 20
+# the file: this tag, then prec and the counts of entries and fractions
+# as 4-byte little-endian ints, per entry, then per fraction, exp as 8
+# bytes signed and man in (w + 7) // 8 bytes, then a zlib.crc32 of all of
+# that in 4 bytes
+_E_POWERS_TAG = b"e2^f"
+_NO_POWERS = (0, (), ())
 
 
 def _pow_guard(top: int) -> int:
@@ -196,13 +231,14 @@ def _pow_guard(top: int) -> int:
 
 
 def _powers_of_e(top: int, prec: int) -> tuple:
-    """(entries, w): e^(2^j) for j <= top with mantissas of w >= prec +
-    _pow_guard(top) bits, from the cache, rebuilt first when it is short
-    of j or of bits.
+    """(entries, fractions, w): e^(2^j) for j <= top and e^(2^-j) for j <=
+    len(fractions), with mantissas of w >= prec + _pow_guard(top) bits,
+    from the cache, rebuilt first when it is short of j or of bits.
 
     A rebuild rounds prec up to a power of two, so a run of growing
-    requests rebuilds a logarithmic number of times.  The entries come
-    from repeated squaring of mpmath's e, each square truncated to w bits.
+    requests rebuilds a logarithmic number of times.  It takes no
+    fractions: their chain of square roots costs about ten times the
+    rest of the rebuild.
     """
     global _e_powers
     table = _e_powers
@@ -212,62 +248,85 @@ def _powers_of_e(top: int, prec: int) -> tuple:
             if top >= len(table[1]) or prec > table[0]:
                 table = _e_powers = _build_powers_of_e(
                     max(top, len(table[1]) - 1),
-                    1 << (max(prec, table[0]) - 1).bit_length())
-    prec, entries = table
-    return entries, prec + _pow_guard(len(entries) - 1)
+                    1 << (max(prec, table[0]) - 1).bit_length(), 0)
+    prec, entries, fractions = table
+    return entries, fractions, prec + _pow_guard(len(entries) - 1)
 
 
-def _build_powers_of_e(top: int, prec: int) -> tuple:
-    """The snapshot (prec, entries) of e^(2^j) for j <= top."""
+def _build_powers_of_e(top: int, prec: int, roots: int) -> tuple:
+    """The snapshot (prec, entries, fractions) of e^(2^j) for j <= top and
+    e^(2^-j) for j <= roots, mantissas of w = prec + _pow_guard(top)
+    bits.
+
+    e is mpmath's, rounded down to w bits; the entries square it and the
+    fractions take square roots of it in turn (math.isqrt), each
+    truncated to w bits.  A square root halves the error it is given and
+    adds less than 2^(1-w), so every fraction lies within 2^(2-w) of its
+    value, relatively, and below it.
+    """
     w = prec + _pow_guard(top)
     _, man, exp, bc = mpf_e(w, round_floor)
-    entries = [(man << (w - bc), exp - (w - bc))]
+    e = (man << (w - bc), exp - (w - bc))
+    entries = [e]
     for _ in range(top):
         man, exp = entries[-1]
         man *= man
         cut = man.bit_length() - w
         entries.append((man >> cut, 2 * exp + cut))
-    return prec, tuple(entries)
+    fractions = []
+    man, exp = e
+    for _ in range(roots):
+        # man 2^k has 2w - 1 or 2w bits, so its root has w, and exp - k
+        # is even
+        k = w - ((exp - w) & 1)
+        man, exp = MPZ(math.isqrt(man << k)), (exp - k) // 2
+        fractions.append((man, exp))
+    return prec, tuple(entries), tuple(fractions)
 
 
 def _load_powers_of_e(path: str = E_POWERS_FILE) -> tuple:
-    """The table (prec, entries) that _write_powers_of_e wrote to path, or
-    the empty table (0, ()) when the file is missing, short or corrupt."""
+    """The table (prec, entries, fractions) that _write_powers_of_e wrote
+    to path, or the empty table (0, (), ()) when the file is missing,
+    short or corrupt."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
-        return 0, ()
+        return _NO_POWERS
     body = memoryview(data)[:-4]
-    if (len(data) < 16 or data[:4] != _E_POWERS_TAG
+    if (len(data) < 20 or data[:4] != _E_POWERS_TAG
             or zlib.crc32(body) != int.from_bytes(data[-4:], "little")):
-        return 0, ()
+        return _NO_POWERS
     prec = int.from_bytes(body[4:8], "little")
     count = int.from_bytes(body[8:12], "little")
+    fcount = int.from_bytes(body[12:16], "little")
     w = prec + _pow_guard(count - 1)
     step = 8 + (w + 7) // 8
-    if count < 1 or len(body) != 12 + count * step:
-        return 0, ()
+    if count < 1 or len(body) != 16 + (count + fcount) * step:
+        return _NO_POWERS
     entries = []
-    for at in range(12, len(body), step):
+    for at in range(16, len(body), step):
         man = int.from_bytes(body[at + 8:at + step], "little")
         if man.bit_length() != w:
-            return 0, ()
+            return _NO_POWERS
         # an mpz under the gmpy2 backend, as mpf_e's mantissas are
         entries.append((MPZ(man), int.from_bytes(body[at:at + 8], "little",
                                                  signed=True)))
-    return prec, tuple(entries)
+    return prec, tuple(entries[:count]), tuple(entries[count:])
 
 
 def _write_powers_of_e(path: str = E_POWERS_FILE) -> None:
-    """Write _build_powers_of_e(E_POWERS_TOP, E_POWERS_PREC) to path, by
-    default the shipped file: python3 -c "from recurrencelab import bignum;
-    bignum._write_powers_of_e()" regenerates it."""
-    prec, entries = _build_powers_of_e(E_POWERS_TOP, E_POWERS_PREC)
+    """Write _build_powers_of_e(E_POWERS_TOP, E_POWERS_PREC,
+    E_FRACTION_BITS) to path, by default the shipped file: python3 -c
+    "from recurrencelab import bignum; bignum._write_powers_of_e()"
+    regenerates it."""
+    prec, entries, fractions = _build_powers_of_e(
+        E_POWERS_TOP, E_POWERS_PREC, E_FRACTION_BITS)
     size = (prec + _pow_guard(E_POWERS_TOP) + 7) // 8
     out = bytearray(_E_POWERS_TAG)
-    out += prec.to_bytes(4, "little") + len(entries).to_bytes(4, "little")
-    for man, exp in entries:
+    for field in (prec, len(entries), len(fractions)):
+        out += field.to_bytes(4, "little")
+    for man, exp in entries + fractions:
         out += int(exp).to_bytes(8, "little", signed=True)
         out += int(man).to_bytes(size, "little")
     out += zlib.crc32(out).to_bytes(4, "little")
@@ -284,29 +343,33 @@ def _pow_err(top: int) -> int:
     return 1 << (top + 6)
 
 
-def _table_product(n: int, entries: tuple, w: int, wp: int) -> tuple:
-    """(man, exp, err): e^n for an integer n >= 1 as man 2^exp, man of wp
-    bits within err units of its last place, the product of the entries
-    e^(2^j) (`_powers_of_e`, w >= wp bits) over the set bits of n.
+def _table_product(n: int, entries: tuple, w: int, wp: int,
+                   fractions: tuple = ()) -> tuple:
+    """(man, exp, err): e^(n/2^f), f = len(fractions), for an integer n >=
+    2^f, as man 2^exp, man of wp bits within err units of its last place,
+    the product of the entries e^(2^j) and the fractions e^(2^-j)
+    (`_powers_of_e`, w >= wp bits) over the set bits of n/2^f.
 
-    With u = 2^(1-w), e is within u (relatively) and entry j, squared j
-    times, within 3 2^j u.  Cut to wp bits and multiplied, each
-    truncation within 2^(1-wp), the product is within 2^(top+4) units of
-    its last place, top = n.bit_length() - 1; err is 2^(top+6).  Only
-    shifts, products and bit_length touch the mantissas, which are gmpy2
-    mpz under that backend.
+    With u = 2^(1-w), e is within u (relatively), entry j, squared j
+    times, within 3 2^j u and a fraction within 2u.  Cut to wp bits and
+    multiplied, each truncation within 2^(1-wp), the product is within
+    2^(top+4) + 8f units of its last place, top = (n >> f).bit_length()
+    - 1; err is 2^(top+6) + 8f.  Only shifts, products and bit_length
+    touch the mantissas, which are gmpy2 mpz under that backend.
     """
-    top = n.bit_length() - 1
+    f = len(fractions)
+    ladder = (*fractions[::-1], *entries) if f else entries
+    top = n.bit_length() - 1 - f
     drop = w - wp
     man, exp = 1, 0
-    for j in range(top + 1):
+    for j in range(top + f + 1):
         if n >> j & 1:
-            m, x = entries[j]
+            m, x = ladder[j]
             man *= m >> drop
             cut = man.bit_length() - wp
             man >>= cut
             exp += x + drop + cut
-    return man, exp, _pow_err(top)
+    return man, exp, _pow_err(top) + 8 * f
 
 
 def _round_within(man: int, exp: int, err: int, prec: int):
@@ -328,8 +391,8 @@ def _exp_whole(n: int, prec: int) -> tuple:
     otherwise (near a tie) the result is mpmath's.
     """
     top = n.bit_length() - 1
-    man, exp, err = _table_product(n, *_powers_of_e(top, prec),
-                                   prec + _pow_guard(top))
+    entries, _, w = _powers_of_e(top, prec)
+    man, exp, err = _table_product(n, entries, w, prec + _pow_guard(top))
     out = _round_within(man, exp, err, prec)
     if out is None:
         out = mpf_exp(from_int(n), prec, round_nearest)
@@ -350,21 +413,20 @@ def _dyadic_sum(terms: tuple) -> tuple:
     return num, s
 
 
-def _exp_fraction(r: int, s: int, wp: int) -> int:
-    """e^(r/2^s) for 0 <= r < 2^s as a fixed-point int with wp fraction
-    bits, by bit-burst; short of the true value by less than 16 log2(wp)
-    units.
+def _exp_fraction(r: int, s: int, wp: int, lo: int) -> int:
+    """e^(r/2^s) for 0 <= r < 2^(s-lo) as a fixed-point int with wp
+    fraction bits, by bit-burst; short of the true value by less than
+    16 log2(wp) units.
 
-    r/2^s is cut at bits EXP_BURST_FIRST, 2*EXP_BURST_FIRST, 4*..., so the
-    chunk between bits lo and hi is a/2^hi with a < 2^(hi-lo), and its
-    Taylor series converges the faster the further down it lies.  Each
-    series is summed exactly by binary splitting and divided out once;
-    the chunk values, each in [1, e), are multiplied as fixed-point
-    numbers.  A chunk loses at most 4 units (2 for the omitted terms, 1
-    per floor) and a product 1, over at most log2(wp) chunks.
+    r/2^s is cut at bits 2*lo, 4*lo, ..., or at EXP_BURST_FIRST,
+    2*EXP_BURST_FIRST, ... when lo is 0, so the chunk between bits lo and
+    hi is a/2^hi with a < 2^(hi-lo), and its Taylor series converges the
+    faster the further down it lies.  Each series is summed exactly by binary splitting and
+    divided out once; the chunk values, each in [1, e), are multiplied as
+    fixed-point numbers.  A chunk loses at most 4 units (2 for the omitted
+    terms, 1 per floor) and a product 1, over at most log2(wp) chunks.
     """
     out = 1 << wp
-    lo = 0
     while r:
         hi = min(s, 2 * lo or EXP_BURST_FIRST)
         a = r >> (s - hi)
@@ -574,7 +636,7 @@ class SquareExp:
 
     def _seed(self, k: int, prec: int, need: int) -> None:
         n = k * k
-        entries, w = _powers_of_e(n.bit_length() - 1, prec)
+        entries, _, w = _powers_of_e(n.bit_length() - 1, prec)
         self._k, self._w = k, min(_headroom(need), w)
         self._u, self._v, self._e2 = (
             _table_product(m, entries, w, self._w) for m in (n, 2 * k + 1, 2))

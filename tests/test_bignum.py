@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -448,6 +449,22 @@ def assert_exp_within_an_ulp(terms, dps):
 
 X_CAP = DEFAULT_DIGIT_CAP * LOG10 - 40   # e^X within the default digit cap
 
+# the shipped table of powers of e, and the same without its fractions; a
+# request past the snapshot, such as a raised digit cap, replaces the
+# process's table with one that has none
+SHIPPED = bignum._load_powers_of_e()
+NO_FRACTIONS = SHIPPED[:2] + ((),)
+
+
+@contextlib.contextmanager
+def powers_of_e(table):
+    """bignum's table of powers of e set to `table` inside the block."""
+    saved, bignum._e_powers = bignum._e_powers, table
+    try:
+        yield
+    finally:
+        bignum._e_powers = saved
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, X_CAP),
@@ -461,8 +478,9 @@ X_CAP = DEFAULT_DIGIT_CAP * LOG10 - 40   # e^X within the default digit cap
 @example(1e-38, [])                       # e^X within 10^-38 of 1
 def test_exp_kernel_is_good_to_an_ulp(head, rest):
     terms = (head, *rest)
-    assert_exp_within_an_ulp(terms,
-                             digits_of_exp(math.fsum(terms)) + GUARD_DIGITS)
+    with powers_of_e(SHIPPED):
+        assert_exp_within_an_ulp(
+            terms, digits_of_exp(math.fsum(terms)) + GUARD_DIGITS)
 
 
 # the last precision below the bit-burst route and the first on it
@@ -472,13 +490,14 @@ BURST_DPS = [prec_to_dps(EXP_BURST_PREC) - 1, prec_to_dps(EXP_BURST_PREC) + 1]
 @pytest.mark.parametrize("dps", BURST_DPS, ids=["below", "from"])
 @pytest.mark.parametrize("terms", [(3000.0,), (3000.0, 2.0 ** -40),
                                    (3001.0 - 2.0 ** -30,), (1.0, 2.0 ** -40),
-                                   (0.75,), (12.5, -30.0)],
+                                   (0.75,), (12.5, -30.0), (3000.5,)],
                          ids=["integer", "N+2^-40", "N+1-2^-30", "1+2^-40",
-                              "below-1", "negative"])
+                              "below-1", "negative", "N+1/2"])
 def test_exp_kernel_on_both_sides_of_the_cut_off(monkeypatch, terms, dps):
     assert dps_to_prec(BURST_DPS[0]) < EXP_BURST_PREC <= dps_to_prec(BURST_DPS[1])
-    bursts, real = [], bignum._exp_fraction
-    monkeypatch.setattr(bignum, "_exp_fraction",
+    monkeypatch.setattr(bignum, "_e_powers", SHIPPED)
+    bursts, real = [], bignum._exp_mixed
+    monkeypatch.setattr(bignum, "_exp_mixed",
                         lambda *a: bursts.append(a) or real(*a))
     assert_exp_within_an_ulp(terms, dps)
     x = math.fsum(terms)
@@ -504,14 +523,59 @@ EXP_PLANS = [("log(n)", "1", "inf", 30), ("n^0.5", "0", "2", 120),
 
 
 def test_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
-    bursts, real = [], bignum._exp_fraction
-    monkeypatch.setattr(bignum, "_exp_fraction",
+    bursts, real = [], bignum._exp_mixed
+    monkeypatch.setattr(bignum, "_exp_mixed",
                         lambda *a: bursts.append(a) or real(*a))
     # every request plans: none of them raises
     burst = [_hint_plan(*r) for r in EXP_PLANS]
     assert bursts
     monkeypatch.setattr(bignum, "_exp", mpmath_exp_mpf)
     assert [_hint_plan(*r) for r in EXP_PLANS] == burst
+
+
+# the plans whose positions take a fractional e^X past EXP_BURST_PREC:
+# case ii, and case v's log(n) 1/3 geometric ladder and oscillating ladder
+FRACTION_PLANS = [("log(n)", "1", "inf", 12), ("log(n)", "1", "3", 12),
+                  ("osc 4/5 6/5", "5/6", "5/4", 60)]
+
+
+def test_plans_are_unchanged_without_the_table_fractions(monkeypatch):
+    # without fractions bit-burst sums every fraction bit, from bit 0
+    starts, real = [], bignum._exp_fraction
+    monkeypatch.setattr(bignum, "_exp_fraction",
+                        lambda r, s, wp, lo: starts.append(lo)
+                        or real(r, s, wp, lo))
+    monkeypatch.setattr(bignum, "_e_powers", SHIPPED)
+    tabled = [_hint_plan(*r) for r in FRACTION_PLANS]
+    assert starts and set(starts) == {bignum.E_FRACTION_BITS}
+    monkeypatch.setattr(bignum, "_e_powers", NO_FRACTIONS)
+    starts.clear()
+    assert [_hint_plan(*r) for r in FRACTION_PLANS] == tabled
+    assert starts and set(starts) == {0}
+
+
+FRACTION_DPS = {"below": BURST_DPS[0], "from": BURST_DPS[1]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, int(X_CAP)), st.integers(1, 45), st.integers(0, 1 << 45),
+       st.sampled_from(["below", "from", "exp_int"]))
+@example(46000, 1, 1, "exp_int")          # 46000.5: from the table alone
+@example(46000, 20, 0xABCDE, "exp_int")   # the table's last fraction bit
+@example(46000, 21, 0xABCDE, "exp_int")   # one bit past it
+@example(27286, 38, 0x1BA5E353F7, "exp_int")
+@example(3000, 20, 0x5A5A5, "from")
+@example(3000, 40, 0x5A5A5A5A5A, "from")
+@example(3000, 40, 0x5A5A5A5A5A, "below")
+def test_fractional_exponents_are_good_to_an_ulp(n, bits, r, dps):
+    # X = n + r/2^bits with exactly `bits` fraction bits: at most
+    # E_FRACTION_BITS come from the table alone, more take bit-burst too;
+    # without fractions bit-burst takes them all
+    terms = (float(n), math.ldexp((r | 1) % (1 << bits), -bits))
+    for table in (SHIPPED, NO_FRACTIONS):
+        with powers_of_e(table):
+            assert_exp_within_an_ulp(
+                terms, FRACTION_DPS.get(dps) or exp_int_dps(n))
 
 
 # ------------------------------------------- mpmath's global context ---
@@ -623,7 +687,7 @@ def cold_table(monkeypatch):
     """An empty table of powers of e for one test; calling it empties the
     table again."""
     def empty():
-        monkeypatch.setattr(bignum, "_e_powers", (0, ()))
+        monkeypatch.setattr(bignum, "_e_powers", (0, (), ()))
 
     empty()
     return empty
@@ -669,8 +733,9 @@ def test_the_table_stays_bounded(cold_table):
             continue
         _exp_whole(n, prec)
         top_n, top_prec = max(top_n, n), max(top_prec, prec)
-        table_prec, entries = bignum._e_powers
+        table_prec, entries, fractions = bignum._e_powers
         assert len(entries) <= top_n.bit_length()
+        assert fractions == ()
         assert top_prec <= table_prec < 2 * top_prec
 
 
@@ -683,34 +748,84 @@ def test_the_shipped_table_is_the_one_its_helper_builds(tmp_path):
     path = tmp_path / "e_powers.bin"
     bignum._write_powers_of_e(str(path))
     assert path.read_bytes() == _shipped_bytes()
-    prec, entries = bignum._load_powers_of_e()
-    assert (prec, entries) == bignum._build_powers_of_e(len(entries) - 1,
-                                                         prec)
+    prec, entries, fractions = SHIPPED
+    assert SHIPPED == bignum._build_powers_of_e(len(entries) - 1, prec,
+                                                len(fractions))
     # it covers every request under the default digit cap: bit-burst's
-    # guard on exp_int's digits, and the top bit of any N < e^X there
+    # guard on exp_int's digits, the top bit of any N < e^X there, and
+    # the fraction bits down to 2^-E_FRACTION_BITS
     assert prec >= (dps_to_prec(DEFAULT_DIGIT_CAP + GUARD_DIGITS)
                     + bignum.EXP_GUARD_BITS)
     assert len(entries) - 1 >= int(DEFAULT_DIGIT_CAP * LOG10).bit_length() - 1
+    assert len(fractions) == bignum.E_FRACTION_BITS == 20
+
+
+def test_the_table_fractions_are_roots_of_e_from_below():
+    # fraction j - 1 is the floor of the square root of the value before
+    # it, e for j = 1, at w bits; and e^(2^-j) to 4 000 bits
+    prec, entries, fractions = SHIPPED
+    w = prec + bignum._pow_guard(len(entries) - 1)
+    before = entries[0]
+    for j, (man, exp) in enumerate(fractions, 1):
+        assert man.bit_length() == w
+        square = before[0] << (before[1] - 2 * exp)
+        assert man * man <= square < (man + 1) ** 2, j
+        with mpmath.workprec(4000):
+            want = mpmath.exp(mpmath.ldexp(1, -j))
+            got = mpmath.ldexp(int(man) >> (w - 4010), exp + w - 4010)
+            assert abs(want - got) <= want * mpmath.ldexp(1, -3990), j
+        before = man, exp
+
+
+def _package_env(**extra):
+    """The environment of a fresh interpreter that imports the package this
+    suite imports, wherever it is."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(bignum.__file__))), **extra)
 
 
 def test_a_fresh_process_starts_from_the_shipped_table():
     code = ("import sys; from recurrencelab import bignum; "
-            "prec, entries = bignum._e_powers; "
-            "print(prec, len(entries), 'hashlib' in sys.modules)")
-    # the interpreter sees the package this suite imports, wherever it is
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(os.path.abspath(bignum.__file__))))
+            "prec, entries, fractions = bignum._e_powers; "
+            "print(prec, len(entries), len(fractions), "
+            "'hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout.split()
+                         text=True, check=True,
+                         env=_package_env()).stdout.split()
     assert out == [str(bignum.E_POWERS_PREC), str(bignum.E_POWERS_TOP + 1),
-                   "False"]
+                   str(bignum.E_FRACTION_BITS), "False"]
 
 
-def test_a_damaged_table_file_starts_the_table_empty(tmp_path):
+def test_the_package_imports_without_the_int_str_guard():
+    # sys.get_int_max_str_digits and its setter came with 3.10.7 and 3.11
+    code = ("import sys; del sys.get_int_max_str_digits; "
+            "del sys.set_int_max_str_digits; "
+            "from recurrencelab import bignum; print(bignum.exp_ceil(2.0))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_package_env())
+    assert (out.returncode, out.stdout) == (0, "8\n"), out.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int<->str guard before 3.10.7")
+@pytest.mark.parametrize("limit, after", [("0", "0"), ("5000", "2000000"),
+                                          ("3000000", "3000000")])
+def test_importing_only_raises_the_int_str_guard(limit, after):
+    # 0 is no limit at all, which the package leaves alone
+    code = ("import sys, recurrencelab; "
+            "print(sys.get_int_max_str_digits())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=_package_env(PYTHONINTMAXSTRDIGITS=limit))
+    assert out.stdout.split() == [after]
+
+
+def test_a_damaged_table_file_starts_the_table_empty(tmp_path, monkeypatch):
     data = _shipped_bytes()
     path = tmp_path / "e_powers.bin"
-    assert bignum._load_powers_of_e(str(path)) == (0, ())   # missing
-    damaged = [data[:n] for n in (0, 3, 12, 16, len(data) // 2,
+    empty = (0, (), ())
+    assert bignum._load_powers_of_e(str(path)) == empty   # missing
+    damaged = [data[:n] for n in (0, 3, 12, 16, 20, len(data) // 2,
                                   len(data) - 1)]
     for at in (0, 5, 9, 13, len(data) // 2, len(data) - 1):
         flipped = bytearray(data)
@@ -718,9 +833,17 @@ def test_a_damaged_table_file_starts_the_table_empty(tmp_path):
         damaged.append(bytes(flipped))
     for bad in damaged:
         path.write_bytes(bad)
-        assert bignum._load_powers_of_e(str(path)) == (0, ())
+        assert bignum._load_powers_of_e(str(path)) == empty
+    # a fractional e^X from an empty table is still within an ulp: the
+    # table is rebuilt, without fractions
+    monkeypatch.setattr(bignum, "_e_powers", empty)
+    for terms in [(12000.5,), (12000.0, 0.1), (3001.0 - 2.0 ** -30,)]:
+        assert_exp_within_an_ulp(terms, exp_int_dps(math.fsum(terms)))
+    assert bignum._e_powers[0] > 0 and bignum._e_powers[2] == ()
     path.write_bytes(data)
-    assert bignum._load_powers_of_e(str(path))[0] == bignum.E_POWERS_PREC
+    prec, entries, fractions = bignum._load_powers_of_e(str(path))
+    assert (prec, len(fractions)) == (bignum.E_POWERS_PREC,
+                                      bignum.E_FRACTION_BITS)
 
 
 # case ii, and case v's square ladder near the digit cap
