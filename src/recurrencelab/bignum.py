@@ -16,36 +16,45 @@ to nearest at a precision of its own, as mpmath's context arithmetic
 would at that precision, so an integer comes out bit for bit as there.
 
 `_exp` takes e^X, X the exact sum of float terms, by one of three routes.
-An integer X >= 1 past EXP_POW_PREC bits is the product of cached powers
-e^(2^j) over the set bits of X, rounded to nearest once, where mpmath's
+An integer X >= 1 past EXP_POW_PREC bits is a product of cached powers of
+e, one per nonzero hex digit of X, rounded to nearest once, where mpmath's
 exp powers e afresh on every call; the two agree bit for bit.  From
 EXP_BURST_PREC bits of working precision on, a non-integer X > 1 is a
-short dyadic N + r/2^s (a float's fraction is one): the same table also
-holds e^(2^-j) for j <= 20, so e^X down to its bit 2^-20 is one product
-of entries, and only the bits of r/2^s below it are summed by bit-burst,
-the Taylor series of successively longer bit chunks summed exactly by
-binary splitting (Brent 1976).  Both carry EXP_GUARD_BITS past the
-working precision, so the one rounding of their product leaves e^X within
-one unit in the last place.  The cache is one immutable snapshot (prec,
-entries, fractions), replaced whole, so a reader never pairs entries with
-another prec.  It starts from the snapshot the package ships,
-e_powers.bin (16 entries and 20 fractions at 66 566 bits, about 300 KB,
-read at import after a zlib.crc32 check): the largest j and prec that a
-request under DEFAULT_DIGIT_CAP asks for, so such a request never builds.
-A request past it rebuilds by squaring mpmath's e, with no fractions,
-and a missing or corrupt file starts the cache empty; without fractions
-bit-burst sums every fraction bit, from bit 0.  `_write_powers_of_e`
-regenerates the file.
+short dyadic N + r/2^s (a float's fraction is one): the same table goes
+down to 2^-20, so e^X down to its bit 2^-20 is one product of entries,
+and only the bits of r/2^s below it are summed by bit-burst, the Taylor
+series of successively longer bit chunks summed exactly by binary
+splitting (Brent 1976).  Both carry EXP_GUARD_BITS past the working
+precision, so the one rounding of their product leaves e^X within one
+unit in the last place.
+
+The table is fixed-base windowing with precomputation (Brickell, Gordon,
+McCurley and Wilson, "Fast exponentiation with precomputation", 1992) in
+radix 16: row i holds e^(d 16^i 2^-f) for d = 1..15, so a product takes
+one entry per nonzero hex digit of 2^f X, where one per set bit took
+about twice as many.  The entries for d = 1, 2, 4, 8 are the ladder
+e^(2^j) that a per-bit product reads, and every other is a product of at
+most four of them, so the per-bit product's error bound holds
+(`_table_product`).  A table is one immutable snapshot (prec, f, rows),
+so a reader never pairs rows with another prec.  The package ships one,
+e_powers.bin (9 rows of 15 entries, f = 20, at 66 566 bits, about 1.1 MB,
+read at import after a zlib.crc32 check): the rows and prec that a
+request under DEFAULT_DIGIT_CAP asks for, so such a request never
+builds.  A request past it is served by a second snapshot beside it,
+rebuilt from mpmath's e with integer rows only (f = 0), and bit-burst
+then sums every fraction bit, from bit 0; a missing or corrupt file
+starts the shipped snapshot empty.  `_write_powers_of_e` regenerates the
+file.
 X <= 1, the other non-integers and smaller precisions take mpmath's own
 exp of the exact X, which is as fast there.
 
 A ladder that asks e^(k^2) for consecutive k has a fourth route, a running
 product it owns (`SquareExp`): U = e^(k^2) and V = e^(2k+1), seeded from
 the table at up to 6/5 of the bits the rung needs, step to the next k by
-U <- U V and V <- V e^2, two truncated products in place of one per set
-bit of k^2.  U is rounded only where `_exp_whole` would round the same
-way, and otherwise the rung is `_exp_whole`'s, so every value is
-exp_ceil_anchor's bit for bit.
+U <- U V and V <- V e^2, two truncated products in place of one per
+nonzero hex digit of k^2.  U is rounded only where `_exp_whole` would
+round the same way, and otherwise the rung is `_exp_whole`'s, so every
+value is exp_ceil_anchor's bit for bit.
 
 power_log_ceil takes ceil(n^A ln n) by one of two routes.  A position
 built as n = ceil(e^X) by exp_ceil_anchor comes with an `Anchor`, which
@@ -120,8 +129,8 @@ NLOGN_FLOAT_ERR = 2.0 ** -50
 # `_exp` takes a non-integer exponent from the table and bit-burst
 # (`_exp_mixed`) from EXP_BURST_PREC bits on: at about 2 000 bits mpmath's
 # own exp of a 40-bit fraction is as fast, at 2 500 it takes 0.18 ms to
-# 0.14, at 5 000 0.75 to 0.38 (pure-Python backend).  Without fractions in
-# the table bit-burst's first chunk is EXP_BURST_FIRST bits wide, and
+# 0.14, at 5 000 0.75 to 0.38 (pure-Python backend).  Without fraction rows
+# in the table bit-burst's first chunk is EXP_BURST_FIRST bits wide, and
 # binary splitting sums runs of up to EXP_SPLIT_LEAF terms in a plain loop.
 EXP_BURST_PREC = 2500
 EXP_GUARD_BITS = 24
@@ -174,8 +183,9 @@ def _exp_mixed(num: int, s: int, prec: int) -> tuple:
     """e^(num/2^s), num/2^s > 1 and not an integer, as a raw mpf rounded to
     nearest at prec bits, within one unit in the last place.
 
-    With f the fractions the table holds, the bits of num/2^s down to 2^-f
-    are one product of table entries (`_table_product`), and only the bits
+    With f the fraction bits the table's rows hold, the bits of num/2^s
+    down to 2^-f are one product of table entries, one per nonzero hex
+    digit of n = floor(num/2^(s-f)) (`_table_product`), and only the bits
     below are summed by bit-burst (`_exp_fraction`, its chunks from bit f
     on).  The product carries _pow_guard bits past wp = prec +
     EXP_GUARD_BITS, the sum wp fraction bits, and their product is rounded
@@ -183,44 +193,46 @@ def _exp_mixed(num: int, s: int, prec: int) -> tuple:
     """
     wp = prec + EXP_GUARD_BITS
     top = (num >> s).bit_length() - 1
-    entries, fractions, w = _powers_of_e(top, wp)
-    f = len(fractions)
+    rows, f, w = _powers_of_e(top, wp)
     n = _shift(num, f - s)
     rest = num - _shift(n, s - f)
-    man, exp, _ = _table_product(n, entries, w, wp + _pow_guard(top),
-                                 fractions)
+    man, exp, _ = _table_product(n, rows, w, wp + _pow_guard(top), f)
     if rest:
         man *= _exp_fraction(rest, s, wp, f)
         exp -= wp
     return from_man_exp(man, exp, prec, round_nearest)
 
 
-# The cache of e^(2^j) that `_powers_of_e` builds, as one snapshot
-# (prec, entries, fractions), replaced whole.  Entry j is e^(2^j) and
-# fraction j - 1 is e^(2^-j), each a pair (man, exp), man 2^exp, with a
-# man of exactly prec + _pow_guard(len(entries) - 1) bits; prec is the
-# shipped snapshot's or a power of two.  It starts as the shipped snapshot
-# (`_load_powers_of_e`, below).  The lock only keeps two threads from
-# building at once.
+# The tables of powers of e, each one snapshot (prec, f, rows), replaced
+# whole.  Row i holds e^(d 16^i 2^-f) for d = 1..15 as entry d - 1, a pair
+# (man, exp), man 2^exp, with a man of exactly prec + _pow_guard(top)
+# bits, top = _table_top of the snapshot; f is a multiple of E_ROW_BITS.
+# `_e_powers` is the snapshot the package ships (`_load_powers_of_e`,
+# below) and is never replaced; `_e_rebuilt` is what `_powers_of_e`
+# builds for requests past it, with f = 0 and prec a power of two.  The
+# lock only keeps two threads from building at once.
 _e_powers_lock = threading.Lock()
 
-# The shipped snapshot: e^(2^j) up to the largest j and prec that a request
-# under DEFAULT_DIGIT_CAP asks for, N < e^X below 10^DEFAULT_DIGIT_CAP and
-# bit-burst's guard on top of exp_int's digits, and e^(2^-j) for j up to
-# E_FRACTION_BITS, so that bit-burst sums only the fraction bits below
-# 2^-E_FRACTION_BITS.  On float exponents of 7 000-46 000 (37 to 40
-# fraction bits) at exp_int's digits, 20 took 11.6-11.9 ms a call, against
-# 12.7 at 16, 12.5 at 24, 13.1 at 28 and 15.9 with none.
+# The shipped snapshot: rows up to the largest j with e^(2^j) and the prec
+# that a request under DEFAULT_DIGIT_CAP asks for, N < e^X below
+# 10^DEFAULT_DIGIT_CAP and bit-burst's guard on top of exp_int's digits,
+# and down to e^(2^-E_FRACTION_BITS), so that bit-burst sums only the
+# fraction bits below it.  On float exponents of 7 000-46 000 (37 to 40
+# fraction bits) at exp_int's digits, 20 bits from a table of one entry
+# per bit took 11.6-11.9 ms a call, against 12.7 at 16, 12.5 at 24, 13.1
+# at 28 and 15.9 with none.
 E_POWERS_FILE = os.path.join(os.path.dirname(__file__), "e_powers.bin")
 E_POWERS_TOP = int(DEFAULT_DIGIT_CAP * LOG10).bit_length() - 1
 E_POWERS_PREC = dps_to_prec(DEFAULT_DIGIT_CAP + GUARD_DIGITS) + EXP_GUARD_BITS
-E_FRACTION_BITS = 20
-# the file: this tag, then prec and the counts of entries and fractions
-# as 4-byte little-endian ints, per entry, then per fraction, exp as 8
-# bytes signed and man in (w + 7) // 8 bytes, then a zlib.crc32 of all of
-# that in 4 bytes
-_E_POWERS_TAG = b"e2^f"
-_NO_POWERS = (0, (), ())
+E_FRACTION_BITS = 20   # whole rows: a multiple of E_ROW_BITS
+# a row covers this many bits of the exponent: one hex digit
+E_ROW_BITS = 4
+_ROW_SIZE = (1 << E_ROW_BITS) - 1
+# the file: this tag, then prec, f and the count of rows as 4-byte
+# little-endian ints, per entry, row by row, exp as 8 bytes signed and man
+# in (w + 7) // 8 bytes, then a zlib.crc32 of all of that in 4 bytes
+_E_POWERS_TAG = b"eR16"
+_NO_POWERS = (0, 0, ())
 
 
 def _pow_guard(top: int) -> int:
@@ -230,64 +242,94 @@ def _pow_guard(top: int) -> int:
     return 4 * (top + 1) + 8
 
 
+def _table_top(table: tuple) -> int:
+    """The largest j such that the snapshot holds e^(2^j): its rows from
+    2^0 on hold every e^N, N < 2^(j+1)."""
+    _, f, rows = table
+    return E_ROW_BITS * (len(rows) - f // E_ROW_BITS) - 1
+
+
 def _powers_of_e(top: int, prec: int) -> tuple:
-    """(entries, fractions, w): e^(2^j) for j <= top and e^(2^-j) for j <=
-    len(fractions), with mantissas of w >= prec + _pow_guard(top) bits,
-    from the cache, rebuilt first when it is short of j or of bits.
+    """(rows, f, w): the rows of e^(d 16^i 2^-f), from 2^-f up to 2^top at
+    least, with mantissas of w >= prec + _pow_guard(top) bits.
 
-    A rebuild rounds prec up to a power of two, so a run of growing
-    requests rebuilds a logarithmic number of times.  It takes no
-    fractions: their chain of square roots costs about ten times the
-    rest of the rebuild.
+    The shipped snapshot serves every request inside its top and prec;
+    any other is served by the rebuilt one, rebuilt first when it is short
+    of rows or of bits.  A rebuild rounds prec up to a power of two, so a
+    run of growing requests rebuilds a logarithmic number of times.  It
+    takes no fraction rows: at 131 072 bits they would add about 600 ms,
+    mostly their chain of square roots, to the integer rows' 200 ms.
     """
-    global _e_powers
-    table = _e_powers
-    if top >= len(table[1]) or prec > table[0]:
+    global _e_rebuilt
+    for table in (_e_powers, _e_rebuilt):
+        if top <= _table_top(table) and prec <= table[0]:
+            break
+    else:
         with _e_powers_lock:
-            table = _e_powers
-            if top >= len(table[1]) or prec > table[0]:
-                table = _e_powers = _build_powers_of_e(
-                    max(top, len(table[1]) - 1),
+            table = _e_rebuilt
+            if top > _table_top(table) or prec > table[0]:
+                table = _e_rebuilt = _build_powers_of_e(
+                    max(top, _table_top(table)),
                     1 << (max(prec, table[0]) - 1).bit_length(), 0)
-    prec, entries, fractions = table
-    return entries, fractions, prec + _pow_guard(len(entries) - 1)
+    prec, f, rows = table
+    return rows, f, prec + _pow_guard(_table_top(table))
 
 
-def _build_powers_of_e(top: int, prec: int, roots: int) -> tuple:
-    """The snapshot (prec, entries, fractions) of e^(2^j) for j <= top and
-    e^(2^-j) for j <= roots, mantissas of w = prec + _pow_guard(top)
-    bits.
+def _build_powers_of_e(top: int, prec: int, f: int) -> tuple:
+    """The snapshot (prec, f, rows) of e^(d 16^i 2^-f), d = 1..15, from
+    2^-f, f a multiple of E_ROW_BITS, up to whole rows past 2^top, with
+    mantissas of w = prec + _pow_guard(T) bits, T the snapshot's
+    `_table_top`.
 
-    e is mpmath's, rounded down to w bits; the entries square it and the
-    fractions take square roots of it in turn (math.isqrt), each
-    truncated to w bits.  A square root halves the error it is given and
-    adds less than 2^(1-w), so every fraction lies within 2^(2-w) of its
-    value, relatively, and below it.
+    The entries for d = 1, 2, 4, 8 form the ladder e^(2^j), j = -f..T.
+    e is mpmath's, rounded down to w bits; the ladder squares it and
+    takes square roots of it in turn (math.isqrt), each truncated to w
+    bits.  A square root halves the error it is given and adds less than
+    2^(1-w), so every root lies within 2^(2-w) of its value, relatively,
+    and below it.  Every other entry is the entry for d less its lowest
+    set bit times the entry for that bit, truncated to w bits: a product
+    of at most four ladder values with at most three truncations.  With
+    u = 2^(1-w), e^(2^j) lies within 3 2^j u and a root within 2u, so the
+    entry for D = d 16^i 2^-f lies below e^D within (3D + 11)u,
+    relatively.
     """
-    w = prec + _pow_guard(top)
+    t = (top // E_ROW_BITS + 1) * E_ROW_BITS - 1
+    w = prec + _pow_guard(t)
     _, man, exp, bc = mpf_e(w, round_floor)
     e = (man << (w - bc), exp - (w - bc))
-    entries = [e]
-    for _ in range(top):
-        man, exp = entries[-1]
+    ladder = [e]
+    for _ in range(t):
+        man, exp = ladder[-1]
         man *= man
         cut = man.bit_length() - w
-        entries.append((man >> cut, 2 * exp + cut))
-    fractions = []
+        ladder.append((man >> cut, 2 * exp + cut))
     man, exp = e
-    for _ in range(roots):
+    for _ in range(f):
         # man 2^k has 2w - 1 or 2w bits, so its root has w, and exp - k
         # is even
         k = w - ((exp - w) & 1)
         man, exp = MPZ(math.isqrt(man << k)), (exp - k) // 2
-        fractions.append((man, exp))
-    return prec, tuple(entries), tuple(fractions)
+        ladder.insert(0, (man, exp))
+    rows = []
+    for i in range(0, len(ladder), E_ROW_BITS):
+        row = []
+        for d in range(1, _ROW_SIZE + 1):
+            low = d & -d
+            if d == low:
+                row.append(ladder[i + low.bit_length() - 1])
+                continue
+            (ma, xa), (mb, xb) = row[d - low - 1], row[low - 1]
+            man = ma * mb
+            cut = man.bit_length() - w
+            row.append((man >> cut, xa + xb + cut))
+        rows.append(tuple(row))
+    return prec, f, tuple(rows)
 
 
 def _load_powers_of_e(path: str = E_POWERS_FILE) -> tuple:
-    """The table (prec, entries, fractions) that _write_powers_of_e wrote
-    to path, or the empty table (0, (), ()) when the file is missing,
-    short or corrupt."""
+    """The snapshot (prec, f, rows) that _write_powers_of_e wrote to path,
+    or the empty table (0, 0, ()) when the file is missing, short or
+    corrupt."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -297,12 +339,14 @@ def _load_powers_of_e(path: str = E_POWERS_FILE) -> tuple:
     if (len(data) < 20 or data[:4] != _E_POWERS_TAG
             or zlib.crc32(body) != int.from_bytes(data[-4:], "little")):
         return _NO_POWERS
-    prec = int.from_bytes(body[4:8], "little")
-    count = int.from_bytes(body[8:12], "little")
-    fcount = int.from_bytes(body[12:16], "little")
-    w = prec + _pow_guard(count - 1)
+    prec, f, count = (int.from_bytes(body[at:at + 4], "little")
+                      for at in (4, 8, 12))
+    top = E_ROW_BITS * (count - f // E_ROW_BITS) - 1
+    if f % E_ROW_BITS or top < 0:
+        return _NO_POWERS
+    w = prec + _pow_guard(top)
     step = 8 + (w + 7) // 8
-    if count < 1 or len(body) != 16 + (count + fcount) * step:
+    if len(body) != 16 + count * _ROW_SIZE * step:
         return _NO_POWERS
     entries = []
     for at in range(16, len(body), step):
@@ -312,7 +356,8 @@ def _load_powers_of_e(path: str = E_POWERS_FILE) -> tuple:
         # an mpz under the gmpy2 backend, as mpf_e's mantissas are
         entries.append((MPZ(man), int.from_bytes(body[at:at + 8], "little",
                                                  signed=True)))
-    return prec, tuple(entries[:count]), tuple(entries[count:])
+    return prec, f, tuple(tuple(entries[at:at + _ROW_SIZE])
+                          for at in range(0, len(entries), _ROW_SIZE))
 
 
 def _write_powers_of_e(path: str = E_POWERS_FILE) -> None:
@@ -320,55 +365,65 @@ def _write_powers_of_e(path: str = E_POWERS_FILE) -> None:
     E_FRACTION_BITS) to path, by default the shipped file: python3 -c
     "from recurrencelab import bignum; bignum._write_powers_of_e()"
     regenerates it."""
-    prec, entries, fractions = _build_powers_of_e(
-        E_POWERS_TOP, E_POWERS_PREC, E_FRACTION_BITS)
-    size = (prec + _pow_guard(E_POWERS_TOP) + 7) // 8
+    table = _build_powers_of_e(E_POWERS_TOP, E_POWERS_PREC, E_FRACTION_BITS)
+    prec, f, rows = table
+    size = (prec + _pow_guard(_table_top(table)) + 7) // 8
     out = bytearray(_E_POWERS_TAG)
-    for field in (prec, len(entries), len(fractions)):
+    for field in (prec, f, len(rows)):
         out += field.to_bytes(4, "little")
-    for man, exp in entries + fractions:
-        out += int(exp).to_bytes(8, "little", signed=True)
-        out += int(man).to_bytes(size, "little")
+    for row in rows:
+        for man, exp in row:
+            out += int(exp).to_bytes(8, "little", signed=True)
+            out += int(man).to_bytes(size, "little")
     out += zlib.crc32(out).to_bytes(4, "little")
     with open(path, "wb") as fh:
         fh.write(out)
 
 
 _e_powers = _load_powers_of_e()
+_e_rebuilt = _NO_POWERS
 
 
 def _pow_err(top: int) -> int:
     """The error bound, in units of its last place, of a product of table
-    entries e^(2^j), j <= top (`_table_product`)."""
+    entries e^N, N < 2^(top+1) (`_table_product`)."""
     return 1 << (top + 6)
 
 
-def _table_product(n: int, entries: tuple, w: int, wp: int,
-                   fractions: tuple = ()) -> tuple:
-    """(man, exp, err): e^(n/2^f), f = len(fractions), for an integer n >=
-    2^f, as man 2^exp, man of wp bits within err units of its last place,
-    the product of the entries e^(2^j) and the fractions e^(2^-j)
-    (`_powers_of_e`, w >= wp bits) over the set bits of n/2^f.
+def _table_product(n: int, rows: tuple, w: int, wp: int, f: int = 0) -> tuple:
+    """(man, exp, err): e^(n/2^f) for an integer n >= 2^f, as man 2^exp,
+    man of wp bits within err units of its last place: one product of
+    table entries per nonzero hex digit of n, digit d at 16^i taking
+    rows[i][d - 1] = e^(d 16^i 2^-f) (`_powers_of_e`, w >= wp bits).
 
-    With u = 2^(1-w), e is within u (relatively), entry j, squared j
-    times, within 3 2^j u and a fraction within 2u.  Cut to wp bits and
-    multiplied, each truncation within 2^(1-wp), the product is within
-    2^(top+4) + 8f units of its last place, top = (n >> f).bit_length()
-    - 1; err is 2^(top+6) + 8f.  Only shifts, products and bit_length
+    The per-bit product of the ladder e^(2^j) (`_build_powers_of_e`)
+    over the set bits of n/2^f, each entry cut to wp bits and each
+    product truncated to wp bits, is within 2^(top+4) + 8f units of its
+    last place, top = (n >> f).bit_length() - 1: with u = 2^(1-w), e is
+    within u (relatively), e^(2^j), squared j times, within 3 2^j u, a
+    root within 2u, and each of the two truncations per set bit within
+    2^(1-wp).  The row product takes the same ladder values: an entry for
+    a digit of k set bits is their product with k - 1 truncations at w
+    bits, and this loop adds two at wp bits, k + 1 <= 2k in all, each
+    within 2^(1-wp) as w >= wp.  So the ladder errors add exactly as in
+    the per-bit product, the truncations are no more, and the same bound
+    holds; err is 2^(top+6) + 8f.  Only shifts, products and bit_length
     touch the mantissas, which are gmpy2 mpz under that backend.
     """
-    f = len(fractions)
-    ladder = (*fractions[::-1], *entries) if f else entries
-    top = n.bit_length() - 1 - f
+    top = (n >> f).bit_length() - 1
     drop = w - wp
     man, exp = 1, 0
-    for j in range(top + f + 1):
-        if n >> j & 1:
-            m, x = ladder[j]
+    i = 0
+    while n:
+        d = n & _ROW_SIZE
+        if d:
+            m, x = rows[i][d - 1]
             man *= m >> drop
             cut = man.bit_length() - wp
             man >>= cut
             exp += x + drop + cut
+        n >>= E_ROW_BITS
+        i += 1
     return man, exp, _pow_err(top) + 8 * f
 
 
@@ -383,16 +438,18 @@ def _round_within(man: int, exp: int, err: int, prec: int):
 
 def _exp_whole(n: int, prec: int) -> tuple:
     """e^n for an integer n >= 1, as a raw mpf rounded to nearest at prec
-    bits: the product of the cached e^(2^j) over the set bits of n, taken
-    at wp = prec + _pow_guard(top) bits (`_table_product`).
+    bits: the product of the table's entries e^(d 16^i) over the nonzero
+    hex digits d of n, taken at wp = prec + _pow_guard(top) bits
+    (`_table_product`).
 
     When the values within its error bound either side round alike, that
     is the rounding of e^n itself, whatever state the table was in;
     otherwise (near a tie) the result is mpmath's.
     """
     top = n.bit_length() - 1
-    entries, _, w = _powers_of_e(top, prec)
-    man, exp, err = _table_product(n, entries, w, prec + _pow_guard(top))
+    rows, f, w = _powers_of_e(top, prec)
+    man, exp, err = _table_product(n, rows[f // E_ROW_BITS:], w,
+                                   prec + _pow_guard(top))
     out = _round_within(man, exp, err, prec)
     if out is None:
         out = mpf_exp(from_int(n), prec, round_nearest)
@@ -588,7 +645,7 @@ class SquareExp:
     Past EXP_POW_PREC bits the chain holds U = e^(k^2), V = e^(2k+1) and
     e^2 as man 2^exp with a man of W bits, each within r 2^(1-W) of its
     value, and steps k by U <- U V and V <- V e^2, two truncated products
-    (`_chain_mul`).  It is seeded from the table of e^(2^j) with W =
+    (`_chain_mul`).  It is seeded from the table of powers of e with W =
     1 + EXP_CHAIN_HEADROOM times the need, the wp at which `_exp_whole`
     takes e^(k^2), but no more bits than the table holds once it serves
     the need.  It is seeded again when k goes back, when the need passes W,
@@ -636,10 +693,11 @@ class SquareExp:
 
     def _seed(self, k: int, prec: int, need: int) -> None:
         n = k * k
-        entries, _, w = _powers_of_e(n.bit_length() - 1, prec)
+        rows, f, w = _powers_of_e(n.bit_length() - 1, prec)
+        rows = rows[f // E_ROW_BITS:]
         self._k, self._w = k, min(_headroom(need), w)
         self._u, self._v, self._e2 = (
-            _table_product(m, entries, w, self._w) for m in (n, 2 * k + 1, 2))
+            _table_product(m, rows, w, self._w) for m in (n, 2 * k + 1, 2))
 
 
 def exp_floor(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:

@@ -23,6 +23,8 @@ from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, EXP_BURST_PREC,
                                   nlogn_ceil, nth_root_floor, power_log_ceil)
 from recurrencelab.errors import CapacityError
 
+from conftest import per_bit_table_product, table_ladder
+
 
 def mp_exp_ceil(x: float, extra=None) -> int:
     terms = [x, *(extra or ())]
@@ -449,11 +451,10 @@ def assert_exp_within_an_ulp(terms, dps):
 
 X_CAP = DEFAULT_DIGIT_CAP * LOG10 - 40   # e^X within the default digit cap
 
-# the shipped table of powers of e, and the same without its fractions; a
-# request past the snapshot, such as a raised digit cap, replaces the
-# process's table with one that has none
+# the shipped table of powers of e, and the same without its fraction
+# rows, as a rebuilt table is
 SHIPPED = bignum._load_powers_of_e()
-NO_FRACTIONS = SHIPPED[:2] + ((),)
+NO_FRACTIONS = (SHIPPED[0], 0, SHIPPED[2][SHIPPED[1] // bignum.E_ROW_BITS:])
 
 
 @contextlib.contextmanager
@@ -684,10 +685,11 @@ def test_integer_exponents_are_mpmaths_exp_bit_for_bit(n, mult):
 
 @pytest.fixture
 def cold_table(monkeypatch):
-    """An empty table of powers of e for one test; calling it empties the
-    table again."""
+    """Empty tables of powers of e, shipped and rebuilt, for one test;
+    calling it empties them again."""
     def empty():
-        monkeypatch.setattr(bignum, "_e_powers", (0, (), ()))
+        monkeypatch.setattr(bignum, "_e_powers", (0, 0, ()))
+        monkeypatch.setattr(bignum, "_e_rebuilt", (0, 0, ()))
 
     empty()
     return empty
@@ -714,7 +716,7 @@ def test_the_table_gives_the_same_value_cold_and_warm(cold_table):
     for n, dps in requests:
         cold_table()
         cold.append(_exp((float(n),), dps))
-        assert bignum._e_powers[0] >= dps_to_prec(dps)
+        assert bignum._e_rebuilt[0] >= dps_to_prec(dps)
     # one warm table, grown by a larger request and then asked a smaller one
     cold_table()
     for (n, dps), want in zip(requests, cold):
@@ -733,9 +735,9 @@ def test_the_table_stays_bounded(cold_table):
             continue
         _exp_whole(n, prec)
         top_n, top_prec = max(top_n, n), max(top_prec, prec)
-        table_prec, entries, fractions = bignum._e_powers
-        assert len(entries) <= top_n.bit_length()
-        assert fractions == ()
+        table_prec, f, rows = bignum._e_rebuilt
+        assert len(rows) <= (top_n.bit_length() + 3) // bignum.E_ROW_BITS
+        assert f == 0 and {len(row) for row in rows} == {15}
         assert top_prec <= table_prec < 2 * top_prec
 
 
@@ -748,25 +750,29 @@ def test_the_shipped_table_is_the_one_its_helper_builds(tmp_path):
     path = tmp_path / "e_powers.bin"
     bignum._write_powers_of_e(str(path))
     assert path.read_bytes() == _shipped_bytes()
-    prec, entries, fractions = SHIPPED
-    assert SHIPPED == bignum._build_powers_of_e(len(entries) - 1, prec,
-                                                len(fractions))
+    prec, f, rows = SHIPPED
+    assert SHIPPED == bignum._build_powers_of_e(bignum._table_top(SHIPPED),
+                                                prec, f)
     # it covers every request under the default digit cap: bit-burst's
     # guard on exp_int's digits, the top bit of any N < e^X there, and
-    # the fraction bits down to 2^-E_FRACTION_BITS
+    # the fraction bits down to 2^-E_FRACTION_BITS, in rows of 15
     assert prec >= (dps_to_prec(DEFAULT_DIGIT_CAP + GUARD_DIGITS)
                     + bignum.EXP_GUARD_BITS)
-    assert len(entries) - 1 >= int(DEFAULT_DIGIT_CAP * LOG10).bit_length() - 1
-    assert len(fractions) == bignum.E_FRACTION_BITS == 20
+    assert (bignum._table_top(SHIPPED)
+            >= int(DEFAULT_DIGIT_CAP * LOG10).bit_length() - 1)
+    assert f == bignum.E_FRACTION_BITS == 20
+    assert (len(rows), {len(row) for row in rows}) == (9, {15})
 
 
 def test_the_table_fractions_are_roots_of_e_from_below():
-    # fraction j - 1 is the floor of the square root of the value before
-    # it, e for j = 1, at w bits; and e^(2^-j) to 4 000 bits
-    prec, entries, fractions = SHIPPED
-    w = prec + bignum._pow_guard(len(entries) - 1)
-    before = entries[0]
-    for j, (man, exp) in enumerate(fractions, 1):
+    # e^(2^-j) is the floor of the square root of the value before it, e
+    # for j = 1, at w bits; and e^(2^-j) to 4 000 bits
+    prec, f, rows = SHIPPED
+    w = prec + bignum._pow_guard(bignum._table_top(SHIPPED))
+    ladder = table_ladder(rows)
+    before = ladder[f]
+    for j in range(1, f + 1):
+        man, exp = ladder[f - j]
         assert man.bit_length() == w
         square = before[0] << (before[1] - 2 * exp)
         assert man * man <= square < (man + 1) ** 2, j
@@ -775,6 +781,111 @@ def test_the_table_fractions_are_roots_of_e_from_below():
             got = mpmath.ldexp(int(man) >> (w - 4010), exp + w - 4010)
             assert abs(want - got) <= want * mpmath.ldexp(1, -3990), j
         before = man, exp
+
+
+def test_every_row_entry_lies_below_its_power_of_e():
+    # entry d - 1 of row i is e^D, D = d 16^i 2^-20, from below within
+    # (3D + 11) 2^(1-w) relatively (`_build_powers_of_e`).  The reference
+    # powers mpmath's e^(2^-20) at 128 bits past w, and its entries for
+    # d = 15 are checked against mpmath's own exp
+    prec, f, rows = SHIPPED
+    w = prec + bignum._pow_guard(bignum._table_top(SHIPPED))
+    with mpmath.workprec(w + 128):
+        unit = mpmath.ldexp(1, 1 - w)
+        base = mpmath.exp(mpmath.ldexp(1, -f))
+        for i, row in enumerate(rows):
+            want = mpmath.mpf(1)
+            for d, (man, exp) in enumerate(row, 1):
+                want *= base
+                big_d = mpmath.ldexp(d << (4 * i), -f)
+                got = mpmath.ldexp(int(man), exp)
+                assert man.bit_length() == w
+                assert 0 < want - got <= want * (3 * big_d + 11) * unit, (i, d)
+            assert abs(want - mpmath.exp(big_d)) < want * unit / 2 ** 64, i
+            base = want * base
+
+
+# exponents below 2^16 with 20 fraction bits, as the shipped rows hold
+ROW_WHOLE = st.integers(1, (1 << 16) - 1)
+ROW_FRACTION = st.integers(0, (1 << 20) - 1)
+
+
+class _RecordedRow(tuple):
+    """A table row that appends (its index, the entry's) at each read."""
+
+    def __getitem__(self, k):
+        self.reads.append((self.index, k))
+        return tuple.__getitem__(self, k)
+
+
+def _recorded_rows(rows, reads):
+    out = []
+    for i, row in enumerate(rows):
+        out.append(_RecordedRow(row))
+        out[-1].index, out[-1].reads = i, reads
+    return tuple(out)
+
+
+@settings(max_examples=12, deadline=None)
+@given(ROW_WHOLE, ROW_FRACTION, st.integers(800, 66_566))
+@example((1 << 16) - 1, (1 << 20) - 1, 66_566)   # every hex digit 15
+@example(1, 0, 800)                              # e alone
+@example(0x8001, 0x00010, 12_345)                # zero digits between
+@example(0x7777, 0x77777, 40_000)                # three bits a digit
+def test_the_row_product_is_within_its_bound(whole, fraction, wp):
+    # one entry per nonzero hex digit of n; the row product and the
+    # per-bit reference both lie within err units of e^(n/2^20)
+    prec, f, rows = SHIPPED
+    w = prec + bignum._pow_guard(bignum._table_top(SHIPPED))
+    n = whole << f | fraction
+    reads = []
+    got = bignum._table_product(n, _recorded_rows(rows, reads), w, wp, f)
+    digits = [(n >> 4 * i) & 15 for i in range(len(rows))]
+    assert reads == [(i, d - 1) for i, d in enumerate(digits) if d]
+    reference = per_bit_table_product(n, rows, w, wp, f)
+    assert got[2] == reference[2]
+    with mpmath.workprec(wp + 64):
+        want = mpmath.exp(mpmath.ldexp(n, -f))
+        for man, exp, err in (got, reference):
+            assert man.bit_length() == wp
+            assert abs(mpmath.ldexp(want, -exp) - man) <= err, (n, wp)
+
+
+# case ii's positions and case v's two count-120 ladders
+REFERENCE_PLANS = [("log(n)", "1", "inf", 12), ("log(n)", "2", "2", 120),
+                   ("osc 4/5 6/5", "5/6", "5/4", 120)]
+
+
+def test_plans_are_unchanged_with_the_per_bit_product(monkeypatch):
+    rowed = [_hint_plan(*r) for r in REFERENCE_PLANS]
+    calls = []
+    monkeypatch.setattr(bignum, "_table_product",
+                        lambda *a: calls.append(a[0])
+                        or per_bit_table_product(*a))
+    assert [_hint_plan(*r) for r in REFERENCE_PLANS] == rowed
+    assert calls
+
+
+def test_a_rebuild_leaves_the_shipped_rows_to_the_default_cap(monkeypatch):
+    # a request past the snapshot is served by a rebuild beside it; a
+    # fractional e^X under the default cap still reads the shipped rows,
+    # and bit-burst sums only its bits below 2^-20
+    monkeypatch.setattr(bignum, "_e_powers", SHIPPED)
+    monkeypatch.setattr(bignum, "_e_rebuilt", (0, 0, ()))
+    assert exp_ceil(60000.0, digit_cap=30_000) > 0
+    assert bignum._e_powers is SHIPPED
+    assert bignum._e_rebuilt[0] > SHIPPED[0] and bignum._e_rebuilt[1] == 0
+    read, starts = [], []
+    product, fraction = bignum._table_product, bignum._exp_fraction
+    monkeypatch.setattr(bignum, "_table_product",
+                        lambda n, rows, *a: read.append(rows)
+                        or product(n, rows, *a))
+    monkeypatch.setattr(bignum, "_exp_fraction",
+                        lambda r, s, wp, lo: starts.append(lo)
+                        or fraction(r, s, wp, lo))
+    assert_exp_within_an_ulp((26779.306,), exp_int_dps(26779.306))
+    assert len(read) == 1 and read[0] is SHIPPED[2]
+    assert starts == [bignum.E_FRACTION_BITS]
 
 
 def _package_env(**extra):
@@ -786,14 +897,38 @@ def _package_env(**extra):
 
 def test_a_fresh_process_starts_from_the_shipped_table():
     code = ("import sys; from recurrencelab import bignum; "
-            "prec, entries, fractions = bignum._e_powers; "
-            "print(prec, len(entries), len(fractions), "
+            "prec, f, rows = bignum._e_powers; "
+            "print(prec, f, len(rows), *{len(row) for row in rows}, "
             "'hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=_package_env()).stdout.split()
-    assert out == [str(bignum.E_POWERS_PREC), str(bignum.E_POWERS_TOP + 1),
-                   str(bignum.E_FRACTION_BITS), "False"]
+    assert out == [str(bignum.E_POWERS_PREC), "20", "9", "15", "False"]
+
+
+def test_a_fresh_process_plans_without_building_the_table():
+    # case ii's positions and case v's square ladder near the digit cap
+    code = """if True:
+        import mpmath.libmp, mpmath.libmp.libelefun
+        from recurrencelab import ExtReal, bignum, parse_phi
+        from recurrencelab import plan_full_dimension
+        calls = []
+        def spy(name, real):
+            return lambda *a: calls.append(name) or real(*a)
+        bignum._build_powers_of_e = spy("table", bignum._build_powers_of_e)
+        for module in (bignum, mpmath.libmp, mpmath.libmp.libelefun):
+            module.mpf_e = spy("mpf_e", module.mpf_e)
+        for alpha, beta, count in [("1", "inf", 12), ("2", "2", 170)]:
+            plan = plan_full_dimension(parse_phi("log(n)"), ExtReal(alpha),
+                                       ExtReal(beta), count=count)
+            print(len(plan.terms))
+        print(calls, bignum._e_rebuilt)
+        """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=_package_env()).stdout.splitlines()
+    assert int(out[0]) > 1 and int(out[1]) > 120
+    assert out[2] == "[] (0, 0, ())"
 
 
 def test_the_package_imports_without_the_int_str_guard():
@@ -823,27 +958,31 @@ def test_importing_only_raises_the_int_str_guard(limit, after):
 def test_a_damaged_table_file_starts_the_table_empty(tmp_path, monkeypatch):
     data = _shipped_bytes()
     path = tmp_path / "e_powers.bin"
-    empty = (0, (), ())
+    empty = (0, 0, ())
     assert bignum._load_powers_of_e(str(path)) == empty   # missing
-    damaged = [data[:n] for n in (0, 3, 12, 16, 20, len(data) // 2,
-                                  len(data) - 1)]
-    for at in (0, 5, 9, 13, len(data) // 2, len(data) - 1):
+    prec, f, rows = SHIPPED
+    step = 8 + (prec + bignum._pow_guard(bignum._table_top(SHIPPED)) + 7) // 8
+    inside_a_row = 16 + 15 * step + 7 * step + step // 2
+    damaged = [data[:n] for n in (0, 3, 12, 16, 20, inside_a_row,
+                                  len(data) // 2, len(data) - 1)]
+    damaged.append(data[:inside_a_row] + data[-4:])
+    for at in (0, 5, 9, 13, inside_a_row, len(data) // 2, len(data) - 1):
         flipped = bytearray(data)
         flipped[at] ^= 1 << (at % 8)
         damaged.append(bytes(flipped))
     for bad in damaged:
         path.write_bytes(bad)
         assert bignum._load_powers_of_e(str(path)) == empty
-    # a fractional e^X from an empty table is still within an ulp: the
-    # table is rebuilt, without fractions
+    # a fractional e^X from an empty table is still within an ulp: a
+    # table is rebuilt beside it, without fraction rows
     monkeypatch.setattr(bignum, "_e_powers", empty)
+    monkeypatch.setattr(bignum, "_e_rebuilt", empty)
     for terms in [(12000.5,), (12000.0, 0.1), (3001.0 - 2.0 ** -30,)]:
         assert_exp_within_an_ulp(terms, exp_int_dps(math.fsum(terms)))
-    assert bignum._e_powers[0] > 0 and bignum._e_powers[2] == ()
+    assert bignum._e_powers == empty
+    assert bignum._e_rebuilt[0] > 0 and bignum._e_rebuilt[1] == 0
     path.write_bytes(data)
-    prec, entries, fractions = bignum._load_powers_of_e(str(path))
-    assert (prec, len(fractions)) == (bignum.E_POWERS_PREC,
-                                      bignum.E_FRACTION_BITS)
+    assert bignum._load_powers_of_e(str(path)) == SHIPPED
 
 
 # case ii, and case v's square ladder near the digit cap
