@@ -48,14 +48,6 @@ file.
 X <= 1, the other non-integers and smaller precisions take mpmath's own
 exp of the exact X, which is as fast there.
 
-A ladder that asks e^(k^2) for consecutive k has a fourth route, a running
-product it owns (`SquareExp`): U = e^(k^2) and V = e^(2k+1), seeded from
-the table at up to 6/5 of the bits the rung needs, step to the next k by
-U <- U V and V <- V e^2, two truncated products in place of one per
-nonzero hex digit of k^2.  U is rounded only where `_exp_whole` would
-round the same way, and otherwise the rung is `_exp_whole`'s, so every
-value is exp_ceil_anchor's bit for bit.
-
 power_log_ceil takes ceil(n^A ln n) by one of two routes.  A position
 built as n = ceil(e^X) by exp_ceil_anchor comes with an `Anchor`, which
 holds X and the e^X that made n; passed on as ``near``, it finishes the
@@ -140,11 +132,6 @@ EXP_SPLIT_LEAF = 8
 # Past EXP_POW_PREC bits mpmath's exp powers e for an integer exponent;
 # `_exp` multiplies cached powers e^(2^j) there instead (`_exp_whole`).
 EXP_POW_PREC = 600
-
-# A running product of e^(k^2) (`SquareExp`) works this fraction past the
-# bits a rung needs, so that one seed serves a run of rungs: 0.1-0.3
-# measured about flat, 0.5 or more slower.
-EXP_CHAIN_HEADROOM = 0.2
 
 
 def digits_of_exp(log_value: float) -> int:
@@ -384,12 +371,6 @@ _e_powers = _load_powers_of_e()
 _e_rebuilt = _NO_POWERS
 
 
-def _pow_err(top: int) -> int:
-    """The error bound, in units of its last place, of a product of table
-    entries e^N, N < 2^(top+1) (`_table_product`)."""
-    return 1 << (top + 6)
-
-
 def _table_product(n: int, rows: tuple, w: int, wp: int, f: int = 0) -> tuple:
     """(man, exp, err): e^(n/2^f) for an integer n >= 2^f, as man 2^exp,
     man of wp bits within err units of its last place: one product of
@@ -424,16 +405,7 @@ def _table_product(n: int, rows: tuple, w: int, wp: int, f: int = 0) -> tuple:
             exp += x + drop + cut
         n >>= E_ROW_BITS
         i += 1
-    return man, exp, _pow_err(top) + 8 * f
-
-
-def _round_within(man: int, exp: int, err: int, prec: int):
-    """man 2^exp rounded to nearest at prec bits as a raw mpf, when every
-    value within err units of man rounds alike; else None."""
-    out = from_man_exp(man - err, exp, prec, round_nearest)
-    if out != from_man_exp(man + err, exp, prec, round_nearest):
-        return None
-    return out
+    return man, exp, (1 << (top + 6)) + 8 * f
 
 
 def _exp_whole(n: int, prec: int) -> tuple:
@@ -450,8 +422,8 @@ def _exp_whole(n: int, prec: int) -> tuple:
     rows, f, w = _powers_of_e(top, prec)
     man, exp, err = _table_product(n, rows[f // E_ROW_BITS:], w,
                                    prec + _pow_guard(top))
-    out = _round_within(man, exp, err, prec)
-    if out is None:
+    out = from_man_exp(man - err, exp, prec, round_nearest)
+    if out != from_man_exp(man + err, exp, prec, round_nearest):
         out = mpf_exp(from_int(n), prec, round_nearest)
     return out
 
@@ -594,110 +566,13 @@ def exp_ceil_anchor(log_value, exponent,
     """
     terms = _terms(log_value)
     x = math.fsum(terms)
-    dps = _anchor_digits(x, *_exponent_parts(exponent), digit_cap)
-    e_x = _exp(terms, dps)
-    return int(to_int(e_x, round_ceiling)), Anchor(terms, e_x, dps)
-
-
-def _anchor_digits(x: float, num: int, den: int, digit_cap: int) -> int:
-    """The digits exp_ceil_anchor takes e^X at, X = x and A = num/den,
-    after checking e^X against the digit cap."""
+    num, den = _exponent_parts(exponent)
     check_digit_cap(x, digit_cap)
     dps = _anchor_dps(x, num, den)
     if num <= den or dps - GUARD_DIGITS > digit_cap:
         dps = digits_of_exp(x) + GUARD_DIGITS
-    return dps
-
-
-def _chain_slack(r: int, top: int, shift: int) -> int:
-    """The window, in units of the last place of a running product U of
-    e^N, N < 2^(top+1), within r 2^(1-W) of e^N relatively at W bits,
-    that holds every value `_exp_whole`(N) tests at wp = W - shift bits.
-
-    U lies within 2 r + 1 units of e^N.  `_exp_whole` tests its product,
-    within _pow_err(top) units of wp bits of e^N, _pow_err(top) units
-    either side; a unit of wp bits is at most 2^(shift+3) of U's.
-    """
-    return 2 * r + 1 + (_pow_err(top) << (shift + 4))
-
-
-def _chain_mul(a: tuple, b: tuple, w: int) -> tuple:
-    """The product of two running-product values (man, exp, r), each man
-    of w bits within r 2^(1-w) of its value relatively, cut to w bits:
-    within ra + rb + 2 units of 2^(1-w), one for the cut and one for the
-    cross terms while (ra + 1)(rb + 1) < 2^(w-2)."""
-    (ma, xa, ra), (mb, xb, rb) = a, b
-    man = ma * mb
-    cut = man.bit_length() - w
-    return man >> cut, xa + xb + cut, ra + rb + 2
-
-
-def _headroom(need: int) -> int:
-    """The most bits a running product seeded at `need` bits works at."""
-    return need + int(need * EXP_CHAIN_HEADROOM)
-
-
-class SquareExp:
-    """(ceil(e^(k^2)), its Anchor) for k asked in nondecreasing order, each
-    equal to exp_ceil_anchor(float(k * k), exponent, digit_cap), the
-    same CapacityError included, from one running product.
-
-    Past EXP_POW_PREC bits the chain holds U = e^(k^2), V = e^(2k+1) and
-    e^2 as man 2^exp with a man of W bits, each within r 2^(1-W) of its
-    value, and steps k by U <- U V and V <- V e^2, two truncated products
-    (`_chain_mul`).  It is seeded from the table of powers of e with W =
-    1 + EXP_CHAIN_HEADROOM times the need, the wp at which `_exp_whole`
-    takes e^(k^2), but no more bits than the table holds once it serves
-    the need.  It is seeded again when k goes back, when the need passes W,
-    and when W passes what a seed at the need would take (the need
-    drops where e^(A k^2) passes the digit cap).  U is rounded to prec
-    only when the window of `_chain_slack` around it rounds alike: that
-    window holds every value `_exp_whole` would test, so it would decide
-    the same.  Otherwise the rung is `_exp_whole`'s, and below
-    EXP_POW_PREC it is `_exp`'s.  Nothing is shared between chains.
-    """
-
-    __slots__ = ("exponent", "digit_cap", "_num", "_den", "_k", "_w",
-                 "_u", "_v", "_e2")
-
-    def __init__(self, exponent, digit_cap: int = DEFAULT_DIGIT_CAP):
-        self._num, self._den = _exponent_parts(exponent)
-        self.exponent, self.digit_cap = exponent, digit_cap
-        self._k = None
-
-    def ceil_anchor(self, k: int) -> tuple[int, Anchor]:
-        x = float(k * k)
-        dps = _anchor_digits(x, self._num, self._den, self.digit_cap)
-        e_x = self._exp_square(k, dps)
-        return int(to_int(e_x, round_ceiling)), Anchor((x,), e_x, dps)
-
-    def _exp_square(self, k: int, dps: int) -> tuple:
-        """e^(k^2) as `_exp` takes it at dps digits."""
-        prec = dps_to_prec(dps)
-        if prec <= EXP_POW_PREC:
-            return _exp((float(k * k),), dps)
-        n = k * k
-        top = n.bit_length() - 1
-        need = prec + _pow_guard(top)
-        if (self._k is None or k < self._k
-                or not need <= self._w <= _headroom(need)):
-            self._seed(k, prec, need)
-        while self._k < k:
-            self._u = _chain_mul(self._u, self._v, self._w)
-            self._v = _chain_mul(self._v, self._e2, self._w)
-            self._k += 1
-        man, exp, r = self._u
-        out = _round_within(man, exp, _chain_slack(r, top, self._w - need),
-                            prec)
-        return out if out is not None else _exp_whole(n, prec)
-
-    def _seed(self, k: int, prec: int, need: int) -> None:
-        n = k * k
-        rows, f, w = _powers_of_e(n.bit_length() - 1, prec)
-        rows = rows[f // E_ROW_BITS:]
-        self._k, self._w = k, min(_headroom(need), w)
-        self._u, self._v, self._e2 = (
-            _table_product(m, rows, w, self._w) for m in (n, 2 * k + 1, 2))
+    e_x = _exp(terms, dps)
+    return int(to_int(e_x, round_ceiling)), Anchor(terms, e_x, dps)
 
 
 def exp_floor(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:

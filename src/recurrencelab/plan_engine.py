@@ -263,14 +263,12 @@ def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
     """C = 1 variant: rungs at log n = k^2 for consecutive k, up to the
     next witness, starting from the k with log(n_1) in [k^2, (k+1)^2).
     Every rung and witness search start is ceil(e^(k^2)) with its anchor,
-    from one running product (`bignum.SquareExp`), asked for k in
-    increasing order."""
+    from `bignum.exp_ceil_anchor`, as on the geometric ladder."""
     yield n1, None
-    squares = bignum.SquareExp(A, digit_cap)
     k = _floor_sqrt(math.log(n1))
     for extreme, shift in itertools.cycle(((gamma, 0), (delta, 1))):
         x = float((k + 1) ** 2)
-        first = squares.ceil_anchor(k + 1)
+        first = bignum.exp_ceil_anchor(x, A, digit_cap)
         w, near = _witness(phi, extreme, first, tol=1 / k,
                            threshold=float(k), shift=shift)
         # w >= ceil(e^x) makes log(w) >= x exact; clamp away
@@ -278,7 +276,8 @@ def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
         s = _floor_sqrt(max(math.log(w), x))
         for j in range(1, s - k):
             # the first rung is the search's min_n
-            yield first if j == 1 else squares.ceil_anchor(k + j)
+            yield first if j == 1 else bignum.exp_ceil_anchor(
+                float((k + j) ** 2), A, digit_cap)
         yield w, near
         k = s
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import math
 import os
@@ -309,29 +310,19 @@ def test_plans_are_unchanged_without_the_hinted_ln(monkeypatch):
 def test_no_position_built_from_its_exponent_loses_its_anchor(monkeypatch):
     # a term whose n a plan built as ceil(e^X), or one below it, and whose
     # anchor passes the bounds of the series, has its ell finished from
-    # that anchor: ladder rungs and witnesses at min_n (case v, the square
-    # ladder's from its running product), a lower witness one below an
-    # OscLogPhi boundary (case v on --osc 4/5 6/5), a candidate at min_n
-    # (case ii) and case iv's positions never reach `_ln`
+    # that anchor: ladder rungs and witnesses at min_n (case v), a lower
+    # witness one below an OscLogPhi boundary (case v on --osc 4/5 6/5), a
+    # candidate at min_n (case ii) and case iv's positions never reach `_ln`
     built, real_anchor = {}, bignum.exp_ceil_anchor
-    real_square = bignum.SquareExp.ceil_anchor
     finished_by_ln, real_ln = [], bignum._ln
 
-    def record(n, exponent, anchor):
+    def anchor_spy(x, exponent, digit_cap=DEFAULT_DIGIT_CAP):
+        n, anchor = real_anchor(x, exponent, digit_cap)
         built[n] = exponent, anchor
         built.setdefault(n - 1, (exponent, anchor))
         return n, anchor
 
-    def anchor_spy(x, exponent, digit_cap=DEFAULT_DIGIT_CAP):
-        n, anchor = real_anchor(x, exponent, digit_cap)
-        return record(n, exponent, anchor)
-
-    def square_spy(chain, k):
-        n, anchor = real_square(chain, k)
-        return record(n, chain.exponent, anchor)
-
     monkeypatch.setattr(bignum, "exp_ceil_anchor", anchor_spy)
-    monkeypatch.setattr(bignum.SquareExp, "ceil_anchor", square_spy)
     monkeypatch.setattr(bignum, "_ln", lambda n, dps: finished_by_ln.append(n)
                         or real_ln(n, dps))
     cases = set()
@@ -353,28 +344,10 @@ def test_no_position_built_from_its_exponent_loses_its_anchor(monkeypatch):
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """The (terms, dps) of every e^X a test computes: each run of the exp
-    kernel, and each value of a running product of e^(k^2), whose runs
-    of the kernel are its own."""
-    runs, real, real_square = [], bignum._exp, bignum.SquareExp.ceil_anchor
-    in_chain = []
-
-    def exp_spy(terms, dps):
-        if not in_chain:
-            runs.append((terms, dps))
-        return real(terms, dps)
-
-    def square_spy(chain, k):
-        in_chain.append(k)
-        try:
-            n, anchor = real_square(chain, k)
-        finally:
-            in_chain.pop()
-        runs.append((anchor.terms, anchor.dps))
-        return n, anchor
-
-    monkeypatch.setattr(bignum, "_exp", exp_spy)
-    monkeypatch.setattr(bignum.SquareExp, "ceil_anchor", square_spy)
+    """The (terms, dps) of every run of the exp kernel a test makes."""
+    runs, real = [], bignum._exp
+    monkeypatch.setattr(bignum, "_exp", lambda terms, dps: runs.append(
+        (terms, dps)) or real(terms, dps))
     return runs
 
 
@@ -1028,17 +1001,14 @@ LADDER_PLANS = [("log(n)", "2", "2", 120), ("osc 4/5 6/5", "5/6", "5/4", 120)]
 
 
 def test_ladder_plans_are_unchanged_with_mpmaths_own_exp(monkeypatch):
-    # the rungs come from the running product, seeded from the table; the
-    # reference builds every rung with exp_ceil_anchor on mpmath's exp
-    seeds, real = [], bignum._table_product
+    # the rungs are products of table entries; the reference takes every
+    # e^X from mpmath's exp
+    products, real = [], bignum._table_product
     monkeypatch.setattr(bignum, "_table_product",
-                        lambda n, *a: seeds.append(n) or real(n, *a))
+                        lambda n, *a: products.append(n) or real(n, *a))
     tabled = [_hint_plan(*r) for r in LADDER_PLANS]
-    assert seeds
+    assert products
     monkeypatch.setattr(bignum, "_exp", mpmath_exp_mpf)
-    monkeypatch.setattr(bignum.SquareExp, "ceil_anchor",
-                        lambda chain, k: bignum.exp_ceil_anchor(
-                            float(k * k), chain.exponent, chain.digit_cap))
     assert [_hint_plan(*r) for r in LADDER_PLANS] == tabled
 
 
@@ -1067,11 +1037,17 @@ def test_geometric_ladder_plans_are_unchanged_with_mpmaths_own_exp(
     assert set(own) == {2, 3}
 
 
-# ------------------------------------- running product of e^(k^2) ---
+# ---------------------------------------------- the square ladder's e^(k^2) ---
+
+@functools.lru_cache(maxsize=None)
+def mp_square_ceil(k: int) -> int:
+    """ceil(e^(k^2)) from mpmath's exp alone."""
+    return mp_exp_ceil(float(k * k))
+
 
 def _square_walk(rng, count):
-    """count values of k for a running product: mostly k + 1, some skips
-    of 2 to 5, some restarts lower down."""
+    """count values of k: mostly k + 1, some skips of 2 to 5, some
+    restarts lower down."""
     k = rng.randrange(1, 16)
     for _ in range(count):
         yield k
@@ -1084,80 +1060,76 @@ def _square_walk(rng, count):
             k += 1
 
 
-def _assert_chain_is_exp_ceil_anchor(chain, ks):
-    """Each chain.ceil_anchor(k) equals exp_ceil_anchor(float(k*k), ...)
-    in its int, terms, e^X and digits, or raises the same CapacityError;
-    a k past the cap restarts the walk from 1.  The number of k that
-    raised."""
-    raised = 0
-    for k in ks:
-        try:
-            want = exp_ceil_anchor(float(k * k), chain.exponent,
-                                   chain.digit_cap)
-        except CapacityError as exc:
-            with pytest.raises(CapacityError) as got:
-                chain.ceil_anchor(k)
-            assert str(got.value) == str(exc)
-            raised += 1
-            continue
-        n, anchor = chain.ceil_anchor(k)
-        assert type(n) is int and (n, anchor) == want, (chain.exponent, k)
-    return raised
-
-
 @pytest.mark.parametrize("exponent", [1, Fraction(5, 4), Fraction(3, 2), 2, 3])
-def test_a_running_product_of_squares_is_exp_ceil_anchor(exponent,
-                                                         monkeypatch):
-    steps, real = [], bignum._chain_mul
-    monkeypatch.setattr(bignum, "_chain_mul",
-                        lambda *a: steps.append(a[2]) or real(*a))
-    rng = random.Random(f"squares {exponent}")
-    raised = 0
+def test_a_running_product_of_squares_is_exp_ceil_anchor(exponent):
+    # the square ladder's walk of rungs, exp_ceil_anchor(float(k*k), A,
+    # cap), against mpmath's ceil(e^(k^2)), up to each digit cap and past
+    # it: e^(k^2) of 20 000 digits is k ~ 215.  The anchor takes e^X at
+    # the digits of e^(A k^2) while they fit the cap, at e^(k^2)'s own
+    # past it
+    A = Fraction(exponent)
+    raised, at_power = 0, set()
     for digit_cap in (DEFAULT_DIGIT_CAP, 3000, 700):
-        chain = bignum.SquareExp(exponent, digit_cap)
-        # up to the cap and past it: k^2 of 20 000 digits is k ~ 215
+        rng = random.Random(f"squares {digit_cap}")
         top = math.isqrt(int(digit_cap * LOG10)) + 3
         ks = [min(k, top) for k in _square_walk(rng, 60)]
         ks += list(range(top - 25, top + 2))
-        raised += _assert_chain_is_exp_ceil_anchor(chain, ks)
-    assert raised and steps
+        for k in ks:
+            x = float(k * k)
+            if int(x / math.log(10)) + 1 > digit_cap:
+                with pytest.raises(CapacityError,
+                                   match=f"digit cap of {digit_cap}$"):
+                    exp_ceil_anchor(x, exponent, digit_cap)
+                raised += 1
+                continue
+            n, anchor = exp_ceil_anchor(x, exponent, digit_cap)
+            power = digits_of_exp(float(A) * x)
+            fits = A > 1 and power <= digit_cap
+            want = (power if fits else digits_of_exp(x)) + GUARD_DIGITS
+            assert type(n) is int and n == mp_square_ceil(k), (exponent, k)
+            assert anchor.terms == (x,) and anchor.dps == want, (exponent, k)
+            at_power.add(fits)
+    assert raised
+    assert at_power == ({True, False} if A > 1 else {False})
 
 
-def test_a_running_product_that_cannot_decide_takes_exp_whole(monkeypatch):
-    # unforced, the two ladders decide every rung from their chains; with
-    # a window wider than any mantissa, every rung past EXP_POW_PREC bits
-    # is `_exp_whole`'s, and neither the rungs nor the plans change
-    real, real_square = bignum._exp_whole, bignum.SquareExp.ceil_anchor
-    inside, wholes, chained = [], [], []
+def test_a_rung_that_the_table_cannot_decide_takes_mpmaths_exp(monkeypatch):
+    # unforced, the table decides every rung of the two ladders; with no
+    # guard bits its error bound spans many units in the last place, so
+    # every rung past EXP_POW_PREC bits takes mpmath's exp, and the plans
+    # do not change
+    real_anchor, real_whole = bignum.exp_ceil_anchor, bignum._exp_whole
+    real_exp = bignum.mpf_exp
+    rungs, inside, fallbacks = [], [], []
 
-    def whole_spy(n, prec):
-        if inside:
-            wholes.append(n)
-        return real(n, prec)
-
-    def square_spy(chain, k):
-        inside.append(k)
-        try:
-            n, anchor = real_square(chain, k)
-        finally:
-            inside.pop()
-        if dps_to_prec(anchor.dps) > EXP_POW_PREC:
-            chained.append(k * k)
+    def anchor_spy(x, exponent, digit_cap=DEFAULT_DIGIT_CAP):
+        n, anchor = real_anchor(x, exponent, digit_cap)
+        if (sys._getframe(1).f_code is plan_engine._square_rungs.__code__
+                and dps_to_prec(anchor.dps) > EXP_POW_PREC):
+            rungs.append(int(x))
         return n, anchor
 
+    def whole_spy(n, prec):
+        inside.append(n)
+        try:
+            return real_whole(n, prec)
+        finally:
+            inside.pop()
+
+    def exp_spy(x, prec, rnd):
+        if inside:
+            fallbacks.append(inside[-1])
+        return real_exp(x, prec, rnd)
+
+    monkeypatch.setattr(bignum, "exp_ceil_anchor", anchor_spy)
     monkeypatch.setattr(bignum, "_exp_whole", whole_spy)
-    monkeypatch.setattr(bignum.SquareExp, "ceil_anchor", square_spy)
+    monkeypatch.setattr(bignum, "mpf_exp", exp_spy)
     plans = [_hint_plan(*r) for r in LADDER_PLANS]
-    assert chained and wholes == []
-    chained.clear()
-    monkeypatch.setattr(bignum, "_chain_slack",
-                        lambda r, top, shift: 1 << 400_000)
+    assert rungs and fallbacks == []
+    rungs.clear()
+    monkeypatch.setattr(bignum, "_pow_guard", lambda top: 0)
     assert [_hint_plan(*r) for r in LADDER_PLANS] == plans
-    assert chained and wholes == chained
-    rng = random.Random("fallback")
-    for exponent in (1, Fraction(3, 2), 3):
-        chain = bignum.SquareExp(exponent)
-        _assert_chain_is_exp_ceil_anchor(chain, _square_walk(rng, 40))
+    assert rungs and set(rungs) <= set(fallbacks)
 
 
 # --------------------------------------------- nlogn_ceil's float path ---

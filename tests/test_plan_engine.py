@@ -823,8 +823,7 @@ def test_geometric_ladder_plans_keep_their_terms(monkeypatch, beta, count,
 
 # case v on the square ladder (C = 1) at count 200, each stopped by the
 # digit cap but --osc 4/5 6/5: every rung and witness search start is
-# ceil(e^(k^2)) from the ladder's running product; the digests are those
-# of one exp_ceil_anchor per rung
+# exp_ceil_anchor's ceil(e^(k^2))
 @pytest.mark.parametrize("spec,alpha,beta,terms,digest", [
     ("log(n)", "2", "2", 151,
      "892f7e4f27d6120c7f61518aa66c7bc945bb165dfa9cefacafa9fbae9da8e4ff"),
@@ -838,15 +837,29 @@ def test_geometric_ladder_plans_keep_their_terms(monkeypatch, beta, count,
      "cefabaa4e0ee080889360936886c5829b06edb612833d147ddceedbcebba96d6")])
 def test_square_ladder_plans_keep_their_terms(monkeypatch, spec, alpha, beta,
                                               terms, digest):
-    chains, real = [], bignum.SquareExp
-    monkeypatch.setattr(bignum, "SquareExp",
-                        lambda *a: chains.append(a) or real(*a))
+    asked, real = [], bignum.exp_ceil_anchor
+
+    def spy(x, exponent, digit_cap=bignum.DEFAULT_DIGIT_CAP):
+        if sys._getframe(1).f_code is plan_engine._square_rungs.__code__:
+            asked.append((x, exponent, digit_cap))
+        return real(x, exponent, digit_cap)
+
+    monkeypatch.setattr(bignum, "exp_ceil_anchor", spy)
     phi = (OscLogPhi(*spec.split()[1:]) if spec.startswith("osc ")
            else parse_phi(spec))
     plan = plan_full_dimension(phi, ExtReal(alpha), ExtReal(beta), count=200)
-    assert len(chains) == 1
     assert plan.case_tag == "v" and len(plan.terms) == terms
     assert _digest(plan) == digest
+    # k goes up by one, and by two past the index of a witness, which the
+    # ladder takes from its search instead
+    gamma = Fraction(spec.split()[2]) if spec.startswith("osc ") else 1
+    ks = [math.isqrt(int(x)) for x, _, _ in asked]
+    assert asked == [(float(k * k), Fraction(alpha) * gamma,
+                      bignum.DEFAULT_DIGIT_CAP) for k in ks]
+    steps = [b - a for a, b in zip(ks, ks[1:])]
+    assert set(steps) <= {1, 2} and steps.count(1) > steps.count(2)
+    witnesses = {_floor_sqrt(math.log(n)) for n, _ in plan.terms}
+    assert all(k + 1 in witnesses for k, step in zip(ks, steps) if step == 2)
 
 
 def test_a_boundary_past_the_segment_cap_that_no_lookup_reaches():
