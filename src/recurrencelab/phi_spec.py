@@ -11,9 +11,15 @@ The quantity that drives everything downstream is the pair
 
     gamma = limsup phi(n)/log(n),    delta = liminf phi(n)/log(n),
 
-reported as a GammaDelta with provenance "analytic" when the shape pins
-the limits down exactly and "estimated" (a finite-window scan of an
-ExprPhi) otherwise.
+reported as a GammaDelta with provenance "analytic": every shape pins the
+limits down exactly.  A PowerLog reads them off its exponents and an
+OscLogPhi off its targets.  An ExprPhi is an exp-log function, so
+phi(n)/log(n) has a limit L and gamma = delta = L; a leading-term
+calculus over the iterated logs (see "leading terms" below) finds L from
+the expression tree.  L may be irrational (log(3)*log(n)), kept exact as
+an extreal.Const.  Where a leading constant cannot be certified (an exact
+cancellation such as log(10) - log(2) - log(5)) the extremes raise
+GuardError, never an estimate.
 
 Expression grammar ('+' and '*' share one precedence level, left
 associative; '^' binds tighter and does not chain):
@@ -40,26 +46,21 @@ each probe `exceeds(n, t)`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 import struct
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import bignum
-from .errors import (CapacityError, PhiDomainError, PhiParseError,
-                     PlanValidityError, SearchCapError)
-from .extreal import INF, ExtReal
-
-# an ExprPhi without exact extremes is scanned up to this n
-ESTIMATE_HORIZON = 100_000
-
-# the estimate scan reads its ratios in blocks of at most this many n
-SCAN_BLOCK = 4096
+from .errors import (CapacityError, GuardError, PhiDomainError,
+                     PhiParseError, PlanValidityError, SearchCapError)
+from .extreal import (INF, Const, ExtReal, cadd, cexp, clog, cmul, cneg,
+                      cpow, csign)
 
 # check_nondecreasing scans phi on 2..MONOTONE_WINDOW and forgives a
 # relative dip of MONOTONE_SLACK (float rounding)
@@ -71,7 +72,7 @@ MONOTONE_SLACK = 1e-9
 class GammaDelta:
     gamma: ExtReal
     delta: ExtReal
-    provenance: str  # "analytic" | "estimated"
+    provenance: str  # "analytic": proven, never scanned
 
     def __iter__(self):
         return iter((self.gamma, self.delta))
@@ -312,49 +313,6 @@ def _crossing_on_log(key: Callable[[float], float], t: float, n_lo: int,
     return _least_int_with_log(y)
 
 
-def _estimated_gamma_delta(phi: ExprPhi,
-                           horizon: int = ESTIMATE_HORIZON) -> GammaDelta:
-    """Sup/inf of the ratio over the top decade of a finite window.
-
-    A scan can only ever bound the limits from one side, so the result
-    is tagged "estimated"; callers must not treat it as exact.
-    """
-    if horizon < 2:
-        raise PhiDomainError("estimation horizon must be at least 2")
-    lo = max(2, horizon // 10)
-    sup = -math.inf
-    inf_ = math.inf
-    for start in range(lo, horizon + 1, SCAN_BLOCK):
-        ns = range(start, min(start + SCAN_BLOCK, horizon + 1))
-        ratios = _block_ratios(phi, ns)
-        if ratios is not None:
-            sup = max(sup, max(ratios))
-            inf_ = min(inf_, min(ratios))
-            continue
-        for n in ns:   # n by n, raising where phi.ratio does
-            r = phi.ratio(n)
-            if r > sup:
-                sup = r
-            if r < inf_:
-                inf_ = r
-    return GammaDelta(ExtReal(Fraction(sup)), ExtReal(Fraction(inf_)), "estimated")
-
-
-def _block_ratios(phi: ExprPhi, ns: range) -> Optional[list]:
-    """phi.ratio(n) for every n of ns (n >= 2), each operation of the
-    expression mapped over the block, or None when the block raises or
-    fails one of value()'s checks; the caller then replays the block n by
-    n, which raises what the ratio loop would, at the same n."""
-    logs = list(map(math.log, ns))
-    try:
-        values = _eval_block(phi.ast, ns, {_LOG_N: logs})
-    except Exception:
-        return None
-    if not all(map(math.isfinite, values)) or min(values) <= 0:
-        return None
-    return list(map(operator.truediv, values, logs))
-
-
 def _monomial_extremes(n_exp: Fraction, log_exp: Fraction,
                        coef: Fraction) -> GammaDelta:
     """Analytic extremes of a profile dominated by coef*n^n_exp*log(n)^log_exp:
@@ -527,69 +485,24 @@ def _eval_ast(node, n: int) -> float:
     raise TypeError(f"unknown node {node!r}")
 
 
-_LOG_N = _Log(_Var())
-
-
-def _eval_block(node, ns: range, memo: dict) -> list:
-    """_eval_ast at every n of ns, each operation mapped over the block.
-
-    memo holds the block's values of each subtree evaluated so far, by
-    node (equal subtrees share an entry); seeded with _LOG_N, log(n) is
-    computed once per block.  Where _eval_ast raises at some n this
-    raises too, though maybe not the same error: a math domain error
-    stands for the PhiDomainError of a nonpositive log, for instance.
-    """
-    out = memo.get(node)
-    if out is not None:
-        return out
-    if isinstance(node, _Num):
-        out = [float(node.value)] * len(ns)
-    elif isinstance(node, _Var):
-        out = list(map(float, ns))
-    elif isinstance(node, _Log):
-        out = list(map(math.log, _eval_block(node.child, ns, memo)))
-    elif isinstance(node, (_Add, _Mul)):
-        op = operator.add if isinstance(node, _Add) else operator.mul
-        out = list(map(op, _eval_block(node.left, ns, memo),
-                       _eval_block(node.right, ns, memo)))
-    elif isinstance(node, _Pow):
-        e = _eval_block(node.exp, ns, memo)
-        if isinstance(node.base, _Var):
-            logs = _eval_block(_LOG_N, ns, memo)
-            out = list(map(math.exp, map(operator.mul, e, logs)))
-        else:
-            # a zero or negative base raises in math.log: replayed n by n
-            base = _eval_block(node.base, ns, memo)
-            out = list(map(math.exp, map(operator.mul, e,
-                                         map(math.log, base))))
-    else:
-        raise TypeError(f"unknown node {node!r}")
-    memo[node] = out
-    return out
-
-
 class ExprPhi(PhiSpec):
-    """AST-evaluated profile; keeps an exact monomial form when one exists."""
+    """AST-evaluated profile; its extremes come from its leading term."""
 
-    def __init__(self, ast, source: str,
-                 monomials: Optional[dict] = None):
+    def __init__(self, ast, source: str):
         self.ast = ast
         self.source = source
-        self.monomials = monomials  # {(n_exp, log_exp): coef} or None
         self._extremes: Optional[GammaDelta] = None
 
     def _raw(self, n: int) -> float:
         return _eval_ast(self.ast, n)
 
     def gamma_delta(self) -> GammaDelta:
-        """Exact from the monomials when they decide it, else the block
-        scan; either is kept on the profile, whose values never change, so
-        classifying and then planning one profile scans its ratios once."""
+        """gamma = delta = lim phi(n)/log(n), proven from the leading term
+        of the expression (`_limit_ratio`) and kept on the profile, whose
+        values never change."""
         if self._extremes is None:
-            gd = None
-            if self.monomials is not None:
-                gd = _gamma_delta_from_monomials(self.monomials)
-            self._extremes = gd or _estimated_gamma_delta(self)
+            lim = _limit_ratio(self.ast, self.source)
+            self._extremes = GammaDelta(lim, lim, "analytic")
         return self._extremes
 
     def __str__(self) -> str:
@@ -859,124 +772,337 @@ class _Parser:
 
 
 # --------------------------------------------------------------------------
-# exact normalization to sums of c * n^a * log(n)^b
+# leading terms: expansions over the iterated logarithms
 # --------------------------------------------------------------------------
+#
+# Every expression of the grammar is an exp-log function, so it lies in a
+# Hardy field (Hardy, Orders of Infinity, 1910): phi(n)/log(n) has a limit,
+# which the leading term of phi's expansion gives.  An expansion is a sum
+# of terms c M, each M a monomial
+#
+#     M = exp(P) n^e0 L1^e1 L2^e2 ...,     Lk the k-fold log of n,
+#
+# where P is a sum of terms above 1 holding no c Lk with k >= 1 (that is
+# the exponent c of L(k-1)).  Coefficients and exponents are Fractions, or
+# extreal.Consts where irrational.  Monomials compare as their logs do, by
+# the sign of the leading term of the difference (Gruntz, On Computing
+# Limits in a Symbolic Manipulation System, 1996); without exp parts that
+# is the first exponent that differs.  x^y is exp(y log x), and a log takes
+# its argument's leading term c M: log x = log c + log M + log(1 + h).
+#
+# An expansion is a pair (terms, rem): exact terms, decreasing, and a
+# monomial rem above everything they leave out, None when they are the
+# whole function.  `_expand(node, k)` gives at least k terms or all of them.
 
-def _frac_pow(c: Fraction, e: Fraction) -> Optional[Fraction]:
-    """c ** e when the result is exactly rational, else None."""
-    if e.denominator == 1:
-        if c == 0 and e < 0:
-            return None
-        return c ** e.numerator
-    if c < 0:
-        return None
-    v = e.denominator
-    rp = bignum.nth_root_floor(c.numerator, v)
-    rq = bignum.nth_root_floor(c.denominator, v)
-    if rp ** v != c.numerator or rq ** v != c.denominator:
-        return None
-    if rp == 0 and e < 0:
-        return None
-    return Fraction(rp, rq) ** e.numerator
+class _Mono(NamedTuple):
+    logs: tuple   # P as ((coef, _Mono), ...), decreasing
+    e: tuple      # (e0, e1, ...), no trailing zero
 
 
-_Monomials = dict  # {(Fraction n_exp, Fraction log_exp): Fraction coef}
+_ONE = _Mono((), ())
+_ZERO = ((), None)
+
+# an expansion that needs more terms than this for its leading term, or
+# for the part of an exponent that does not vanish, is not certified
+_TERMS_MAX = 64
 
 
-def _mono_mul(a: _Monomials, b: _Monomials) -> _Monomials:
-    out: _Monomials = {}
-    for (a1, b1), c1 in a.items():
-        for (a2, b2), c2 in b.items():
-            key = (a1 + a2, b1 + b2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+def _atom(k: int) -> _Mono:
+    """Lk, the k-fold log of n; L0 is n."""
+    return _Mono((), (Fraction(0),) * k + (Fraction(1),))
+
+
+def _trim(e) -> tuple:
+    e = list(e)
+    while e and e[-1] == 0:
+        e.pop()
+    return tuple(e)
+
+
+def _mono_cmp(a: _Mono, b: _Mono) -> int:
+    """The sign of log a - log b: 1 when a grows faster than b."""
+    if a == b:
+        return 0
+    if not a.logs and not b.logs:
+        for x, y in itertools.zip_longest(a.e, b.e, fillvalue=Fraction(0)):
+            if x != y:
+                sign = csign(cadd(x, cneg(y)))
+                if sign:
+                    return sign
+        return 0
+    diff = _collect(_mono_log(a) + [(cneg(c), m) for c, m in _mono_log(b)])
+    return csign(diff[0][0]) if diff else 0
+
+
+_DECREASING = functools.cmp_to_key(lambda s, t: _mono_cmp(t[1], s[1]))
+
+
+def _collect(terms) -> list:
+    """The terms sorted by decreasing monomial, like ones summed and exact
+    zeros dropped."""
+    out = []
+    for c, m in sorted(terms, key=_DECREASING):
+        if out and _mono_cmp(out[-1][1], m) == 0:
+            c = cadd(out.pop()[0], c)
+        if c != 0:
+            out.append((c, m))
     return out
 
 
-def _normalize(node) -> Optional[_Monomials]:
+def _mono_log(m: _Mono) -> list:
+    """log m as terms: P and each e_k L(k+1)."""
+    return list(m.logs) + [(x, _atom(k + 1)) for k, x in enumerate(m.e)
+                           if x != 0]
+
+
+def _mono_mul(a: _Mono, b: _Mono) -> _Mono:
+    logs = tuple(_collect(a.logs + b.logs)) if a.logs or b.logs else ()
+    return _Mono(logs, _trim(itertools.starmap(cadd, itertools.zip_longest(
+        a.e, b.e, fillvalue=Fraction(0)))))
+
+
+def _mono_pow(m: _Mono, r) -> _Mono:
+    return _Mono(tuple((cmul(r, c), mm) for c, mm in m.logs),
+                 _trim(cmul(r, x) for x in m.e))
+
+
+def _mono_exp(terms) -> _Mono:
+    """exp of a sum of terms above 1: a term c Lk (k >= 1) adds c to the
+    exponent of L(k-1), the others make up the exp part."""
+    logs, e = [], []
+    for c, m in terms:
+        k = len(m.e) - 1
+        if not m.logs and k >= 1 and m == _atom(k):
+            e += [Fraction(0)] * (k - len(e))
+            e[k - 1] = cadd(e[k - 1], c)
+        else:
+            logs.append((c, m))
+    return _Mono(tuple(logs), _trim(e))
+
+
+def _top(rems) -> Optional[_Mono]:
+    """The greatest monomial of rems, None entries skipped."""
+    out = None
+    for r in rems:
+        if r is not None and (out is None or _mono_cmp(r, out) > 0):
+            out = r
+    return out
+
+
+def _certain(terms, rem) -> tuple:
+    """The expansion of the decreasing terms above rem."""
+    if rem is not None:
+        keep = 0
+        while keep < len(terms) and _mono_cmp(terms[keep][1], rem) > 0:
+            keep += 1
+        terms = terms[:keep]
+    return tuple(terms), rem
+
+
+def _take(s, k: int) -> tuple:
+    terms, rem = s
+    if len(terms) > k:
+        return terms[:k], terms[k][1]
+    return s
+
+
+def _lead_mono(s) -> _Mono:
+    return s[0][0][1] if s[0] else s[1]
+
+
+def _add(a, b) -> tuple:
+    return _certain(_collect(a[0] + b[0]), _top((a[1], b[1])))
+
+
+def _mul(a, b) -> tuple:
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    terms = _collect((cmul(c, d), _mono_mul(m, n))
+                     for c, m in a[0] for d, n in b[0])
+    rems = (None if a[1] is None else _mono_mul(a[1], _lead_mono(b)),
+            None if b[1] is None else _mono_mul(b[1], _lead_mono(a)))
+    return _certain(terms, _top(rems))
+
+
+def _scale(s, c, m: _Mono) -> tuple:
+    """s times the term c m."""
+    terms, rem = s
+    return (tuple((cmul(c, d), _mono_mul(m, n)) for d, n in terms),
+            None if rem is None else _mono_mul(m, rem))
+
+
+def _power_series(h, coefs: list, exact: bool, k: int) -> tuple:
+    """sum(coefs[j] h^j), h an expansion below 1: the whole sum when
+    exact, else up to O(lead(h)^len(coefs)); each power is kept to k
+    terms."""
+    terms = [(coefs[0], _ONE)]
+    if h == _ZERO:
+        return _certain(_collect(terms), None)
+    rems = []
+    power = ((Fraction(1), _ONE),), None
+    for a in coefs[1:]:
+        power = _take(_mul(power, h), k)
+        terms += [(cmul(a, c), m) for c, m in power[0]]
+        rems.append(power[1])
+    if not exact:
+        rems.append(_mono_pow(_lead_mono(h), Fraction(len(coefs))))
+    return _certain(_collect(terms), _top(rems))
+
+
+def _split_lead(s, what: str) -> tuple:
+    """(c, M, h): the leading term c M of s, positive, and h = s/(c M) - 1."""
+    if not s[0]:
+        raise PhiDomainError(f"{what} of an eventually zero value")
+    c, m = s[0][0]
+    if csign(c) < 0:
+        raise PhiDomainError(f"{what} of an eventually negative value")
+    h = _scale((s[0][1:], s[1]), cpow(c, Fraction(-1)),
+               _mono_pow(m, Fraction(-1)))
+    return c, m, h
+
+
+def _log(s, k: int) -> tuple:
+    """log s = log c + log M + sum((-1)^(j+1) h^j / j)."""
+    c, m, h = _split_lead(s, "log")
+    coefs = [Fraction(0)] + [Fraction((-1) ** (j + 1), j)
+                             for j in range(1, k + 1)]
+    terms, rem = _power_series(h, coefs, False, k)
+    return _certain(_collect(_mono_log(m) + [(clog(c), _ONE)] + list(terms)),
+                    rem)
+
+
+def _pow_const(s, r, k: int) -> tuple:
+    """s^r for a constant r: (c M)^r times the binomial series of h,
+    whole for a whole r of at most k."""
+    if s == _ZERO:
+        if csign(r) > 0:
+            return _ZERO
+        raise PhiDomainError("0 under ^ to a power that is not positive")
+    if r == 0:
+        return ((Fraction(1), _ONE),), None
+    c, m, h = _split_lead(s, "a base under ^")
+    whole = (not isinstance(r, Const) and r.denominator == 1
+             and 0 < r <= k)
+    coefs = [Fraction(1)]
+    for j in range(1, int(r) + 1 if whole else k + 1):
+        coefs.append(cmul(coefs[-1], cmul(cadd(r, Fraction(1 - j)),
+                                          Fraction(1, j))))
+    return _scale(_power_series(h, coefs, whole, k), cpow(c, r),
+                  _mono_pow(m, r))
+
+
+def _pow(node: _Pow, k: int, memo: dict) -> tuple:
+    """x^y: a power of x's expansion for a constant y, else exp(y log x)
+    from y log x down to its vanishing part."""
+    y = _expand(node.exp, 1, memo)
+    if y[1] is None and all(m == _ONE for _, m in y[0]):
+        return _pow_const(_expand(node.base, k, memo),
+                          y[0][0][0] if y[0] else Fraction(0), k)
+    if _expand(node.base, 1, memo) == _ZERO:
+        return _pow_const(_ZERO, y[0][0][0], k)
+    kk = k
+    while True:
+        g = _mul(_expand(node.exp, kk, memo),
+                 _log(_expand(node.base, kk, memo), kk))
+        if g[1] is None or _mono_cmp(g[1], _ONE) < 0:
+            break
+        kk = _deeper(kk)
+    order = [_mono_cmp(m, _ONE) for _, m in g[0]]
+    big = [t for t, o in zip(g[0], order) if o > 0]
+    const = next((c for (c, _), o in zip(g[0], order) if o == 0),
+                 Fraction(0))
+    small = tuple(t for t, o in zip(g[0], order) if o < 0), g[1]
+    coefs = [Fraction(1)]
+    for j in range(1, k + 1):
+        coefs.append(coefs[-1] / j)
+    return _scale(_power_series(small, coefs, False, k), cexp(const),
+                  _mono_exp(big))
+
+
+def _deeper(k: int) -> int:
+    if 2 * k > _TERMS_MAX:
+        raise GuardError(f"more than {_TERMS_MAX} terms of an expansion "
+                         f"are needed")
+    return 2 * k
+
+
+def _expand(node, k: int, memo: dict) -> tuple:
+    """node's expansion to at least k terms (all of them if fewer),
+    through memo, a dict by (node, k)."""
+    key = (node, k)
+    s = memo.get(key)
+    if s is not None:
+        return s
+    kk = k
+    while True:
+        s = _expand_once(node, kk, memo)
+        if s[1] is None or len(s[0]) >= k:
+            break
+        kk = _deeper(kk)
+    s = memo[key] = _take(s, k)
+    return s
+
+
+def _expand_once(node, k: int, memo: dict) -> tuple:
     if isinstance(node, _Num):
-        return {(Fraction(0), Fraction(0)): node.value}
+        return _ZERO if node.value == 0 else (((node.value, _ONE),), None)
     if isinstance(node, _Var):
-        return {(Fraction(1), Fraction(0)): Fraction(1)}
+        return ((Fraction(1), _atom(0)),), None
     if isinstance(node, _Log):
-        inner = _normalize(node.child)
-        if inner is None or len(inner) != 1:
-            return None
-        ((a, b), c), = inner.items()
-        # only log(n^a) reduces exactly: log of anything else leaves the form
-        if c == 1 and b == 0 and a > 0:
-            return {(Fraction(0), Fraction(1)): a}
-        return None
+        return _log(_expand(node.child, k, memo), k)
     if isinstance(node, _Add):
-        l, r = _normalize(node.left), _normalize(node.right)
-        if l is None or r is None:
-            return None
-        out = dict(l)
-        for key, c in r.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return out
+        return _add(_expand(node.left, k, memo), _expand(node.right, k, memo))
     if isinstance(node, _Mul):
-        l, r = _normalize(node.left), _normalize(node.right)
-        if l is None or r is None:
-            return None
-        return _mono_mul(l, r)
+        return _mul(_expand(node.left, k, memo), _expand(node.right, k, memo))
     if isinstance(node, _Pow):
-        e_form = _normalize(node.exp)
-        if e_form is None:
-            return None
-        if set(e_form) - {(Fraction(0), Fraction(0))}:
-            return None  # exponent depends on n
-        e = e_form.get((Fraction(0), Fraction(0)), Fraction(0))
-        base = _normalize(node.base)
-        if base is None:
-            return None
-        if len(base) > 1:
-            if e.denominator == 1 and 0 <= e <= 16:
-                out = {(Fraction(0), Fraction(0)): Fraction(1)}
-                for _ in range(int(e)):
-                    out = _mono_mul(out, base)
-                return out
-            return None
-        ((a, b), c), = base.items()
-        ce = _frac_pow(c, e)
-        if ce is None:
-            return None
-        return {(a * e, b * e): ce}
-    return None
+        return _pow(node, k, memo)
+    raise TypeError(f"unknown node {node!r}")
 
 
-def _gamma_delta_from_monomials(monos: _Monomials) -> Optional[GammaDelta]:
-    live = {k: c for k, c in monos.items() if c != 0}
-    if not live:
+def _limit_ratio(ast, source: str) -> ExtReal:
+    """lim phi(n)/log(n) of the expression: inf, 0, or the coefficient
+    of log(n) in its leading term.  GuardError naming the source where
+    the leading term cannot be certified; PhiDomainError where phi is
+    eventually 0 or negative."""
+    try:
+        terms, _ = _expand(ast, 1, {})
+        if not terms:
+            raise PhiDomainError(f"{source} is eventually 0")
+        c, m = terms[0]
+        if csign(c) < 0:
+            raise PhiDomainError(f"{source} is eventually negative")
+        order = _mono_cmp(m, _atom(1))
+    except GuardError as exc:
+        raise GuardError(f"the leading term of {source} cannot be "
+                         f"certified: {exc}") from None
+    return INF if order > 0 else ExtReal(c if order == 0 else 0)
+
+
+def _as_power_log(ast, source: str) -> Optional[PowerLog]:
+    """The PowerLog of an expression whose expansion is exactly one term
+    c n^a log(n)^b with rational c, a and b (or is 0), else None."""
+    try:
+        terms, rem = _expand(ast, 2, {})
+    except (GuardError, PhiDomainError):
         return None
-    if any(c < 0 for c in live.values()):
-        return None  # cancellation-prone forms get the scan instead
-    a_star, b_star = max(live)
-    return _monomial_extremes(a_star, b_star, live[(a_star, b_star)])
+    if rem is not None or len(terms) > 1:
+        return None
+    c, m = terms[0] if terms else (Fraction(0), _ONE)
+    e = m.e + (Fraction(0),) * (2 - len(m.e))
+    if m.logs or len(e) > 2 or any(isinstance(x, Const) for x in (c,) + e):
+        return None
+    return PowerLog(coef=c, n_exp=e[0], log_exp=e[1], source=source)
 
 
 def parse_phi(text: str) -> PhiSpec:
-    """Parse an expression into a profile, normalizing where possible.
+    """Parse an expression into a profile.
 
-    A product that reduces to a single c * n^a * log(n)^b monomial comes
-    back as a PowerLog; other expressions stay AST-backed but carry their
-    exact monomial decomposition when one exists, which is what makes
-    their gamma/delta analytic rather than scanned.
+    An expression whose expansion is exactly one term c * n^a * log(n)^b
+    with rational c, a and b comes back as a PowerLog; every other one
+    stays AST-backed, and its extremes come from its leading term.
     """
     ast = _Parser(text).parse()
-    monos = _normalize(ast)
-    spec: PhiSpec
-    if monos is not None:
-        live = {k: c for k, c in monos.items() if c != 0}
-        if len(live) == 1:
-            ((a, b), c), = live.items()
-            spec = PowerLog(coef=c, n_exp=a, log_exp=b, source=text)
-        elif not live:
-            spec = PowerLog(coef=Fraction(0), n_exp=Fraction(0),
-                            log_exp=Fraction(0), source=text)
-        else:
-            spec = ExprPhi(ast, text, live)
-    else:
-        spec = ExprPhi(ast, text, None)
+    spec = _as_power_log(ast, text) or ExprPhi(ast, text)
     try:
         v2 = spec.value(2)
     except PhiDomainError as exc:

@@ -498,13 +498,13 @@ def plan_for_classification(phi: PhiSpec, cls: Classification, *,
             "these rate targets sit in the dimension-zero regime for this "
             "profile; no full-dimension plan exists", cls.to_json_dict())
     tag = cls.case_tag
-    if cls.provenance == "estimated" and tag in ("ii", "v"):
-        # an estimated gamma is a float: A = alpha*gamma would have a
-        # denominator near 2^52, and the positions n^A an exponent as large
+    if tag in ("ii", "v") and cls.gamma.is_irrational:
+        # an irrational gamma makes A = alpha*gamma irrational, and the
+        # positions n^A have no exact integer form
         raise GuardError(
             f"case {tag} builds its positions as exact powers of "
-            f"A = alpha*gamma, which the estimated gamma ~ "
-            f"{float(cls.gamma):.6g} does not give")
+            f"A = alpha*gamma, which the irrational gamma = {cls.gamma} "
+            f"does not give")
     # looked up at call time so a rebound module attribute takes effect
     terms = globals()[f"_gen_case_{tag}"](phi, cls, p, count, digit_cap)
     terms = _valid_suffix(terms)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -47,6 +48,29 @@ def test_classify_with_profile(capsys):
     data = lines(out)[0]
     assert data["gamma"] == 1 and data["delta"] == 1
     assert data["provenance"] == "analytic"
+
+
+def test_classify_a_mixed_sum_is_exact(capsys):
+    # log(n) + log(log(n)) has gamma = delta = 1: at 0.9/0.9, dimension 0
+    code, out, _ = run(capsys, "classify", "--phi", "log(n)+log(log(n))",
+                       "--alpha", "0.9", "--beta", "0.9")
+    assert code == 0
+    data = lines(out)[0]
+    assert (data["gamma"], data["delta"]) == (1, 1)
+    assert (data["provenance"], data["dim"], data["case"]) == (
+        "analytic", 0, None)
+
+
+def test_classify_an_irrational_gamma(capsys):
+    # gamma = log 3 is printed as a float; C = beta/alpha stays exact
+    code, out, err = run(capsys, "classify", "--phi", "log(3)*log(n)",
+                         "--alpha", "0.9103", "--beta", "0.9103")
+    assert code == 0
+    data = lines(out)[0]
+    assert data["gamma"] == data["delta"] == math.log(3)
+    assert (data["provenance"], data["dim"], data["case"], data["C"]) == (
+        "analytic", 1, "v", 1)
+    assert err == "dimension 1, case v (extremes analytic)\n"
 
 
 def test_classify_an_exact_root_of_a_large_literal(capsys):
@@ -566,10 +590,10 @@ def test_case_iii_with_an_underflowing_lower_rate_is_unsupported(capsys):
 
 
 @pytest.mark.parametrize("beta,case", [("2", "v"), ("inf", "ii")])
-def test_a_power_case_on_estimated_extremes_is_unsupported(capsys, beta,
-                                                           case):
-    # 2^0.5*log(n) has scanned float extremes: A = alpha*gamma would have
-    # a denominator near 2^52, and n^A an exponent that large
+def test_a_power_case_on_an_irrational_gamma_is_unsupported(capsys, beta,
+                                                            case):
+    # 2^0.5*log(n) has gamma = 2^(1/2): A = alpha*gamma is irrational, and
+    # n^A has no exact integer form
     code, out, err = run(capsys, "plan", "--phi", "2^0.5*log(n)",
                          "--alpha", "1", "--beta", beta)
     assert code == 4

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recurrencelab import INF, ONE, ZERO, ExtReal
+from recurrencelab import INF, ONE, ZERO, ExtReal, GuardError
+from recurrencelab.extreal import (Const, cadd, cexp, clog, cmul, cneg, cpow,
+                                   csign)
 
 
 def test_parsing_forms():
@@ -84,3 +86,51 @@ def test_roundtrip_fraction(fr):
 def test_mul_div_inverse(a, b):
     x, y = ExtReal(a), ExtReal(b)
     assert (x * y) / y == x
+
+
+# ------------------------------------------------------ exact constants ---
+
+
+def test_an_irrational_value_compares_with_rationals_on_intervals():
+    log3 = ExtReal(clog(Fraction(3)))
+    assert log3.is_irrational and not ExtReal("1/2").is_irrational
+    assert ExtReal("1.0986") < log3 < ExtReal("1.0987")
+    # alpha >= 1/gamma either side of 1/log 3 = 0.91024...
+    assert not ExtReal("0.9102") >= log3.reciprocal()
+    assert ExtReal("0.9103") >= log3.reciprocal()
+    assert log3 != ExtReal(1) and log3 == ExtReal(clog(Fraction(3)))
+    assert hash(log3) == hash(ExtReal(clog(Fraction(3))))
+    assert float(log3) == math.log(3) and log3.json_value() == math.log(3)
+    assert str(log3) == "log(3)"
+    with pytest.raises(ValueError, match="no Fraction form"):
+        log3.fraction
+
+
+def test_products_and_ratios_of_one_irrational_reduce_exactly():
+    root2 = ExtReal(cpow(Fraction(2), Fraction(1, 2)))
+    a, b = ExtReal("1/3") * root2, ExtReal(3) * root2
+    assert (b / a).fraction == 9
+    assert (root2 * root2).fraction == 2
+    assert ExtReal(0) * root2 == ExtReal(0) and INF * root2 == INF
+
+
+def test_constants_written_two_ways_reduce_to_one_form():
+    two = Fraction(2)
+    assert cadd(clog(two), clog(Fraction(1, 2))) == 0
+    assert cexp(clog(Fraction(3, 7))) == Fraction(3, 7)
+    assert cexp(cmul(Fraction(1, 2), clog(two))) == cpow(two, Fraction(1, 2))
+    assert clog(cpow(two, Fraction(1, 3))) == cmul(Fraction(1, 3), clog(two))
+    assert cpow(Fraction(4), Fraction(1, 2)) == 2
+    assert isinstance(cadd(Fraction(1), clog(two)), Const)
+    assert csign(cneg(clog(Fraction(5)))) == -1
+
+
+def test_a_negative_or_uncertifiable_constant_is_refused():
+    with pytest.raises(ValueError, match="negative value"):
+        ExtReal(clog(Fraction(1, 2)))
+    # log 6 - log 2 - log 3 is 0 written as a sum no rule reduces
+    zero = cadd(clog(Fraction(6)), cneg(cadd(clog(Fraction(2)),
+                                               clog(Fraction(3)))))
+    assert isinstance(zero, Const)
+    with pytest.raises(GuardError, match="exact cancellation"):
+        csign(zero)

@@ -5,17 +5,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recurrencelab import (ExtReal, INF, OscLogPhi, PhiDomainError,
-                           PhiParseError, PlanValidityError, PowerLog,
-                           check_nondecreasing, parse_phi)
+from recurrencelab import (ExtReal, GuardError, INF, OscLogPhi,
+                           PhiDomainError, PhiParseError, PlanValidityError,
+                           PowerLog, check_nondecreasing, classify_profile,
+                           parse_phi)
 from recurrencelab import bignum, phi_spec, plan_full_dimension
 from recurrencelab.errors import CapacityError
-from recurrencelab.phi_spec import (ESTIMATE_HORIZON, SCAN_BLOCK,
-                                    ExprPhi, _Add, _estimated_gamma_delta,
-                                    _gamma_delta_from_monomials,
+from recurrencelab.extreal import Const, exact_root
+from recurrencelab.phi_spec import (ExprPhi, _Add, _atom, _expand,
                                     _least_int_with_log, _Log, _Mul, _Num,
-                                    _Pow, _Var)
+                                    _ONE, _Pow, _Var)
 
 
 # ---------------------------------------------------------------- parser ---
@@ -114,46 +116,199 @@ def test_exact_roots_past_float_precision(text, gamma):
 
 
 def test_an_inexact_root_leaves_the_monomial_form():
+    # (2 10^60)^0.5 is irrational: kept exact, but no PowerLog coefficient
     phi = parse_phi(f"(2*{BIG})^0.5")
-    assert not isinstance(phi, PowerLog) and phi.monomials is None
+    assert not isinstance(phi, PowerLog)
+    ((c, mono),), rem = _expand(phi.ast, 2, {})
+    assert isinstance(c, Const) and mono == _ONE and rem is None
+    assert float(c) == pytest.approx(math.sqrt(2) * 10 ** 30)
+    gd = phi.gamma_delta()
+    assert (gd.gamma, gd.delta, gd.provenance) == (ExtReal(0), ExtReal(0),
+                                                   "analytic")
 
 
 def test_an_integer_power_of_a_sum_expands_to_its_monomials():
     # (log(n) + 1)^2 = log(n)^2 + 2 log(n) + 1, dominated by log(n)^2
     phi = parse_phi("(log(n)+1)^2")
     assert isinstance(phi, ExprPhi)
-    assert phi.monomials == {(0, 2): 1, (0, 1): 2, (0, 0): 1}
+    L1 = _atom(1)
+    assert _expand(phi.ast, 3, {}) == (
+        ((1, L1._replace(e=(0, 2))), (2, L1), (1, _ONE)), None)
     gd = phi.gamma_delta()
     assert gd.provenance == "analytic"
     assert gd.gamma == gd.delta == INF
 
 
 def test_a_monomial_sum_is_analytic_without_a_scan(monkeypatch):
-    def scan(*args, **kwargs):
-        raise AssertionError("the monomials decide the extremes")
-
-    monkeypatch.setattr(phi_spec, "_estimated_gamma_delta", scan)
     phi = parse_phi("2*log(n)+1")
     assert isinstance(phi, ExprPhi)
+
+    def raw(self, n):
+        raise AssertionError("the leading term decides the extremes")
+
+    monkeypatch.setattr(ExprPhi, "_raw", raw)
     gd = phi.gamma_delta()
     assert gd.provenance == "analytic"
     assert gd.gamma == gd.delta == ExtReal(2)
 
 
-def test_a_power_of_a_sum_past_16_is_estimated():
+def test_a_power_of_a_sum_past_16_is_analytic():
     phi = parse_phi("(log(n)+1)^17")
-    assert isinstance(phi, ExprPhi) and phi.monomials is None
+    assert isinstance(phi, ExprPhi)
     gd = phi.gamma_delta()
-    assert gd.provenance == "estimated"
-    assert float(gd.delta) > 1.0
+    assert gd.provenance == "analytic"
+    assert gd.gamma == gd.delta == INF
 
 
-def test_estimated_provenance_for_mixed_sums():
+def test_exact_extremes_for_mixed_sums():
+    # the ratio tends to 1 from above: 1.21 to 1.24 on [10^4, 10^5]
     gd = parse_phi("log(n)+log(log(n))").gamma_delta()
-    assert gd.provenance == "estimated"
-    # the true ratio tends to 1 from above
-    assert float(gd.delta) >= 1.0
-    assert float(gd.gamma) <= 1.4
+    assert (gd.gamma, gd.delta, gd.provenance) == (ExtReal(1), ExtReal(1),
+                                                   "analytic")
+
+
+# profile, exact (gamma, delta), and (alpha, beta) -> (dim, case)
+EXACT_TABLE = [
+    ("log(n)+log(log(n))", (1, 1), {("0.9", "0.9"): (0, None)}),
+    ("2^log(n)", ("inf", "inf"), {("0.01", "0.01"): (1, "iii")}),
+    ("log(n)^log(log(n))", ("inf", "inf"), {("0.01", "0.01"): (1, "iii")}),
+    ("log(2*n)", (1, 1), {("1", "2"): (1, "v"), ("2", "2"): (1, "v")}),
+    ("log(n+1)", (1, 1), {("1", "1"): (1, "v")}),
+    ("log(n^2+n)", (2, 2), {("1/2", "1/2"): (1, "v"),
+                            ("1/3", "1"): (0, None)}),
+    ("(log(n)+1)^17", ("inf", "inf"), {("1", "2"): (1, "iii")}),
+    ("log(3)*log(n)", None, {("0.9102", "0.9102"): (0, None),
+                             ("0.9103", "0.9103"): (1, "v")}),
+]
+
+
+@pytest.mark.parametrize("text,extremes,verdicts", EXACT_TABLE,
+                         ids=[row[0] for row in EXACT_TABLE])
+def test_exact_extremes_and_verdicts(text, extremes, verdicts):
+    phi = parse_phi(text)
+    gd = phi.gamma_delta()
+    assert gd.provenance == "analytic"
+    if extremes is None:   # log 3, kept exact
+        assert gd.gamma.is_irrational and gd.gamma == gd.delta
+        assert float(gd.gamma) == math.log(3)
+    else:
+        assert (gd.gamma, gd.delta) == tuple(map(ExtReal, extremes))
+    for (alpha, beta), want in verdicts.items():
+        cls = classify_profile(phi, alpha, beta)
+        assert (cls.dim, cls.case_tag, cls.provenance) == want + ("analytic",)
+
+
+def test_a_cancelling_leading_constant_is_a_guard_error():
+    # log 10 - log 5 - log 2 is 0, so the leading term is log(n); no
+    # interval up to the cap excludes 0 from the coefficient of n
+    text = "(log(10)*n)+(log(0.2)*n)+(log(0.5)*n)+log(n)"
+    phi = parse_phi(text)
+    with pytest.raises(GuardError, match=r"leading term of \(log\(10\)"):
+        phi.gamma_delta()
+
+
+def test_a_constant_written_two_ways_cancels_exactly():
+    # log(0.5) is -log(2), and 2^0.5 2^0.5 is 2: both cancel structurally
+    gd = parse_phi("(log(2)*n)+(log(0.5)*n)+log(n)").gamma_delta()
+    assert (gd.gamma, gd.delta) == (ExtReal(1), ExtReal(1))
+    phi = parse_phi("2^0.5*2^0.5*log(n)")
+    assert isinstance(phi, PowerLog) and phi.coef == 2
+
+
+@pytest.mark.parametrize("text", ["log(n)+log(log(n))", "log(3)*log(n)",
+                                  "2^log(n)", "(log(n)+1)^17",
+                                  "n^(1+0.5^n)", "log(n)^log(log(n))"])
+def test_extremes_evaluate_phi_a_handful_of_times(monkeypatch, text):
+    # parse_phi reads phi(2); the extremes read no value at all
+    calls, real = [], ExprPhi._raw
+    monkeypatch.setattr(ExprPhi, "_raw",
+                        lambda self, n: calls.append(n) or real(self, n))
+    parse_phi(text).gamma_delta()
+    assert len(calls) <= 2
+
+
+def _reference_normalize(node):
+    """The monomial reduction the extremes once came from: a dict
+    {(n_exp, log_exp): coef}, or None where it gave up."""
+    zero = Fraction(0)
+
+    def mul(a, b):
+        out = {}
+        for (a1, b1), c1 in a.items():
+            for (a2, b2), c2 in b.items():
+                key = (a1 + a2, b1 + b2)
+                out[key] = out.get(key, zero) + c1 * c2
+        return out
+
+    if isinstance(node, _Num):
+        return {(zero, zero): node.value}
+    if isinstance(node, _Var):
+        return {(Fraction(1), zero): Fraction(1)}
+    if isinstance(node, _Log):
+        inner = _reference_normalize(node.child)
+        if inner is None or len(inner) != 1:
+            return None
+        ((a, b), c), = inner.items()
+        return {(zero, Fraction(1)): a} if c == 1 and b == 0 and a > 0 else None
+    if isinstance(node, (_Add, _Mul)):
+        l, r = _reference_normalize(node.left), _reference_normalize(node.right)
+        if l is None or r is None:
+            return None
+        if isinstance(node, _Mul):
+            return mul(l, r)
+        out = dict(l)
+        for key, c in r.items():
+            out[key] = out.get(key, zero) + c
+        return out
+    e_form = _reference_normalize(node.exp)
+    base = _reference_normalize(node.base)
+    if e_form is None or base is None or set(e_form) - {(zero, zero)}:
+        return None
+    e = e_form.get((zero, zero), zero)
+    if len(base) > 1:
+        if e.denominator == 1 and 0 <= e <= 16:
+            out = {(zero, zero): Fraction(1)}
+            for _ in range(int(e)):
+                out = mul(out, base)
+            return out
+        return None
+    ((a, b), c), = base.items()
+    ce = exact_root(c, e)
+    return None if ce is None else {(a * e, b * e): ce}
+
+
+_NUMBERS = ["0.5", "1", "2", "3", "0.25", "4", "9"]
+_EXPONENTS = ["0", "0.5", "1", "1.5", "2", "3"]
+_monomials = st.builds("{}*n^{}*log(n)^{}".format, st.sampled_from(_NUMBERS),
+                       st.sampled_from(_EXPONENTS),
+                       st.sampled_from(_EXPONENTS))
+_profiles = st.recursive(_monomials, lambda inner: st.one_of(
+    st.builds("({})+({})".format, inner, inner),
+    st.builds("({})*({})".format, inner, inner),
+    st.builds("({})^{}".format, inner,
+              st.sampled_from(["0.5", "2", "3", "1.5", "0.25"]))),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profiles)
+def test_the_calculus_keeps_every_extreme_the_monomials_decided(text):
+    monos = _reference_normalize(phi_spec._Parser(text).parse())
+    live = {k: c for k, c in (monos or {}).items() if c != 0}
+    if not live:
+        return   # the monomials did not decide this one
+    phi = parse_phi(text)
+    gd = phi.gamma_delta()
+    (a, b) = max(live)
+    want = phi_spec._monomial_extremes(a, b, live[(a, b)])
+    assert (gd.gamma, gd.delta, gd.provenance) == (want.gamma, want.delta,
+                                                   "analytic")
+    # a single monomial stays the PowerLog it was, parameter for parameter
+    if len(live) == 1:
+        ((a, b), c), = live.items()
+        assert phi == PowerLog(c, a, b, source=text)
+    else:
+        assert isinstance(phi, ExprPhi)
 
 
 def test_powerlog_direct():
@@ -226,6 +381,11 @@ def test_powerlog_floats_are_no_field():
         "coef", "n_exp", "log_exp", "source"]
 
 
+def _monomial_node(c, a, b):
+    return _Mul(_Mul(_Num(c), _Pow(_Var(), _Num(a))),
+                _Pow(_Log(_Var()), _Num(b)))
+
+
 @pytest.mark.parametrize("a,b", [(-1, 3), (0, 0), (0, Fraction(1, 2)), (0, 1),
                                  (0, Fraction(3, 2)), (Fraction(1, 2), -2),
                                  (1, 0)])
@@ -233,8 +393,10 @@ def test_powerlog_and_monomial_sums_share_the_extremes_rule(a, b):
     a, b, c = Fraction(a), Fraction(b), Fraction(5, 2)
     single = PowerLog(c, a, b).gamma_delta()
     # a lower-order term does not move the extremes of the dominant one
-    summed = _gamma_delta_from_monomials({(a, b): c, (a - 1, b): Fraction(7)})
-    assert single.provenance == "analytic"
+    summed = ExprPhi(_Add(_monomial_node(c, a, b),
+                          _monomial_node(Fraction(7), a - 1, b)),
+                     "sum").gamma_delta()
+    assert single.provenance == summed.provenance == "analytic"
     assert (single.gamma, single.delta) == (summed.gamma, summed.delta)
 
 
@@ -527,34 +689,40 @@ def test_a_plan_closes_no_cycle_past_the_last_one_a_lookup_reached(
     assert len(str(closed[-1])) < 7_000
 
 
-# ---------------------------------------------------------- estimate scan ---
+# ------------------------------------------ expansions against the loop ---
 
 def loop_gamma_delta(phi, horizon):
-    """The estimate scan as a loop over n, one phi.ratio(n) each: the
-    reference for the block-wise scan."""
+    """Sup and inf of phi.ratio(n) over the top decade of [2, horizon], a
+    loop over n: it bounds nothing, but it raises where phi fails."""
     lo = max(2, horizon // 10)
-    sup = -math.inf
-    inf_ = math.inf
-    for n in range(lo, horizon + 1):
-        r = phi.ratio(n)
-        if r > sup:
-            sup = r
-        if r < inf_:
-            inf_ = r
-    return Fraction(sup), Fraction(inf_)
+    ratios = [phi.ratio(n) for n in range(lo, horizon + 1)]
+    return Fraction(max(ratios)), Fraction(min(ratios))
 
 
-def scanned(phi, horizon):
-    gd = _estimated_gamma_delta(phi, horizon)
-    assert gd.provenance == "estimated"
-    return gd.gamma.fraction, gd.delta.fraction
+def _mono_log_value(mono, n):
+    """log of the monomial at n, as a float."""
+    logs = [float(n)]
+    for _ in range(len(mono.e)):
+        logs.append(math.log(logs[-1]))
+    return (sum(float(c) * math.exp(_mono_log_value(m, n))
+                for c, m in mono.logs)
+            + sum(float(e) * logs[k + 1] for k, e in enumerate(mono.e)))
+
+
+def expansion_gap(phi, n, k):
+    """(|phi(n) - the first k terms at n|, the remainder's monomial at n,
+    or 0.0 for a whole expansion)."""
+    terms, rem = _expand(phi.ast, k, {})
+    approx = sum(float(c) * math.exp(_mono_log_value(m, n)) for c, m in terms)
+    bound = 0.0 if rem is None else math.exp(_mono_log_value(rem, n))
+    return abs(phi.value(n) - approx), bound
 
 
 N, LOG_N = _Var(), _Log(_Var())
 
-# trees that reach the scan between them cover every node: numbers, n,
-# log of n and of a subtree, sums, products, and powers with base n, with
-# a subtree base and with a zero base
+# trees that between them cover every node: numbers, n, log of n and of a
+# subtree, sums, products, and powers with base n, with a subtree base and
+# with a zero base
 SCAN_TREES = {
     "log(n)+log(log(n))": _Add(LOG_N, _Log(LOG_N)),
     "3/2*n^(1/2)+log(n)": _Add(_Mul(_Num(Fraction(3, 2)),
@@ -566,46 +734,54 @@ SCAN_TREES = {
                                    _Pow(N, _Log(LOG_N))),
 }
 
-
-def horizon_with(count):
-    """The least horizon whose scan covers exactly count values of n."""
-    return next(h for h in range(2, 10 * count + 20)
-                if h - max(2, h // 10) + 1 == count)
-
-
-SCAN_HORIZONS = [horizon_with(c) for c in (
-    SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1)] + [20]
+# the depths at which each expansion is read against phi
+SCAN_HORIZONS = [4548, 4549, 4551, 9102, 20]
 
 
 @pytest.mark.parametrize("horizon", SCAN_HORIZONS)
 @pytest.mark.parametrize("source", sorted(SCAN_TREES))
 def test_block_scan_matches_the_loop(source, horizon):
+    """Four terms of each tree's expansion close in on phi from n =
+    horizon to horizon^2 and horizon^4, where they meet it within their
+    remainder's monomial (that bound holds only for n large enough); a
+    whole expansion meets it to rounding at every n."""
     phi = ExprPhi(SCAN_TREES[source], source)
-    assert scanned(phi, horizon) == loop_gamma_delta(phi, horizon)
+    gaps = []
+    for n in (horizon, horizon ** 2, horizon ** 4):
+        gap, bound = expansion_gap(phi, n, 4)
+        gaps.append(gap / phi.value(n))
+    if bound == 0.0:
+        assert max(gaps) <= 1e-12
+    else:
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gap <= bound
+    gd = phi.gamma_delta()
+    want = ExtReal(1) if source == "log(n)+log(log(n))" else INF
+    assert (gd.gamma, gd.delta, gd.provenance) == (want, want, "analytic")
 
 
 def test_block_scan_matches_the_loop_on_the_default_horizon():
+    # D1 is exactly log(n) + log(log(n)): gamma = delta = 1, although the
+    # ratio over [10^4, 10^5] runs from 1.21 to 1.24
     phi = parse_phi("log(n)+log(log(n))")
-    assert phi.monomials is None
-    assert scanned(phi, ESTIMATE_HORIZON) == loop_gamma_delta(
-        phi, ESTIMATE_HORIZON)
+    L1, L2 = _atom(1), _atom(2)
+    assert _expand(phi.ast, 4, {}) == (((1, L1), (1, L2)), None)
+    assert expansion_gap(phi, 10 ** 5, 4)[0] <= 1e-12
+    sup, inf_ = loop_gamma_delta(phi, 10 ** 5)
+    assert 1.2 < inf_ < sup < 1.25
+    assert phi.gamma_delta().gamma == ExtReal(1)
 
 
 def test_block_scan_evaluates_each_subtree_once_per_block(monkeypatch):
-    calls, real = [], phi_spec._eval_block
-    monkeypatch.setattr(phi_spec, "_eval_block",
-                        lambda node, ns, memo: calls.append(
-                            (node, ns, node in memo)) or real(node, ns, memo))
-    horizon = horizon_with(SCAN_BLOCK + 1)   # two blocks
-    logs = []
-    monkeypatch.setattr(phi_spec.math, "log",
-                        lambda x, real_log=math.log: logs.append(x) or real_log(x))
-    scanned(ExprPhi(SCAN_TREES["log(n)+log(log(n))"], "D1"), horizon)
-    # per block: the sum and log(log(n)); log(n) comes seeded
-    evaluated = [(node, ns) for node, ns, hit in calls if not hit]
-    assert len(evaluated) == len(set(evaluated)) == 2 * 2
-    # log n once per n, for the expression and the ratio alike; log log n
-    assert len(logs) == 2 * (SCAN_BLOCK + 1)
+    # per order k each distinct subtree is expanded once: D1's two copies
+    # of log(n) share one expansion
+    calls, real = [], phi_spec._expand_once
+    monkeypatch.setattr(phi_spec, "_expand_once",
+                        lambda node, k, memo: calls.append((node, k))
+                        or real(node, k, memo))
+    ExprPhi(SCAN_TREES["log(n)+log(log(n))"], "D1").gamma_delta()
+    assert len(calls) == len(set(calls)) == 4
+    assert calls.count((LOG_N, 1)) == 1
 
 
 def raising_n(phi, scan, horizon):
@@ -622,33 +798,43 @@ def raising_n(phi, scan, horizon):
 
 
 def failing_profiles():
+    """(profile, horizon, extremes): extremes are None where phi fails for
+    every large n, so the extremes raise too."""
     return [
-        (ExprPhi(_Log(_Log(LOG_N)), "log(log(log(n)))"), 20),
-        (parse_phi("n^1000+log(log(n))"), ESTIMATE_HORIZON),
+        (ExprPhi(_Log(_Log(LOG_N)), "log(log(log(n)))"), 20, 0),
+        (parse_phi("n^1000+log(log(n))"), 100_000, "inf"),
         (ExprPhi(_Add(_Pow(_Num(Fraction(0)), _Num(Fraction(0))), LOG_N),
-                 "0^0+log(n)"), 300),   # not finite at n = 30
-        # 3*0.9999^n drops to 1 at n = 10 986, in the middle of a block:
-        # the log fails value()'s positivity there, its root goes negative
-        (parse_phi("log(3*0.9999^n)"), 20_000),
-        (parse_phi("log(3*0.9999^n)^0.5"), 20_000),
+                 "0^0+log(n)"), 300, None),   # not finite at n = 30
+        # 3*0.9999^n drops to 1 at n = 10 986: the log fails value()'s
+        # positivity there, its root goes negative
+        (parse_phi("log(3*0.9999^n)"), 20_000, None),
+        (parse_phi("log(3*0.9999^n)^0.5"), 20_000, None),
     ]
 
 
-@pytest.mark.parametrize("phi,horizon", failing_profiles(),
+@pytest.mark.parametrize("phi,horizon,extremes", failing_profiles(),
                          ids=["logloglog", "overflow", "zero-power",
                               "table-zero", "table-short"])
-def test_a_failing_block_raises_what_the_loop_does(phi, horizon):
-    want = raising_n(phi, loop_gamma_delta, horizon)
-    assert raising_n(phi, _estimated_gamma_delta, horizon) == want
-    assert want[2] is not None
+def test_a_failing_block_raises_what_the_loop_does(phi, horizon, extremes):
+    """Where the loop fails for every large n, the extremes raise its
+    PhiDomainError; where it fails only at small n or past float range,
+    they are still exact."""
+    loop_error = raising_n(phi, loop_gamma_delta, horizon)[0]
+    if extremes is None:
+        assert loop_error is PhiDomainError
+        with pytest.raises(PhiDomainError):
+            phi.gamma_delta()
+    else:
+        assert loop_error in (PhiDomainError, OverflowError)
+        gd = phi.gamma_delta()
+        assert gd.gamma == gd.delta == ExtReal(extremes)
 
 
 def test_the_failures_named_for_the_scan():
-    phi = ExprPhi(_Log(_Log(LOG_N)), "log(log(log(n)))")
     with pytest.raises(PhiParseError):
         parse_phi("log(log(log(n)))")
     with pytest.raises(PhiDomainError,
-                       match=r"^log of nonpositive value at n=2$"):
-        _estimated_gamma_delta(phi, 20)
-    with pytest.raises(OverflowError):
-        _estimated_gamma_delta(parse_phi("n^1000+log(log(n))"))
+                       match=r"^log\(3\*0\.9999\^n\) is eventually negative$"):
+        parse_phi("log(3*0.9999^n)").gamma_delta()
+    with pytest.raises(PhiDomainError, match=r"^0 under \^"):
+        failing_profiles()[2][0].gamma_delta()

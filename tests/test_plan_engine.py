@@ -775,8 +775,10 @@ def test_no_profile_with_a_log_scale_inverse_reaches_the_bisection(
                                    ExtReal(beta), count=120)
         assert plan.case_tag in ("iii", "vi")
     assert searched == []
-    rate = ExtReal("0.9")
-    plan_full_dimension(parse_phi("log(n)+log(log(n))"), rate, rate)
+    # an ExprPhi takes the default search: log(n)^2 + log(n), case iii
+    plan = plan_full_dimension(parse_phi("log(n)^2+log(n)"), ExtReal(1),
+                               ExtReal(2))
+    assert plan.case_tag == "iii"
     assert searched and set(searched) == {"ExprPhi"}
 
 
@@ -878,34 +880,44 @@ def test_a_boundary_past_the_segment_cap_that_no_lookup_reaches():
     check_plan_conditions(plan)
 
 
-# ------------------------------------------------------ estimated extremes ---
+# ---------------------------------------------------- irrational extremes ---
 
 @pytest.mark.parametrize("spec,alpha,beta,case", [
     ("2^0.5*log(n)", "1", "2", "v"), ("2^0.5*log(n)", "1", "inf", "ii"),
-    ("log(n)+log(log(n))", "1", "2", "v")])
-def test_power_cases_refuse_estimated_extremes(spec, alpha, beta, case):
-    # each once ran for minutes, or out of memory, raising an exact power
-    # to a numerator near 2^52
+    ("log(3)*log(n)", "1", "2", "v")])
+def test_power_cases_refuse_an_irrational_gamma(spec, alpha, beta, case):
+    # A = alpha*gamma is irrational, so the positions n^A have no exact
+    # integer form
     phi = parse_phi(spec)
     cls = classify_profile(phi, ExtReal(alpha), ExtReal(beta))
-    assert (cls.provenance, cls.case_tag) == ("estimated", case)
-    with pytest.raises(GuardError, match=f"case {case} "):
+    assert (cls.provenance, cls.case_tag) == ("analytic", case)
+    assert cls.gamma.is_irrational and cls.gamma == cls.delta
+    with pytest.raises(GuardError, match=f"case {case} .* irrational gamma"):
         plan_full_dimension(phi, ExtReal(alpha), ExtReal(beta))
 
 
-def test_classify_then_plan_estimates_the_extremes_once(monkeypatch):
-    scans, real = [], phi_spec._estimated_gamma_delta
-    monkeypatch.setattr(phi_spec, "_estimated_gamma_delta",
-                        lambda phi: scans.append(phi) or real(phi))
-    phi = parse_phi("log(n)+log(log(n))")   # D1: estimated extremes
+def test_case_i_plans_on_an_irrational_gamma():
+    # case i never raises n to a power of gamma
+    plan = plan_full_dimension(parse_phi("log(3)*log(n)"), INF, INF,
+                               count=12)
+    assert plan.case_tag == "i" and len(plan.terms) == 12
+
+
+def test_classify_then_plan_finds_the_extremes_once(monkeypatch):
+    found, real = [], phi_spec._limit_ratio
+    monkeypatch.setattr(phi_spec, "_limit_ratio",
+                        lambda ast, source: found.append(source)
+                        or real(ast, source))
+    phi = parse_phi("log(n)+log(log(n))")   # D1
     rate = ExtReal("0.9")
     cls = classify_profile(phi, rate, rate)
-    plan = plan_full_dimension(phi, rate, rate, count=12)
-    assert scans == [phi]
-    # still the estimated (wrong) class of the known defect
-    assert (cls.dim, cls.case_tag, cls.provenance) == (1, "vi", "estimated")
-    assert plan.case_tag == "vi"
-    # another instance is scanned afresh
+    with pytest.raises(RefusalError):
+        plan_full_dimension(phi, rate, rate, count=12)
+    assert found == [phi.source]
+    # gamma = delta = 1, so alpha = 0.9 < 1/gamma: dimension zero
+    assert (cls.dim, cls.case_tag, cls.provenance) == (0, None, "analytic")
+    assert (cls.gamma, cls.delta) == (ExtReal(1), ExtReal(1))
+    # another instance finds them afresh
     other = parse_phi("log(n)+log(log(n))")
     assert other.gamma_delta() == phi.gamma_delta()
-    assert scans == [phi, other]
+    assert found == [phi.source] * 2
