@@ -61,12 +61,13 @@ class Const:
     through their certified difference, which raises GuardError.
     """
 
-    __slots__ = ("scale", "core", "_hash")
+    __slots__ = ("scale", "core", "_hash", "_text")
 
     def __init__(self, scale: Fraction, core: tuple):
         self.scale = scale
         self.core = core
         self._hash = hash((scale, core))
+        self._text = None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Const) and self.scale == other.scale
@@ -82,14 +83,23 @@ class Const:
         return f"Const({str(self)!r})"
 
     def __str__(self) -> str:
-        parts = [] if self.scale == 1 else [str(self.scale)]
-        for atom, e in self.core:
-            kind, arg = atom
-            text = (f"{arg}" if kind == "rat" else
-                    "(" + " + ".join(map(str, arg)) + ")" if kind == "add"
-                    else f"{kind}({arg})")
-            parts.append(text if e == 1 else f"{text}^({e})")
-        return "*".join(parts)
+        """The constant written out, kept: it also orders atoms and sums."""
+        if self._text is None:
+            parts = [] if self.scale == 1 else [str(self.scale)]
+            for atom, e in self.core:
+                text = _atom_text(atom)
+                parts.append(text if e == 1 else f"{text}^({e})")
+            self._text = "*".join(parts)
+        return self._text
+
+
+def _atom_text(atom: tuple) -> str:
+    kind, arg = atom
+    if kind == "rat":
+        return str(arg)
+    if kind == "add":
+        return "(" + " + ".join(map(str, arg)) + ")"
+    return f"{kind}({arg})"
 
 
 def _split(x) -> tuple:
@@ -109,7 +119,7 @@ def _make(scale: Fraction, core: dict):
             atoms.append((atom, e))
     if not atoms or scale == 0:
         return scale
-    return Const(scale, tuple(sorted(atoms, key=repr)))
+    return Const(scale, tuple(sorted(atoms, key=lambda a: _atom_text(a[0]))))
 
 
 def cmul(a, b):
@@ -141,7 +151,7 @@ def cadd(a, b):
         return Fraction(0)
     if len(items) == 1:
         return items[0]
-    return Const(Fraction(1), ((("add", tuple(sorted(items, key=repr))),
+    return Const(Fraction(1), ((("add", tuple(sorted(items, key=str))),
                                 Fraction(1)),))
 
 
@@ -153,8 +163,8 @@ def cpow(a, r):
     """a ** r for a > 0 (or a = 0 and r > 0), r a Fraction or a Const."""
     if isinstance(r, Const):
         return cexp(cmul(r, clog(a)))
-    if r == 0:
-        return Fraction(1)
+    if not isinstance(a, Const) and (a == 1 or r.denominator == 1):
+        return a ** r.numerator
     s, core = _split(a)
     if s < 0 and r.denominator != 1:
         raise ValueError(f"negative base {a} under a fractional power")

@@ -799,17 +799,19 @@ class _Mono(NamedTuple):
     e: tuple      # (e0, e1, ...), no trailing zero
 
 
+_F0, _F1 = Fraction(0), Fraction(1)
 _ONE = _Mono((), ())
 _ZERO = ((), None)
 
 # an expansion that needs more terms than this for its leading term, or
 # for the part of an exponent that does not vanish, is not certified
-_TERMS_MAX = 64
+_TERMS_MAX = 16
 
 
+@functools.lru_cache(maxsize=None)
 def _atom(k: int) -> _Mono:
     """Lk, the k-fold log of n; L0 is n."""
-    return _Mono((), (Fraction(0),) * k + (Fraction(1),))
+    return _Mono((), (_F0,) * k + (_F1,))
 
 
 def _trim(e) -> tuple:
@@ -824,8 +826,10 @@ def _mono_cmp(a: _Mono, b: _Mono) -> int:
     if a == b:
         return 0
     if not a.logs and not b.logs:
-        for x, y in itertools.zip_longest(a.e, b.e, fillvalue=Fraction(0)):
+        for x, y in itertools.zip_longest(a.e, b.e, fillvalue=_F0):
             if x != y:
+                if type(x) is Fraction and type(y) is Fraction:
+                    return 1 if x > y else -1
                 sign = csign(cadd(x, cneg(y)))
                 if sign:
                     return sign
@@ -840,6 +844,9 @@ _DECREASING = functools.cmp_to_key(lambda s, t: _mono_cmp(t[1], s[1]))
 def _collect(terms) -> list:
     """The terms sorted by decreasing monomial, like ones summed and exact
     zeros dropped."""
+    terms = list(terms)
+    if len(terms) < 2:
+        return [t for t in terms if t[0] != 0]
     out = []
     for c, m in sorted(terms, key=_DECREASING):
         if out and _mono_cmp(out[-1][1], m) == 0:
@@ -858,7 +865,7 @@ def _mono_log(m: _Mono) -> list:
 def _mono_mul(a: _Mono, b: _Mono) -> _Mono:
     logs = tuple(_collect(a.logs + b.logs)) if a.logs or b.logs else ()
     return _Mono(logs, _trim(itertools.starmap(cadd, itertools.zip_longest(
-        a.e, b.e, fillvalue=Fraction(0)))))
+        a.e, b.e, fillvalue=_F0))))
 
 
 def _mono_pow(m: _Mono, r) -> _Mono:
@@ -873,7 +880,7 @@ def _mono_exp(terms) -> _Mono:
     for c, m in terms:
         k = len(m.e) - 1
         if not m.logs and k >= 1 and m == _atom(k):
-            e += [Fraction(0)] * (k - len(e))
+            e += [_F0] * (k - len(e))
             e[k - 1] = cadd(e[k - 1], c)
         else:
             logs.append((c, m))
@@ -939,7 +946,7 @@ def _power_series(h, coefs: list, exact: bool, k: int) -> tuple:
     if h == _ZERO:
         return _certain(_collect(terms), None)
     rems = []
-    power = ((Fraction(1), _ONE),), None
+    power = ((_F1, _ONE),), None
     for a in coefs[1:]:
         power = _take(_mul(power, h), k)
         terms += [(cmul(a, c), m) for c, m in power[0]]
@@ -956,6 +963,8 @@ def _split_lead(s, what: str) -> tuple:
     c, m = s[0][0]
     if csign(c) < 0:
         raise PhiDomainError(f"{what} of an eventually negative value")
+    if len(s[0]) == 1 and s[1] is None:
+        return c, m, _ZERO
     h = _scale((s[0][1:], s[1]), cpow(c, Fraction(-1)),
                _mono_pow(m, Fraction(-1)))
     return c, m, h
@@ -964,11 +973,12 @@ def _split_lead(s, what: str) -> tuple:
 def _log(s, k: int) -> tuple:
     """log s = log c + log M + sum((-1)^(j+1) h^j / j)."""
     c, m, h = _split_lead(s, "log")
-    coefs = [Fraction(0)] + [Fraction((-1) ** (j + 1), j)
-                             for j in range(1, k + 1)]
-    terms, rem = _power_series(h, coefs, False, k)
-    return _certain(_collect(_mono_log(m) + [(clog(c), _ONE)] + list(terms)),
-                    rem)
+    terms, rem = (), None
+    if h != _ZERO:
+        coefs = [_F0] + [Fraction((-1) ** (j + 1), j) for j in range(1, k + 1)]
+        terms, rem = _power_series(h, coefs, False, k)
+    head = _mono_log(m) + ([(clog(c), _ONE)] if c != 1 else [])
+    return _certain(_collect(head + list(terms)), rem)
 
 
 def _pow_const(s, r, k: int) -> tuple:
@@ -979,8 +989,10 @@ def _pow_const(s, r, k: int) -> tuple:
             return _ZERO
         raise PhiDomainError("0 under ^ to a power that is not positive")
     if r == 0:
-        return ((Fraction(1), _ONE),), None
+        return ((_F1, _ONE),), None
     c, m, h = _split_lead(s, "a base under ^")
+    if h == _ZERO:
+        return ((cpow(c, r), _mono_pow(m, r)),), None
     whole = (not isinstance(r, Const) and r.denominator == 1
              and 0 < r <= k)
     coefs = [Fraction(1)]
@@ -997,7 +1009,7 @@ def _pow(node: _Pow, k: int, memo: dict) -> tuple:
     y = _expand(node.exp, 1, memo)
     if y[1] is None and all(m == _ONE for _, m in y[0]):
         return _pow_const(_expand(node.base, k, memo),
-                          y[0][0][0] if y[0] else Fraction(0), k)
+                          y[0][0][0] if y[0] else _F0, k)
     if _expand(node.base, 1, memo) == _ZERO:
         return _pow_const(_ZERO, y[0][0][0], k)
     kk = k
@@ -1010,7 +1022,7 @@ def _pow(node: _Pow, k: int, memo: dict) -> tuple:
     order = [_mono_cmp(m, _ONE) for _, m in g[0]]
     big = [t for t, o in zip(g[0], order) if o > 0]
     const = next((c for (c, _), o in zip(g[0], order) if o == 0),
-                 Fraction(0))
+                 _F0)
     small = tuple(t for t, o in zip(g[0], order) if o < 0), g[1]
     coefs = [Fraction(1)]
     for j in range(1, k + 1):
@@ -1047,7 +1059,7 @@ def _expand_once(node, k: int, memo: dict) -> tuple:
     if isinstance(node, _Num):
         return _ZERO if node.value == 0 else (((node.value, _ONE),), None)
     if isinstance(node, _Var):
-        return ((Fraction(1), _atom(0)),), None
+        return ((_F1, _atom(0)),), None
     if isinstance(node, _Log):
         return _log(_expand(node.child, k, memo), k)
     if isinstance(node, _Add):
@@ -1087,8 +1099,8 @@ def _as_power_log(ast, source: str) -> Optional[PowerLog]:
         return None
     if rem is not None or len(terms) > 1:
         return None
-    c, m = terms[0] if terms else (Fraction(0), _ONE)
-    e = m.e + (Fraction(0),) * (2 - len(m.e))
+    c, m = terms[0] if terms else (_F0, _ONE)
+    e = m.e + (_F0,) * (2 - len(m.e))
     if m.logs or len(e) > 2 or any(isinstance(x, Const) for x in (c,) + e):
         return None
     return PowerLog(coef=c, n_exp=e[0], log_exp=e[1], source=source)

@@ -207,6 +207,27 @@ def test_a_cancelling_leading_constant_is_a_guard_error():
         phi.gamma_delta()
 
 
+def test_a_vanishing_leading_term_takes_more_terms(monkeypatch):
+    # log(1 + 2^-n) tends to 0 and log(1 + 2^-n)^n to 1: the calculus
+    # expands past the constant 1 the first order gives
+    orders, real = [], phi_spec._deeper
+    monkeypatch.setattr(phi_spec, "_deeper",
+                        lambda k: orders.append(k) or real(k))
+    for text, lim in (("log(0.5^n+1)+1", 0), ("(1+0.5^n)^n+log(n)", 1)):
+        gd = parse_phi(text).gamma_delta()
+        assert (gd.gamma, gd.delta) == (ExtReal(lim), ExtReal(lim))
+    assert orders
+
+
+def test_an_exponent_past_the_term_cap_is_a_guard_error():
+    # (n + log(n) + 1)^5 has 21 terms that do not vanish, all of them
+    # needed for the exponent of 2^(...)
+    with pytest.raises(GuardError, match="more than 16 terms"):
+        parse_phi("2^((n+log(n)+1)^5)").gamma_delta()
+    gd = parse_phi("2^((n+log(n)+1)^3)").gamma_delta()   # 10 terms
+    assert gd.gamma == gd.delta == INF
+
+
 def test_a_constant_written_two_ways_cancels_exactly():
     # log(0.5) is -log(2), and 2^0.5 2^0.5 is 2: both cancel structurally
     gd = parse_phi("(log(2)*n)+(log(0.5)*n)+log(n)").gamma_delta()
