@@ -3,10 +3,12 @@
 Insertion positions grow like e^{i*phi(i)} and leave floating point range
 long before they strain memory, so plan construction needs exact integers
 built from log-space descriptions.  mpmath's raw layer, `mpmath.libmp`,
-supplies the arbitrary-precision exp/ln.  Precision is chosen from the
-target magnitude plus guard digits, so results are exact unless the true
-value sits within ~10^-G of an integer boundary (G = guard digits), which
-we accept as a working convention.
+supplies the arbitrary-precision exp/ln; it is imported on first use
+(`_LazyLibmp`), so a process that only measures words never loads
+mpmath.  Precision is chosen from the target magnitude plus guard
+digits, so results are exact unless the true value sits within ~10^-G
+of an integer boundary (G = guard digits), which we accept as a working
+convention.
 
 Every value is a raw libmp tuple (sign, man, exp, bc), and every step
 passes its precision and rounding to libmp as arguments.  So the module
@@ -38,13 +40,13 @@ most four of them, so the per-bit product's error bound holds
 (`_table_product`).  A table is one immutable snapshot (prec, f, rows),
 so a reader never pairs rows with another prec.  The package ships one,
 e_powers.bin (9 rows of 15 entries, f = 20, at 66 566 bits, about 1.1 MB,
-read at import after a zlib.crc32 check): the rows and prec that a
-request under DEFAULT_DIGIT_CAP asks for, so such a request never
-builds.  A request past it is served by a second snapshot beside it,
-rebuilt from mpmath's e with integer rows only (f = 0), and bit-burst
-then sums every fraction bit, from bit 0; a missing or corrupt file
-starts the shipped snapshot empty.  `_write_powers_of_e` regenerates the
-file.
+read by the first exponential that reads a table, after a zlib.crc32
+check): the rows and prec that a request under DEFAULT_DIGIT_CAP asks
+for, so such a request never builds.  A request past it is served by a
+second snapshot beside it, rebuilt from mpmath's e with integer rows
+only (f = 0), and bit-burst then sums every fraction bit, from bit 0; a
+missing or corrupt file starts the shipped snapshot empty.
+`_write_powers_of_e` regenerates the file.
 X <= 1, the other non-integers and smaller precisions take mpmath's own
 exp of the exact X, which is as fast there.
 
@@ -89,20 +91,41 @@ import threading
 import zlib
 from typing import NamedTuple
 
-from mpmath.libmp import (MPZ, dps_to_prec, fone, from_float, from_int,
-                          from_man_exp, mpf_add, mpf_e, mpf_exp, mpf_log,
-                          mpf_mul, mpf_neg, mpf_sub, round_ceiling,
-                          round_floor, round_nearest, to_int)
-from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
-
 from .errors import CapacityError
+
+
+class _LazyLibmp:
+    """mpmath.libmp, imported when the first name is read from it.
+
+    Importing it runs all of mpmath's package, about 4 MB of a process's
+    peak RSS, which a process that only measures words never needs.  The
+    first read puts the module itself in `_libmp`'s place, so every later
+    read is a plain module attribute: a name replaced on mpmath.libmp is
+    the one the next call takes.
+    """
+
+    def __getattr__(self, name):
+        global _libmp
+        import mpmath.libmp
+        _libmp = mpmath.libmp
+        return getattr(_libmp, name)
+
+
+_libmp = _LazyLibmp()
+
+
+def _dps_to_prec(dps: int) -> int:
+    """The bits that hold dps decimal digits, as mpmath.libmp.dps_to_prec
+    counts them, without importing mpmath."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
+
 
 GUARD_DIGITS = 30
 DEFAULT_DIGIT_CAP = 20_000
 
 # the fraction bits `_anchored` carries past the point: GUARD_DIGITS, and
 # 16 bits for its few truncations
-ANCHOR_BITS = dps_to_prec(GUARD_DIGITS) + 16
+ANCHOR_BITS = _dps_to_prec(GUARD_DIGITS) + 16
 
 # Plans serialize positions as decimal digits, in strings and JSON
 # integers; CPython's int<->str guard (default 4300 digits, from 3.10.7 and
@@ -158,12 +181,13 @@ def _exp(terms: tuple, dps: int) -> tuple:
     unit in the last place (the routes are in the module docstring)."""
     num, s = _dyadic_sum(terms)
     whole = num >> s
-    prec = dps_to_prec(dps)
+    prec = _dps_to_prec(dps)
     if prec >= EXP_BURST_PREC and whole >= 1 and whole << s != num:
         return _exp_mixed(num, s, prec)
     if prec > EXP_POW_PREC and whole >= 1 and whole << s == num:
         return _exp_whole(whole, prec)
-    return mpf_exp(from_man_exp(num, -s), prec, round_nearest)
+    return _libmp.mpf_exp(_libmp.from_man_exp(num, -s), prec,
+                          _libmp.round_nearest)
 
 
 def _exp_mixed(num: int, s: int, prec: int) -> tuple:
@@ -187,17 +211,18 @@ def _exp_mixed(num: int, s: int, prec: int) -> tuple:
     if rest:
         man *= _exp_fraction(rest, s, wp, f)
         exp -= wp
-    return from_man_exp(man, exp, prec, round_nearest)
+    return _libmp.from_man_exp(man, exp, prec, _libmp.round_nearest)
 
 
 # The tables of powers of e, each one snapshot (prec, f, rows), replaced
 # whole.  Row i holds e^(d 16^i 2^-f) for d = 1..15 as entry d - 1, a pair
 # (man, exp), man 2^exp, with a man of exactly prec + _pow_guard(top)
 # bits, top = _table_top of the snapshot; f is a multiple of E_ROW_BITS.
-# `_e_powers` is the snapshot the package ships (`_load_powers_of_e`,
-# below) and is never replaced; `_e_rebuilt` is what `_powers_of_e`
+# `_e_powers` is the snapshot the package ships: None until
+# `_powers_of_e` first reads a table and loads it (`_load_powers_of_e`,
+# below), then never replaced.  `_e_rebuilt` is what `_powers_of_e`
 # builds for requests past it, with f = 0 and prec a power of two.  The
-# lock only keeps two threads from building at once.
+# lock only keeps two threads from loading or building at once.
 _e_powers_lock = threading.Lock()
 
 # The shipped snapshot: rows up to the largest j with e^(2^j) and the prec
@@ -210,7 +235,7 @@ _e_powers_lock = threading.Lock()
 # at 28 and 15.9 with none.
 E_POWERS_FILE = os.path.join(os.path.dirname(__file__), "e_powers.bin")
 E_POWERS_TOP = int(DEFAULT_DIGIT_CAP * LOG10).bit_length() - 1
-E_POWERS_PREC = dps_to_prec(DEFAULT_DIGIT_CAP + GUARD_DIGITS) + EXP_GUARD_BITS
+E_POWERS_PREC = _dps_to_prec(DEFAULT_DIGIT_CAP + GUARD_DIGITS) + EXP_GUARD_BITS
 E_FRACTION_BITS = 20   # whole rows: a multiple of E_ROW_BITS
 # a row covers this many bits of the exponent: one hex digit
 E_ROW_BITS = 4
@@ -240,15 +265,22 @@ def _powers_of_e(top: int, prec: int) -> tuple:
     """(rows, f, w): the rows of e^(d 16^i 2^-f), from 2^-f up to 2^top at
     least, with mantissas of w >= prec + _pow_guard(top) bits.
 
-    The shipped snapshot serves every request inside its top and prec;
-    any other is served by the rebuilt one, rebuilt first when it is short
-    of rows or of bits.  A rebuild rounds prec up to a power of two, so a
-    run of growing requests rebuilds a logarithmic number of times.  It
-    takes no fraction rows: at 131 072 bits they would add about 600 ms,
-    mostly their chain of square roots, to the integer rows' 200 ms.
+    The shipped snapshot, loaded by the first request, serves every
+    request inside its top and prec; any other is served by the rebuilt
+    one, rebuilt first when it is short of rows or of bits.  A rebuild
+    rounds prec up to a power of two, so a run of growing requests
+    rebuilds a logarithmic number of times.  It takes no fraction rows:
+    at 131 072 bits they would add about 600 ms, mostly their chain of
+    square roots, to the integer rows' 200 ms.
     """
-    global _e_rebuilt
-    for table in (_e_powers, _e_rebuilt):
+    global _e_powers, _e_rebuilt
+    shipped = _e_powers
+    if shipped is None:
+        with _e_powers_lock:
+            if _e_powers is None:
+                _e_powers = _load_powers_of_e()
+            shipped = _e_powers
+    for table in (shipped, _e_rebuilt):
         if top <= _table_top(table) and prec <= table[0]:
             break
     else:
@@ -282,7 +314,7 @@ def _build_powers_of_e(top: int, prec: int, f: int) -> tuple:
     """
     t = (top // E_ROW_BITS + 1) * E_ROW_BITS - 1
     w = prec + _pow_guard(t)
-    _, man, exp, bc = mpf_e(w, round_floor)
+    _, man, exp, bc = _libmp.mpf_e(w, _libmp.round_floor)
     e = (man << (w - bc), exp - (w - bc))
     ladder = [e]
     for _ in range(t):
@@ -295,7 +327,7 @@ def _build_powers_of_e(top: int, prec: int, f: int) -> tuple:
         # man 2^k has 2w - 1 or 2w bits, so its root has w, and exp - k
         # is even
         k = w - ((exp - w) & 1)
-        man, exp = MPZ(math.isqrt(man << k)), (exp - k) // 2
+        man, exp = _libmp.MPZ(math.isqrt(man << k)), (exp - k) // 2
         ladder.insert(0, (man, exp))
     rows = []
     for i in range(0, len(ladder), E_ROW_BITS):
@@ -335,12 +367,13 @@ def _load_powers_of_e(path: str = E_POWERS_FILE) -> tuple:
     step = 8 + (w + 7) // 8
     if len(body) != 16 + count * _ROW_SIZE * step:
         return _NO_POWERS
+    # an mpz under the gmpy2 backend, as mpf_e's mantissas are
+    MPZ = _libmp.MPZ
     entries = []
     for at in range(16, len(body), step):
         man = int.from_bytes(body[at + 8:at + step], "little")
         if man.bit_length() != w:
             return _NO_POWERS
-        # an mpz under the gmpy2 backend, as mpf_e's mantissas are
         entries.append((MPZ(man), int.from_bytes(body[at:at + 8], "little",
                                                  signed=True)))
     return prec, f, tuple(tuple(entries[at:at + _ROW_SIZE])
@@ -367,7 +400,7 @@ def _write_powers_of_e(path: str = E_POWERS_FILE) -> None:
         fh.write(out)
 
 
-_e_powers = _load_powers_of_e()
+_e_powers = None
 _e_rebuilt = _NO_POWERS
 
 
@@ -422,9 +455,9 @@ def _exp_whole(n: int, prec: int) -> tuple:
     rows, f, w = _powers_of_e(top, prec)
     man, exp, err = _table_product(n, rows[f // E_ROW_BITS:], w,
                                    prec + _pow_guard(top))
-    out = from_man_exp(man - err, exp, prec, round_nearest)
-    if out != from_man_exp(man + err, exp, prec, round_nearest):
-        out = mpf_exp(from_int(n), prec, round_nearest)
+    out = _libmp.from_man_exp(man - err, exp, prec, _libmp.round_nearest)
+    if out != _libmp.from_man_exp(man + err, exp, prec, _libmp.round_nearest):
+        out = _libmp.mpf_exp(_libmp.from_int(n), prec, _libmp.round_nearest)
     return out
 
 
@@ -533,8 +566,8 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
     value = _exp(terms, digits_of_exp(approx) + GUARD_DIGITS)
     # the ceiling or floor of a value of prec bits fits in prec bits, so
     # this is mpmath.ceil/floor at the value's own precision
-    return int(to_int(value,
-                      round_ceiling if rounding == "ceil" else round_floor))
+    rnd = _libmp.round_ceiling if rounding == "ceil" else _libmp.round_floor
+    return int(_libmp.to_int(value, rnd))
 
 
 def exp_ceil(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
@@ -572,7 +605,8 @@ def exp_ceil_anchor(log_value, exponent,
     if num <= den or dps - GUARD_DIGITS > digit_cap:
         dps = digits_of_exp(x) + GUARD_DIGITS
     e_x = _exp(terms, dps)
-    return int(to_int(e_x, round_ceiling)), Anchor(terms, e_x, dps)
+    n = int(_libmp.to_int(e_x, _libmp.round_ceiling))
+    return n, Anchor(terms, e_x, dps)
 
 
 def exp_floor(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
@@ -620,10 +654,10 @@ def _ln(n: int, dps: int) -> tuple:
     """ln n as a raw mpf, good to dps digits: mpmath's own ln up to
     LOG_TAYLOR_PREC bits, where it reads a cached Taylor table, and
     `_ln_newton` past it."""
-    prec = dps_to_prec(dps)
-    x = from_int(n, prec, round_nearest)
-    if prec + 20 <= LOG_TAYLOR_PREC:   # mpf_log's own switch
-        return mpf_log(x, prec, round_nearest)
+    prec = _dps_to_prec(dps)
+    x = _libmp.from_int(n, prec, _libmp.round_nearest)
+    if prec + 20 <= _libmp.libelefun.LOG_TAYLOR_PREC:   # mpf_log's own switch
+        return _libmp.mpf_log(x, prec, _libmp.round_nearest)
     return _ln_newton(n, x, dps)
 
 
@@ -644,13 +678,13 @@ def _ln_newton(n: int, x: tuple, dps: int) -> tuple:
     steps = [dps + 5]
     while (steps[-1] + lead) // 2 + 2 > 15:
         steps.append((steps[-1] + lead) // 2 + 2)
-    rnd = round_nearest
-    y = from_float(y0)
+    rnd = _libmp.round_nearest
+    y = _libmp.from_float(y0)
     for step in reversed(steps):
-        prec = dps_to_prec(step)
-        y = mpf_add(mpf_sub(y, fone, prec, rnd),
-                    mpf_mul(x, mpf_exp(mpf_neg(y), prec, rnd), prec, rnd),
-                    prec, rnd)
+        prec = _dps_to_prec(step)
+        e_y = _libmp.mpf_exp(_libmp.mpf_neg(y), prec, rnd)
+        y = _libmp.mpf_add(_libmp.mpf_sub(y, _libmp.fone, prec, rnd),
+                           _libmp.mpf_mul(x, e_y, prec, rnd), prec, rnd)
     return y
 
 
@@ -709,7 +743,7 @@ def _anchored(n: int, num: int, den: int, power: int, anchor: Anchor):
             acc += (n ** (num - j) * dj >> (w - T)) // j
         else:
             acc += (pa * dj >> (g + w - T)) // (j * n ** j)
-    return from_man_exp(acc, -T)
+    return _libmp.from_man_exp(acc, -T)
 
 
 def _shift(v: int, k: int) -> int:
@@ -747,19 +781,19 @@ def _power_log_ceil(n: int, num: int, den: int, near) -> int:
     if near is not None:
         value = _anchored(n, num, den, power, near)
         if value is not None:
-            return int(to_int(value, round_ceiling))
+            return int(_libmp.to_int(value, _libmp.round_ceiling))
     ln_n = math.log(n)
     dps = digits_of_exp(num / den * ln_n + math.log(ln_n)) + GUARD_DIGITS
-    prec, rnd = dps_to_prec(dps), round_nearest
+    prec, rnd = _dps_to_prec(dps), _libmp.round_nearest
     if den == 1:
-        root = from_int(power, prec, rnd)
+        root = _libmp.from_int(power, prec, rnd)
     else:
         # g bits past the guard, as ln n multiplies the root's error
         g = ANCHOR_BITS + int(ln_n).bit_length()
-        root = from_man_exp(nth_root_floor(power << (den * g), den), -g,
-                            prec, rnd)
-    value = mpf_mul(root, _ln(n, dps), prec, rnd)
-    return int(to_int(value, round_ceiling))
+        root = _libmp.from_man_exp(nth_root_floor(power << (den * g), den),
+                                   -g, prec, rnd)
+    value = _libmp.mpf_mul(root, _ln(n, dps), prec, rnd)
+    return int(_libmp.to_int(value, _libmp.round_ceiling))
 
 
 def nlogn_ceil(n: int, near=None) -> int:

@@ -22,13 +22,14 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Union
 
+from .bignum import DEFAULT_DIGIT_CAP, LN2, LOG10, nth_root_floor
 from .errors import GuardError
 
 RawExt = Union[int, float, str, Fraction, "Const", "ExtReal"]
 
-# bignum and mpmath are imported where they are used: importing them with
-# this module would load mpmath ahead of the word modules, which raises a
-# process's peak RSS by about 0.8 MB
+# mpmath is imported where it is used (`_interval`), as bignum imports it:
+# importing it with this module would load all of mpmath in a process
+# that only measures words
 
 
 def exact_root(c: Fraction, e: Fraction):
@@ -39,7 +40,6 @@ def exact_root(c: Fraction, e: Fraction):
         return c ** e.numerator
     if c < 0:
         return None
-    from .bignum import nth_root_floor
     v = e.denominator
     rp = nth_root_floor(c.numerator, v)
     rq = nth_root_floor(c.denominator, v)
@@ -256,7 +256,6 @@ def csign(x) -> int:
     precision cap excludes 0."""
     if not isinstance(x, Const):
         return (x > 0) - (x < 0)
-    from .bignum import DEFAULT_DIGIT_CAP, LN2, LOG10
     prec = 64
     while prec <= DEFAULT_DIGIT_CAP * LOG10 / LN2:
         v = _interval(x, prec)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -869,14 +870,17 @@ def _package_env(**extra):
 
 
 def test_a_fresh_process_starts_from_the_shipped_table():
+    # the snapshot is loaded by the first exponential that reads a table
     code = ("import sys; from recurrencelab import bignum; "
+            "print(bignum._e_powers); bignum.exp_ceil(26779.306640625); "
             "prec, f, rows = bignum._e_powers; "
             "print(prec, f, len(rows), *{len(row) for row in rows}, "
             "'hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=_package_env()).stdout.split()
-    assert out == [str(bignum.E_POWERS_PREC), "20", "9", "15", "False"]
+    assert out == ["None", str(bignum.E_POWERS_PREC), "20", "9", "15",
+                   "False"]
 
 
 def test_a_fresh_process_plans_without_building_the_table():
@@ -889,19 +893,117 @@ def test_a_fresh_process_plans_without_building_the_table():
         def spy(name, real):
             return lambda *a: calls.append(name) or real(*a)
         bignum._build_powers_of_e = spy("table", bignum._build_powers_of_e)
-        for module in (bignum, mpmath.libmp, mpmath.libmp.libelefun):
+        # bignum keeps no mpf_e of its own: it reads mpmath.libmp's at
+        # each call, so the spies see every call, before the table's
+        # first use as after it
+        assert not hasattr(bignum, "mpf_e")
+        for module in (mpmath.libmp, mpmath.libmp.libelefun):
             module.mpf_e = spy("mpf_e", module.mpf_e)
+        print(bignum._e_powers)
         for alpha, beta, count in [("1", "inf", 12), ("2", "2", 170)]:
             plan = plan_full_dimension(parse_phi("log(n)"), ExtReal(alpha),
                                        ExtReal(beta), count=count)
             print(len(plan.terms))
-        print(calls, bignum._e_rebuilt)
+        print(calls, bignum._e_rebuilt, bignum._e_powers[0])
         """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=_package_env()).stdout.splitlines()
-    assert int(out[0]) > 1 and int(out[1]) > 120
-    assert out[2] == "[] (0, 0, ())"
+    assert out[0] == "None"
+    assert int(out[1]) > 1 and int(out[2]) > 120
+    assert out[3] == f"[] (0, 0, ()) {bignum.E_POWERS_PREC}"
+
+
+def test_word_only_work_loads_neither_mpmath_nor_the_table():
+    # the word pipeline and a word command take no exponential; the first
+    # e^X imports mpmath and reads the shipped table, without building it
+    code = """if True:
+        import contextlib, io, sys
+        import recurrencelab, recurrencelab.cli
+        from recurrencelab import (Word, bignum, cli, rate_trajectory,
+                                   recurrence_witnesses, return_time_prime,
+                                   return_times_all)
+        symbols = [(i * i + i // 7) % 3 for i in range(3000)]
+        word = Word.from_iterable(symbols, 3)
+        return_times_all(word)
+        rate_trajectory(word)
+        recurrence_witnesses(word, 0.5, 0.1)
+        for n in range(1, 65):
+            return_time_prime(word, n)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["return-times", "--word", "0100101001001",
+                             "--m", "2"])
+        print(code, "mpmath" in sys.modules, bignum._e_powers)
+        calls = []
+
+        def profile(frame, event, arg):
+            # e_fixed computes e for mpmath's mpf_e
+            if event == "call" and frame.f_code.co_name in (
+                    "e_fixed", "_build_powers_of_e"):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        n = bignum.exp_ceil(26779.306640625)
+        sys.setprofile(None)
+        prec, f, rows = bignum._e_powers
+        print("mpmath" in sys.modules, prec, f, len(rows), calls,
+              bignum._e_powers == bignum._load_powers_of_e())
+        print(hex(n))
+        """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=_package_env()).stdout.splitlines()
+    assert out[0] == "0 False None"
+    assert out[1] == f"True {bignum.E_POWERS_PREC} 20 9 [] True"
+    assert int(out[2], 16) == mp_exp_ceil(26779.306640625)
+
+
+def test_threads_load_one_snapshot_on_first_use(monkeypatch):
+    # four threads, more than the cores, take their first fractional e^X
+    # at once; the first to take the lock loads the snapshot, slowly, and
+    # the others read what it loaded
+    monkeypatch.setattr(bignum, "_e_powers", None)
+    monkeypatch.setattr(bignum, "_e_rebuilt", (0, 0, ()))
+    loads, load = [], bignum._load_powers_of_e
+    monkeypatch.setattr(bignum, "_load_powers_of_e",
+                        lambda: loads.append(1) or time.sleep(0.05) or load())
+    read, product = [], bignum._table_product
+    monkeypatch.setattr(bignum, "_table_product",
+                        lambda n, rows, *a: read.append(rows)
+                        or product(n, rows, *a))
+    k = 4
+    start = threading.Barrier(k)
+    out = [None] * k
+
+    def first_exp(i):
+        start.wait(timeout=60)
+        out[i] = exp_ceil(26779.306640625)
+
+    threads = [threading.Thread(target=first_exp, args=(i,))
+               for i in range(k)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(loads) == 1
+    assert len(read) == k and all(r is bignum._e_powers[2] for r in read)
+    assert bignum._e_powers == SHIPPED and bignum._e_rebuilt == (0, 0, ())
+    assert out == [mp_exp_ceil(26779.306640625)] * k
+
+
+def test_the_module_precisions_are_mpmaths():
+    # bignum counts bits of decimal digits without importing mpmath
+    assert bignum.ANCHOR_BITS == dps_to_prec(GUARD_DIGITS) + 16 == 119
+    assert bignum.E_POWERS_PREC == dps_to_prec(
+        DEFAULT_DIGIT_CAP + GUARD_DIGITS) + bignum.EXP_GUARD_BITS == 66566
+    assert all(bignum._dps_to_prec(dps) == dps_to_prec(dps)
+               for dps in range(1, 200_001))
 
 
 def test_the_package_imports_without_the_int_str_guard():
@@ -979,7 +1081,8 @@ def test_the_shipped_table_serves_plans_under_the_digit_cap(cold_table,
 
     monkeypatch.setattr(bignum, "_build_powers_of_e",
                         spy("table", bignum._build_powers_of_e))
-    for module in (bignum, mpmath.libmp, mpmath.libmp.libelefun):
+    # bignum reads mpf_e off mpmath.libmp at each call
+    for module in (mpmath.libmp, mpmath.libmp.libelefun):
         monkeypatch.setattr(module, "mpf_e", spy("mpf_e", module.mpf_e))
     warm = _warm_plans()
     assert builds == []
@@ -1099,7 +1202,7 @@ def test_a_rung_that_the_table_cannot_decide_takes_mpmaths_exp(monkeypatch):
     # every rung past EXP_POW_PREC bits takes mpmath's exp, and the plans
     # do not change
     real_anchor, real_whole = bignum.exp_ceil_anchor, bignum._exp_whole
-    real_exp = bignum.mpf_exp
+    real_exp = mpmath.libmp.mpf_exp
     rungs, inside, fallbacks = [], [], []
 
     def anchor_spy(x, exponent, digit_cap=DEFAULT_DIGIT_CAP):
@@ -1123,7 +1226,8 @@ def test_a_rung_that_the_table_cannot_decide_takes_mpmaths_exp(monkeypatch):
 
     monkeypatch.setattr(bignum, "exp_ceil_anchor", anchor_spy)
     monkeypatch.setattr(bignum, "_exp_whole", whole_spy)
-    monkeypatch.setattr(bignum, "mpf_exp", exp_spy)
+    # bignum reads mpf_exp off mpmath.libmp at each call
+    monkeypatch.setattr(mpmath.libmp, "mpf_exp", exp_spy)
     plans = [_hint_plan(*r) for r in LADDER_PLANS]
     assert rungs and fallbacks == []
     rungs.clear()
