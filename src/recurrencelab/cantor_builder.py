@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Optional, Sequence, Union
@@ -311,17 +312,20 @@ def make_insertion_word(prefix: Word, next_symbol: int) -> Word:
     return Word._checked(store, a)
 
 
+_DECIMAL = re.compile("-?[0-9]+")
+
+
 def _json_int(obj, key: str, where: str) -> int:
-    """obj[key], a JSON number or a decimal string (ell values travel as
-    strings); PlanValidityError when it is missing or no integer."""
+    """obj[key], a JSON integer or a string of ASCII decimal digits with
+    an optional leading '-' (ell values travel as strings);
+    PlanValidityError when it is missing or anything else."""
     if not isinstance(obj, dict) or key not in obj:
         raise PlanValidityError(f"{where} has no field {key!r}")
     value = obj[key]
-    try:
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            return int(value)
-    except ValueError:
-        pass
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
     raise PlanValidityError(f"{where} field {key!r} must be an integer, "
                             f"got {value!r:.40}")
 

@@ -18,6 +18,7 @@ raises GuardError.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
@@ -77,7 +78,9 @@ class Const:
         return self._hash
 
     def __float__(self) -> float:
-        return float(_interval(self, 64).mid)
+        """The midpoint of a 64-bit interval, rounded to a double."""
+        from mpmath.libmp import mpi_mid, to_float
+        return to_float(mpi_mid(_interval(self, 64)._mpi_, 53))
 
     def __repr__(self) -> str:
         return f"Const({str(self)!r})"
@@ -220,15 +223,23 @@ def cexp(x):
     return _make(Fraction(1), {("exp", x): Fraction(1)})
 
 
+# one interval context per thread, made on its first interval
+_contexts = threading.local()
+
+
 def _interval(x, prec: int):
-    """An mpmath interval holding x, computed at prec bits."""
-    from mpmath import iv
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        return _iv(iv, x)
-    finally:
-        iv.prec = saved
+    """An mpmath interval holding x, computed at prec bits.
+
+    It runs on this thread's own interval context, never on mpmath's shared
+    `iv`, so two threads cannot compute at each other's precision, and
+    mpmath's own precision is neither read nor changed.
+    """
+    ctx = getattr(_contexts, "iv", None)
+    if ctx is None:
+        from mpmath import iv
+        ctx = _contexts.iv = type(iv)()
+    ctx.prec = prec
+    return _iv(ctx, x)
 
 
 def _iv(iv, x):

@@ -32,10 +32,9 @@ Numbers are decimal literals kept as exact Fractions.  Profiles must be
 positive from n = 2 on; phi(1) falls back to phi(2)/2 whenever the raw
 formula is undefined or nonpositive there.
 
-Plan synthesis asks a profile three questions on the log scale:
+Plan synthesis asks a profile two questions on the log scale:
 `first_above(t, n_lo, digit_cap)`, the least n > n_lo whose computed
-value exceeds t; `nondecreasing_by_shape()`; and `boundary_anchor(n)`,
-the `bignum.Anchor` of an exponent the profile built n (or n + 1) from.
+value exceeds t, and `nondecreasing_by_shape()`.
 A PowerLog and the legs of an OscLogPhi are functions of math.log(n), so
 they answer `first_above` from their inverse: the least double y at which
 their value passes t, then the least integer whose math.log reaches y.
@@ -159,11 +158,6 @@ class PhiSpec:
     def at_log(self, y: float) -> Optional[float]:
         """_raw(n) for every n >= 2 with math.log(n) == y, when the
         profile is a function of math.log(n) alone; else None."""
-        return None
-
-    def boundary_anchor(self, n: int) -> Optional[bignum.Anchor]:
-        """The Anchor of the exponent X of a boundary c = ceil(e^X) that
-        the profile built, for n = c or c - 1; else None."""
         return None
 
 
@@ -523,10 +517,13 @@ class OscLogPhi(PhiSpec):
       hold       n in [2E+1, c-1]:   phi = mult * log(2E)    (ratio decays)
 
     with E = 4s, mult = gamma for finite gamma (mult = delta + k
-    on the k-th cycle when gamma is infinite), and c the least integer with
-    delta * log c >= the held value, so the next low leg continues without
-    a decrease.  Ratios over a cycle stay within [delta, mult] and attain
-    both endpoints on whole segments, hence liminf = delta exactly and
+    on the k-th cycle when gamma is infinite), and c the least grid value
+    M 2^s (M < 2^64, `bignum.exp_ceil`) with delta * log c >= the held
+    value.  That is the boundary's definition, not an estimate of the
+    least such integer: delta * log c >= held is all the next low leg
+    needs to continue without a decrease, so phi stays nondecreasing.
+    Ratios over a cycle stay within [delta, mult] and attain both
+    endpoints on whole segments, hence liminf = delta exactly and
     limsup = gamma (finite or not).
 
     Segments come from one lazy generator (`_generate`) and are memoized
@@ -550,15 +547,14 @@ class OscLogPhi(PhiSpec):
         # (start, end, kind, mult, hold_value); kind in {"low","climb","hold"}
         self._segments: list[tuple[int, int, str, Optional[float], Optional[float]]] = []
         self._starts: list[int] = []
-        self._anchors: dict[int, bignum.Anchor] = {}   # by boundary
         self._pending = self._generate()
 
     def _generate(self):
         """The segments in order, cycle by cycle.  A cycle's closing
-        boundary (its Anchor kept) and hold leg are built when the segment
-        after its climb is pulled; a boundary past _SEGMENT_DIGIT_CAP
-        digits comes as the CapacityError that building it raised, at that
-        pull and every later one."""
+        boundary and hold leg are built when the segment after its climb
+        is pulled; a boundary past _SEGMENT_DIGIT_CAP digits comes as the
+        CapacityError that building it raised, at that pull and every
+        later one."""
         s = 2
         for k in itertools.count(1):
             end_low = 4 * s
@@ -569,18 +565,15 @@ class OscLogPhi(PhiSpec):
             held = mult * math.log(climb_end)
             while True:
                 try:
-                    s, anchor = bignum.exp_ceil_anchor(
-                        held / self._df, 1, self._SEGMENT_DIGIT_CAP)
+                    s = bignum.exp_ceil(held / self._df,
+                                        self._SEGMENT_DIGIT_CAP)
                     break
                 except CapacityError as exc:
                     yield exc
             # mult > delta can round to mult == delta as doubles: then
             # held/delta is math.log(climb_end), which may lie below the
             # true log, and the boundary comes out as climb_end itself
-            if s <= climb_end:
-                s = climb_end + 1
-            else:
-                self._anchors[s] = anchor
+            s = max(s, climb_end + 1)
             if s > climb_end + 1:
                 yield climb_end + 1, s - 1, "hold", None, held
 
@@ -635,9 +628,6 @@ class OscLogPhi(PhiSpec):
                 break
         _check_crossing_cap(n_lo, n, digit_cap)
         return n
-
-    def boundary_anchor(self, n: int) -> Optional[bignum.Anchor]:
-        return self._anchors.get(n + 1) or self._anchors.get(n)
 
     def first_witness_candidate(self, target: ExtReal, min_n: int, *,
                                 threshold: Optional[float] = None,

@@ -16,8 +16,8 @@ from the one before, and the index ladders that cases iii, v and vi climb
 are generators too, pulled one rung per term.  Only `_truncated` knows the
 requested count: it stops there, and when a cap interrupts generation it
 keeps the terms found so far if there are at least two.  Every
-position is computed through exact big-integer ceilings/floors of float
-exponents, so regenerating a plan is deterministic.
+position is a `bignum` grid value M 2^s, M < 2^64, on a stated side of
+its value, so regenerating a plan is deterministic.
 """
 from __future__ import annotations
 
@@ -199,86 +199,67 @@ def _floor_sqrt(x: float) -> int:
     return math.isqrt(math.floor(x))
 
 
-def _witness(phi: PhiSpec, target, start, *, tol: float, threshold: float,
-             shift: int = 0):
-    """The witness search from start = (min_n, the `bignum.Anchor` of the
-    x that built min_n = ceil(e^x)), as a rung (w, near): the ratio
-    witness w for target (find_ratio_witness reads tol for a finite
-    target and threshold for an infinite one) with that anchor when w is
-    min_n, and else with the anchor of a profile boundary at w or w + 1,
-    if any."""
-    min_n, anchor = start
-    w = find_ratio_witness(phi, target, min_n, tol=tol, threshold=threshold,
-                           eval_shift=shift)
-    return w, anchor if w == min_n else phi.boundary_anchor(w)
-
-
-def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int, A):
-    """Check the profile now, then return the endless ladder from
-    n_1 = max(3, p + 1), geometric for C > 1 and square for C = 1.  Its
-    phases alternate a witness near gamma (ratio read at w) and one near
-    delta (read at w + 1), each ending its phase.  It yields (n, near):
-    near is the `bignum.Anchor` of the exponent n was built from, for
-    `bignum.power_log_ceil(n, A)` (None for n_1 and for a witness other
-    than its phase's min_n).  Case v's classification gives C = B/A >= 1
-    and delta > 0."""
+def _log_rungs(phi: PhiSpec, C, gamma, delta, *, p: int, digit_cap: int):
+    """Check the profile now, then return the endless ladder of indices
+    from n_1 = max(3, p + 1), geometric for C > 1 and square for C = 1.
+    Its phases alternate a witness near gamma (ratio read at w) and one
+    near delta (read at w + 1), each ending its phase.  Case v's
+    classification gives C = B/A >= 1 and delta > 0."""
     C = Fraction(C)
     gamma, delta = ExtReal(gamma), ExtReal(delta)
     check_nondecreasing(phi)
     n1 = max(3, p + 1)
     if C == 1:
-        return _square_rungs(phi, gamma, delta, n1, digit_cap, A)
-    return _geometric_rungs(phi, C, gamma, delta, n1, digit_cap, A)
+        return _square_rungs(phi, gamma, delta, n1, digit_cap)
+    return _geometric_rungs(phi, C, gamma, delta, n1, digit_cap)
 
 
 def _geometric_rungs(phi, C: Fraction, gamma: ExtReal, delta: ExtReal,
-                     n1: int, digit_cap: int, A):
+                     n1: int, digit_cap: int):
     """C > 1: each phase of cycle c searches its witness from log n = C^c
     times the last witness's log n and spreads d >= c rungs geometrically
     in log n up to it."""
     lnC = math.log(C)
     last = math.log(n1)
-    yield n1, None
+    yield n1
     for cycle in itertools.count(1):
         tol = 1 / cycle
         for extreme, shift in ((gamma, 0), (delta, 1)):
-            start = bignum.exp_ceil_anchor(float(C ** cycle) * last, A,
-                                           digit_cap)
-            w, near = _witness(phi, extreme, start, tol=tol,
-                               threshold=float(cycle), shift=shift)
+            start = bignum.exp_ceil(float(C ** cycle) * last, digit_cap)
+            w = find_ratio_witness(phi, extreme, start, tol=tol,
+                                   threshold=float(cycle), eval_shift=shift)
             ll_w = math.log(w)
             gap = math.log(ll_w) - math.log(last)
             d = max(int(gap // lnC), cycle)
             step = gap / d
             for j in range(1, d):
-                yield bignum.exp_ceil_anchor(last * math.exp(step * j), A,
-                                             digit_cap)
-            yield w, near
+                yield bignum.exp_ceil(last * math.exp(step * j), digit_cap)
+            yield w
             last = ll_w
             tol = 1 / (cycle + d)   # the lower phase's, after the upper
 
 
 def _square_rungs(phi, gamma: ExtReal, delta: ExtReal, n1: int,
-                  digit_cap: int, A):
+                  digit_cap: int):
     """C = 1 variant: rungs at log n = k^2 for consecutive k, up to the
     next witness, starting from the k with log(n_1) in [k^2, (k+1)^2).
-    Every rung and witness search start is ceil(e^(k^2)) with its anchor,
-    from `bignum.exp_ceil_anchor`, as on the geometric ladder."""
-    yield n1, None
+    Every rung and witness search start is `bignum.exp_ceil(k^2)`, as on
+    the geometric ladder."""
+    yield n1
     k = _floor_sqrt(math.log(n1))
     for extreme, shift in itertools.cycle(((gamma, 0), (delta, 1))):
         x = float((k + 1) ** 2)
-        first = bignum.exp_ceil_anchor(x, A, digit_cap)
-        w, near = _witness(phi, extreme, first, tol=1 / k,
-                           threshold=float(k), shift=shift)
-        # w >= ceil(e^x) makes log(w) >= x exact; clamp away
+        first = bignum.exp_ceil(x, digit_cap)
+        w = find_ratio_witness(phi, extreme, first, tol=1 / k,
+                               threshold=float(k), eval_shift=shift)
+        # w >= exp_ceil(x) >= e^x makes log(w) >= x exact; clamp away
         # float-conversion dust so the sqrt index always advances
         s = _floor_sqrt(max(math.log(w), x))
         for j in range(1, s - k):
             # the first rung is the search's min_n
-            yield first if j == 1 else bignum.exp_ceil_anchor(
-                float((k + j) ** 2), A, digit_cap)
-        yield w, near
+            yield first if j == 1 else bignum.exp_ceil(float((k + j) ** 2),
+                                                       digit_cap)
+        yield w
         k = s
 
 
@@ -364,8 +345,8 @@ def _gen_case_i(phi, cls, p, digit_cap):
 
 def _check_ell_floor(phi: PhiSpec, alpha: float, min_ln: float,
                      digit_cap: int) -> None:
-    """CapacityError when even the least ell = ceil(e^(alpha phi(n))) of
-    a candidate n >= ceil(e^min_ln) passes digit_cap digits."""
+    """CapacityError when even the least ell = exp_ceil(alpha phi(n)) of
+    a candidate n >= exp_ceil(min_ln) passes digit_cap digits."""
     try:
         f_lo = phi.at_log(math.nextafter(min_ln, 0.0))
     except OverflowError:
@@ -378,8 +359,8 @@ def _check_ell_floor(phi: PhiSpec, alpha: float, min_ln: float,
 def _gen_case_ii(phi, cls, p, digit_cap):
     alpha, gamma = cls.alpha, cls.gamma
     gf = None if gamma.is_inf else float(gamma)
-    # the power of ell = ceil(n^A ln n); an infinite gamma with alpha > 0
-    # takes ell = ceil(e^(alpha phi(n))) instead
+    # the power of ell = power_log_ceil(n, A); an infinite gamma with
+    # alpha > 0 takes ell = exp_ceil(alpha phi(n)) instead
     A = 1 if alpha.is_zero or gamma.is_inf else (alpha * gamma).fraction
     # that ell's exponent is at least alpha phi at the double below min_ln,
     # which a candidate's math.log reaches, when phi is nondecreasing
@@ -395,9 +376,9 @@ def _gen_case_ii(phi, cls, p, digit_cap):
         for _attempt in range(64):
             if cap_first:
                 _check_ell_floor(phi, float(alpha), min_ln, digit_cap)
-            start = bignum.exp_ceil_anchor(min_ln, A, digit_cap)
-            cand, near = _witness(phi, gamma, start, tol=1.0 / i,
-                                  threshold=max(float(i), prev_ratio))
+            start = bignum.exp_ceil(min_ln, digit_cap)
+            cand = find_ratio_witness(phi, gamma, start, tol=1.0 / i,
+                                      threshold=max(float(i), prev_ratio))
             ln_c = math.log(cand)
             f_c = phi.value(cand)
             if (f_c > i * t and ln_c > i * t
@@ -408,12 +389,11 @@ def _gen_case_ii(phi, cls, p, digit_cap):
             raise SearchCapError(
                 "could not satisfy the growth conditions for this regime")
         if alpha.is_zero:
-            ell = bignum.nlogn_ceil(cand, near=near)
+            ell = bignum.nlogn_ceil(cand)
         elif gamma.is_inf:
             ell = bignum.exp_ceil(float(alpha) * f_c, digit_cap=digit_cap)
         else:
-            ell = bignum.power_log_ceil(cand, A, digit_cap=digit_cap,
-                                        near=near)
+            ell = bignum.power_log_ceil(cand, A, digit_cap=digit_cap)
         yield cand, ell
         prev_ratio = f_c / ln_c
         n_prev = cand
@@ -444,18 +424,16 @@ def _gen_case_iv(phi, cls, p, digit_cap):
     n_prev = max(2, p)
     while True:
         t = phi.value(n_prev + 1)
-        n, anchor = bignum.exp_ceil_anchor(b * t, 1, digit_cap)
-        near = anchor if n > n_prev else None
-        n_prev = max(n, n_prev + 1)
-        yield n_prev, bignum.nlogn_ceil(n_prev, near=near)
+        n_prev = max(bignum.exp_ceil(b * t, digit_cap), n_prev + 1)
+        yield n_prev, bignum.nlogn_ceil(n_prev)
 
 
 @_truncated
 def _gen_case_v(phi, cls, p, digit_cap):
     A = cls.A.fraction
-    for n, near in _log_rungs(phi, cls.C.fraction, cls.gamma, cls.delta,
-                              p=p, digit_cap=digit_cap, A=A):
-        yield n, bignum.power_log_ceil(n, A, digit_cap=digit_cap, near=near)
+    for n in _log_rungs(phi, cls.C.fraction, cls.gamma, cls.delta,
+                        p=p, digit_cap=digit_cap):
+        yield n, bignum.power_log_ceil(n, A, digit_cap=digit_cap)
 
 
 @_truncated

@@ -161,26 +161,3 @@ def random_word(rng: random.Random, m: int, length: int) -> Word:
 def rng():
     return random.Random(0xC0FFEE)
 
-
-def table_ladder(rows):
-    """The entries for d = 1, 2, 4, 8 of every row of a table of powers of
-    e: e^(2^j) for each j the rows cover, from the lowest up."""
-    return [row[(1 << k) - 1] for row in rows for k in range(4)]
-
-
-def per_bit_table_product(n, rows, w, wp, f=0):
-    """(man, exp, err) as bignum._table_product gives them, taken the slow
-    way: one product per set bit of n, of the ladder e^(2^j) read from the
-    rows, each entry cut to wp bits and each product truncated to wp bits;
-    err is the bound 2^(top+6) + 8f, top the top bit of n >> f."""
-    ladder = table_ladder(rows)
-    drop = w - wp
-    man, exp = 1, 0
-    for j in range(n.bit_length()):
-        if n >> j & 1:
-            m, x = ladder[j]
-            man *= m >> drop
-            cut = man.bit_length() - wp
-            man >>= cut
-            exp += x + drop + cut
-    return man, exp, (1 << ((n >> f).bit_length() + 5)) + 8 * f

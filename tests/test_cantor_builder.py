@@ -143,6 +143,22 @@ def test_plan_accessors_and_json_roundtrip():
     assert InsertionPlan.from_json_dict(data) == big
 
 
+@pytest.mark.parametrize("text", ["1_000", " 7\n", "+5", "\u0663"],
+                         ids=["underscore", "whitespace", "plus", "arabic-indic"])
+@pytest.mark.parametrize("key", ["n", "ell"])
+def test_plan_integers_are_read_strictly(text, key):
+    # int() takes each of these strings; a plan file takes only JSON
+    # integers and ASCII decimal digits with an optional leading '-'
+    data = json.loads(hand_plan().to_json())
+    data["terms"][1][key] = text
+    with pytest.raises(PlanValidityError, match="must be an integer"):
+        InsertionPlan.from_json_dict(data)
+    # a leading '-' is read, and the range check refuses the value
+    data["terms"][1][key] = "-8"
+    with pytest.raises(PlanValidityError, match="positive"):
+        InsertionPlan.from_json_dict(data)
+
+
 def test_plan_construction_validation():
     with pytest.raises(PlanValidityError):
         InsertionPlan(1, 2, ((4, 64),))  # p too small

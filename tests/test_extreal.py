@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,3 +135,69 @@ def test_a_negative_or_uncertifiable_constant_is_refused():
     assert isinstance(zero, Const)
     with pytest.raises(GuardError, match="exact cancellation"):
         csign(zero)
+
+
+def test_intervals_never_touch_mpmaths_shared_precision(monkeypatch):
+    # a spy on the interval context's prec property records every
+    # assignment to mpmath's shared `iv`; the classifier's intervals run
+    # on contexts of their own
+    import mpmath
+
+    from recurrencelab import parse_phi
+    cls = type(mpmath.iv)
+    real = cls.prec
+    shared = []
+
+    def set_prec(ctx, value):
+        if ctx is mpmath.iv:
+            shared.append(value)
+        real.fset(ctx, value)
+
+    monkeypatch.setattr(cls, "prec", property(real.fget, set_prec))
+    before = mpmath.iv.prec
+    gd = parse_phi("log(3)*log(n)").gamma_delta()
+    assert gd.gamma == gd.delta and gd.gamma.is_irrational
+    assert csign(cadd(clog(Fraction(3)), Fraction(-1))) == 1
+    assert float(gd.gamma) == math.log(3)
+    assert shared == [] and mpmath.iv.prec == before
+
+
+def test_threads_classify_as_one_thread_does():
+    # four threads certify signs at once, each at precisions of its own,
+    # and every one reads what a serial run reads
+    import threading
+
+    import mpmath
+
+    from recurrencelab import parse_phi
+    consts = [clog(Fraction(k)) for k in (3, 5, 7, 10)]
+    # rationals near each constant make the sign escalate to 128 bits
+    cases = [(c, -Fraction(k, 7)) for k in range(4, 20) for c in consts]
+    cases += [(clog(Fraction(k)), -Fraction(math.log(k)))
+              for k in (3, 5, 7, 10)]
+    serial = [csign(cadd(c, q)) for c, q in cases]
+    profiles = ["log(3)*log(n)", "log(5)*log(n)+n", "log(7)*log(n)^2"]
+    serial_gd = [str(parse_phi(p).gamma_delta().gamma) for p in profiles]
+    before = mpmath.iv.prec
+    got = [None] * 4
+    got_gd = [None] * 4
+    start = threading.Barrier(4)
+
+    def run(k):
+        start.wait(timeout=60)
+        got[k] = [csign(cadd(c, q)) for c, q in cases]
+        got_gd[k] = [str(parse_phi(p).gamma_delta().gamma) for p in profiles]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial] * 4 and got_gd == [serial_gd] * 4
+    assert mpmath.iv.prec == before

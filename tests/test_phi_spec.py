@@ -617,10 +617,11 @@ def test_osc_log_targets_equal_as_doubles():
     for climb, low in zip(o._segments[1::2], o._segments[2::2]):
         assert low[0] == climb[1] + 1
         assert o.value(climb[1]) <= o.value(low[0])
-    # some boundaries are the guard's (no anchor), others the ceiling's
-    starts = [low[0] for low in o._segments[2::2]]
-    assert any(s not in o._anchors for s in starts)
-    assert any(s in o._anchors for s in starts)
+    # some boundaries are the guard's, others exp_ceil's
+    by_ceiling = [bignum.exp_ceil(o._gf * math.log(climb[1]) / o._df)
+                  == low[0]
+                  for climb, low in zip(o._segments[1::2], o._segments[2::2])]
+    assert any(by_ceiling) and not all(by_ceiling)
 
 
 def test_a_boundary_past_the_segment_cap_raises_at_every_lookup():
@@ -684,15 +685,15 @@ def test_a_plan_closes_no_cycle_past_the_last_one_a_lookup_reached(
     # but not past its climb, so its closing boundary, an integer of about
     # 10 000 digits, is never computed
     phi = OscLogPhi("4/5", "6/5")
-    closed, reached, real = [], [], bignum.exp_ceil_anchor
+    closed, reached, real = [], [], bignum.exp_ceil
 
     def spy(*args, **kwargs):
-        value, anchor = real(*args, **kwargs)
+        value = real(*args, **kwargs)
         if sys._getframe(1).f_globals["__name__"] == phi_spec.__name__:
             closed.append(value)
-        return value, anchor
+        return value
 
-    monkeypatch.setattr(bignum, "exp_ceil_anchor", spy)
+    monkeypatch.setattr(bignum, "exp_ceil", spy)
     for name in ("segment_for",):
         def lookup(*args, real_lookup=getattr(phi, name), **kwargs):
             seg = real_lookup(*args, **kwargs)

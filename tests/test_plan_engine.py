@@ -262,9 +262,13 @@ def test_case_ii_checks_the_ell_cap_before_the_candidate(monkeypatch):
     # log(n)^2 1/inf: the third ell = ceil(e^phi(n)) would have about
     # 6*10^7 digits, which phi at the double below min_ln already shows,
     # so the candidates of 3 433 and 5 134 digits are never computed
-    runs, real = [], bignum._exp
-    monkeypatch.setattr(bignum, "_exp",
-                        lambda terms, dps: runs.append(dps) or real(terms, dps))
+    runs, real = [], bignum.exp_int
+
+    def spy(log_value, *args, **kwargs):
+        runs.append(bignum.digits_of_exp(math.fsum(bignum._terms(log_value))))
+        return real(log_value, *args, **kwargs)
+
+    monkeypatch.setattr(bignum, "exp_int", spy)
     plan = plan_full_dimension(parse_phi("log(n)^2"), 1, INF, count=4)
     assert [len(str(v)) for term in plan.terms for v in term] == [2, 8, 23,
                                                                   1135]
@@ -281,11 +285,24 @@ def test_case_ii_checks_the_ell_cap_before_the_candidate(monkeypatch):
 
 def _log_ladder(phi, C, gamma, delta, count, *, p=2,
                 digit_cap=bignum.DEFAULT_DIGIT_CAP):
-    """The first count rungs of `_log_rungs` for A = 1, as the tuples
-    (ns, anchors)."""
-    rungs = _log_rungs(phi, C, gamma, delta, p=p, digit_cap=digit_cap, A=1)
-    ns, nears = zip(*itertools.islice(rungs, count))
-    return ns, nears
+    """The first count rungs of `_log_rungs`, as a tuple."""
+    rungs = _log_rungs(phi, C, gamma, delta, p=p, digit_cap=digit_cap)
+    return tuple(itertools.islice(rungs, count))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """{n: x} for every n = bignum.exp_ceil(x) that plan_engine builds."""
+    exponents, real = {}, bignum.exp_ceil
+
+    def spy(x, *args, **kwargs):
+        n = real(x, *args, **kwargs)
+        if sys._getframe(1).f_globals["__name__"] == plan_engine.__name__:
+            exponents[n] = x
+        return n
+
+    monkeypatch.setattr(bignum, "exp_ceil", spy)
+    return exponents
 
 
 class Search(NamedTuple):
@@ -313,16 +330,14 @@ def searches(monkeypatch):
     return calls
 
 
-def _assert_phases(phi, gamma, delta, ns, nears, calls, geometric):
+def _assert_phases(phi, gamma, delta, ns, calls, geometric, built=None):
     """The searches alternate an upper witness (ratio read at w) and a
     lower one (read at w + 1), each reaching its side of the ratio within
     its tolerance or above its threshold.  Each witness ends its phase, in
-    order, carrying an anchor only when it is the search's min_n or sits
-    at (or one below) a boundary the profile built from its exponent; a
-    geometric phase of cycle c holds at least c rungs.  Only the last
-    search's phase may be cut by the count."""
+    order; a geometric phase of cycle c holds at least c rungs.  Only the
+    last search's phase may be cut by the count.  With `built`, every rung
+    inside a phase is an exp_ceil the ladder built."""
     assert all(a < b for a, b in zip(ns, ns[1:]))
-    assert nears[0] is None
     ends = []
     for j, c in enumerate(calls):
         upper = j % 2 == 0
@@ -337,34 +352,31 @@ def _assert_phases(phi, gamma, delta, ns, nears, calls, geometric):
             cycle = j // 2 + 1
             assert c.threshold == cycle and c.tol <= 1 / cycle, j
         if c.w in ns:
-            e = ns.index(c.w)
-            assert (nears[e] is not None) == (
-                c.w == c.min_n or phi.boundary_anchor(c.w) is not None), j
-            ends.append(e)
+            ends.append(ns.index(c.w))
     assert calls and all(c.w in ns for c in calls[:-1])
     lengths = [b - a for a, b in zip([0, *ends], ends)]
     assert all(d >= 1 for d in lengths), lengths
     if geometric:
         assert all(d >= j // 2 + 1 for j, d in enumerate(lengths)), lengths
-    # every rung inside a phase is built from its exponent
-    assert all(near is not None for i, near in enumerate(nears)
-               if i and i not in ends)
+    if built is not None:
+        assert all(n in built for i, n in enumerate(ns)
+                   if i and i not in ends)
     return lengths
 
 
-def test_log_ladder_geometric_brackets(searches):
+def test_log_ladder_geometric_brackets(searches, built):
     phi = parse_phi("log(n)")  # gamma = delta = 1
     # 13 rungs end on a witness; 11 cut the fifth phase after one rung
     for count in (13, 11):
         searches.clear()
-        ns, nears = _log_ladder(phi, 2, 1, 1, count)
-        lengths = _assert_phases(phi, 1, 1, ns, nears, searches,
-                                 geometric=True)
+        ns = _log_ladder(phi, 2, 1, 1, count)
+        lengths = _assert_phases(phi, 1, 1, ns, searches, geometric=True,
+                                 built=built)
         # a rung's designed log n: the exponent it was built from, or for
         # n_1 and a witness log n itself
         ends = list(itertools.accumulate(lengths))
-        lns = [math.log(n) if i == 0 or i in ends else math.fsum(near.terms)
-               for i, (n, near) in enumerate(zip(ns, nears))]
+        lns = [math.log(n) if i == 0 or i in ends else built[n]
+               for i, n in enumerate(ns)]
         # within each phase of d rungs the designed log ratio lives in
         # [C, C^(1+1/d)); a phase the count cuts before its witness has
         # d above the rungs it has so far and at least its cycle
@@ -386,53 +398,52 @@ def test_log_ladder_geometric_digit_cap():
     with pytest.raises(CapacityError):
         _log_ladder(parse_phi("log(n)"), 2, 1, 1, 30)
     # a raised cap admits more rungs
-    ns, _ = _log_ladder(parse_phi("log(n)"), 2, 1, 1, 15, digit_cap=10 ** 5)
+    ns = _log_ladder(parse_phi("log(n)"), 2, 1, 1, 15, digit_cap=10 ** 5)
     assert len(ns) == 15
 
 
-def test_log_ladder_square_branch(searches):
+def test_log_ladder_square_branch(searches, built):
     phi = parse_phi("log(n)")
-    ns, nears = _log_ladder(phi, 1, 1, 1, 40)
+    ns = _log_ladder(phi, 1, 1, 1, 40)
     for i, n in enumerate(ns, start=1):
         assert i * i <= math.log(n) + 1e-9, (i, n)
         assert math.log(n) < (i + 1) ** 2 + 1e-9, (i, n)
-    _assert_phases(phi, 1, 1, ns, nears, searches, geometric=False)
+    _assert_phases(phi, 1, 1, ns, searches, geometric=False, built=built)
 
 
 def test_log_ladder_square_branch_starts_at_the_rung_of_n1(searches):
     # log(61) lies in [2^2, 3^2): the ladder goes on from log n = 3^2,
     # where it once refused every p >= 54
     phi = parse_phi("log(n)")
-    ns, nears = _log_ladder(phi, 1, 1, 1, 10, p=60)
+    ns = _log_ladder(phi, 1, 1, 1, 10, p=60)
     assert ns[:2] == (61, math.ceil(math.exp(9)))
     assert searches[0].min_n == ns[1]
-    _assert_phases(phi, 1, 1, ns, nears, searches, geometric=False)
+    _assert_phases(phi, 1, 1, ns, searches, geometric=False)
 
 
 def test_log_ladder_phase_records(searches):
     # the searches the spy records are the ladder's phases: one witness
     # ends each, upper and lower in turn, after at least cycle rungs
     phi = parse_phi("log(n)")
-    ns, nears = _log_ladder(phi, 2, 1, 1, 12)
-    lengths = _assert_phases(phi, 1, 1, ns, nears, searches, geometric=True)
+    ns = _log_ladder(phi, 2, 1, 1, 12)
+    lengths = _assert_phases(phi, 1, 1, ns, searches, geometric=True)
     assert len(searches) >= 2 and sum(lengths) <= len(ns) - 1
 
 
-def test_log_ladder_osc_alternates_sides(searches):
+def test_log_ladder_osc_alternates_sides(searches, built):
     o = OscLogPhi(Fraction(4, 5), Fraction(6, 5))
-    ns, nears = _log_ladder(o, 1, Fraction(6, 5), Fraction(4, 5), 16)
-    lengths = _assert_phases(o, Fraction(6, 5), Fraction(4, 5), ns, nears,
-                             searches, geometric=False)
+    ns = _log_ladder(o, 1, Fraction(6, 5), Fraction(4, 5), 16)
+    lengths = _assert_phases(o, Fraction(6, 5), Fraction(4, 5), ns,
+                             searches, geometric=False, built=built)
     # the square ladder's phases run several rungs here
     assert len(lengths) >= 2 and max(lengths) > 1
 
 
-def test_log_ladder_osc_geometric_alternates_sides(searches):
+def test_log_ladder_osc_geometric_alternates_sides(searches, built):
     o = OscLogPhi(Fraction(4, 5), Fraction(6, 5))
-    ns, nears = _log_ladder(o, Fraction(3, 2), Fraction(6, 5),
-                            Fraction(4, 5), 16)
-    lengths = _assert_phases(o, Fraction(6, 5), Fraction(4, 5), ns, nears,
-                             searches, geometric=True)
+    ns = _log_ladder(o, Fraction(3, 2), Fraction(6, 5), Fraction(4, 5), 16)
+    lengths = _assert_phases(o, Fraction(6, 5), Fraction(4, 5), ns,
+                             searches, geometric=True, built=built)
     assert len(lengths) >= 2 and max(lengths) > 1
 
 
@@ -447,13 +458,13 @@ def test_log_ladder_is_a_prefix_of_a_longer_count(searches, spec, C, gamma,
     for count in range(2, 14):
         searches.clear()
         short = _log_ladder(phi, C, gamma, delta, count)
-        short_ends = [c.w for c in searches if c.w in short[0]]
+        short_ends = [c.w for c in searches if c.w in short]
         searches.clear()
         full = _log_ladder(phi, C, gamma, delta, count + 10)
-        assert short == tuple(col[:count] for col in full)
-        lengths = _assert_phases(phi, gamma, delta, *full, searches,
+        assert short == full[:count]
+        lengths = _assert_phases(phi, gamma, delta, full, searches,
                                  geometric=C != 1)
-        cut_mid_phase |= short[0][-1] not in short_ends
+        cut_mid_phase |= short[-1] not in short_ends
     # log(n)'s unit-ratio phases are one rung each; the others get cut
     assert cut_mid_phase or all(d == 1 for d in lengths)
 
@@ -786,15 +797,16 @@ def _digest(plan):
     return hashlib.sha256(plan.to_json().encode()).hexdigest()
 
 
-# case v with A = 3/2 and 5/4: n^A is an integer root, not mpmath's exp of
-# A ln n; the digests of to_json() are those of the exp route
+# case v with A = 3/2 and 5/4, whose ells take n^A as a root of a power;
+# the digests pin their to_json()
 @pytest.mark.parametrize("spec,alpha,beta,count,digest", [
     ("log(n)", "3/2", "3/2", 60,
-     "fe7996db305218948ea15180f2c7d9c71c7ec2abcd0de1347345d8715cfed231"),
+     "d826af249aba1620f939d0a13c31175333c7087b86356dc9c0ecaf1264b90313"),
     ("2*log(n)", "3/4", "3/4", 30,
-     "afdc8ba1e637cb2eebf2adb31c879f16bae446046fd58d7272a2edcfb8a2e5fd"),
+     "451a569eda37420b62b98196c353aa4d04fc4e5f6f5ff103c74697c4047d354d"),
     ("log(n)", "5/4", "5/4", 60,
-     "d6416d4b79a2a02fd23ffea6b64a833bfe029068df8ac24fc605b31145561e5e")])
+     "3ffd1907965f5a656cf8bec2662f051a2fa63530bddb2c13091eef8deacd61bc")],
+    ids=["log(n)-3/2-3/2-60", "2*log(n)-3/4-3/4-30", "log(n)-5/4-5/4-60"])
 def test_plans_with_a_rational_exponent_keep_their_terms(spec, alpha, beta,
                                                          count, digest):
     plan = plan_full_dimension(parse_phi(spec), ExtReal(alpha),
@@ -808,9 +820,10 @@ def test_plans_with_a_rational_exponent_keep_their_terms(spec, alpha, beta,
 # digests pin their to_json(), which no benchmark check reads
 @pytest.mark.parametrize("beta,count,terms,digest", [
     ("3", 12, 10,
-     "35857cdaadca66ea790b1a05c18ad4da38312e4b64081359241cb6d57a3ffd5f"),
+     "c544cc8c3083d2a69502af45025f195b27ab3407b57d31effa757859b9c61c47"),
     ("2", 30, 13,
-     "a8b5edae3558852ae5bb8320a98165a2bcc339f29ded69c55c70052b68f33981")])
+     "8fa163dc7fce6e0401f36f71b7ff9a0a5a2c97e3d1decf177a1be089aeb3750f")],
+    ids=["3-12-10", "2-30-13"])
 def test_geometric_ladder_plans_keep_their_terms(monkeypatch, beta, count,
                                                  terms, digest):
     ladders, real = [], plan_engine._geometric_rungs
@@ -825,28 +838,30 @@ def test_geometric_ladder_plans_keep_their_terms(monkeypatch, beta, count,
 
 # case v on the square ladder (C = 1) at count 200, each stopped by the
 # digit cap but --osc 4/5 6/5: every rung and witness search start is
-# exp_ceil_anchor's ceil(e^(k^2))
+# exp_ceil(k^2)
 @pytest.mark.parametrize("spec,alpha,beta,terms,digest", [
     ("log(n)", "2", "2", 151,
-     "892f7e4f27d6120c7f61518aa66c7bc945bb165dfa9cefacafa9fbae9da8e4ff"),
+     "9a251ea1da868b3493348b732b85aff794f330d690896a4f99d6871586956527"),
     ("log(n)", "3", "3", 123,
-     "f7423959501a90c6443ed59f1b6396faeb0d04f70fcc56c5ad4e7ce68d9490db"),
+     "893f476a3a02b31c03ab558cd85c0120971571666e4c48648719b1842d6e2eec"),
     ("log(n)", "3/2", "3/2", 175,
-     "0518f87cef034c501172e51173a9aeb513f906e0878a67bb50e48e25cb839f00"),
+     "80e16740bb0f557a9cff9f578e01696ac1a6509ce7dbe527baf1f8696d7e18e8"),
     ("log(n)", "5/4", "5/4", 191,
-     "4ef49f36879b454f58849fedd3900e9b958ed193f39dd946822649c129884a4e"),
+     "035209298500675d9b3e3d1707105f1b18bc57ec4bb849b8ea36c475145903c7"),
     ("osc 4/5 6/5", "5/6", "5/4", 200,
-     "cefabaa4e0ee080889360936886c5829b06edb612833d147ddceedbcebba96d6")])
+     "b7735da3a7c463bd2e34f289c45a2a9bb7945c3a375f21f3b0249a98ec634865")],
+    ids=["log(n)-2-2-151", "log(n)-3-3-123", "log(n)-3/2-3/2-175",
+         "log(n)-5/4-5/4-191", "osc 4/5 6/5-5/6-5/4-200"])
 def test_square_ladder_plans_keep_their_terms(monkeypatch, spec, alpha, beta,
                                               terms, digest):
-    asked, real = [], bignum.exp_ceil_anchor
+    asked, real = [], bignum.exp_ceil
 
-    def spy(x, exponent, digit_cap=bignum.DEFAULT_DIGIT_CAP):
+    def spy(x, digit_cap=bignum.DEFAULT_DIGIT_CAP):
         if sys._getframe(1).f_code is plan_engine._square_rungs.__code__:
-            asked.append((x, exponent, digit_cap))
-        return real(x, exponent, digit_cap)
+            asked.append((x, digit_cap))
+        return real(x, digit_cap)
 
-    monkeypatch.setattr(bignum, "exp_ceil_anchor", spy)
+    monkeypatch.setattr(bignum, "exp_ceil", spy)
     phi = (OscLogPhi(*spec.split()[1:]) if spec.startswith("osc ")
            else parse_phi(spec))
     plan = plan_full_dimension(phi, ExtReal(alpha), ExtReal(beta), count=200)
@@ -854,14 +869,36 @@ def test_square_ladder_plans_keep_their_terms(monkeypatch, spec, alpha, beta,
     assert _digest(plan) == digest
     # k goes up by one, and by two past the index of a witness, which the
     # ladder takes from its search instead
-    gamma = Fraction(spec.split()[2]) if spec.startswith("osc ") else 1
-    ks = [math.isqrt(int(x)) for x, _, _ in asked]
-    assert asked == [(float(k * k), Fraction(alpha) * gamma,
-                      bignum.DEFAULT_DIGIT_CAP) for k in ks]
+    ks = [math.isqrt(int(x)) for x, _ in asked]
+    assert asked == [(float(k * k), bignum.DEFAULT_DIGIT_CAP) for k in ks]
     steps = [b - a for a, b in zip(ks, ks[1:])]
     assert set(steps) <= {1, 2} and steps.count(1) > steps.count(2)
     witnesses = {_floor_sqrt(math.log(n)) for n, _ in plan.terms}
     assert all(k + 1 in witnesses for k, step in zip(ks, steps) if step == 2)
+
+
+# the benchmark's plan requests whose integers all lie below 2^63, where
+# every position is the exact ceiling or floor of its value: their
+# to_json() bytes are pinned
+@pytest.mark.parametrize("spec,alpha,beta,terms,digest", [
+    ("log(n)", "inf", "inf", 12,
+     "3c1f6c5450c86689788bbcd023efa72f6191d3ee1598ea82c9413ea1fedec506"),
+    ("log(n)^1.5", "1", "2", 12,
+     "6b593e1978e306946ae69c498971b22445be8b5898bcf8475e0abc87d1c2971d"),
+    ("n", "1", "2", 12,
+     "0fd40842e3d213d760c53d4a08ba9e993031462d20f71978ec63f348ddf852e5"),
+    ("osc 1 3", "1", "1", 12,
+     "a5c389b531eb57d7c0e2604b739d146164e4d426db35b78858e6ebb7d1cc6ebf"),
+    ("n^0.5", "0", "inf", 2,
+     "15b67d4ee0d9d488df853261c1fd6193c5a6e0a8ec26938443d260f874437746")],
+    ids=["i", "iii-log^1.5", "iii-n", "vi", "ii"])
+def test_plans_below_2_to_the_63_keep_their_bytes(spec, alpha, beta, terms,
+                                                  digest):
+    plan = plan_full_dimension(_profile(spec), ExtReal(alpha), ExtReal(beta),
+                               count=12)
+    assert len(plan.terms) == terms
+    assert max(max(term) for term in plan.terms) < 1 << 63
+    assert _digest(plan) == digest
 
 
 def test_a_boundary_past_the_segment_cap_that_no_lookup_reaches():
@@ -875,7 +912,7 @@ def test_a_boundary_past_the_segment_cap_that_no_lookup_reaches():
     assert plan.case_tag == "v" and len(plan.terms) == 9
     head = InsertionPlan(plan.p, plan.m, plan.terms[:7], plan.case_tag)
     assert _digest(head) == (
-        "078c484ac86be4dae49326d85956d83a8edd61f8f0fa1385503f56f4e24d39c5")
+        "01a577a2870e31a3f656a6d3c6c98e32b7a03f28e2ba78362608af529b088532")
     assert len(str(plan.terms[-1][1])) > 19_000
     check_plan_conditions(plan)
 
