@@ -215,6 +215,48 @@ def test_nlogn_ceil_matches_mpmath_ln():
         assert_contract(nlogn_ceil(n), mp_power_log(n, 1), True)
 
 
+def mp_hinted_power_log(n, exponent, x):
+    """n^A ln n with ln n taken as x + ln(n e^-x), from a hint x at ln n:
+    the exponent that built n, or any float near ln n."""
+    A = Fraction(exponent)
+    with mpmath.workprec(REF_PREC):
+        X, v = mpmath.mpf(x), mpmath.mpf(n)
+        ln_n = X + mpmath.ln(v / mpmath.exp(X))
+        return mpmath.root(v ** A.numerator, A.denominator) * ln_n
+
+
+def _hinted_inputs(exponent):
+    """(n, x): POWER_LOG_INPUTS with their float log as the hint, right or
+    wrong, and positions exp_ceil(x) with the exponent x that built them.
+    Positions whose n^exponent ln n would near the digit cap are left
+    out."""
+    xs = [float(i * i) for i in range(1, 121, 7)] + [
+        900.0, 1728.5, 2345.678, 3600.0, 4096.25, 9000.125, 14400.0]
+    pairs = [(n, math.log(n)) for n in POWER_LOG_INPUTS]
+    pairs += [(exp_ceil(x), x) for x in xs]
+    return [(n, x) for n, x in pairs
+            if digits_of_exp(float(exponent) * math.log(n))
+            <= DEFAULT_DIGIT_CAP - 100]
+
+
+@pytest.mark.parametrize("exponent", [1, 2, Fraction(3, 2), Fraction(5, 4),
+                                      Fraction(1, 2)],
+                         ids=["1", "2", "3/2", "5/4", "1/2"])
+def test_power_log_ceil_is_the_same_with_a_hint(exponent):
+    # the reference ln n taken from a hint instead of from n alone rounds
+    # to the same grid value
+    for n, x in _hinted_inputs(exponent):
+        assert_contract(power_log_ceil(n, exponent),
+                        mp_hinted_power_log(n, exponent, x), True)
+
+
+def test_nlogn_ceil_is_the_same_with_a_hint():
+    for n, x in _hinted_inputs(1):
+        got = nlogn_ceil(n)
+        assert got == power_log_ceil(n, 1), n
+        assert_contract(got, mp_hinted_power_log(n, 1, x), True)
+
+
 def _big_ints(max_bits):
     """Integers of 64 up to max_bits bits, most of them random."""
     return st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits)
@@ -311,6 +353,33 @@ CONTRACT_EXPONENTS = {
                          ids=CONTRACT_EXPONENTS.keys())
 def test_exp_ceil_and_floor_keep_the_contract(terms):
     assert_exp_contract(terms)
+
+
+# the cut-off between exact integers and 64-bit mantissas: below 2^63
+# exp_ceil and exp_floor are the integers either side of e^X, from 2^63 on
+# the grid values either side, one unit of a 64-bit mantissa apart.  A
+# whole term of 64 puts each exponent shape past it
+CUT_OFF_SIDES = {"below": (), "from": (64.0,)}
+
+
+@pytest.mark.parametrize("side", CUT_OFF_SIDES.values(),
+                         ids=CUT_OFF_SIDES.keys())
+@pytest.mark.parametrize("terms", [(40.0,), (40.0, 2.0 ** -40),
+                                   (41.0 - 2.0 ** -30,), (1.0, 2.0 ** -40),
+                                   (0.75,), (12.5, -30.0), (40.5,)],
+                         ids=["integer", "N+2^-40", "N+1-2^-30", "1+2^-40",
+                              "below-1", "negative", "N+1/2"])
+def test_exp_kernel_on_both_sides_of_the_cut_off(terms, side):
+    terms = (*terms, *side)
+    assert_exp_contract(terms)
+    ceil, floor = exp_ceil(terms), exp_floor(terms)
+    if side:
+        assert floor >= TWO_63
+        assert ceil == floor + (1 << (floor.bit_length() - 64))
+    elif math.fsum(terms) > 0:
+        assert floor + 1 == ceil < TWO_63
+    else:
+        assert (ceil, floor) == (1, 0)
 
 
 def double_double_log(v: int) -> tuple:
