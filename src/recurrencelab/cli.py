@@ -184,9 +184,19 @@ def _word_from_args(args) -> Word:
         with open(args.word_file, "r", encoding="ascii") as fh:
             text = fh.read().strip()
         if text.startswith("{"):
-            # the line `build --prefix` emits: digits, or symbols past m = 10
+            # the line `build --prefix` emits: digits, or symbols past
+            # m = 10, each a JSON integer (not true or false)
             rec = json.loads(text)
-            text = rec.get("digits", rec.get("symbols"))
+            if "digits" in rec:
+                text = rec["digits"]
+                ok = isinstance(text, str)
+            else:
+                text = rec.get("symbols")
+                ok = (isinstance(text, list)
+                      and all(type(s) is int for s in text))
+            if not ok:
+                raise ValueError('a --word-file JSON line needs "digits", a '
+                                 'string, or "symbols", a list of integers')
     else:
         text = args.word
     if not text:

@@ -34,14 +34,15 @@ formula is undefined or nonpositive there.
 
 Plan synthesis asks a profile two questions on the log scale:
 `first_above(t, n_lo, digit_cap)`, the least n > n_lo whose computed
-value exceeds t, and `nondecreasing_by_shape()`.
+value exceeds t, and `nondecreasing_by_shape()`.  The digit cap is one
+rule: `first_above` raises CapacityError when that crossing has more
+than digit_cap digits, or when there is none.
 A PowerLog and the legs of an OscLogPhi are functions of math.log(n), so
 they answer `first_above` from their inverse: the least double y at which
 their value passes t, then the least integer whose math.log reaches y.
-A PowerLog also gives its value at math.log(n) = y (`at_log`).  Every
-other profile (an ExprPhi, a PowerLog that may decrease) takes the base
-class's `first_above`: a doubling search from n_lo + 1 and a bisection,
-each probe `exceeds(n, t)`.
+Every other profile (an ExprPhi, a PowerLog that may decrease) takes the
+base class's `first_above`: a doubling search from n_lo + 1 and a
+bisection, each probe `exceeds(n, t)`.
 """
 from __future__ import annotations
 
@@ -135,9 +136,9 @@ class PhiSpec:
     def first_above(self, t: float, n_lo: int, digit_cap: int) -> int:
         """The least n > n_lo whose computed value exceeds t (`exceeds`),
         for a nondecreasing profile: a doubling search from n_lo + 1 and a
-        bisection.  CapacityError once the doubling passes digit_cap
-        digits; a profile that answers on the log scale raises it where
-        this search would (`_check_doubling_cap`)."""
+        bisection.  CapacityError when that n has more than digit_cap
+        digits, or when there is none: a probe below it past the cap
+        stops the doubling."""
         lo, hi = n_lo, n_lo + 1
         while not self.exceeds(hi, t):
             bignum.check_digit_cap(math.log(hi), digit_cap)
@@ -148,17 +149,12 @@ class PhiSpec:
                 hi = mid
             else:
                 lo = mid
-        return hi
+        return _capped(hi, digit_cap)
 
     def nondecreasing_by_shape(self) -> bool:
         """True when the profile's form makes it nondecreasing; False
         when only a scan can tell."""
         return False
-
-    def at_log(self, y: float) -> Optional[float]:
-        """_raw(n) for every n >= 2 with math.log(n) == y, when the
-        profile is a function of math.log(n) alone; else None."""
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -247,64 +243,39 @@ def _least_int_with_log(y: float) -> int:
     return ((m << k) + below) // 2 + (m & 1)
 
 
-def _check_doubling_cap(n_lo: int, below: Optional[Callable[[int], bool]],
-                        digit_cap: int) -> None:
-    """CapacityError where a doubling search for the crossing past n_lo
-    raises: it probes (n_lo + 1) 2^k for k = 0, 1, ... while a probe lies
-    below the crossing (`below`; None when there is no crossing), and
-    gives up at the first probe that passes digit_cap digits."""
-    base = n_lo + 1
-
-    def past(k):
-        return bignum.digits_of_exp(math.log(base << k)) > digit_cap
-
-    k = max(0, int((digit_cap * bignum.LOG10 - math.log(base))
-                   / bignum.LN2) - 1)
-    while k > 0 and past(k - 1):
-        k -= 1
-    while not past(k):
-        k += 1
-    probe = base << k
-    if below is None or below(probe):
-        bignum.check_digit_cap(math.log(probe), digit_cap)
-
-
-def _check_crossing_cap(n_lo: int, c: int, digit_cap: int) -> None:
-    """`_check_doubling_cap` for the crossing c."""
-    if bignum.digits_of_exp(math.log(c - 1)) > digit_cap:
-        _check_doubling_cap(n_lo, lambda probe: probe < c, digit_cap)
+def _capped(n: int, digit_cap: int) -> int:
+    """n, or CapacityError when it has more than digit_cap digits."""
+    bignum.check_digit_cap(math.log(n), digit_cap)
+    return n
 
 
 def _crossing_on_log(key: Callable[[float], float], t: float, n_lo: int,
-                     y_est: Optional[float], digit_cap: Optional[int]) -> int:
+                     y_est: Optional[float], digit_cap: int) -> int:
     """The least n > n_lo with key(math.log(n)) > t, for a finite t and a
     nondecreasing key, unbounded unless constant, that reads a value past
     float range as inf.  The estimate y_est of the crossing's log steers
-    the search; it is None for a constant key.  CapacityError where a
-    doubling search from n_lo + 1 would raise, so also when key never
-    exceeds t; no check for a digit_cap of None, whose caller bounds the
-    crossing."""
+    the search; it is None for a constant key.  CapacityError when that
+    n has more than digit_cap digits, or when there is none."""
     n = n_lo + 1
     y_lo = math.log(n)
     if key(y_lo) > t:
-        return n
-    if y_est is None:   # never crosses: the doubling gives up, so this raises
-        _check_doubling_cap(n_lo, None, digit_cap)
-    if y_est <= _LOG_EXACT:   # both searches at once, on the integers
-        c = _least(lambda m: key(math.log(m)) > t, n,
-                   math.ceil(math.exp(max(y_est, 0.0))))
-        if digit_cap is not None:
-            _check_crossing_cap(n_lo, c, digit_cap)
-        return c
-    # the least double y past y_lo with key(y) > t, on the doubles' bit
-    # patterns, which are ordered as the doubles are
-    y = _double(_least(lambda b: key(_double(b)) > t, _bits(y_lo),
-                       _bits(y_est), _INF_BITS))
-    if digit_cap is not None and (y == math.inf
-                                  or bignum.digits_of_exp(y) > digit_cap):
-        _check_doubling_cap(n_lo, lambda probe: math.log(probe) < y,
-                            digit_cap)
-    return _least_int_with_log(y)
+        return _capped(n, digit_cap)
+    if y_est is None:   # a constant key never exceeds t
+        y = math.inf
+    elif y_est <= _LOG_EXACT:   # both searches at once, on the integers
+        return _capped(_least(lambda m: key(math.log(m)) > t, n,
+                              math.ceil(math.exp(max(y_est, 0.0)))),
+                       digit_cap)
+    else:
+        # the least double y past y_lo with key(y) > t, on the doubles'
+        # bit patterns, which are ordered as the doubles are
+        y = _double(_least(lambda b: key(_double(b)) > t, _bits(y_lo),
+                           _bits(y_est), _INF_BITS))
+    if y == math.inf:   # no crossing: refused as the least value past the cap
+        y = (digit_cap + 0.5) * bignum.LOG10
+    # checked before the crossing, of any number of digits, is built
+    bignum.check_digit_cap(y, digit_cap)
+    return _capped(_least_int_with_log(y), digit_cap)
 
 
 def _monomial_extremes(n_exp: Fraction, log_exp: Fraction,
@@ -354,9 +325,10 @@ class PowerLog(PhiSpec):
                 float(self.log_exp) if self.log_exp else None)
 
     def _raw(self, n: int) -> float:
-        return self.at_log(math.log(n))
+        return self._at_log(math.log(n))
 
-    def at_log(self, y: float) -> float:
+    def _at_log(self, y: float) -> float:
+        """_raw(n) for every n >= 2 with math.log(n) == y."""
         val, n_exp, log_exp = self._floats or self._float_params()
         if n_exp is not None:
             val *= math.exp(n_exp * y)
@@ -384,9 +356,9 @@ class PowerLog(PhiSpec):
         return n
 
     def _key(self, y: float) -> float:
-        """at_log, a value past float range read as inf."""
+        """_at_log, a value past float range read as inf."""
         try:
-            return self.at_log(y)
+            return self._at_log(y)
         except OverflowError:
             return math.inf
 
@@ -614,20 +586,19 @@ class OscLogPhi(PhiSpec):
 
     def first_above(self, t: float, n_lo: int, digit_cap: int) -> int:
         """Leg by leg from n_lo + 1: a hold leg crosses t at its start when
-        its held value exceeds t, a log leg where mult log n does."""
+        its held value exceeds t, a log leg where mult log n does.  The
+        crossing lies at or past the start of every leg the walk reaches,
+        so a start past the cap ends the walk."""
         if n_lo < 1:
             return super().first_above(t, n_lo, digit_cap)
         for start, end, kind, mult, held in self._legs_from(n_lo + 1):
+            _capped(start, digit_cap)
             if kind == "hold":
                 if held > t:
-                    n = start
-                    break
+                    return start
             elif mult * math.log(end) > t:
-                n = _crossing_on_log(lambda y: mult * y, t, start - 1,
-                                     t / mult, None)
-                break
-        _check_crossing_cap(n_lo, n, digit_cap)
-        return n
+                return _crossing_on_log(lambda y: mult * y, t, start - 1,
+                                        t / mult, digit_cap)
 
     def first_witness_candidate(self, target: ExtReal, min_n: int, *,
                                 threshold: Optional[float] = None,

@@ -343,18 +343,6 @@ def _gen_case_i(phi, cls, p, digit_cap):
         prev_n, prev_l = i, ell
 
 
-def _check_ell_floor(phi: PhiSpec, alpha: float, min_ln: float,
-                     digit_cap: int) -> None:
-    """CapacityError when even the least ell = exp_ceil(alpha phi(n)) of
-    a candidate n >= exp_ceil(min_ln) passes digit_cap digits."""
-    try:
-        f_lo = phi.at_log(math.nextafter(min_ln, 0.0))
-    except OverflowError:
-        return   # the candidate's own value raises
-    if f_lo is not None:
-        bignum.check_digit_cap(alpha * f_lo, digit_cap)
-
-
 @_truncated
 def _gen_case_ii(phi, cls, p, digit_cap):
     alpha, gamma = cls.alpha, cls.gamma
@@ -362,10 +350,6 @@ def _gen_case_ii(phi, cls, p, digit_cap):
     # the power of ell = power_log_ceil(n, A); an infinite gamma with
     # alpha > 0 takes ell = exp_ceil(alpha phi(n)) instead
     A = 1 if alpha.is_zero or gamma.is_inf else (alpha * gamma).fraction
-    # that ell's exponent is at least alpha phi at the double below min_ln,
-    # which a candidate's math.log reaches, when phi is nondecreasing
-    cap_first = (gamma.is_inf and not alpha.is_zero
-                 and phi.nondecreasing_by_shape())
     n_prev = max(2, p)
     prev_ratio = 0.0
     for i in itertools.count(1):
@@ -374,8 +358,6 @@ def _gen_case_ii(phi, cls, p, digit_cap):
         if gf is not None:
             min_ln = max(min_ln, 1.01 * i * t / gf)
         for _attempt in range(64):
-            if cap_first:
-                _check_ell_floor(phi, float(alpha), min_ln, digit_cap)
             start = bignum.exp_ceil(min_ln, digit_cap)
             cand = find_ratio_witness(phi, gamma, start, tol=1.0 / i,
                                       threshold=max(float(i), prev_ratio))

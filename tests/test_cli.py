@@ -440,6 +440,41 @@ def test_a_digits_prefix_line_reads_as_its_digits(tmp_path, capsys):
     assert code == 0 and (code, out) == want[:2]
 
 
+WORD_LINE_COMMANDS = {
+    "return-times": ["return-times", "--m", "2"],
+    "rates": ["rates", "--m", "2"],
+    "witnesses": ["witnesses", "--m", "2", "--alpha", "1", "--eps", "0"]}
+
+
+@pytest.mark.parametrize("line", [
+    {"digits": 5}, {"digits": ["0", "1"]}, {"symbols": [0, 1, True]},
+    {"symbols": [0, 1.0]}, {"symbols": "0110"}, {"n": 4}],
+    ids=["digits-int", "digits-list", "symbols-bool", "symbols-float",
+         "symbols-string", "no-word"])
+@pytest.mark.parametrize("command", sorted(WORD_LINE_COMMANDS))
+def test_a_word_line_of_the_wrong_type_is_exit_1(tmp_path, capsys, command,
+                                                 line):
+    # digits must be a string and symbols a list of JSON integers: one
+    # error line, nothing on stdout
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps(line))
+    code, out, err = run(capsys, *WORD_LINE_COMMANDS[command],
+                         "--word-file", str(word_file))
+    assert (code, out) == (1, "")
+    assert err == ('error: a --word-file JSON line needs "digits", a string, '
+                   'or "symbols", a list of integers\n')
+
+
+@pytest.mark.parametrize("command", sorted(WORD_LINE_COMMANDS))
+def test_a_symbols_word_line_reads_as_its_symbols(tmp_path, capsys, command):
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps({"n": 16, "symbols": [0, 1, 1, 0] * 4}))
+    argv = WORD_LINE_COMMANDS[command]
+    code, out, _ = run(capsys, *argv, "--word-file", str(word_file))
+    assert code == 0 and out
+    assert (code, out) == run(capsys, *argv, "--word", "0110" * 4)[:2]
+
+
 def test_rates_from_word(capsys):
     code, out, _ = run(capsys, "rates", "--word", "01" * 64, "--m", "2",
                        "--max-n", "12")

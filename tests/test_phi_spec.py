@@ -836,7 +836,7 @@ def failing_profiles():
 
 @pytest.mark.parametrize("phi,horizon,extremes", failing_profiles(),
                          ids=["logloglog", "overflow", "zero-power",
-                              "table-zero", "table-short"])
+                              "log-reaches-zero", "root-of-a-negative"])
 def test_a_failing_block_raises_what_the_loop_does(phi, horizon, extremes):
     """Where the loop fails for every large n, the extremes raise its
     PhiDomainError; where it fails only at small n or past float range,

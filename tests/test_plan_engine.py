@@ -258,27 +258,15 @@ def test_slow_rate_plans_with_witnesses_past_the_cap(text, alpha, count):
     check_plan_conditions(plan)
 
 
-def test_case_ii_checks_the_ell_cap_before_the_candidate(monkeypatch):
+def test_case_ii_on_log_squared_keeps_its_two_terms():
     # log(n)^2 1/inf: the third ell = ceil(e^phi(n)) would have about
-    # 6*10^7 digits, which phi at the double below min_ln already shows,
-    # so the candidates of 3 433 and 5 134 digits are never computed
-    runs, real = [], bignum.exp_int
-
-    def spy(log_value, *args, **kwargs):
-        runs.append(bignum.digits_of_exp(math.fsum(bignum._terms(log_value))))
-        return real(log_value, *args, **kwargs)
-
-    monkeypatch.setattr(bignum, "exp_int", spy)
+    # 6*10^7 digits, which exp_ceil's own cap check refuses, so the plan
+    # keeps the first two terms; the digest pins its to_json()
     plan = plan_full_dimension(parse_phi("log(n)^2"), 1, INF, count=4)
     assert [len(str(v)) for term in plan.terms for v in term] == [2, 8, 23,
                                                                   1135]
-    assert max(runs) < 2000
-    # a profile that is not nondecreasing by its shape still computes them
-    monkeypatch.setattr(phi_spec.PowerLog, "nondecreasing_by_shape",
-                        lambda self: False)
-    runs.clear()
-    again = plan_full_dimension(parse_phi("log(n)^2"), 1, INF, count=4)
-    assert again == plan and max(runs) >= 5134
+    assert _digest(plan) == (
+        "3a006310a44c99da4d47d40ecce2703f5a798a325c3fbaa5ee6ccc66ad0972d0")
 
 
 # -------------------------------------------------------------- ladder 1 ---
@@ -701,12 +689,12 @@ CROSSING_STARTS = [2, 3, 10, 1000, 10 ** 6, 2 ** 52 - 2, 2 ** 53 - 3,
                    10 ** 309, 10 ** 400]
 
 
-def _oracle_crossing(phi, n_lo, t, digit_cap):
-    """The doubling search and bisection, or the CapacityError it raises."""
+def _crossing_or_refusal(first_above, phi, n_lo, t, digit_cap):
+    """first_above's crossing, or CapacityError where it raises that."""
     try:
-        return PhiSpec.first_above(phi, t, n_lo, digit_cap)
-    except CapacityError as exc:
-        return str(exc)
+        return first_above(phi, t, n_lo, digit_cap)
+    except CapacityError:
+        return CapacityError
 
 
 def _crossing_targets(phi, n_lo, rng):
@@ -729,8 +717,8 @@ def _crossing_targets(phi, n_lo, rng):
 def test_first_above_is_the_searched_crossing(spec):
     # a PowerLog and an OscLogPhi answer the crossing on the log scale;
     # the doubling search and bisection that an ExprPhi keeps is the
-    # oracle, for the crossing and for the CapacityError it raises at
-    # the digit cap (default, and a few digits past the start)
+    # oracle, for the crossing and for the refusal at the digit cap
+    # (default, and a few digits past the start)
     rng = random.Random(spec)
     phi = _profile(spec)
     starts = CROSSING_STARTS + [rng.randrange(2, 10 ** rng.randrange(2, 401))
@@ -739,25 +727,40 @@ def test_first_above_is_the_searched_crossing(spec):
         digits = len(str(n_lo))
         for t in _crossing_targets(phi, n_lo, rng):
             for cap in (bignum.DEFAULT_DIGIT_CAP, digits + 1, digits + 4):
-                want = _oracle_crossing(phi, n_lo, t, cap)
-                try:
-                    got = phi.first_above(t, n_lo, cap)
-                except CapacityError as exc:
-                    got = str(exc)
+                want = _crossing_or_refusal(PhiSpec.first_above, phi, n_lo,
+                                            t, cap)
+                got = _crossing_or_refusal(type(phi).first_above, phi, n_lo,
+                                           t, cap)
                 assert got == want, (spec, n_lo, t, cap)
 
 
-def test_first_above_raises_where_the_doubling_passes_the_cap():
-    # phi = 2 never crosses 3: both give up at the first probe past the
-    # cap; log(n)^3 crosses 10^9 + 1 near e^1000, past a 30-digit cap
-    for spec, n_lo, t in (("2", 3, 3.0), ("log(n)^3", 5, 1e9 + 1)):
-        phi = parse_phi(spec)
-        with pytest.raises(CapacityError) as exc:
-            phi.first_above(t, n_lo, 30)
-        assert str(exc.value) == _oracle_crossing(phi, n_lo, t, 30)
-    # an ExprPhi's crossing is the search's
-    phi = parse_phi("log(n)+log(log(n))")
-    assert phi.first_above(3.0, 5, 30) == _oracle_crossing(phi, 5, 3.0, 30)
+@pytest.mark.parametrize("spec", ["log(n)^3", "2*n^2", "log(n)+log(log(n))",
+                                  "log(n)^2+log(n)", "osc 1 3", "osc 1 inf"])
+def test_first_above_refuses_a_crossing_by_its_own_digits(spec):
+    # the one cap rule, for a PowerLog, an ExprPhi and an OscLogPhi, on
+    # the log scale and in the default search: CapacityError exactly when
+    # the crossing (found under a cap it never meets) has more than
+    # digit_cap digits, as check_digit_cap counts them
+    rng = random.Random(spec)
+    phi = _profile(spec)
+    for n_lo in (5, 1000, 10 ** 17 + 3, rng.randrange(2, 10 ** 60)):
+        f = phi.value(n_lo)
+        for t in (f + 1.0, 2 * f, f + rng.uniform(1, 10), f ** 1.5 + 9):
+            for first_above in (PhiSpec.first_above, type(phi).first_above):
+                c = first_above(phi, t, n_lo, bignum.DEFAULT_DIGIT_CAP)
+                digits = bignum.digits_of_exp(math.log(c))
+                assert digits < bignum.DEFAULT_DIGIT_CAP
+                for cap in range(max(1, digits - 3), digits + 3):
+                    got = _crossing_or_refusal(first_above, phi, n_lo, t, cap)
+                    assert got == (CapacityError if digits > cap else c), (
+                        spec, n_lo, t, cap, first_above)
+    # log(n)^3 crosses 10^9 + 1 near e^1000, past a 30-digit cap; a
+    # constant never crosses 3, so no cap admits a crossing
+    with pytest.raises(CapacityError, match="digit cap of 30"):
+        parse_phi("log(n)^3").first_above(1e9 + 1, 5, 30)
+    for first_above in (PhiSpec.first_above, phi_spec.PowerLog.first_above):
+        with pytest.raises(CapacityError, match="digit cap of 400"):
+            first_above(parse_phi("2"), 3.0, 3, 400)
 
 
 def test_a_crossing_whose_value_leaves_float_range_is_a_search_cap():
