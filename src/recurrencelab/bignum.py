@@ -71,6 +71,7 @@ if (hasattr(sys, "get_int_max_str_digits")
 
 LOG10 = math.log(10)
 LN2 = math.log(2)
+LOG2_10 = math.log2(10)
 
 
 def digits_of_exp(log_value: float) -> int:
@@ -83,6 +84,28 @@ def check_digit_cap(log_value: float, digit_cap: int = DEFAULT_DIGIT_CAP) -> Non
         raise CapacityError(
             f"value of ~{digits_of_exp(log_value)} digits exceeds the "
             f"digit cap of {digit_cap}")
+
+
+def check_int_digit_cap(n: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> None:
+    """CapacityError when the integer n has more than digit_cap digits,
+    that is when n >= 10**digit_cap, decided exactly.
+
+    n's bit length b puts n in [2^(b-1), 2^b), which settles the question
+    unless b lies within two bits of digit_cap log2(10); only then is the
+    power of ten formed.  An n refused there has digit_cap + 1 digits,
+    since n < 2^b <= 4 * 10^digit_cap.
+    """
+    bits, cap_bits = n.bit_length(), digit_cap * LOG2_10
+    if bits < cap_bits - 1:
+        return
+    if bits <= cap_bits + 2:
+        if n < 10 ** digit_cap:
+            return
+        count = f"{digit_cap + 1}"
+    else:
+        count = f"~{max(digits_of_exp(math.log(n)), digit_cap + 1)}"
+    raise CapacityError(f"value of {count} digits exceeds the digit cap of "
+                        f"{digit_cap}")
 
 
 def _terms(log_value) -> tuple:

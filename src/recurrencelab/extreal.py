@@ -289,13 +289,19 @@ class ExtReal:
         if isinstance(value, ExtReal):
             self._v = value._v
             return
-        if isinstance(value, Fraction):
-            if value.numerator < 0:
-                raise ValueError(f"negative value {value} is not a rate value")
-            self._v = value
-            return
         if isinstance(value, str):
-            text = value.strip().lower()
+            text = value.strip()
+            # ASCII digits, alone or around one "/", are read without
+            # Fraction's regex; every other form takes it
+            if text.isascii():
+                if text.isdigit():
+                    self._v = Fraction(int(text))
+                    return
+                p, slash, q = text.partition("/")
+                if slash and p.isdigit() and q.isdigit():
+                    self._v = Fraction(int(p), int(q))
+                    return
+            text = text.lower()
             if text in ("inf", "infinity", "oo"):
                 self._v = None
                 return
@@ -305,6 +311,11 @@ class ExtReal:
                 if text.lstrip("+-") == "nan":
                     raise ValueError("NaN is not a rate value") from None
                 raise
+        if isinstance(value, Fraction):
+            if value.numerator < 0:
+                raise ValueError(f"negative value {value} is not a rate value")
+            self._v = value
+            return
         if isinstance(value, float):
             if math.isinf(value):
                 if value < 0:
@@ -327,6 +338,14 @@ class ExtReal:
             raise ValueError(f"negative value {value} is not a rate value")
         self._v = value
 
+    @classmethod
+    def _of(cls, v) -> "ExtReal":
+        """The ExtReal holding v, already a valid state (None for inf, a
+        nonnegative Fraction or a positive Const): nothing is checked."""
+        x = object.__new__(cls)
+        x._v = v
+        return x
+
     # -- state ------------------------------------------------------------
 
     @property
@@ -336,6 +355,11 @@ class ExtReal:
     @property
     def is_zero(self) -> bool:
         return self._v == 0
+
+    @property
+    def exact(self):
+        """The value as stored: None for inf, else a Fraction or a Const."""
+        return self._v
 
     @property
     def is_irrational(self) -> bool:
@@ -358,12 +382,12 @@ class ExtReal:
     def reciprocal(self) -> "ExtReal":
         """1/x with the conventions 1/0 = inf and 1/inf = 0."""
         if self._v is None:
-            return ExtReal(0)
+            return ZERO
         if self._v == 0:
             return INF
         if isinstance(self._v, Const):
-            return ExtReal(cpow(self._v, Fraction(-1)))
-        return ExtReal(1 / self._v)
+            return ExtReal._of(cpow(self._v, Fraction(-1)))
+        return ExtReal._of(Fraction(self._v.denominator, self._v.numerator))
 
     def __mul__(self, other: RawExt) -> "ExtReal":
         other = ExtReal(other)
@@ -372,8 +396,8 @@ class ExtReal:
                 raise ArithmeticError("0 * inf is undefined here")
             return INF
         if isinstance(self._v, Const) or isinstance(other._v, Const):
-            return ExtReal(cmul(self._v, other._v))
-        return ExtReal(self._v * other._v)
+            return ExtReal._of(cmul(self._v, other._v))
+        return ExtReal._of(self._v * other._v)
 
     __rmul__ = __mul__
 
@@ -384,8 +408,8 @@ class ExtReal:
         if self.is_inf:
             return INF
         if isinstance(self._v, Const) or isinstance(other._v, Const):
-            return ExtReal(cmul(self._v, cpow(other._v, Fraction(-1))))
-        return ExtReal(self._v / other._v)
+            return ExtReal._of(cmul(self._v, cpow(other._v, Fraction(-1))))
+        return ExtReal._of(self._v / other._v)
 
     # -- ordering ----------------------------------------------------------
 

@@ -141,7 +141,7 @@ class PhiSpec:
         stops the doubling."""
         lo, hi = n_lo, n_lo + 1
         while not self.exceeds(hi, t):
-            bignum.check_digit_cap(math.log(hi), digit_cap)
+            bignum.check_int_digit_cap(hi, digit_cap)
             lo, hi = hi, hi * 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -245,7 +245,7 @@ def _least_int_with_log(y: float) -> int:
 
 def _capped(n: int, digit_cap: int) -> int:
     """n, or CapacityError when it has more than digit_cap digits."""
-    bignum.check_digit_cap(math.log(n), digit_cap)
+    bignum.check_int_digit_cap(n, digit_cap)
     return n
 
 
@@ -273,8 +273,10 @@ def _crossing_on_log(key: Callable[[float], float], t: float, n_lo: int,
                            _bits(y_est), _INF_BITS))
     if y == math.inf:   # no crossing: refused as the least value past the cap
         y = (digit_cap + 0.5) * bignum.LOG10
-    # checked before the crossing, of any number of digits, is built
-    bignum.check_digit_cap(y, digit_cap)
+    # a crossing more than a digit past the cap, of any number of digits,
+    # is refused before it is built; a nearer one is judged by its digits
+    if y > (digit_cap + 1) * bignum.LOG10:
+        bignum.check_digit_cap(y, digit_cap)
     return _capped(_least_int_with_log(y), digit_cap)
 
 

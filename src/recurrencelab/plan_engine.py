@@ -5,7 +5,10 @@ upper recurrence rates (alpha <= beta) and the profile's log-ratio extremes
 (delta <= gamma).  The level set of points realizing those rates has
 Hausdorff dimension one exactly when alpha >= 1/gamma and beta >= 1/delta
 (with 1/0 = inf and 1/inf = 0), and dimension zero otherwise — dichotomy()
-decides that with exact rational arithmetic.
+decides that exactly.  Rational thresholds and inf are compared by
+cross-multiplying numerators and denominators as integers (alpha >= 1/gamma
+as alpha_num gamma_num >= alpha_den gamma_den); a threshold kept as an
+irrational `Const` is compared on certified intervals instead.
 
 In the full-dimension regime the products A = alpha*gamma and B = beta*delta
 (read through a small case table that also assigns A or B = 1 when a zero
@@ -32,27 +35,56 @@ from . import bignum
 from .cantor_builder import InsertionPlan, check_plan_conditions
 from .errors import (CapacityError, GuardError, PlanValidityError,
                      RefusalError, SearchCapError)
-from .extreal import INF, ONE, ExtReal
+from .extreal import INF, ONE, Const, ExtReal
 from .phi_spec import PhiSpec, check_nondecreasing
 
 WITNESS_CAP = 10 ** 9    # ratio-witness scans stop here (not the first candidate)
+
+
+# The exact comparisons of the zero-one test and the case table.  Each
+# reads its ExtReals' stored values: Fractions and None (inf) are compared
+# by integer cross-products, and a Const on either side takes ExtReal's
+# certified comparison.
+
+def _below(x: ExtReal, y: ExtReal) -> bool:
+    """x < y."""
+    xv, yv = x.exact, y.exact
+    if isinstance(xv, Const) or isinstance(yv, Const):
+        return x < y
+    if xv is None or yv is None:
+        return yv is None and xv is not None
+    xn, xd = xv.as_integer_ratio()
+    yn, yd = yv.as_integer_ratio()
+    return xn * yd < yn * xd
+
+
+def _reaches(rate: ExtReal, extreme: ExtReal) -> bool:
+    """rate >= 1/extreme, with 1/0 = inf and 1/inf = 0: rate * extreme >= 1
+    on integers, no reciprocal built."""
+    r, e = rate.exact, extreme.exact
+    if isinstance(r, Const) or isinstance(e, Const):
+        return rate >= extreme.reciprocal()
+    if r is None or e is None:
+        return True
+    rn, rd = r.as_integer_ratio()
+    en, ed = e.as_integer_ratio()
+    return rn * en >= rd * ed
 
 
 def _checked(alpha, beta, gamma, delta) -> tuple:
     """The four thresholds as ExtReals, with alpha <= beta and
     delta <= gamma checked."""
     alpha, beta, gamma, delta = map(ExtReal, (alpha, beta, gamma, delta))
-    if beta < alpha:
+    if _below(beta, alpha):
         raise ValueError("rate targets need alpha <= beta")
-    if gamma < delta:
+    if _below(gamma, delta):
         raise ValueError("profile extremes need delta <= gamma")
     return alpha, beta, gamma, delta
 
 
 def _dim(alpha: ExtReal, beta: ExtReal, gamma: ExtReal,
          delta: ExtReal) -> int:
-    full = (alpha >= gamma.reciprocal()) and (beta >= delta.reciprocal())
-    return 1 if full else 0
+    return 1 if _reaches(alpha, gamma) and _reaches(beta, delta) else 0
 
 
 def dichotomy(alpha, beta, gamma, delta) -> int:
@@ -62,13 +94,18 @@ def dichotomy(alpha, beta, gamma, delta) -> int:
 
 def _table_product(rate: ExtReal, extreme: ExtReal,
                    rate_name: str, extreme_name: str) -> ExtReal:
-    if extreme.is_inf:
-        return ONE if rate.is_zero else INF
-    if rate.is_inf or rate.is_zero or extreme.is_zero:
+    r, e = rate.exact, extreme.exact
+    if e is None:
+        return ONE if r == 0 else INF
+    if r is None or r == 0 or e == 0:
         raise GuardError(
             f"outside the proof-case table: {rate_name}={rate}, "
             f"{extreme_name}={extreme}")
-    return rate * extreme
+    if isinstance(r, Const) or isinstance(e, Const):
+        return rate * extreme
+    rn, rd = r.as_integer_ratio()
+    en, ed = e.as_integer_ratio()
+    return ExtReal(Fraction(rn * en, rd * ed))
 
 
 def _products(alpha: ExtReal, beta: ExtReal, gamma: ExtReal,
@@ -119,7 +156,7 @@ def classify_thresholds(alpha, beta, gamma, delta,
                 tag = "iii"
             elif B.is_inf:
                 tag = "iv"
-            elif A <= B:
+            elif not _below(B, A):
                 tag = "v"
                 C = B / A
             else:
@@ -139,13 +176,19 @@ def classify_profile(phi: PhiSpec, alpha, beta) -> Classification:
 def _interpolation_coefficients(alpha: ExtReal, beta: ExtReal,
                                 gamma: ExtReal, delta: ExtReal
                                 ) -> tuple[Fraction, Fraction]:
-    """Slope/offset of the affine map sending delta -> B and gamma -> A."""
-    a, b, d = alpha.fraction, beta.fraction, delta.fraction
+    """Slope/offset of the affine map sending delta -> B and gamma -> A:
+    (a g - b d)/(g - d) and (b - a) g d/(g - d), or a and (b - a) d for an
+    infinite gamma, each formed as one Fraction of integer products."""
+    an, ad = alpha.fraction.as_integer_ratio()
+    bn, bd = beta.fraction.as_integer_ratio()
+    dn, dd = delta.fraction.as_integer_ratio()
+    spread = bn * ad - an * bd    # (b - a) ad bd
     if gamma.is_inf:
-        return a, (b - a) * d
-    g = gamma.fraction
-    return ((a * g - b * d) / (g - d),
-            (b - a) * g * d / (g - d))
+        return alpha.fraction, Fraction(spread * dn, ad * bd * dd)
+    gn, gd = gamma.fraction.as_integer_ratio()
+    den = ad * bd * (gn * dd - dn * gd)    # (g - d) ad bd gd dd
+    return (Fraction(an * gn * bd * dd - bn * dn * ad * gd, den),
+            Fraction(spread * gn * dn, den))
 
 
 # --------------------------------------------------------------------------

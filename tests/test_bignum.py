@@ -787,3 +787,33 @@ def test_a_non_rational_exponent_is_a_type_error(exponent):
     # an int and a Fraction are taken as before
     assert power_log_ceil(10 ** 6, Fraction(3, 2)) == 13815510558
     assert power_log_ceil(10 ** 6, 1) == nlogn_ceil(10 ** 6) == 13815511
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 15, 16, 17, 20, 100, 307, 308,
+                                 309, 1000, DEFAULT_DIGIT_CAP])
+def test_an_integer_is_held_to_the_cap_by_its_exact_digits(cap):
+    # more than cap digits exactly when n >= 10^cap: at 10^k - 1, 10^k and
+    # 10^k + 1 around the cap, and at the powers of two beside 10^cap
+    near = [10 ** k + d for k in range(max(0, cap - 2), cap + 3)
+            for d in (-1, 0, 1)]
+    bits = (10 ** cap).bit_length()
+    near += [2 ** b + d for b in range(bits - 3, bits + 3) for d in (-1, 0)]
+    for n in near:
+        if n < 1:
+            continue
+        if len(str(n)) > cap:
+            with pytest.raises(CapacityError,
+                               match=f"digits exceeds the digit cap of {cap}$"):
+                bignum.check_int_digit_cap(n, cap)
+        else:
+            bignum.check_int_digit_cap(n, cap)
+
+
+def test_a_refusal_names_the_digit_count():
+    # exact next to the cap, estimated from the log far past it
+    with pytest.raises(CapacityError, match="^value of 4 digits exceeds the "
+                                            "digit cap of 3$"):
+        bignum.check_int_digit_cap(10 ** 3, 3)
+    with pytest.raises(CapacityError, match=r"^value of ~\d+ digits exceeds "
+                                            "the digit cap of 3$"):
+        bignum.check_int_digit_cap(10 ** 1000, 3)

@@ -38,6 +38,47 @@ def test_strings_that_fraction_refuses(text, reason):
         ExtReal(text)
 
 
+@given(st.integers(0, 10 ** 30), st.integers(1, 10 ** 30),
+       st.integers(0, 3), st.sampled_from(["", " ", "\t", " \n "]))
+def test_digit_strings_read_as_their_fraction(p, q, zeros, space):
+    # ASCII digits and p/q, read without Fraction's regex: leading zeros
+    # and surrounding white space as Fraction reads them
+    pad = "0" * zeros
+    for text in (f"{pad}{p}", f"{pad}{p}/{pad}{q}", f"{p}/{q}"):
+        text = space + text + space
+        got = ExtReal(text)
+        assert got == ExtReal(Fraction(text)), text
+        assert type(got.fraction) is Fraction and got.fraction == Fraction(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0/7", Fraction(0)), ("00", Fraction(0)), (" 007/014 ", Fraction(1, 2)),
+    ("12345678901234567890/3", Fraction(4115226300411522630)),
+    ("\u0663", Fraction(3)), ("\u0661/\u0662", Fraction(1, 2)),
+    ("1_0", Fraction(10)), ("+1/2", Fraction(1, 2)),
+    ("1e-400", Fraction(1, 10 ** 400)), ("0.75", Fraction(3, 4))])
+def test_numeric_strings_read_as_fraction_reads_them(text, want):
+    assert ExtReal(text).fraction == want == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "00/0", " 3/000 "])
+def test_a_zero_denominator_raises_as_fraction_does(text):
+    with pytest.raises(ZeroDivisionError) as want:
+        Fraction(text)
+    with pytest.raises(ZeroDivisionError) as got:
+        ExtReal(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text", ["1 / 2", "1/2/3", "/2", "2/", "1.5/2"])
+def test_malformed_digit_strings_raise_as_fraction_does(text):
+    with pytest.raises(ValueError) as want:
+        Fraction(text)
+    with pytest.raises(ValueError) as got:
+        ExtReal(text)
+    assert str(got.value) == str(want.value)
+
+
 def test_reciprocal_conventions():
     assert ZERO.reciprocal().is_inf
     assert INF.reciprocal().is_zero

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurrencelab import (ExtReal, GuardError, INF, InsertionPlan, OscLogPhi,
@@ -165,6 +165,144 @@ def test_classification_json_shape():
     data = classify_thresholds(1, 2, 2, 1).to_json_dict()
     assert data["dim"] == 1 and data["case"] == "v"
     assert data["A"] == 2 and data["B"] == 2 and data["C"] == 1
+
+
+# An independent reference for the zero-one law and the six-case table,
+# over Fractions with None for inf: reciprocals and products formed
+# directly, and case vi's line through (delta, B) and (gamma, A) read off
+# as slope and intercept.
+
+def _ref_le(x, y):
+    return y is None or (x is not None and x <= y)
+
+
+def _ref_recip(x):
+    return Fraction(0) if x is None else (None if x == 0 else 1 / x)
+
+
+def _ref_text(x):
+    return "inf" if x is None else str(x)
+
+
+def _ref_product(rate, extreme, rate_name, extreme_name):
+    if extreme is None:
+        return Fraction(1) if rate == 0 else None
+    if rate is None or rate == 0 or extreme == 0:
+        raise GuardError(f"outside the proof-case table: "
+                         f"{rate_name}={_ref_text(rate)}, "
+                         f"{extreme_name}={_ref_text(extreme)}")
+    return rate * extreme
+
+
+def _ref_classify(alpha, beta, gamma, delta):
+    """(dim, case, A, B, C, D) as texts ("inf" for inf, None where unset),
+    or the exception as (type, text)."""
+    if not _ref_le(alpha, beta):
+        return ValueError, "rate targets need alpha <= beta"
+    if not _ref_le(delta, gamma):
+        return ValueError, "profile extremes need delta <= gamma"
+    if not (_ref_le(_ref_recip(gamma), alpha)
+            and _ref_le(_ref_recip(delta), beta)):
+        return 0, None, None, None, None, None
+    if alpha is None and beta is None:
+        return 1, "i", None, None, None, None
+    if beta is None:
+        return 1, "ii", None, None, None, None
+    A = _ref_product(alpha, gamma, "alpha", "gamma")
+    B = _ref_product(beta, delta, "beta", "delta")
+    case = C = D = None
+    if A is None and B is None:
+        case = "iii"
+    elif B is None:
+        case = "iv"
+    elif A is not None and A <= B:
+        case, C = "v", B / A
+    else:
+        C = alpha if gamma is None else (A - B) / (gamma - delta)
+        case, D = "vi", B - C * delta
+    return (1, case, _ref_text(A), _ref_text(B),
+            None if C is None else str(C), None if D is None else str(D))
+
+
+def _classified(*args):
+    cls = classify_thresholds(*args)
+    return (cls.dim, cls.case_tag,
+            *(None if x is None else str(x) for x in (cls.A, cls.B, cls.C,
+                                                      cls.D)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, GuardError) as exc:
+        return type(exc), str(exc)
+
+
+# small fractions, the same times (s + e)/s for s past 2^64 (a hair off
+# them, or on them for e = 0, with numerator and denominator past 2^64),
+# zeros and inf
+_small_fractions = st.fractions(min_value=0, max_value=4, max_denominator=12)
+_big_fractions = st.builds(lambda x, s, e: x * Fraction(s + e, s),
+                           _small_fractions, st.integers(2 ** 64, 2 ** 80),
+                           st.integers(-3, 3))
+_thresholds = st.one_of(st.none(), st.just(Fraction(0)), _small_fractions,
+                        _big_fractions)
+
+
+@st.composite
+def _threshold_tuples(draw):
+    """(alpha, beta, gamma, delta), often on an exact boundary: alpha =
+    1/gamma, beta = 1/delta, or A = B."""
+    alpha, beta, gamma, delta = (draw(_thresholds) for _ in range(4))
+    boundary = draw(st.sampled_from(["none", "alpha", "beta", "both", "A=B"]))
+    if boundary in ("alpha", "both"):
+        alpha = _ref_recip(gamma)
+    if boundary in ("beta", "both"):
+        beta = _ref_recip(delta)
+    if boundary == "A=B" and None not in (alpha, gamma) and delta:
+        beta = alpha * gamma / delta
+    if draw(st.booleans()):   # the order the classifier checks, or not
+        alpha, beta = sorted((alpha, beta), key=lambda x: (x is None, x))
+        delta, gamma = sorted((delta, gamma), key=lambda x: (x is None, x))
+    return alpha, beta, gamma, delta
+
+
+def _as_input(x, form):
+    """A threshold as ExtReal, Fraction or "p/q" text (inf for None)."""
+    if x is None:
+        return INF if form == "ext" else "inf"
+    if form == "ext":
+        return ExtReal(x)
+    if form == "text":
+        return f"{x.numerator}/{x.denominator}"
+    return x
+
+
+@settings(max_examples=400)
+@given(_threshold_tuples(),
+       st.lists(st.sampled_from(["ext", "fraction", "text"]), min_size=4,
+                max_size=4))
+def test_classification_matches_a_fraction_reference(values, forms):
+    # dim, case and the exact A, B, C, D, or the exception's type and
+    # text, and the dichotomy; alpha > beta is reported before
+    # delta > gamma
+    args = [_as_input(x, form) for x, form in zip(values, forms)]
+    want = _ref_classify(*values)
+    assert _outcome(_classified, *args) == want, values
+    dim = want[0] if want[0] in (0, 1) else want
+    assert _outcome(dichotomy, *args) == dim, values
+
+
+@given(st.one_of(st.none(), st.just(Fraction(0)), _big_fractions),
+       st.one_of(st.none(), st.just(Fraction(0)), _big_fractions))
+def test_table_products_match_the_reference(rate, extreme):
+    # the case table's products, and its GuardError outside the table
+    want = _outcome(_ref_product, rate, extreme, "beta", "delta")
+    got = _outcome(plan_engine._table_product, _as_input(rate, "ext"),
+                   _as_input(extreme, "ext"), "beta", "delta")
+    if isinstance(got, ExtReal):
+        got = None if got.is_inf else got.fraction
+    assert got == want, (rate, extreme)
 
 
 # --------------------------------------------------------------- witness ---
@@ -740,7 +878,7 @@ def test_first_above_refuses_a_crossing_by_its_own_digits(spec):
     # the one cap rule, for a PowerLog, an ExprPhi and an OscLogPhi, on
     # the log scale and in the default search: CapacityError exactly when
     # the crossing (found under a cap it never meets) has more than
-    # digit_cap digits, as check_digit_cap counts them
+    # digit_cap digits
     rng = random.Random(spec)
     phi = _profile(spec)
     for n_lo in (5, 1000, 10 ** 17 + 3, rng.randrange(2, 10 ** 60)):
@@ -748,7 +886,7 @@ def test_first_above_refuses_a_crossing_by_its_own_digits(spec):
         for t in (f + 1.0, 2 * f, f + rng.uniform(1, 10), f ** 1.5 + 9):
             for first_above in (PhiSpec.first_above, type(phi).first_above):
                 c = first_above(phi, t, n_lo, bignum.DEFAULT_DIGIT_CAP)
-                digits = bignum.digits_of_exp(math.log(c))
+                digits = len(str(c))
                 assert digits < bignum.DEFAULT_DIGIT_CAP
                 for cap in range(max(1, digits - 3), digits + 3):
                     got = _crossing_or_refusal(first_above, phi, n_lo, t, cap)
@@ -761,6 +899,30 @@ def test_first_above_refuses_a_crossing_by_its_own_digits(spec):
     for first_above in (PhiSpec.first_above, phi_spec.PowerLog.first_above):
         with pytest.raises(CapacityError, match="digit cap of 400"):
             first_above(parse_phi("2"), 3.0, 3, 400)
+
+
+class _Step(PhiSpec):
+    """1 below the integer N, 2 from it on."""
+
+    def __init__(self, N):
+        self.N = N
+
+    def _raw(self, n):
+        return 1.0 if n < self.N else 2.0
+
+
+@pytest.mark.parametrize("cap", [3, 16, 20, 40])
+def test_a_crossing_next_to_a_power_of_ten_is_held_to_its_digits(cap):
+    # 10^cap - 1 has cap digits and 10^cap one more, however close the
+    # float logs of the two are; the doubling search's probe from
+    # 10^cap - 2 has cap digits too
+    assert phi_spec._capped(10 ** cap - 1, cap) == 10 ** cap - 1
+    with pytest.raises(CapacityError):
+        phi_spec._capped(10 ** cap, cap)
+    N = 10 ** cap - 1
+    assert _Step(N).first_above(1.5, N - 3, cap) == N
+    with pytest.raises(CapacityError):
+        _Step(N + 1).first_above(1.5, N - 3, cap)
 
 
 def test_a_crossing_whose_value_leaves_float_range_is_a_search_cap():
