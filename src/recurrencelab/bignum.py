@@ -108,6 +108,16 @@ def check_int_digit_cap(n: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> None:
                         f"{digit_cap}")
 
 
+def check_log_digit_cap(log_value: float, digit_cap: int) -> None:
+    """CapacityError when e**log_value is more than a digit past the cap,
+    read off the float, so that such a value is never built.  A value
+    nearer the cap is built and held to it by its exact digits
+    (check_int_digit_cap): next to a power of ten the float can put it a
+    digit either side."""
+    if log_value > (digit_cap + 1) * LOG10:
+        check_digit_cap(log_value, digit_cap)
+
+
 def _terms(log_value) -> tuple:
     """An exponent given as a number or as a sequence of terms, as a tuple."""
     if isinstance(log_value, (float, int)):
@@ -177,6 +187,7 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
             *, rounding: str = "ceil") -> int:
     """The least ("ceil") or greatest ("floor") grid value on that side of
     e**log_value, as a Python int; anything else is a ValueError.
+    CapacityError when that int has more than digit_cap digits.
 
     log_value is a float, or a sequence of floats whose exact sum is the
     exponent.  A negative exponent gives 1 or 0, and e^0 is 1.
@@ -189,11 +200,13 @@ def exp_int(log_value, digit_cap: int = DEFAULT_DIGIT_CAP,
     num, s = _dyadic_sum(terms)
     if num <= 0:
         return 1 if num == 0 or up else 0
-    check_digit_cap(math.fsum(terms), digit_cap)
+    check_log_digit_cap(math.fsum(terms), digit_cap)
     x = _libmp.from_man_exp(num, -s)
     # mpf_exp is good to an ulp or two; 16 guard bits cover that
-    return _settle(lambda prec: _libmp.mpf_exp(x, prec + 16,
-                                               _libmp.round_nearest), up)
+    v = _settle(lambda prec: _libmp.mpf_exp(x, prec + 16,
+                                            _libmp.round_nearest), up)
+    check_int_digit_cap(v, digit_cap)
+    return v
 
 
 def exp_ceil(log_value, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
@@ -244,15 +257,18 @@ def nth_root_floor(v: int, k: int) -> int:
 def power_log_ceil(n: int, exponent, *,
                    digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
     """The least grid value >= n**exponent * ln(n), exponent an int or a
-    Fraction (TypeError otherwise)."""
+    Fraction (TypeError otherwise); CapacityError when it has more than
+    digit_cap digits."""
     if n < 2:
         raise ValueError("n must be at least 2")
     num, den = _exponent_parts(exponent)
     if num < 0:
         raise ValueError("exponent must be nonnegative")
-    check_digit_cap(num / den * math.log(n) + math.log(math.log(n)),
-                    digit_cap)
-    return _power_log_ceil(n, num, den)
+    check_log_digit_cap(num / den * math.log(n) + math.log(math.log(n)),
+                        digit_cap)
+    v = _power_log_ceil(n, num, den)
+    check_int_digit_cap(v, digit_cap)
+    return v
 
 
 def _power_log_ceil(n: int, num: int, den: int) -> int:

@@ -21,17 +21,11 @@ import sys
 from itertools import chain, islice
 from typing import Optional
 
+# the planning layer is read at call time, so a word command runs none of it
+from . import cantor_builder, extreal, phi_spec, plan_engine
 from .bignum import DEFAULT_DIGIT_CAP
-from .cantor_builder import (ExplicitFree, InsertionPlan, SeededFree,
-                             ZeroFree, apply_insertions,
-                             bracket_return_times, certified_brackets,
-                             materializable_term_count, truncate_plan)
 from .errors import (CapacityError, GuardError, PhiParseError,
                      RecurrenceLabError, RefusalError, SearchCapError)
-from .extreal import ONE, ExtReal
-from .phi_spec import OscLogPhi, PhiSpec, parse_phi
-from .plan_engine import (Classification, classify_profile,
-                          classify_thresholds, plan_for_classification)
 from .rate_dim_analysis import (box_dimension, plan_rate_trajectory,
                                 rate_trajectory, recurrence_witnesses,
                                 running_extremes)
@@ -79,19 +73,19 @@ def _add_word_args(sp: argparse.ArgumentParser, word_help: str,
     return g
 
 
-def _profile_from_args(args) -> Optional[PhiSpec]:
+def _profile_from_args(args) -> Optional[phi_spec.PhiSpec]:
     if getattr(args, "phi", None):
-        return parse_phi(args.phi)
+        return phi_spec.parse_phi(args.phi)
     if getattr(args, "osc", None):
-        return OscLogPhi(args.osc[0], args.osc[1])
+        return phi_spec.OscLogPhi(args.osc[0], args.osc[1])
     return None
 
 
-def _rate(text: str) -> ExtReal:
+def _rate(text: str) -> extreal.ExtReal:
     """A rate or ratio extreme: a nonnegative fraction, decimal or 'inf',
     checked before any output."""
     try:
-        return ExtReal(text)
+        return extreal.ExtReal(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"a rate is a nonnegative fraction, decimal or 'inf', got {text!r}"
@@ -167,11 +161,11 @@ def _free_spec(text: str):
     kind, _, arg = text.partition(":")
     try:
         if text == "zero":
-            return lambda m: ZeroFree()
+            return lambda m: cantor_builder.ZeroFree()
         if kind == "seed":
-            return functools.partial(SeededFree, int(arg))
+            return functools.partial(cantor_builder.SeededFree, int(arg))
         if kind == "digits":
-            free = ExplicitFree([int(c) for c in arg])
+            free = cantor_builder.ExplicitFree([int(c) for c in arg])
             return lambda m: free
     except ValueError:
         pass
@@ -204,11 +198,11 @@ def _word_from_args(args) -> Word:
     return _word_from_json(text, args.m)
 
 
-def _load_plan(path: str) -> InsertionPlan:
+def _load_plan(path: str) -> cantor_builder.InsertionPlan:
     if path == "-":
-        return InsertionPlan.from_json(sys.stdin.read())
+        return cantor_builder.InsertionPlan.from_json(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
-        return InsertionPlan.from_json(fh.read())
+        return cantor_builder.InsertionPlan.from_json(fh.read())
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -216,10 +210,10 @@ def _load_plan(path: str) -> InsertionPlan:
 def _cmd_classify(args) -> int:
     phi = _profile_from_args(args)
     if phi is not None:
-        cls = classify_profile(phi, args.alpha, args.beta)
+        cls = plan_engine.classify_profile(phi, args.alpha, args.beta)
     elif args.gamma is not None and args.delta is not None:
-        cls = classify_thresholds(args.alpha, args.beta, args.gamma,
-                                  args.delta)
+        cls = plan_engine.classify_thresholds(args.alpha, args.beta,
+                                              args.gamma, args.delta)
     else:
         _note("classify needs a profile (--phi/--osc) or both --gamma and --delta")
         return 2
@@ -230,11 +224,14 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _plan_from_args(args) -> tuple[InsertionPlan, PhiSpec, Classification]:
+def _plan_from_args(args) -> tuple[cantor_builder.InsertionPlan,
+                                   phi_spec.PhiSpec,
+                                   plan_engine.Classification]:
     phi = _profile_from_args(args)
-    cls = classify_profile(phi, args.alpha, args.beta)
-    plan = plan_for_classification(phi, cls, p=args.p, m=args.m,
-                                   count=args.count, digit_cap=args.digit_cap)
+    cls = plan_engine.classify_profile(phi, args.alpha, args.beta)
+    plan = plan_engine.plan_for_classification(
+        phi, cls, p=args.p, m=args.m, count=args.count,
+        digit_cap=args.digit_cap)
     return plan, phi, cls
 
 
@@ -254,11 +251,11 @@ def _cmd_build(args) -> int:
     plan = _load_plan(args.plan_file)
     cap = args.cap
     free = args.free(plan.m)
-    usable = materializable_term_count(plan, cap)
+    usable = cantor_builder.materializable_term_count(plan, cap)
     if usable < len(plan):
         _note(f"cap {cap}: materializing {usable} of {len(plan)} terms")
-        plan = truncate_plan(plan, usable)
-    seq = apply_insertions(plan, free, cap=cap)
+        plan = cantor_builder.truncate_plan(plan, usable)
+    seq = cantor_builder.apply_insertions(plan, free, cap=cap)
     # materialized before any output, so a free stream that runs short
     # fails with nothing on stdout
     word = _word_to_json(seq.prefix(args.prefix)) if args.prefix else None
@@ -353,21 +350,21 @@ def _mismatched_stretches(rt: ReturnTimes, lo: int, hi: int,
 def _cmd_verify(args) -> int:
     plan, phi, cls = _plan_from_args(args)
     cap = args.cap
-    usable = materializable_term_count(plan, cap)
-    sub = truncate_plan(plan, usable)
-    brackets = certified_brackets(sub)
+    usable = cantor_builder.materializable_term_count(plan, cap)
+    sub = cantor_builder.truncate_plan(plan, usable)
+    brackets = cantor_builder.certified_brackets(sub)
     if not brackets:
         _emit(plan.to_json_dict())
         _note(f"no certified bracket fits under cap {cap}; raise it "
               f"(positions start at {plan.ells[0]})")
         return 3
     free = args.free(plan.m)
-    seq = apply_insertions(sub, free, cap=cap)
+    seq = cantor_builder.apply_insertions(sub, free, cap=cap)
     horizon = brackets[-1][2] + brackets[-1][1] + 2
     # audited before any output: a free stream that could run short or
     # leave the alphabet is read through the horizon first, so it fails
     # with nothing on stdout
-    rt = bracket_return_times(seq, horizon, brackets[-1][1])
+    rt = cantor_builder.bracket_return_times(seq, horizon, brackets[-1][1])
     _emit(plan.to_json_dict())
     ok = True
     mismatch_lines = 0
@@ -392,7 +389,7 @@ def _cmd_verify(args) -> int:
     # endpoints otherwise — at a left edge of a narrow bracket the sample
     # carries an (n_{i+1}/n_i)-sized bias that decays too slowly to test.
     wide = cls.case_tag in ("ii", "iv") or (
-        cls.case_tag == "v" and cls.C is not None and ONE < cls.C)
+        cls.case_tag == "v" and cls.C is not None and extreal.ONE < cls.C)
     right = plan_rate_trajectory(plan, phi, endpoints="right")
     upper = plan_rate_trajectory(plan, phi, endpoints="left") if wide else right
     rate_report: dict = {}

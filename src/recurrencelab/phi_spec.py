@@ -275,8 +275,7 @@ def _crossing_on_log(key: Callable[[float], float], t: float, n_lo: int,
         y = (digit_cap + 0.5) * bignum.LOG10
     # a crossing more than a digit past the cap, of any number of digits,
     # is refused before it is built; a nearer one is judged by its digits
-    if y > (digit_cap + 1) * bignum.LOG10:
-        bignum.check_digit_cap(y, digit_cap)
+    bignum.check_log_digit_cap(y, digit_cap)
     return _capped(_least_int_with_log(y), digit_cap)
 
 

@@ -55,9 +55,8 @@ from itertools import chain, compress, islice, repeat
 from operator import attrgetter, gt, not_, truediv
 from typing import Optional
 
-from .cantor_builder import InsertionPlan, certified_brackets, fp_cylinder_count
+from . import cantor_builder, phi_spec
 from .errors import EstimationImpossibleError
-from .phi_spec import PhiSpec
 from .return_time import Runs, return_times_all
 from .shift_core import Word
 
@@ -158,7 +157,7 @@ class RateTrajectory:
         return self.entries.ratios.tolist()
 
 
-def _phi_value(phi: Optional[PhiSpec], n: int) -> float:
+def _phi_value(phi: Optional[phi_spec.PhiSpec], n: int) -> float:
     return math.log(n) if phi is None else phi.value(n)
 
 
@@ -260,7 +259,7 @@ class LogRatioColumn(Sequence):
         return min(lows), max(highs)
 
 
-def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
+def rate_trajectory(word: Word, phi: Optional[phi_spec.PhiSpec] = None,
                     max_n: Optional[int] = None) -> RateTrajectory:
     """Ratio trajectory read off a concrete word, one entry per n.
 
@@ -289,8 +288,9 @@ def rate_trajectory(word: Word, phi: Optional[PhiSpec] = None,
     return RateTrajectory(RateColumns(ns, head, tail, exact, ratios), "word")
 
 
-def plan_rate_trajectory(plan: InsertionPlan, phi: Optional[PhiSpec] = None,
-                         *, endpoints: str = "right") -> RateTrajectory:
+def plan_rate_trajectory(plan: cantor_builder.InsertionPlan,
+                         phi: Optional[phi_spec.PhiSpec] = None, *,
+                         endpoints: str = "right") -> RateTrajectory:
     """Ratio trajectory predicted by a plan alone, no materialization.
 
     Within each certified bracket (lo, hi] the return time is the constant
@@ -301,7 +301,7 @@ def plan_rate_trajectory(plan: InsertionPlan, phi: Optional[PhiSpec] = None,
     if endpoints not in ("right", "left"):
         raise ValueError("endpoints must be 'right' or 'left'")
     pairs = [(hi if endpoints == "right" else lo + 1, ell)
-             for lo, hi, ell in certified_brackets(plan)]
+             for lo, hi, ell in cantor_builder.certified_brackets(plan)]
     depths, ells = tuple(zip(*pairs)) or ((), ())
     ratios = _ratio_column(ells, map(partial(_phi_value, phi), depths))
     return RateTrajectory(RateColumns(depths, ells, (), b"\1" * len(ells),
@@ -376,7 +376,7 @@ def _run_witnesses(syms, runs: Runs, c) -> list:
 
 
 def recurrence_witnesses(word: Word, alpha: float, eps: float, *,
-                         phi: Optional[PhiSpec] = None,
+                         phi: Optional[phi_spec.PhiSpec] = None,
                          max_n: Optional[int] = None):
     """Depths n whose prefix returns within exp((alpha+eps)*phi(n)).
 
@@ -439,7 +439,8 @@ def box_dimension(p: int, m: int, max_depth: int,
         raise ValueError("need 1 <= min_depth < max_depth")
     xs, ys = [], []
     for n in range(min_depth, max_depth + 1):
-        ys.append(math.log(fp_cylinder_count(p, n, m)))   # checks p and m
+        # fp_cylinder_count checks p and m
+        ys.append(math.log(cantor_builder.fp_cylinder_count(p, n, m)))
         xs.append(n * math.log(m))
     degenerate = len(set(ys)) == 1
     if degenerate:

@@ -681,6 +681,11 @@ def test_threads_plan_as_one_thread_does(monkeypatch):
 
 # ------------------------------------------------------ fresh processes ---
 
+# the modules whose bodies a word-only process runs
+WORD_SIDE = ["__init__.py", "bignum.py", "cli.py", "errors.py",
+             "rate_dim_analysis.py", "return_time.py", "shift_core.py"]
+
+
 def _package_env(**extra):
     """The environment of a fresh interpreter that imports the package this
     suite imports, wherever it is."""
@@ -690,9 +695,14 @@ def _package_env(**extra):
 
 def test_word_only_work_does_not_load_mpmath():
     # the word pipeline and a word command take no exponential; the first
-    # e^X imports mpmath
+    # e^X imports mpmath.  Nor do they run the planning layer: no module
+    # body of it is executed, though every module of the package is in
+    # sys.modules
     code = """if True:
-        import contextlib, io, sys
+        import contextlib, io, os, sys
+        ran = []
+        sys.addaudithook(lambda event, args: event == "exec" and ran.append(
+            getattr(args[0], "co_filename", None)))
         import recurrencelab, recurrencelab.cli
         from recurrencelab import (Word, bignum, cli, rate_trajectory,
                                    recurrence_witnesses, return_time_prime,
@@ -708,6 +718,13 @@ def test_word_only_work_does_not_load_mpmath():
             code = cli.main(["return-times", "--word", "0100101001001",
                              "--m", "2"])
         print(code, "mpmath" in sys.modules)
+        here = os.path.dirname(recurrencelab.__file__)
+        print(sorted(os.path.basename(f) for f in ran
+                     if f and os.path.dirname(f) == here))
+        names = {f[:-3] for f in os.listdir(here)
+                 if f.endswith(".py") and f != "__init__.py"}
+        print(sorted(n for n in names
+                     if f"recurrencelab.{n}" not in sys.modules))
         n = bignum.exp_ceil(26779.306640625)
         print("mpmath" in sys.modules, type(n).__name__)
         print(hex(n))
@@ -715,8 +732,9 @@ def test_word_only_work_does_not_load_mpmath():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=_package_env()).stdout.splitlines()
-    assert out[:2] == ["0 False", "True int"]
-    assert int(out[2], 16) == on_grid(mp_exp((26779.306640625,)), True)
+    assert out[:3] == ["0 False", repr(sorted(WORD_SIDE)), "[]"]
+    assert out[3] == "True int"
+    assert int(out[4], 16) == on_grid(mp_exp((26779.306640625,)), True)
 
 
 def test_the_package_imports_without_the_int_str_guard():
@@ -817,3 +835,54 @@ def test_a_refusal_names_the_digit_count():
     with pytest.raises(CapacityError, match=r"^value of ~\d+ digits exceeds "
                                             "the digit cap of 3$"):
         bignum.check_int_digit_cap(10 ** 1000, 3)
+
+
+def _held_to_its_digits(compute) -> None:
+    """compute(digit_cap) returns the value at a cap of its own digit
+    count and raises CapacityError one digit below it."""
+    v = compute(10 ** 6)
+    digits = len(str(v))
+    assert compute(digits) == v
+    with pytest.raises(CapacityError, match=f"digit cap of {digits - 1}$"):
+        compute(digits - 1)
+
+
+def _three_doubles_each_side(x: float) -> list[float]:
+    xs = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(3):
+            y = math.nextafter(y, toward)
+            xs.append(y)
+    return xs
+
+
+@pytest.mark.parametrize("rounding", ["ceil", "floor"])
+def test_exp_int_is_held_to_the_cap_by_its_exact_digits(rounding):
+    # e^X next to 10^k, where the float exponent puts it a digit either
+    # side: X = k ln 10 and the three doubles on each side of it
+    for k in range(1, 400):
+        for x in _three_doubles_each_side(k * LOG10):
+            _held_to_its_digits(
+                lambda cap: exp_int(x, cap, rounding=rounding))
+
+
+@pytest.mark.parametrize("exponent", [1, Fraction(3, 2), 2],
+                         ids=["1", "3/2", "2"])
+def test_power_log_ceil_is_held_to_the_cap_by_its_exact_digits(exponent):
+    # n^A ln n next to 10^d: the least n whose value reaches 10^d, found
+    # by bisection on the uncapped value, the two n before it and the one
+    # after it
+    def value(n):
+        return power_log_ceil(n, exponent, digit_cap=10 ** 6)
+
+    for d in range(3, 300, 11):
+        lo, hi = 2, 4
+        while value(hi) < 10 ** d:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if value(mid) < 10 ** d else (lo, mid)
+        for n in range(max(2, hi - 2), hi + 2):
+            _held_to_its_digits(
+                lambda cap: power_log_ceil(n, exponent, digit_cap=cap))

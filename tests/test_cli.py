@@ -654,7 +654,6 @@ def test_plan_and_verify_classify_once(capsys, monkeypatch, command):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(plan_engine, "classify_profile", counting)
-    monkeypatch.setattr(cli, "classify_profile", counting)
     extra = ["--cap", "2000000"] if command == "verify" else []
     code, _, _ = run(capsys, command, "--phi", "log(n)", "--alpha", "2",
                      "--beta", "2", *extra)
@@ -800,7 +799,7 @@ def test_a_malformed_rate_is_a_usage_error(capsys, monkeypatch, command,
     called = []
     monkeypatch.setattr(cli, "_plan_from_args",
                         lambda args: called.append(args))
-    monkeypatch.setattr(cli, "classify_thresholds",
+    monkeypatch.setattr(plan_engine, "classify_thresholds",
                         lambda *args: called.append(args))
     argv = [command, "--alpha", "1", "--beta", "2"]
     argv += (["--gamma", "1", "--delta", "1"] if command == "classify"

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import recurrencelab.cantor_builder as cantor_builder
 import recurrencelab.cli as cli
 import recurrencelab.rate_dim_analysis as rda
 from recurrencelab import (EstimationImpossibleError, OscLogPhi, Word,
@@ -420,7 +421,7 @@ def _old_audit_lines(rt, brackets):
 @pytest.mark.parametrize("damage", ["none", "one", "scattered", "truncated"])
 def test_verify_audit_lines_are_the_depth_loop(capsys, monkeypatch, damage):
     seen = {}
-    real = cli.bracket_return_times
+    real = cantor_builder.bracket_return_times
 
     def damaged(seq, horizon, max_n=None):
         rt = real(seq, horizon, max_n)
@@ -435,7 +436,7 @@ def test_verify_audit_lines_are_the_depth_loop(capsys, monkeypatch, damage):
         seen["rt"] = ReturnTimes(tuple(values), rt.length, rt.top)
         return seen["rt"]
 
-    monkeypatch.setattr(cli, "bracket_return_times", damaged)
+    monkeypatch.setattr(cantor_builder, "bracket_return_times", damaged)
     code = cli.main(["verify", "--phi", "log(n)", "--alpha", "2", "--beta", "2",
                      "--count", "12", "--cap", "2000000"])
     out = capsys.readouterr().out.splitlines()
