@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Optional, Sequence, Union
 
+from .bignum import decimal_str
 from .errors import PlanValidityError, SourceExhaustedError
 from .return_time import ReturnTimes, Runs, _common_prefix, _depth
 from .shift_core import (DEFAULT_MATERIALIZATION_CAP, Alphabet, LazySequence,
@@ -364,12 +365,20 @@ class InsertionPlan:
             "p": self.p,
             "m": self.m,
             "case_tag": self.case_tag,
-            "terms": [{"i": i + 1, "n": n, "ell": str(ell)}
+            "terms": [{"i": i + 1, "n": n, "ell": decimal_str(ell)}
                       for i, (n, ell) in enumerate(self.terms)],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """json.dumps(self.to_json_dict()), byte for byte, written
+        directly: each n and ell is rendered once, by decimal_str, where
+        json.dumps would take CPython's quadratic int->str for n."""
+        terms = ", ".join(
+            f'{{"i": {i}, "n": {decimal_str(n)}, "ell": "{decimal_str(ell)}"}}'
+            for i, (n, ell) in enumerate(self.terms, 1))
+        return (f'{{"p": {json.dumps(self.p)}, "m": {json.dumps(self.m)}, '
+                f'"case_tag": {json.dumps(self.case_tag)}, '
+                f'"terms": [{terms}]}}')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "InsertionPlan":

@@ -23,7 +23,7 @@ from typing import Optional
 
 # the planning layer is read at call time, so a word command runs none of it
 from . import cantor_builder, extreal, phi_spec, plan_engine
-from .bignum import DEFAULT_DIGIT_CAP
+from .bignum import DEFAULT_DIGIT_CAP, decimal_str
 from .errors import (CapacityError, GuardError, PhiParseError,
                      RecurrenceLabError, RefusalError, SearchCapError)
 from .rate_dim_analysis import (box_dimension, plan_rate_trajectory,
@@ -31,7 +31,7 @@ from .rate_dim_analysis import (box_dimension, plan_rate_trajectory,
                                 running_extremes)
 from .return_time import ReturnTimes, return_times_all
 from .shift_core import (DEFAULT_MATERIALIZATION_CAP, Word, _word_from_json,
-                         _word_to_json)
+                         _word_to_json, digit_symbols)
 
 _CAP_ENV = "RECURRENCELAB_CAP"
 # verify's rate verdict: a finite rate, estimated over this trailing
@@ -165,7 +165,7 @@ def _free_spec(text: str):
         if kind == "seed":
             return functools.partial(cantor_builder.SeededFree, int(arg))
         if kind == "digits":
-            free = cantor_builder.ExplicitFree([int(c) for c in arg])
+            free = cantor_builder.ExplicitFree(digit_symbols(arg))
             return lambda m: free
     except ValueError:
         pass
@@ -238,10 +238,8 @@ def _plan_from_args(args) -> tuple[cantor_builder.InsertionPlan,
 def _cmd_plan(args) -> int:
     plan, _, cls = _plan_from_args(args)
     _emit(cls.to_json_dict())
-    data = plan.to_json_dict()
-    _emit(data)
-    # the positions' decimal strings, already made once for the JSON
-    digits = max(len(t["ell"]) for t in data["terms"])
+    print(plan.to_json())
+    digits = len(decimal_str(max(plan.ells)))
     _note(f"case {plan.case_tag}: {len(plan)} terms, deepest position has "
           f"{digits} digits")
     return 0
@@ -354,7 +352,7 @@ def _cmd_verify(args) -> int:
     sub = cantor_builder.truncate_plan(plan, usable)
     brackets = cantor_builder.certified_brackets(sub)
     if not brackets:
-        _emit(plan.to_json_dict())
+        print(plan.to_json())
         _note(f"no certified bracket fits under cap {cap}; raise it "
               f"(positions start at {plan.ells[0]})")
         return 3
@@ -365,7 +363,7 @@ def _cmd_verify(args) -> int:
     # leave the alphabet is read through the horizon first, so it fails
     # with nothing on stdout
     rt = cantor_builder.bracket_return_times(seq, horizon, brackets[-1][1])
-    _emit(plan.to_json_dict())
+    print(plan.to_json())
     ok = True
     mismatch_lines = 0
     for lo, hi, ell in brackets:

@@ -76,6 +76,19 @@ def symbol_store(symbols, m: int = 256) -> Union[bytes, tuple]:
 
 # symbol s -> ASCII digit s, for the m <= 10 stores (always bytes)
 _ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_DIGIT_SYMBOLS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def digit_symbols(text: str) -> bytes:
+    """The symbols of a string of ASCII digits 0-9, as bytes; ValueError
+    naming the first other character.  str.isdigit alone would pass any
+    Unicode decimal digit, which int() then reads: only an ASCII string
+    is tested, and it is checked and converted in C."""
+    if text.isascii() and (text.isdigit() or not text):
+        return text.encode("ascii").translate(_DIGIT_SYMBOLS)
+    bad = next(ch for ch in text if not "0" <= ch <= "9")
+    raise ValueError(f"digit strings take the ASCII digits 0-9 only, "
+                     f"got {bad!r}")
 
 
 def join_stores(stores, m: int) -> Union[bytes, tuple]:
@@ -143,10 +156,11 @@ class Word:
 
     @classmethod
     def from_digits(cls, text: str, m: int) -> "Word":
-        """Parse a plain digit string; only alphabets up to 10 symbols."""
+        """Parse a string of ASCII digits (digit_symbols); only alphabets
+        up to 10 symbols."""
         if m > 10:
             raise ValueError("digit-string words require m <= 10")
-        return cls([int(ch) for ch in text], Alphabet(m))
+        return cls(digit_symbols(text), Alphabet(m))
 
     def at(self, j: int) -> int:
         """Symbol at 1-based position j."""

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import random
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from recurrencelab import (ExtReal, OscLogPhi, bignum, parse_phi,
                            plan_engine, plan_full_dimension)
-from recurrencelab.bignum import (DEFAULT_DIGIT_CAP, LOG10, digits_of_exp,
+from recurrencelab.bignum import (DECIMAL_STR_MIN_SHIFT, DEFAULT_DIGIT_CAP,
+                                  LOG10, decimal_str, digits_of_exp,
                                   exp_ceil, exp_floor, exp_int, nlogn_ceil,
                                   nth_root_floor, power_log_ceil)
 from recurrencelab.errors import CapacityError
@@ -886,3 +888,63 @@ def test_power_log_ceil_is_held_to_the_cap_by_its_exact_digits(exponent):
         for n in range(max(2, hi - 2), hi + 2):
             _held_to_its_digits(
                 lambda cap: power_log_ceil(n, exponent, digit_cap=cap))
+
+
+# ------------------------------------------------------ decimal digits ---
+
+def _assert_is_str(n):
+    """decimal_str(n) == str(n) with the thread's decimal context at
+    prec=3, Inexact and Rounded trapped, so that a conversion that used it
+    would raise or round; the context must come back exactly as it was."""
+    saved = decimal.getcontext()
+    tight = decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded])
+    decimal.setcontext(tight)
+    try:
+        assert decimal_str(n) == str(n)
+        assert decimal.getcontext() is tight
+        assert tight.prec == 3 and not any(tight.flags.values())
+        assert tight.traps[decimal.Inexact] and tight.traps[decimal.Rounded]
+    finally:
+        decimal.setcontext(saved)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, (1 << 64) - 1), st.integers(0, 70_000))
+@example(1, DECIMAL_STR_MIN_SHIFT - 1)
+@example(1, DECIMAL_STR_MIN_SHIFT)
+@example((1 << 64) - 1, DECIMAL_STR_MIN_SHIFT)
+@example((1 << 63) + 1, 38_600)
+def test_decimal_str_is_str_on_the_grid(mantissa, shift):
+    n = mantissa << shift
+    _assert_is_str(n)
+
+
+@pytest.mark.parametrize("n", [
+    0, 1, 2,
+    *(1 << k for k in (63, 64, DECIMAL_STR_MIN_SHIFT - 1,
+                       DECIMAL_STR_MIN_SHIFT, 20_000, 70_000)),
+    *(10 ** k for k in (1, 19, 20, 1233, 1234, 5000, 21_000)),
+    *(10 ** k - 1 for k in (1, 19, 20, 1234, 5000, 21_000)),
+    # odd parts wider than 64 bits, below and above the cut-off
+    (3 ** 200) << 100, (3 ** 200) << DECIMAL_STR_MIN_SHIFT,
+    ((1 << 500) - 1) << 9000, (7 ** 3000) << 60_000,
+], ids=lambda n: f"{n.bit_length()}bits-{max(0, (n & -n).bit_length() - 1)}zeros")
+def test_decimal_str_is_str_at_the_edges(n):
+    _assert_is_str(n)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int<->str guard before 3.10.7")
+def test_decimal_str_past_the_cut_off_takes_no_int_to_str():
+    # under the guard's least limit, str() refuses these 1 238 digits;
+    # decimal_str never forms them with int->str
+    n = 12345 << DECIMAL_STR_MIN_SHIFT
+    want = str(n)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            str(n)
+        assert decimal_str(n) == want
+    finally:
+        sys.set_int_max_str_digits(saved)

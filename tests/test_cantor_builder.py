@@ -15,8 +15,9 @@ from recurrencelab import (Alphabet, CapacityError, ExplicitFree, ExtReal,
                            bracket_return_times, certified_brackets,
                            check_plan_conditions, first_certified_index,
                            fp_cylinder_count, make_insertion_word,
-                           materializable_term_count, plan_full_dimension,
-                           return_times_all, truncate_plan)
+                           materializable_term_count, parse_phi,
+                           plan_full_dimension, return_times_all,
+                           truncate_plan)
 
 from conftest import (ExplicitBase, PeriodicBase, marker_base_symbol,
                       predicted_return_time, return_times_naive_all,
@@ -157,6 +158,49 @@ def test_plan_integers_are_read_strictly(text, key):
     data["terms"][1][key] = "-8"
     with pytest.raises(PlanValidityError, match="positive"):
         InsertionPlan.from_json_dict(data)
+
+
+# one synthesized plan of each case of the table
+CASE_PLANS = [("log(n)", "inf", "inf", "i"), ("log(n)", "1", "inf", "ii"),
+              ("n", "1", "2", "iii"), ("n^0.5", "0", "2", "iv"),
+              ("log(n)", "2", "2", "v"), ("osc 1 3", "1", "1", "vi")]
+
+
+def _assert_canonical_json(plan):
+    text = plan.to_json()
+    assert text == json.dumps(plan.to_json_dict())
+    if len(plan) >= 2:
+        assert InsertionPlan.from_json(text) == plan
+
+
+@pytest.mark.parametrize("count", [12, 120])
+@pytest.mark.parametrize("spec,alpha,beta,case", CASE_PLANS,
+                         ids=[c[3] for c in CASE_PLANS])
+def test_plan_json_is_written_as_json_dumps(spec, alpha, beta, case, count):
+    # the positions span both sides of decimal_str's cut-off: case ii's
+    # seventh ell has 11 635 digits, case v's 120th 12 512
+    phi = (OscLogPhi(*spec.split()[1:]) if spec.startswith("osc ")
+           else parse_phi(spec))
+    plan = plan_full_dimension(phi, ExtReal(alpha), ExtReal(beta),
+                               count=count)
+    assert plan.case_tag == case
+    _assert_canonical_json(plan)
+
+
+POSITIONS = st.one_of(
+    st.integers(1, 1 << 70),
+    st.builds(lambda man, shift: man << shift,
+              st.integers(1, (1 << 64) - 1), st.integers(0, 40_000)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(2, 1 << 70), m=st.integers(2, 1 << 70),
+       terms=st.lists(st.tuples(POSITIONS, POSITIONS), max_size=6),
+       case_tag=st.text(max_size=12))
+@example(p=3, m=2, terms=[(1, 2), (5 << 9000, 7 << 5000)],
+         case_tag='a"b\\c\u00e9\u2028\U0001f600\x00\n')
+def test_any_plan_json_is_written_as_json_dumps(p, m, terms, case_tag):
+    _assert_canonical_json(InsertionPlan(p, m, tuple(terms), case_tag))
 
 
 def test_plan_construction_validation():

@@ -302,7 +302,8 @@ def test_build_seeded_free_is_reproducible(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["bogus", "seed:abc", "seed:", "digits:1x",
-                                  "zero:1"])
+                                  "zero:1", "digits:\u0660\u0661",
+                                  "digits:0\uff11"])
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_a_malformed_free_spec_is_a_usage_error(tmp_path, capsys, command,
                                                 spec):
@@ -438,6 +439,25 @@ def test_a_digits_prefix_line_reads_as_its_digits(tmp_path, capsys):
                        "--m", "2")
     want = run(capsys, "return-times", "--word", "01101001", "--m", "2")
     assert code == 0 and (code, out) == want[:2]
+
+
+@pytest.mark.parametrize("word", ["\u0660\u0661\u0660\u0661", "\uff10\uff11",
+                                  "01\u00b2"],
+                         ids=["arabic-indic", "fullwidth", "superscript"])
+@pytest.mark.parametrize("source", ["word", "word-file", "digits-line"])
+def test_a_word_of_non_ascii_digits_is_exit_1(tmp_path, capsys, source, word):
+    # int() reads these as digits; a word takes ASCII 0-9 only
+    if source == "word":
+        argv = ["--word", word]
+    else:
+        word_file = tmp_path / "word.txt"
+        word_file.write_text(word if source == "word-file"
+                             else json.dumps({"digits": word}),
+                             encoding="utf-8")
+        argv = ["--word-file", str(word_file)]
+    code, out, err = run(capsys, "return-times", "--m", "2", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 WORD_LINE_COMMANDS = {

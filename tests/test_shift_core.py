@@ -41,6 +41,30 @@ def test_a_symbol_that_is_not_an_int_is_refused(syms, m, bad):
             make()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="0123456789", max_size=40), st.integers(2, 10))
+def test_from_digits_reads_ascii_digits(text, m):
+    want = [int(ch) for ch in text]
+    if max(want, default=0) < m:
+        assert Word.from_digits(text, m) == Word.from_iterable(want, m)
+    else:
+        with pytest.raises(ValueError, match="outside alphabet"):
+            Word.from_digits(text, m)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0660\u0661\u0660\u0661", "\uff11\uff10", "01\u00b2", "0 1", "01a",
+    "-01", "+1", "0_1", "\U0001d7ce"],
+    ids=["arabic-indic", "fullwidth", "superscript", "space", "letter",
+         "minus", "plus", "underscore", "math-bold"])
+def test_from_digits_refuses_any_other_character(text):
+    # int() reads every Unicode decimal digit; a word takes ASCII 0-9 only
+    with pytest.raises(ValueError, match="ASCII digits 0-9 only"):
+        Word.from_digits(text, 10)
+    with pytest.raises(ValueError, match="ASCII digits 0-9 only"):
+        _word_from_json(text, 2)
+
+
 def test_word_bytes_view():
     assert Word.from_digits("0120", 3).data == bytes([0, 1, 2, 0])
     assert Word.from_iterable([0, 255], 256).data == b"\x00\xff"
